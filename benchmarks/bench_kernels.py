@@ -1,87 +1,46 @@
-"""Benchmark the compiled kernel against the pure-Python twin.
+"""Micro-benchmarks of the arithmetic kernel.
 
-Times the two hot paths (batched coefficient products and dense row
-reduction over Q(zeta_12)) plus the full invariant-cohomology pipeline, on
-both backends, and prints the speedups.  Results are asserted bit-identical
-along the way.
+Times the two hot paths: batched coefficient products, and sparse row
+reduction of a random matrix over Q(zeta_12).  The end-to-end harness is
+``perfbench/run.py``.
 
-    python benchmarks/bench_kernels.py [--muls N] [--size N] [--repeat N]
+    python benchmarks/bench_kernels.py [--muls N] [--size N] [--density P] [--repeat N]
 """
 
 import argparse
 import random
 import time
 
-from cdgalab import _kernel_py
-from cdgalab.field import make_field
-
-try:
-    from cdgalab import _kernel
-except ImportError:
-    _kernel = None
+from cdgalab._backend import kernel
+from cdgalab.field import FieldElement, make_field
 
 
 def rand_cv(rng, phi):
-    # small entries: exact elimination on random dense matrices blows up
+    # small entries: exact elimination on random matrices blows up
     # coefficient sizes quickly, which measures bignum cost, not dispatch
-    return _kernel_py.cv_normalize(
+    return kernel.cv_normalize(
         [rng.randint(-2, 2) for _ in range(phi)], rng.randint(1, 3))
 
 
-def bench_cv_mul(kern, pairs, red):
+def bench_cv_mul(pairs, red):
     t0 = time.perf_counter()
-    out = [kern.cv_mul(a, b, red) for a, b in pairs]
-    return time.perf_counter() - t0, out
+    for a, b in pairs:
+        kernel.cv_mul(a, b, red)
+    return time.perf_counter() - t0
 
 
-def bench_rref(kern, rows, ncols, phi, red, inv):
-    work = [list(r) for r in rows]
+def bench_rref(rows, ncols, phi, red, inv):
+    work = [dict(r) for r in rows]
     t0 = time.perf_counter()
-    rank, pivots = kern.rref(work, ncols, ncols, phi, red, inv)
-    return time.perf_counter() - t0, (rank, pivots, work)
-
-
-def bench_pipeline(env_pure):
-    """Full invariant-cohomology + obstruction run, timed in a subprocess so
-    the backend choice is honoured at import."""
-    import os
-    import subprocess
-    import sys
-    code = (
-        "import time; t0=time.perf_counter()\n"
-        "from cdgalab import make_field, Algebra, Differential, AlgebraMap, DGA, "
-        "GroupAction, invariant_complex, cohomology\n"
-        "from cdgalab.formality import ObstructionInput, obstruction\n"
-        "F = make_field(12)\n"
-        "names = ['mu','nu','theta','eta','mubar','nubar','thetabar','etabar']\n"
-        "A = Algebra(F, [(n,1) for n in names])\n"
-        "g = {n: A.generator(n) for n in names}\n"
-        "d = Differential(A, {'theta': g['mu']*g['nu'], 'thetabar': g['mubar']*g['nubar']})\n"
-        "z = F.zeta(4); z2 = z*z\n"
-        "w = {'mu': z, 'nu': z, 'theta': z2, 'eta': z, 'mubar': z2, 'nubar': z2, "
-        "'thetabar': z, 'etabar': z2}\n"
-        "rho = AlgebraMap(A, A, {n: g[n].scale(w[n]) for n in names})\n"
-        "inv = invariant_complex(DGA(A, d), GroupAction(rho, 3))\n"
-        "t = cohomology(inv)\n"
-        "vol = g['theta']*g['mu']*g['nu']*g['eta']*g['thetabar']*g['mubar']*g['nubar']*g['etabar']\n"
-        "r = obstruction(ObstructionInput(inv, g['mu']*g['mubar'], "
-        "(g['nu']*g['nubar'], g['nu']*g['etabar'], g['nubar']*g['eta']), vol), t)\n"
-        "print(time.perf_counter()-t0, t.betti, str(r.scalar))\n"
-    )
-    env = dict(os.environ)
-    if env_pure:
-        env["CDGALAB_PURE"] = "1"
-    else:
-        env.pop("CDGALAB_PURE", None)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    return float(out.stdout.split()[0])
+    rank, _ = kernel.rref(work, ncols, ncols, phi, red, inv)
+    return time.perf_counter() - t0, rank
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--muls", type=int, default=200_000)
     ap.add_argument("--size", type=int, default=32)
+    ap.add_argument("--density", type=float, default=0.3)
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
@@ -90,58 +49,27 @@ def main():
     rng = random.Random(2024)
 
     def inv(cv):
-        from cdgalab.field import FieldElement
         return FieldElement(field, cv).inverse().cv
 
-    backends = [("python", _kernel_py)]
-    if _kernel is not None:
-        backends.append(("cython", _kernel))
-    else:
-        print("compiled kernel not built; benchmarking the pure lane only")
-
     pairs = [(rand_cv(rng, phi), rand_cv(rng, phi)) for _ in range(args.muls)]
-    print(f"\n== cv_mul x {args.muls} over Q(zeta_12) ==")
-    mul_times = {}
-    mul_results = {}
-    for name, kern in backends:
-        best = min(bench_cv_mul(kern, pairs, red)[0] for _ in range(args.repeat))
-        _, mul_results[name] = bench_cv_mul(kern, pairs, red)
-        mul_times[name] = best
-        print(f"  {name:8s} {best:8.3f} s")
-    if len(backends) == 2:
-        assert mul_results["python"] == mul_results["cython"], "backends disagree"
-        print(f"  speedup  {mul_times['python'] / mul_times['cython']:.2f}x")
+    best = min(bench_cv_mul(pairs, red) for _ in range(args.repeat))
+    print(f"cv_mul x {args.muls} over Q(zeta_12): {best:8.3f} s")
 
     n = args.size
+    ncols = n + 6
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n + 6):
-            cv = rand_cv(rng, phi) if rng.random() < 0.3 else (0,) * phi + (1,)
-            row.extend(cv)
+    for _ in range(n):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < args.density:
+                cv = rand_cv(rng, phi)
+                if not kernel.cv_is_zero(cv):
+                    row[j] = cv
         rows.append(row)
-    print(f"\n== rref of a {n}x{n + 6} matrix over Q(zeta_12) ==")
-    rref_times = {}
-    rref_results = {}
-    for name, kern in backends:
-        best = None
-        for _ in range(args.repeat):
-            dt, res = bench_rref(kern, rows, n + 6, phi, red, inv)
-            best = dt if best is None else min(best, dt)
-            rref_results[name] = res
-        rref_times[name] = best
-        print(f"  {name:8s} {best:8.3f} s   (rank {rref_results[name][0]})")
-    if len(backends) == 2:
-        assert rref_results["python"] == rref_results["cython"], "backends disagree"
-        print(f"  speedup  {rref_times['python'] / rref_times['cython']:.2f}x")
-
-    print("\n== invariant cohomology + obstruction pipeline ==")
-    t_pure = bench_pipeline(env_pure=True)
-    print(f"  python   {t_pure:8.3f} s")
-    if _kernel is not None:
-        t_fast = bench_pipeline(env_pure=False)
-        print(f"  cython   {t_fast:8.3f} s")
-        print(f"  speedup  {t_pure / t_fast:.2f}x")
+    runs = [bench_rref(rows, ncols, phi, red, inv) for _ in range(args.repeat)]
+    best = min(dt for dt, _ in runs)
+    print(f"rref of a {n}x{ncols} matrix at density {args.density} over Q(zeta_12): "
+          f"{best:8.3f} s (rank {runs[0][1]})")
 
 
 if __name__ == "__main__":

@@ -1,23 +1,15 @@
-"""Kernel backend selection.
+"""The arithmetic kernel the engine calls into.
 
-The compiled extension is preferred when it imported cleanly; the
-pure-Python twin is the fallback.  Set ``CDGALAB_PURE=1`` to force the
-pure lane (used by the benchmark and the cross-checking tests).
+There is one lane, the pure-Python ``_kernel_py``.  The engine reaches its
+functions through ``kernel`` at call time, so a profiler or tracer can wrap
+them in one place.
 """
 
-import os
-
-if os.environ.get("CDGALAB_PURE"):
-    from . import _kernel_py as kernel
-else:
-    try:
-        from . import _kernel as kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel_py as kernel
+from . import _kernel_py as kernel
 
 BACKEND = kernel.BACKEND
 
 
 def backend_name() -> str:
-    """Name of the arithmetic kernel in use: "cython" or "python"."""
+    """Name of the arithmetic kernel in use; always "python"."""
     return BACKEND

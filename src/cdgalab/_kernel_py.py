@@ -1,14 +1,14 @@
-"""Pure-Python arithmetic kernels.
+"""Pure-Python arithmetic kernel: field values and sparse row reduction.
 
-Twin of the compiled extension ``cdgalab._kernel``; both implement the same
-contracts on the same data layout, so every result is bit-identical whichever
-backend is loaded.
-
-Data layout: a field value ("cv") is a sequence of ``phi + 1`` integers
+Data layout: a field value ("cv") is a tuple of ``phi + 1`` integers
 ``(n0, ..., n_{phi-1}, den)`` meaning the vector ``n_j / den`` in the power
 basis of the cyclotomic field, with ``den > 0`` and
 ``gcd(n0, ..., n_{phi-1}, den) = 1``; zero is all-zero coordinates with
-denominator 1.  A matrix row is a flat list of ``ncols * (phi + 1)`` ints.
+denominator 1.  The form is canonical, so equal values are equal tuples.
+
+A matrix row is sparse: a dict ``{col: cv}`` that holds only the nonzero
+entries.  A column absent from the dict is zero, and the row functions below
+delete an entry as soon as it cancels, so ``not row`` tests for the zero row.
 
 ``red`` is the reduction table: ``red[k]`` gives the integer coordinates of
 ``z**(phi + k)`` in the power basis, for ``k = 0 .. phi - 2``.
@@ -37,10 +37,8 @@ def cv_normalize(nums, den):
 
 
 def cv_is_zero(a):
-    for v in a[:-1]:
-        if v:
-            return False
-    return True
+    # every coordinate is 0; the denominator never is
+    return a.count(0) == len(a) - 1
 
 
 def cv_neg(a):
@@ -89,97 +87,103 @@ def cv_mul(a, b, red):
     return cv_normalize(conv[:phi], a[-1] * b[-1])
 
 
-# --- flat-row helpers -------------------------------------------------------
+# --- sparse-row helpers -----------------------------------------------------
 
-def row_entry(row, j, phi):
-    w = phi + 1
-    return tuple(row[j * w:(j + 1) * w])
-
-
-def row_set_entry(row, j, phi, cv):
-    w = phi + 1
-    row[j * w:(j + 1) * w] = cv
+def row_scale(row, c, red):
+    """row <- c * row, entrywise (c nonzero)."""
+    for j, v in row.items():
+        row[j] = cv_mul(v, c, red)
 
 
-def entry_is_zero(row, j, phi):
-    base = j * (phi + 1)
-    for v in row[base:base + phi]:
-        if v:
-            return False
-    return True
-
-
-def row_is_zero(row, ncols, phi):
-    for j in range(ncols):
-        if not entry_is_zero(row, j, phi):
-            return False
-    return True
-
-
-def row_scale(row, c, ncols, phi, red):
-    """row <- c * row, entrywise."""
-    for j in range(ncols):
-        if not entry_is_zero(row, j, phi):
-            row_set_entry(row, j, phi, cv_mul(row_entry(row, j, phi), c, red))
-
-
-def row_axpy(target, src, c, ncols, phi, red):
-    """target <- target + c * src, entrywise."""
-    if cv_is_zero(c):
-        return
-    for j in range(ncols):
-        if entry_is_zero(src, j, phi):
-            continue
-        p = cv_mul(row_entry(src, j, phi), c, red)
-        row_set_entry(target, j, phi, cv_add(row_entry(target, j, phi), p))
+def row_axpy(target, src, c, red):
+    """target <- target + c * src, entrywise (c nonzero); cancelled entries
+    are removed."""
+    for j, v in src.items():
+        p = cv_mul(v, c, red)
+        t = target.get(j)
+        if t is None:
+            target[j] = p
+        else:
+            s = cv_add(t, p)
+            if cv_is_zero(s):
+                del target[j]
+            else:
+                target[j] = s
 
 
 def rref(rows, ncols, limit, phi, red, inv):
     """In-place reduced row echelon form with deterministic pivoting.
 
-    Pivots are searched in column order over the first ``limit`` columns
-    (row operations span all ``ncols`` columns, so callers may augment).
-    ``inv`` maps a nonzero cv to its multiplicative inverse cv.
-    Returns ``(rank, pivot_columns)``.
+    ``rows`` is a list of sparse rows of width ``ncols``.  Pivots are searched
+    in column order over the first ``limit`` columns: the pivot of a column
+    is the first row at or below the current pivot row with a nonzero entry
+    there, swapped up into place.  Row operations act on whole rows, so
+    callers may augment past ``limit``.  ``inv`` maps a nonzero cv to its
+    multiplicative inverse cv.  Returns ``(rank, pivot_columns)``; the rows
+    past the rank are left empty in the first ``limit`` columns.
+
+    Each column below ``limit`` keeps the set of rows with a nonzero in it,
+    so finding a pivot and clearing its column visit only those rows.  Rows
+    are named by their index in the input and reordered once at the end;
+    until then ``order[p]`` is the row at position ``p``.
     """
     one = (1,) + (0,) * (phi - 1) + (1,)
     nrows = len(rows)
+    holders = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < limit:
+                holders.setdefault(j, set()).add(i)
+    order = list(range(nrows))
+    position = list(range(nrows))
     pivots = []
     piv = 0
     for col in range(limit):
-        r = piv
-        while r < nrows and entry_is_zero(rows[r], col, phi):
-            r += 1
-        if r == nrows:
-            continue
-        if r != piv:
-            rows[piv], rows[r] = rows[r], rows[piv]
-        p = row_entry(rows[piv], col, phi)
-        if p != one:
-            row_scale(rows[piv], inv(p), ncols, phi, red)
-        for r2 in range(nrows):
-            if r2 == piv:
-                continue
-            c = row_entry(rows[r2], col, phi)
-            if not cv_is_zero(c):
-                row_axpy(rows[r2], rows[piv], cv_neg(c), ncols, phi, red)
-        pivots.append(col)
-        piv += 1
         if piv == nrows:
             break
+        held = holders.get(col)
+        if not held:
+            continue
+        below = [position[i] for i in held if position[i] >= piv]
+        if not below:
+            continue
+        r = min(below)
+        i = order[r]
+        if r != piv:
+            k = order[piv]
+            order[piv], order[r] = i, k
+            position[i], position[k] = piv, r
+        prow = rows[i]
+        p = prow[col]
+        if p != one:
+            row_scale(prow, inv(p), red)
+        pcols = [j for j in prow if j < limit]
+        for i2 in held - {i}:
+            target = rows[i2]
+            row_axpy(target, prow, cv_neg(target[col]), red)
+            for j in pcols:
+                if j in target:
+                    holders[j].add(i2)
+                else:
+                    holders[j].discard(i2)
+        pivots.append(col)
+        piv += 1
+    rows[:] = [rows[i] for i in order]
     return piv, pivots
 
 
 def reduce_against(row, rrows, pivots, ncols, phi, red):
-    """Reduce ``row`` (mutated to the remainder) against rref rows.
+    """Reduce the sparse ``row`` (mutated to the remainder) against rref rows.
 
-    Returns the list of cv coefficients, one per pivot row, such that
-    original_row = sum(coeff_i * rrows[i]) + remainder.
+    ``pivots`` maps each pivot column to the index of its row in ``rrows``.
+    Returns the coefficients as a sparse row ``{index: cv}`` such that
+    original_row = sum(coeff_i * rrows[i]) + remainder.  Each rref row is
+    zero in the other rows' pivot columns, so reducing by one row leaves the
+    others' coefficients alone: they are the row's entries at the pivots.
     """
-    coeffs = []
-    for i, col in enumerate(pivots):
-        c = row_entry(row, col, phi)
-        coeffs.append(c)
-        if not cv_is_zero(c):
-            row_axpy(row, rrows[i], cv_neg(c), ncols, phi, red)
+    coeffs = {}
+    for col in [j for j in row if j in pivots]:
+        i = pivots[col]
+        c = coeffs[i] = row[col]
+        row_axpy(row, rrows[i], cv_neg(c), red)
     return coeffs

@@ -259,11 +259,23 @@ class GradedElement:
             vec[alg.word_index(degree, w)] = c
         return vec
 
+    def to_row(self, degree: int) -> dict:
+        """Sparse coordinates ``{word index: cv}`` on the degree-`degree` word
+        basis; rejects other terms."""
+        alg = self.algebra
+        row = {}
+        for w, c in self.terms.items():
+            if alg.word_degree(w) != degree:
+                raise ValueError(f"term {alg.format_word(w)} is not of degree {degree}")
+            row[alg.word_index(degree, w)] = c.cv
+        return row
+
     @staticmethod
-    def from_coords(algebra: Algebra, degree: int, coords) -> "GradedElement":
+    def from_row(algebra: Algebra, degree: int, row: dict) -> "GradedElement":
         words = algebra.basis(degree)
-        return GradedElement(
-            algebra, {w: c for w, c in zip(words, coords) if not c.is_zero()})
+        field = algebra.field
+        return GradedElement(algebra, {words[j]: FieldElement(field, cv)
+                                       for j, cv in row.items()})
 
     def __eq__(self, other):
         if not isinstance(other, GradedElement):

@@ -35,7 +35,7 @@ from typing import Optional
 
 from .algebra import (Algebra, AlgebraMap, Conjugation, DGA, Differential,
                       GradedElement, apply_d, format_element, wedge)
-from .action import GroupAction, invariant_complex, invariant_cohomology, validate_action
+from .action import GroupAction, check_fixed_part, invariant_complex, validate_action
 from .field import CycloField, FieldElement, format_scalar, make_field
 from .formality import ObstructionInput, ObstructionInputError, massey_triple, obstruction
 from .homology import CochainComplex, CohomologyClass, CohomologyTable, cohomology
@@ -845,9 +845,9 @@ def _run_betti(rc: _RunContext, p: dict, report: Report):
 
 def _run_invariant_betti(rc: _RunContext, p: dict, report: Report):
     ctx, binding = p["ctx"], p["map"]
-    action = GroupAction(binding.map, binding.order)
-    table = invariant_cohomology(rc.dga(ctx), action, cross_check=True)
     cx = rc.complex(ctx, binding)
+    table = rc.table(ctx, binding)
+    check_fixed_part(table, rc.table(ctx, None), GroupAction(binding.map, binding.order))
     for k in range(cx.top + 1):
         report.add(f"invariant_dim[{k}]", cx.dim(k))
     for k, b in enumerate(table.betti):

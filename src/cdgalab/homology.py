@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ._backend import kernel
 from .algebra import DGA, Algebra, Differential, GradedElement, apply_d, wedge
-from .linalg import Eliminator, Matrix, Subspace
+from .linalg import Eliminator, Matrix, Subspace, densify, quotient_basis
 
 
 class CochainComplex:
@@ -46,11 +47,11 @@ class CochainComplex:
     def is_full(self) -> bool:
         return self.subspaces is None
 
-    def to_coords(self, x: GradedElement, k: int) -> list:
-        """Coordinates of x in the degree-k basis of the complex; raises when
-        x does not lie in the complex."""
-        ambient = x.to_coords(k)
-        if self.subspaces is None:
+    def to_row(self, x: GradedElement, k: int) -> dict:
+        """Sparse coordinates ``{index: cv}`` of x in the degree-k basis of the
+        complex; raises when x does not lie in the complex."""
+        ambient = x.to_row(k)
+        if self.subspaces is None or not ambient:
             return ambient
         coords = self.subspaces[k].coordinates(ambient)
         if coords is None:
@@ -66,47 +67,37 @@ class CochainComplex:
                 return all(self.contains(x.homogeneous_part(j), j)
                            for j in range(self.top + 1))
         try:
-            self.to_coords(x, k)
+            self.to_row(x, k)
         except ValueError:
             return False
         return True
 
-    def from_coords(self, k: int, coords) -> GradedElement:
+    def from_row(self, k: int, coords: dict) -> GradedElement:
+        """The element with sparse coordinates ``{index: cv}`` in degree k."""
         alg = self.algebra
         if self.subspaces is None:
-            return GradedElement.from_coords(alg, k, coords)
-        rows = self.subspaces[k].row_vectors()
-        out = alg.zero()
-        for c, row in zip(coords, rows):
-            if not c.is_zero():
-                out = out + GradedElement.from_coords(alg, k, row).scale(c)
-        return out
+            return GradedElement.from_row(alg, k, coords)
+        rows = self.subspaces[k].rows
+        red = alg.field.red
+        ambient: dict = {}
+        for i, c in coords.items():
+            kernel.row_axpy(ambient, rows[i], c, red)
+        return GradedElement.from_row(alg, k, ambient)
 
     def basis_elements(self, k: int) -> list[GradedElement]:
         if self.subspaces is None:
             return [self.algebra.word_element(w) for w in self.algebra.basis(k)]
-        return [GradedElement.from_coords(self.algebra, k, row)
-                for row in self.subspaces[k].row_vectors()]
+        return [GradedElement.from_row(self.algebra, k, row)
+                for row in self.subspaces[k].rows]
 
     # --- the differential in complex coordinates ---
 
     def d_matrix(self, k: int) -> Matrix:
         """Rows are the images of the degree-k basis, in degree-(k+1) coords."""
         if k not in self._d_matrices:
-            field = self.algebra.field
-            target_dim = self.dim(k + 1)
-            rows = []
-            for e in self.basis_elements(k):
-                de = apply_d(self.differential, e)
-                if de.is_zero():
-                    rows.append([field.zero] * target_dim)
-                else:
-                    rows.append(self.to_coords(de, k + 1))
-            if not rows:
-                self._d_matrices[k] = Matrix.zero(field, 0, target_dim)
-            else:
-                self._d_matrices[k] = Matrix.from_rows(field, rows) \
-                    if target_dim else Matrix.zero(field, len(rows), 0)
+            rows = [self.to_row(apply_d(self.differential, e), k + 1)
+                    for e in self.basis_elements(k)]
+            self._d_matrices[k] = Matrix.sparse(self.algebra.field, self.dim(k + 1), rows)
         return self._d_matrices[k]
 
     def d_eliminator(self, k: int) -> Eliminator:
@@ -156,21 +147,15 @@ class CohomologyTable:
         top = complex_.top
         for k in range(top + 1):
             dim_k = complex_.dim(k)
-            el_k = complex_.d_eliminator(k)
-            cocycles = Subspace.from_vectors(field, dim_k, el_k.kernel_basis()) \
-                if dim_k else Subspace.from_vectors(field, 0, [])
-            if k == 0:
-                cob = Subspace.from_vectors(field, dim_k, [])
-            else:
-                el_prev = complex_.d_eliminator(k - 1)
-                cob = Subspace.from_vectors(field, dim_k, el_prev.image_basis())
-            from .linalg import quotient_basis
+            cocycles = Subspace.from_vectors(
+                field, dim_k, complex_.d_eliminator(k).kernel_rows())
+            cob = Subspace.from_vectors(
+                field, dim_k, complex_.d_eliminator(k - 1).image_rows() if k else [])
             q = quotient_basis(cocycles, cob)
             self._cocycles.append(cocycles)
             self._coboundaries.append(cob)
             self.betti.append(q.dim)
-            self._reps.append(
-                [complex_.from_coords(k, row) for row in q.row_vectors()])
+            self._reps.append([complex_.from_row(k, row) for row in q.rows])
 
     # --- tables ---
 
@@ -202,13 +187,10 @@ class CohomologyTable:
     def _class_eliminator(self, k: int) -> Eliminator:
         # rows: coboundary basis then representatives; unique coefficients
         if k not in self._class_eliminators:
-            field = self.complex.algebra.field
-            rows = list(self._coboundaries[k].row_vectors())
-            for r in self._reps[k]:
-                rows.append(self.complex.to_coords(r, k))
-            m = Matrix.from_rows(field, rows) if rows \
-                else Matrix.zero(field, 0, self.complex.dim(k))
-            self._class_eliminators[k] = Eliminator(m)
+            rows = self._coboundaries[k].rows \
+                + [self.complex.to_row(r, k) for r in self._reps[k]]
+            self._class_eliminators[k] = Eliminator(
+                Matrix.sparse(self.complex.algebra.field, self.complex.dim(k), rows))
         return self._class_eliminators[k]
 
     def class_coords(self, x: GradedElement, degree: Optional[int] = None) -> tuple:
@@ -222,10 +204,12 @@ class CohomologyTable:
         if k is None:
             raise ValueError("class_coords needs a homogeneous element")
         self._check_closed(x, k)
-        sol = self._class_eliminator(k).solve_left(self.complex.to_coords(x, k))
-        assert sol is not None, "closed element must reduce against cocycles"
+        sol = self._class_eliminator(k).solve_left(self.complex.to_row(x, k))
+        if sol is None:
+            raise AssertionError("closed element must reduce against cocycles")
         ncob = self._coboundaries[k].dim
-        return tuple(sol[ncob:])
+        coords = densify(field, sol, ncob + self.betti[k])
+        return tuple(coords[ncob:])
 
     def class_of(self, x: GradedElement, degree: Optional[int] = None) -> CohomologyClass:
         k = degree if degree is not None else x.degree()
@@ -248,10 +232,10 @@ class CohomologyTable:
         if k == 0:
             return None
         el = self.complex.d_eliminator(k - 1)
-        sol = el.solve_left(self.complex.to_coords(x, k))
+        sol = el.solve_left(self.complex.to_row(x, k))
         if sol is None:
             return None
-        return self.complex.from_coords(k - 1, sol)
+        return self.complex.from_row(k - 1, sol)
 
     def cup(self, c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
         """Product of classes via representatives."""

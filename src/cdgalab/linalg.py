@@ -1,8 +1,18 @@
-"""Exact dense linear algebra over a cyclotomic field.
+"""Exact sparse linear algebra over a cyclotomic field.
 
-Everything is deterministic: Gauss-Jordan with first-nonzero pivoting, free
-variables set to zero in particular solutions.  Internally rows are handed to
-the arithmetic kernel in flat integer form; see ``_kernel_py`` for the layout.
+Everything is deterministic: Gauss-Jordan with first-nonzero pivoting (columns
+in order; the pivot is the first row at or below the current pivot row with a
+nonzero entry in the column), free variables set to zero in particular
+solutions.
+
+Rows are held sparse, as the arithmetic kernel takes them: a row is a dict
+``{col: cv}`` of the nonzero entries only, each ``cv`` the canonical integer
+tuple of a field value (see ``_kernel_py``).  ``Matrix`` stores its rows this
+way and builds its dense ``entries`` view only on first use; nothing mutates
+a matrix's rows once it is built.  The vector arguments of ``Eliminator`` and
+``Subspace`` may be given dense, as a sequence of scalars, or sparse, as such
+a dict; results come back in the form the vector came in (sparse
+coefficients are a dict ``{index: cv}`` as well).
 """
 
 from __future__ import annotations
@@ -19,92 +29,125 @@ def _inv_cv(field: CycloField):
     return inv
 
 
-def _flatten(field, elements) -> list:
-    row = []
-    for e in elements:
-        row.extend(e.cv)
-    return row
+def _sparse(field: CycloField, v, n: int) -> tuple[dict, bool]:
+    """(a sparse copy of the vector v of length n, whether v was dense)."""
+    if isinstance(v, dict):
+        return dict(v), False
+    if len(v) != n:
+        raise ValueError(f"vector of length {len(v)} in a space of dimension {n}")
+    element = field.element
+    zero = field.zero.cv
+    row = {}
+    for j, e in enumerate(v):
+        cv = element(e).cv
+        if cv != zero:
+            row[j] = cv
+    return row, True
 
 
-def _unflatten(field, flat, ncols) -> list[FieldElement]:
-    w = field.phi + 1
-    return [FieldElement(field, tuple(flat[j * w:(j + 1) * w])) for j in range(ncols)]
+def densify(field: CycloField, row: dict, n: int) -> list[FieldElement]:
+    """The sparse row as a dense list of n field elements."""
+    out = [field.zero] * n
+    for j, cv in row.items():
+        out[j] = FieldElement(field, cv)
+    return out
+
+
+def _nonzero(v) -> bool:
+    if isinstance(v, dict):
+        return bool(v)
+    return any(not e.is_zero() for e in v)
 
 
 class Matrix:
-    """Dense row-major matrix of field elements."""
+    """Row-major matrix of field elements, held as sparse rows."""
 
     def __init__(self, field: CycloField, nrows: int, ncols: int, entries):
         entries = list(entries)
         if len(entries) != nrows * ncols:
             raise ValueError("entry count does not match the shape")
+        rows = [_sparse(field, entries[i * ncols:(i + 1) * ncols], ncols)[0]
+                for i in range(nrows)]
+        self._init(field, ncols, rows)
+
+    def _init(self, field: CycloField, ncols: int, rows: list[dict]):
         self.field = field
-        self.nrows = nrows
+        self.nrows = len(rows)
         self.ncols = ncols
-        self.entries = entries
+        self.sparse_rows = rows
+        self._entries = None
+
+    @classmethod
+    def sparse(cls, field: CycloField, ncols: int, rows) -> "Matrix":
+        """Matrix over the given sparse rows, which it keeps without copying."""
+        m = cls.__new__(cls)
+        m._init(field, ncols, list(rows))
+        return m
 
     @classmethod
     def from_rows(cls, field: CycloField, rows) -> "Matrix":
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
-        flat = []
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(field.element(e) for e in r)
-        return cls(field, len(rows), ncols, flat)
+        return cls.sparse(field, ncols, [_sparse(field, r, ncols)[0] for r in rows])
 
     @classmethod
     def zero(cls, field: CycloField, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols, [field.zero] * (nrows * ncols))
+        return cls.sparse(field, ncols, [{} for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field: CycloField, n: int) -> "Matrix":
-        m = cls.zero(field, n, n)
-        for i in range(n):
-            m.entries[i * n + i] = field.one
-        return m
+        one = field.one.cv
+        return cls.sparse(field, n, [{i: one} for i in range(n)])
+
+    @property
+    def entries(self) -> tuple[FieldElement, ...]:
+        """Dense row-major view of the entries, built on first use."""
+        if self._entries is None:
+            self._entries = tuple(e for i in range(self.nrows) for e in self.row(i))
+        return self._entries
 
     def entry(self, i: int, j: int) -> FieldElement:
-        return self.entries[i * self.ncols + j]
+        cv = self.sparse_rows[i].get(j)
+        return self.field.zero if cv is None else FieldElement(self.field, cv)
 
     def row(self, i: int) -> list[FieldElement]:
-        return self.entries[i * self.ncols:(i + 1) * self.ncols]
+        return densify(self.field, self.sparse_rows[i], self.ncols)
 
     def rows(self) -> list[list[FieldElement]]:
         return [self.row(i) for i in range(self.nrows)]
 
     def col(self, j: int) -> list[FieldElement]:
-        return [self.entries[i * self.ncols + j] for i in range(self.nrows)]
+        return [self.entry(i, j) for i in range(self.nrows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      [self.entry(i, j) for j in range(self.ncols) for i in range(self.nrows)])
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, cv in row.items():
+                cols[j][i] = cv
+        return Matrix.sparse(self.field, self.nrows, cols)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        red = self.field.red
         out = []
-        for i in range(self.nrows):
-            for j in range(other.ncols):
-                s = self.field.zero
-                for k in range(self.ncols):
-                    a = self.entry(i, k)
-                    if a.is_zero():
-                        continue
-                    s = s + a * other.entry(k, j)
-                out.append(s)
-        return Matrix(self.field, self.nrows, other.ncols, out)
+        for row in self.sparse_rows:
+            acc: dict = {}
+            for k, a in row.items():
+                kernel.row_axpy(acc, other.sparse_rows[k], a, red)
+            out.append(acc)
+        return Matrix.sparse(self.field, other.ncols, out)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
+        return (isinstance(other, Matrix) and self.field == other.field
+                and self.nrows == other.nrows and self.ncols == other.ncols
+                and self.sparse_rows == other.sparse_rows)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over Q(zeta_{self.field.n}))"
-
-    def _flat_rows(self) -> list[list[int]]:
-        return [_flatten(self.field, self.row(i)) for i in range(self.nrows)]
 
 
 class RrefResult(NamedTuple):
@@ -116,89 +159,68 @@ class RrefResult(NamedTuple):
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form (Gauss-Jordan, deterministic pivot choice)."""
     field = m.field
-    flat = m._flat_rows()
-    rank, pivots = kernel.rref(flat, m.ncols, m.ncols, field.phi, field.red,
+    rows = [dict(r) for r in m.sparse_rows]
+    rank, pivots = kernel.rref(rows, m.ncols, m.ncols, field.phi, field.red,
                                _inv_cv(field))
-    entries = []
-    for row in flat:
-        entries.extend(_unflatten(field, row, m.ncols))
-    return RrefResult(rank, Matrix(field, m.nrows, m.ncols, entries), pivots)
+    return RrefResult(rank, Matrix.sparse(field, m.ncols, rows), pivots)
 
 
 class Eliminator:
     """Row-space machinery for a matrix A: one elimination of [A | I] gives
-    the image basis, the left kernel, and repeated solves of x * A = b."""
+    the image basis, the left kernel, and repeated solves of x * A = b.
+
+    The eliminated rows are kept split: ``_r`` holds the A-parts of the
+    pivot rows (the echelon image basis), ``_e`` the I-parts of all rows
+    (E with E * A = R), both as sparse rows."""
 
     def __init__(self, a: Matrix):
-        self.field = a.field
-        self.ncols = a.ncols
-        self.nrows = a.nrows
         field = a.field
-        phi = field.phi
-        w = phi + 1
-        ident = [0] * (a.nrows * w)
-        for j in range(a.nrows):
-            ident[j * w + phi] = 1  # canonical zero cv has denominator 1
+        self.field = field
+        self.ncols = n = a.ncols
+        self.nrows = a.nrows
+        one = field.one.cv
         rows = []
-        for i in range(a.nrows):
-            row = _flatten(field, a.row(i))
-            aug = list(ident)
-            aug[i * w] = 1
-            rows.append(row + aug)
-        self.width = a.ncols + a.nrows
+        for i, row in enumerate(a.sparse_rows):
+            aug = dict(row)
+            aug[n + i] = one
+            rows.append(aug)
+        self.width = n + a.nrows
         self.rank, self.pivots = kernel.rref(
-            rows, self.width, a.ncols, phi, field.red, _inv_cv(field))
-        self._rows = rows
+            rows, self.width, n, field.phi, field.red, _inv_cv(field))
+        self._pivot_index = {col: i for i, col in enumerate(self.pivots)}
+        self._r = [{j: cv for j, cv in row.items() if j < n}
+                   for row in rows[:self.rank]]
+        self._e = [{j - n: cv for j, cv in row.items() if j >= n}
+                   for row in rows]
 
-    def _r_part(self, i: int) -> list[int]:
-        w = self.field.phi + 1
-        return self._rows[i][: self.ncols * w]
+    def image_rows(self) -> list[dict]:
+        """Echelon basis of the row space of A, as sparse rows (shared)."""
+        return self._r
 
-    def _e_part(self, i: int) -> list[int]:
-        w = self.field.phi + 1
-        return self._rows[i][self.ncols * w:]
+    def kernel_rows(self) -> list[dict]:
+        """Basis of the left kernel {x : x * A = 0}, as sparse rows (shared)."""
+        return self._e[self.rank:]
 
     def image_basis(self) -> list[list[FieldElement]]:
         """Echelon basis of the row space of A."""
-        return [_unflatten(self.field, self._r_part(i), self.ncols)
-                for i in range(self.rank)]
+        return [densify(self.field, r, self.ncols) for r in self.image_rows()]
 
     def kernel_basis(self) -> list[list[FieldElement]]:
         """Basis of the left kernel {x : x * A = 0}."""
-        return [_unflatten(self.field, self._e_part(i), self.nrows)
-                for i in range(self.rank, self.nrows)]
+        return [densify(self.field, e, self.nrows) for e in self.kernel_rows()]
 
-    def solve_left(self, b) -> Optional[list[FieldElement]]:
+    def solve_left(self, b):
         """One x with x * A = b, or None; free coefficients are zero."""
         field = self.field
-        phi = field.phi
-        rem = _flatten(field, [field.element(e) for e in b])
-        if len(rem) != self.ncols * (phi + 1):
-            raise ValueError("dimension mismatch")
-        coeffs = kernel.reduce_against(
-            rem, [self._r_part(i) for i in range(self.rank)], self.pivots,
-            self.ncols, phi, field.red)
-        if not kernel.row_is_zero(rem, self.ncols, phi):
+        rem, dense = _sparse(field, b, self.ncols)
+        coeffs = kernel.reduce_against(rem, self._r, self._pivot_index, self.ncols,
+                                       field.phi, field.red)
+        if rem:
             return None
-        w = phi + 1
-        out = [0] * (self.nrows * w)
-        for j in range(self.nrows):
-            out[j * w + phi] = 1
-        for c, i in zip(coeffs, range(self.rank)):
-            kernel.row_axpy(out, self._e_part(i), c, self.nrows, phi, field.red)
-        return _unflatten(field, out, self.nrows)
-
-    def coordinates(self, b) -> Optional[list[FieldElement]]:
-        """Coefficients of b against the echelon image basis, or None."""
-        field = self.field
-        phi = field.phi
-        rem = _flatten(field, [field.element(e) for e in b])
-        coeffs = kernel.reduce_against(
-            rem, [self._r_part(i) for i in range(self.rank)], self.pivots,
-            self.ncols, phi, field.red)
-        if not kernel.row_is_zero(rem, self.ncols, phi):
-            return None
-        return [FieldElement(field, c) for c in coeffs]
+        x: dict = {}
+        for i, c in coeffs.items():
+            kernel.row_axpy(x, self._e[i], c, field.red)
+        return densify(field, x, self.nrows) if dense else x
 
 
 def solve(a: Matrix, b) -> Optional[list[FieldElement]]:
@@ -215,75 +237,58 @@ def kernel_basis(a: Matrix) -> list[list[FieldElement]]:
 
 
 class Subspace:
-    """Subspace of F^n held as an echelon (rref) row basis."""
+    """Subspace of F^n held as reduced echelon sparse rows and their pivot
+    columns, both computed once."""
 
-    def __init__(self, field: CycloField, ambient_dim: int, basis: Matrix):
+    def __init__(self, field: CycloField, ambient_dim: int, rows: list[dict],
+                 pivots: list[int]):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
+        self.pivots = pivots
+        self._pivot_index = {col: i for i, col in enumerate(pivots)}
 
     @classmethod
     def from_vectors(cls, field: CycloField, ambient_dim: int, vectors) -> "Subspace":
-        vectors = list(vectors)
-        if not vectors:
-            return cls(field, ambient_dim, Matrix.zero(field, 0, ambient_dim))
-        m = Matrix.from_rows(field, vectors)
-        if m.ncols != ambient_dim:
-            raise ValueError("vector length does not match the ambient dimension")
-        rank, red, _ = rref(m)
-        rows = [red.row(i) for i in range(rank)]
-        return cls(field, ambient_dim, Matrix.from_rows(field, rows)
-                   if rows else Matrix.zero(field, 0, ambient_dim))
+        rows = [_sparse(field, v, ambient_dim)[0] for v in vectors]
+        rank, pivots = kernel.rref(rows, ambient_dim, ambient_dim, field.phi,
+                                   field.red, _inv_cv(field))
+        return cls(field, ambient_dim, rows[:rank], pivots)
 
     @classmethod
     def full(cls, field: CycloField, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim))
+        one = field.one.cv
+        return cls(field, ambient_dim, [{i: one} for i in range(ambient_dim)],
+                   list(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.rows)
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def _pivots(self) -> list[int]:
-        pivots = []
-        for i in range(self.basis.nrows):
-            for j in range(self.basis.ncols):
-                if not self.basis.entry(i, j).is_zero():
-                    pivots.append(j)
-                    break
-        return pivots
-
-    def reduce(self, v) -> tuple[list[FieldElement], list[FieldElement]]:
+    def reduce(self, v):
         """(coefficients, remainder) of v against the echelon basis."""
         field = self.field
-        phi = field.phi
-        v = [field.element(e) for e in v]
-        if len(v) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        if self.dim == 0:
-            return [], v
-        rem = _flatten(field, v)
-        rows = [_flatten(field, self.basis.row(i)) for i in range(self.dim)]
-        coeffs = kernel.reduce_against(rem, rows, self._pivots(),
-                                       self.ambient_dim, phi, field.red)
-        return ([FieldElement(field, c) for c in coeffs],
-                _unflatten(field, rem, self.ambient_dim))
+        rem, dense = _sparse(field, v, self.ambient_dim)
+        coeffs = kernel.reduce_against(rem, self.rows, self._pivot_index,
+                                       self.ambient_dim, field.phi, field.red)
+        if dense:
+            return densify(field, coeffs, self.dim), densify(field, rem, self.ambient_dim)
+        return coeffs, rem
 
-    def coordinates(self, v) -> Optional[list[FieldElement]]:
+    def coordinates(self, v):
         if self.is_full():
-            return [self.field.element(e) for e in v]
+            return dict(v) if isinstance(v, dict) else [self.field.element(e) for e in v]
         coeffs, rem = self.reduce(v)
-        if any(not e.is_zero() for e in rem):
-            return None
-        return coeffs
+        return None if _nonzero(rem) else coeffs
 
     def contains(self, v) -> bool:
         return self.coordinates(v) is not None
 
     def row_vectors(self) -> list[list[FieldElement]]:
-        return [self.basis.row(i) for i in range(self.dim)]
+        return [densify(self.field, r, self.ambient_dim) for r in self.rows]
 
 
 def membership(s: Subspace, v) -> bool:
@@ -298,14 +303,16 @@ def quotient_basis(big: Subspace, small: Subspace) -> Subspace:
     """
     if big.ambient_dim != small.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    for row in small.row_vectors():
+    for row in small.rows:
         if not big.contains(row):
             raise ValueError("small subspace is not contained in the big one")
     rem_rows = []
-    for row in big.row_vectors():
+    for row in big.rows:
         _, rem = small.reduce(row)
-        if any(not e.is_zero() for e in rem):
+        if rem:
             rem_rows.append(rem)
     out = Subspace.from_vectors(big.field, big.ambient_dim, rem_rows)
-    assert out.dim == big.dim - small.dim
+    if out.dim != big.dim - small.dim:
+        raise AssertionError(
+            f"quotient has dimension {out.dim}, expected {big.dim} - {small.dim}")
     return out

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .algebra import Conjugation, Differential, GradedElement, apply_d, wedge
 from .homology import CohomologyClass, CohomologyTable, top_scalar
-from .linalg import Matrix, Subspace, rref
+from .linalg import Eliminator, Matrix, Subspace
 
 
 @dataclass
@@ -103,17 +103,11 @@ def lefschetz(table: CohomologyTable, omega_class: CohomologyClass, k: int) -> L
     for _ in range(k):
         omega_k = wedge(omega_k, omega)
     src, dst = n - k, n + k
-    rows = []
-    for r in table.representatives(src):
-        rows.append(table.class_coords(wedge(r, omega_k), dst))
-    if rows:
-        m = Matrix.from_rows(field, rows) if table.betti[dst] else \
-            Matrix.zero(field, len(rows), 0)
-    else:
-        m = Matrix.zero(field, 0, table.betti[dst])
-    from .linalg import Eliminator
+    rows = [table.class_coords(wedge(r, omega_k), dst)
+            for r in table.representatives(src)]
+    m = Matrix.from_rows(field, rows) if rows else Matrix.zero(field, 0, table.betti[dst])
     el = Eliminator(m)
-    kernel = Subspace.from_vectors(field, table.betti[src], el.kernel_basis())
+    kernel = Subspace.from_vectors(field, table.betti[src], el.kernel_rows())
     return LefschetzReport(k, src, dst, m, el.rank, kernel)
 
 

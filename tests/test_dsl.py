@@ -113,6 +113,42 @@ def test_run_report_matches_golden(tmp_path):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
+def test_run_report_matches_golden_under_optimize(tmp_path):
+    """The engine's invariant checks are explicit raises, not asserts, so the
+    session runs the same under ``python -O``."""
+    out = tmp_path / "report.txt"
+    r = subprocess.run([sys.executable, "-O", "-m", "cdgalab", "run",
+                        str(PAPER_SESSION), "--report", str(out)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_paper_run_builds_each_table_once(monkeypatch, paper_session):
+    """The invariant_betti cross-check reuses the run's tables: one full and
+    one invariant table, one invariant complex."""
+    from cdgalab import homology
+    built = []
+    init = homology.CohomologyTable.__init__
+
+    def counting_init(self, complex_):
+        built.append("full" if complex_.is_full() else "invariant")
+        init(self, complex_)
+
+    complexes = []
+    make_complex = dsl.invariant_complex
+
+    def counting_complex(*args):
+        complexes.append(args)
+        return make_complex(*args)
+
+    monkeypatch.setattr(homology.CohomologyTable, "__init__", counting_init)
+    monkeypatch.setattr(dsl, "invariant_complex", counting_complex)
+    assert dsl.run(paper_session).ok
+    assert sorted(built) == ["full", "invariant"]
+    assert len(complexes) == 1
+
+
 def test_report_is_deterministic(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -173,3 +173,17 @@ def test_two_step_complex_with_even_generator():
     alg = Algebra(f, [("t", 2)], top=6)
     dga = DGA(alg, Differential(alg, {}))
     assert cohomology(dga).betti == [1, 0, 1, 0, 1, 0, 1]
+
+
+def test_kuenneth_with_a_two_torus(model):
+    """The model times a 2-torus (10 generators, 1024 words): the Betti
+    vector is the model's convolved with (1, 2, 1)."""
+    names = [g.name for g in model.algebra.gens] + ["tau", "taubar"]
+    alg = Algebra(model.field, [(n, 1) for n in names])
+    g = {n: alg.generator(n) for n in names}
+    d = Differential(alg, {"theta": g["mu"] * g["nu"],
+                           "thetabar": g["mubar"] * g["nubar"]})
+    b = model.table.betti
+    expected = [sum(b[k - j] * c for j, c in enumerate((1, 2, 1)) if 0 <= k - j < len(b))
+                for k in range(len(b) + 2)]
+    assert cohomology(DGA(alg, d)).betti == expected

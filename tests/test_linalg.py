@@ -129,3 +129,147 @@ def test_kernel_vectors_annihilate():
             prod = [sum((m.entry(i, j) * v[j] for j in range(m.ncols)), f.zero)
                     for i in range(m.nrows)]
             assert all(p.is_zero() for p in prod)
+
+
+# --- the sparse elimination against a dense reference -----------------------
+
+def dense_gauss_jordan(rows, limit):
+    """Reference Gauss-Jordan on dense lists of field elements with the
+    engine's pivot rule: columns in order, the first row at or below the
+    current pivot row with a nonzero entry, swapped up.  Returns
+    (rank, pivots, rows)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    piv = 0
+    for col in range(limit):
+        if piv == nrows:
+            break
+        r = next((i for i in range(piv, nrows) if not rows[i][col].is_zero()), None)
+        if r is None:
+            continue
+        rows[piv], rows[r] = rows[r], rows[piv]
+        inv = rows[piv][col].inverse()
+        rows[piv] = [e * inv for e in rows[piv]]
+        for i in range(nrows):
+            c = rows[i][col]
+            if i != piv and not c.is_zero():
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[piv])]
+        pivots.append(col)
+        piv += 1
+    return piv, pivots, rows
+
+
+def dense_eliminator(f, m):
+    """(rank, pivots, R rows, E rows) of the reference elimination of [A | I]."""
+    aug = [m.row(i) + [f.one if j == i else f.zero for j in range(m.nrows)]
+           for i in range(m.nrows)]
+    rank, pivots, rows = dense_gauss_jordan(aug, m.ncols)
+    return (rank, pivots, [r[:m.ncols] for r in rows[:rank]],
+            [r[m.ncols:] for r in rows])
+
+
+def dense_solve_left(f, ref, b):
+    """Reference x with x * A = b from the reduced [A | I], or None."""
+    rank, pivots, r_rows, e_rows = ref
+    rem = list(b)
+    x = [f.zero] * len(e_rows)
+    for i, col in enumerate(pivots):
+        c = rem[col]
+        if c.is_zero():
+            continue
+        rem = [a - c * p for a, p in zip(rem, r_rows[i])]
+        x = [a + c * e for a, e in zip(x, e_rows[i])]
+    return None if any(not e.is_zero() for e in rem) else x
+
+
+def first_nonzero_scan(rows):
+    return [next(j for j, e in enumerate(r) if not e.is_zero()) for r in rows]
+
+
+def _rational_matrix(f, rng, nrows, ncols, density=0.4):
+    entries = [f.rational(rng.randint(-3, 3)) if rng.random() < density else f.zero
+               for _ in range(nrows * ncols)]
+    return Matrix(f, nrows, ncols, entries)
+
+
+def _rank_deficient_matrix(f, rng, nrows, ncols):
+    """Product of random nrows x r and r x ncols matrices, r < min(nrows, ncols)."""
+    r = rng.randint(0, max(0, min(nrows, ncols) - 1))
+    left = _random_matrix(f, rng, nrows, r, density=0.7)
+    right = _random_matrix(f, rng, r, ncols, density=0.7)
+    return Matrix.from_rows(f, [[sum((left.entry(i, k) * right.entry(k, j)
+                                      for k in range(r)), f.zero)
+                                 for j in range(ncols)] for i in range(nrows)])
+
+
+def _matrix_cases():
+    f = make_field(12)
+    rng = random.Random(25)
+    cases = [Matrix.zero(f, 0, 4), Matrix.zero(f, 3, 0), Matrix.zero(f, 0, 0),
+             Matrix.from_rows(f, [[random_field_element(f, rng)]]),
+             Matrix.from_rows(f, [[f.zero]])]
+    for _ in range(25):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        cases.append(_rational_matrix(f, rng, nr, nc))
+        cases.append(_random_matrix(f, rng, nr, nc, density=0.5))
+        cases.append(_rank_deficient_matrix(f, rng, nr, nc))
+    return f, rng, cases
+
+
+def test_sparse_rref_matches_dense_reference():
+    f, _, cases = _matrix_cases()
+    deficient = 0
+    for m in cases:
+        rank, pivots, rows = dense_gauss_jordan(m.rows(), m.ncols)
+        deficient += rank < min(m.nrows, m.ncols)
+        r = rref(m)
+        assert (r.rank, r.pivots) == (rank, pivots)
+        assert r.reduced.rows() == rows
+        assert list(r.reduced.entries) == [e for row in rows for e in row]
+    assert deficient >= 25
+
+
+def test_eliminator_matches_dense_reference():
+    f, rng, cases = _matrix_cases()
+    for m in cases:
+        ref = dense_eliminator(f, m)
+        rank, pivots, r_rows, e_rows = ref
+        el = Eliminator(m)
+        assert (el.rank, el.pivots) == (rank, pivots)
+        assert el.image_basis() == r_rows
+        assert el.kernel_basis() == e_rows[rank:]
+        targets = [[random_field_element(f, rng) for _ in range(m.ncols)],
+                   [f.zero] * m.ncols]
+        x0 = [random_field_element(f, rng) for _ in range(m.nrows)]
+        targets.append([sum((x0[i] * m.entry(i, j) for i in range(m.nrows)), f.zero)
+                        for j in range(m.ncols)])
+        for b in targets:
+            want = dense_solve_left(f, ref, b)
+            assert el.solve_left(b) == want
+            sparse_b = {j: e.cv for j, e in enumerate(b) if not e.is_zero()}
+            got = el.solve_left(sparse_b)
+            if want is None:
+                assert got is None
+            else:
+                assert got == {i: e.cv for i, e in enumerate(want) if not e.is_zero()}
+        assert el.solve_left(targets[-1]) is not None
+
+
+def test_subspace_matches_dense_reference_and_caches_pivots():
+    f, rng, cases = _matrix_cases()
+    for m in cases:
+        rank, pivots, rows = dense_gauss_jordan(m.rows(), m.ncols)
+        s = Subspace.from_vectors(f, m.ncols, m.rows())
+        assert s.dim == rank
+        assert s.row_vectors() == rows[:rank]
+        assert s.pivots == pivots == first_nonzero_scan(s.row_vectors())
+        v = [random_field_element(f, rng) for _ in range(m.ncols)]
+        coeffs, rem = s.reduce(v)
+        want = list(v)
+        for i, col in enumerate(pivots):
+            assert coeffs[i] == want[col]
+            want = [a - coeffs[i] * p for a, p in zip(want, rows[i])]
+        assert rem == want
+    full = Subspace.full(f, 5)
+    assert full.pivots == first_nonzero_scan(full.row_vectors()) == list(range(5))
