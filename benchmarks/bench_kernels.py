@@ -4,7 +4,7 @@ Times the two hot paths: batched coefficient products, and sparse row
 reduction of a random matrix over Q(zeta_12).  The end-to-end harness is
 ``perfbench/run.py``.
 
-    python benchmarks/bench_kernels.py [--muls N] [--size N] [--density P] [--repeat N]
+    python benchmarks/bench_kernels.py [--muls N] [--size N] [--repeat N]
 """
 
 import argparse
@@ -13,6 +13,8 @@ import time
 
 from cdgalab._backend import kernel
 from cdgalab.field import FieldElement, make_field
+
+DENSITY = 0.3
 
 
 def rand_cv(rng, phi):
@@ -40,7 +42,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--muls", type=int, default=200_000)
     ap.add_argument("--size", type=int, default=32)
-    ap.add_argument("--density", type=float, default=0.3)
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
@@ -61,14 +62,14 @@ def main():
     for _ in range(n):
         row = {}
         for j in range(ncols):
-            if rng.random() < args.density:
+            if rng.random() < DENSITY:
                 cv = rand_cv(rng, phi)
                 if not kernel.cv_is_zero(cv):
                     row[j] = cv
         rows.append(row)
     runs = [bench_rref(rows, ncols, phi, red, inv) for _ in range(args.repeat)]
     best = min(dt for dt, _ in runs)
-    print(f"rref of a {n}x{ncols} matrix at density {args.density} over Q(zeta_12): "
+    print(f"rref of a {n}x{ncols} matrix at density {DENSITY} over Q(zeta_12): "
           f"{best:8.3f} s (rank {runs[0][1]})")
 
 

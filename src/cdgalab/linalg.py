@@ -30,8 +30,17 @@ def _inv_cv(field: CycloField):
 
 
 def _sparse(field: CycloField, v, n: int) -> tuple[dict, bool]:
-    """(a sparse copy of the vector v of length n, whether v was dense)."""
+    """(a sparse copy of the vector v of length n, whether v was dense).
+
+    A sparse v must hold only nonzero entries at indices below n: the kernel
+    takes a missing key for zero and never looks at a stored one."""
     if isinstance(v, dict):
+        for j, cv in v.items():
+            if not (isinstance(j, int) and 0 <= j < n):
+                raise ValueError(f"sparse vector has an entry at {j!r} "
+                                 f"in a space of dimension {n}")
+            if kernel.cv_is_zero(cv):
+                raise ValueError(f"sparse vector stores a zero at {j}")
         return dict(v), False
     if len(v) != n:
         raise ValueError(f"vector of length {len(v)} in a space of dimension {n}")
@@ -280,7 +289,8 @@ class Subspace:
 
     def coordinates(self, v):
         if self.is_full():
-            return dict(v) if isinstance(v, dict) else [self.field.element(e) for e in v]
+            row, dense = _sparse(self.field, v, self.ambient_dim)
+            return densify(self.field, row, self.ambient_dim) if dense else row
         coeffs, rem = self.reduce(v)
         return None if _nonzero(rem) else coeffs
 

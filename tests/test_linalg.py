@@ -273,3 +273,20 @@ def test_subspace_matches_dense_reference_and_caches_pivots():
         assert rem == want
     full = Subspace.full(f, 5)
     assert full.pivots == first_nonzero_scan(full.row_vectors()) == list(range(5))
+
+
+def test_sparse_vectors_with_bad_entries_are_rejected():
+    f = make_field(12)
+    one, zero = f.one.cv, f.zero.cv
+    s = Subspace.from_vectors(f, 3, [[f.one, f.zero, f.zero]])
+    el = Eliminator(Matrix.identity(f, 3))
+    full = Subspace.full(f, 3)
+    for bad in ({3: one}, {-1: one}, {"0": one}, {1: zero}):
+        for call in (s.reduce, s.contains, full.contains, el.solve_left,
+                     lambda v: membership(s, v),
+                     lambda v: solve(Matrix.identity(f, 3), v)):
+            with pytest.raises(ValueError):
+                call(bad)
+    # the same vectors, well formed, are accepted
+    assert s.contains({0: one}) and not s.contains({1: one})
+    assert el.solve_left({2: one}) == {2: one}
