@@ -1,8 +1,8 @@
 """Micro-benchmarks of the arithmetic kernel.
 
-Times the two hot paths: batched coefficient products, and sparse row
-reduction of a random matrix over Q(zeta_12).  The end-to-end harness is
-``perfbench/run.py``.
+Times the hot paths over Q(zeta_12): batched coefficient products, inverses
+of non-rational values, and sparse row reduction of a random matrix.  The
+end-to-end harness is ``perfbench/run.py``.
 
     python benchmarks/bench_kernels.py [--muls N] [--size N] [--repeat N]
 """
@@ -12,9 +12,11 @@ import random
 import time
 
 from cdgalab._backend import kernel
-from cdgalab.field import FieldElement, make_field
+from cdgalab.field import make_field
+from cdgalab.linalg import _inv_cv
 
 DENSITY = 0.3
+INVERSES = 20_000
 
 
 def rand_cv(rng, phi):
@@ -28,6 +30,13 @@ def bench_cv_mul(pairs, red):
     t0 = time.perf_counter()
     for a, b in pairs:
         kernel.cv_mul(a, b, red)
+    return time.perf_counter() - t0
+
+
+def bench_inverse(values, inv):
+    t0 = time.perf_counter()
+    for a in values:
+        inv(a)
     return time.perf_counter() - t0
 
 
@@ -48,13 +57,19 @@ def main():
     field = make_field(12)
     phi, red = field.phi, field.red
     rng = random.Random(2024)
-
-    def inv(cv):
-        return FieldElement(field, cv).inverse().cv
+    inv = _inv_cv(field)
 
     pairs = [(rand_cv(rng, phi), rand_cv(rng, phi)) for _ in range(args.muls)]
     best = min(bench_cv_mul(pairs, red) for _ in range(args.repeat))
     print(f"cv_mul x {args.muls} over Q(zeta_12): {best:8.3f} s")
+
+    values = []
+    while len(values) < INVERSES:
+        cv = rand_cv(rng, phi)
+        if any(cv[1:-1]):  # not rational
+            values.append(cv)
+    best = min(bench_inverse(values, inv) for _ in range(args.repeat))
+    print(f"inverse x {INVERSES} of non-rational values over Q(zeta_12): {best:8.3f} s")
 
     n = args.size
     ncols = n + 6

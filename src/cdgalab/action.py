@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._backend import kernel
 from .algebra import DGA, AlgebraMap, Differential, GradedElement, apply_d, apply_map, identity_map
 from .homology import CochainComplex, CohomologyTable, cohomology
 from .linalg import Subspace
@@ -106,8 +107,8 @@ def induced_action_fixed_dims(table: CohomologyTable, action: GroupAction) -> li
     """Dimension per degree of the fixed part of the induced action on H*."""
     dims = []
     powers = action.powers()
-    inv_m = Fraction(1, action.order)
     field = table.complex.algebra.field
+    inv_m = field.rational(1, action.order).cv
     for k in range(table.top + 1):
         reps = table.representatives(k)
         if not reps:
@@ -115,11 +116,10 @@ def induced_action_fixed_dims(table: CohomologyTable, action: GroupAction) -> li
             continue
         rows = []
         for r in reps:
-            acc = None
+            acc: dict = {}
             for f in powers:
-                cc = table.class_coords(apply_map(f, r), k)
-                acc = list(cc) if acc is None else [a + c for a, c in zip(acc, cc)]
-            rows.append([a * inv_m for a in acc])
+                kernel.row_axpy(acc, table.class_row(apply_map(f, r), k), inv_m, field.red)
+            rows.append(acc)
         proj = Subspace.from_vectors(field, len(reps), rows)
         dims.append(proj.dim)
     return dims

@@ -5,6 +5,19 @@ generators appear at most once, even generators may repeat up to the declared
 truncation degree.  The sign of a product is the parity of degree-weighted
 transpositions in the merge of the two sorted words; this single convention
 fixes every sign produced by the engine.
+
+Coefficients are boxed as ``FieldElement`` only at the public boundary.
+``wedge``, ``apply_d`` and ``apply_map`` accumulate ``{word: cv}`` maps of the
+kernel's canonical integer tuples (see ``_kernel_py``) and build one
+``GradedElement`` at the end.  Two per-word caches serve them:
+
+- a ``Differential`` computes each word's differential once, by the Leibniz
+  rule, and ``apply_d`` is the linear combination of those rows;
+- an ``AlgebraMap`` keeps the image of every word it has mapped, each one
+  the image of the word's prefix times the image of its last generator.
+
+Each cache lives on its instance, so two differentials or two maps never
+share one.  Nothing cached escapes: every call returns a fresh element.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._backend import kernel
 from .field import CycloField, FieldElement, format_scalar
 
 
@@ -57,6 +71,7 @@ class Algebra:
         self._word_pos = [
             {w: i for i, w in enumerate(words)} for words in self._basis
         ]
+        self._word_degree = {w: k for k, words in enumerate(self._basis) for w in words}
 
     def _collect_words(self, start: int, word: list, deg: int):
         self._basis[deg].append(tuple(word))
@@ -85,7 +100,10 @@ class Algebra:
         return self._word_pos[degree][word]
 
     def word_degree(self, word: Word) -> int:
-        return sum(self.degrees[g] for g in word)
+        deg = self._word_degree.get(word)
+        if deg is None:  # a word past the truncation, or with a repeated odd generator
+            return sum(self.degrees[g] for g in word)
+        return deg
 
     def generator_index(self, name: str) -> int:
         if name not in self._index:
@@ -117,13 +135,12 @@ class Algebra:
     def merge_words(self, w1: Word, w2: Word):
         """Merge two sorted words; returns (word, sign) or None when the
         product vanishes (repeated odd generator or truncation)."""
-        deg = self.word_degree(w1) + self.word_degree(w2)
-        if deg > self.top:
+        rem = self.word_degree(w1)
+        if rem + self.word_degree(w2) > self.top:
             return None
         out = []
         i, j = 0, 0
         n1, n2 = len(w1), len(w2)
-        rem = self.word_degree(w1)
         sign_exp = 0
         degrees = self.degrees
         while i < n1 and j < n2:
@@ -289,25 +306,44 @@ class GradedElement:
         return f"<{format_element(self)}>"
 
 
-def wedge(x: GradedElement, y: GradedElement) -> GradedElement:
-    """Graded-commutative product."""
-    if y.algebra is not x.algebra:
-        raise ValueError("algebra mismatch")
-    alg = x.algebra
-    acc: dict = {}
+def _element(alg: Algebra, terms: dict) -> GradedElement:
+    """Box ``{word: cv}``, which holds no zero, into a fresh element."""
+    field = alg.field
+    x = GradedElement.__new__(GradedElement)
+    x.algebra = alg
+    x.terms = {w: FieldElement(field, cv) for w, cv in terms.items()}
+    return x
+
+
+def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
+    """The product of ``{word: cv}`` maps, as a new one without zeros."""
+    red = alg.field.red
     merge = alg.merge_words
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
+    cv_mul, cv_neg, cv_add = kernel.cv_mul, kernel.cv_neg, kernel.cv_add
+    acc: dict = {}
+    for w1, a in xs.items():
+        for w2, b in ys.items():
             m = merge(w1, w2)
             if m is None:
                 continue
             w, sign = m
-            c = c1 * c2
+            c = cv_mul(a, b, red)
             if sign < 0:
-                c = -c
+                c = cv_neg(c)
             s = acc.get(w)
-            acc[w] = c if s is None else s + c
-    return GradedElement(alg, acc)
+            acc[w] = c if s is None else cv_add(s, c)
+    return {w: c for w, c in acc.items() if not kernel.cv_is_zero(c)}
+
+
+def _cvs(x: GradedElement) -> dict:
+    return {w: c.cv for w, c in x.terms.items()}
+
+
+def wedge(x: GradedElement, y: GradedElement) -> GradedElement:
+    """Graded-commutative product."""
+    if y.algebra is not x.algebra:
+        raise ValueError("algebra mismatch")
+    return _element(x.algebra, _product(x.algebra, _cvs(x), _cvs(y)))
 
 
 def format_element(x: GradedElement) -> str:
@@ -366,6 +402,8 @@ class Differential:
                     f"d({algebra.gens[g].name}) must be homogeneous of degree {want}")
             norm[g] = val
         self.assignments = norm
+        self._gen_d = {g: _cvs(v) for g, v in norm.items()}
+        self._word_d: dict = {}
         if check:
             verdict = check_d_squared(self)
             if not verdict.ok:
@@ -376,28 +414,56 @@ class Differential:
     def of_generator(self, g: int) -> GradedElement:
         return self.assignments.get(g, self.algebra.zero())
 
+    def _word_row(self, w: Word) -> dict:
+        """d of the word w as ``{word: cv}``, computed on first use and kept."""
+        row = self._word_d.get(w)
+        if row is None:
+            row = self._word_d[w] = self._leibniz(w)
+        return row
+
+    def _leibniz(self, w: Word) -> dict:
+        # d(w1...wk) = sum (-1)^(deg prefix) w1..d(wi)..wk, each term merged
+        # as (prefix * d(wi)) * suffix, the order in which wedge multiplies them
+        alg = self.algebra
+        merge = alg.merge_words
+        acc: dict = {}
+        prefix_deg = 0
+        for i, g in enumerate(w):
+            dg = self._gen_d.get(g)
+            if dg is not None:
+                pre, suf = w[:i], w[i + 1:]
+                for t, c in dg.items():
+                    m = merge(pre, t)
+                    if m is None:
+                        continue
+                    r, s1 = m
+                    m = merge(r, suf)
+                    if m is None:
+                        continue
+                    word, s2 = m
+                    if s1 * s2 * (-1 if prefix_deg % 2 else 1) < 0:
+                        c = kernel.cv_neg(c)
+                    s = acc.get(word)
+                    acc[word] = c if s is None else kernel.cv_add(s, c)
+            prefix_deg += alg.degrees[g]
+        return {word: c for word, c in acc.items() if not kernel.cv_is_zero(c)}
+
     def __call__(self, x: GradedElement) -> GradedElement:
         return apply_d(self, x)
 
 
 def apply_d(d: Differential, x: GradedElement) -> GradedElement:
-    """Leibniz extension: d(w1...wk) = sum (-1)^(deg prefix) w1..d(wi)..wk."""
+    """Leibniz extension: the combination of the word differentials."""
     alg = x.algebra
     if alg is not d.algebra:
         raise ValueError("algebra mismatch")
-    out = alg.zero()
+    red = alg.field.red
+    acc: dict = {}
     for w, c in x.terms.items():
-        prefix_deg = 0
-        for i, g in enumerate(w):
-            dg = d.assignments.get(g)
-            if dg is not None:
-                pre = alg.word_element(w[:i])
-                suf = alg.word_element(w[i + 1:])
-                term = wedge(wedge(pre, dg), suf)
-                coeff = c if prefix_deg % 2 == 0 else -c
-                out = out + term.scale(coeff)
-            prefix_deg += alg.degrees[g]
-    return out
+        row = d._word_row(w)
+        if row:
+            kernel.row_axpy(acc, row, c.cv, red)
+    return _element(alg, acc)
 
 
 def check_d_squared(d: Differential) -> D2Verdict:
@@ -432,7 +498,21 @@ class AlgebraMap:
         for g in range(len(source.gens)):
             if g not in norm:
                 raise ValueError(f"map misses generator {source.gens[g].name}")
+        if source.field != target.field:
+            raise ValueError(
+                f"conductor mismatch: {source.field.n} vs {target.field.n}")
         self.assignments = norm
+        self._gen_images = {g: _cvs(v) for g, v in norm.items()}
+        self._images: dict = {(): {(): target.field.one.cv}}
+
+    def _word_image(self, w: Word) -> dict:
+        """Image of the word w as ``{word: cv}``, the image of its prefix
+        times the image of its last generator; kept for every prefix."""
+        img = self._images.get(w)
+        if img is None:
+            img = self._images[w] = _product(self.target, self._word_image(w[:-1]),
+                                             self._gen_images[w[-1]])
+        return img
 
     def __call__(self, x: GradedElement) -> GradedElement:
         return apply_map(self, x)
@@ -472,13 +552,13 @@ def apply_map(f: AlgebraMap, x: GradedElement) -> GradedElement:
     """Multiplicative-linear extension of the generator assignments."""
     if x.algebra is not f.source:
         raise ValueError("algebra mismatch")
-    out = f.target.zero()
+    red = f.target.field.red
+    acc: dict = {}
     for w, c in x.terms.items():
-        acc = f.target.unit()
-        for g in w:
-            acc = wedge(acc, f.assignments[g])
-        out = out + acc.scale(c)
-    return out
+        img = f._word_image(w)
+        if img:
+            kernel.row_axpy(acc, img, c.cv, red)
+    return _element(f.target, acc)
 
 
 class Conjugation:

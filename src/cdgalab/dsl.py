@@ -151,7 +151,8 @@ class AlgebraContext:
     differential: Optional[Differential] = None
 
     def require_differential(self) -> Differential:
-        assert self.differential is not None
+        if self.differential is None:
+            raise AssertionError(f"algebra {self.name} has no differential")
         return self.differential
 
 

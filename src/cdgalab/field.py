@@ -26,12 +26,15 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     q = [0] * (len(num) - len(den) + 1)
     for k in range(len(q) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise AssertionError("polynomial division is not exact: "
+                                 f"{c} is not a multiple of {den[-1]}")
         q[k] = c // den[-1]
         if q[k]:
             for j, d in enumerate(den):
                 num[k + j] -= q[k] * d
-    assert all(v == 0 for v in num)
+    if any(num):
+        raise AssertionError("polynomial division leaves a nonzero remainder")
     return q
 
 
@@ -237,30 +240,32 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
         f = self.field
-        if f.phi == 1:
-            return f.rational(self.cv[1], self.cv[0])
-        # norm trick: a^-1 = (prod of conjugates) / N(a), all integer arithmetic
-        c = f.one
+        a = self.cv
+        if self.is_rational():
+            return FieldElement(f, kernel.cv_normalize(
+                [a[-1]] + [0] * (f.phi - 1), a[0]))
+        # norm trick on the numerator A = den * a, all in integer tuples:
+        # c = prod of the other Galois images of A, N = A * c is rational,
+        # and a^-1 = den * c / N
+        red = f.red
+        c = None
         for k in f.units[1:]:
-            c = c * self.galois(k)
-        nrm = self * c
-        assert nrm.is_rational(), "norm of a field element must be rational"
-        p, q = nrm.cv[0], nrm.cv[-1]
-        return c * Fraction(q, p)
+            g = tuple(_galois_nums(f, a, k)) + (1,)
+            c = g if c is None else kernel.cv_mul(c, g, red)
+        nrm = kernel.cv_mul(a[:-1] + (1,), c, red)
+        if any(nrm[1:-1]):
+            raise AssertionError("norm of a field element must be rational")
+        scale = a[-1] * nrm[-1]
+        return FieldElement(f, kernel.cv_normalize(
+            [scale * v for v in c[:-1]], c[-1] * nrm[0]))
 
     def galois(self, k: int) -> "FieldElement":
         """The automorphism z -> z**k (k coprime to the conductor)."""
         f = self.field
         if gcd(k, f.n) != 1:
             raise ValueError(f"{k} is not coprime to the conductor {f.n}")
-        nums = [0] * f.phi
-        for j, a in enumerate(self.cv[:-1]):
-            if a:
-                row = f.pow_table[(j * k) % f.n]
-                for t in range(f.phi):
-                    if row[t]:
-                        nums[t] += a * row[t]
-        return FieldElement(f, kernel.cv_normalize(nums, self.cv[-1]))
+        return FieldElement(f, kernel.cv_normalize(_galois_nums(f, self.cv, k),
+                                                   self.cv[-1]))
 
     def conjugate(self) -> "FieldElement":
         """Complex conjugation, the automorphism z -> z**-1."""
@@ -311,6 +316,18 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement(n={self.field.n}, {format_scalar(self)!r})"
+
+
+def _galois_nums(f: CycloField, cv, k: int) -> list[int]:
+    """Numerators of the image of cv under z -> z**k, over cv's denominator."""
+    nums = [0] * f.phi
+    for j, a in enumerate(cv[:-1]):
+        if a:
+            row = f.pow_table[(j * k) % f.n]
+            for t in range(f.phi):
+                if row[t]:
+                    nums[t] += a * row[t]
+    return nums
 
 
 def format_scalar(a: FieldElement) -> str:

@@ -113,7 +113,8 @@ def obstruction(inp: ObstructionInput, table: Optional[CohomologyTable] = None,
     b1, b2, b3 = inp.betas
     element = wedge(wedge(x1, x2), b3) + wedge(wedge(x2, x3), b1) + wedge(wedge(x3, x1), b2)
     residue = cx.d(element)
-    assert residue.is_zero(), f"obstruction element failed to close: {residue}"
+    if not residue.is_zero():
+        raise AssertionError(f"obstruction element failed to close: {residue}")
 
     top = cx.top
     coords = table.class_coords(element, top)
@@ -148,7 +149,9 @@ def massey_triple(table: CohomologyTable, x: CohomologyClass, y: CohomologyClass
     xr, yr, zr = x.representative(), y.representative(), z.representative()
     xi = table.is_exact(wedge(xr, yr), degree=x.degree + y.degree)
     zeta = table.is_exact(wedge(yr, zr), degree=y.degree + z.degree)
-    assert xi is not None and zeta is not None
+    if xi is None or zeta is None:
+        raise AssertionError("a product of representatives of a zero cup product "
+                             "must be exact")
     rep = wedge(xi, zr)
     cross = wedge(xr, zeta)
     if x.degree % 2:
@@ -161,9 +164,9 @@ def massey_triple(table: CohomologyTable, x: CohomologyClass, y: CohomologyClass
     field = table.complex.algebra.field
     rows = []
     for h in table.representatives(y.degree + z.degree - 1):
-        rows.append(table.class_coords(wedge(xr, h), out_deg))
+        rows.append(table.class_row(wedge(xr, h), out_deg))
     for h in table.representatives(x.degree + y.degree - 1):
-        rows.append(table.class_coords(wedge(h, zr), out_deg))
+        rows.append(table.class_row(wedge(h, zr), out_deg))
     indet = Subspace.from_vectors(field, table.betti[out_deg], rows)
     return MasseyResult(coords, rep, indet)
 

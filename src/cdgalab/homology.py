@@ -177,12 +177,16 @@ class CohomologyTable:
 
     # --- classes ---
 
-    def _check_closed(self, x: GradedElement, k: int):
+    def _closed_row(self, x: GradedElement, k: int) -> dict:
+        """Sparse coordinates of x in the complex, after checking that x is
+        closed and lies in the complex."""
         dx = self.complex.d(x)
         if not dx.is_zero():
             raise ValueError(f"element is not closed: d(x) = {dx}")
-        if not self.complex.contains(x, k):
-            raise ValueError("element does not lie in the complex")
+        try:
+            return self.complex.to_row(x, k)
+        except ValueError:
+            raise ValueError("element does not lie in the complex") from None
 
     def _class_eliminator(self, k: int) -> Eliminator:
         # rows: coboundary basis then representatives; unique coefficients
@@ -193,23 +197,26 @@ class CohomologyTable:
                 Matrix.sparse(self.complex.algebra.field, self.complex.dim(k), rows))
         return self._class_eliminators[k]
 
-    def class_coords(self, x: GradedElement, degree: Optional[int] = None) -> tuple:
-        """Coordinates of [x] in the representative basis of its degree."""
-        field = self.complex.algebra.field
+    def class_row(self, x: GradedElement, k: int) -> dict:
+        """Sparse coordinates ``{j: cv}`` of [x] in the degree-k
+        representative basis."""
         if x.is_zero():
-            if degree is None:
-                raise ValueError("the zero element needs an explicit degree")
-            return tuple([field.zero] * self.betti[degree])
-        k = degree if degree is not None else x.degree()
-        if k is None:
-            raise ValueError("class_coords needs a homogeneous element")
-        self._check_closed(x, k)
-        sol = self._class_eliminator(k).solve_left(self.complex.to_row(x, k))
+            return {}
+        sol = self._class_eliminator(k).solve_left(self._closed_row(x, k))
         if sol is None:
             raise AssertionError("closed element must reduce against cocycles")
         ncob = self._coboundaries[k].dim
-        coords = densify(field, sol, ncob + self.betti[k])
-        return tuple(coords[ncob:])
+        return {j - ncob: cv for j, cv in sol.items() if j >= ncob}
+
+    def class_coords(self, x: GradedElement, degree: Optional[int] = None) -> tuple:
+        """Coordinates of [x] in the representative basis of its degree."""
+        if x.is_zero() and degree is None:
+            raise ValueError("the zero element needs an explicit degree")
+        k = degree if degree is not None else x.degree()
+        if k is None:
+            raise ValueError("class_coords needs a homogeneous element")
+        return tuple(densify(self.complex.algebra.field, self.class_row(x, k),
+                             self.betti[k]))
 
     def class_of(self, x: GradedElement, degree: Optional[int] = None) -> CohomologyClass:
         k = degree if degree is not None else x.degree()
@@ -228,11 +235,10 @@ class CohomologyTable:
         k = degree if degree is not None else x.degree()
         if k is None:
             raise ValueError("is_exact needs a homogeneous element")
-        self._check_closed(x, k)
+        row = self._closed_row(x, k)
         if k == 0:
             return None
-        el = self.complex.d_eliminator(k - 1)
-        sol = el.solve_left(self.complex.to_row(x, k))
+        sol = self.complex.d_eliminator(k - 1).solve_left(row)
         if sol is None:
             return None
         return self.complex.from_row(k - 1, sol)

@@ -103,9 +103,9 @@ def lefschetz(table: CohomologyTable, omega_class: CohomologyClass, k: int) -> L
     for _ in range(k):
         omega_k = wedge(omega_k, omega)
     src, dst = n - k, n + k
-    rows = [table.class_coords(wedge(r, omega_k), dst)
+    rows = [table.class_row(wedge(r, omega_k), dst)
             for r in table.representatives(src)]
-    m = Matrix.from_rows(field, rows) if rows else Matrix.zero(field, 0, table.betti[dst])
+    m = Matrix.sparse(field, table.betti[dst], rows)
     el = Eliminator(m)
     kernel = Subspace.from_vectors(field, table.betti[src], el.kernel_rows())
     return LefschetzReport(k, src, dst, m, el.rank, kernel)

@@ -187,3 +187,127 @@ def test_format_element_basics(model):
     assert format_element(g["mu"] * g["nu"]) == "mu*nu"
     assert format_element(-(g["mu"] * g["nu"])) == "-mu*nu"
     assert format_element(g["mu"].scale(2) - g["nu"]) == "{2}*mu - nu"
+
+
+# --- reference: the boxed arithmetic the library replaced -------------------
+
+def ref_wedge(x, y):
+    alg = x.algebra
+    acc = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            m = alg.merge_words(w1, w2)
+            if m is None:
+                continue
+            w, sign = m
+            c = c1 * c2
+            if sign < 0:
+                c = -c
+            s = acc.get(w)
+            acc[w] = c if s is None else s + c
+    return GradedElement(alg, acc)
+
+
+def ref_apply_d(d, x):
+    """Leibniz on every call: d(w1...wk) = sum (-1)^(deg prefix) w1..d(wi)..wk."""
+    alg = x.algebra
+    out = alg.zero()
+    for w, c in x.terms.items():
+        prefix_deg = 0
+        for i, g in enumerate(w):
+            dg = d.assignments.get(g)
+            if dg is not None:
+                term = ref_wedge(ref_wedge(alg.word_element(w[:i]), dg),
+                                 alg.word_element(w[i + 1:]))
+                out = out + term.scale(c if prefix_deg % 2 == 0 else -c)
+            prefix_deg += alg.degrees[g]
+    return out
+
+
+def ref_apply_map(f, x):
+    """Each word's image as a product from the unit, on every call."""
+    out = f.target.zero()
+    for w, c in x.terms.items():
+        acc = f.target.unit()
+        for g in w:
+            acc = ref_wedge(acc, f.assignments[g])
+        out = out + acc.scale(c)
+    return out
+
+
+def even_algebra():
+    """Odd c, a, b, e and even t, u, truncated above degree 8: repeated
+    generators, products lost to the top, and signs from both merges of the
+    Leibniz rule: d(u) = a*t crosses the prefix b in the word b*u, and
+    d(c) holds a*e*t, which crosses the suffix b in the word c*b."""
+    field = make_field(12)
+    alg = Algebra(field, [("c", 3), ("a", 1), ("b", 1), ("e", 1), ("t", 2), ("u", 2)],
+                  top=8)
+    c, a, b, e, t, u = (alg.generator(n) for n in "cabetu")
+    z = field.zeta(1)
+    d = Differential(alg, {"b": t.scale(z), "u": a * t,
+                           "c": a * e * t + (t * t).scale(z * z)})
+    f = AlgebraMap(alg, alg, {"a": a.scale(2) - b, "b": b.scale(z), "e": e + a,
+                              "t": t + a * b, "u": u.scale(z ** 3) + t, "c": c + a * t})
+    return alg, d, [f, f.power(2)]
+
+
+def paper_algebra(model):
+    alg, g = model.algebra, model.gens
+    z = model.field.zeta(1)
+    mixing = AlgebraMap(alg, alg, {
+        "mu": g["mu"] + g["nu"].scale(z), "nu": g["nu"] - g["eta"],
+        "theta": g["theta"] + g["mubar"], "eta": g["eta"].scale(z * z),
+        "mubar": g["mubar"], "nubar": g["nubar"] + g["mubar"].scale(3),
+        "thetabar": g["thetabar"].scale(z), "etabar": g["etabar"] + g["mu"]})
+    return alg, model.differential, [model.rho, model.rho.power(2), mixing]
+
+
+@pytest.mark.parametrize("which", ["paper", "even"])
+def test_cochain_arithmetic_matches_boxed_reference(model, which):
+    alg, d, maps = paper_algebra(model) if which == "paper" else even_algebra()
+    rng = random.Random(11)
+    for _ in range(150):
+        x = random_element(alg, rng)
+        y = random_element(alg, rng)
+        assert wedge(x, y) == ref_wedge(x, y)
+        assert apply_d(d, x) == ref_apply_d(d, x)
+        for f in maps:
+            assert apply_map(f, x) == ref_apply_map(f, x)
+    for k in range(alg.top + 1):
+        for w in alg.basis(k):
+            e = alg.word_element(w)
+            assert apply_d(d, e) == ref_apply_d(d, e)
+            for f in maps:
+                assert apply_map(f, e) == ref_apply_map(f, e)
+
+
+def test_returned_elements_own_their_terms():
+    alg, d, (f, _) = even_algebra()
+    b, c, t, u = (alg.generator(n) for n in "bctu")
+    for x in (c * b, c * b + t * u):
+        for op, ref in ((lambda v: apply_d(d, v), ref_apply_d(d, x)),
+                        (lambda v: apply_map(f, v), ref_apply_map(f, x))):
+            first = op(x)
+            assert first == ref and not first.is_zero()
+            first.terms.clear()
+            assert op(x) == ref
+            second = op(x)
+            for w in list(second.terms):
+                second.terms[w] = alg.field.rational(7)
+            assert op(x) == ref
+
+
+def test_word_caches_belong_to_their_instance():
+    alg, d1, (f1, _) = even_algebra()
+    c, a, b, e, t, u = (alg.generator(n) for n in "cabetu")
+    d2 = Differential(alg, {"c": u * u})
+    f2 = AlgebraMap(alg, alg, {"a": b, "b": a, "e": e, "t": u, "u": t, "c": c})
+    x = b * c * t
+    for _ in range(2):
+        for d in (d1, d2):
+            assert apply_d(d, x) == ref_apply_d(d, x)
+        for f in (f1, f2):
+            assert apply_map(f, x) == ref_apply_map(f, x)
+    assert apply_d(d1, x) != apply_d(d2, x)
+    assert apply_map(f1, x) != apply_map(f2, x)

@@ -77,6 +77,25 @@ def test_field_axioms_randomized():
             assert (b / a) * a == b
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 12, 15])
+def test_inverse_over_conductors(n):
+    f = make_field(n)
+    rng = random.Random(100 + n)
+    values = [f.rational(q) for q in (1, -1, 2, Fraction(-3, 7), Fraction(5, 2))]
+    values += [f.zeta(k) for k in range(n)]
+    for _ in range(60):
+        a = random_field_element(f, rng) * f.rational(1, rng.randint(1, 9))
+        if not a.is_zero():
+            values.append(a)
+    assert any(not a.is_rational() for a in values) or f.phi == 1
+    for a in values:
+        inv = a.inverse()
+        assert a * inv == f.one
+        assert inv.inverse() == a
+        if a.is_rational():
+            assert inv.as_fraction() == 1 / a.as_fraction()
+
+
 def test_conjugate_is_an_automorphism():
     f = make_field(12)
     rng = random.Random(102)

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from cdgalab import DGA, Matrix, cohomology, make_field, rref, top_scalar, wedge
+from cdgalab._backend import kernel
 from cdgalab.algebra import Algebra, Differential, apply_d
+from cdgalab.linalg import densify
 
-from conftest import random_homogeneous
+from conftest import random_field_element, random_homogeneous
 
 # degree-3 classes spanning half of H^3; the other half is their conjugate
 W_WORDS = [
@@ -187,3 +189,28 @@ def test_kuenneth_with_a_two_torus(model):
     expected = [sum(b[k - j] * c for j, c in enumerate((1, 2, 1)) if 0 <= k - j < len(b))
                 for k in range(len(b) + 2)]
     assert cohomology(DGA(alg, d)).betti == expected
+
+
+def test_class_row_matches_class_coords(model):
+    """Sparse class rows densify to the class coordinates, degree by degree,
+    on the full and the invariant table."""
+    rng = random.Random(31)
+    field = model.field
+    for table in (model.table, model.invariant_table):
+        cx = table.complex
+        for k in range(table.top + 1):
+            reps = table.representatives(k)
+            boundaries = [cx.d(e) for e in cx.basis_elements(k - 1)] if k else []
+            samples = list(reps) + [cx.algebra.zero()]
+            for _ in range(4):
+                x = cx.algebra.zero()
+                for r in reps + boundaries:
+                    c = random_field_element(field, rng, 2)
+                    if not c.is_zero():
+                        x = x + r.scale(c)
+                samples.append(x)
+            for x in samples:
+                row = table.class_row(x, k)
+                assert all(0 <= j < table.betti[k] and not kernel.cv_is_zero(cv)
+                           for j, cv in row.items())
+                assert densify(field, row, table.betti[k]) == list(table.class_coords(x, k))
