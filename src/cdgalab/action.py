@@ -137,15 +137,13 @@ def check_fixed_part(table: CohomologyTable, full: CohomologyTable,
             f"fixed part of H* gives {fixed}")
 
 
-def invariant_cohomology(dga: DGA, action: GroupAction,
-                         cross_check: bool = True) -> CohomologyTable:
+def invariant_cohomology(dga: DGA, action: GroupAction) -> CohomologyTable:
     """Cohomology of the invariant complex.
 
-    With ``cross_check`` the same numbers are recomputed as the fixed part of
-    the induced action on H*(full complex) and the two must agree in every
-    degree; this guards the most error-prone reduction step.
+    The same numbers are recomputed as the fixed part of the induced action
+    on H*(full complex) and the two must agree in every degree; this guards
+    the most error-prone reduction step.
     """
     table = cohomology(invariant_complex(dga, action))
-    if cross_check:
-        check_fixed_part(table, cohomology(dga), action)
+    check_fixed_part(table, cohomology(dga), action)
     return table

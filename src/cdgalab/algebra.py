@@ -578,18 +578,14 @@ class Conjugation:
             if g not in mapping:
                 raise ValueError(f"conjugation misses generator {algebra.gens[g].name}")
         self.pairing = mapping
+        self._swap = AlgebraMap(algebra, algebra,
+                                {g: algebra.word_element((h,)) for g, h in mapping.items()})
 
     def __call__(self, x: GradedElement) -> GradedElement:
-        alg = self.algebra
-        if x.algebra is not alg:
+        if x.algebra is not self.algebra:
             raise ValueError("algebra mismatch")
-        out = alg.zero()
-        for w, c in x.terms.items():
-            acc = alg.word_element(())
-            for g in w:
-                acc = wedge(acc, alg.word_element((self.pairing[g],)))
-            out = out + acc.scale(c.conjugate())
-        return out
+        return apply_map(self._swap, GradedElement(
+            self.algebra, {w: c.conjugate() for w, c in x.terms.items()}))
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ from .field import CycloField, FieldElement, format_scalar, make_field
 from .formality import ObstructionInput, ObstructionInputError, massey_triple, obstruction
 from .homology import CochainComplex, CohomologyClass, CohomologyTable, cohomology
 from .symplectic import SymplecticCandidate, exactness_witness_check, is_symplectic, lefschetz
-from .topology import BettiVector, IncidenceGraph, betti_p1_bundle, betti_projective, \
-    betti_resolution, betti_union
+from .topology import BettiVector, Edge, IncidenceGraph, betti_p1_bundle, betti_projective, \
+    betti_resolution, betti_union, check_edge
 
 RESERVED = {
     "field", "cyclotomic", "algebra", "generators", "conjugation", "d", "map",
@@ -74,6 +74,7 @@ class DslError(Exception):
 # --- tokens -----------------------------------------------------------------
 
 _SYMBOLS = ("->", ":", "=", "{", "}", ";", "*", "+", "-", "^", "/", "(", ")")
+_ONE_CHAR_SYMBOLS = frozenset(s for s in _SYMBOLS if len(s) == 1)
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def tokenize(text: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if ch in "".join(s for s in _SYMBOLS if len(s) == 1):
+        if ch in _ONE_CHAR_SYMBOLS:
             tokens.append(Token("SYM", ch, line, col))
             i += 1
             col += 1
@@ -414,7 +415,7 @@ class Parser:
                 self.fail(gen_tok, f"duplicate map assignment for {gen_tok.text!r}")
             self.expect_sym("->")
             expr_tok = self.peek()
-            value = self.parse_expr(ctx, in_braces=True)
+            value = self.parse_expr(ctx)
             want = ctx.algebra.degrees[ctx.algebra.generator_index(gen_tok.text)]
             if not value.is_zero() and value.degree() != want:
                 self.fail(expr_tok,
@@ -444,7 +445,7 @@ class Parser:
 
     # expressions
 
-    def parse_expr(self, ctx: AlgebraContext, in_braces: bool = False) -> GradedElement:
+    def parse_expr(self, ctx: AlgebraContext) -> GradedElement:
         negate = self.accept_sym("-")
         acc = self.parse_term(ctx)
         if negate:
@@ -669,18 +670,17 @@ class Parser:
                     self.fail(atok, f"node index {a} out of range")
                 if not (0 <= b < len(nodes)):
                     self.fail(btok, f"node index {b} out of range")
+                edge = Edge(a, b, inter)
                 try:
-                    edges.append((a, b, inter))
+                    check_edge(nodes, edge)
                 except ValueError as e:
                     self.fail(etok, str(e))
+                edges.append(edge)
             else:
                 break
         if not nodes:
             self.fail(self.peek(), "expected at least one 'node' clause")
-        try:
-            return IncidenceGraph(nodes, edges)
-        except ValueError as e:
-            self.fail(self.peek(), str(e))
+        return IncidenceGraph(nodes, edges)
 
     def task_mv_union(self, tok: Token) -> dict:
         return {"graph": self.parse_graph()}

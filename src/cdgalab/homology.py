@@ -5,6 +5,13 @@ subspaces (one per degree, e.g. the invariants of a group action).  The
 degree-by-degree computation produces exact Betti numbers, echelon-chosen
 representatives, coordinates of classes, exactness witnesses, cup products
 and the top-degree pairing scalar.
+
+Each degree k is put in echelon form once.  The coboundaries B^k are the
+image of the d-eliminator of degree k - 1.  The representatives are the
+reduced echelon rows of the cocycles' remainders against B^k, so they are
+zero in the pivot columns of B^k.  A closed x is uniquely b + r with b in B^k
+and r in the span of the representatives; reducing x by B^k leaves exactly
+r, and reducing r by the representatives gives the class coordinates.
 """
 
 from __future__ import annotations
@@ -140,20 +147,19 @@ class CohomologyTable:
         self.complex = complex_
         field = complex_.algebra.field
         self.betti: list[int] = []
-        self._cocycles: list[Subspace] = []
         self._coboundaries: list[Subspace] = []
+        self._quotients: list[Subspace] = []
         self._reps: list[list[GradedElement]] = []
-        self._class_eliminators: dict[int, Eliminator] = {}
         top = complex_.top
         for k in range(top + 1):
             dim_k = complex_.dim(k)
             cocycles = Subspace.from_vectors(
                 field, dim_k, complex_.d_eliminator(k).kernel_rows())
-            cob = Subspace.from_vectors(
-                field, dim_k, complex_.d_eliminator(k - 1).image_rows() if k else [])
+            cob = (complex_.d_eliminator(k - 1).image if k
+                   else Subspace(field, dim_k, [], []))
             q = quotient_basis(cocycles, cob)
-            self._cocycles.append(cocycles)
             self._coboundaries.append(cob)
+            self._quotients.append(q)
             self.betti.append(q.dim)
             self._reps.append([complex_.from_row(k, row) for row in q.rows])
 
@@ -162,9 +168,6 @@ class CohomologyTable:
     @property
     def top(self) -> int:
         return self.complex.top
-
-    def cocycles(self, k: int) -> Subspace:
-        return self._cocycles[k]
 
     def coboundaries(self, k: int) -> Subspace:
         return self._coboundaries[k]
@@ -188,25 +191,17 @@ class CohomologyTable:
         except ValueError:
             raise ValueError("element does not lie in the complex") from None
 
-    def _class_eliminator(self, k: int) -> Eliminator:
-        # rows: coboundary basis then representatives; unique coefficients
-        if k not in self._class_eliminators:
-            rows = self._coboundaries[k].rows \
-                + [self.complex.to_row(r, k) for r in self._reps[k]]
-            self._class_eliminators[k] = Eliminator(
-                Matrix.sparse(self.complex.algebra.field, self.complex.dim(k), rows))
-        return self._class_eliminators[k]
-
     def class_row(self, x: GradedElement, k: int) -> dict:
         """Sparse coordinates ``{j: cv}`` of [x] in the degree-k
-        representative basis."""
+        representative basis: x reduced by the coboundaries, then the
+        remainder by the representatives."""
         if x.is_zero():
             return {}
-        sol = self._class_eliminator(k).solve_left(self._closed_row(x, k))
-        if sol is None:
+        _, rem = self._coboundaries[k].reduce(self._closed_row(x, k))
+        coords, rem = self._quotients[k].reduce(rem)
+        if rem:
             raise AssertionError("closed element must reduce against cocycles")
-        ncob = self._coboundaries[k].dim
-        return {j - ncob: cv for j, cv in sol.items() if j >= ncob}
+        return coords
 
     def class_coords(self, x: GradedElement, degree: Optional[int] = None) -> tuple:
         """Coordinates of [x] in the representative basis of its degree."""
@@ -221,9 +216,6 @@ class CohomologyTable:
     def class_of(self, x: GradedElement, degree: Optional[int] = None) -> CohomologyClass:
         k = degree if degree is not None else x.degree()
         return CohomologyClass(self, k, self.class_coords(x, k))
-
-    def class_representative(self, x: GradedElement, degree: Optional[int] = None) -> GradedElement:
-        return self.class_of(x, degree).representative()
 
     def is_exact(self, x: GradedElement, degree: Optional[int] = None) -> Optional[GradedElement]:
         """A primitive xi with d(xi) = x, or None when [x] != 0.

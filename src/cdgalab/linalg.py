@@ -13,6 +13,11 @@ a matrix's rows once it is built.  The vector arguments of ``Eliminator`` and
 ``Subspace`` may be given dense, as a sequence of scalars, or sparse, as such
 a dict; results come back in the form the vector came in (sparse
 coefficients are a dict ``{index: cv}`` as well).
+
+Each space is put in echelon form once.  A ``Subspace`` is its reduced
+echelon rows with their pivots; an ``Eliminator`` of A keeps the row space
+of A as such a ``Subspace`` (``image``), taken from the same elimination of
+[A | I] that gives its left kernel, and every solve reduces against it.
 """
 
 from __future__ import annotations
@@ -115,7 +120,12 @@ class Matrix:
     def entries(self) -> tuple[FieldElement, ...]:
         """Dense row-major view of the entries, built on first use."""
         if self._entries is None:
-            self._entries = tuple(e for i in range(self.nrows) for e in self.row(i))
+            field, n = self.field, self.ncols
+            flat = [field.zero] * (self.nrows * n)
+            for i, row in enumerate(self.sparse_rows):
+                for j, cv in row.items():
+                    flat[i * n + j] = FieldElement(field, cv)
+            self._entries = tuple(flat)
         return self._entries
 
     def entry(self, i: int, j: int) -> FieldElement:
@@ -127,9 +137,6 @@ class Matrix:
 
     def rows(self) -> list[list[FieldElement]]:
         return [self.row(i) for i in range(self.nrows)]
-
-    def col(self, j: int) -> list[FieldElement]:
-        return [self.entry(i, j) for i in range(self.nrows)]
 
     def transpose(self) -> "Matrix":
         cols = [{} for _ in range(self.ncols)]
@@ -176,11 +183,11 @@ def rref(m: Matrix) -> RrefResult:
 
 class Eliminator:
     """Row-space machinery for a matrix A: one elimination of [A | I] gives
-    the image basis, the left kernel, and repeated solves of x * A = b.
+    the image, the left kernel, and repeated solves of x * A = b.
 
-    The eliminated rows are kept split: ``_r`` holds the A-parts of the
-    pivot rows (the echelon image basis), ``_e`` the I-parts of all rows
-    (E with E * A = R), both as sparse rows."""
+    ``image`` is the row space of A as a ``Subspace``: its rows are the
+    A-parts of the pivot rows, which are already in reduced echelon form.
+    ``_e`` holds the I-parts of all rows (E with E * A = R), as sparse rows."""
 
     def __init__(self, a: Matrix):
         field = a.field
@@ -193,18 +200,12 @@ class Eliminator:
             aug = dict(row)
             aug[n + i] = one
             rows.append(aug)
-        self.width = n + a.nrows
         self.rank, self.pivots = kernel.rref(
-            rows, self.width, n, field.phi, field.red, _inv_cv(field))
-        self._pivot_index = {col: i for i, col in enumerate(self.pivots)}
-        self._r = [{j: cv for j, cv in row.items() if j < n}
-                   for row in rows[:self.rank]]
+            rows, n + a.nrows, n, field.phi, field.red, _inv_cv(field))
+        self.image = Subspace(field, n, [{j: cv for j, cv in row.items() if j < n}
+                                         for row in rows[:self.rank]], self.pivots)
         self._e = [{j - n: cv for j, cv in row.items() if j >= n}
                    for row in rows]
-
-    def image_rows(self) -> list[dict]:
-        """Echelon basis of the row space of A, as sparse rows (shared)."""
-        return self._r
 
     def kernel_rows(self) -> list[dict]:
         """Basis of the left kernel {x : x * A = 0}, as sparse rows (shared)."""
@@ -212,7 +213,7 @@ class Eliminator:
 
     def image_basis(self) -> list[list[FieldElement]]:
         """Echelon basis of the row space of A."""
-        return [densify(self.field, r, self.ncols) for r in self.image_rows()]
+        return self.image.row_vectors()
 
     def kernel_basis(self) -> list[list[FieldElement]]:
         """Basis of the left kernel {x : x * A = 0}."""
@@ -221,9 +222,8 @@ class Eliminator:
     def solve_left(self, b):
         """One x with x * A = b, or None; free coefficients are zero."""
         field = self.field
-        rem, dense = _sparse(field, b, self.ncols)
-        coeffs = kernel.reduce_against(rem, self._r, self._pivot_index, self.ncols,
-                                       field.phi, field.red)
+        row, dense = _sparse(field, b, self.ncols)
+        coeffs, rem = self.image.reduce(row)
         if rem:
             return None
         x: dict = {}

@@ -73,6 +73,16 @@ class Edge:
     surjective: bool = True
 
 
+def check_edge(nodes: list, e: Edge) -> None:
+    """Raises ValueError unless e joins two distinct nodes of the list and
+    its intersection has smaller top degree than the larger of the two."""
+    n = len(nodes)
+    if not (0 <= e.a < n and 0 <= e.b < n) or e.a == e.b:
+        raise ValueError(f"bad edge ({e.a}, {e.b})")
+    if e.intersection.top >= max(nodes[e.a].top, nodes[e.b].top):
+        raise ValueError("intersections must have strictly smaller top degree")
+
+
 @dataclass
 class IncidenceGraph:
     """Components of a divisor with their pairwise intersections."""
@@ -88,13 +98,8 @@ class IncidenceGraph:
                 e = Edge(*e)
             edges.append(e)
         self.edges = edges
-        n = len(self.nodes)
         for e in self.edges:
-            if not (0 <= e.a < n and 0 <= e.b < n) or e.a == e.b:
-                raise ValueError(f"bad edge ({e.a}, {e.b})")
-            me = max(self.nodes[e.a].top, self.nodes[e.b].top)
-            if e.intersection.top >= me:
-                raise ValueError("intersections must have strictly smaller top degree")
+            check_edge(self.nodes, e)
 
     def is_forest(self) -> bool:
         parent = list(range(len(self.nodes)))

@@ -31,7 +31,7 @@ def test_invariant_dimensions(model):
 
 
 def test_invariant_cohomology(model):
-    table = invariant_cohomology(model.dga, model.action, cross_check=True)
+    table = invariant_cohomology(model.dga, model.action)
     assert table.betti == [1, 0, 13, 0, 26, 0, 13, 0, 1]
     assert table.betti[3] == 0
     assert table.betti[1] == 0

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cdgalab import (Algebra, AlgebraMap, Differential, apply_d, apply_map,
-                     check_d_squared, make_field, wedge)
+from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential, apply_d,
+                     apply_map, check_d_squared, make_field, wedge)
 from cdgalab.algebra import GradedElement, format_element
 
 from conftest import random_element, random_homogeneous
@@ -235,6 +235,19 @@ def ref_apply_map(f, x):
     return out
 
 
+def ref_conjugate(conj, x):
+    """Each word's swapped image as a product from the unit, times the
+    conjugated coefficient."""
+    alg = conj.algebra
+    out = alg.zero()
+    for w, c in x.terms.items():
+        acc = alg.unit()
+        for g in w:
+            acc = ref_wedge(acc, alg.word_element((conj.pairing[g],)))
+        out = out + acc.scale(c.conjugate())
+    return out
+
+
 def even_algebra():
     """Odd c, a, b, e and even t, u, truncated above degree 8: repeated
     generators, products lost to the top, and signs from both merges of the
@@ -311,3 +324,19 @@ def test_word_caches_belong_to_their_instance():
             assert apply_map(f, x) == ref_apply_map(f, x)
     assert apply_d(d1, x) != apply_d(d2, x)
     assert apply_map(f1, x) != apply_map(f2, x)
+
+
+@pytest.mark.parametrize("which", ["paper", "even"])
+def test_conjugation_matches_boxed_reference(model, which):
+    if which == "paper":
+        alg, conj = model.algebra, model.conjugation
+    else:
+        alg = even_algebra()[0]
+        conj = Conjugation(alg, [("c", "c"), ("a", "b"), ("e", "e"), ("t", "u")])
+    rng = random.Random(13)
+    samples = [random_element(alg, rng) for _ in range(150)]
+    samples += [alg.word_element(w) for k in range(alg.top + 1) for w in alg.basis(k)]
+    for x in samples:
+        y = conj(x)
+        assert y == ref_conjugate(conj, x)
+        assert conj(y) == x

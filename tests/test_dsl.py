@@ -282,3 +282,16 @@ def test_map_order_validated_at_parse():
         "map f order 2 { mu -> {z^4}*mu ; nu -> nu }\n")
     with pytest.raises(dsl.DslError, match="order-2"):
         dsl.parse(text)
+
+
+@pytest.mark.parametrize("edge,message", [
+    ("edge 0 0 proj 2", "bad edge (0, 0)"),
+    ("edge 0 1 proj 3", "intersections must have strictly smaller top degree"),
+])
+def test_graph_edge_errors_point_at_the_edge(edge, message):
+    text = ("field cyclotomic 12\n"
+            f"task mv_union node proj 3 node proj 3 {edge} node proj 1\n")
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(text)
+    d = err.value.diagnostic
+    assert (d.line, d.col, d.message) == (2, 39, message)

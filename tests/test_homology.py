@@ -4,8 +4,10 @@ import pytest
 
 from cdgalab import DGA, Matrix, cohomology, make_field, rref, top_scalar, wedge
 from cdgalab._backend import kernel
+from cdgalab.action import invariant_complex
 from cdgalab.algebra import Algebra, Differential, apply_d
-from cdgalab.linalg import densify
+from cdgalab.homology import CochainComplex
+from cdgalab.linalg import Eliminator, Subspace, densify
 
 from conftest import random_field_element, random_homogeneous
 
@@ -214,3 +216,75 @@ def test_class_row_matches_class_coords(model):
                 assert all(0 <= j < table.betti[k] and not kernel.cv_is_zero(cv)
                            for j, cv in row.items())
                 assert densify(field, row, table.betti[k]) == list(table.class_coords(x, k))
+
+
+# --- reference: the class eliminator the library replaced -------------------
+
+def ref_class_row(table, x, k):
+    """Class coordinates as the unique solution of one [coboundaries;
+    representatives | I] elimination, read off the representative part."""
+    cx = table.complex
+    cob = table.coboundaries(k).rows
+    rows = cob + [cx.to_row(r, k) for r in table.representatives(k)]
+    el = Eliminator(Matrix.sparse(cx.algebra.field, cx.dim(k), rows))
+    sol = el.solve_left(cx.to_row(x, k))
+    assert sol is not None
+    return {j - len(cob): cv for j, cv in sol.items() if j >= len(cob)}
+
+
+def random_closed(table, k, rng):
+    """A random combination of the cocycle basis and the coboundary basis of
+    degree k, as an element of the table's complex."""
+    cx = table.complex
+    field = cx.algebra.field
+    row: dict = {}
+    for r in cx.d_eliminator(k).kernel_rows() + table.coboundaries(k).rows:
+        c = random_field_element(field, rng, 2)
+        if not c.is_zero():
+            kernel.row_axpy(row, r, c.cv, field.red)
+    return cx.from_row(k, row)
+
+
+def test_class_row_matches_class_eliminator(model):
+    rng = random.Random(37)
+    for table in (model.table, model.invariant_table):
+        for k in range(table.top + 1):
+            samples = list(table.representatives(k))
+            samples += [random_closed(table, k, rng) for _ in range(6)]
+            for x in samples:
+                if not x.is_zero():
+                    assert table.class_row(x, k) == ref_class_row(table, x, k)
+
+
+def test_coboundaries_are_the_d_eliminator_image_in_echelon_form(model):
+    for table in (model.table, model.invariant_table):
+        cx = table.complex
+        field = cx.algebra.field
+        for k in range(table.top + 1):
+            cob = table.coboundaries(k)
+            fresh = Subspace.from_vectors(field, cx.dim(k), cob.rows)
+            assert (cob.rows, cob.pivots) == (fresh.rows, fresh.pivots)
+            assert cob.ambient_dim == cx.dim(k)
+            if k:
+                assert cob is cx.d_eliminator(k - 1).image
+
+
+def test_tables_build_no_eliminator_beyond_the_d_eliminators(model, monkeypatch):
+    full = CochainComplex(model.dga)
+    inv = invariant_complex(model.dga, model.action)
+    built = []
+    init = Eliminator.__init__
+
+    def counting_init(self, a):
+        built.append(a)
+        init(self, a)
+
+    monkeypatch.setattr(Eliminator, "__init__", counting_init)
+    for cx in (full, inv):
+        table = cohomology(cx)
+        for k in range(table.top + 1):
+            for r in table.representatives(k):
+                table.class_row(r, k)
+    d_matrices = {id(cx.d_matrix(k)) for cx in (full, inv) for k in range(cx.top + 1)}
+    assert len(built) == 2 * (model.algebra.top + 1)
+    assert {id(a) for a in built} == d_matrices
