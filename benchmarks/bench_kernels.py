@@ -1,8 +1,11 @@
-"""Micro-benchmarks of the arithmetic kernel.
+"""Micro-benchmarks of the arithmetic kernel and the invariant layer.
 
 Times the hot paths over Q(zeta_12): batched coefficient products, inverses
-of non-rational values, and sparse row reduction of a random matrix.  The
-end-to-end harness is ``perfbench/run.py``.
+of non-rational values, and sparse row reduction of a random matrix.  It
+also times the cyclic-action layer on ``paper.cdga``: the invariant complex
+(the orbit-sum projector) plus the fixed-part cross-check, without the
+cohomology table of the invariant complex between them.  The end-to-end
+harness is ``perfbench/run.py``.
 
     python benchmarks/bench_kernels.py [--muls N] [--size N] [--repeat N]
 """
@@ -10,13 +13,20 @@ end-to-end harness is ``perfbench/run.py``.
 import argparse
 import random
 import time
+from pathlib import Path
 
+from cdgalab import dsl
 from cdgalab._backend import kernel
+from cdgalab.action import GroupAction, check_fixed_part, invariant_complex
+from cdgalab.algebra import DGA
 from cdgalab.field import make_field
+from cdgalab.homology import cohomology
 from cdgalab.linalg import _inv_cv
 
 DENSITY = 0.3
 INVERSES = 20_000
+INVARIANT_REPEAT = 20
+PAPER = Path(__file__).resolve().parent.parent / "paper.cdga"
 
 
 def rand_cv(rng, phi):
@@ -45,6 +55,16 @@ def bench_rref(rows, ncols, phi, red, inv):
     t0 = time.perf_counter()
     rank, _ = kernel.rref(work, ncols, ncols, phi, red, inv)
     return time.perf_counter() - t0, rank
+
+
+def bench_invariant(dga, action, full):
+    t0 = time.perf_counter()
+    cx = invariant_complex(dga, action)
+    t1 = time.perf_counter()
+    table = cohomology(cx)
+    t2 = time.perf_counter()
+    check_fixed_part(table, full, action)
+    return (t1 - t0) + (time.perf_counter() - t2)
 
 
 def main():
@@ -86,6 +106,16 @@ def main():
     best = min(dt for dt, _ in runs)
     print(f"rref of a {n}x{ncols} matrix at density {DENSITY} over Q(zeta_12): "
           f"{best:8.3f} s (rank {runs[0][1]})")
+
+    session = dsl.parse(PAPER.read_text())
+    ctx = session.algebras["M"]
+    rho = session.maps["rho"]
+    dga = DGA(ctx.algebra, ctx.require_differential())
+    action = GroupAction(rho.map, rho.order)
+    full = cohomology(dga)
+    best = min(bench_invariant(dga, action, full) for _ in range(INVARIANT_REPEAT))
+    print(f"invariant complex + fixed-part cross-check of {PAPER.name}, "
+          f"best of {INVARIANT_REPEAT}: {best * 1e3:8.2f} ms")
 
 
 if __name__ == "__main__":

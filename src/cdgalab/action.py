@@ -1,8 +1,27 @@
 """Finite cyclic group actions on a DGA and their invariant complexes.
 
-The invariant subcomplex is cut out by the averaging projector
-P = (1/m) * sum(f^k); its cohomology is computed directly and cross-checked
-against the fixed part of the induced action on cohomology.
+A cyclic action is one algebra map f with f^m = id.  Every power is reached
+by applying f once more, so no power map is composed, and one map's cache of
+word images serves all of them.
+
+- The invariant subcomplex is the image of the averaging projector
+  P = (1/m)(1 + f + ... + f^(m-1)).  The row of a word w is its orbit sum
+  (1/m)(w + f(w) + ... + f^(m-1)(w)), with f^j(w) = f(f^(j-1)(w)),
+  accumulated on ``{word: cv}`` maps and boxed only by ``Subspace``.
+- Its cohomology is cross-checked against the fixed part of the induced
+  action on the full cohomology.  Let A_k be the matrix of f* on H^k in the
+  representative basis: row i is the class of f(r_i), one class solve per
+  representative.  The averaged map (1/m) sum A_k^j is an idempotent onto
+  the fixed part, so its rank is its trace and
+  dim Fix(H^k) = (1/m) sum_{j<m} tr(A_k^j), with tr(A_k^0) = b_k.  The same
+  loop yields tr(f*|H^k), the terms of the Lefschetz number, and checks
+  that A_k^m is the identity.
+
+The two sides of the cross-check stay independent: each builds its own copy
+of the generator map, so they share no cache of word images, and the
+projector never reads the full cohomology table.  An error in either side's
+map images, orbit sums or class solves then shows as a disagreement instead
+of being repeated on both sides.
 """
 
 from __future__ import annotations
@@ -12,9 +31,10 @@ from fractions import Fraction
 from typing import Optional
 
 from ._backend import kernel
-from .algebra import DGA, AlgebraMap, Differential, GradedElement, apply_d, apply_map, identity_map
+from .algebra import DGA, AlgebraMap, Differential, GradedElement, apply_d, apply_map, map_terms
+from .field import FieldElement
 from .homology import CochainComplex, CohomologyTable, cohomology
-from .linalg import Subspace
+from .linalg import Matrix, Subspace
 
 
 @dataclass
@@ -62,35 +82,38 @@ class GroupAction:
     def validate(self, d: Differential) -> ActionVerdict:
         return validate_action(self.generator_map, self.order, d)
 
-    def powers(self) -> list[AlgebraMap]:
-        maps = [identity_map(self.generator_map.source)]
-        for _ in range(self.order - 1):
-            maps.append(self.generator_map.compose(maps[-1]))
-        return maps
-
     def project(self, x: GradedElement) -> GradedElement:
-        """Averaging projector P = (1/m) sum f^k."""
-        acc = x.algebra.zero()
-        for f in self.powers():
-            acc = acc + apply_map(f, x)
+        """Averaging projector P = (1/m) sum f^k, summed along the orbit of x."""
+        acc = y = x
+        for _ in range(self.order - 1):
+            y = apply_map(self.generator_map, y)
+            acc = acc + y
         return acc.scale(Fraction(1, self.order))
+
+
+def _own_map(f: AlgebraMap) -> AlgebraMap:
+    """A copy of f with a cache of word images of its own."""
+    return AlgebraMap(f.source, f.target, f.assignments)
 
 
 def invariant_subspaces(dga: DGA, action: GroupAction) -> list[Subspace]:
     """Per-degree eigenvalue-1 subspaces, as the image of the projector."""
     alg = dga.algebra
     field = alg.field
+    red = field.red
+    f = _own_map(action.generator_map)
+    one = field.one.cv
+    inv_m = field.rational(1, action.order).cv
     subspaces = []
-    powers = action.powers()
-    inv_m = Fraction(1, action.order)
     for k in range(alg.top + 1):
         rows = []
         for w in alg.basis(k):
-            e = alg.word_element(w)
-            acc = alg.zero()
-            for f in powers:
-                acc = acc + apply_map(f, e)
-            rows.append(acc.scale(inv_m).to_row(k))
+            term = {w: one}
+            acc = {w: inv_m}
+            for _ in range(action.order - 1):
+                term = map_terms(f, term)
+                kernel.row_axpy(acc, term, inv_m, red)
+            rows.append({alg.word_index(k, u): c for u, c in acc.items()})
         subspaces.append(Subspace.from_vectors(field, alg.dim(k), rows))
     return subspaces
 
@@ -103,25 +126,46 @@ def invariant_complex(dga: DGA, action: GroupAction) -> CochainComplex:
     return CochainComplex(dga, invariant_subspaces(dga, action))
 
 
-def induced_action_fixed_dims(table: CohomologyTable, action: GroupAction) -> list[int]:
-    """Dimension per degree of the fixed part of the induced action on H*."""
-    dims = []
-    powers = action.powers()
+def induced_traces(table: CohomologyTable, action: GroupAction) -> list[list[FieldElement]]:
+    """Per degree k, the traces tr((f*)^j | H^k) for j = 0 .. m-1.
+
+    The matrix A_k of f* has as row i the class of f(r_i), for the
+    representatives r_i of ``table``; its powers are products of A_k.
+    Raises AssertionError when A_k^m, the last power built, is not the
+    identity."""
+    f = _own_map(action.generator_map)
     field = table.complex.algebra.field
-    inv_m = field.rational(1, action.order).cv
+    traces = []
     for k in range(table.top + 1):
         reps = table.representatives(k)
-        if not reps:
-            dims.append(0)
-            continue
-        rows = []
-        for r in reps:
-            acc: dict = {}
-            for f in powers:
-                kernel.row_axpy(acc, table.class_row(apply_map(f, r), k), inv_m, field.red)
-            rows.append(acc)
-        proj = Subspace.from_vectors(field, len(reps), rows)
-        dims.append(proj.dim)
+        b = len(reps)
+        a = Matrix.sparse(field, b, [table.class_row(apply_map(f, r), k) for r in reps])
+        tr = [field.rational(b)]
+        power = a
+        for _ in range(action.order - 1):
+            tr.append(sum((power.entry(i, i) for i in range(b)), field.zero))
+            power = power.matmul(a)
+        if power != Matrix.identity(field, b):
+            raise AssertionError(
+                f"the induced map to the power {action.order} is not the "
+                f"identity on H^{k}")
+        traces.append(tr)
+    return traces
+
+
+def induced_action_fixed_dims(table: CohomologyTable, action: GroupAction) -> list[int]:
+    """Dimension per degree of the fixed part of the induced action on H*,
+    (1/m) sum_j tr((f*)^j | H^k) by the trace formula."""
+    m = action.order
+    dims = []
+    for k, tr in enumerate(induced_traces(table, action)):
+        total = sum(tr[1:], tr[0])
+        q = total.as_fraction() if total.is_rational() else None
+        if q is None or q < 0 or q.denominator != 1 or q.numerator % m:
+            raise AssertionError(
+                f"fixed part of H^{k} would have dimension ({total})/{m}, "
+                f"not a non-negative integer")
+        dims.append(q.numerator // m)
     return dims
 
 

@@ -548,17 +548,22 @@ def identity_map(algebra: Algebra) -> AlgebraMap:
         {g: algebra.word_element((g,)) for g in range(len(algebra.gens))})
 
 
+def map_terms(f: AlgebraMap, terms: dict) -> dict:
+    """The image under f of a ``{word: cv}`` map, as a new one without zeros."""
+    red = f.target.field.red
+    acc: dict = {}
+    for w, c in terms.items():
+        img = f._word_image(w)
+        if img:
+            kernel.row_axpy(acc, img, c, red)
+    return acc
+
+
 def apply_map(f: AlgebraMap, x: GradedElement) -> GradedElement:
     """Multiplicative-linear extension of the generator assignments."""
     if x.algebra is not f.source:
         raise ValueError("algebra mismatch")
-    red = f.target.field.red
-    acc: dict = {}
-    for w, c in x.terms.items():
-        img = f._word_image(w)
-        if img:
-            kernel.row_axpy(acc, img, c.cv, red)
-    return _element(f.target, acc)
+    return _element(f.target, map_terms(f, _cvs(x)))
 
 
 class Conjugation:

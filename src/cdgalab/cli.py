@@ -4,7 +4,8 @@
     cdga check <file>                   parse and static checks only
     cdga dump <file> <name>             print a bound element canonically
 
-Exit codes: 0 success, 1 task failure, 2 parse/static error.
+Exit codes: 0 success, 1 task failure, 2 parse/static error, 3 internal
+invariant violated (an engine fault, reported on stderr).
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ def cmd_run(args) -> int:
     session = _parse_or_exit(args.file)
     if session is None:
         return 2
-    report = dsl.run(session)
+    try:
+        report = dsl.run(session)
+    except AssertionError as e:
+        print(f"{args.file}: internal invariant violated: {e}", file=sys.stderr)
+        return 3
     sys.stdout.write(report.human_text())
     if args.report:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:

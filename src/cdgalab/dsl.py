@@ -818,14 +818,16 @@ class _RunContext:
 
 
 def run(session: Session) -> Report:
-    """Execute the session's tasks in order; failures are carried in the
-    report, never dropped."""
+    """Execute the session's tasks in order; a task whose mathematical
+    precondition fails is carried in the report, never dropped.  An
+    ``AssertionError``, a violated internal invariant such as a failed
+    cross-check, is an engine fault and propagates."""
     report = Report(session.sha256())
     rc = _RunContext(session)
     for index, task in enumerate(session.tasks):
         try:
             _TASK_RUNNERS[task.name](rc, task.payload, report)
-        except (ObstructionInputError, ValueError, AssertionError, ZeroDivisionError) as e:
+        except (ObstructionInputError, ValueError, ZeroDivisionError) as e:
             report.fail_task(index, task.name, str(e))
     return report
 

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab import GroupAction, cohomology, identity_map, invariant_cohomology, \
-    invariant_complex, validate_action
-from cdgalab.action import induced_action_fixed_dims, invariant_subspaces
+from cdgalab import AlgebraMap, GroupAction, Subspace, cohomology, identity_map, \
+    invariant_cohomology, invariant_complex, validate_action
+from cdgalab._backend import kernel
+from cdgalab.action import check_fixed_part, induced_action_fixed_dims, induced_traces, \
+    invariant_subspaces
 from cdgalab.algebra import apply_d, apply_map
+from cdgalab.homology import CohomologyTable
 
 from conftest import random_element
 
@@ -103,3 +106,126 @@ def test_invariant_subspace_matches_projector_rank(model):
         # P has trace = sum over words of the averaged character; its rank as
         # an idempotent equals the invariant dimension
         assert subs[k].dim == model.invariant.dim(k)
+
+
+# --- references: every power as its own composed map ------------------------
+
+def _composed_powers(f, m):
+    maps = [identity_map(f.source)]
+    for _ in range(m - 1):
+        maps.append(f.compose(maps[-1]))
+    return maps
+
+
+def reference_invariant_subspaces(dga, action):
+    """The projector rows summed over separately composed power maps."""
+    alg = dga.algebra
+    powers = _composed_powers(action.generator_map, action.order)
+    subspaces = []
+    for k in range(alg.top + 1):
+        rows = []
+        for w in alg.basis(k):
+            e = alg.word_element(w)
+            acc = alg.zero()
+            for f in powers:
+                acc = acc + apply_map(f, e)
+            rows.append(acc.scale(Fraction(1, action.order)).to_row(k))
+        subspaces.append(Subspace.from_vectors(alg.field, alg.dim(k), rows))
+    return subspaces
+
+
+def reference_fixed_dims(table, action):
+    """The rank of the averaged class rows of every power's images."""
+    field = table.complex.algebra.field
+    powers = _composed_powers(action.generator_map, action.order)
+    inv_m = field.rational(1, action.order).cv
+    dims = []
+    for k in range(table.top + 1):
+        reps = table.representatives(k)
+        rows = []
+        for r in reps:
+            acc = {}
+            for f in powers:
+                kernel.row_axpy(acc, table.class_row(apply_map(f, r), k), inv_m, field.red)
+            rows.append(acc)
+        dims.append(Subspace.from_vectors(field, len(reps), rows).dim)
+    return dims
+
+
+def _rho_squared(model):
+    return model.rho.compose(model.rho)
+
+
+def _swap(model):
+    """The order-2 action mu<->nu, theta->-theta, mubar<->nubar,
+    thetabar->-thetabar, eta and etabar fixed; not diagonal on generators."""
+    g = model.gens
+    images = {"mu": g["nu"], "nu": g["mu"], "theta": -g["theta"], "eta": g["eta"],
+              "mubar": g["nubar"], "nubar": g["mubar"], "thetabar": -g["thetabar"],
+              "etabar": g["etabar"]}
+    return AlgebraMap(model.algebra, model.algebra, images)
+
+
+ACTIONS = {
+    "rho": lambda model: GroupAction(model.rho, 3),
+    "rho2": lambda model: GroupAction(_rho_squared(model), 3),
+    "swap": lambda model: GroupAction(_swap(model), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_orbit_sum_projector_matches_composed_powers(model, name):
+    action = ACTIONS[name](model)
+    assert action.validate(model.differential).ok
+    new = invariant_subspaces(model.dga, action)
+    ref = reference_invariant_subspaces(model.dga, action)
+    for k in range(9):
+        assert new[k].rows == ref[k].rows
+        assert new[k].pivots == ref[k].pivots
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_trace_formula_matches_rank_of_averaged_class_rows(model, name):
+    action = ACTIONS[name](model)
+    fixed = induced_action_fixed_dims(model.table, action)
+    assert fixed == reference_fixed_dims(model.table, action)
+    inv = cohomology(invariant_complex(model.dga, action))
+    assert inv.betti == fixed
+    if name == "swap":
+        assert fixed == [1, 4, 9, 16, 20, 16, 9, 4, 1]
+
+
+def test_wrong_order_fails_the_trace_check(model):
+    with pytest.raises(AssertionError, match="not the identity"):
+        induced_action_fixed_dims(model.table, GroupAction(model.rho, 2))
+
+
+def test_traces_and_lefschetz_numbers(model):
+    field = model.field
+    expected = [1, -3, 11, -15, 21, -15, 11, -3, 1]
+    lefschetz = []
+    for f in (model.rho, _rho_squared(model)):
+        traces = induced_traces(model.table, GroupAction(f, 3))
+        assert [tr[0] for tr in traces] == [field.rational(b) for b in model.table.betti]
+        assert [tr[1] for tr in traces] == [field.rational(t) for t in expected]
+        lefschetz.append(sum((-1) ** k * tr[1].as_fraction() for k, tr in enumerate(traces)))
+    assert lefschetz == [81, 81]
+    chi = model.table.euler_characteristic()
+    assert chi == 0
+    orbifold_chi = (chi + sum(lefschetz)) / 3
+    assert orbifold_chi == 54 == model.invariant_table.euler_characteristic()
+
+
+def test_cross_check_solves_one_class_per_representative(model, monkeypatch):
+    calls = []
+    class_row = CohomologyTable.class_row
+
+    def counting(self, x, k):
+        calls.append(self)
+        return class_row(self, x, k)
+
+    monkeypatch.setattr(CohomologyTable, "class_row", counting)
+    check_fixed_part(model.invariant_table, model.table, model.action)
+    assert sum(model.table.betti) == 144
+    assert len(calls) == 144
+    assert all(t is model.table for t in calls)

@@ -216,6 +216,17 @@ def test_obstruction_task_error_is_carried_in_report(tmp_path):
     assert cli_main(["run", str(f)]) == 1
 
 
+def test_cli_run_exits_3_on_a_violated_invariant(tmp_path, monkeypatch, capsys):
+    def broken(table, full, action):
+        raise AssertionError("invariant cohomology mismatch")
+
+    monkeypatch.setattr(dsl, "check_fixed_part", broken)
+    out = tmp_path / "out.report"
+    assert cli_main(["run", str(PAPER_SESSION), "--report", str(out)]) == 3
+    assert "invariant cohomology mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_check_exit_codes(tmp_path, capsys):
     assert cli_main(["check", str(PAPER_SESSION)]) == 0
     bad = FIXTURES / "bad_unknown_ident.cdga"
