@@ -17,7 +17,7 @@ from pathlib import Path
 
 from cdgalab import dsl
 from cdgalab._backend import kernel
-from cdgalab.action import GroupAction, check_fixed_part, invariant_complex
+from cdgalab.action import check_fixed_part, invariant_complex
 from cdgalab.algebra import DGA
 from cdgalab.field import make_field
 from cdgalab.homology import cohomology
@@ -109,9 +109,8 @@ def main():
 
     session = dsl.parse(PAPER.read_text())
     ctx = session.algebras["M"]
-    rho = session.maps["rho"]
+    action = session.maps["rho"].action
     dga = DGA(ctx.algebra, ctx.require_differential())
-    action = GroupAction(rho.map, rho.order)
     full = cohomology(dga)
     best = min(bench_invariant(dga, action, full) for _ in range(INVARIANT_REPEAT))
     print(f"invariant complex + fixed-part cross-check of {PAPER.name}, "

@@ -11,14 +11,13 @@ from .field import CycloField, FieldElement, Rational, cyclotomic_polynomial, fo
 from .algebra import (Algebra, AlgebraMap, Conjugation, DGA, Differential,
                       GeneratorSpec, GradedElement, apply_d, apply_map,
                       check_d_squared, format_element, identity_map, wedge)
-from .linalg import Matrix, Subspace, kernel_basis, membership, quotient_basis, rref, solve
+from .linalg import Matrix, Subspace, quotient_basis, rref
 from .homology import (CochainComplex, CohomologyClass, CohomologyTable,
                        cohomology, top_scalar)
 from .action import (GroupAction, invariant_cohomology, invariant_complex,
                      validate_action)
-from .formality import (FormalityReport, MasseyResult, ObstructionInput,
-                        ObstructionInputError, ObstructionResult,
-                        formality_verdict, massey_triple, obstruction)
+from .formality import (MasseyResult, ObstructionInput, ObstructionInputError,
+                        ObstructionResult, massey_triple, obstruction)
 from .symplectic import (LefschetzReport, SymplecticCandidate,
                          exactness_witness_check, is_symplectic, lefschetz)
 from .topology import (BettiVector, IncidenceGraph, betti_p1_bundle,
@@ -33,15 +32,13 @@ __all__ = [
     "Algebra", "AlgebraMap", "Conjugation", "DGA", "Differential",
     "GeneratorSpec", "GradedElement", "apply_d", "apply_map",
     "check_d_squared", "format_element", "identity_map", "wedge",
-    "Matrix", "Subspace", "kernel_basis", "membership", "quotient_basis",
-    "rref", "solve",
+    "Matrix", "Subspace", "quotient_basis", "rref",
     "CochainComplex", "CohomologyClass", "CohomologyTable", "cohomology",
     "top_scalar",
     "GroupAction", "invariant_cohomology", "invariant_complex",
     "validate_action",
-    "FormalityReport", "MasseyResult", "ObstructionInput",
-    "ObstructionInputError", "ObstructionResult", "formality_verdict",
-    "massey_triple", "obstruction",
+    "MasseyResult", "ObstructionInput", "ObstructionInputError",
+    "ObstructionResult", "massey_triple", "obstruction",
     "LefschetzReport", "SymplecticCandidate", "exactness_witness_check",
     "is_symplectic", "lefschetz",
     "BettiVector", "IncidenceGraph", "betti_p1_bundle", "betti_projective",

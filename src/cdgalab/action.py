@@ -73,14 +73,19 @@ def validate_action(f: AlgebraMap, m: int, d: Differential) -> ActionVerdict:
     return ActionVerdict(True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupAction:
-    """A cyclic action: the generator's algebra map and the group order."""
+    """A cyclic action: the generator's algebra map, the group order and the
+    differential it commutes with.  It is validated when built, so every
+    instance satisfies f^m = id and f o d = d o f."""
     generator_map: AlgebraMap
     order: int
+    differential: Differential
 
-    def validate(self, d: Differential) -> ActionVerdict:
-        return validate_action(self.generator_map, self.order, d)
+    def __post_init__(self):
+        verdict = validate_action(self.generator_map, self.order, self.differential)
+        if not verdict.ok:
+            raise ValueError(verdict.message)
 
     def project(self, x: GradedElement) -> GradedElement:
         """Averaging projector P = (1/m) sum f^k, summed along the orbit of x."""
@@ -119,10 +124,9 @@ def invariant_subspaces(dga: DGA, action: GroupAction) -> list[Subspace]:
 
 
 def invariant_complex(dga: DGA, action: GroupAction) -> CochainComplex:
-    """The invariant sub-DGA as a cochain complex (action validated first)."""
-    verdict = action.validate(dga.differential)
-    if not verdict.ok:
-        raise ValueError(f"invalid group action: {verdict.message}")
+    """The invariant sub-DGA as a cochain complex."""
+    if action.differential is not dga.differential:
+        raise ValueError("the action was validated against another differential")
     return CochainComplex(dga, invariant_subspaces(dga, action))
 
 

@@ -114,9 +114,6 @@ class Algebra:
         g = self.generator_index(name)
         return GradedElement(self, {(g,): self.field.one})
 
-    def generator_elements(self) -> list["GradedElement"]:
-        return [GradedElement(self, {(g,): self.field.one}) for g in range(len(self.gens))]
-
     def word_element(self, word: Word) -> "GradedElement":
         return GradedElement(self, {tuple(word): self.field.one})
 
@@ -410,9 +407,6 @@ class Differential:
                 raise ValueError(
                     f"d*d != 0 at generator {verdict.failing_generator}: "
                     f"residue {verdict.residue}")
-
-    def of_generator(self, g: int) -> GradedElement:
-        return self.assignments.get(g, self.algebra.zero())
 
     def _word_row(self, w: Word) -> dict:
         """d of the word w as ``{word: cv}``, computed on first use and kept."""

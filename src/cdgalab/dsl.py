@@ -34,8 +34,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import (Algebra, AlgebraMap, Conjugation, DGA, Differential,
-                      GradedElement, apply_d, format_element, wedge)
-from .action import GroupAction, check_fixed_part, invariant_complex, validate_action
+                      GradedElement, format_element, wedge)
+from .action import GroupAction, check_fixed_part, invariant_complex
 from .field import CycloField, FieldElement, format_scalar, make_field
 from .formality import ObstructionInput, ObstructionInputError, massey_triple, obstruction
 from .homology import CochainComplex, CohomologyClass, CohomologyTable, cohomology
@@ -163,6 +163,7 @@ class MapBinding:
     ctx: AlgebraContext
     order: int
     map: AlgebraMap
+    action: Optional[GroupAction] = None  # built and validated by finalize
 
 
 @dataclass
@@ -722,12 +723,13 @@ class Parser:
                 tok = where if where is not None else self.tokens[-1]
                 self.fail(tok, str(e))
         for binding in self.session.maps.values():
-            d = binding.ctx.require_differential()
-            verdict = validate_action(binding.map, binding.order, d)
-            if not verdict.ok:
+            try:
+                binding.action = GroupAction(binding.map, binding.order,
+                                             binding.ctx.require_differential())
+            except ValueError as e:
                 self.fail(self.tokens[-1],
                           f"map {binding.name!r} is not a valid order-{binding.order} "
-                          f"action: {verdict.message}")
+                          f"action: {e}")
 
 
 def parse(text: str) -> Session:
@@ -806,8 +808,7 @@ class _RunContext:
             if binding is None:
                 self._complexes[key] = CochainComplex(dga)
             else:
-                action = GroupAction(binding.map, binding.order)
-                self._complexes[key] = invariant_complex(dga, action)
+                self._complexes[key] = invariant_complex(dga, binding.action)
         return self._complexes[key]
 
     def table(self, ctx: AlgebraContext, binding: Optional[MapBinding]) -> CohomologyTable:
@@ -850,7 +851,7 @@ def _run_invariant_betti(rc: _RunContext, p: dict, report: Report):
     ctx, binding = p["ctx"], p["map"]
     cx = rc.complex(ctx, binding)
     table = rc.table(ctx, binding)
-    check_fixed_part(table, rc.table(ctx, None), GroupAction(binding.map, binding.order))
+    check_fixed_part(table, rc.table(ctx, None), binding.action)
     for k in range(cx.top + 1):
         report.add(f"invariant_dim[{k}]", cx.dim(k))
     for k, b in enumerate(table.betti):

@@ -7,14 +7,13 @@ exact, the degree-8 class of
 
 is closed; when H^3 of the complex vanishes it does not depend on any of the
 choices, and a nonzero value certifies non-formality.  The module computes the
-class with deterministic primitives, the general triple Massey product with
-its indeterminacy, and a one-sided certificate search over the degree-2
-representative basis.
+class with deterministic primitives, and the general triple Massey product with
+its indeterminacy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import GradedElement, wedge
@@ -169,74 +168,3 @@ def massey_triple(table: CohomologyTable, x: CohomologyClass, y: CohomologyClass
         rows.append(table.class_row(wedge(h, zr), out_deg))
     indet = Subspace.from_vectors(field, table.betti[out_deg], rows)
     return MasseyResult(coords, rep, indet)
-
-
-@dataclass
-class Certificate:
-    alpha_index: int
-    beta_indices: tuple
-    result: ObstructionResult
-
-
-@dataclass
-class FormalityReport:
-    """One-sided verdict: a certificate proves non-formality, its absence
-    proves nothing."""
-    certificate: Optional[Certificate]
-    tried: int
-    h3_dim: int
-    notes: list = dc_field(default_factory=list)
-
-    @property
-    def verdict(self) -> str:
-        return "nonformal" if self.certificate else "inconclusive"
-
-
-def formality_verdict(cx: CochainComplex, search_budget: int,
-                      volume: Optional[GradedElement] = None) -> FormalityReport:
-    """Scan (alpha, beta1, beta2, beta3) over the H^2 representative basis.
-
-    Candidates are enumerated in lexicographic index order; each one whose
-    products alpha*beta_i are all exact is evaluated, and the first nonzero
-    obstruction on a complex with H^3 = 0 is returned as a certificate.  The
-    budget bounds the number of candidate tuples examined.
-    """
-    table = cohomology(cx)
-    h3 = table.betti[3]
-    if volume is None:
-        top_words = cx.algebra.basis(cx.top)
-        if len(top_words) != 1:
-            raise ValueError("an explicit volume element is required")
-        volume = cx.algebra.word_element(top_words[0])
-    reps = table.representatives(2)
-    n = len(reps)
-    notes = []
-    if h3 != 0:
-        notes.append("H^3 of the complex is nonzero; the obstruction class is "
-                     "choice-dependent, so no certificate can be issued")
-        return FormalityReport(None, 0, h3, notes)
-
-    # pre-tabulated exactness of representative pairs
-    exact_pair = [[table.is_exact(wedge(a, b), degree=4) is not None for b in reps]
-                  for a in reps]
-    tried = 0
-    for ia in range(n):
-        for i1 in range(n):
-            if not exact_pair[ia][i1]:
-                continue
-            for i2 in range(n):
-                if not exact_pair[ia][i2]:
-                    continue
-                for i3 in range(n):
-                    if not exact_pair[ia][i3]:
-                        continue
-                    if tried >= search_budget:
-                        return FormalityReport(None, tried, h3, notes)
-                    tried += 1
-                    inp = ObstructionInput(
-                        cx, reps[ia], (reps[i1], reps[i2], reps[i3]), volume)
-                    result = obstruction(inp, table)
-                    if result.is_nonzero():
-                        return FormalityReport(
-                            Certificate(ia, (i1, i2, i3), result), tried, h3, notes)
-    return FormalityReport(None, tried, h3, notes)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._backend import kernel
-from .algebra import DGA, Algebra, Differential, GradedElement, apply_d, wedge
+from .algebra import DGA, GradedElement, apply_d, wedge
 from .linalg import Eliminator, Matrix, Subspace, densify, quotient_basis
 
 

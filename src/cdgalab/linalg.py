@@ -22,7 +22,7 @@ of A as such a ``Subspace`` (``image``), taken from the same elimination of
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from ._backend import kernel
 from .field import CycloField, FieldElement
@@ -132,19 +132,6 @@ class Matrix:
         cv = self.sparse_rows[i].get(j)
         return self.field.zero if cv is None else FieldElement(self.field, cv)
 
-    def row(self, i: int) -> list[FieldElement]:
-        return densify(self.field, self.sparse_rows[i], self.ncols)
-
-    def rows(self) -> list[list[FieldElement]]:
-        return [self.row(i) for i in range(self.nrows)]
-
-    def transpose(self) -> "Matrix":
-        cols = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.sparse_rows):
-            for j, cv in row.items():
-                cols[j][i] = cv
-        return Matrix.sparse(self.field, self.nrows, cols)
-
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -211,14 +198,6 @@ class Eliminator:
         """Basis of the left kernel {x : x * A = 0}, as sparse rows (shared)."""
         return self._e[self.rank:]
 
-    def image_basis(self) -> list[list[FieldElement]]:
-        """Echelon basis of the row space of A."""
-        return self.image.row_vectors()
-
-    def kernel_basis(self) -> list[list[FieldElement]]:
-        """Basis of the left kernel {x : x * A = 0}."""
-        return [densify(self.field, e, self.nrows) for e in self.kernel_rows()]
-
     def solve_left(self, b):
         """One x with x * A = b, or None; free coefficients are zero."""
         field = self.field
@@ -230,19 +209,6 @@ class Eliminator:
         for i, c in coeffs.items():
             kernel.row_axpy(x, self._e[i], c, field.red)
         return densify(field, x, self.nrows) if dense else x
-
-
-def solve(a: Matrix, b) -> Optional[list[FieldElement]]:
-    """One exact solution of A x = b (columns are the unknowns), or None.
-
-    Free variables are set to zero under the deterministic pivot order.
-    """
-    return Eliminator(a.transpose()).solve_left(b)
-
-
-def kernel_basis(a: Matrix) -> list[list[FieldElement]]:
-    """Basis of the right null space {x : A x = 0}."""
-    return Eliminator(a.transpose()).kernel_basis()
 
 
 class Subspace:
@@ -296,14 +262,6 @@ class Subspace:
 
     def contains(self, v) -> bool:
         return self.coordinates(v) is not None
-
-    def row_vectors(self) -> list[list[FieldElement]]:
-        return [densify(self.field, r, self.ambient_dim) for r in self.rows]
-
-
-def membership(s: Subspace, v) -> bool:
-    """Whether v lies in the subspace."""
-    return s.contains(v)
 
 
 def quotient_basis(big: Subspace, small: Subspace) -> Subspace:

@@ -53,7 +53,7 @@ def build_heisenberg_model() -> HeisenbergModel:
                "mubar": z2, "nubar": z2, "thetabar": z, "etabar": z2}
     rho = AlgebraMap(algebra, algebra,
                      {n: gens[n].scale(w) for n, w in weights.items()})
-    action = GroupAction(rho, 3)
+    action = GroupAction(rho, 3, differential)
     i = field.imaginary_unit()
     omega = (gens["mu"] * gens["mubar"]).scale(i) + gens["nu"] * gens["theta"] \
         + gens["nubar"] * gens["thetabar"] + (gens["eta"] * gens["etabar"]).scale(i)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from cdgalab import AlgebraMap, GroupAction, Subspace, cohomology, identity_map,
 from cdgalab._backend import kernel
 from cdgalab.action import check_fixed_part, induced_action_fixed_dims, induced_traces, \
     invariant_subspaces
-from cdgalab.algebra import apply_d, apply_map
+from cdgalab.algebra import Differential, apply_d, apply_map
 from cdgalab.homology import CohomologyTable
 
 from conftest import random_element
@@ -94,9 +96,19 @@ def test_invariant_differential_is_stable(model):
 
 
 def test_invalid_action_rejected(model):
-    bad = GroupAction(model.rho, 2)
-    with pytest.raises(ValueError, match="invalid group action"):
-        invariant_complex(model.dga, bad)
+    with pytest.raises(ValueError, match=r"^f\^2 is not the identity at mu$"):
+        GroupAction(model.rho, 2, model.differential)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.action.order = 2
+
+
+def test_invariant_complex_rejects_an_action_on_another_differential(model):
+    g = model.gens
+    twin = Differential(model.algebra, {"theta": g["mu"] * g["nu"],
+                                        "thetabar": g["mubar"] * g["nubar"]})
+    action = GroupAction(model.rho, 3, twin)
+    with pytest.raises(ValueError, match="another differential"):
+        invariant_complex(model.dga, action)
 
 
 def test_invariant_subspace_matches_projector_rank(model):
@@ -167,16 +179,16 @@ def _swap(model):
 
 
 ACTIONS = {
-    "rho": lambda model: GroupAction(model.rho, 3),
-    "rho2": lambda model: GroupAction(_rho_squared(model), 3),
-    "swap": lambda model: GroupAction(_swap(model), 2),
+    "rho": lambda model: GroupAction(model.rho, 3, model.differential),
+    "rho2": lambda model: GroupAction(_rho_squared(model), 3, model.differential),
+    "swap": lambda model: GroupAction(_swap(model), 2, model.differential),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ACTIONS))
 def test_orbit_sum_projector_matches_composed_powers(model, name):
     action = ACTIONS[name](model)
-    assert action.validate(model.differential).ok
+    assert validate_action(action.generator_map, action.order, model.differential).ok
     new = invariant_subspaces(model.dga, action)
     ref = reference_invariant_subspaces(model.dga, action)
     for k in range(9):
@@ -196,8 +208,11 @@ def test_trace_formula_matches_rank_of_averaged_class_rows(model, name):
 
 
 def test_wrong_order_fails_the_trace_check(model):
+    # a valid action cannot be built with the wrong order, so inject the fault
+    bad = copy.copy(model.action)
+    object.__setattr__(bad, "order", 2)
     with pytest.raises(AssertionError, match="not the identity"):
-        induced_action_fixed_dims(model.table, GroupAction(model.rho, 2))
+        induced_action_fixed_dims(model.table, bad)
 
 
 def test_traces_and_lefschetz_numbers(model):
@@ -205,7 +220,7 @@ def test_traces_and_lefschetz_numbers(model):
     expected = [1, -3, 11, -15, 21, -15, 11, -3, 1]
     lefschetz = []
     for f in (model.rho, _rho_squared(model)):
-        traces = induced_traces(model.table, GroupAction(f, 3))
+        traces = induced_traces(model.table, GroupAction(f, 3, model.differential))
         assert [tr[0] for tr in traces] == [field.rational(b) for b in model.table.betti]
         assert [tr[1] for tr in traces] == [field.rational(t) for t in expected]
         lefschetz.append(sum((-1) ** k * tr[1].as_fraction() for k, tr in enumerate(traces)))

@@ -26,6 +26,10 @@ EXPECTED_DIAGNOSTICS = [
     ("bad_duplicate_decl.cdga", 4, 5, "duplicate declaration of 'x' (already a let)"),
     ("bad_malformed_scalar.cdga", 3, 14, "malformed scalar: unexpected '*'"),
     ("bad_map_degree.cdga", 3, 23, "degree mismatch: image of mu must have degree 1"),
+    ("bad_map_action_order.cdga", 4, 1,
+     "map 'rho' is not a valid order-2 action: f^2 is not the identity at mu"),
+    ("bad_map_action_d.cdga", 5, 1,
+     "map 'rho' is not a valid order-2 action: f does not commute with d at theta"),
     ("bad_task_arity.cdga", 6, 25, "expected half dimension"),
     ("bad_task_name.cdga", 3, 6, "unknown task 'frobnicate'"),
     ("bad_unknown_ident.cdga", 3, 14, "unknown identifier 'qqq'"),
@@ -147,6 +151,31 @@ def test_paper_run_builds_each_table_once(monkeypatch, paper_session):
     assert dsl.run(paper_session).ok
     assert sorted(built) == ["full", "invariant"]
     assert len(complexes) == 1
+
+
+def test_paper_run_builds_and_validates_the_action_once(monkeypatch):
+    """The parser builds the map's action, which validates itself once, and
+    the run's invariant complex and cross-check reuse that one action."""
+    from cdgalab import action
+    validated, built = [], []
+    validate = action.validate_action
+    init = action.GroupAction.__init__
+
+    def counting_validate(*args):
+        validated.append(args)
+        return validate(*args)
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cdgalab") and getattr(module, "validate_action", None) is validate:
+            monkeypatch.setattr(module, "validate_action", counting_validate)
+    monkeypatch.setattr(action.GroupAction, "__init__", counting_init)
+    assert dsl.run(dsl.parse(PAPER_SESSION.read_text())).ok
+    assert len(validated) == 1
+    assert len(built) == 1
 
 
 def test_report_is_deterministic(tmp_path):

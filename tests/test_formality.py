@@ -5,8 +5,7 @@ import pytest
 from cdgalab import DGA, cohomology, make_field, wedge
 from cdgalab.algebra import Algebra, Differential, apply_d
 from cdgalab.formality import (ObstructionInput, ObstructionInputError,
-                               formality_verdict, massey_triple, obstruction)
-from cdgalab.homology import CochainComplex
+                               massey_triple, obstruction)
 
 from conftest import random_homogeneous
 
@@ -210,27 +209,3 @@ def test_class_is_choice_dependent_when_h3_is_nonzero(model):
     assert apply_d(model.differential, moved.element).is_zero()
     assert moved.class_coords != base.class_coords
 
-
-def test_formality_verdict_finds_certificate(model):
-    rep = formality_verdict(model.invariant, 2000, model.volume)
-    assert rep.verdict == "nonformal"
-    assert rep.certificate is not None
-    assert rep.certificate.result.certifies_nonformality()
-    sc = rep.certificate.result.scalar
-    assert sc == model.field.rational(2) or sc == model.field.rational(-2)
-
-
-def test_formality_verdict_on_torus_is_inconclusive():
-    field = make_field(12)
-    alg = Algebra(field, [(n, 1) for n in "abce"])
-    dga = DGA(alg, Differential(alg, {}))
-    cx = CochainComplex(dga)
-    rep = formality_verdict(cx, 3000)
-    assert rep.verdict == "inconclusive"
-    assert rep.certificate is None
-
-
-def test_formality_verdict_budget_zero(model):
-    rep = formality_verdict(model.invariant, 0, model.volume)
-    assert rep.verdict == "inconclusive"
-    assert rep.tried == 0

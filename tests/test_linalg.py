@@ -2,20 +2,38 @@ import random
 
 import pytest
 
-from cdgalab import Matrix, Subspace, kernel_basis, make_field, membership, \
-    quotient_basis, rref, solve
+from cdgalab import Matrix, Subspace, make_field, quotient_basis, rref
 from cdgalab.algebra import apply_d
-from cdgalab.linalg import Eliminator
+from cdgalab.linalg import Eliminator, densify
 
 from conftest import random_field_element
 
 
-def d_matrix_columns(model, k):
-    """Matrix of d: degree k -> k+1 in column convention."""
+def d_matrix(model, k):
+    """Matrix of d: degree k -> k+1, one row per basis word (x * A = b)."""
     alg = model.algebra
     rows = [apply_d(model.differential, alg.word_element(w)).to_coords(k + 1)
             for w in alg.basis(k)]
-    return Matrix.from_rows(alg.field, rows).transpose()
+    return Matrix.from_rows(alg.field, rows)
+
+
+def dense_rows(f, rows, n):
+    """Sparse rows as dense lists of n field elements."""
+    return [densify(f, r, n) for r in rows]
+
+
+def transpose(m):
+    cols = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m.sparse_rows):
+        for j, cv in row.items():
+            cols[j][i] = cv
+    return Matrix.sparse(m.field, m.nrows, cols)
+
+
+def times(f, x, m):
+    """The product x * A for a dense row x."""
+    return [sum((x[i] * m.entry(i, j) for i in range(m.nrows)), f.zero)
+            for j in range(m.ncols)]
 
 
 def test_rref_identity_and_zero():
@@ -25,20 +43,20 @@ def test_rref_identity_and_zero():
 
 
 def test_rref_rank_of_degree_one_differential(model):
-    m = d_matrix_columns(model, 1)
-    assert m.ncols == 8
+    m = d_matrix(model, 1)
+    assert m.nrows == 8
     assert rref(m).rank == 2  # image spanned by mu*nu and mubar*nubar
 
 
 def test_solve_examples(model):
     f = model.field
-    m = d_matrix_columns(model, 1)
+    el = Eliminator(d_matrix(model, 1))
     b = (model.gens["mu"] * model.gens["nu"]).to_coords(2)
-    x = solve(m, b)
+    x = el.solve_left(b)
     theta_coords = model.gens["theta"].to_coords(1)
     assert x == theta_coords
-    assert solve(m, (model.gens["mu"] * model.gens["eta"]).to_coords(2)) is None
-    zero = solve(m, [f.zero] * 28)
+    assert el.solve_left((model.gens["mu"] * model.gens["eta"]).to_coords(2)) is None
+    zero = el.solve_left([f.zero] * 28)
     assert zero == [f.zero] * 8
 
 
@@ -46,17 +64,17 @@ def test_membership_and_quotient_examples(model):
     f = model.field
     e1 = [f.one, f.zero]
     s = Subspace.from_vectors(f, 2, [e1])
-    assert membership(s, e1)
-    assert not membership(s, [f.one, f.one])
+    assert s.contains(e1)
+    assert not s.contains([f.one, f.one])
 
     # ker(d|L2) (dim 19) / im(d|L1) (dim 2) -> dim 17
     alg = model.algebra
     rows2 = [apply_d(model.differential, alg.word_element(w)).to_coords(3)
              for w in alg.basis(2)]
-    cocycles = Subspace.from_vectors(f, 28, Eliminator(Matrix.from_rows(f, rows2)).kernel_basis())
+    cocycles = Subspace.from_vectors(f, 28, Eliminator(Matrix.from_rows(f, rows2)).kernel_rows())
     rows1 = [apply_d(model.differential, alg.word_element(w)).to_coords(2)
              for w in alg.basis(1)]
-    cob = Subspace.from_vectors(f, 28, Eliminator(Matrix.from_rows(f, rows1)).image_basis())
+    cob = Eliminator(Matrix.from_rows(f, rows1)).image
     assert cocycles.dim == 19 and cob.dim == 2
     assert quotient_basis(cocycles, cob).dim == 17
 
@@ -83,8 +101,9 @@ def test_rank_transpose_and_rank_nullity_randomized():
     for _ in range(60):
         m = _random_matrix(f, rng, rng.randint(1, 6), rng.randint(1, 6))
         r = rref(m)
-        assert r.rank == rref(m.transpose()).rank
-        assert m.ncols == r.rank + len(kernel_basis(m))
+        assert r.rank == rref(transpose(m)).rank
+        assert m.nrows == r.rank + len(Eliminator(m).kernel_rows())
+        assert m.ncols == r.rank + len(Eliminator(transpose(m)).kernel_rows())
 
 
 def test_rref_is_idempotent_and_deterministic():
@@ -106,17 +125,13 @@ def test_solve_residual_exactness_randomized():
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = _random_matrix(f, rng, nr, nc)
         if rng.random() < 0.5:
-            x0 = [random_field_element(f, rng) for _ in range(nc)]
-            b = [sum((m.entry(i, j) * x0[j] for j in range(nc)), f.zero)
-                 for i in range(nr)]
+            b = times(f, [random_field_element(f, rng) for _ in range(nr)], m)
         else:
-            b = [random_field_element(f, rng) for _ in range(nr)]
-        x = solve(m, b)
+            b = [random_field_element(f, rng) for _ in range(nc)]
+        x = Eliminator(m).solve_left(b)
         if x is not None:
             consistent += 1
-            bx = [sum((m.entry(i, j) * x[j] for j in range(nc)), f.zero)
-                  for i in range(nr)]
-            assert bx == b
+            assert times(f, x, m) == b
     assert consistent > 10
 
 
@@ -125,10 +140,8 @@ def test_kernel_vectors_annihilate():
     rng = random.Random(24)
     for _ in range(40):
         m = _random_matrix(f, rng, rng.randint(1, 6), rng.randint(1, 6))
-        for v in kernel_basis(m):
-            prod = [sum((m.entry(i, j) * v[j] for j in range(m.ncols)), f.zero)
-                    for i in range(m.nrows)]
-            assert all(p.is_zero() for p in prod)
+        for e in Eliminator(m).kernel_rows():
+            assert all(p.is_zero() for p in times(f, densify(f, e, m.nrows), m))
 
 
 # --- the sparse elimination against a dense reference -----------------------
@@ -162,8 +175,8 @@ def dense_gauss_jordan(rows, limit):
 
 def dense_eliminator(f, m):
     """(rank, pivots, R rows, E rows) of the reference elimination of [A | I]."""
-    aug = [m.row(i) + [f.one if j == i else f.zero for j in range(m.nrows)]
-           for i in range(m.nrows)]
+    aug = [row + [f.one if j == i else f.zero for j in range(m.nrows)]
+           for i, row in enumerate(dense_rows(f, m.sparse_rows, m.ncols))]
     rank, pivots, rows = dense_gauss_jordan(aug, m.ncols)
     return (rank, pivots, [r[:m.ncols] for r in rows[:rank]],
             [r[m.ncols:] for r in rows])
@@ -221,11 +234,12 @@ def test_sparse_rref_matches_dense_reference():
     f, _, cases = _matrix_cases()
     deficient = 0
     for m in cases:
-        rank, pivots, rows = dense_gauss_jordan(m.rows(), m.ncols)
+        rank, pivots, rows = dense_gauss_jordan(dense_rows(f, m.sparse_rows, m.ncols),
+                                                m.ncols)
         deficient += rank < min(m.nrows, m.ncols)
         r = rref(m)
         assert (r.rank, r.pivots) == (rank, pivots)
-        assert r.reduced.rows() == rows
+        assert dense_rows(f, r.reduced.sparse_rows, m.ncols) == rows
         assert list(r.reduced.entries) == [e for row in rows for e in row]
     assert deficient >= 25
 
@@ -237,8 +251,8 @@ def test_eliminator_matches_dense_reference():
         rank, pivots, r_rows, e_rows = ref
         el = Eliminator(m)
         assert (el.rank, el.pivots) == (rank, pivots)
-        assert el.image_basis() == r_rows
-        assert el.kernel_basis() == e_rows[rank:]
+        assert dense_rows(f, el.image.rows, m.ncols) == r_rows
+        assert dense_rows(f, el.kernel_rows(), m.nrows) == e_rows[rank:]
         targets = [[random_field_element(f, rng) for _ in range(m.ncols)],
                    [f.zero] * m.ncols]
         x0 = [random_field_element(f, rng) for _ in range(m.nrows)]
@@ -259,11 +273,13 @@ def test_eliminator_matches_dense_reference():
 def test_subspace_matches_dense_reference_and_caches_pivots():
     f, rng, cases = _matrix_cases()
     for m in cases:
-        rank, pivots, rows = dense_gauss_jordan(m.rows(), m.ncols)
-        s = Subspace.from_vectors(f, m.ncols, m.rows())
+        dense = dense_rows(f, m.sparse_rows, m.ncols)
+        rank, pivots, rows = dense_gauss_jordan(dense, m.ncols)
+        s = Subspace.from_vectors(f, m.ncols, dense)
+        s_rows = dense_rows(f, s.rows, m.ncols)
         assert s.dim == rank
-        assert s.row_vectors() == rows[:rank]
-        assert s.pivots == pivots == first_nonzero_scan(s.row_vectors())
+        assert s_rows == rows[:rank]
+        assert s.pivots == pivots == first_nonzero_scan(s_rows)
         v = [random_field_element(f, rng) for _ in range(m.ncols)]
         coeffs, rem = s.reduce(v)
         want = list(v)
@@ -272,7 +288,7 @@ def test_subspace_matches_dense_reference_and_caches_pivots():
             want = [a - coeffs[i] * p for a, p in zip(want, rows[i])]
         assert rem == want
     full = Subspace.full(f, 5)
-    assert full.pivots == first_nonzero_scan(full.row_vectors()) == list(range(5))
+    assert full.pivots == first_nonzero_scan(dense_rows(f, full.rows, 5)) == list(range(5))
 
 
 def test_sparse_vectors_with_bad_entries_are_rejected():
@@ -282,9 +298,7 @@ def test_sparse_vectors_with_bad_entries_are_rejected():
     el = Eliminator(Matrix.identity(f, 3))
     full = Subspace.full(f, 3)
     for bad in ({3: one}, {-1: one}, {"0": one}, {1: zero}):
-        for call in (s.reduce, s.contains, full.contains, el.solve_left,
-                     lambda v: membership(s, v),
-                     lambda v: solve(Matrix.identity(f, 3), v)):
+        for call in (s.reduce, s.contains, full.contains, el.solve_left):
             with pytest.raises(ValueError):
                 call(bad)
     # the same vectors, well formed, are accepted

@@ -1,7 +1,11 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import cdgalab
+
+from conftest import ROOT
 
 SRC = Path(cdgalab.__file__).resolve().parent
 
@@ -16,3 +20,11 @@ def test_library_has_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert SRC.name == "cdgalab" and list(SRC.glob("*.py"))
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_acceptance_suite_passes_under_optimize():
+    """The acceptance criteria hold with the library's asserts stripped;
+    pytest rewrites the tests' own asserts, so those still run."""
+    r = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                        "tests/test_acceptance.py"], cwd=ROOT, capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout[-3000:] + r.stderr[-3000:]
