@@ -36,10 +36,10 @@ def rand_cv(rng, phi):
         [rng.randint(-2, 2) for _ in range(phi)], rng.randint(1, 3))
 
 
-def bench_cv_mul(pairs, red):
+def bench_cv_mul(pairs, mul):
     t0 = time.perf_counter()
     for a, b in pairs:
-        kernel.cv_mul(a, b, red)
+        kernel.cv_mul(a, b, mul)
     return time.perf_counter() - t0
 
 
@@ -50,10 +50,10 @@ def bench_inverse(values, inv):
     return time.perf_counter() - t0
 
 
-def bench_rref(rows, ncols, phi, red, inv):
+def bench_rref(rows, ncols, phi, mul, inv):
     work = [dict(r) for r in rows]
     t0 = time.perf_counter()
-    rank, _ = kernel.rref(work, ncols, ncols, phi, red, inv)
+    rank, _ = kernel.rref(work, ncols, ncols, phi, mul, inv)
     return time.perf_counter() - t0, rank
 
 
@@ -75,12 +75,12 @@ def main():
     args = ap.parse_args()
 
     field = make_field(12)
-    phi, red = field.phi, field.red
+    phi, mul = field.phi, field.mul
     rng = random.Random(2024)
     inv = _inv_cv(field)
 
     pairs = [(rand_cv(rng, phi), rand_cv(rng, phi)) for _ in range(args.muls)]
-    best = min(bench_cv_mul(pairs, red) for _ in range(args.repeat))
+    best = min(bench_cv_mul(pairs, mul) for _ in range(args.repeat))
     print(f"cv_mul x {args.muls} over Q(zeta_12): {best:8.3f} s")
 
     values = []
@@ -102,7 +102,7 @@ def main():
                 if not kernel.cv_is_zero(cv):
                     row[j] = cv
         rows.append(row)
-    runs = [bench_rref(rows, ncols, phi, red, inv) for _ in range(args.repeat)]
+    runs = [bench_rref(rows, ncols, phi, mul, inv) for _ in range(args.repeat)]
     best = min(dt for dt, _ in runs)
     print(f"rref of a {n}x{ncols} matrix at density {DENSITY} over Q(zeta_12): "
           f"{best:8.3f} s (rank {runs[0][1]})")

@@ -10,8 +10,18 @@ A matrix row is sparse: a dict ``{col: cv}`` that holds only the nonzero
 entries.  A column absent from the dict is zero, and the row functions below
 delete an entry as soon as it cancels, so ``not row`` tests for the zero row.
 
-``red`` is the reduction table: ``red[k]`` gives the integer coordinates of
-``z**(phi + k)`` in the power basis, for ``k = 0 .. phi - 2``.
+``mul`` is the per-field argument: the field's product ``mul(a, b) -> cv``
+of two cvs.  Each ``CycloField`` builds it once, with
+``straight_line_product``, from the reduction table of Phi_n, and builds
+one ``straight_line_map`` per Galois automorphism the same way.  A product
+is straight-line code because in pure Python its cost is the interpreter's
+work per operation, not the integer arithmetic: a loop over the phi x phi
+convolution, the fold of z^phi .. z^(2 phi - 2) and the zero tests runs
+three to five times as long as one body that holds the coordinates in
+locals and has the fold's integers written in.  ``cv_mul`` stays the one
+entry point for a product, and the functions below call it through this
+module, so that a profiler or tracer that replaces it here sees every
+product.
 """
 
 from math import gcd
@@ -61,45 +71,24 @@ def cv_sub(a, b):
     return cv_normalize([x * db - y * da for x, y in zip(a[:-1], b[:-1])], da * db)
 
 
-def cv_mul(a, b, red):
-    phi = len(a) - 1
-    if phi == 1:
-        return cv_normalize([a[0] * b[0]], a[1] * b[1])
-    conv = [0] * (2 * phi - 1)
-    for i in range(phi):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(phi):
-            bj = b[j]
-            if bj:
-                conv[i + j] += ai * bj
-    # Powers z^phi .. z^(2 phi - 2) fold back via the reduction table.
-    for e in range(phi, 2 * phi - 1):
-        c = conv[e]
-        if not c:
-            continue
-        row = red[e - phi]
-        for j in range(phi):
-            r = row[j]
-            if r:
-                conv[j] += c * r
-    return cv_normalize(conv[:phi], a[-1] * b[-1])
+def cv_mul(a, b, mul):
+    """The product of two cvs; ``mul`` is their field's product."""
+    return mul(a, b)
 
 
 # --- sparse-row helpers -----------------------------------------------------
 
-def row_scale(row, c, red):
+def row_scale(row, c, mul):
     """row <- c * row, entrywise (c nonzero)."""
     for j, v in row.items():
-        row[j] = cv_mul(v, c, red)
+        row[j] = cv_mul(v, c, mul)
 
 
-def row_axpy(target, src, c, red):
+def row_axpy(target, src, c, mul):
     """target <- target + c * src, entrywise (c nonzero); cancelled entries
     are removed."""
     for j, v in src.items():
-        p = cv_mul(v, c, red)
+        p = cv_mul(v, c, mul)
         t = target.get(j)
         if t is None:
             target[j] = p
@@ -111,7 +100,7 @@ def row_axpy(target, src, c, red):
                 target[j] = s
 
 
-def rref(rows, ncols, limit, phi, red, inv):
+def rref(rows, ncols, limit, phi, mul, inv):
     """In-place reduced row echelon form with deterministic pivoting.
 
     ``rows`` is a list of sparse rows of width ``ncols``.  Pivots are searched
@@ -156,11 +145,11 @@ def rref(rows, ncols, limit, phi, red, inv):
         prow = rows[i]
         p = prow[col]
         if p != one:
-            row_scale(prow, inv(p), red)
+            row_scale(prow, inv(p), mul)
         pcols = [j for j in prow if j < limit]
         for i2 in held - {i}:
             target = rows[i2]
-            row_axpy(target, prow, cv_neg(target[col]), red)
+            row_axpy(target, prow, cv_neg(target[col]), mul)
             for j in pcols:
                 if j in target:
                     holders[j].add(i2)
@@ -172,7 +161,7 @@ def rref(rows, ncols, limit, phi, red, inv):
     return piv, pivots
 
 
-def reduce_against(row, rrows, pivots, ncols, phi, red):
+def reduce_against(row, rrows, pivots, ncols, mul):
     """Reduce the sparse ``row`` (mutated to the remainder) against rref rows.
 
     ``pivots`` maps each pivot column to the index of its row in ``rrows``.
@@ -185,5 +174,82 @@ def reduce_against(row, rrows, pivots, ncols, phi, red):
     for col in [j for j in row if j in pivots]:
         i = pivots[col]
         c = coeffs[i] = row[col]
-        row_axpy(row, rrows[i], cv_neg(c), red)
+        row_axpy(row, rrows[i], cv_neg(c), mul)
     return coeffs
+
+
+# --- per-field straight-line code -------------------------------------------
+#
+# The generated source holds only integers taken from the tables it is given
+# and fixed identifiers.  Its filename names the field, so that profiles and
+# tracebacks show which field's function ran.
+
+def _signed_terms(pairs):
+    """``coef*term`` pairs as one sum expression; "0" when there are none."""
+    out = []
+    for coef, term in pairs:
+        if not coef:
+            continue
+        sign = "-" if coef < 0 else "+"
+        mag = abs(coef)
+        out.append(f" {sign} {term}" if mag == 1 else f" {sign} {mag}*{term}")
+    if not out:
+        return "0"
+    text = "".join(out)
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+def _compile(lines, label):
+    namespace = {"gcd": gcd}
+    exec(compile("\n".join(lines) + "\n", f"<cdgalab {label}>", "exec"), namespace)
+    return namespace["f"]
+
+
+def straight_line_product(phi, red, label):
+    """The product of two cvs in the field of degree ``phi`` whose reduction
+    table is ``red`` (``red[k]`` holds the integer coordinates of
+    ``z**(phi + k)``), as one straight-line function.
+
+    The convolution coefficients of z^phi .. z^(2 phi - 2) go to locals
+    ``t<e>``, and each output coordinate is its own convolution coefficient
+    plus those locals times the table's integers.  The result is put in
+    lowest terms; a denominator of 1 needs no gcd."""
+    a = [f"a{i}" for i in range(phi)]
+    b = [f"b{j}" for j in range(phi)]
+
+    def conv(e):
+        return [(1, f"{a[i]}*{b[e - i]}")
+                for i in range(max(0, e - phi + 1), min(e, phi - 1) + 1)]
+
+    lines = ["def f(a, b):",
+             f"    {', '.join(a)}, da = a",
+             f"    {', '.join(b)}, db = b"]
+    for e in range(phi, 2 * phi - 1):
+        lines.append(f"    t{e} = {_signed_terms(conv(e))}")
+    for j in range(phi):
+        fold = [(red[e - phi][j], f"t{e}") for e in range(phi, 2 * phi - 1)]
+        lines.append(f"    c{j} = {_signed_terms(conv(j) + fold)}")
+    c = ", ".join(f"c{j}" for j in range(phi))
+    lines += ["    d = da * db",
+              "    if d == 1:",
+              f"        return ({c}, 1)",
+              f"    g = gcd({c}, d)",
+              "    if g == 1:",
+              f"        return ({c}, d)",
+              f"    return ({', '.join(f'c{j} // g' for j in range(phi))}, d // g)"]
+    return _compile(lines, label)
+
+
+def straight_line_map(matrix, label):
+    """The cv map ``n -> matrix * n`` on the numerators, keeping the
+    denominator, as one straight-line function (``matrix[t][j]`` is the
+    coefficient of coordinate j in coordinate t).  The result is in lowest
+    terms only when ``matrix`` is invertible over the integers, as the matrix
+    of a Galois automorphism in the power basis is."""
+    phi = len(matrix)
+    a = [f"a{i}" for i in range(phi)]
+    lines = ["def f(a):",
+             f"    {', '.join(a)}, d = a"]
+    images = [_signed_terms(zip(row, a)) for row in matrix]
+    lines.append(f"    return ({', '.join(images)}, d)")
+    return _compile(lines, label)

@@ -27,7 +27,6 @@ of being repeated on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from ._backend import kernel
@@ -87,14 +86,6 @@ class GroupAction:
         if not verdict.ok:
             raise ValueError(verdict.message)
 
-    def project(self, x: GradedElement) -> GradedElement:
-        """Averaging projector P = (1/m) sum f^k, summed along the orbit of x."""
-        acc = y = x
-        for _ in range(self.order - 1):
-            y = apply_map(self.generator_map, y)
-            acc = acc + y
-        return acc.scale(Fraction(1, self.order))
-
 
 def _own_map(f: AlgebraMap) -> AlgebraMap:
     """A copy of f with a cache of word images of its own."""
@@ -105,7 +96,7 @@ def invariant_subspaces(dga: DGA, action: GroupAction) -> list[Subspace]:
     """Per-degree eigenvalue-1 subspaces, as the image of the projector."""
     alg = dga.algebra
     field = alg.field
-    red = field.red
+    mul = field.mul
     f = _own_map(action.generator_map)
     one = field.one.cv
     inv_m = field.rational(1, action.order).cv
@@ -117,7 +108,7 @@ def invariant_subspaces(dga: DGA, action: GroupAction) -> list[Subspace]:
             acc = {w: inv_m}
             for _ in range(action.order - 1):
                 term = map_terms(f, term)
-                kernel.row_axpy(acc, term, inv_m, red)
+                kernel.row_axpy(acc, term, inv_m, mul)
             rows.append({alg.word_index(k, u): c for u, c in acc.items()})
         subspaces.append(Subspace.from_vectors(field, alg.dim(k), rows))
     return subspaces

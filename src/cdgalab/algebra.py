@@ -314,7 +314,7 @@ def _element(alg: Algebra, terms: dict) -> GradedElement:
 
 def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
     """The product of ``{word: cv}`` maps, as a new one without zeros."""
-    red = alg.field.red
+    mul = alg.field.mul
     merge = alg.merge_words
     cv_mul, cv_neg, cv_add = kernel.cv_mul, kernel.cv_neg, kernel.cv_add
     acc: dict = {}
@@ -324,7 +324,7 @@ def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
             if m is None:
                 continue
             w, sign = m
-            c = cv_mul(a, b, red)
+            c = cv_mul(a, b, mul)
             if sign < 0:
                 c = cv_neg(c)
             s = acc.get(w)
@@ -451,12 +451,12 @@ def apply_d(d: Differential, x: GradedElement) -> GradedElement:
     alg = x.algebra
     if alg is not d.algebra:
         raise ValueError("algebra mismatch")
-    red = alg.field.red
+    mul = alg.field.mul
     acc: dict = {}
     for w, c in x.terms.items():
         row = d._word_row(w)
         if row:
-            kernel.row_axpy(acc, row, c.cv, red)
+            kernel.row_axpy(acc, row, c.cv, mul)
     return _element(alg, acc)
 
 
@@ -544,12 +544,12 @@ def identity_map(algebra: Algebra) -> AlgebraMap:
 
 def map_terms(f: AlgebraMap, terms: dict) -> dict:
     """The image under f of a ``{word: cv}`` map, as a new one without zeros."""
-    red = f.target.field.red
+    mul = f.target.field.mul
     acc: dict = {}
     for w, c in terms.items():
         img = f._word_image(w)
         if img:
-            kernel.row_axpy(acc, img, c, red)
+            kernel.row_axpy(acc, img, c, mul)
     return acc
 
 

@@ -306,9 +306,10 @@ class Parser:
         if t.text != "cyclotomic":
             self.fail(t, f"unknown field kind {t.text!r}")
         n, ntok = self.expect_int("conductor")
-        if n < 1:
-            self.fail(ntok, f"conductor must be >= 1, got {n}")
-        self.session.field = make_field(n)
+        try:
+            self.session.field = make_field(n)
+        except ValueError as e:  # conductor below 1 or over the budget
+            self.fail(ntok, str(e))
         self.expect_end_of_statement()
 
     def stmt_algebra(self):

@@ -53,18 +53,59 @@ def cyclotomic_polynomial(n: int) -> list[int]:
     return poly
 
 
+# Largest field degree phi(n) a conductor may have.  Building a field's
+# straight-line arithmetic costs about phi^2 work and memory (see
+# ``CycloField``); phi(12) = 4 for the paper.
+MAX_DEGREE = 64
+
+
+def _totient(n: int) -> int:
+    result = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result
+
+
+def check_conductor(n: int) -> None:
+    """Raises ValueError unless Q(zeta_n) is within the degree budget.
+
+    Runs before anything is built.  Since phi(n) >= sqrt(n / 2), a conductor
+    above 2 * MAX_DEGREE^2 is over budget without being factored."""
+    if n < 1:
+        raise ValueError(f"conductor must be >= 1, got {n}")
+    if n > 2 * MAX_DEGREE ** 2 or _totient(n) > MAX_DEGREE:
+        raise ValueError(f"conductor {n} is over budget: phi({n}) must be "
+                         f"at most {MAX_DEGREE}")
+
+
 class CycloField:
-    """Descriptor of Q(zeta_n): conductor, degree and reduction tables."""
+    """Descriptor of Q(zeta_n): conductor, degree, reduction tables and the
+    field's arithmetic.
+
+    ``mul`` is the product of two cvs, the per-field argument of the kernel,
+    and ``galois_maps[k % n]`` the cv map of z -> z**k for each unit k.  Both
+    are straight-line code generated once from the reduction table of Phi_n
+    (see ``_kernel_py``)."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"conductor must be >= 1, got {n}")
+        check_conductor(n)
         self.n = n
         self.poly = tuple(cyclotomic_polynomial(n))
         self.phi = len(self.poly) - 1
         self.red = self._reduction_rows()
         self.pow_table = self._power_table()
         self.units = tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
+        self.mul = kernel.straight_line_product(self.phi, self.red,
+                                                f"Q(zeta_{n}) product")
+        self.galois_maps = {k % n: kernel.straight_line_map(
+            self._galois_matrix(k), f"Q(zeta_{n}) z->z^{k}") for k in self.units}
         self._zero = FieldElement(self, (0,) * self.phi + (1,))
         self._one = FieldElement(self, (1,) + (0,) * (self.phi - 1) + (1,))
 
@@ -96,6 +137,11 @@ class CycloField:
             else:
                 row = tuple(shifted)
         return tuple(table)
+
+    def _galois_matrix(self, k: int):
+        # column j is the image z^(jk) of the basis vector z^j
+        cols = [self.pow_table[(j * k) % self.n] for j in range(self.phi)]
+        return [[col[t] for col in cols] for t in range(self.phi)]
 
     # --- constructors ---
 
@@ -208,7 +254,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, kernel.cv_mul(self.cv, o.cv, self.field.red))
+        return FieldElement(self.field, kernel.cv_mul(self.cv, o.cv, self.field.mul))
 
     __rmul__ = __mul__
 
@@ -247,12 +293,13 @@ class FieldElement:
         # norm trick on the numerator A = den * a, all in integer tuples:
         # c = prod of the other Galois images of A, N = A * c is rational,
         # and a^-1 = den * c / N
-        red = f.red
+        mul = f.mul
+        num = a[:-1] + (1,)
         c = None
         for k in f.units[1:]:
-            g = tuple(_galois_nums(f, a, k)) + (1,)
-            c = g if c is None else kernel.cv_mul(c, g, red)
-        nrm = kernel.cv_mul(a[:-1] + (1,), c, red)
+            g = f.galois_maps[k](num)
+            c = g if c is None else kernel.cv_mul(c, g, mul)
+        nrm = kernel.cv_mul(num, c, mul)
         if any(nrm[1:-1]):
             raise AssertionError("norm of a field element must be rational")
         scale = a[-1] * nrm[-1]
@@ -264,8 +311,7 @@ class FieldElement:
         f = self.field
         if gcd(k, f.n) != 1:
             raise ValueError(f"{k} is not coprime to the conductor {f.n}")
-        return FieldElement(f, kernel.cv_normalize(_galois_nums(f, self.cv, k),
-                                                   self.cv[-1]))
+        return FieldElement(f, f.galois_maps[k % f.n](self.cv))
 
     def conjugate(self) -> "FieldElement":
         """Complex conjugation, the automorphism z -> z**-1."""
@@ -316,18 +362,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement(n={self.field.n}, {format_scalar(self)!r})"
-
-
-def _galois_nums(f: CycloField, cv, k: int) -> list[int]:
-    """Numerators of the image of cv under z -> z**k, over cv's denominator."""
-    nums = [0] * f.phi
-    for j, a in enumerate(cv[:-1]):
-        if a:
-            row = f.pow_table[(j * k) % f.n]
-            for t in range(f.phi):
-                if row[t]:
-                    nums[t] += a * row[t]
-    return nums
 
 
 def format_scalar(a: FieldElement) -> str:

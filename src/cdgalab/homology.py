@@ -85,10 +85,10 @@ class CochainComplex:
         if self.subspaces is None:
             return GradedElement.from_row(alg, k, coords)
         rows = self.subspaces[k].rows
-        red = alg.field.red
+        mul = alg.field.mul
         ambient: dict = {}
         for i, c in coords.items():
-            kernel.row_axpy(ambient, rows[i], c, red)
+            kernel.row_axpy(ambient, rows[i], c, mul)
         return GradedElement.from_row(alg, k, ambient)
 
     def basis_elements(self, k: int) -> list[GradedElement]:

@@ -135,12 +135,12 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        red = self.field.red
+        mul = self.field.mul
         out = []
         for row in self.sparse_rows:
             acc: dict = {}
             for k, a in row.items():
-                kernel.row_axpy(acc, other.sparse_rows[k], a, red)
+                kernel.row_axpy(acc, other.sparse_rows[k], a, mul)
             out.append(acc)
         return Matrix.sparse(self.field, other.ncols, out)
 
@@ -163,7 +163,7 @@ def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form (Gauss-Jordan, deterministic pivot choice)."""
     field = m.field
     rows = [dict(r) for r in m.sparse_rows]
-    rank, pivots = kernel.rref(rows, m.ncols, m.ncols, field.phi, field.red,
+    rank, pivots = kernel.rref(rows, m.ncols, m.ncols, field.phi, field.mul,
                                _inv_cv(field))
     return RrefResult(rank, Matrix.sparse(field, m.ncols, rows), pivots)
 
@@ -188,7 +188,7 @@ class Eliminator:
             aug[n + i] = one
             rows.append(aug)
         self.rank, self.pivots = kernel.rref(
-            rows, n + a.nrows, n, field.phi, field.red, _inv_cv(field))
+            rows, n + a.nrows, n, field.phi, field.mul, _inv_cv(field))
         self.image = Subspace(field, n, [{j: cv for j, cv in row.items() if j < n}
                                          for row in rows[:self.rank]], self.pivots)
         self._e = [{j - n: cv for j, cv in row.items() if j >= n}
@@ -207,7 +207,7 @@ class Eliminator:
             return None
         x: dict = {}
         for i, c in coeffs.items():
-            kernel.row_axpy(x, self._e[i], c, field.red)
+            kernel.row_axpy(x, self._e[i], c, field.mul)
         return densify(field, x, self.nrows) if dense else x
 
 
@@ -227,7 +227,7 @@ class Subspace:
     def from_vectors(cls, field: CycloField, ambient_dim: int, vectors) -> "Subspace":
         rows = [_sparse(field, v, ambient_dim)[0] for v in vectors]
         rank, pivots = kernel.rref(rows, ambient_dim, ambient_dim, field.phi,
-                                   field.red, _inv_cv(field))
+                                   field.mul, _inv_cv(field))
         return cls(field, ambient_dim, rows[:rank], pivots)
 
     @classmethod
@@ -248,7 +248,7 @@ class Subspace:
         field = self.field
         rem, dense = _sparse(field, v, self.ambient_dim)
         coeffs = kernel.reduce_against(rem, self.rows, self._pivot_index,
-                                       self.ambient_dim, field.phi, field.red)
+                                       self.ambient_dim, field.mul)
         if dense:
             return densify(field, coeffs, self.dim), densify(field, rem, self.ambient_dim)
         return coeffs, rem

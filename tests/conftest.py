@@ -1,13 +1,15 @@
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cdgalab import _kernel_py, field as field_module
 from cdgalab import (Algebra, AlgebraMap, Conjugation, DGA, Differential,
                      GroupAction, make_field)
-from cdgalab.algebra import GradedElement
-from cdgalab.action import invariant_complex
+from cdgalab.algebra import GradedElement, apply_map
+from cdgalab.action import invariant_complex, invariant_subspaces
 from cdgalab.homology import CochainComplex, cohomology
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,3 +113,40 @@ def random_element(algebra, rng: random.Random, nterms: int = 4, span: int = 3):
         if not c.is_zero():
             terms[w] = c
     return GradedElement(algebra, terms)
+
+
+def refuse_to_build_fields(mp: pytest.MonkeyPatch) -> None:
+    """Make each step that builds a field raise, so that a session whose
+    conductor should be refused fails the test instead of allocating."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a field was built before its conductor was checked")
+
+    mp.setattr(field_module, "cyclotomic_polynomial", refuse)
+    mp.setattr(field_module.CycloField, "_reduction_rows", refuse)
+    mp.setattr(field_module.CycloField, "_power_table", refuse)
+    mp.setattr(_kernel_py, "straight_line_product", refuse)
+    mp.setattr(_kernel_py, "straight_line_map", refuse)
+
+
+def orbit_average(action, x):
+    """(1/m)(x + f(x) + ... + f^(m-1)(x)): the averaging projector on one
+    element, composed from single applications of the generator map."""
+    acc = y = x
+    for _ in range(action.order - 1):
+        y = apply_map(action.generator_map, y)
+        acc = acc + y
+    return acc.scale(Fraction(1, action.order))
+
+
+def projector_rows(subspaces, algebra):
+    """The rows of ``invariant_subspaces`` as elements, per degree: a basis
+    of the image of the engine's averaging projector."""
+    return [[GradedElement.from_row(algebra, k, row) for row in sub.rows]
+            for k, sub in enumerate(subspaces)]
+
+
+def in_projector_image(subspaces, x):
+    """Whether every homogeneous part of x lies in the span of the rows of
+    ``invariant_subspaces``."""
+    return all(sub.contains(x.homogeneous_part(k).to_row(k))
+               for k, sub in enumerate(subspaces))

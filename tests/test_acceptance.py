@@ -14,7 +14,7 @@ import pytest
 
 from cdgalab import Matrix, dsl, make_field, rref, top_scalar, wedge
 from cdgalab.algebra import apply_d, apply_map
-from cdgalab.action import induced_action_fixed_dims
+from cdgalab.action import induced_action_fixed_dims, invariant_subspaces
 from cdgalab.formality import ObstructionInput, obstruction
 from cdgalab.linalg import Eliminator
 from cdgalab.symplectic import SymplecticCandidate, exactness_witness_check, \
@@ -22,8 +22,9 @@ from cdgalab.symplectic import SymplecticCandidate, exactness_witness_check, \
 from cdgalab.topology import BettiVector, IncidenceGraph, betti_p1_bundle, \
     betti_projective, betti_resolution, betti_union
 
-from conftest import ROOT, random_element, random_field_element, random_homogeneous
-from test_dsl import EXPECTED_DIAGNOSTICS, FIXTURES
+from conftest import ROOT, in_projector_image, orbit_average, projector_rows, random_element, \
+    random_field_element, random_homogeneous, refuse_to_build_fields
+from test_dsl import EXPECTED_DIAGNOSTICS, FIXTURES, REFUSED_CONDUCTORS
 from test_homology import w_elements
 
 
@@ -235,10 +236,15 @@ def test_criterion_8_property_suites(model):
 
     rng = random.Random(806)
     act = model.action
-    for _ in range(N):  # projector idempotence
+    subs = invariant_subspaces(model.dga, act)
+    for rows in projector_rows(subs, alg):  # projector idempotence
+        for r in rows:
+            assert orbit_average(act, r) == r
+    for _ in range(N):
         x = random_element(alg, rng, nterms=2, span=2)
-        p = act.project(x)
-        assert act.project(p) == p
+        p = orbit_average(act, x)
+        assert in_projector_image(subs, p)
+        assert orbit_average(act, p) == p
 
     rng = random.Random(807)
     for _ in range(N):  # field axioms
@@ -283,7 +289,7 @@ def test_criterion_8_property_suites(model):
 
 
 @criterion(9, "toolchain: golden report and positioned diagnostics")
-def test_criterion_9_toolchain(tmp_path):
+def test_criterion_9_toolchain(tmp_path, monkeypatch):
     session = ROOT / "paper.cdga"
     golden = Path(__file__).parent / "golden" / "paper.report"
     out = tmp_path / "report.txt"
@@ -291,9 +297,11 @@ def test_criterion_9_toolchain(tmp_path):
                         "--report", str(out)], capture_output=True, text=True)
     assert r.returncode == 0
     assert out.read_bytes() == golden.read_bytes()
-    assert len(EXPECTED_DIAGNOSTICS) == 12
+    assert len(EXPECTED_DIAGNOSTICS) == 13
     for name, line, col, message in EXPECTED_DIAGNOSTICS:
-        with pytest.raises(dsl.DslError) as err:
+        with monkeypatch.context() as mp, pytest.raises(dsl.DslError) as err:
+            if name in REFUSED_CONDUCTORS:
+                refuse_to_build_fields(mp)
             dsl.parse((FIXTURES / name).read_text())
         diag = err.value.diagnostic
         assert (diag.line, diag.col, diag.message) == (line, col, message)

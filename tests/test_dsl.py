@@ -10,7 +10,7 @@ from cdgalab import dsl
 from cdgalab.algebra import format_element
 from cdgalab.cli import main as cli_main
 
-from conftest import ROOT, random_element
+from conftest import ROOT, random_element, refuse_to_build_fields
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "paper.report"
@@ -18,6 +18,8 @@ PAPER_SESSION = ROOT / "paper.cdga"
 
 EXPECTED_DIAGNOSTICS = [
     ("bad_conductor.cdga", 1, 18, "conductor must be >= 1, got 0"),
+    ("bad_conductor_budget.cdga", 1, 18,
+     "conductor 20000 is over budget: phi(20000) must be at most 64"),
     ("bad_conjugation_odd.cdga", 3, 19,
      "conjugation takes generator pairs; 'eta' has no partner"),
     ("bad_d_squared.cdga", 3, 3, "d*d != 0 at generator a: residue c*u*v"),
@@ -34,6 +36,8 @@ EXPECTED_DIAGNOSTICS = [
     ("bad_task_name.cdga", 3, 6, "unknown task 'frobnicate'"),
     ("bad_unknown_ident.cdga", 3, 14, "unknown identifier 'qqq'"),
 ]
+# Fixtures whose field must be refused before any of it is built.
+REFUSED_CONDUCTORS = ("bad_conductor.cdga", "bad_conductor_budget.cdga")
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +53,25 @@ def test_paper_session_parses_cleanly(paper_session):
 
 
 @pytest.mark.parametrize("name,line,col,message", EXPECTED_DIAGNOSTICS)
-def test_corrupted_fixture_diagnostics(name, line, col, message):
+def test_corrupted_fixture_diagnostics(name, line, col, message, monkeypatch):
     text = (FIXTURES / name).read_text()
+    if name in REFUSED_CONDUCTORS:
+        refuse_to_build_fields(monkeypatch)
     with pytest.raises(dsl.DslError) as err:
         dsl.parse(text)
     d = err.value.diagnostic
     assert (d.line, d.col) == (line, col)
     assert d.message == message
+
+
+def test_conductor_budget_fails_before_anything_is_built(monkeypatch, capsys):
+    """An over-budget conductor is refused before the cyclotomic polynomial,
+    the tables or the straight-line arithmetic would be built."""
+    refuse_to_build_fields(monkeypatch)
+    path = FIXTURES / "bad_conductor_budget.cdga"
+    assert cli_main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:1:18: conductor 20000 is over budget: phi(20000) must be at most 64\n")
 
 
 def test_mu_wedge_mu_is_legal_and_zero():

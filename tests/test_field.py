@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cdgalab import cyclotomic_polynomial, make_field
-from cdgalab.field import format_scalar
+from cdgalab._backend import kernel
+from cdgalab.field import MAX_DEGREE, check_conductor, format_scalar
 
 from conftest import random_field_element
 
@@ -136,3 +137,123 @@ def test_coords_roundtrip():
     for _ in range(100):
         a = random_field_element(f, rng)
         assert f.from_coords(a.coords) == a
+
+
+# --- references: the loop product and Galois images -------------------------
+#
+# The field's product and Galois maps are straight-line code generated from
+# its tables, and every cross-check in the engine runs on them; these loops
+# over the same tables are the independent reference.
+
+def reference_cv_mul(a, b, red):
+    phi = len(a) - 1
+    if phi == 1:
+        return kernel.cv_normalize([a[0] * b[0]], a[1] * b[1])
+    conv = [0] * (2 * phi - 1)
+    for i in range(phi):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(phi):
+            bj = b[j]
+            if bj:
+                conv[i + j] += ai * bj
+    # Powers z^phi .. z^(2 phi - 2) fold back via the reduction table.
+    for e in range(phi, 2 * phi - 1):
+        c = conv[e]
+        if not c:
+            continue
+        row = red[e - phi]
+        for j in range(phi):
+            r = row[j]
+            if r:
+                conv[j] += c * r
+    return kernel.cv_normalize(conv[:phi], a[-1] * b[-1])
+
+
+def reference_galois_nums(f, cv, k):
+    """Numerators of the image of cv under z -> z**k, over cv's denominator."""
+    nums = [0] * f.phi
+    for j, a in enumerate(cv[:-1]):
+        if a:
+            row = f.pow_table[(j * k) % f.n]
+            for t in range(f.phi):
+                if row[t]:
+                    nums[t] += a * row[t]
+    return nums
+
+
+REFERENCE_CONDUCTORS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 105]
+
+
+def sample_values(f, rng):
+    """Zero, rationals, signed and scaled monomials, and dense values with
+    small and with large coordinates."""
+    values = [f.zero, f.one, f.rational(-3, 7), f.rational(10 ** 30 + 1, 6)]
+    for k in range(min(f.n, 2 * f.phi)):
+        values += [f.zeta(k), f.zeta(k) * f.rational(-5, 4)]
+    for span in (3, 10 ** 12):
+        for _ in range(12):
+            coords = [Fraction(rng.randint(-span, span), rng.randint(1, 9))
+                      for _ in range(f.phi)]
+            values.append(f.from_coords(coords))
+    return values
+
+
+@pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
+def test_straight_line_product_matches_the_loop(n):
+    f = make_field(n)
+    values = sample_values(f, random.Random(500 + n))
+    for a in values:
+        for b in values[::len(values) // 12]:
+            assert kernel.cv_mul(a.cv, b.cv, f.mul) == reference_cv_mul(a.cv, b.cv, f.red)
+
+
+@pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
+def test_straight_line_galois_maps_match_the_loop(n):
+    f = make_field(n)
+    values = sample_values(f, random.Random(600 + n))
+    for k in f.units:
+        for a in values:
+            expected = kernel.cv_normalize(reference_galois_nums(f, a.cv, k), a.cv[-1])
+            assert a.galois(k).cv == expected
+            assert a.galois(k + f.n) == a.galois(k)
+    for a in values:
+        assert a.conjugate().cv == kernel.cv_normalize(
+            reference_galois_nums(f, a.cv, f.n - 1), a.cv[-1])
+        assert a.conjugate().conjugate() == a
+
+
+@pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
+def test_inverse_and_galois_group_laws(n):
+    f = make_field(n)
+    values = sample_values(f, random.Random(700 + n))
+    for a in values[::max(1, len(values) // 24)]:
+        if not a.is_zero():
+            assert a * a.inverse() == f.one
+    for j in f.units:
+        for k in f.units:
+            for a in values[-3:]:
+                assert a.galois(k).galois(j) == a.galois(j * k)
+
+
+def test_reference_conductors_reach_a_coefficient_of_size_two():
+    # Phi_105 is the first cyclotomic polynomial with a coefficient -2, so its
+    # fold multiplies by an integer of magnitude above 1
+    assert -2 in cyclotomic_polynomial(105)
+    assert make_field(105).phi == 48
+
+
+def test_conductor_budget():
+    assert MAX_DEGREE == 64
+    for n in (1, 12, 105, 128, 240):  # phi = 1, 4, 48, 64, 64
+        check_conductor(n)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            check_conductor(n)
+    # phi(256) = 128; 8193 and 20000 are refused before any factoring
+    for n in (256, 2 * MAX_DEGREE ** 2, 2 * MAX_DEGREE ** 2 + 1, 20000, 10 ** 40):
+        with pytest.raises(ValueError, match=f"conductor {n} is over budget"):
+            check_conductor(n)
+    with pytest.raises(ValueError, match="over budget"):
+        make_field(20000)
