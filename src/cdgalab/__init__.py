@@ -11,7 +11,7 @@ from .field import CycloField, FieldElement, Rational, cyclotomic_polynomial, fo
 from .algebra import (Algebra, AlgebraMap, Conjugation, DGA, Differential,
                       GeneratorSpec, GradedElement, apply_d, apply_map,
                       check_d_squared, format_element, identity_map, wedge)
-from .linalg import Matrix, Subspace, quotient_basis, rref
+from .linalg import Matrix, Subspace, quotient_basis
 from .homology import (CochainComplex, CohomologyClass, CohomologyTable,
                        cohomology, top_scalar)
 from .action import (GroupAction, invariant_cohomology, invariant_complex,
@@ -32,7 +32,7 @@ __all__ = [
     "Algebra", "AlgebraMap", "Conjugation", "DGA", "Differential",
     "GeneratorSpec", "GradedElement", "apply_d", "apply_map",
     "check_d_squared", "format_element", "identity_map", "wedge",
-    "Matrix", "Subspace", "quotient_basis", "rref",
+    "Matrix", "Subspace", "quotient_basis",
     "CochainComplex", "CohomologyClass", "CohomologyTable", "cohomology",
     "top_scalar",
     "GroupAction", "invariant_cohomology", "invariant_complex",

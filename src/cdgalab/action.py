@@ -134,7 +134,7 @@ def induced_traces(table: CohomologyTable, action: GroupAction) -> list[list[Fie
     for k in range(table.top + 1):
         reps = table.representatives(k)
         b = len(reps)
-        a = Matrix.sparse(field, b, [table.class_row(apply_map(f, r), k) for r in reps])
+        a = Matrix(field, b, [table.class_row(apply_map(f, r), k) for r in reps])
         tr = [field.rational(b)]
         power = a
         for _ in range(action.order - 1):

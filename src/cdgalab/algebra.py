@@ -251,27 +251,12 @@ class GradedElement:
             return d is not None
         return d == degree
 
-    def homogeneous_part(self, degree: int) -> "GradedElement":
-        alg = self.algebra
-        return GradedElement(
-            alg, {w: c for w, c in self.terms.items() if alg.word_degree(w) == degree})
-
     def sorted_terms(self):
         alg = self.algebra
         return sorted(
             self.terms.items(),
             key=lambda wc: (alg.word_degree(wc[0]), alg.word_index(alg.word_degree(wc[0]), wc[0])),
         )
-
-    def to_coords(self, degree: int) -> list[FieldElement]:
-        """Coordinates on the degree-`degree` word basis; rejects other terms."""
-        alg = self.algebra
-        vec = [alg.field.zero] * alg.dim(degree)
-        for w, c in self.terms.items():
-            if alg.word_degree(w) != degree:
-                raise ValueError(f"term {alg.format_word(w)} is not of degree {degree}")
-            vec[alg.word_index(degree, w)] = c
-        return vec
 
     def to_row(self, degree: int) -> dict:
         """Sparse coordinates ``{word index: cv}`` on the degree-`degree` word

@@ -49,12 +49,6 @@ RESERVED = {
     "edge", "proj", "p1b",
 }
 
-TASK_NAMES = (
-    "betti", "invariant_betti", "obstruction", "massey", "symplectic",
-    "lefschetz", "mv_union", "resolution", "verify_exact",
-)
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     line: int
@@ -169,7 +163,6 @@ class MapBinding:
 @dataclass
 class Task:
     name: str
-    token: Token
     payload: dict
 
 
@@ -555,10 +548,10 @@ class Parser:
         kw = self.next()
         name_tok = self.expect_ident("task name")
         name = name_tok.text
-        if name not in TASK_NAMES:
+        if name not in _TASK_RUNNERS:
             self.fail(name_tok, f"unknown task {name!r}")
         payload = getattr(self, f"task_{name}")(name_tok)
-        self.session.tasks.append(Task(name, name_tok, payload))
+        self.session.tasks.append(Task(name, payload))
         self.expect_end_of_statement()
 
     def arg_algebra(self) -> AlgebraContext:
@@ -690,9 +683,9 @@ class Parser:
     def task_resolution(self, tok: Token) -> dict:
         ctx = self.arg_algebra()
         binding = self.arg_map(ctx)
-        s, stok = self.expect_int("number of resolved points")
+        s, _ = self.expect_int("number of resolved points")
         graph = self.parse_graph()
-        return {"ctx": ctx, "map": binding, "s": s, "stok": stok, "graph": graph}
+        return {"ctx": ctx, "map": binding, "s": s, "graph": graph}
 
     def task_verify_exact(self, tok: Token) -> dict:
         lhs_tok = self.peek()

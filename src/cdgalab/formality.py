@@ -14,10 +14,9 @@ its indeterminacy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra import GradedElement, wedge
-from .homology import CochainComplex, CohomologyClass, CohomologyTable, cohomology, top_scalar
+from .homology import CochainComplex, CohomologyClass, CohomologyTable, top_scalar
 from .linalg import Subspace
 
 
@@ -68,7 +67,7 @@ def _require_closed(table: CohomologyTable, x: GradedElement, label: str, degree
         raise ObstructionInputError(f"{label} is not closed", dx)
 
 
-def obstruction(inp: ObstructionInput, table: Optional[CohomologyTable] = None,
+def obstruction(inp: ObstructionInput, table: CohomologyTable,
                 primitives=None) -> ObstructionResult:
     """Compute the obstruction class for validated input data.
 
@@ -78,8 +77,6 @@ def obstruction(inp: ObstructionInput, table: Optional[CohomologyTable] = None,
     explicit ``primitives`` triple is accepted and validated instead.
     """
     cx = inp.complex
-    if table is None:
-        table = cohomology(cx)
     _require_closed(table, inp.alpha, "alpha", 2)
     for i, b in enumerate(inp.betas):
         _require_closed(table, b, f"beta_{i + 1}", 2)

@@ -65,14 +65,7 @@ class CochainComplex:
             raise ValueError(f"element of degree {k} does not lie in the complex")
         return coords
 
-    def contains(self, x: GradedElement, k: Optional[int] = None) -> bool:
-        if x.is_zero():
-            return True
-        if k is None:
-            k = x.degree()
-            if k is None:
-                return all(self.contains(x.homogeneous_part(j), j)
-                           for j in range(self.top + 1))
+    def contains(self, x: GradedElement, k: int) -> bool:
         try:
             self.to_row(x, k)
         except ValueError:
@@ -104,7 +97,7 @@ class CochainComplex:
         if k not in self._d_matrices:
             rows = [self.to_row(apply_d(self.differential, e), k + 1)
                     for e in self.basis_elements(k)]
-            self._d_matrices[k] = Matrix.sparse(self.algebra.field, self.dim(k + 1), rows)
+            self._d_matrices[k] = Matrix(self.algebra.field, self.dim(k + 1), rows)
         return self._d_matrices[k]
 
     def d_eliminator(self, k: int) -> Eliminator:

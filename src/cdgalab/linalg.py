@@ -5,14 +5,14 @@ in order; the pivot is the first row at or below the current pivot row with a
 nonzero entry in the column), free variables set to zero in particular
 solutions.
 
-Rows are held sparse, as the arithmetic kernel takes them: a row is a dict
-``{col: cv}`` of the nonzero entries only, each ``cv`` the canonical integer
-tuple of a field value (see ``_kernel_py``).  ``Matrix`` stores its rows this
-way and builds its dense ``entries`` view only on first use; nothing mutates
-a matrix's rows once it is built.  The vector arguments of ``Eliminator`` and
-``Subspace`` may be given dense, as a sequence of scalars, or sparse, as such
-a dict; results come back in the form the vector came in (sparse
-coefficients are a dict ``{index: cv}`` as well).
+There is one vector form, the sparse row the arithmetic kernel takes: a dict
+``{index: cv}`` of the nonzero entries only, each ``cv`` the canonical integer
+tuple of a field value (see ``_kernel_py``).  ``Matrix`` rows, the vectors
+given to ``Eliminator`` and ``Subspace``, and every coefficient vector,
+remainder and solution they return are such dicts; ``densify`` turns one into
+a list of field elements where a caller wants that view.  ``Matrix`` builds
+its dense ``entries`` view only on first use; nothing mutates a matrix's rows
+once it is built.
 
 Each space is put in echelon form once.  A ``Subspace`` is its reduced
 echelon rows with their pivots; an ``Eliminator`` of A keeps the row space
@@ -21,8 +21,6 @@ of A as such a ``Subspace`` (``image``), taken from the same elimination of
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from ._backend import kernel
 from .field import CycloField, FieldElement
@@ -34,29 +32,21 @@ def _inv_cv(field: CycloField):
     return inv
 
 
-def _sparse(field: CycloField, v, n: int) -> tuple[dict, bool]:
-    """(a sparse copy of the vector v of length n, whether v was dense).
+def _sparse(v, n: int) -> dict:
+    """A copy of the sparse row v of a space of dimension n.
 
-    A sparse v must hold only nonzero entries at indices below n: the kernel
-    takes a missing key for zero and never looks at a stored one."""
-    if isinstance(v, dict):
-        for j, cv in v.items():
-            if not (isinstance(j, int) and 0 <= j < n):
-                raise ValueError(f"sparse vector has an entry at {j!r} "
-                                 f"in a space of dimension {n}")
-            if kernel.cv_is_zero(cv):
-                raise ValueError(f"sparse vector stores a zero at {j}")
-        return dict(v), False
-    if len(v) != n:
-        raise ValueError(f"vector of length {len(v)} in a space of dimension {n}")
-    element = field.element
-    zero = field.zero.cv
-    row = {}
-    for j, e in enumerate(v):
-        cv = element(e).cv
-        if cv != zero:
-            row[j] = cv
-    return row, True
+    v must be a dict holding only nonzero entries at indices below n: the
+    kernel takes a missing key for zero and never looks at a stored one."""
+    if not isinstance(v, dict):
+        raise ValueError(f"a vector must be a sparse row {{index: cv}}, "
+                         f"not a {type(v).__name__}")
+    for j, cv in v.items():
+        if not (isinstance(j, int) and 0 <= j < n):
+            raise ValueError(f"sparse vector has an entry at {j!r} "
+                             f"in a space of dimension {n}")
+        if kernel.cv_is_zero(cv):
+            raise ValueError(f"sparse vector stores a zero at {j}")
+    return dict(v)
 
 
 def densify(field: CycloField, row: dict, n: int) -> list[FieldElement]:
@@ -67,54 +57,21 @@ def densify(field: CycloField, row: dict, n: int) -> list[FieldElement]:
     return out
 
 
-def _nonzero(v) -> bool:
-    if isinstance(v, dict):
-        return bool(v)
-    return any(not e.is_zero() for e in v)
-
-
 class Matrix:
-    """Row-major matrix of field elements, held as sparse rows."""
+    """Row-major matrix of field elements over the given sparse rows, which
+    it keeps without copying."""
 
-    def __init__(self, field: CycloField, nrows: int, ncols: int, entries):
-        entries = list(entries)
-        if len(entries) != nrows * ncols:
-            raise ValueError("entry count does not match the shape")
-        rows = [_sparse(field, entries[i * ncols:(i + 1) * ncols], ncols)[0]
-                for i in range(nrows)]
-        self._init(field, ncols, rows)
-
-    def _init(self, field: CycloField, ncols: int, rows: list[dict]):
+    def __init__(self, field: CycloField, ncols: int, rows):
         self.field = field
-        self.nrows = len(rows)
+        self.sparse_rows = list(rows)
+        self.nrows = len(self.sparse_rows)
         self.ncols = ncols
-        self.sparse_rows = rows
         self._entries = None
-
-    @classmethod
-    def sparse(cls, field: CycloField, ncols: int, rows) -> "Matrix":
-        """Matrix over the given sparse rows, which it keeps without copying."""
-        m = cls.__new__(cls)
-        m._init(field, ncols, list(rows))
-        return m
-
-    @classmethod
-    def from_rows(cls, field: CycloField, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return cls.sparse(field, ncols, [_sparse(field, r, ncols)[0] for r in rows])
-
-    @classmethod
-    def zero(cls, field: CycloField, nrows: int, ncols: int) -> "Matrix":
-        return cls.sparse(field, ncols, [{} for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field: CycloField, n: int) -> "Matrix":
         one = field.one.cv
-        return cls.sparse(field, n, [{i: one} for i in range(n)])
+        return cls(field, n, [{i: one} for i in range(n)])
 
     @property
     def entries(self) -> tuple[FieldElement, ...]:
@@ -142,7 +99,7 @@ class Matrix:
             for k, a in row.items():
                 kernel.row_axpy(acc, other.sparse_rows[k], a, mul)
             out.append(acc)
-        return Matrix.sparse(self.field, other.ncols, out)
+        return Matrix(self.field, other.ncols, out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -151,21 +108,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over Q(zeta_{self.field.n}))"
-
-
-class RrefResult(NamedTuple):
-    rank: int
-    reduced: Matrix
-    pivots: list[int]
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form (Gauss-Jordan, deterministic pivot choice)."""
-    field = m.field
-    rows = [dict(r) for r in m.sparse_rows]
-    rank, pivots = kernel.rref(rows, m.ncols, m.ncols, field.phi, field.mul,
-                               _inv_cv(field))
-    return RrefResult(rank, Matrix.sparse(field, m.ncols, rows), pivots)
 
 
 class Eliminator:
@@ -198,17 +140,15 @@ class Eliminator:
         """Basis of the left kernel {x : x * A = 0}, as sparse rows (shared)."""
         return self._e[self.rank:]
 
-    def solve_left(self, b):
+    def solve_left(self, b: dict) -> dict | None:
         """One x with x * A = b, or None; free coefficients are zero."""
-        field = self.field
-        row, dense = _sparse(field, b, self.ncols)
-        coeffs, rem = self.image.reduce(row)
+        coeffs, rem = self.image.reduce(b)
         if rem:
             return None
         x: dict = {}
         for i, c in coeffs.items():
-            kernel.row_axpy(x, self._e[i], c, field.mul)
-        return densify(field, x, self.nrows) if dense else x
+            kernel.row_axpy(x, self._e[i], c, self.field.mul)
+        return x
 
 
 class Subspace:
@@ -225,16 +165,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: CycloField, ambient_dim: int, vectors) -> "Subspace":
-        rows = [_sparse(field, v, ambient_dim)[0] for v in vectors]
+        rows = [_sparse(v, ambient_dim) for v in vectors]
         rank, pivots = kernel.rref(rows, ambient_dim, ambient_dim, field.phi,
                                    field.mul, _inv_cv(field))
         return cls(field, ambient_dim, rows[:rank], pivots)
-
-    @classmethod
-    def full(cls, field: CycloField, ambient_dim: int) -> "Subspace":
-        one = field.one.cv
-        return cls(field, ambient_dim, [{i: one} for i in range(ambient_dim)],
-                   list(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -243,24 +177,20 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def reduce(self, v):
+    def reduce(self, v: dict) -> tuple[dict, dict]:
         """(coefficients, remainder) of v against the echelon basis."""
-        field = self.field
-        rem, dense = _sparse(field, v, self.ambient_dim)
+        rem = _sparse(v, self.ambient_dim)
         coeffs = kernel.reduce_against(rem, self.rows, self._pivot_index,
-                                       self.ambient_dim, field.mul)
-        if dense:
-            return densify(field, coeffs, self.dim), densify(field, rem, self.ambient_dim)
+                                       self.ambient_dim, self.field.mul)
         return coeffs, rem
 
-    def coordinates(self, v):
+    def coordinates(self, v: dict) -> dict | None:
         if self.is_full():
-            row, dense = _sparse(self.field, v, self.ambient_dim)
-            return densify(self.field, row, self.ambient_dim) if dense else row
+            return _sparse(v, self.ambient_dim)
         coeffs, rem = self.reduce(v)
-        return None if _nonzero(rem) else coeffs
+        return None if rem else coeffs
 
-    def contains(self, v) -> bool:
+    def contains(self, v: dict) -> bool:
         return self.coordinates(v) is not None
 
 

@@ -8,7 +8,6 @@ complementary cohomology degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra import Conjugation, Differential, GradedElement, apply_d, wedge
 from .homology import CohomologyClass, CohomologyTable, top_scalar
@@ -40,21 +39,15 @@ class SymplecticVerdict:
 
 
 def is_symplectic(c: SymplecticCandidate, d: Differential,
-                  volume: Optional[GradedElement] = None) -> SymplecticVerdict:
+                  volume: GradedElement) -> SymplecticVerdict:
     """d(omega) = 0, conj(omega) = omega and omega^n != 0, all exact.
 
-    The top-power scalar is reported against ``volume`` (default: the unique
-    top word of the algebra, when unique).
+    The top-power scalar is reported against ``volume``.
     """
     omega = c.omega
     alg = omega.algebra
     if not omega.is_zero() and omega.degree() != 2:
         raise ValueError("omega must be homogeneous of degree 2")
-    if volume is None:
-        top_words = alg.basis(alg.top)
-        if len(top_words) != 1:
-            raise ValueError("an explicit volume element is required")
-        volume = alg.word_element(top_words[0])
     d_res = apply_d(d, omega)
     conj_res = c.conjugation(omega) - omega
     power = alg.unit()
@@ -105,7 +98,7 @@ def lefschetz(table: CohomologyTable, omega_class: CohomologyClass, k: int) -> L
     src, dst = n - k, n + k
     rows = [table.class_row(wedge(r, omega_k), dst)
             for r in table.representatives(src)]
-    m = Matrix.sparse(field, table.betti[dst], rows)
+    m = Matrix(field, table.betti[dst], rows)
     el = Eliminator(m)
     kernel = Subspace.from_vectors(field, table.betti[src], el.kernel_rows())
     return LefschetzReport(k, src, dst, m, el.rank, kernel)

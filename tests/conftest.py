@@ -92,6 +92,12 @@ def random_field_element(field, rng: random.Random, span: int = 4):
     return field.from_coords([rng.randint(-span, span) for _ in range(field.phi)])
 
 
+def sparse_row(v) -> dict:
+    """Dense test data, a sequence of field elements, as the sparse row
+    ``{index: cv}`` that ``linalg`` takes."""
+    return {j: e.cv for j, e in enumerate(v) if not e.is_zero()}
+
+
 def random_homogeneous(algebra, degree: int, rng: random.Random, nterms: int = 3,
                        span: int = 3):
     words = algebra.basis(degree)
@@ -148,5 +154,9 @@ def projector_rows(subspaces, algebra):
 def in_projector_image(subspaces, x):
     """Whether every homogeneous part of x lies in the span of the rows of
     ``invariant_subspaces``."""
-    return all(sub.contains(x.homogeneous_part(k).to_row(k))
-               for k, sub in enumerate(subspaces))
+    alg = x.algebra
+    rows = [{} for _ in subspaces]
+    for w, c in x.terms.items():
+        k = alg.word_degree(w)
+        rows[k][alg.word_index(k, w)] = c.cv
+    return all(sub.contains(row) for sub, row in zip(subspaces, rows))

@@ -169,8 +169,7 @@ def test_massey_triple_on_heisenberg_algebra(model):
                 shift = shift + r.scale(c)
         # |x| = 2 is even: representative is (xi + shift)*z' - x'*zeta
         rep2 = wedge(xi + shift, xr) - cross
-        diff = [p - q for p, q in
-                zip(table.class_coords(rep2, 5), res.class_coords)]
+        diff = table.class_row(rep2 - res.representative, 5)
         assert res.indeterminacy.contains(diff)
 
 

@@ -2,19 +2,19 @@ import random
 
 import pytest
 
-from cdgalab import Matrix, Subspace, make_field, quotient_basis, rref
+from cdgalab import Matrix, Subspace, make_field, quotient_basis
 from cdgalab.algebra import apply_d
 from cdgalab.linalg import Eliminator, densify
 
-from conftest import random_field_element
+from conftest import random_field_element, sparse_row
 
 
 def d_matrix(model, k):
     """Matrix of d: degree k -> k+1, one row per basis word (x * A = b)."""
     alg = model.algebra
-    rows = [apply_d(model.differential, alg.word_element(w)).to_coords(k + 1)
+    rows = [apply_d(model.differential, alg.word_element(w)).to_row(k + 1)
             for w in alg.basis(k)]
-    return Matrix.from_rows(alg.field, rows)
+    return Matrix(alg.field, alg.dim(k + 1), rows)
 
 
 def dense_rows(f, rows, n):
@@ -27,7 +27,7 @@ def transpose(m):
     for i, row in enumerate(m.sparse_rows):
         for j, cv in row.items():
             cols[j][i] = cv
-    return Matrix.sparse(m.field, m.nrows, cols)
+    return Matrix(m.field, m.nrows, cols)
 
 
 def times(f, x, m):
@@ -38,43 +38,40 @@ def times(f, x, m):
 
 def test_rref_identity_and_zero():
     f = make_field(12)
-    assert rref(Matrix.identity(f, 3)).rank == 3
-    assert rref(Matrix.zero(f, 3, 4)).rank == 0
+    identity = Eliminator(Matrix.identity(f, 3))
+    assert identity.rank == 3 and identity.pivots == [0, 1, 2]
+    zero = Eliminator(Matrix(f, 4, [{} for _ in range(3)]))
+    assert zero.rank == 0 and zero.pivots == [] and zero.image.dim == 0
+    assert len(zero.kernel_rows()) == 3
 
 
 def test_rref_rank_of_degree_one_differential(model):
     m = d_matrix(model, 1)
     assert m.nrows == 8
-    assert rref(m).rank == 2  # image spanned by mu*nu and mubar*nubar
+    assert Eliminator(m).rank == 2  # image spanned by mu*nu and mubar*nubar
+    assert Subspace.from_vectors(m.field, m.ncols, m.sparse_rows).dim == 2
 
 
 def test_solve_examples(model):
-    f = model.field
     el = Eliminator(d_matrix(model, 1))
-    b = (model.gens["mu"] * model.gens["nu"]).to_coords(2)
+    b = (model.gens["mu"] * model.gens["nu"]).to_row(2)
     x = el.solve_left(b)
-    theta_coords = model.gens["theta"].to_coords(1)
-    assert x == theta_coords
-    assert el.solve_left((model.gens["mu"] * model.gens["eta"]).to_coords(2)) is None
-    zero = el.solve_left([f.zero] * 28)
-    assert zero == [f.zero] * 8
+    assert x == model.gens["theta"].to_row(1)
+    assert el.solve_left((model.gens["mu"] * model.gens["eta"]).to_row(2)) is None
+    assert el.solve_left({}) == {}
 
 
 def test_membership_and_quotient_examples(model):
     f = model.field
-    e1 = [f.one, f.zero]
+    one = f.one.cv
+    e1 = {0: one}
     s = Subspace.from_vectors(f, 2, [e1])
     assert s.contains(e1)
-    assert not s.contains([f.one, f.one])
+    assert not s.contains({0: one, 1: one})
 
     # ker(d|L2) (dim 19) / im(d|L1) (dim 2) -> dim 17
-    alg = model.algebra
-    rows2 = [apply_d(model.differential, alg.word_element(w)).to_coords(3)
-             for w in alg.basis(2)]
-    cocycles = Subspace.from_vectors(f, 28, Eliminator(Matrix.from_rows(f, rows2)).kernel_rows())
-    rows1 = [apply_d(model.differential, alg.word_element(w)).to_coords(2)
-             for w in alg.basis(1)]
-    cob = Eliminator(Matrix.from_rows(f, rows1)).image
+    cocycles = Subspace.from_vectors(f, 28, Eliminator(d_matrix(model, 2)).kernel_rows())
+    cob = Eliminator(d_matrix(model, 1)).image
     assert cocycles.dim == 19 and cob.dim == 2
     assert quotient_basis(cocycles, cob).dim == 17
 
@@ -83,16 +80,22 @@ def test_membership_and_quotient_examples(model):
 
 def test_quotient_fails_loudly_when_not_contained():
     f = make_field(12)
-    big = Subspace.from_vectors(f, 3, [[f.one, f.zero, f.zero]])
-    small = Subspace.from_vectors(f, 3, [[f.zero, f.one, f.zero]])
+    big = Subspace.from_vectors(f, 3, [{0: f.one.cv}])
+    small = Subspace.from_vectors(f, 3, [{1: f.one.cv}])
     with pytest.raises(ValueError, match="not contained"):
         quotient_basis(big, small)
 
 
 def _random_matrix(f, rng, nrows, ncols, density=0.6):
-    entries = [random_field_element(f, rng) if rng.random() < density else f.zero
-               for _ in range(nrows * ncols)]
-    return Matrix(f, nrows, ncols, entries)
+    return Matrix(f, ncols, [sparse_row([random_field_element(f, rng)
+                                         if rng.random() < density else f.zero
+                                         for _ in range(ncols)])
+                             for _ in range(nrows)])
+
+
+def _rank(m):
+    """The rank of m from the echelon form of its rows alone."""
+    return Subspace.from_vectors(m.field, m.ncols, m.sparse_rows).dim
 
 
 def test_rank_transpose_and_rank_nullity_randomized():
@@ -100,10 +103,10 @@ def test_rank_transpose_and_rank_nullity_randomized():
     rng = random.Random(21)
     for _ in range(60):
         m = _random_matrix(f, rng, rng.randint(1, 6), rng.randint(1, 6))
-        r = rref(m)
-        assert r.rank == rref(transpose(m)).rank
-        assert m.nrows == r.rank + len(Eliminator(m).kernel_rows())
-        assert m.ncols == r.rank + len(Eliminator(transpose(m)).kernel_rows())
+        rank = _rank(m)
+        assert rank == _rank(transpose(m)) == Eliminator(m).rank
+        assert m.nrows == rank + len(Eliminator(m).kernel_rows())
+        assert m.ncols == rank + len(Eliminator(transpose(m)).kernel_rows())
 
 
 def test_rref_is_idempotent_and_deterministic():
@@ -111,10 +114,13 @@ def test_rref_is_idempotent_and_deterministic():
     rng = random.Random(22)
     for _ in range(40):
         m = _random_matrix(f, rng, rng.randint(1, 5), rng.randint(1, 5))
-        r1 = rref(m)
-        assert rref(r1.reduced).reduced == r1.reduced
-        r2 = rref(m)
-        assert r1.reduced == r2.reduced and r1.pivots == r2.pivots
+        s1 = Subspace.from_vectors(f, m.ncols, m.sparse_rows)
+        again = Subspace.from_vectors(f, m.ncols, s1.rows)
+        assert (again.rows, again.pivots) == (s1.rows, s1.pivots)
+        s2 = Subspace.from_vectors(f, m.ncols, m.sparse_rows)
+        assert (s2.rows, s2.pivots) == (s1.rows, s1.pivots)
+        image = Eliminator(m).image
+        assert (image.rows, image.pivots) == (s1.rows, s1.pivots)
 
 
 def test_solve_residual_exactness_randomized():
@@ -128,10 +134,10 @@ def test_solve_residual_exactness_randomized():
             b = times(f, [random_field_element(f, rng) for _ in range(nr)], m)
         else:
             b = [random_field_element(f, rng) for _ in range(nc)]
-        x = Eliminator(m).solve_left(b)
+        x = Eliminator(m).solve_left(sparse_row(b))
         if x is not None:
             consistent += 1
-            assert times(f, x, m) == b
+            assert times(f, densify(f, x, nr), m) == b
     assert consistent > 10
 
 
@@ -201,9 +207,10 @@ def first_nonzero_scan(rows):
 
 
 def _rational_matrix(f, rng, nrows, ncols, density=0.4):
-    entries = [f.rational(rng.randint(-3, 3)) if rng.random() < density else f.zero
-               for _ in range(nrows * ncols)]
-    return Matrix(f, nrows, ncols, entries)
+    return Matrix(f, ncols, [sparse_row([f.rational(rng.randint(-3, 3))
+                                         if rng.random() < density else f.zero
+                                         for _ in range(ncols)])
+                             for _ in range(nrows)])
 
 
 def _rank_deficient_matrix(f, rng, nrows, ncols):
@@ -211,17 +218,18 @@ def _rank_deficient_matrix(f, rng, nrows, ncols):
     r = rng.randint(0, max(0, min(nrows, ncols) - 1))
     left = _random_matrix(f, rng, nrows, r, density=0.7)
     right = _random_matrix(f, rng, r, ncols, density=0.7)
-    return Matrix.from_rows(f, [[sum((left.entry(i, k) * right.entry(k, j)
-                                      for k in range(r)), f.zero)
-                                 for j in range(ncols)] for i in range(nrows)])
+    return Matrix(f, ncols, [sparse_row([sum((left.entry(i, k) * right.entry(k, j)
+                                              for k in range(r)), f.zero)
+                                         for j in range(ncols)])
+                             for i in range(nrows)])
 
 
 def _matrix_cases():
     f = make_field(12)
     rng = random.Random(25)
-    cases = [Matrix.zero(f, 0, 4), Matrix.zero(f, 3, 0), Matrix.zero(f, 0, 0),
-             Matrix.from_rows(f, [[random_field_element(f, rng)]]),
-             Matrix.from_rows(f, [[f.zero]])]
+    cases = [Matrix(f, 4, []), Matrix(f, 0, [{}, {}, {}]), Matrix(f, 0, []),
+             Matrix(f, 1, [sparse_row([random_field_element(f, rng)])]),
+             Matrix(f, 1, [{}])]
     for _ in range(25):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         cases.append(_rational_matrix(f, rng, nr, nc))
@@ -237,10 +245,12 @@ def test_sparse_rref_matches_dense_reference():
         rank, pivots, rows = dense_gauss_jordan(dense_rows(f, m.sparse_rows, m.ncols),
                                                 m.ncols)
         deficient += rank < min(m.nrows, m.ncols)
-        r = rref(m)
-        assert (r.rank, r.pivots) == (rank, pivots)
-        assert dense_rows(f, r.reduced.sparse_rows, m.ncols) == rows
-        assert list(r.reduced.entries) == [e for row in rows for e in row]
+        s = Subspace.from_vectors(f, m.ncols, m.sparse_rows)
+        assert (s.dim, s.pivots) == (rank, pivots)
+        assert dense_rows(f, s.rows, m.ncols) == rows[:rank]
+        assert all(e.is_zero() for row in rows[rank:] for e in row)
+        reduced = Matrix(f, m.ncols, s.rows)
+        assert list(reduced.entries) == [e for row in rows[:rank] for e in row]
     assert deficient >= 25
 
 
@@ -260,14 +270,13 @@ def test_eliminator_matches_dense_reference():
                         for j in range(m.ncols)])
         for b in targets:
             want = dense_solve_left(f, ref, b)
-            assert el.solve_left(b) == want
-            sparse_b = {j: e.cv for j, e in enumerate(b) if not e.is_zero()}
-            got = el.solve_left(sparse_b)
+            got = el.solve_left(sparse_row(b))
             if want is None:
                 assert got is None
             else:
-                assert got == {i: e.cv for i, e in enumerate(want) if not e.is_zero()}
-        assert el.solve_left(targets[-1]) is not None
+                assert got == sparse_row(want)
+                assert densify(f, got, m.nrows) == want
+        assert el.solve_left(sparse_row(targets[-1])) is not None
 
 
 def test_subspace_matches_dense_reference_and_caches_pivots():
@@ -275,30 +284,38 @@ def test_subspace_matches_dense_reference_and_caches_pivots():
     for m in cases:
         dense = dense_rows(f, m.sparse_rows, m.ncols)
         rank, pivots, rows = dense_gauss_jordan(dense, m.ncols)
-        s = Subspace.from_vectors(f, m.ncols, dense)
+        s = Subspace.from_vectors(f, m.ncols, m.sparse_rows)
         s_rows = dense_rows(f, s.rows, m.ncols)
         assert s.dim == rank
         assert s_rows == rows[:rank]
         assert s.pivots == pivots == first_nonzero_scan(s_rows)
         v = [random_field_element(f, rng) for _ in range(m.ncols)]
-        coeffs, rem = s.reduce(v)
+        coeffs, rem = s.reduce(sparse_row(v))
+        coeffs = densify(f, coeffs, s.dim)
         want = list(v)
         for i, col in enumerate(pivots):
             assert coeffs[i] == want[col]
             want = [a - coeffs[i] * p for a, p in zip(want, rows[i])]
-        assert rem == want
-    full = Subspace.full(f, 5)
+        assert densify(f, rem, m.ncols) == want
+    full = Subspace.from_vectors(f, 5, Matrix.identity(f, 5).sparse_rows)
+    assert full.is_full()
     assert full.pivots == first_nonzero_scan(dense_rows(f, full.rows, 5)) == list(range(5))
 
 
 def test_sparse_vectors_with_bad_entries_are_rejected():
     f = make_field(12)
     one, zero = f.one.cv, f.zero.cv
-    s = Subspace.from_vectors(f, 3, [[f.one, f.zero, f.zero]])
+    s = Subspace.from_vectors(f, 3, [{0: one}])
     el = Eliminator(Matrix.identity(f, 3))
-    full = Subspace.full(f, 3)
-    for bad in ({3: one}, {-1: one}, {"0": one}, {1: zero}):
-        for call in (s.reduce, s.contains, full.contains, el.solve_left):
+    full = Subspace.from_vectors(f, 3, Matrix.identity(f, 3).sparse_rows)
+    assert full.is_full() and not s.is_full()
+
+    def span(v):
+        return Subspace.from_vectors(f, 3, [v])
+
+    # a dense list is not a vector: the sparse row is the only form
+    for bad in ({3: one}, {-1: one}, {"0": one}, {1: zero}, [f.one, f.zero, f.zero]):
+        for call in (s.reduce, s.contains, full.contains, el.solve_left, span):
             with pytest.raises(ValueError):
                 call(bad)
     # the same vectors, well formed, are accepted

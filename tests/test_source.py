@@ -1,4 +1,5 @@
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,14 @@ def test_acceptance_suite_passes_under_optimize():
     r = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                         "tests/test_acceptance.py"], cwd=ROOT, capture_output=True, text=True)
     assert r.returncode == 0, r.stdout[-3000:] + r.stderr[-3000:]
+
+
+def test_every_exported_name_resolves_and_star_import_works():
+    """A name left in ``__all__`` after its import is deleted breaks only
+    ``from cdgalab import *``; check the names and the star import itself."""
+    missing = [name for name in cdgalab.__all__ if not hasattr(cdgalab, name)]
+    assert not missing, f"names in cdgalab.__all__ that do not resolve: {missing}"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    r = subprocess.run([sys.executable, "-c", "from cdgalab import *"],
+                       cwd=ROOT, env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr[-3000:]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cdgalab import DGA, cohomology, make_field, wedge
+from cdgalab import DGA, Matrix, cohomology, make_field, wedge
 from cdgalab.algebra import Algebra, Conjugation, Differential, apply_d
 from cdgalab.symplectic import (SymplecticCandidate, exactness_witness_check,
                                 is_symplectic, lefschetz)
@@ -28,7 +28,10 @@ def test_degenerate_candidate_fails():
     conj = Conjugation(alg, [("mu", "mubar"), ("nu", "nubar"),
                              ("theta", "thetabar"), ("eta", "etabar")])
     c = SymplecticCandidate(alg.generator("mu") * alg.generator("nu"), 4, conj)
-    verdict = is_symplectic(c, d)
+    volume = alg.unit()
+    for n in ("theta", "mu", "nu", "eta", "thetabar", "mubar", "nubar", "etabar"):
+        volume = volume * alg.generator(n)
+    verdict = is_symplectic(c, d, volume)
     assert not verdict.ok
     assert verdict.closed and not verdict.nondegenerate
     assert verdict.power_scalar.is_zero()
@@ -54,7 +57,7 @@ def test_lefschetz_failure_on_invariant_complex(model):
     assert rep.kernel_dim >= 1
     assert rep.rank < table.betti[2]
     nn = model.gens["nu"] * model.gens["nubar"]
-    assert rep.kernel.contains(list(table.class_coords(nn, 2)))
+    assert rep.kernel.contains(table.class_row(nn, 2))
 
 
 def test_lefschetz_k0_is_identity(model):
@@ -97,15 +100,10 @@ def test_lefschetz_matrices_compose(model):
     # middle step: cup with omega from H^4 to H^6
     f = model.field
     omega_rep = om.representative()
-    from cdgalab.linalg import Matrix
-    rows = []
-    for r in table.representatives(4):
-        rows.append(table.class_coords(wedge(r, omega_rep), 6))
-    mid = Matrix.from_rows(f, rows)
-    rows = []
-    for r in table.representatives(2):
-        rows.append(table.class_coords(wedge(r, omega_rep), 4))
-    first = Matrix.from_rows(f, rows)
+    mid = Matrix(f, table.betti[6], [table.class_row(wedge(r, omega_rep), 6)
+                                     for r in table.representatives(4)])
+    first = Matrix(f, table.betti[4], [table.class_row(wedge(r, omega_rep), 4)
+                                       for r in table.representatives(2)])
     assert first.matmul(mid) == m2
 
 
