@@ -8,12 +8,11 @@ resolutions, plus a small session language and CLI driving all of it.
 
 from ._backend import backend_name
 from .field import CycloField, FieldElement, Rational, cyclotomic_polynomial, format_scalar, make_field
-from .algebra import (Algebra, AlgebraMap, Conjugation, DGA, Differential,
+from .algebra import (Algebra, AlgebraMap, Conjugation, Differential,
                       GeneratorSpec, GradedElement, apply_d, apply_map,
                       check_d_squared, format_element, identity_map, wedge)
 from .linalg import Matrix, Subspace, quotient_basis
-from .homology import (CochainComplex, CohomologyClass, CohomologyTable,
-                       cohomology, top_scalar)
+from .homology import CochainComplex, CohomologyClass, CohomologyTable, top_scalar
 from .action import (GroupAction, invariant_cohomology, invariant_complex,
                      validate_action)
 from .formality import (MasseyResult, ObstructionInput, ObstructionInputError,
@@ -29,12 +28,11 @@ __version__ = "0.1.0"
 __all__ = [
     "backend_name", "CycloField", "FieldElement", "Rational",
     "cyclotomic_polynomial", "format_scalar", "make_field",
-    "Algebra", "AlgebraMap", "Conjugation", "DGA", "Differential",
+    "Algebra", "AlgebraMap", "Conjugation", "Differential",
     "GeneratorSpec", "GradedElement", "apply_d", "apply_map",
     "check_d_squared", "format_element", "identity_map", "wedge",
     "Matrix", "Subspace", "quotient_basis",
-    "CochainComplex", "CohomologyClass", "CohomologyTable", "cohomology",
-    "top_scalar",
+    "CochainComplex", "CohomologyClass", "CohomologyTable", "top_scalar",
     "GroupAction", "invariant_cohomology", "invariant_complex",
     "validate_action",
     "MasseyResult", "ObstructionInput", "ObstructionInputError",

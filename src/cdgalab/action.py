@@ -1,8 +1,11 @@
-"""Finite cyclic group actions on a DGA and their invariant complexes.
+"""Finite cyclic group actions on a differential graded algebra and their
+invariant complexes.
 
-A cyclic action is one algebra map f with f^m = id.  Every power is reached
-by applying f once more, so no power map is composed, and one map's cache of
-word images serves all of them.
+A cyclic action is one algebra map f with f^m = id.  ``validate_action``
+composes f^m once, with ``AlgebraMap.power``, to check that it is the
+identity.  The projector and the traces never compose: each power there is
+reached by applying f once more, so one map's cache of word images serves
+all of them.
 
 - The invariant subcomplex is the image of the averaging projector
   P = (1/m)(1 + f + ... + f^(m-1)).  The row of a word w is its orbit sum
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._backend import kernel
-from .algebra import DGA, AlgebraMap, Differential, GradedElement, apply_d, apply_map, map_terms
+from .algebra import AlgebraMap, Differential, GradedElement, apply_d, apply_map, map_terms
 from .field import FieldElement
-from .homology import CochainComplex, CohomologyTable, cohomology
+from .homology import CochainComplex, CohomologyTable
 from .linalg import Matrix, Subspace
 
 
@@ -92,9 +95,9 @@ def _own_map(f: AlgebraMap) -> AlgebraMap:
     return AlgebraMap(f.source, f.target, f.assignments)
 
 
-def invariant_subspaces(dga: DGA, action: GroupAction) -> list[Subspace]:
+def invariant_subspaces(action: GroupAction) -> list[Subspace]:
     """Per-degree eigenvalue-1 subspaces, as the image of the projector."""
-    alg = dga.algebra
+    alg = action.differential.algebra
     field = alg.field
     mul = field.mul
     f = _own_map(action.generator_map)
@@ -114,11 +117,9 @@ def invariant_subspaces(dga: DGA, action: GroupAction) -> list[Subspace]:
     return subspaces
 
 
-def invariant_complex(dga: DGA, action: GroupAction) -> CochainComplex:
-    """The invariant sub-DGA as a cochain complex."""
-    if action.differential is not dga.differential:
-        raise ValueError("the action was validated against another differential")
-    return CochainComplex(dga, invariant_subspaces(dga, action))
+def invariant_complex(action: GroupAction) -> CochainComplex:
+    """The invariant differential subalgebra as a cochain complex."""
+    return CochainComplex(action.differential, invariant_subspaces(action))
 
 
 def induced_traces(table: CohomologyTable, action: GroupAction) -> list[list[FieldElement]]:
@@ -176,13 +177,13 @@ def check_fixed_part(table: CohomologyTable, full: CohomologyTable,
             f"fixed part of H* gives {fixed}")
 
 
-def invariant_cohomology(dga: DGA, action: GroupAction) -> CohomologyTable:
+def invariant_cohomology(action: GroupAction) -> CohomologyTable:
     """Cohomology of the invariant complex.
 
     The same numbers are recomputed as the fixed part of the induced action
     on H*(full complex) and the two must agree in every degree; this guards
     the most error-prone reduction step.
     """
-    table = cohomology(invariant_complex(dga, action))
-    check_fixed_part(table, cohomology(dga), action)
+    table = CohomologyTable(invariant_complex(action))
+    check_fixed_part(table, CohomologyTable(CochainComplex(action.differential)), action)
     return table

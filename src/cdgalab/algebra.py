@@ -570,10 +570,3 @@ class Conjugation:
             raise ValueError("algebra mismatch")
         return apply_map(self._swap, GradedElement(
             self.algebra, {w: c.conjugate() for w, c in x.terms.items()}))
-
-
-@dataclass(frozen=True)
-class DGA:
-    """An algebra together with its differential."""
-    algebra: Algebra
-    differential: Differential

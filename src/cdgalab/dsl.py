@@ -33,12 +33,12 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (Algebra, AlgebraMap, Conjugation, DGA, Differential,
+from .algebra import (Algebra, AlgebraMap, Conjugation, Differential,
                       GradedElement, format_element, wedge)
 from .action import GroupAction, check_fixed_part, invariant_complex
 from .field import CycloField, FieldElement, format_scalar, make_field
 from .formality import ObstructionInput, ObstructionInputError, massey_triple, obstruction
-from .homology import CochainComplex, CohomologyClass, CohomologyTable, cohomology
+from .homology import CochainComplex, CohomologyClass, CohomologyTable
 from .symplectic import SymplecticCandidate, exactness_witness_check, is_symplectic, lefschetz
 from .topology import BettiVector, Edge, IncidenceGraph, betti_p1_bundle, betti_projective, \
     betti_resolution, betti_union, check_edge
@@ -143,17 +143,12 @@ class AlgebraContext:
     d_assignments: dict = dc_field(default_factory=dict)
     first_d_token: Optional[Token] = None
     conjugation: Optional[Conjugation] = None
-    differential: Optional[Differential] = None
-
-    def require_differential(self) -> Differential:
-        if self.differential is None:
-            raise AssertionError(f"algebra {self.name} has no differential")
-        return self.differential
+    differential: Optional[Differential] = None  # built by finalize
 
 
 @dataclass
 class MapBinding:
-    name: str
+    token: Token  # the map's name, where its diagnostics point
     ctx: AlgebraContext
     order: int
     map: AlgebraMap
@@ -425,7 +420,7 @@ class Parser:
             amap = AlgebraMap(ctx.algebra, ctx.algebra, assignments)
         except ValueError as e:
             self.fail(name_tok, str(e))
-        self.session.maps[name_tok.text] = MapBinding(name_tok.text, ctx, order, amap)
+        self.session.maps[name_tok.text] = MapBinding(name_tok, ctx, order, amap)
         self.expect_end_of_statement()
 
     def stmt_let(self):
@@ -710,20 +705,18 @@ class Parser:
 
     def finalize(self):
         for ctx in self.session.algebras.values():
-            where = ctx.first_d_token
             try:
                 ctx.differential = Differential(ctx.algebra, dict(ctx.d_assignments))
             except ValueError as e:
-                tok = where if where is not None else self.tokens[-1]
-                self.fail(tok, str(e))
+                self.fail(ctx.first_d_token, str(e))
         for binding in self.session.maps.values():
             try:
                 binding.action = GroupAction(binding.map, binding.order,
-                                             binding.ctx.require_differential())
+                                             binding.ctx.differential)
             except ValueError as e:
-                self.fail(self.tokens[-1],
-                          f"map {binding.name!r} is not a valid order-{binding.order} "
-                          f"action: {e}")
+                self.fail(binding.token,
+                          f"map {binding.token.text!r} is not a valid "
+                          f"order-{binding.order} action: {e}")
 
 
 def parse(text: str) -> Session:
@@ -782,33 +775,19 @@ class Report:
 
 
 class _RunContext:
-    """Per-run caches so repeated tasks share cohomology tables."""
+    """Per-run cache so repeated tasks share cohomology tables."""
 
-    def __init__(self, session: Session):
-        self.session = session
-        self._dgas: dict[str, DGA] = {}
+    def __init__(self):
         self._tables: dict[tuple, CohomologyTable] = {}
-        self._complexes: dict[tuple, CochainComplex] = {}
-
-    def dga(self, ctx: AlgebraContext) -> DGA:
-        if ctx.name not in self._dgas:
-            self._dgas[ctx.name] = DGA(ctx.algebra, ctx.require_differential())
-        return self._dgas[ctx.name]
-
-    def complex(self, ctx: AlgebraContext, binding: Optional[MapBinding]) -> CochainComplex:
-        key = (ctx.name, binding.name if binding else None)
-        if key not in self._complexes:
-            dga = self.dga(ctx)
-            if binding is None:
-                self._complexes[key] = CochainComplex(dga)
-            else:
-                self._complexes[key] = invariant_complex(dga, binding.action)
-        return self._complexes[key]
 
     def table(self, ctx: AlgebraContext, binding: Optional[MapBinding]) -> CohomologyTable:
-        key = (ctx.name, binding.name if binding else None)
+        """The table of the full complex of ``ctx``, or of the invariant
+        complex of ``binding``'s action; each complex is built once, here."""
+        key = (ctx.name, binding.token.text if binding else None)
         if key not in self._tables:
-            self._tables[key] = cohomology(self.complex(ctx, binding))
+            cx = (CochainComplex(ctx.differential) if binding is None
+                  else invariant_complex(binding.action))
+            self._tables[key] = CohomologyTable(cx)
         return self._tables[key]
 
 
@@ -818,7 +797,7 @@ def run(session: Session) -> Report:
     ``AssertionError``, a violated internal invariant such as a failed
     cross-check, is an engine fault and propagates."""
     report = Report(session.sha256())
-    rc = _RunContext(session)
+    rc = _RunContext()
     for index, task in enumerate(session.tasks):
         try:
             _TASK_RUNNERS[task.name](rc, task.payload, report)
@@ -843,9 +822,9 @@ def _run_betti(rc: _RunContext, p: dict, report: Report):
 
 def _run_invariant_betti(rc: _RunContext, p: dict, report: Report):
     ctx, binding = p["ctx"], p["map"]
-    cx = rc.complex(ctx, binding)
     table = rc.table(ctx, binding)
     check_fixed_part(table, rc.table(ctx, None), binding.action)
+    cx = table.complex
     for k in range(cx.top + 1):
         report.add(f"invariant_dim[{k}]", cx.dim(k))
     for k, b in enumerate(table.betti):
@@ -858,7 +837,7 @@ def _run_invariant_betti(rc: _RunContext, p: dict, report: Report):
 def _run_symplectic(rc: _RunContext, p: dict, report: Report):
     ctx = p["ctx"]
     candidate = SymplecticCandidate(p["omega"], p["n"], ctx.conjugation)
-    verdict = is_symplectic(candidate, ctx.require_differential(), p["vol"])
+    verdict = is_symplectic(candidate, ctx.differential, p["vol"])
     report.add("symplectic", "yes" if verdict.ok else "no")
     report.add("symplectic_closed", "yes" if verdict.closed else "no")
     report.add("symplectic_real", "yes" if verdict.real else "no")
@@ -866,15 +845,12 @@ def _run_symplectic(rc: _RunContext, p: dict, report: Report):
 
 
 def _run_obstruction(rc: _RunContext, p: dict, report: Report):
-    ctx, binding = p["ctx"], p["map"]
-    cx = rc.complex(ctx, binding)
-    table = rc.table(ctx, binding)
-    result = obstruction(
-        ObstructionInput(cx, p["alpha"], p["betas"], p["vol"]), table)
+    table = rc.table(p["ctx"], p["map"])
+    result = obstruction(ObstructionInput(p["alpha"], p["betas"], p["vol"]), table)
     for i, xi in enumerate(result.primitives):
         report.add(f"obstruction_xi[{i + 1}]", format_element(xi))
     report.add("obstruction_scalar", format_scalar(result.scalar))
-    rep = CohomologyClass(table, cx.top, result.class_coords).representative()
+    rep = CohomologyClass(table, table.top, result.class_coords).representative()
     report.add("obstruction_class", format_element(rep))
     report.add("h3_dim", result.h3_dim)
     report.add("nonformal_certificate",
@@ -882,10 +858,8 @@ def _run_obstruction(rc: _RunContext, p: dict, report: Report):
 
 
 def _run_massey(rc: _RunContext, p: dict, report: Report):
-    ctx = p["ctx"]
-    table = rc.table(ctx, None)
-    x, y, z = (table.class_of(e) for e in p["elements"])
-    result = massey_triple(table, x, y, z)
+    table = rc.table(p["ctx"], None)
+    result = massey_triple(*(table.class_of(e) for e in p["elements"]))
     report.add("massey_class", format_element(result.representative))
     report.add("massey_class_is_zero",
                "yes" if all(c.is_zero() for c in result.class_coords) else "no")
@@ -893,10 +867,8 @@ def _run_massey(rc: _RunContext, p: dict, report: Report):
 
 
 def _run_lefschetz(rc: _RunContext, p: dict, report: Report):
-    ctx, binding = p["ctx"], p["map"]
-    table = rc.table(ctx, binding)
-    omega_class = table.class_of(p["omega"], 2)
-    result = lefschetz(table, omega_class, p["k"])
+    table = rc.table(p["ctx"], p["map"])
+    result = lefschetz(table.class_of(p["omega"], 2), p["k"])
     report.add(f"lefschetz_rank[{p['k']}]", result.rank)
     report.add(f"lefschetz_kernel_dim[{p['k']}]", result.kernel_dim)
 
@@ -920,8 +892,7 @@ def _run_resolution(rc: _RunContext, p: dict, report: Report):
 
 
 def _run_verify_exact(rc: _RunContext, p: dict, report: Report):
-    ctx = p["ctx"]
-    verdict = exactness_witness_check(p["lhs"], p["prim"], ctx.require_differential())
+    verdict = exactness_witness_check(p["lhs"], p["prim"], p["ctx"].differential)
     if not verdict.ok:
         raise ValueError(
             f"verify_exact failed: difference is {format_element(verdict.difference)}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedElement, wedge
-from .homology import CochainComplex, CohomologyClass, CohomologyTable, top_scalar
+from .homology import CohomologyClass, CohomologyTable, top_scalar
 from .linalg import Subspace
 
 
@@ -30,7 +30,6 @@ class ObstructionInputError(ValueError):
 
 @dataclass
 class ObstructionInput:
-    complex: CochainComplex
     alpha: GradedElement
     betas: tuple
     volume: GradedElement
@@ -69,14 +68,15 @@ def _require_closed(table: CohomologyTable, x: GradedElement, label: str, degree
 
 def obstruction(inp: ObstructionInput, table: CohomologyTable,
                 primitives=None) -> ObstructionResult:
-    """Compute the obstruction class for validated input data.
+    """Compute the obstruction class for validated input data in the complex
+    of ``table``.
 
     By default the primitives are the deterministic pivot solutions inside
-    the working complex; independence from those choices is a theorem when
+    that complex; independence from those choices is a theorem when
     h3_dim = 0 and is exercised by the test suite, not assumed here.  An
     explicit ``primitives`` triple is accepted and validated instead.
     """
-    cx = inp.complex
+    cx = table.complex
     _require_closed(table, inp.alpha, "alpha", 2)
     for i, b in enumerate(inp.betas):
         _require_closed(table, b, f"beta_{i + 1}", 2)
@@ -126,17 +126,17 @@ class MasseyResult:
     indeterminacy: Subspace
 
 
-def massey_triple(table: CohomologyTable, x: CohomologyClass, y: CohomologyClass,
+def massey_triple(x: CohomologyClass, y: CohomologyClass,
                   z: CohomologyClass) -> MasseyResult:
     """Triple Massey product <x, y, z> with its indeterminacy subspace.
 
-    Requires x.y = 0 and y.z = 0.  The representative is
-    xi*z' - (-1)^|x| x'*zeta with d(xi) = x'*y', d(zeta) = y'*z'; the
-    indeterminacy is x.H^(|y|+|z|-1) + H^(|x|+|y|-1).z.
+    Requires three classes of one table, x.y = 0 and y.z = 0.  The
+    representative is xi*z' - (-1)^|x| x'*zeta with d(xi) = x'*y',
+    d(zeta) = y'*z'; the indeterminacy is x.H^(|y|+|z|-1) + H^(|x|+|y|-1).z.
     """
-    for c in (x, y, z):
-        if c.table is not table:
-            raise ValueError("classes come from a different table")
+    table = x.table
+    if y.table is not table or z.table is not table:
+        raise ValueError("classes come from a different table")
     if not table.cup(x, y).is_zero():
         raise ValueError("x.y != 0: the Massey product is undefined")
     if not table.cup(y, z).is_zero():

@@ -20,22 +20,23 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._backend import kernel
-from .algebra import DGA, GradedElement, apply_d, wedge
+from .algebra import Differential, GradedElement, apply_d, wedge
 from .linalg import Eliminator, Matrix, Subspace, densify, quotient_basis
 
 
 class CochainComplex:
-    """A finite complex carved out of an algebra by per-degree subspaces.
+    """A finite complex carved out of the algebra of ``differential`` by
+    per-degree subspaces.
 
     ``subspaces`` is None for the full algebra.  Coordinates of an element in
     degree k are taken in the subspace basis (the word basis when full).
     """
 
-    def __init__(self, dga: DGA, subspaces: Optional[list[Subspace]] = None):
-        self.dga = dga
-        self.algebra = dga.algebra
-        self.differential = dga.differential
-        self.top = dga.algebra.top
+    def __init__(self, differential: Differential,
+                 subspaces: Optional[list[Subspace]] = None):
+        self.differential = differential
+        self.algebra = differential.algebra
+        self.top = self.algebra.top
         if subspaces is not None and len(subspaces) != self.top + 1:
             raise ValueError("need one subspace per degree 0..top")
         self.subspaces = subspaces
@@ -234,15 +235,6 @@ class CohomologyTable:
             raise ValueError("classes come from a different table")
         prod = wedge(c1.representative(), c2.representative())
         return self.class_of(prod, c1.degree + c2.degree)
-
-
-def cohomology(dga_or_complex) -> CohomologyTable:
-    """Cohomology table of a DGA or of a prepared cochain complex."""
-    if isinstance(dga_or_complex, CochainComplex):
-        return CohomologyTable(dga_or_complex)
-    if isinstance(dga_or_complex, DGA):
-        return CohomologyTable(CochainComplex(dga_or_complex))
-    raise TypeError("expected a DGA or a CochainComplex")
 
 
 def top_scalar(x: GradedElement, volume: GradedElement):

@@ -126,7 +126,7 @@ class Eliminator:
         one = field.one.cv
         rows = []
         for i, row in enumerate(a.sparse_rows):
-            aug = dict(row)
+            aug = _sparse(row, n)
             aug[n + i] = one
             rows.append(aug)
         self.rank, self.pivots = kernel.rref(

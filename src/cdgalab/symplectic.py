@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Conjugation, Differential, GradedElement, apply_d, wedge
-from .homology import CohomologyClass, CohomologyTable, top_scalar
+from .homology import CohomologyClass, top_scalar
 from .linalg import Eliminator, Matrix, Subspace
 
 
@@ -81,9 +81,11 @@ class LefschetzReport:
         return self.kernel.dim
 
 
-def lefschetz(table: CohomologyTable, omega_class: CohomologyClass, k: int) -> LefschetzReport:
-    """Matrix of cup with [omega]^k from H^(n-k) to H^(n+k), with rank and
-    kernel basis in the source representative coordinates."""
+def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
+    """Matrix of cup with [omega]^k from H^(n-k) to H^(n+k) of the table of
+    ``omega_class``, with rank and kernel basis in the source representative
+    coordinates."""
+    table = omega_class.table
     top = table.top
     if top % 2:
         raise ValueError("hard-Lefschetz needs an even top degree")

@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 from cdgalab import _kernel_py, field as field_module
-from cdgalab import (Algebra, AlgebraMap, Conjugation, DGA, Differential,
+from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential,
                      GroupAction, make_field)
 from cdgalab.algebra import GradedElement, apply_map
-from cdgalab.action import invariant_complex, invariant_subspaces
-from cdgalab.homology import CochainComplex, cohomology
+from cdgalab.action import invariant_complex
+from cdgalab.homology import CochainComplex, CohomologyTable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,7 +24,6 @@ class HeisenbergModel:
     algebra: Algebra
     gens: dict
     differential: Differential
-    dga: DGA
     conjugation: Conjugation
     rho: AlgebraMap
     action: GroupAction
@@ -46,7 +45,6 @@ def build_heisenberg_model() -> HeisenbergModel:
         "theta": gens["mu"] * gens["nu"],
         "thetabar": gens["mubar"] * gens["nubar"],
     })
-    dga = DGA(algebra, differential)
     conjugation = Conjugation(algebra, [("mu", "mubar"), ("nu", "nubar"),
                                         ("theta", "thetabar"), ("eta", "etabar")])
     z = field.zeta(4)
@@ -65,11 +63,11 @@ def build_heisenberg_model() -> HeisenbergModel:
              gens["nubar"] * gens["eta"])
     volume = gens["theta"] * gens["mu"] * gens["nu"] * gens["eta"] \
         * gens["thetabar"] * gens["mubar"] * gens["nubar"] * gens["etabar"]
-    cx = CochainComplex(dga)
-    table = cohomology(cx)
-    inv = invariant_complex(dga, action)
-    inv_table = cohomology(inv)
-    return HeisenbergModel(field, algebra, gens, differential, dga, conjugation,
+    cx = CochainComplex(differential)
+    table = CohomologyTable(cx)
+    inv = invariant_complex(action)
+    inv_table = CohomologyTable(inv)
+    return HeisenbergModel(field, algebra, gens, differential, conjugation,
                       rho, action, omega, alpha, betas, volume, cx, table,
                       inv, inv_table)
 
@@ -84,8 +82,7 @@ def torus2():
     """Two-generator exterior algebra with zero differential."""
     field = make_field(12)
     algebra = Algebra(field, [("x", 1), ("y", 1)])
-    d = Differential(algebra, {})
-    return DGA(algebra, d)
+    return Differential(algebra, {})
 
 
 def random_field_element(field, rng: random.Random, span: int = 4):

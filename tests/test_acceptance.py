@@ -78,7 +78,7 @@ def test_criterion_3_symplectic(model):
 @criterion(4, "non-formality certificate equals 2 * volume")
 def test_criterion_4_obstruction(model):
     two = model.field.rational(2)
-    inp = ObstructionInput(model.invariant, model.alpha, model.betas, model.volume)
+    inp = ObstructionInput(model.alpha, model.betas, model.volume)
     engine = obstruction(inp, model.invariant_table)
     assert engine.scalar == two  # sign frozen by the merge convention
     assert engine.h3_dim == 0
@@ -96,11 +96,10 @@ def test_criterion_4_obstruction(model):
 def test_criterion_5_independence_suite(model):
     rng = random.Random(55)
     g = model.gens
-    inv_inp = ObstructionInput(model.invariant, model.alpha, model.betas, model.volume)
-    base_inv = obstruction(inv_inp, model.invariant_table)
+    inp = ObstructionInput(model.alpha, model.betas, model.volume)
+    base_inv = obstruction(inp, model.invariant_table)
     assert base_inv.h3_dim == 0
-    full_inp = ObstructionInput(model.complex, model.alpha, model.betas, model.volume)
-    base_full = obstruction(full_inp, model.table, primitives=base_inv.primitives)
+    base_full = obstruction(inp, model.table, primitives=base_inv.primitives)
     closed_inv3 = [e for e in model.invariant.basis_elements(3)
                    if apply_d(model.differential, e).is_zero()]
     one_forms = [g[n] for n in ("mu", "nu", "theta", "eta",
@@ -123,7 +122,7 @@ def test_criterion_5_independence_suite(model):
             prims = tuple(xi + wedge(f, b)
                           for xi, b in zip(base_inv.primitives, model.betas))
             res = obstruction(
-                ObstructionInput(model.complex, alpha2, model.betas, model.volume),
+                ObstructionInput(alpha2, model.betas, model.volume),
                 model.table, primitives=prims)
             assert res.class_coords == base_full.class_coords
             assert res.scalar == base_full.scalar
@@ -136,8 +135,7 @@ def test_criterion_5_independence_suite(model):
             prims = list(base_inv.primitives)
             prims[i] = prims[i] + wedge(model.alpha, f)
             res = obstruction(
-                ObstructionInput(model.complex, model.alpha, tuple(betas),
-                                 model.volume),
+                ObstructionInput(model.alpha, tuple(betas), model.volume),
                 model.table, primitives=tuple(prims))
             assert res.class_coords == base_full.class_coords
             assert res.scalar == base_full.scalar
@@ -150,7 +148,7 @@ def test_criterion_5_independence_suite(model):
                     shift = shift + e.scale(c)
             prims = list(base_inv.primitives)
             prims[rng.randrange(3)] += shift
-            res = obstruction(inv_inp, model.invariant_table,
+            res = obstruction(inp, model.invariant_table,
                               primitives=tuple(prims))
             assert res.class_coords == base_inv.class_coords
             assert res.scalar == base_inv.scalar
@@ -160,7 +158,7 @@ def test_criterion_5_independence_suite(model):
 def test_criterion_6_hard_lefschetz(model):
     table = model.invariant_table
     om = table.class_of(model.omega, 2)
-    rep = lefschetz(table, om, 2)
+    rep = lefschetz(om, 2)
     assert rep.kernel_dim >= 1
     nn = model.gens["nu"] * model.gens["nubar"]
     assert rep.kernel.contains(table.class_row(nn, 2))
@@ -236,7 +234,7 @@ def test_criterion_8_property_suites(model):
 
     rng = random.Random(806)
     act = model.action
-    subs = invariant_subspaces(model.dga, act)
+    subs = invariant_subspaces(act)
     for rows in projector_rows(subs, alg):  # projector idempotence
         for r in rows:
             assert orbit_average(act, r) == r

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab import AlgebraMap, GroupAction, Subspace, cohomology, identity_map, \
+from cdgalab import AlgebraMap, GroupAction, Subspace, identity_map, \
     invariant_cohomology, invariant_complex, validate_action
 from cdgalab._backend import kernel
 from cdgalab.action import check_fixed_part, induced_action_fixed_dims, induced_traces, \
     invariant_subspaces
-from cdgalab.algebra import Differential, apply_d, apply_map
+from cdgalab.algebra import apply_d, apply_map
 from cdgalab.homology import CohomologyTable
 
 from conftest import in_projector_image, orbit_average, projector_rows, random_element
@@ -36,7 +36,7 @@ def test_invariant_dimensions(model):
 
 
 def test_invariant_cohomology(model):
-    table = invariant_cohomology(model.dga, model.action)
+    table = invariant_cohomology(model.action)
     assert table.betti == [1, 0, 13, 0, 26, 0, 13, 0, 1]
     assert table.betti[3] == 0
     assert table.betti[1] == 0
@@ -53,7 +53,7 @@ def test_projector_is_idempotent(model):
     pointwise and that holds every orbit average, so P o P = P."""
     rng = random.Random(41)
     act = model.action
-    subs = invariant_subspaces(model.dga, act)
+    subs = invariant_subspaces(act)
     for k, rows in enumerate(projector_rows(subs, model.algebra)):
         for r in rows:
             assert orbit_average(act, r) == r
@@ -72,7 +72,7 @@ def test_projector_commutes_with_d(model):
     rng = random.Random(42)
     act = model.action
     d = model.differential
-    subs = invariant_subspaces(model.dga, act)
+    subs = invariant_subspaces(act)
     for rows in projector_rows(subs, model.algebra):
         for r in rows:
             assert in_projector_image(subs, apply_d(d, r))
@@ -84,7 +84,7 @@ def test_projector_commutes_with_d(model):
 def test_projector_fixes_invariants_exactly(model):
     """Every projector row, and every orbit average, is fixed by rho."""
     rng = random.Random(43)
-    subs = invariant_subspaces(model.dga, model.action)
+    subs = invariant_subspaces(model.action)
     for rows in projector_rows(subs, model.algebra):
         for r in rows:
             assert apply_map(model.rho, r) == r
@@ -117,17 +117,8 @@ def test_invalid_action_rejected(model):
         model.action.order = 2
 
 
-def test_invariant_complex_rejects_an_action_on_another_differential(model):
-    g = model.gens
-    twin = Differential(model.algebra, {"theta": g["mu"] * g["nu"],
-                                        "thetabar": g["mubar"] * g["nubar"]})
-    action = GroupAction(model.rho, 3, twin)
-    with pytest.raises(ValueError, match="another differential"):
-        invariant_complex(model.dga, action)
-
-
 def test_invariant_subspace_matches_projector_rank(model):
-    subs = invariant_subspaces(model.dga, model.action)
+    subs = invariant_subspaces(model.action)
     m = model.action.order
     for k in range(9):
         # P has trace = sum over words of the averaged character; its rank as
@@ -144,9 +135,9 @@ def _composed_powers(f, m):
     return maps
 
 
-def reference_invariant_subspaces(dga, action):
+def reference_invariant_subspaces(action):
     """The projector rows summed over separately composed power maps."""
-    alg = dga.algebra
+    alg = action.differential.algebra
     powers = _composed_powers(action.generator_map, action.order)
     subspaces = []
     for k in range(alg.top + 1):
@@ -204,8 +195,8 @@ ACTIONS = {
 def test_orbit_sum_projector_matches_composed_powers(model, name):
     action = ACTIONS[name](model)
     assert validate_action(action.generator_map, action.order, model.differential).ok
-    new = invariant_subspaces(model.dga, action)
-    ref = reference_invariant_subspaces(model.dga, action)
+    new = invariant_subspaces(action)
+    ref = reference_invariant_subspaces(action)
     for k in range(9):
         assert new[k].rows == ref[k].rows
         assert new[k].pivots == ref[k].pivots
@@ -216,7 +207,7 @@ def test_trace_formula_matches_rank_of_averaged_class_rows(model, name):
     action = ACTIONS[name](model)
     fixed = induced_action_fixed_dims(model.table, action)
     assert fixed == reference_fixed_dims(model.table, action)
-    inv = cohomology(invariant_complex(model.dga, action))
+    inv = CohomologyTable(invariant_complex(action))
     assert inv.betti == fixed
     if name == "swap":
         assert fixed == [1, 4, 9, 16, 20, 16, 9, 4, 1]

@@ -28,9 +28,9 @@ EXPECTED_DIAGNOSTICS = [
     ("bad_duplicate_decl.cdga", 4, 5, "duplicate declaration of 'x' (already a let)"),
     ("bad_malformed_scalar.cdga", 3, 14, "malformed scalar: unexpected '*'"),
     ("bad_map_degree.cdga", 3, 23, "degree mismatch: image of mu must have degree 1"),
-    ("bad_map_action_order.cdga", 4, 1,
+    ("bad_map_action_order.cdga", 3, 5,
      "map 'rho' is not a valid order-2 action: f^2 is not the identity at mu"),
-    ("bad_map_action_d.cdga", 5, 1,
+    ("bad_map_action_d.cdga", 4, 5,
      "map 'rho' is not a valid order-2 action: f does not commute with d at theta"),
     ("bad_task_arity.cdga", 6, 25, "expected half dimension"),
     ("bad_task_name.cdga", 3, 6, "unknown task 'frobnicate'"),
@@ -146,7 +146,8 @@ def test_run_report_matches_golden_under_optimize(tmp_path):
 
 def test_paper_run_builds_each_table_once(monkeypatch, paper_session):
     """The invariant_betti cross-check reuses the run's tables: one full and
-    one invariant table, one invariant complex."""
+    one invariant table, built on the run's only two complexes, one of them
+    invariant."""
     from cdgalab import homology
     built = []
     init = homology.CohomologyTable.__init__
@@ -154,6 +155,13 @@ def test_paper_run_builds_each_table_once(monkeypatch, paper_session):
     def counting_init(self, complex_):
         built.append("full" if complex_.is_full() else "invariant")
         init(self, complex_)
+
+    cochain_complexes = []
+    init_complex = homology.CochainComplex.__init__
+
+    def counting_init_complex(self, *args):
+        cochain_complexes.append(args)
+        init_complex(self, *args)
 
     complexes = []
     make_complex = dsl.invariant_complex
@@ -163,10 +171,12 @@ def test_paper_run_builds_each_table_once(monkeypatch, paper_session):
         return make_complex(*args)
 
     monkeypatch.setattr(homology.CohomologyTable, "__init__", counting_init)
+    monkeypatch.setattr(homology.CochainComplex, "__init__", counting_init_complex)
     monkeypatch.setattr(dsl, "invariant_complex", counting_complex)
     assert dsl.run(paper_session).ok
     assert sorted(built) == ["full", "invariant"]
     assert len(complexes) == 1
+    assert len(cochain_complexes) == 2
 
 
 def test_paper_run_builds_and_validates_the_action_once(monkeypatch):

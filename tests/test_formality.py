@@ -2,18 +2,17 @@ import random
 
 import pytest
 
-from cdgalab import DGA, cohomology, make_field, wedge
+from cdgalab import make_field, wedge
 from cdgalab.algebra import Algebra, Differential, apply_d
 from cdgalab.formality import (ObstructionInput, ObstructionInputError,
                                massey_triple, obstruction)
-
-from conftest import random_homogeneous
+from cdgalab.homology import CochainComplex, CohomologyTable
 
 THEOREM_SCALAR = 2  # frozen once under the engine's documented sign convention
 
 
 def theorem_input(model):
-    return ObstructionInput(model.invariant, model.alpha, model.betas, model.volume)
+    return ObstructionInput(model.alpha, model.betas, model.volume)
 
 
 def stated_primitives(model):
@@ -42,8 +41,7 @@ def test_obstruction_with_stated_primitives(model):
 
 
 def test_zero_alpha_gives_zero_class(model):
-    inp = ObstructionInput(model.invariant, model.algebra.zero(), model.betas,
-                          model.volume)
+    inp = ObstructionInput(model.algebra.zero(), model.betas, model.volume)
     res = obstruction(inp, model.invariant_table)
     assert not res.is_nonzero()
     assert res.scalar.is_zero()
@@ -51,8 +49,7 @@ def test_zero_alpha_gives_zero_class(model):
 
 def test_non_closed_input_rejected(model):
     g = model.gens
-    bad = ObstructionInput(model.invariant, g["theta"] * g["thetabar"],
-                          model.betas, model.volume)
+    bad = ObstructionInput(g["theta"] * g["thetabar"], model.betas, model.volume)
     with pytest.raises(ObstructionInputError, match="not closed"):
         obstruction(bad, model.invariant_table)
 
@@ -61,8 +58,8 @@ def test_non_exact_product_reported(model):
     g = model.gens
     # eta*etabar is closed and invariant but alpha*(eta*etabar) is a nonzero
     # class in H^4 of the invariant complex
-    bad = ObstructionInput(model.invariant, model.alpha,
-                          (g["eta"] * g["etabar"],) + model.betas[1:], model.volume)
+    bad = ObstructionInput(model.alpha, (g["eta"] * g["etabar"],) + model.betas[1:],
+                           model.volume)
     with pytest.raises(ObstructionInputError, match="not exact"):
         obstruction(bad, model.invariant_table)
 
@@ -78,11 +75,10 @@ def test_alpha_representative_shift(model):
     xs2 = tuple(xi + wedge(f, b) for xi, b in zip(stated_primitives(model), model.betas))
     # alpha2 and the shifted primitives live in the full complex, not the
     # invariant one (theta is not invariant), so compare there
-    full = model.complex
     table = model.table
-    res1 = obstruction(ObstructionInput(full, model.alpha, model.betas, model.volume),
+    res1 = obstruction(ObstructionInput(model.alpha, model.betas, model.volume),
                        table, primitives=stated_primitives(model))
-    res2 = obstruction(ObstructionInput(full, alpha2, model.betas, model.volume),
+    res2 = obstruction(ObstructionInput(alpha2, model.betas, model.volume),
                        table, primitives=xs2)
     assert res1.class_coords == res2.class_coords
     assert res1.scalar == base.scalar
@@ -133,7 +129,7 @@ def test_obstruction_element_is_closed_on_random_valid_inputs(model):
                 if c:
                     b = b + e.scale(c)
             betas.append(b + exact_shift())
-        inp = ObstructionInput(model.complex, alpha, tuple(betas), model.volume)
+        inp = ObstructionInput(alpha, tuple(betas), model.volume)
         res = obstruction(inp, table)
         assert apply_d(model.differential, res.element).is_zero()
 
@@ -142,8 +138,8 @@ def test_scalar_scales_quadratically_in_alpha(model):
     lam = model.field.rational(3)
     base = obstruction(theorem_input(model), model.invariant_table)
     scaled = obstruction(
-        ObstructionInput(model.invariant, model.alpha.scale(lam), model.betas,
-                         model.volume), model.invariant_table)
+        ObstructionInput(model.alpha.scale(lam), model.betas, model.volume),
+        model.invariant_table)
     assert scaled.scalar == base.scalar * lam * lam
 
 
@@ -151,7 +147,7 @@ def test_massey_triple_on_heisenberg_algebra(model):
     table = model.table
     a = table.class_of(model.gens["mu"] * model.gens["mubar"], 2)
     b = table.class_of(model.gens["nu"] * model.gens["nubar"], 2)
-    res = massey_triple(table, a, b, a)
+    res = massey_triple(a, b, a)
     assert len(res.class_coords) == table.betti[5]
     assert res.indeterminacy.ambient_dim == table.betti[5]
     # the coset is well defined: shifting the first primitive by any closed
@@ -178,17 +174,19 @@ def test_massey_requires_vanishing_cups(model):
     c = table.class_of(model.gens["mu"] * model.gens["mubar"], 2)
     e = table.class_of(model.gens["eta"] * model.gens["etabar"], 2)
     with pytest.raises(ValueError, match="undefined"):
-        massey_triple(table, c, e, c)
+        massey_triple(c, e, c)
+    other = model.invariant_table.class_of(model.gens["mu"] * model.gens["mubar"], 2)
+    with pytest.raises(ValueError, match="different table"):
+        massey_triple(c, other, c)
 
 
 def test_massey_on_formal_torus():
     field = make_field(12)
     alg = Algebra(field, [(n, 1) for n in "abce"])
-    dga = DGA(alg, Differential(alg, {}))
-    table = cohomology(dga)
+    table = CohomologyTable(CochainComplex(Differential(alg, {})))
     x = table.class_of(alg.generator("a"), 1)
     # a*a = 0 exactly, so <a, a, a> is defined and lands in the zero coset
-    res = massey_triple(table, x, x, x)
+    res = massey_triple(x, x, x)
     assert all(c.is_zero() for c in res.class_coords)
 
 
@@ -198,7 +196,7 @@ def test_class_is_choice_dependent_when_h3_is_nonzero(model):
     # invariance is asserted there, only well-definedness of each element
     g = model.gens
     betas = (g["mu"] * g["theta"], g["mu"] * g["eta"], g["nu"] * g["etabar"])
-    inp = ObstructionInput(model.complex, model.alpha, betas, model.volume)
+    inp = ObstructionInput(model.alpha, betas, model.volume)
     base = obstruction(inp, model.table)
     assert base.h3_dim == 30
     shift = g["nu"] * g["nubar"] * g["thetabar"]

@@ -40,3 +40,37 @@ def test_every_exported_name_resolves_and_star_import_works():
     r = subprocess.run([sys.executable, "-c", "from cdgalab import *"],
                        cwd=ROOT, env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr[-3000:]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that ``path`` imports but never reads as a name and does not
+    list in ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda item: item[1])
+            if name not in used]
+
+
+def test_no_unused_imports():
+    """No linter runs on this repository, so check the one lint rule that
+    deletions keep breaking: every imported name is used."""
+    paths = [p for d in (SRC, ROOT / "tests", ROOT / "benchmarks")
+             for p in sorted(d.glob("*.py"))]
+    assert len(paths) > 20
+    found = [entry for p in paths for entry in _unused_imports(p)]
+    assert not found, f"unused imports: {found}"

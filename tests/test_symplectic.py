@@ -1,9 +1,8 @@
 import random
 
-import pytest
-
-from cdgalab import DGA, Matrix, cohomology, make_field, wedge
-from cdgalab.algebra import Algebra, Conjugation, Differential, apply_d
+from cdgalab import Matrix, make_field, wedge
+from cdgalab.algebra import Algebra, Conjugation, Differential
+from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.symplectic import (SymplecticCandidate, exactness_witness_check,
                                 is_symplectic, lefschetz)
 
@@ -52,7 +51,7 @@ def test_non_real_candidate_fails(model):
 def test_lefschetz_failure_on_invariant_complex(model):
     table = model.invariant_table
     om = table.class_of(model.omega, 2)
-    rep = lefschetz(table, om, 2)
+    rep = lefschetz(om, 2)
     assert rep.source_degree == 2 and rep.target_degree == 6
     assert rep.kernel_dim >= 1
     assert rep.rank < table.betti[2]
@@ -63,7 +62,7 @@ def test_lefschetz_failure_on_invariant_complex(model):
 def test_lefschetz_k0_is_identity(model):
     table = model.invariant_table
     om = table.class_of(model.omega, 2)
-    rep = lefschetz(table, om, 0)
+    rep = lefschetz(om, 0)
     assert rep.rank == table.betti[4]
     assert rep.kernel_dim == 0
     f = model.field
@@ -75,10 +74,9 @@ def test_lefschetz_k0_is_identity(model):
 def test_lefschetz_on_torus():
     field = make_field(12)
     alg = Algebra(field, [("x", 1), ("y", 1)])
-    dga = DGA(alg, Differential(alg, {}))
-    table = cohomology(dga)
+    table = CohomologyTable(CochainComplex(Differential(alg, {})))
     om = table.class_of(alg.generator("x") * alg.generator("y"), 2)
-    rep = lefschetz(table, om, 1)
+    rep = lefschetz(om, 1)
     assert rep.source_degree == 0 and rep.target_degree == 2
     assert rep.rank == 1 and rep.kernel_dim == 0  # H^0 -> H^2 isomorphism
 
@@ -87,7 +85,7 @@ def test_liouville_class_nonvanishing(model):
     # [omega]^4 pairs H^0 to a nonzero class in H^8
     table = model.invariant_table
     om = table.class_of(model.omega, 2)
-    rep = lefschetz(table, om, 4)
+    rep = lefschetz(om, 4)
     assert rep.rank == 1
     assert rep.kernel_dim == 0
 
@@ -96,7 +94,7 @@ def test_lefschetz_matrices_compose(model):
     table = model.invariant_table
     om = table.class_of(model.omega, 2)
     # H^2 --[w]^1--> H^4 --[w]^1--> H^6 equals H^2 --[w]^2--> H^6
-    m2 = lefschetz(table, om, 2).matrix
+    m2 = lefschetz(om, 2).matrix
     # middle step: cup with omega from H^4 to H^6
     f = model.field
     omega_rep = om.representative()
@@ -130,11 +128,11 @@ def test_kernel_rank_is_basis_independent(model):
     rng = random.Random(61)
     table = model.invariant_table
     om = table.class_of(model.omega, 2)
-    base_rank = lefschetz(table, om, 2).rank
+    base_rank = lefschetz(om, 2).rank
     # shift omega by an exact invariant 2-form: none exist, so instead verify
     # stability by recomputing through shifted class descriptions
     for _ in range(5):
         coeffs = list(om.coords)
         cls = table.class_of(om.representative(), 2)
         assert list(cls.coords) == list(coeffs)
-        assert lefschetz(table, cls, 2).rank == base_rank
+        assert lefschetz(cls, 2).rank == base_rank
