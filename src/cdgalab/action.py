@@ -30,49 +30,37 @@ of being repeated on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ._backend import kernel
-from .algebra import AlgebraMap, Differential, GradedElement, apply_d, apply_map, map_terms
+from .algebra import (AlgebraMap, Differential, PreconditionError, apply_d, apply_map,
+                      map_terms)
 from .field import FieldElement
 from .homology import CochainComplex, CohomologyTable
 from .linalg import Matrix, Subspace
 
 
-@dataclass
-class ActionVerdict:
-    ok: bool
-    message: str = ""
-    generator: Optional[str] = None
-    residue: Optional[GradedElement] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_action(f: AlgebraMap, m: int, d: Differential) -> ActionVerdict:
-    """Checks f^m = id and f o d = d o f on generators."""
+def validate_action(f: AlgebraMap, m: int, d: Differential) -> None:
+    """Checks f^m = id and f o d = d o f on generators; raises
+    ``PreconditionError`` with the residue f^m(g) - g or f(dg) - d(fg) of
+    the first generator where one fails."""
     alg = f.source
     if f.target is not alg or d.algebra is not alg:
-        return ActionVerdict(False, "map and differential must live on one algebra")
+        raise PreconditionError("map and differential must live on one algebra")
     if m < 1:
-        return ActionVerdict(False, f"order must be positive, got {m}")
+        raise PreconditionError(f"order must be positive, got {m}")
     fm = f.power(m)
     for g in range(len(alg.gens)):
         gen = alg.word_element((g,))
-        img = fm(gen)
-        if img != gen:
-            return ActionVerdict(
-                False, f"f^{m} is not the identity at {alg.gens[g].name}",
-                alg.gens[g].name, img - gen)
+        residue = fm(gen) - gen
+        if not residue.is_zero():
+            raise PreconditionError(
+                f"f^{m} is not the identity at {alg.gens[g].name}", residue)
     for g in range(len(alg.gens)):
         gen = alg.word_element((g,))
         residue = apply_map(f, apply_d(d, gen)) - apply_d(d, apply_map(f, gen))
         if not residue.is_zero():
-            return ActionVerdict(
-                False, f"f does not commute with d at {alg.gens[g].name}",
-                alg.gens[g].name, residue)
-    return ActionVerdict(True)
+            raise PreconditionError(
+                f"f does not commute with d at {alg.gens[g].name}", residue)
 
 
 @dataclass(frozen=True)
@@ -85,9 +73,7 @@ class GroupAction:
     differential: Differential
 
     def __post_init__(self):
-        verdict = validate_action(self.generator_map, self.order, self.differential)
-        if not verdict.ok:
-            raise ValueError(verdict.message)
+        validate_action(self.generator_map, self.order, self.differential)
 
 
 def _own_map(f: AlgebraMap) -> AlgebraMap:

@@ -39,6 +39,15 @@ class GeneratorSpec:
             raise ValueError(f"generator {self.name}: degree must be >= 1")
 
 
+class PreconditionError(ValueError):
+    """A mathematical precondition failed.  ``witness`` holds the element
+    that shows the failure, such as a nonzero residue or difference."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 Word = tuple  # tuple of generator indices, sorted
 
 
@@ -350,26 +359,15 @@ def format_element(x: GradedElement) -> str:
     return "".join(parts)
 
 
-@dataclass
-class D2Verdict:
-    """Outcome of the d-squared check."""
-    ok: bool
-    failing_generator: str | None = None
-    residue: GradedElement | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
 class Differential:
     """Degree +1 derivation given on generators and extended by Leibniz.
 
     Generators absent from the assignment map have differential zero.  The
-    assignments are validated eagerly (homogeneity and d*d = 0) unless
-    ``check=False`` is passed, which is only meant for the d-squared checker
-    itself."""
+    assignments are validated when built: each must be homogeneous of degree
+    one more than its generator, and d*d = 0 on every generator (sufficient
+    by the Leibniz rule), checked in declaration order."""
 
-    def __init__(self, algebra: Algebra, assignments: dict, check: bool = True):
+    def __init__(self, algebra: Algebra, assignments: dict):
         self.algebra = algebra
         norm: dict[int, GradedElement] = {}
         for key, val in assignments.items():
@@ -386,12 +384,12 @@ class Differential:
         self.assignments = norm
         self._gen_d = {g: _cvs(v) for g, v in norm.items()}
         self._word_d: dict = {}
-        if check:
-            verdict = check_d_squared(self)
-            if not verdict.ok:
-                raise ValueError(
-                    f"d*d != 0 at generator {verdict.failing_generator}: "
-                    f"residue {verdict.residue}")
+        for g in sorted(norm):
+            residue = apply_d(self, norm[g])
+            if not residue.is_zero():
+                raise PreconditionError(
+                    f"d*d != 0 at generator {algebra.gens[g].name}: "
+                    f"residue {residue}", residue)
 
     def _word_row(self, w: Word) -> dict:
         """d of the word w as ``{word: cv}``, computed on first use and kept."""
@@ -443,19 +441,6 @@ def apply_d(d: Differential, x: GradedElement) -> GradedElement:
         if row:
             kernel.row_axpy(acc, row, c.cv, mul)
     return _element(alg, acc)
-
-
-def check_d_squared(d: Differential) -> D2Verdict:
-    """d*d = 0 on every generator (sufficient by the Leibniz rule)."""
-    alg = d.algebra
-    for g in range(len(alg.gens)):
-        dg = d.assignments.get(g)
-        if dg is None:
-            continue
-        residue = apply_d(d, dg)
-        if not residue.is_zero():
-            return D2Verdict(False, alg.gens[g].name, residue)
-    return D2Verdict(True)
 
 
 class AlgebraMap:

@@ -34,12 +34,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import (Algebra, AlgebraMap, Conjugation, Differential,
-                      GradedElement, format_element, wedge)
+                      GradedElement, PreconditionError, apply_d, format_element, wedge)
 from .action import GroupAction, check_fixed_part, invariant_complex
 from .field import CycloField, FieldElement, format_scalar, make_field
-from .formality import ObstructionInput, ObstructionInputError, massey_triple, obstruction
-from .homology import CochainComplex, CohomologyClass, CohomologyTable
-from .symplectic import SymplecticCandidate, exactness_witness_check, is_symplectic, lefschetz
+from .formality import ObstructionInput, massey_triple, obstruction
+from .homology import CochainComplex, CohomologyTable
+from .symplectic import is_symplectic, lefschetz
 from .topology import BettiVector, Edge, IncidenceGraph, betti_p1_bundle, betti_projective, \
     betti_resolution, betti_union, check_edge
 
@@ -801,7 +801,7 @@ def run(session: Session) -> Report:
     for index, task in enumerate(session.tasks):
         try:
             _TASK_RUNNERS[task.name](rc, task.payload, report)
-        except (ObstructionInputError, ValueError, ZeroDivisionError) as e:
+        except (ValueError, ZeroDivisionError) as e:
             report.fail_task(index, task.name, str(e))
     return report
 
@@ -836,8 +836,7 @@ def _run_invariant_betti(rc: _RunContext, p: dict, report: Report):
 
 def _run_symplectic(rc: _RunContext, p: dict, report: Report):
     ctx = p["ctx"]
-    candidate = SymplecticCandidate(p["omega"], p["n"], ctx.conjugation)
-    verdict = is_symplectic(candidate, ctx.differential, p["vol"])
+    verdict = is_symplectic(p["omega"], p["n"], ctx.conjugation, ctx.differential, p["vol"])
     report.add("symplectic", "yes" if verdict.ok else "no")
     report.add("symplectic_closed", "yes" if verdict.closed else "no")
     report.add("symplectic_real", "yes" if verdict.real else "no")
@@ -850,8 +849,7 @@ def _run_obstruction(rc: _RunContext, p: dict, report: Report):
     for i, xi in enumerate(result.primitives):
         report.add(f"obstruction_xi[{i + 1}]", format_element(xi))
     report.add("obstruction_scalar", format_scalar(result.scalar))
-    rep = CohomologyClass(table, table.top, result.class_coords).representative()
-    report.add("obstruction_class", format_element(rep))
+    report.add("obstruction_class", format_element(result.representative))
     report.add("h3_dim", result.h3_dim)
     report.add("nonformal_certificate",
                "yes" if result.certifies_nonformality() else "inconclusive")
@@ -892,10 +890,10 @@ def _run_resolution(rc: _RunContext, p: dict, report: Report):
 
 
 def _run_verify_exact(rc: _RunContext, p: dict, report: Report):
-    verdict = exactness_witness_check(p["lhs"], p["prim"], p["ctx"].differential)
-    if not verdict.ok:
-        raise ValueError(
-            f"verify_exact failed: difference is {format_element(verdict.difference)}")
+    diff = p["lhs"] - apply_d(p["ctx"].differential, p["prim"])
+    if not diff.is_zero():
+        raise PreconditionError(
+            f"verify_exact failed: difference is {format_element(diff)}", diff)
     report.add("verify_exact", "ok")
 
 

@@ -15,17 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GradedElement, wedge
+from .algebra import GradedElement, PreconditionError, wedge
 from .homology import CohomologyClass, CohomologyTable, top_scalar
 from .linalg import Subspace
-
-
-class ObstructionInputError(ValueError):
-    """A precondition on the obstruction data failed."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass
@@ -44,6 +36,7 @@ class ObstructionResult:
     primitives: tuple
     element: GradedElement
     class_coords: tuple
+    representative: GradedElement
     scalar: object
     h3_dim: int
 
@@ -58,12 +51,12 @@ def _require_closed(table: CohomologyTable, x: GradedElement, label: str, degree
     cx = table.complex
     if not x.is_zero():
         if x.degree() != degree:
-            raise ObstructionInputError(f"{label} must be homogeneous of degree {degree}")
+            raise PreconditionError(f"{label} must be homogeneous of degree {degree}")
         if not cx.contains(x, degree):
-            raise ObstructionInputError(f"{label} does not lie in the working complex")
+            raise PreconditionError(f"{label} does not lie in the working complex")
     dx = cx.d(x)
     if not dx.is_zero():
-        raise ObstructionInputError(f"{label} is not closed", dx)
+        raise PreconditionError(f"{label} is not closed", dx)
 
 
 def obstruction(inp: ObstructionInput, table: CohomologyTable,
@@ -84,14 +77,14 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable,
     if primitives is not None:
         primitives = list(primitives)
         if len(primitives) != 3:
-            raise ObstructionInputError("exactly three primitives are required")
+            raise PreconditionError("exactly three primitives are required")
         for i, (xi, b) in enumerate(zip(primitives, inp.betas)):
             if not cx.contains(xi, 3):
-                raise ObstructionInputError(
+                raise PreconditionError(
                     f"xi_{i + 1} does not lie in the working complex")
             diff = cx.d(xi) - wedge(inp.alpha, b)
             if not diff.is_zero():
-                raise ObstructionInputError(
+                raise PreconditionError(
                     f"d(xi_{i + 1}) != alpha*beta_{i + 1}", diff)
     else:
         primitives = []
@@ -100,7 +93,7 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable,
             xi = table.is_exact(prod, degree=4)
             if xi is None:
                 cls = table.class_coords(prod, 4)
-                raise ObstructionInputError(
+                raise PreconditionError(
                     f"alpha*beta_{i + 1} is not exact; its class has coordinates "
                     f"({', '.join(str(c) for c in cls)})", prod)
             primitives.append(xi)
@@ -115,8 +108,8 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable,
     top = cx.top
     coords = table.class_coords(element, top)
     rep = CohomologyClass(table, top, coords).representative()
-    scalar = top_scalar(rep, inp.volume)
-    return ObstructionResult(tuple(primitives), element, coords, scalar, table.betti[3])
+    return ObstructionResult(tuple(primitives), element, coords, rep,
+                             top_scalar(rep, inp.volume), table.betti[3])
 
 
 @dataclass

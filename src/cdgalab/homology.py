@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._backend import kernel
-from .algebra import Differential, GradedElement, apply_d, wedge
+from .algebra import Differential, GradedElement, PreconditionError, apply_d, wedge
 from .linalg import Eliminator, Matrix, Subspace, densify, quotient_basis
 
 
@@ -179,7 +179,7 @@ class CohomologyTable:
         closed and lies in the complex."""
         dx = self.complex.d(x)
         if not dx.is_zero():
-            raise ValueError(f"element is not closed: d(x) = {dx}")
+            raise PreconditionError(f"element is not closed: d(x) = {dx}", dx)
         try:
             return self.complex.to_row(x, k)
         except ValueError:

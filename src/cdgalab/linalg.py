@@ -32,11 +32,10 @@ def _inv_cv(field: CycloField):
     return inv
 
 
-def _sparse(v, n: int) -> dict:
-    """A copy of the sparse row v of a space of dimension n.
-
-    v must be a dict holding only nonzero entries at indices below n: the
-    kernel takes a missing key for zero and never looks at a stored one."""
+def _check_sparse(v, n: int) -> None:
+    """Raises ValueError unless v is a sparse row of a space of dimension n:
+    a dict holding only nonzero entries at indices below n.  The kernel
+    takes a missing key for zero and never looks at a stored one."""
     if not isinstance(v, dict):
         raise ValueError(f"a vector must be a sparse row {{index: cv}}, "
                          f"not a {type(v).__name__}")
@@ -46,6 +45,11 @@ def _sparse(v, n: int) -> dict:
                              f"in a space of dimension {n}")
         if kernel.cv_is_zero(cv):
             raise ValueError(f"sparse vector stores a zero at {j}")
+
+
+def _sparse(v, n: int) -> dict:
+    """A checked copy of the sparse row v of a space of dimension n."""
+    _check_sparse(v, n)
     return dict(v)
 
 
@@ -59,11 +63,13 @@ def densify(field: CycloField, row: dict, n: int) -> list[FieldElement]:
 
 class Matrix:
     """Row-major matrix of field elements over the given sparse rows, which
-    it keeps without copying."""
+    it checks and keeps without copying."""
 
     def __init__(self, field: CycloField, ncols: int, rows):
         self.field = field
         self.sparse_rows = list(rows)
+        for row in self.sparse_rows:
+            _check_sparse(row, ncols)
         self.nrows = len(self.sparse_rows)
         self.ncols = ncols
         self._entries = None
@@ -126,7 +132,7 @@ class Eliminator:
         one = field.one.cv
         rows = []
         for i, row in enumerate(a.sparse_rows):
-            aug = _sparse(row, n)
+            aug = dict(row)
             aug[n + i] = one
             rows.append(aug)
         self.rank, self.pivots = kernel.rref(

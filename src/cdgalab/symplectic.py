@@ -15,13 +15,6 @@ from .linalg import Eliminator, Matrix, Subspace
 
 
 @dataclass
-class SymplecticCandidate:
-    omega: GradedElement
-    half_dim: int
-    conjugation: Conjugation
-
-
-@dataclass
 class SymplecticVerdict:
     closed: bool
     real: bool
@@ -38,20 +31,19 @@ class SymplecticVerdict:
         return self.ok
 
 
-def is_symplectic(c: SymplecticCandidate, d: Differential,
-                  volume: GradedElement) -> SymplecticVerdict:
+def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
+                  d: Differential, volume: GradedElement) -> SymplecticVerdict:
     """d(omega) = 0, conj(omega) = omega and omega^n != 0, all exact.
 
     The top-power scalar is reported against ``volume``.
     """
-    omega = c.omega
     alg = omega.algebra
     if not omega.is_zero() and omega.degree() != 2:
         raise ValueError("omega must be homogeneous of degree 2")
     d_res = apply_d(d, omega)
-    conj_res = c.conjugation(omega) - omega
+    conj_res = conjugation(omega) - omega
     power = alg.unit()
-    for _ in range(c.half_dim):
+    for _ in range(n):
         power = wedge(power, omega)
     if power.is_zero():
         scalar = alg.field.zero
@@ -104,19 +96,3 @@ def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
     el = Eliminator(m)
     kernel = Subspace.from_vectors(field, table.betti[src], el.kernel_rows())
     return LefschetzReport(k, src, dst, m, el.rank, kernel)
-
-
-@dataclass
-class WitnessVerdict:
-    ok: bool
-    difference: GradedElement
-
-    def __bool__(self):
-        return self.ok
-
-
-def exactness_witness_check(lhs: GradedElement, rhs_primitive: GradedElement,
-                            d: Differential) -> WitnessVerdict:
-    """Verify lhs = d(rhs_primitive) exactly; the difference is reported."""
-    diff = lhs - apply_d(d, rhs_primitive)
-    return WitnessVerdict(diff.is_zero(), diff)

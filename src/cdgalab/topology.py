@@ -70,7 +70,6 @@ class Edge:
     a: int
     b: int
     intersection: BettiVector
-    surjective: bool = True
 
 
 def check_edge(nodes: list, e: Edge) -> None:
@@ -121,16 +120,14 @@ class IncidenceGraph:
 def betti_union(g: IncidenceGraph) -> BettiVector:
     """Mayer-Vietoris sum over a forest of components.
 
-    Requires every restriction-surjectivity flag (asserted by the caller, not
-    proved here) and a cycle-free incidence pattern; then
+    Assumes every restriction map onto an intersection is surjective (a
+    hypothesis, not proved here) and requires a cycle-free incidence
+    pattern; then
     b_j(union) = sum(nodes) - sum(intersections) in every degree, the degree-0
     correction being exactly the number of connected unions.
     """
     if not g.nodes:
         raise ValueError("empty graph")
-    for e in g.edges:
-        if not e.surjective:
-            raise ValueError("all restriction maps must be flagged surjective")
     if not g.is_forest():
         raise ValueError("cyclic intersection patterns are out of modelled scope")
     top = max(n.top for n in g.nodes)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab import AlgebraMap, GroupAction, Subspace, identity_map, \
+from cdgalab import AlgebraMap, GroupAction, PreconditionError, Subspace, identity_map, \
     invariant_cohomology, invariant_complex, validate_action
 from cdgalab._backend import kernel
 from cdgalab.action import check_fixed_part, induced_action_fixed_dims, induced_traces, \
@@ -17,14 +17,13 @@ from conftest import in_projector_image, orbit_average, projector_rows, random_e
 
 
 def test_validate_action_examples(model):
-    assert validate_action(model.rho, 3, model.differential).ok
-    wrong = validate_action(model.rho, 2, model.differential)
-    assert not wrong.ok
-    assert "identity" in wrong.message
-    assert wrong.residue is not None and not wrong.residue.is_zero()
+    validate_action(model.rho, 3, model.differential)
+    with pytest.raises(PreconditionError, match="identity") as wrong:
+        validate_action(model.rho, 2, model.differential)
+    assert wrong.value.witness is not None and not wrong.value.witness.is_zero()
     ident = identity_map(model.algebra)
     for m in (1, 2, 5):
-        assert validate_action(ident, m, model.differential).ok
+        validate_action(ident, m, model.differential)
 
 
 def test_invariant_dimensions(model):
@@ -111,8 +110,12 @@ def test_invariant_differential_is_stable(model):
 
 
 def test_invalid_action_rejected(model):
-    with pytest.raises(ValueError, match=r"^f\^2 is not the identity at mu$"):
+    mu = model.gens["mu"]
+    with pytest.raises(PreconditionError, match=r"^f\^2 is not the identity at mu$") as info:
         GroupAction(model.rho, 2, model.differential)
+    # the witness is the residue f^2(mu) - mu, nonzero
+    assert info.value.witness == apply_map(model.rho, apply_map(model.rho, mu)) - mu
+    assert not info.value.witness.is_zero()
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.action.order = 2
 
@@ -194,7 +197,7 @@ ACTIONS = {
 @pytest.mark.parametrize("name", sorted(ACTIONS))
 def test_orbit_sum_projector_matches_composed_powers(model, name):
     action = ACTIONS[name](model)
-    assert validate_action(action.generator_map, action.order, model.differential).ok
+    validate_action(action.generator_map, action.order, model.differential)
     new = invariant_subspaces(action)
     ref = reference_invariant_subspaces(action)
     for k in range(9):

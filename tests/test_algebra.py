@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential, apply_d,
-                     apply_map, check_d_squared, make_field, wedge)
+from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential, PreconditionError,
+                     apply_d, apply_map, make_field, wedge)
 from cdgalab.algebra import GradedElement, format_element
 
 from conftest import random_element, random_homogeneous
@@ -33,14 +33,16 @@ def test_apply_d_examples(model):
     assert apply_d(d, model.omega).is_zero()
 
 
-def test_check_d_squared_valid_cases(model):
-    assert check_d_squared(model.differential).ok
-    zero_d = Differential(model.algebra, {})
-    assert check_d_squared(zero_d).ok
+def test_valid_differentials_build(model):
+    alg = model.algebra
+    for d in (model.differential, Differential(alg, {})):
+        for gen in alg.gens:
+            assert apply_d(d, apply_d(d, alg.generator(gen.name))).is_zero()
 
 
-def test_check_d_squared_flags_failures():
-    # brute-force search over small random differentials for a d*d != 0 case
+def test_random_failing_differentials_raise_with_witness():
+    # random small differentials: each one either builds with d*d = 0 on
+    # every generator or raises with a nonzero residue as its witness
     field = make_field(12)
     alg = Algebra(field, [(n, 1) for n in "abcuv"])
     rng = random.Random(2)
@@ -53,14 +55,15 @@ def test_check_d_squared_flags_failures():
                 w = rng.choice(words2)
                 c = field.rational(rng.choice([-1, 1]))
                 assignments[g] = GradedElement(alg, {w: c})
-        d = Differential(alg, assignments, check=False)
-        verdict = check_d_squared(d)
-        if not verdict.ok:
+        try:
+            d = Differential(alg, assignments)
+        except PreconditionError as e:
             found += 1
-            assert verdict.failing_generator is not None
-            assert not verdict.residue.is_zero()
-            with pytest.raises(ValueError, match="d\\*d != 0"):
-                Differential(alg, assignments, check=True)
+            assert not e.witness.is_zero()
+            assert str(e).endswith(f"residue {e.witness}")
+            continue
+        for g in range(5):
+            assert apply_d(d, apply_d(d, alg.word_element((g,)))).is_zero()
     assert found > 0, "the randomized search must hit failing differentials"
 
 
@@ -68,11 +71,10 @@ def test_explicit_failing_differential():
     field = make_field(12)
     alg = Algebra(field, [(n, 1) for n in "abcuv"])
     a, b, c, u, v = (alg.generator(n) for n in "abcuv")
-    d = Differential(alg, {"a": b * c, "b": u * v}, check=False)
-    verdict = check_d_squared(d)
-    assert not verdict.ok
-    assert verdict.failing_generator == "a"
-    assert verdict.residue == c * u * v
+    with pytest.raises(PreconditionError,
+                       match=r"^d\*d != 0 at generator a: residue c\*u\*v$") as info:
+        Differential(alg, {"a": b * c, "b": u * v})
+    assert info.value.witness == c * u * v
 
 
 def test_apply_map_examples(model):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cdgalab import dsl
-from cdgalab.algebra import format_element
+from cdgalab.algebra import PreconditionError, format_element
 from cdgalab.cli import main as cli_main
 
 from conftest import ROOT, random_element, refuse_to_build_fields
@@ -266,6 +266,28 @@ def test_obstruction_task_error_is_carried_in_report(tmp_path):
     records = dict(report.records)
     assert "obstruction_error" in records
     assert "not exact" in records["obstruction_error"]
+    f = tmp_path / "bad.cdga"
+    f.write_text(text)
+    assert cli_main(["run", str(f)]) == 1
+
+
+def test_verify_exact_failure_is_carried_in_report(tmp_path):
+    text = (
+        "field cyclotomic 12\n"
+        "algebra M generators mu:1 nu:1 theta:1\n"
+        "d theta = mu*nu\n"
+        "let lhs = mu*nu\n"
+        "let prim = -theta\n"
+        "task verify_exact lhs prim\n")
+    session = dsl.parse(text)
+    report = dsl.run(session)
+    assert not report.ok
+    assert report.records == [
+        ("verify_exact_error", "verify_exact failed: difference is {2}*mu*nu")]
+    # the failure carries the difference lhs - d(prim) as its witness
+    with pytest.raises(PreconditionError) as info:
+        dsl._TASK_RUNNERS["verify_exact"](None, session.tasks[0].payload, report)
+    assert info.value.witness == dsl.eval_expr("{2}*mu*nu", session)
     f = tmp_path / "bad.cdga"
     f.write_text(text)
     assert cli_main(["run", str(f)]) == 1

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from cdgalab import make_field, wedge
-from cdgalab.algebra import Algebra, Differential, apply_d
-from cdgalab.formality import (ObstructionInput, ObstructionInputError,
-                               massey_triple, obstruction)
+from cdgalab.algebra import Algebra, Differential, PreconditionError, apply_d
+from cdgalab.formality import ObstructionInput, massey_triple, obstruction
 from cdgalab.homology import CochainComplex, CohomologyTable
 
 THEOREM_SCALAR = 2  # frozen once under the engine's documented sign convention
@@ -50,8 +49,9 @@ def test_zero_alpha_gives_zero_class(model):
 def test_non_closed_input_rejected(model):
     g = model.gens
     bad = ObstructionInput(g["theta"] * g["thetabar"], model.betas, model.volume)
-    with pytest.raises(ObstructionInputError, match="not closed"):
+    with pytest.raises(PreconditionError, match="not closed") as info:
         obstruction(bad, model.invariant_table)
+    assert info.value.witness == apply_d(model.differential, bad.alpha)
 
 
 def test_non_exact_product_reported(model):
@@ -60,8 +60,9 @@ def test_non_exact_product_reported(model):
     # class in H^4 of the invariant complex
     bad = ObstructionInput(model.alpha, (g["eta"] * g["etabar"],) + model.betas[1:],
                            model.volume)
-    with pytest.raises(ObstructionInputError, match="not exact"):
+    with pytest.raises(PreconditionError, match="not exact") as info:
         obstruction(bad, model.invariant_table)
+    assert info.value.witness == wedge(model.alpha, g["eta"] * g["etabar"])
 
 
 def test_alpha_representative_shift(model):

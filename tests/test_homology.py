@@ -5,7 +5,7 @@ import pytest
 from cdgalab import Matrix, make_field, top_scalar, wedge
 from cdgalab._backend import kernel
 from cdgalab.action import invariant_complex
-from cdgalab.algebra import Algebra, Differential, apply_d
+from cdgalab.algebra import Algebra, Differential, PreconditionError, apply_d
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator, Subspace, densify
 
@@ -99,8 +99,9 @@ def test_class_coords_of_zero(model):
 
 
 def test_class_coords_rejects_non_closed(model):
-    with pytest.raises(ValueError, match="not closed"):
+    with pytest.raises(PreconditionError, match="not closed") as info:
         model.table.class_coords(model.gens["theta"], 1)
+    assert info.value.witness == model.gens["mu"] * model.gens["nu"]
 
 
 def test_cup_examples(model):

@@ -316,7 +316,7 @@ def test_sparse_vectors_with_bad_entries_are_rejected():
     # a dense list is not a vector: the sparse row is the only form
     for bad in ({3: one}, {-1: one}, {"0": one}, {1: zero}, [f.one, f.zero, f.zero]):
         for call in (s.reduce, s.contains, full.contains, el.solve_left, span,
-                     lambda v: Eliminator(Matrix(f, 3, [v]))):
+                     lambda v: Matrix(f, 3, [v]), lambda v: Eliminator(Matrix(f, 3, [v]))):
             with pytest.raises(ValueError):
                 call(bad)
     # the same vectors, well formed, are accepted

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from cdgalab.topology import (BettiVector, Edge, IncidenceGraph,
-                              betti_p1_bundle, betti_projective,
-                              betti_resolution, betti_union)
+from cdgalab.topology import (BettiVector, IncidenceGraph, betti_p1_bundle,
+                              betti_projective, betti_resolution, betti_union)
 
 
 def exceptional_graph():
@@ -48,14 +47,6 @@ def test_union_rejects_cycles():
     g = IncidenceGraph([p3, p3, p3],
                        [(0, 1, p2), (1, 2, p2), (2, 0, p2)])
     with pytest.raises(ValueError, match="cyclic"):
-        betti_union(g)
-
-
-def test_union_requires_surjectivity_flags():
-    p3 = betti_projective(3)
-    p2 = betti_projective(2)
-    g = IncidenceGraph([p3, p3], [Edge(0, 1, p2, surjective=False)])
-    with pytest.raises(ValueError, match="surjective"):
         betti_union(g)
 
 
