@@ -4,8 +4,9 @@ Times the hot paths over Q(zeta_12): batched coefficient products, inverses
 of non-rational values, and sparse row reduction of a random matrix.  It
 also times the cyclic-action layer on ``paper.cdga``: the invariant complex
 (the orbit-sum projector) plus the fixed-part cross-check, without the
-cohomology table of the invariant complex between them.  The end-to-end
-harness is ``perfbench/run.py``.
+cohomology table of the invariant complex between them.  Last, it times one
+Lefschetz query: k = 1 on ``omega`` against the full table of ``paper.cdga``,
+built once.  The end-to-end harness is ``perfbench/run.py``.
 
     python benchmarks/bench_kernels.py [--muls N] [--size N] [--repeat N]
 """
@@ -21,10 +22,12 @@ from cdgalab.action import check_fixed_part, invariant_complex
 from cdgalab.field import make_field
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import _inv_cv
+from cdgalab.symplectic import lefschetz
 
 DENSITY = 0.3
 INVERSES = 20_000
 INVARIANT_REPEAT = 20
+LEFSCHETZ_QUERIES = 100
 PAPER = Path(__file__).resolve().parent.parent / "paper.cdga"
 
 
@@ -64,6 +67,13 @@ def bench_invariant(action, full):
     t2 = time.perf_counter()
     check_fixed_part(table, full, action)
     return (t1 - t0) + (time.perf_counter() - t2)
+
+
+def bench_lefschetz(omega_class, queries):
+    t0 = time.perf_counter()
+    for _ in range(queries):
+        lefschetz(omega_class, 1)
+    return time.perf_counter() - t0
 
 
 def main():
@@ -112,6 +122,12 @@ def main():
     best = min(bench_invariant(action, full) for _ in range(INVARIANT_REPEAT))
     print(f"invariant complex + fixed-part cross-check of {PAPER.name}, "
           f"best of {INVARIANT_REPEAT}: {best * 1e3:8.2f} ms")
+
+    omega_class = full.class_of(session.lets["omega"], 2)
+    best = min(bench_lefschetz(omega_class, LEFSCHETZ_QUERIES)
+               for _ in range(args.repeat))
+    print(f"lefschetz k=1 on omega, full table of {PAPER.name}, "
+          f"{LEFSCHETZ_QUERIES} queries: {best / LEFSCHETZ_QUERIES * 1e3:8.3f} ms per query")
 
 
 if __name__ == "__main__":

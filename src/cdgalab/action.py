@@ -35,7 +35,7 @@ from ._backend import kernel
 from .algebra import (AlgebraMap, Differential, PreconditionError, apply_d, apply_map,
                       map_terms)
 from .field import FieldElement
-from .homology import CochainComplex, CohomologyTable
+from .homology import CochainComplex, CohomologyTable, engine_built
 from .linalg import Matrix, Subspace
 
 
@@ -114,14 +114,16 @@ def induced_traces(table: CohomologyTable, action: GroupAction) -> list[list[Fie
     The matrix A_k of f* has as row i the class of f(r_i), for the
     representatives r_i of ``table``; its powers are products of A_k.
     Raises AssertionError when A_k^m, the last power built, is not the
-    identity."""
+    identity, or when some f(r_i) fails the check of a class solve."""
     f = _own_map(action.generator_map)
     field = table.complex.algebra.field
     traces = []
     for k in range(table.top + 1):
         reps = table.representatives(k)
         b = len(reps)
-        a = Matrix(field, b, [table.class_row(apply_map(f, r), k) for r in reps])
+        with engine_built():
+            rows = [table.class_row(apply_map(f, r), k) for r in reps]
+        a = Matrix(field, b, rows)
         tr = [field.rational(b)]
         power = a
         for _ in range(action.order - 1):

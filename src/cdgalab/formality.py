@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedElement, PreconditionError, wedge
-from .homology import CohomologyClass, CohomologyTable, top_scalar
+from .homology import CohomologyClass, CohomologyTable, engine_built, top_scalar
 from .linalg import Subspace
 
 
@@ -136,8 +136,10 @@ def massey_triple(x: CohomologyClass, y: CohomologyClass,
         raise ValueError("y.z != 0: the Massey product is undefined")
 
     xr, yr, zr = x.representative(), y.representative(), z.representative()
-    xi = table.is_exact(wedge(xr, yr), degree=x.degree + y.degree)
-    zeta = table.is_exact(wedge(yr, zr), degree=y.degree + z.degree)
+    # every element solved for below is built from representatives
+    with engine_built():
+        xi = table.is_exact(wedge(xr, yr), degree=x.degree + y.degree)
+        zeta = table.is_exact(wedge(yr, zr), degree=y.degree + z.degree)
     if xi is None or zeta is None:
         raise AssertionError("a product of representatives of a zero cup product "
                              "must be exact")
@@ -148,13 +150,13 @@ def massey_triple(x: CohomologyClass, y: CohomologyClass,
     else:
         rep = rep - cross
     out_deg = x.degree + y.degree + z.degree - 1
-    coords = table.class_coords(rep, out_deg)
-
     field = table.complex.algebra.field
     rows = []
-    for h in table.representatives(y.degree + z.degree - 1):
-        rows.append(table.class_row(wedge(xr, h), out_deg))
-    for h in table.representatives(x.degree + y.degree - 1):
-        rows.append(table.class_row(wedge(h, zr), out_deg))
+    with engine_built():
+        coords = table.class_coords(rep, out_deg)
+        for h in table.representatives(y.degree + z.degree - 1):
+            rows.append(table.class_row(wedge(xr, h), out_deg))
+        for h in table.representatives(x.degree + y.degree - 1):
+            rows.append(table.class_row(wedge(h, zr), out_deg))
     indet = Subspace.from_vectors(field, table.betti[out_deg], rows)
     return MasseyResult(coords, rep, indet)

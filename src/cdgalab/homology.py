@@ -12,10 +12,17 @@ reduced echelon rows of the cocycles' remainders against B^k, so they are
 zero in the pivot columns of B^k.  A closed x is uniquely b + r with b in B^k
 and r in the span of the representatives; reducing x by B^k leaves exactly
 r, and reducing r by the representatives gives the class coordinates.
+
+A class solve checks that its element is closed and lies in the complex.
+On a user's element a failed check is a failed precondition
+(``PreconditionError``).  Inside ``engine_built()`` the element is one the
+engine made itself, such as a product of representatives or the image of
+one under a map, and a failed check is an engine fault (``AssertionError``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -191,8 +198,9 @@ class CohomologyTable:
         remainder by the representatives."""
         if x.is_zero():
             return {}
-        _, rem = self._coboundaries[k].reduce(self._closed_row(x, k))
-        coords, rem = self._quotients[k].reduce(rem)
+        rem = self._closed_row(x, k)
+        self._coboundaries[k].reduce_owned(rem)
+        coords = self._quotients[k].reduce_owned(rem)
         if rem:
             raise AssertionError("closed element must reduce against cocycles")
         return coords
@@ -234,7 +242,21 @@ class CohomologyTable:
         if c1.table is not self or c2.table is not self:
             raise ValueError("classes come from a different table")
         prod = wedge(c1.representative(), c2.representative())
-        return self.class_of(prod, c1.degree + c2.degree)
+        with engine_built():
+            return self.class_of(prod, c1.degree + c2.degree)
+
+
+@contextmanager
+def engine_built():
+    """Context for class solves on elements the engine built itself, such as
+    products of representatives or their images under a map.  Such an
+    element fails the closedness or containment check only when the engine
+    is wrong, so the ``ValueError`` (``PreconditionError`` included) is
+    raised again as ``AssertionError``: ``cdga run`` exits 3, not 1."""
+    try:
+        yield
+    except ValueError as e:
+        raise AssertionError(f"engine-built element: {e}") from e
 
 
 def top_scalar(x: GradedElement, volume: GradedElement):

@@ -14,6 +14,14 @@ a list of field elements where a caller wants that view.  ``Matrix`` builds
 its dense ``entries`` view only on first use; nothing mutates a matrix's rows
 once it is built.
 
+The public entry points (``Matrix(...)``, ``Subspace.from_vectors``,
+``reduce``, ``coordinates``, ``contains`` and ``Eliminator.solve_left``)
+check every vector they are given and work on a copy, so a malformed row is
+rejected with ``ValueError`` and the caller's dict is never changed.  A row
+the engine has just built and owns, such as the coordinates of a product in
+a class solve or a remainder inside ``quotient_basis``, is reduced in place
+by ``Subspace.reduce_owned``, without a check or a copy.
+
 Each space is put in echelon form once.  A ``Subspace`` is its reduced
 echelon rows with their pivots; an ``Eliminator`` of A keeps the row space
 of A as such a ``Subspace`` (``image``), taken from the same elimination of
@@ -90,6 +98,14 @@ class Matrix:
                     flat[i * n + j] = FieldElement(field, cv)
             self._entries = tuple(flat)
         return self._entries
+
+    def rank(self) -> int:
+        """Rank, from one elimination of a copy of the rows."""
+        field = self.field
+        rows = [dict(row) for row in self.sparse_rows]
+        rank, _ = kernel.rref(rows, self.ncols, self.ncols, field.phi, field.mul,
+                              _inv_cv(field))
+        return rank
 
     def entry(self, i: int, j: int) -> FieldElement:
         cv = self.sparse_rows[i].get(j)
@@ -186,9 +202,14 @@ class Subspace:
     def reduce(self, v: dict) -> tuple[dict, dict]:
         """(coefficients, remainder) of v against the echelon basis."""
         rem = _sparse(v, self.ambient_dim)
-        coeffs = kernel.reduce_against(rem, self.rows, self._pivot_index,
-                                       self.ambient_dim, self.field.mul)
-        return coeffs, rem
+        return self.reduce_owned(rem), rem
+
+    def reduce_owned(self, row: dict) -> dict:
+        """Coefficients of ``row`` against the echelon basis; ``row`` itself
+        becomes the remainder.  Neither checked nor copied: only for a
+        well-formed row that the caller has just built and owns."""
+        return kernel.reduce_against(row, self.rows, self._pivot_index,
+                                     self.ambient_dim, self.field.mul)
 
     def coordinates(self, v: dict) -> dict | None:
         if self.is_full():
@@ -207,12 +228,16 @@ def quotient_basis(big: Subspace, small: Subspace) -> Subspace:
     """
     if big.ambient_dim != small.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    for row in small.rows:
-        if not big.contains(row):
-            raise ValueError("small subspace is not contained in the big one")
+    if not big.is_full():
+        for row in small.rows:
+            rem = dict(row)
+            big.reduce_owned(rem)
+            if rem:
+                raise ValueError("small subspace is not contained in the big one")
     rem_rows = []
     for row in big.rows:
-        _, rem = small.reduce(row)
+        rem = dict(row)
+        small.reduce_owned(rem)
         if rem:
             rem_rows.append(rem)
     out = Subspace.from_vectors(big.field, big.ambient_dim, rem_rows)

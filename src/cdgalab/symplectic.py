@@ -3,14 +3,20 @@
 Nondegeneracy is the top-power criterion omega^n != 0 (constant-coefficient
 model); the hard-Lefschetz maps are cup products with [omega]^k between the
 complementary cohomology degrees.
+
+A Lefschetz query eliminates once: the rank comes from one elimination of
+the cup matrix's own rows and the kernel dimension from rank-nullity.  The
+kernel basis needs the left kernel, an elimination of [A | I], and is built
+only when ``LefschetzReport.kernel`` is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import Conjugation, Differential, GradedElement, apply_d, wedge
-from .homology import CohomologyClass, top_scalar
+from .homology import CohomologyClass, engine_built, top_scalar
 from .linalg import Eliminator, Matrix, Subspace
 
 
@@ -61,22 +67,25 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
 
 @dataclass
 class LefschetzReport:
+    """Cup with [omega]^k from H^(source) to H^(target): ``matrix`` in the
+    representative bases, its ``rank`` and ``kernel_dim``, and ``kernel``,
+    the left kernel in the source representative coordinates."""
     k: int
     source_degree: int
     target_degree: int
     matrix: Matrix
     rank: int
-    kernel: Subspace
+    kernel_dim: int
 
-    @property
-    def kernel_dim(self) -> int:
-        return self.kernel.dim
+    @cached_property
+    def kernel(self) -> Subspace:
+        m = self.matrix
+        return Subspace.from_vectors(m.field, m.nrows, Eliminator(m).kernel_rows())
 
 
 def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
     """Matrix of cup with [omega]^k from H^(n-k) to H^(n+k) of the table of
-    ``omega_class``, with rank and kernel basis in the source representative
-    coordinates."""
+    ``omega_class``, with its rank and kernel dimension."""
     table = omega_class.table
     top = table.top
     if top % 2:
@@ -90,9 +99,9 @@ def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
     for _ in range(k):
         omega_k = wedge(omega_k, omega)
     src, dst = n - k, n + k
-    rows = [table.class_row(wedge(r, omega_k), dst)
-            for r in table.representatives(src)]
+    with engine_built():
+        rows = [table.class_row(wedge(r, omega_k), dst)
+                for r in table.representatives(src)]
     m = Matrix(field, table.betti[dst], rows)
-    el = Eliminator(m)
-    kernel = Subspace.from_vectors(field, table.betti[src], el.kernel_rows())
-    return LefschetzReport(k, src, dst, m, el.rank, kernel)
+    rank = m.rank()
+    return LefschetzReport(k, src, dst, m, rank, m.nrows - rank)

@@ -9,6 +9,8 @@ import pytest
 from cdgalab import dsl
 from cdgalab.algebra import PreconditionError, format_element
 from cdgalab.cli import main as cli_main
+from cdgalab.homology import CochainComplex
+from cdgalab.linalg import Matrix
 
 from conftest import ROOT, random_element, refuse_to_build_fields
 
@@ -302,6 +304,40 @@ def test_cli_run_exits_3_on_a_violated_invariant(tmp_path, monkeypatch, capsys):
     assert cli_main(["run", str(PAPER_SESSION), "--report", str(out)]) == 3
     assert "invariant cohomology mismatch" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_run_exits_3_when_an_engine_built_element_fails_a_check(monkeypatch, capsys):
+    """With d-matrices that drop column 0 of every row, the tables are wrong,
+    and the images and products of their representatives that the engine
+    solves for fail the closedness check: an engine fault, not a failed
+    precondition."""
+    d_matrix = CochainComplex.d_matrix
+
+    def drop_column_0(self, k):
+        m = d_matrix(self, k)
+        return Matrix(m.field, m.ncols, [{j: c for j, c in row.items() if j}
+                                         for row in m.sparse_rows])
+
+    monkeypatch.setattr(CochainComplex, "d_matrix", drop_column_0)
+    assert cli_main(["run", str(PAPER_SESSION)]) == 3
+    assert "engine-built element: element is not closed" in capsys.readouterr().err
+
+
+def test_class_solve_on_user_input_is_a_failed_precondition(tmp_path, paper_session):
+    """The check that is an engine fault on engine-built elements stays a
+    failed precondition (exit 1) on an element the session names."""
+    text = PAPER_SESSION.read_text().split("task ")[0] + (
+        "let open_form = theta*eta\n"
+        "task lefschetz M full open_form 1\n")
+    report = dsl.run(dsl.parse(text))
+    assert report.records == [("lefschetz_error", "element is not closed: d(x) = mu*nu*eta")]
+    f = tmp_path / "open.cdga"
+    f.write_text(text)
+    assert cli_main(["run", str(f)]) == 1
+    table = dsl._RunContext().table(paper_session.algebras["M"], None)
+    with pytest.raises(PreconditionError) as info:
+        table.class_row(dsl.eval_expr("theta*eta", paper_session), 2)
+    assert info.value.witness == dsl.eval_expr("mu*nu*eta", paper_session)
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from cdgalab import Matrix, make_field, wedge
 from cdgalab.algebra import Algebra, Conjugation, Differential, apply_d
 from cdgalab.homology import CochainComplex, CohomologyTable
+from cdgalab.linalg import Eliminator
 from cdgalab.symplectic import is_symplectic, lefschetz
 
 LEF_WITNESS_SIGN = -1  # frozen: omega^2*nu*nubar = d(-2*theta*mubar*etabar*eta*nubar)
@@ -133,3 +137,55 @@ def test_kernel_rank_is_basis_independent(model):
         cls = table.class_of(om.representative(), 2)
         assert list(cls.coords) == list(coeffs)
         assert lefschetz(cls, 2).rank == base_rank
+
+
+@pytest.mark.parametrize("which", ["table", "invariant_table"])
+def test_rank_only_path_agrees_with_the_full_elimination(model, which):
+    """The report's rank comes from one elimination of the cup matrix and
+    its kernel dimension from rank-nullity; both must agree with the [A | I]
+    elimination that the kernel basis is built from."""
+    table = getattr(model, which)
+    om = table.class_of(model.omega, 2)
+    n = table.top // 2
+    for k in range(n + 1):
+        rep = lefschetz(om, k)
+        assert rep.rank == Eliminator(rep.matrix).rank
+        assert rep.rank + rep.kernel_dim == table.betti[n - k]
+        assert rep.kernel.dim == rep.kernel_dim
+        m = rep.matrix
+        for x in rep.kernel.rows:
+            assert Matrix(model.field, m.nrows, [x]).matmul(m).sparse_rows == [{}]
+
+
+CLOSED_1_FORMS = ("mu", "nu", "eta", "mubar", "nubar", "etabar")
+
+
+def _non_rational_closed_form(model, rng, nwords=4):
+    """A closed 2-form sum (q + c*z^e) * a*b over products of the closed
+    1-forms, every coefficient non-rational."""
+    f, g = model.field, model.gens
+    pairs = [(a, b) for i, a in enumerate(CLOSED_1_FORMS) for b in CLOSED_1_FORMS[i + 1:]]
+    form = model.algebra.zero()
+    for a, b in rng.sample(pairs, nwords):
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        e = rng.choice([e for e in range(1, f.n) if e != f.n // 2])
+        coeff = f.rational(q) + f.zeta(e) * rng.choice((-3, -2, -1, 1, 2, 3))
+        assert not coeff.is_rational()
+        form = form + (g[a] * g[b]).scale(coeff)
+    return form
+
+
+@pytest.mark.parametrize("seed", [5, 17, 29])
+def test_galois_conjugate_forms_have_equal_lefschetz_ranks(model, seed):
+    """Cup matrices of a form and of its conjugate under z -> z^5 are Galois
+    conjugates entrywise, so the exact elimination over Q(zeta_12) must give
+    them equal ranks."""
+    table = model.table
+    form = _non_rational_closed_form(model, random.Random(seed))
+    conj = form.algebra.zero()
+    for w, c in form.terms.items():
+        conj = conj + model.algebra.word_element(w).scale(c.galois(5))
+    assert conj != form
+    for k in (1, 2):
+        ranks = [lefschetz(table.class_of(x, 2), k).rank for x in (form, conj)]
+        assert ranks[0] == ranks[1] <= table.betti[4 - k]
