@@ -4,7 +4,8 @@
     cdga check <file>                   parse and static checks only
     cdga dump <file> <name>             print a bound element canonically
 
-Exit codes: 0 success, 1 task failure, 2 parse/static error, 3 internal
+Exit codes: 0 success, 1 task failure, 2 parse/static error or I/O error
+(an unreadable or non-UTF-8 session file, an unwritable report), 3 internal
 invariant violated (an engine fault, reported on stderr).
 """
 
@@ -22,11 +23,15 @@ def _load(path: str) -> str:
         return fh.read()
 
 
+def _io_error(path: str, e: OSError | UnicodeDecodeError):
+    print(f"{path}: {getattr(e, 'strerror', None) or e}", file=sys.stderr)
+
+
 def _parse_or_exit(path: str) -> "dsl.Session | None":
     try:
         text = _load(path)
-    except OSError as e:
-        print(f"{path}: {e.strerror or e}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as e:
+        _io_error(path, e)
         return None
     try:
         return dsl.parse(text)
@@ -47,8 +52,12 @@ def cmd_run(args) -> int:
         return 3
     sys.stdout.write(report.human_text())
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.machine_text())
+        try:
+            with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(report.machine_text())
+        except OSError as e:
+            _io_error(args.report, e)
+            return 2
     return 0 if report.ok else 1
 
 

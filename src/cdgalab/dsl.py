@@ -1,6 +1,7 @@
 """Session language: parser, evaluator, task runner and report writer.
 
-Grammar (line-oriented, ``#`` comments, identifiers ``[A-Za-z][A-Za-z0-9_]*``)::
+Grammar (line-oriented, ``#`` comments, identifiers ``[A-Za-z][A-Za-z0-9_]*``,
+integers ``[0-9]+``; both ASCII only)::
 
     field cyclotomic <n>
     algebra <name> generators <g1>:<deg> <g2>:<deg> ... [top <t>]
@@ -21,14 +22,18 @@ diagnostic; no input text crashes the parser.
 
 Tasks: ``betti``, ``invariant_betti``, ``obstruction``, ``massey``,
 ``symplectic``, ``lefschetz``, ``mv_union``, ``resolution``, ``verify_exact``.
-The machine-readable report is one ``key = value`` record per line after a
-header record carrying the sha256 of the session text; identical sessions
-produce byte-identical reports.
+``Parser.task_<name>`` checks a task's arguments and returns them as the
+positional tuple ``Task.args``; ``run`` looks up ``_TASK_RUNNERS[name]``, the
+one runner table, for each task and calls it with ``(run context, report,
+*args)``.  The machine-readable report is one ``key = value`` record per line
+after a header record carrying the sha256 of the session text; identical
+sessions produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
@@ -67,8 +72,11 @@ class DslError(Exception):
 
 # --- tokens -----------------------------------------------------------------
 
-_SYMBOLS = ("->", ":", "=", "{", "}", ";", "*", "+", "-", "^", "/", "(", ")")
-_ONE_CHAR_SYMBOLS = frozenset(s for s in _SYMBOLS if len(s) == 1)
+# One alternative per token kind; blanks and comments match no named group
+# and are skipped, and any other character is BAD.
+_TOKEN = re.compile(r"(?P<NEWLINE>\n)|[ \t\r]+|#[^\n]*|(?P<INT>[0-9]+)"
+                    r"|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<SYM>->|[:={};*+\-^/()])|(?P<BAD>.)")
 
 
 @dataclass(frozen=True)
@@ -81,56 +89,18 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            startcol = col
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(Token("INT", text[start:i], line, startcol))
-            continue
-        if ch.isalpha():
-            start = i
-            startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("IDENT", text[start:i], line, startcol))
-            continue
-        two = text[i:i + 2]
-        if two == "->":
-            tokens.append(Token("SYM", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR_SYMBOLS:
-            tokens.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslError(Diagnostic(line, col, f"unexpected character {ch!r}"))
-    tokens.append(Token("EOF", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "BAD":
+            raise DslError(Diagnostic(line, col, f"unexpected character {m.group()!r}"))
+        tokens.append(Token(kind, m.group(), line, col))
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -144,6 +114,10 @@ class AlgebraContext:
     first_d_token: Optional[Token] = None
     conjugation: Optional[Conjugation] = None
     differential: Optional[Differential] = None  # built by finalize
+    gen_degrees: dict = dc_field(init=False, repr=False)  # generator name -> degree
+
+    def __post_init__(self):
+        self.gen_degrees = {g.name: g.degree for g in self.algebra.gens}
 
 
 @dataclass
@@ -158,7 +132,7 @@ class MapBinding:
 @dataclass
 class Task:
     name: str
-    payload: dict
+    args: tuple  # what _TASK_RUNNERS[name] takes after the run context and report
 
 
 @dataclass
@@ -177,7 +151,7 @@ class Session:
         if name in self.lets:
             return self.lets[name]
         for ctx in self.algebras.values():
-            if name in {g.name for g in ctx.algebra.gens}:
+            if name in ctx.gen_degrees:
                 return ctx.algebra.generator(name)
         return None
 
@@ -185,8 +159,8 @@ class Session:
 # --- parser -----------------------------------------------------------------
 
 class Parser:
-    def __init__(self, text: str):
-        self.session = Session(text)
+    def __init__(self, text: str, session: Optional[Session] = None):
+        self.session = Session(text) if session is None else session
         self.tokens = tokenize(text)
         self.pos = 0
         self.current: Optional[AlgebraContext] = None
@@ -206,17 +180,18 @@ class Parser:
     def fail(self, token: Token, message: str):
         raise DslError(Diagnostic(token.line, token.col, message))
 
-    def accept_sym(self, sym: str) -> bool:
+    def accept(self, text: str, kind: str = "SYM") -> Optional[Token]:
         t = self.peek()
-        if t.kind == "SYM" and t.text == sym:
-            self.next()
-            return True
-        return False
+        if t.kind == kind and t.text == text:
+            return self.next()
+        return None
 
-    def expect_sym(self, sym: str) -> Token:
+    def expect(self, text: str, kind: str = "SYM") -> Token:
+        """The next token, which must be the symbol (or, with kind IDENT,
+        the keyword) ``text``."""
         t = self.next()
-        if t.kind != "SYM" or t.text != sym:
-            self.fail(t, f"expected {sym!r}")
+        if t.kind != kind or t.text != text:
+            self.fail(t, f"expected {text!r}")
         return t
 
     def expect_ident(self, what: str = "identifier") -> Token:
@@ -229,7 +204,10 @@ class Parser:
         t = self.next()
         if t.kind != "INT":
             self.fail(t, f"expected {what}")
-        return int(t.text), t
+        try:
+            return int(t.text), t
+        except ValueError:  # longer than the interpreter converts
+            self.fail(t, f"integer literal too long: {len(t.text)} digits")
 
     def skip_newlines(self):
         while self.peek().kind == "NEWLINE":
@@ -261,6 +239,22 @@ class Parser:
             self.fail(token, "no algebra declared yet")
         return self.current
 
+    def known_generator(self, ctx: AlgebraContext, t: Token) -> Token:
+        if t.text not in ctx.gen_degrees:
+            self.fail(t, f"unknown generator {t.text!r}")
+        return t
+
+    def resolve_element(self, ctx: AlgebraContext, t: Token, noun: str) -> GradedElement:
+        """The generator or ``let`` of ``ctx``'s algebra that ``t`` names."""
+        if t.text in ctx.gen_degrees:
+            return ctx.algebra.generator(t.text)
+        value = self.session.lets.get(t.text)
+        if value is None:
+            self.fail(t, f"unknown {noun} {t.text!r}")
+        if value.algebra is not ctx.algebra:
+            self.fail(t, f"{t.text!r} belongs to another algebra")
+        return value
+
     # statements
 
     def parse(self) -> Session:
@@ -271,15 +265,7 @@ class Parser:
                 break
             if t.kind != "IDENT":
                 self.fail(t, f"expected a statement keyword, got {t.text!r}")
-            handler = {
-                "field": self.stmt_field,
-                "algebra": self.stmt_algebra,
-                "conjugation": self.stmt_conjugation,
-                "d": self.stmt_d,
-                "map": self.stmt_map,
-                "let": self.stmt_let,
-                "task": self.stmt_task,
-            }.get(t.text)
+            handler = getattr(self, f"stmt_{t.text}", None)
             if handler is None:
                 self.fail(t, f"unknown statement {t.text!r}")
             handler()
@@ -305,20 +291,15 @@ class Parser:
         field = self.require_field(kw)
         name_tok = self.expect_ident("algebra name")
         self.declare(name_tok, "algebra")
-        t = self.expect_ident("'generators'")
-        if t.text != "generators":
-            self.fail(t, "expected 'generators'")
+        self.expect("generators", "IDENT")
         gens = []
         top = None
-        while True:
-            t = self.peek()
-            if t.kind in ("NEWLINE", "EOF"):
-                break
+        while self.peek().kind not in ("NEWLINE", "EOF"):
             g = self.expect_ident("generator name")
             if g.text == "top":
                 top, _ = self.expect_int("top degree")
                 break
-            self.expect_sym(":")
+            self.expect(":")
             deg, dtok = self.expect_int("generator degree")
             if deg < 1:
                 self.fail(dtok, f"generator degree must be >= 1, got {deg}")
@@ -345,10 +326,7 @@ class Parser:
             if self.peek().kind != "IDENT":
                 self.fail(a, f"conjugation takes generator pairs; {a.text!r} has no partner")
             b = self.next()
-            for t in (a, b):
-                if t.text not in {g.name for g in ctx.algebra.gens}:
-                    self.fail(t, f"unknown generator {t.text!r}")
-            pairs.append((a.text, b.text))
+            pairs.append((self.known_generator(ctx, a).text, self.known_generator(ctx, b).text))
         if not pairs:
             self.fail(self.peek(), "conjugation needs at least one pair")
         try:
@@ -360,17 +338,13 @@ class Parser:
     def stmt_d(self):
         kw = self.next()
         ctx = self.require_algebra(kw)
-        gen_tok = self.expect_ident("generator name")
-        names = {g.name for g in ctx.algebra.gens}
-        if gen_tok.text not in names:
-            self.fail(gen_tok, f"unknown generator {gen_tok.text!r}")
+        gen_tok = self.known_generator(ctx, self.expect_ident("generator name"))
         if gen_tok.text in ctx.d_assignments:
             self.fail(gen_tok, f"duplicate differential for {gen_tok.text!r}")
-        self.expect_sym("=")
+        self.expect("=")
         expr_tok = self.peek()
         value = self.parse_expr(ctx)
-        gdeg = ctx.algebra.degrees[ctx.algebra.generator_index(gen_tok.text)]
-        want = gdeg + 1
+        want = ctx.gen_degrees[gen_tok.text] + 1
         if not value.is_zero() and value.degree() != want:
             got = value.degree()
             shown = got if got is not None else "mixed"
@@ -386,35 +360,31 @@ class Parser:
         ctx = self.require_algebra(kw)
         name_tok = self.expect_ident("map name")
         self.declare(name_tok, "map")
-        t = self.expect_ident("'order'")
-        if t.text != "order":
-            self.fail(t, "expected 'order'")
+        self.expect("order", "IDENT")
         order, otok = self.expect_int("map order")
         if order < 1:
             self.fail(otok, f"order must be >= 1, got {order}")
-        self.expect_sym("{")
+        self.expect("{")
         assignments = {}
         while True:
             self.skip_newlines()
-            if self.accept_sym("}"):
+            if self.accept("}"):
                 break
-            gen_tok = self.expect_ident("generator name")
-            if gen_tok.text not in {g.name for g in ctx.algebra.gens}:
-                self.fail(gen_tok, f"unknown generator {gen_tok.text!r}")
+            gen_tok = self.known_generator(ctx, self.expect_ident("generator name"))
             if gen_tok.text in assignments:
                 self.fail(gen_tok, f"duplicate map assignment for {gen_tok.text!r}")
-            self.expect_sym("->")
+            self.expect("->")
             expr_tok = self.peek()
             value = self.parse_expr(ctx)
-            want = ctx.algebra.degrees[ctx.algebra.generator_index(gen_tok.text)]
+            want = ctx.gen_degrees[gen_tok.text]
             if not value.is_zero() and value.degree() != want:
                 self.fail(expr_tok,
                           f"degree mismatch: image of {gen_tok.text} must have degree {want}")
             assignments[gen_tok.text] = value
             self.skip_newlines()
-            if not self.accept_sym(";"):
+            if not self.accept(";"):
                 self.skip_newlines()
-                self.expect_sym("}")
+                self.expect("}")
                 break
         try:
             amap = AlgebraMap(ctx.algebra, ctx.algebra, assignments)
@@ -428,40 +398,39 @@ class Parser:
         ctx = self.require_algebra(kw)
         name_tok = self.expect_ident("binding name")
         self.declare(name_tok, "let")
-        self.expect_sym("=")
+        self.expect("=")
         value = self.parse_expr(ctx)
         self.session.lets[name_tok.text] = value
         self.expect_end_of_statement()
 
     # expressions
 
-    def parse_expr(self, ctx: AlgebraContext) -> GradedElement:
-        negate = self.accept_sym("-")
-        acc = self.parse_term(ctx)
+    def signed_sum(self, term):
+        """``['-'] term (('+'|'-') term)*``, for elements and for scalars."""
+        negate = self.accept("-")
+        acc = term()
         if negate:
             acc = -acc
         while True:
             t = self.peek()
-            if t.kind == "SYM" and t.text in ("+", "-"):
-                self.next()
-                rhs = self.parse_term(ctx)
-                acc = acc + rhs if t.text == "+" else acc - rhs
-            else:
-                break
-        return acc
+            if t.kind != "SYM" or t.text not in ("+", "-"):
+                return acc
+            self.next()
+            acc = acc + term() if t.text == "+" else acc - term()
+
+    def parse_expr(self, ctx: AlgebraContext) -> GradedElement:
+        return self.signed_sum(lambda: self.parse_term(ctx))
 
     def parse_term(self, ctx: AlgebraContext) -> GradedElement:
         t = self.peek()
         if t.kind == "SYM" and t.text == "{":
             scalar = self.parse_scalar(ctx)
-            if self.accept_sym("*"):
-                acc = self.parse_factor(ctx).scale(scalar)
-                while self.accept_sym("*"):
-                    acc = wedge(acc, self.parse_factor(ctx))
-                return acc
-            return ctx.algebra.scalar(scalar)
-        acc = self.parse_factor(ctx)
-        while self.accept_sym("*"):
+            if not self.accept("*"):
+                return ctx.algebra.scalar(scalar)
+            acc = self.parse_factor(ctx).scale(scalar)
+        else:
+            acc = self.parse_factor(ctx)
+        while self.accept("*"):
             acc = wedge(acc, self.parse_factor(ctx))
         return acc
 
@@ -469,61 +438,40 @@ class Parser:
         t = self.next()
         if t.kind == "SYM" and t.text == "(":
             e = self.parse_expr(ctx)
-            self.expect_sym(")")
+            self.expect(")")
             return e
         if t.kind != "IDENT":
             self.fail(t, f"expected an element, got {t.text!r}")
-        name = t.text
-        if name in {g.name for g in ctx.algebra.gens}:
-            return ctx.algebra.generator(name)
-        if name in self.session.lets:
-            value = self.session.lets[name]
-            if value.algebra is not ctx.algebra:
-                self.fail(t, f"{name!r} belongs to another algebra")
-            return value
-        self.fail(t, f"unknown identifier {name!r}")
+        return self.resolve_element(ctx, t, "identifier")
 
     def parse_scalar(self, ctx: AlgebraContext) -> FieldElement:
-        open_tok = self.expect_sym("{")
+        open_tok = self.expect("{")
         field = self.require_field(open_tok)
-        value = self.scalar_sum(field, open_tok)
-        self.expect_sym("}")
+        value = self.signed_sum(lambda: self.scalar_term(field))
+        t = self.next()
+        if t.kind in ("NEWLINE", "EOF"):
+            self.fail(t, "malformed scalar: missing '}'")
+        if t.kind != "SYM" or t.text != "}":
+            self.fail(t, f"malformed scalar: unexpected {t.text!r}")
         return value
-
-    def scalar_sum(self, field: CycloField, open_tok: Token) -> FieldElement:
-        negate = self.accept_sym("-")
-        acc = self.scalar_term(field)
-        if negate:
-            acc = -acc
-        while True:
-            t = self.peek()
-            if t.kind == "SYM" and t.text in ("+", "-"):
-                self.next()
-                rhs = self.scalar_term(field)
-                acc = acc + rhs if t.text == "+" else acc - rhs
-            elif t.kind == "SYM" and t.text == "}":
-                return acc
-            elif t.kind in ("NEWLINE", "EOF"):
-                self.fail(t, "malformed scalar: missing '}'")
-            else:
-                self.fail(t, f"malformed scalar: unexpected {t.text!r}")
 
     def scalar_term(self, field: CycloField) -> FieldElement:
         acc = self.scalar_factor(field)
-        while self.accept_sym("*"):
+        while self.accept("*"):
             acc = acc * self.scalar_factor(field)
         return acc
 
     def scalar_factor(self, field: CycloField) -> FieldElement:
-        t = self.next()
+        t = self.peek()
         if t.kind == "INT":
-            num = int(t.text)
-            if self.accept_sym("/"):
+            num, _ = self.expect_int()
+            if self.accept("/"):
                 den, dtok = self.expect_int("denominator")
                 if den == 0:
                     self.fail(dtok, "malformed scalar: zero denominator")
                 return field.rational(Fraction(num, den))
             return field.rational(num)
+        self.next()
         if t.kind == "IDENT" and t.text in ("z", "i"):
             if t.text == "i":
                 if field.n % 4 != 0:
@@ -531,7 +479,7 @@ class Parser:
                 base = field.imaginary_unit()
             else:
                 base = field.zeta(1)
-            if self.accept_sym("^"):
+            if self.accept("^"):
                 k, _ = self.expect_int("exponent")
                 return base ** k
             return base
@@ -540,13 +488,13 @@ class Parser:
     # tasks
 
     def stmt_task(self):
-        kw = self.next()
+        self.next()
         name_tok = self.expect_ident("task name")
         name = name_tok.text
         if name not in _TASK_RUNNERS:
             self.fail(name_tok, f"unknown task {name!r}")
-        payload = getattr(self, f"task_{name}")(name_tok)
-        self.session.tasks.append(Task(name, payload))
+        args = getattr(self, f"task_{name}")(name_tok)
+        self.session.tasks.append(Task(name, args))
         self.expect_end_of_statement()
 
     def arg_algebra(self) -> AlgebraContext:
@@ -566,18 +514,9 @@ class Parser:
         return binding
 
     def arg_element(self, ctx: AlgebraContext) -> GradedElement:
-        t = self.expect_ident("element name")
-        names = {g.name for g in ctx.algebra.gens}
-        if t.text in names:
-            return ctx.algebra.generator(t.text)
-        value = self.session.lets.get(t.text)
-        if value is None:
-            self.fail(t, f"unknown element {t.text!r}")
-        if value.algebra is not ctx.algebra:
-            self.fail(t, f"{t.text!r} belongs to another algebra")
-        return value
+        return self.resolve_element(ctx, self.expect_ident("element name"), "element")
 
-    def arg_complex_mode(self, ctx: AlgebraContext):
+    def arg_complex_mode(self, ctx: AlgebraContext) -> Optional[MapBinding]:
         t = self.expect_ident("'invariant' or 'full'")
         if t.text == "full":
             return None
@@ -585,81 +524,65 @@ class Parser:
             return self.arg_map(ctx)
         self.fail(t, "expected 'invariant <map>' or 'full'")
 
-    def accept_reps_flag(self) -> bool:
-        t = self.peek()
-        if t.kind == "IDENT" and t.text == "reps":
-            self.next()
-            return True
-        return False
+    def task_betti(self, tok: Token) -> tuple:
+        return self.arg_algebra(), self.accept("reps", "IDENT") is not None
 
-    def task_betti(self, tok: Token) -> dict:
-        return {"ctx": self.arg_algebra(), "reps": self.accept_reps_flag()}
-
-    def task_invariant_betti(self, tok: Token) -> dict:
+    def task_invariant_betti(self, tok: Token) -> tuple:
         ctx = self.arg_algebra()
-        return {"ctx": ctx, "map": self.arg_map(ctx), "reps": self.accept_reps_flag()}
+        return ctx, self.arg_map(ctx), self.accept("reps", "IDENT") is not None
 
-    def task_symplectic(self, tok: Token) -> dict:
+    def task_symplectic(self, tok: Token) -> tuple:
         ctx = self.arg_algebra()
         omega = self.arg_element(ctx)
         n, _ = self.expect_int("half dimension")
         vol = self.arg_element(ctx)
         if ctx.conjugation is None:
             self.fail(tok, f"algebra {ctx.name!r} has no conjugation declared")
-        return {"ctx": ctx, "omega": omega, "n": n, "vol": vol}
+        return ctx, omega, n, vol
 
-    def task_obstruction(self, tok: Token) -> dict:
+    def task_obstruction(self, tok: Token) -> tuple:
         ctx = self.arg_algebra()
         mode = self.arg_complex_mode(ctx)
         alpha = self.arg_element(ctx)
         betas = tuple(self.arg_element(ctx) for _ in range(3))
-        vol = self.arg_element(ctx)
-        return {"ctx": ctx, "map": mode, "alpha": alpha, "betas": betas, "vol": vol}
+        return ctx, mode, alpha, betas, self.arg_element(ctx)
 
-    def task_massey(self, tok: Token) -> dict:
+    def task_massey(self, tok: Token) -> tuple:
         ctx = self.arg_algebra()
-        return {"ctx": ctx, "elements": tuple(self.arg_element(ctx) for _ in range(3))}
+        return (ctx, *(self.arg_element(ctx) for _ in range(3)))
 
-    def task_lefschetz(self, tok: Token) -> dict:
+    def task_lefschetz(self, tok: Token) -> tuple:
         ctx = self.arg_algebra()
         mode = self.arg_complex_mode(ctx)
         omega = self.arg_element(ctx)
         k, _ = self.expect_int("power k")
-        return {"ctx": ctx, "map": mode, "omega": omega, "k": k}
+        return ctx, mode, omega, k
 
     def parse_space(self) -> BettiVector:
         t = self.expect_ident("'proj' or 'p1b'")
-        if t.text == "proj":
-            n, ntok = self.expect_int("projective dimension")
-            try:
-                return betti_projective(n)
-            except ValueError as e:
-                self.fail(ntok, str(e))
-        if t.text == "p1b":
-            n, ntok = self.expect_int("base projective dimension")
-            try:
-                return betti_p1_bundle(betti_projective(n))
-            except ValueError as e:
-                self.fail(ntok, str(e))
-        self.fail(t, "expected 'proj <n>' or 'p1b <n>'")
+        if t.text not in ("proj", "p1b"):
+            self.fail(t, "expected 'proj <n>' or 'p1b <n>'")
+        n, ntok = self.expect_int("projective dimension" if t.text == "proj"
+                                  else "base projective dimension")
+        try:
+            space = betti_projective(n)
+            return space if t.text == "proj" else betti_p1_bundle(space)
+        except ValueError as e:
+            self.fail(ntok, str(e))
 
     def parse_graph(self) -> IncidenceGraph:
         nodes = []
         edges = []
         while True:
-            t = self.peek()
-            if t.kind == "IDENT" and t.text == "node":
-                self.next()
+            if self.accept("node", "IDENT"):
                 nodes.append(self.parse_space())
-            elif t.kind == "IDENT" and t.text == "edge":
-                etok = self.next()
+            elif etok := self.accept("edge", "IDENT"):
                 a, atok = self.expect_int("node index")
                 b, btok = self.expect_int("node index")
                 inter = self.parse_space()
-                if not (0 <= a < len(nodes)):
-                    self.fail(atok, f"node index {a} out of range")
-                if not (0 <= b < len(nodes)):
-                    self.fail(btok, f"node index {b} out of range")
+                for index, itok in ((a, atok), (b, btok)):
+                    if not 0 <= index < len(nodes):
+                        self.fail(itok, f"node index {index} out of range")
                 edge = Edge(a, b, inter)
                 try:
                     check_edge(nodes, edge)
@@ -672,34 +595,28 @@ class Parser:
             self.fail(self.peek(), "expected at least one 'node' clause")
         return IncidenceGraph(nodes, edges)
 
-    def task_mv_union(self, tok: Token) -> dict:
-        return {"graph": self.parse_graph()}
+    def task_mv_union(self, tok: Token) -> tuple:
+        return (self.parse_graph(),)
 
-    def task_resolution(self, tok: Token) -> dict:
+    def task_resolution(self, tok: Token) -> tuple:
         ctx = self.arg_algebra()
         binding = self.arg_map(ctx)
         s, _ = self.expect_int("number of resolved points")
-        graph = self.parse_graph()
-        return {"ctx": ctx, "map": binding, "s": s, "graph": graph}
+        return ctx, binding, s, self.parse_graph()
 
-    def task_verify_exact(self, tok: Token) -> dict:
-        lhs_tok = self.peek()
-        lhs_name = self.expect_ident("element name").text
-        lhs = self.session.lookup_element(lhs_name)
-        if lhs is None:
-            self.fail(lhs_tok, f"unknown element {lhs_name!r}")
-        prim_tok = self.peek()
-        prim_name = self.expect_ident("element name").text
-        prim = self.session.lookup_element(prim_name)
-        if prim is None:
-            self.fail(prim_tok, f"unknown element {prim_name!r}")
+    def task_verify_exact(self, tok: Token) -> tuple:
+        values = []
+        for _ in range(2):  # lhs, then the primitive, looked up session-wide
+            t = self.expect_ident("element name")
+            value = self.session.lookup_element(t.text)
+            if value is None:
+                self.fail(t, f"unknown element {t.text!r}")
+            values.append(value)
+        lhs, prim = values
         if prim.algebra is not lhs.algebra:
-            self.fail(prim_tok, f"{prim_name!r} belongs to another algebra")
-        ctx = None
-        for c in self.session.algebras.values():
-            if c.algebra is lhs.algebra:
-                ctx = c
-        return {"ctx": ctx, "lhs": lhs, "prim": prim}
+            self.fail(t, f"{t.text!r} belongs to another algebra")
+        ctx = next(c for c in self.session.algebras.values() if c.algebra is lhs.algebra)
+        return ctx, lhs, prim
 
     # finalization: build and validate differentials and declared actions
 
@@ -727,19 +644,13 @@ def parse(text: str) -> Session:
 
 def eval_expr(text: str, session: Session, algebra_name: Optional[str] = None) -> GradedElement:
     """Evaluate one expression against the bindings of a parsed session."""
-    parser = Parser("")
-    parser.session = session
-    parser.tokens = tokenize(text)
-    parser.pos = 0
+    parser = Parser(text, session)
     if algebra_name is None:
         if not session.algebras:
             raise DslError(Diagnostic(1, 1, "no algebra declared"))
         algebra_name = next(reversed(session.algebras))
-    ctx = session.algebras[algebra_name]
-    value = parser.parse_expr(ctx)
-    t = parser.peek()
-    if t.kind not in ("NEWLINE", "EOF"):
-        parser.fail(t, f"unexpected trailing token {t.text!r}")
+    value = parser.parse_expr(session.algebras[algebra_name])
+    parser.expect_end_of_statement()
     return value
 
 
@@ -800,7 +711,7 @@ def run(session: Session) -> Report:
     rc = _RunContext()
     for index, task in enumerate(session.tasks):
         try:
-            _TASK_RUNNERS[task.name](rc, task.payload, report)
+            _TASK_RUNNERS[task.name](rc, report, *task.args)
         except (ValueError, ZeroDivisionError) as e:
             report.fail_task(index, task.name, str(e))
     return report
@@ -812,16 +723,16 @@ def _dump_representatives(table, key: str, report: Report):
             report.add(f"{key}[{k}.{j}]", format_element(r))
 
 
-def _run_betti(rc: _RunContext, p: dict, report: Report):
-    table = rc.table(p["ctx"], None)
+def _run_betti(rc: _RunContext, report: Report, ctx: AlgebraContext, reps: bool):
+    table = rc.table(ctx, None)
     for k, b in enumerate(table.betti):
         report.add(f"betti[{k}]", b)
-    if p.get("reps"):
+    if reps:
         _dump_representatives(table, "betti_rep", report)
 
 
-def _run_invariant_betti(rc: _RunContext, p: dict, report: Report):
-    ctx, binding = p["ctx"], p["map"]
+def _run_invariant_betti(rc: _RunContext, report: Report, ctx: AlgebraContext,
+                         binding: MapBinding, reps: bool):
     table = rc.table(ctx, binding)
     check_fixed_part(table, rc.table(ctx, None), binding.action)
     cx = table.complex
@@ -830,22 +741,24 @@ def _run_invariant_betti(rc: _RunContext, p: dict, report: Report):
     for k, b in enumerate(table.betti):
         report.add(f"invariant_betti[{k}]", b)
     report.add("invariant_consistency", "ok")
-    if p.get("reps"):
+    if reps:
         _dump_representatives(table, "invariant_betti_rep", report)
 
 
-def _run_symplectic(rc: _RunContext, p: dict, report: Report):
-    ctx = p["ctx"]
-    verdict = is_symplectic(p["omega"], p["n"], ctx.conjugation, ctx.differential, p["vol"])
+def _run_symplectic(rc: _RunContext, report: Report, ctx: AlgebraContext,
+                    omega: GradedElement, n: int, vol: GradedElement):
+    verdict = is_symplectic(omega, n, ctx.conjugation, ctx.differential, vol)
     report.add("symplectic", "yes" if verdict.ok else "no")
     report.add("symplectic_closed", "yes" if verdict.closed else "no")
     report.add("symplectic_real", "yes" if verdict.real else "no")
     report.add("omega_power_scalar", format_scalar(verdict.power_scalar))
 
 
-def _run_obstruction(rc: _RunContext, p: dict, report: Report):
-    table = rc.table(p["ctx"], p["map"])
-    result = obstruction(ObstructionInput(p["alpha"], p["betas"], p["vol"]), table)
+def _run_obstruction(rc: _RunContext, report: Report, ctx: AlgebraContext,
+                     binding: Optional[MapBinding], alpha: GradedElement, betas: tuple,
+                     vol: GradedElement):
+    table = rc.table(ctx, binding)
+    result = obstruction(ObstructionInput(alpha, betas, vol), table)
     for i, xi in enumerate(result.primitives):
         report.add(f"obstruction_xi[{i + 1}]", format_element(xi))
     report.add("obstruction_scalar", format_scalar(result.scalar))
@@ -855,42 +768,41 @@ def _run_obstruction(rc: _RunContext, p: dict, report: Report):
                "yes" if result.certifies_nonformality() else "inconclusive")
 
 
-def _run_massey(rc: _RunContext, p: dict, report: Report):
-    table = rc.table(p["ctx"], None)
-    result = massey_triple(*(table.class_of(e) for e in p["elements"]))
+def _run_massey(rc: _RunContext, report: Report, ctx: AlgebraContext,
+                x: GradedElement, y: GradedElement, z: GradedElement):
+    table = rc.table(ctx, None)
+    result = massey_triple(table.class_of(x), table.class_of(y), table.class_of(z))
     report.add("massey_class", format_element(result.representative))
     report.add("massey_class_is_zero",
                "yes" if all(c.is_zero() for c in result.class_coords) else "no")
     report.add("massey_indeterminacy_dim", result.indeterminacy.dim)
 
 
-def _run_lefschetz(rc: _RunContext, p: dict, report: Report):
-    table = rc.table(p["ctx"], p["map"])
-    result = lefschetz(table.class_of(p["omega"], 2), p["k"])
-    report.add(f"lefschetz_rank[{p['k']}]", result.rank)
-    report.add(f"lefschetz_kernel_dim[{p['k']}]", result.kernel_dim)
+def _run_lefschetz(rc: _RunContext, report: Report, ctx: AlgebraContext,
+                   binding: Optional[MapBinding], omega: GradedElement, k: int):
+    result = lefschetz(rc.table(ctx, binding).class_of(omega, 2), k)
+    report.add(f"lefschetz_rank[{k}]", result.rank)
+    report.add(f"lefschetz_kernel_dim[{k}]", result.kernel_dim)
 
 
-def _run_mv_union(rc: _RunContext, p: dict, report: Report):
-    v = betti_union(p["graph"])
-    for j, b in enumerate(v):
+def _run_mv_union(rc: _RunContext, report: Report, graph: IncidenceGraph):
+    for j, b in enumerate(betti_union(graph)):
         report.add(f"mv_betti[{j}]", b)
 
 
-def _run_resolution(rc: _RunContext, p: dict, report: Report):
-    ctx, binding = p["ctx"], p["map"]
-    table = rc.table(ctx, binding)
-    bhat = BettiVector(tuple(table.betti))
-    exceptional = betti_union(p["graph"])
-    v = betti_resolution(bhat, exceptional, p["s"])
-    report.add("resolution_s", p["s"])
+def _run_resolution(rc: _RunContext, report: Report, ctx: AlgebraContext,
+                    binding: MapBinding, s: int, graph: IncidenceGraph):
+    bhat = BettiVector(tuple(rc.table(ctx, binding).betti))
+    v = betti_resolution(bhat, betti_union(graph), s)
+    report.add("resolution_s", s)
     for j, b in enumerate(v):
         report.add(f"betti_resolution[{j}]", b)
     report.add("resolution_duality_closure", "b0=b8=1, b7=b1")
 
 
-def _run_verify_exact(rc: _RunContext, p: dict, report: Report):
-    diff = p["lhs"] - apply_d(p["ctx"].differential, p["prim"])
+def _run_verify_exact(rc: _RunContext, report: Report, ctx: AlgebraContext,
+                      lhs: GradedElement, prim: GradedElement):
+    diff = lhs - apply_d(ctx.differential, prim)
     if not diff.is_zero():
         raise PreconditionError(
             f"verify_exact failed: difference is {format_element(diff)}", diff)

@@ -295,11 +295,11 @@ def test_criterion_9_toolchain(tmp_path, monkeypatch):
                         "--report", str(out)], capture_output=True, text=True)
     assert r.returncode == 0
     assert out.read_bytes() == golden.read_bytes()
-    assert len(EXPECTED_DIAGNOSTICS) == 13
+    assert len(EXPECTED_DIAGNOSTICS) == 16
     for name, line, col, message in EXPECTED_DIAGNOSTICS:
         with monkeypatch.context() as mp, pytest.raises(dsl.DslError) as err:
             if name in REFUSED_CONDUCTORS:
                 refuse_to_build_fields(mp)
-            dsl.parse((FIXTURES / name).read_text())
+            dsl.parse((FIXTURES / name).read_text(encoding="utf-8"))
         diag = err.value.diagnostic
         assert (diag.line, diag.col, diag.message) == (line, col, message)

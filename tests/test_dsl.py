@@ -1,4 +1,5 @@
 import random
+import re
 import string
 import subprocess
 import sys
@@ -37,9 +38,100 @@ EXPECTED_DIAGNOSTICS = [
     ("bad_task_arity.cdga", 6, 25, "expected half dimension"),
     ("bad_task_name.cdga", 3, 6, "unknown task 'frobnicate'"),
     ("bad_unknown_ident.cdga", 3, 14, "unknown identifier 'qqq'"),
+    # Token classes are ASCII: '²' is not a digit.
+    ("bad_nonascii_digit.cdga", 1, 18, "unexpected character '²'"),
+    # Integer literals longer than the interpreter converts to int.
+    ("bad_long_conductor.cdga", 1, 18, "integer literal too long: 5000 digits"),
+    ("bad_long_exponent.cdga", 3, 12, "integer literal too long: 5000 digits"),
 ]
 # Fixtures whose field must be refused before any of it is built.
 REFUSED_CONDUCTORS = ("bad_conductor.cdga", "bad_conductor_budget.cdga")
+
+_F = "field cyclotomic 12\n"
+_M = _F + "algebra M generators mu:1 nu:1\n"
+_AB = (_F + "algebra A generators a:1\nlet x = a\nmap f order 1 { a -> a }\n"
+       "algebra B generators b:1\n")
+# One minimal session for each diagnostic the parser can give:
+# (session text, line, col, message).
+PINNED_DIAGNOSTICS = [
+    ("field cyclotomic 12 @\n", 1, 21, "unexpected character '@'"),
+    ("{\n", 1, 1, "expected a statement keyword, got '{'"),
+    ("foo\n", 1, 1, "unknown statement 'foo'"),
+    ("field 12\n", 1, 7, "expected 'cyclotomic'"),
+    ("field real 12\n", 1, 7, "unknown field kind 'real'"),
+    ("field cyclotomic x\n", 1, 18, "expected conductor"),
+    ("field cyclotomic 12 13\n", 1, 21, "unexpected trailing token '13'"),
+    (_F + "field cyclotomic 12\n", 2, 1, "duplicate field declaration"),
+    ("algebra M generators a:1\n", 1, 1, "no field declared yet"),
+    (_F + "let x = {1}\n", 2, 1, "no algebra declared yet"),
+    (_F + "algebra 1 generators a:1\n", 2, 9, "expected algebra name"),
+    (_F + "algebra top generators a:1\n", 2, 9, "'top' is a reserved word"),
+    (_F + "algebra M gens a:1\n", 2, 11, "expected 'generators'"),
+    (_F + "algebra M 1\n", 2, 11, "expected 'generators'"),
+    (_F + "algebra M generators 1\n", 2, 22, "expected generator name"),
+    (_F + "algebra M generators a 1\n", 2, 24, "expected ':'"),
+    (_F + "algebra M generators a:x\n", 2, 24, "expected generator degree"),
+    (_F + "algebra M generators a:0\n", 2, 24, "generator degree must be >= 1, got 0"),
+    (_F + "algebra M generators a:2 top x\n", 2, 30, "expected top degree"),
+    (_F + "algebra M generators\n", 2, 21, "an algebra needs at least one generator"),
+    (_F + "algebra M generators a:2\n",
+     2, 9, "an algebra with even generators needs an explicit top degree"),
+    (_M + "conjugation mu xx\n", 3, 16, "unknown generator 'xx'"),
+    (_M + "conjugation\n", 3, 12, "conjugation needs at least one pair"),
+    (_F + "algebra M generators a:1 b:3\nconjugation a b\n",
+     3, 1, "conjugation must pair generators of equal degree"),
+    (_M + "d xx = mu\n", 3, 3, "unknown generator 'xx'"),
+    (_M + "d mu mu\n", 3, 6, "expected '='"),
+    (_F + "algebra M generators a:1 b:1 c:1\nd c = a*b\nd c = a*b\n",
+     4, 3, "duplicate differential for 'c'"),
+    (_F + "algebra M generators a:1 b:1 c:1\nd c = a + a*b\n",
+     3, 7, "degree mismatch: d(c) must have degree 2, got mixed"),
+    (_M + "map f ord 2 { mu -> mu }\n", 3, 7, "expected 'order'"),
+    (_M + "map f order 0 { }\n", 3, 13, "order must be >= 1, got 0"),
+    (_M + "map f order 1 ( }\n", 3, 15, "expected '{'"),
+    (_M + "map f order 1 { xx -> mu }\n", 3, 17, "unknown generator 'xx'"),
+    (_M + "map f order 1 { mu nu }\n", 3, 20, "expected '->'"),
+    (_M + "map f order 1 { mu -> mu ; mu -> nu }\n", 3, 28, "duplicate map assignment for 'mu'"),
+    (_M + "map f order 1 { mu -> mu ; nu -> nu\n", 4, 1, "expected '}'"),
+    (_M + "map f order 1 { mu -> mu }\n", 3, 5, "map misses generator nu"),
+    (_M + "let 1 = mu\n", 3, 5, "expected binding name"),
+    (_M + "let x = mu * +\n", 3, 14, "expected an element, got '+'"),
+    (_M + "let x = (mu + nu\n", 3, 17, "expected ')'"),
+    (_AB + "let y = x\n", 6, 9, "'x' belongs to another algebra"),
+    (_M + "let x = {1\n", 3, 11, "malformed scalar: missing '}'"),
+    (_M + "let x = {1/0}\n", 3, 12, "malformed scalar: zero denominator"),
+    (_M + "let x = {1/y}\n", 3, 12, "expected denominator"),
+    ("field cyclotomic 3\nalgebra M generators mu:1\nlet x = {i}\n",
+     3, 10, "malformed scalar: 'i' needs 4 | conductor, got 3"),
+    (_M + "let x = {+}\n", 3, 10, "malformed scalar: unexpected '+'"),
+    (_M + "let x = {z^y}\n", 3, 12, "expected exponent"),
+    (_M + "task 1\n", 3, 6, "expected task name"),
+    (_M + "task betti X\n", 3, 12, "unknown algebra 'X'"),
+    (_M + "task betti 1\n", 3, 12, "expected algebra name"),
+    (_M + "task betti M extra\n", 3, 14, "unexpected trailing token 'extra'"),
+    (_M + "task invariant_betti M nosuch\n", 3, 24, "unknown map 'nosuch'"),
+    (_M + "task invariant_betti M 1\n", 3, 24, "expected map name"),
+    (_AB + "task invariant_betti B f\n", 6, 24, "map 'f' belongs to another algebra"),
+    (_M + "task massey M mu nu qq\n", 3, 21, "unknown element 'qq'"),
+    (_M + "task massey M mu nu 1\n", 3, 21, "expected element name"),
+    (_AB + "task massey B b b x\n", 6, 19, "'x' belongs to another algebra"),
+    (_M + "task lefschetz M partial mu 1\n", 3, 18, "expected 'invariant <map>' or 'full'"),
+    (_M + "task lefschetz M full mu x\n", 3, 26, "expected power k"),
+    (_M + "task symplectic M mu 1 mu\n", 3, 6, "algebra 'M' has no conjugation declared"),
+    (_F + "task mv_union node foo 1\n", 2, 20, "expected 'proj <n>' or 'p1b <n>'"),
+    (_F + "task mv_union node proj x\n", 2, 25, "expected projective dimension"),
+    (_F + "task mv_union node p1b x\n", 2, 24, "expected base projective dimension"),
+    (_F + "task mv_union node proj 1 edge 5 0 proj 0\n", 2, 32, "node index 5 out of range"),
+    (_F + "task mv_union node proj 1 edge 0 5 proj 0\n", 2, 34, "node index 5 out of range"),
+    (_F + "task mv_union node proj 1 edge x 0 proj 0\n", 2, 32, "expected node index"),
+    (_F + "task mv_union\n", 2, 14, "expected at least one 'node' clause"),
+    (_M + "map f order 1 { mu -> mu ; nu -> nu }\ntask resolution M f x node proj 1\n",
+     4, 21, "expected number of resolved points"),
+    (_M + "task verify_exact qq mu\n", 3, 19, "unknown element 'qq'"),
+    (_M + "task verify_exact mu qq\n", 3, 22, "unknown element 'qq'"),
+    (_M + "task verify_exact 1 mu\n", 3, 19, "expected element name"),
+    (_AB + "task verify_exact x b\n", 6, 21, "'b' belongs to another algebra"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +148,7 @@ def test_paper_session_parses_cleanly(paper_session):
 
 @pytest.mark.parametrize("name,line,col,message", EXPECTED_DIAGNOSTICS)
 def test_corrupted_fixture_diagnostics(name, line, col, message, monkeypatch):
-    text = (FIXTURES / name).read_text()
+    text = (FIXTURES / name).read_text(encoding="utf-8")
     if name in REFUSED_CONDUCTORS:
         refuse_to_build_fields(monkeypatch)
     with pytest.raises(dsl.DslError) as err:
@@ -64,6 +156,14 @@ def test_corrupted_fixture_diagnostics(name, line, col, message, monkeypatch):
     d = err.value.diagnostic
     assert (d.line, d.col) == (line, col)
     assert d.message == message
+
+
+@pytest.mark.parametrize("text,line,col,message", PINNED_DIAGNOSTICS)
+def test_pinned_parser_diagnostics(text, line, col, message):
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(text)
+    d = err.value.diagnostic
+    assert (d.line, d.col, d.message) == (line, col, message)
 
 
 def test_conductor_budget_fails_before_anything_is_built(monkeypatch, capsys):
@@ -288,7 +388,7 @@ def test_verify_exact_failure_is_carried_in_report(tmp_path):
         ("verify_exact_error", "verify_exact failed: difference is {2}*mu*nu")]
     # the failure carries the difference lhs - d(prim) as its witness
     with pytest.raises(PreconditionError) as info:
-        dsl._TASK_RUNNERS["verify_exact"](None, session.tasks[0].payload, report)
+        dsl._TASK_RUNNERS["verify_exact"](None, report, *session.tasks[0].args)
     assert info.value.witness == dsl.eval_expr("{2}*mu*nu", session)
     f = tmp_path / "bad.cdga"
     f.write_text(text)
@@ -348,6 +448,20 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert "3:14: unknown identifier 'qqq'" in err
 
 
+def test_cli_non_utf8_session_exits_2_with_one_line(tmp_path, capsys):
+    f = tmp_path / "latin1.cdga"
+    f.write_bytes(b"field cyclotomic 12\n\xff\n")
+    assert cli_main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"{f}: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte\n")
+
+
+def test_cli_unwritable_report_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "out.report"
+    assert cli_main(["run", str(PAPER_SESSION), "--report", str(out)]) == 2
+    assert capsys.readouterr().err == f"{out}: No such file or directory\n"
+
+
 def test_cli_dump(capsys):
     assert cli_main(["dump", str(PAPER_SESSION), "alpha"]) == 0
     assert capsys.readouterr().out.strip() == "mu*mubar"
@@ -362,7 +476,7 @@ def test_cli_subprocess_entry_point():
 
 def test_parser_totality_on_garbage():
     rng = random.Random(83)
-    alphabet = string.ascii_letters + string.digits + " \n\t#{}()*+-^/:;=<>@$%&!"
+    alphabet = string.ascii_letters + string.digits + " \n\t#{}()*+-^/:;=<>@$%&!²é１٣"
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
         try:
@@ -382,13 +496,27 @@ def test_mutated_paper_sessions_never_crash():
             if op < 0.4:
                 del chars[pos]
             elif op < 0.8:
-                chars[pos] = rng.choice("abz*+-{}()=:;0123456789 \n")
+                chars[pos] = rng.choice("abz*+-{}()=:;0123456789 \n²é")
             else:
-                chars.insert(pos, rng.choice("abz*+-{}()=:;0123456789 \n"))
+                chars.insert(pos, rng.choice("abz*+-{}()=:;0123456789 \n²é"))
         try:
             dsl.parse("".join(chars))
         except dsl.DslError:
             pass
+
+
+def test_task_tables_agree():
+    """Each task has a runner, a ``Parser.task_<name>``, a place in the module
+    docstring's ``Tasks:`` list and a row in the README task table."""
+    runners = set(dsl._TASK_RUNNERS)
+    methods = {name[len("task_"):] for name in vars(dsl.Parser) if name.startswith("task_")}
+    doc_list = re.search(r"^Tasks: (.*?)\.$", dsl.__doc__, re.M | re.S).group(1)
+    documented = set(re.findall(r"``(\w+)``", doc_list))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| task | arguments |"):].split("\n\n")[0]
+    rows = set(re.findall(r"^\| `(\w+)` \|", table, re.M))
+    assert runners == methods == documented == rows
+    assert len(runners) == 9
 
 
 def test_task_args_validated_at_parse():
