@@ -2,10 +2,10 @@
 invariant complexes.
 
 A cyclic action is one algebra map f with f^m = id.  ``validate_action``
-composes f^m once, with ``AlgebraMap.power``, to check that it is the
-identity.  The projector and the traces never compose: each power there is
-reached by applying f once more, so one map's cache of word images serves
-all of them.
+builds f^m once, by repeated squaring in ``AlgebraMap.power``, to check
+that it is the identity.  The projector and the traces never compose: each
+power there is reached by applying f once more, so one map's cache of word
+images serves all of them.
 
 - The invariant subcomplex is the image of the averaging projector
   P = (1/m)(1 + f + ... + f^(m-1)).  The row of a word w is its orbit sum

@@ -490,11 +490,17 @@ class AlgebraMap:
             {g: apply_map(self, img) for g, img in inner.assignments.items()})
 
     def power(self, k: int) -> "AlgebraMap":
+        """self^k by repeated squaring, in at most 2 * k.bit_length()
+        compositions."""
         if self.source is not self.target:
             raise ValueError("powers need an endomorphism")
-        result = identity_map(self.source)
-        for _ in range(k):
-            result = self.compose(result)
+        result, square = identity_map(self.source), self
+        while k:
+            if k & 1:
+                result = square.compose(result)
+            k >>= 1
+            if k:
+                square = square.compose(square)
         return result
 
     def is_identity(self) -> bool:

@@ -45,8 +45,8 @@ from .field import CycloField, FieldElement, format_scalar, make_field
 from .formality import ObstructionInput, massey_triple, obstruction
 from .homology import CochainComplex, CohomologyTable
 from .symplectic import is_symplectic, lefschetz
-from .topology import BettiVector, Edge, IncidenceGraph, betti_p1_bundle, betti_projective, \
-    betti_resolution, betti_union, check_edge
+from .topology import EXCEPTIONAL_DIM, BettiVector, Edge, IncidenceGraph, betti_p1_bundle, \
+    betti_projective, betti_resolution, betti_union, check_edge
 
 RESERVED = {
     "field", "cyclotomic", "algebra", "generators", "conjugation", "d", "map",
@@ -564,11 +564,12 @@ class Parser:
             self.fail(t, "expected 'proj <n>' or 'p1b <n>'")
         n, ntok = self.expect_int("projective dimension" if t.text == "proj"
                                   else "base projective dimension")
-        try:
-            space = betti_projective(n)
-            return space if t.text == "proj" else betti_p1_bundle(space)
-        except ValueError as e:
-            self.fail(ntok, str(e))
+        dim = 2 * n if t.text == "proj" else 2 * n + 2
+        if dim > EXCEPTIONAL_DIM:
+            self.fail(ntok, f"{t.text} {n} has real dimension {dim}, above the "
+                            f"exceptional set's {EXCEPTIONAL_DIM}")
+        space = betti_projective(n)
+        return space if t.text == "proj" else betti_p1_bundle(space)
 
     def parse_graph(self) -> IncidenceGraph:
         nodes = []

@@ -6,10 +6,12 @@ degree-by-degree computation produces exact Betti numbers, echelon-chosen
 representatives, coordinates of classes, exactness witnesses, cup products
 and the top-degree pairing scalar.
 
-Each degree k is put in echelon form once.  The coboundaries B^k are the
-image of the d-eliminator of degree k - 1.  The representatives are the
-reduced echelon rows of the cocycles' remainders against B^k, so they are
-zero in the pivot columns of B^k.  A closed x is uniquely b + r with b in B^k
+Each degree k takes two eliminations.  Its d-eliminator gives the cocycles
+Z^k as kernel rows; the one of degree k - 1 gives the coboundaries B^k as
+its image.  The representatives are the reduced echelon rows of the kernel
+rows' remainders against B^k, so they are zero in the pivot columns of B^k;
+their number is dim Z^k - dim B^k exactly when B^k lies in Z^k, and that
+rank identity certifies B^k in Z^k.  A closed x is uniquely b + r with b in B^k
 and r in the span of the representatives; reducing x by B^k leaves exactly
 r, and reducing r by the representatives gives the class coordinates.
 
@@ -153,12 +155,10 @@ class CohomologyTable:
         self._reps: list[list[GradedElement]] = []
         top = complex_.top
         for k in range(top + 1):
-            dim_k = complex_.dim(k)
-            cocycles = Subspace.from_vectors(
-                field, dim_k, complex_.d_eliminator(k).kernel_rows())
             cob = (complex_.d_eliminator(k - 1).image if k
-                   else Subspace(field, dim_k, [], []))
-            q = quotient_basis(cocycles, cob)
+                   else Subspace(field, complex_.dim(k), [], []))
+            with engine_built("table"):
+                q = quotient_basis(complex_.d_eliminator(k).kernel_rows(), cob)
             self._coboundaries.append(cob)
             self._quotients.append(q)
             self.betti.append(q.dim)
@@ -247,16 +247,16 @@ class CohomologyTable:
 
 
 @contextmanager
-def engine_built():
-    """Context for class solves on elements the engine built itself, such as
-    products of representatives or their images under a map.  Such an
-    element fails the closedness or containment check only when the engine
-    is wrong, so the ``ValueError`` (``PreconditionError`` included) is
+def engine_built(what: str = "element"):
+    """Context for checks on data the engine built itself: class solves on
+    products of representatives or their images under a map, and the quotient
+    step of a table (B^k lies in Z^k since d∘d = 0 is checked).  Such data
+    fail a check only when the engine is wrong, so the ``ValueError`` is
     raised again as ``AssertionError``: ``cdga run`` exits 3, not 1."""
     try:
         yield
     except ValueError as e:
-        raise AssertionError(f"engine-built element: {e}") from e
+        raise AssertionError(f"engine-built {what}: {e}") from e
 
 
 def top_scalar(x: GradedElement, volume: GradedElement):

@@ -20,7 +20,8 @@ check every vector they are given and work on a copy, so a malformed row is
 rejected with ``ValueError`` and the caller's dict is never changed.  A row
 the engine has just built and owns, such as the coordinates of a product in
 a class solve or a remainder inside ``quotient_basis``, is reduced in place
-by ``Subspace.reduce_owned``, without a check or a copy.
+by ``Subspace.reduce_owned``, without a check or a copy; ``quotient_basis``
+then puts its remainders in echelon form in place.
 
 Each space is put in echelon form once.  A ``Subspace`` is its reduced
 echelon rows with their pivots; an ``Eliminator`` of A keeps the row space
@@ -221,27 +222,21 @@ class Subspace:
         return self.coordinates(v) is not None
 
 
-def quotient_basis(big: Subspace, small: Subspace) -> Subspace:
-    """Echelon representatives of a complement of `small` inside `big`.
+def quotient_basis(rows: list[dict], small: Subspace) -> Subspace:
+    """Echelon representatives of a complement of ``small`` inside the span
+    of ``rows``: linearly independent sparse rows, which are only read.
 
-    Fails loudly when `small` is not contained in `big`.
+    Reducing by ``small`` is a linear projection with kernel ``small``, so the
+    remainders have rank len(rows) - dim(small) exactly when ``small`` lies in
+    the span; otherwise this raises ``ValueError``.
     """
-    if big.ambient_dim != small.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if not big.is_full():
-        for row in small.rows:
-            rem = dict(row)
-            big.reduce_owned(rem)
-            if rem:
-                raise ValueError("small subspace is not contained in the big one")
-    rem_rows = []
-    for row in big.rows:
+    field, n = small.field, small.ambient_dim
+    rems = []
+    for row in rows:
         rem = dict(row)
         small.reduce_owned(rem)
-        if rem:
-            rem_rows.append(rem)
-    out = Subspace.from_vectors(big.field, big.ambient_dim, rem_rows)
-    if out.dim != big.dim - small.dim:
-        raise AssertionError(
-            f"quotient has dimension {out.dim}, expected {big.dim} - {small.dim}")
-    return out
+        rems.append(rem)
+    rank, pivots = kernel.rref(rems, n, n, field.phi, field.mul, _inv_cv(field))
+    if rank != len(rows) - small.dim:
+        raise ValueError("small subspace is not contained in the big one")
+    return Subspace(field, n, rems[:rank], pivots)

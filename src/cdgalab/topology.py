@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+# Real dimension of the exceptional set that resolves one isolated singular
+# point of an 8-dimensional quotient.
+EXCEPTIONAL_DIM = 6
+
 
 @dataclass(frozen=True)
 class BettiVector:
@@ -147,8 +151,8 @@ def betti_resolution(bhat: BettiVector, exceptional: BettiVector, s: int) -> Bet
     """
     if bhat.top != 8:
         raise ValueError("the quotient must be 8-dimensional")
-    if exceptional.top != 6:
-        raise ValueError("the exceptional set must be 6-dimensional")
+    if exceptional.top != EXCEPTIONAL_DIM:
+        raise ValueError(f"the exceptional set must be {EXCEPTIONAL_DIM}-dimensional")
     if s < 0:
         raise ValueError("the number of resolved points must be >= 0")
     values = [0] * 9

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cdgalab import dsl
 from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential, PreconditionError,
                      apply_d, apply_map, make_field, wedge)
 from cdgalab.algebra import GradedElement, format_element
@@ -89,6 +90,37 @@ def test_rho_has_order_three(model):
     assert model.rho.power(3).is_identity()
     assert not model.rho.power(1).is_identity()
     assert not model.rho.power(2).is_identity()
+
+
+def test_power_by_squaring_matches_repeated_composition(model):
+    rho = model.rho
+    step = rho.power(0)
+    assert step.is_identity()
+    for k in range(1, 8):
+        step = rho.compose(step)
+        assert rho.power(k).assignments == step.assignments
+
+
+@pytest.mark.parametrize("m", [20000, 10**9, 2**40 - 1])
+def test_declared_order_costs_logarithmic_compositions(m, monkeypatch):
+    """``dsl.parse`` validates f^m = id for each map; squaring keeps that to
+    at most 2 * m.bit_length() compositions, whatever the order."""
+    calls = []
+    compose = AlgebraMap.compose
+
+    def counting_compose(self, inner):
+        calls.append(inner)
+        return compose(self, inner)
+
+    monkeypatch.setattr(AlgebraMap, "compose", counting_compose)
+    text = (f"field cyclotomic 4\nalgebra A generators a:1 b:1\n"
+            f"map f order {m} {{ a -> b ; b -> a }}\n")
+    if m % 2:
+        with pytest.raises(dsl.DslError, match=f"f\\^{m} is not the identity at a"):
+            dsl.parse(text)
+    else:
+        dsl.parse(text)
+    assert 0 < len(calls) <= 2 * m.bit_length()
 
 
 def test_graded_commutativity_randomized(model):

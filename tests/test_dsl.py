@@ -125,6 +125,12 @@ PINNED_DIAGNOSTICS = [
     (_F + "task mv_union node proj 1 edge 0 5 proj 0\n", 2, 34, "node index 5 out of range"),
     (_F + "task mv_union node proj 1 edge x 0 proj 0\n", 2, 32, "expected node index"),
     (_F + "task mv_union\n", 2, 14, "expected at least one 'node' clause"),
+    (_F + "task mv_union node proj 4\n", 2, 25,
+     "proj 4 has real dimension 8, above the exceptional set's 6"),
+    (_F + "task mv_union node p1b 1000000000\n", 2, 24,
+     "p1b 1000000000 has real dimension 2000000002, above the exceptional set's 6"),
+    (_F + "task mv_union node proj 1 edge 0 0 p1b 3\n", 2, 40,
+     "p1b 3 has real dimension 8, above the exceptional set's 6"),
     (_M + "map f order 1 { mu -> mu ; nu -> nu }\ntask resolution M f x node proj 1\n",
      4, 21, "expected number of resolved points"),
     (_M + "task verify_exact qq mu\n", 3, 19, "unknown element 'qq'"),
@@ -421,6 +427,29 @@ def test_cli_run_exits_3_when_an_engine_built_element_fails_a_check(monkeypatch,
     monkeypatch.setattr(CochainComplex, "d_matrix", drop_column_0)
     assert cli_main(["run", str(PAPER_SESSION)]) == 3
     assert "engine-built element: element is not closed" in capsys.readouterr().err
+
+
+def test_a_table_whose_coboundaries_are_not_cocycles_is_an_engine_fault(
+        paper_session, monkeypatch, capsys):
+    """A d-matrix that sends 1 to theta puts the open theta among the
+    coboundaries.  Differential checks d∘d = 0, so only an engine fault
+    can do that; the table's quotient step raises AssertionError (exit 3),
+    not a task error (exit 1)."""
+    d_matrix = CochainComplex.d_matrix
+
+    def one_to_theta(self, k):
+        m = d_matrix(self, k)
+        if k or not self.is_full():
+            return m
+        return Matrix(m.field, m.ncols, [self.algebra.generator("theta").to_row(1)])
+
+    monkeypatch.setattr(CochainComplex, "d_matrix", one_to_theta)
+    model = paper_session.algebras["M"]
+    with pytest.raises(AssertionError, match="engine-built table: small subspace "
+                                             "is not contained in the big one"):
+        dsl._RunContext().table(model, None)
+    assert cli_main(["run", str(PAPER_SESSION)]) == 3
+    assert "engine-built table: small subspace" in capsys.readouterr().err
 
 
 def test_class_solve_on_user_input_is_a_failed_precondition(tmp_path, paper_session):

@@ -280,12 +280,25 @@ def test_tables_build_no_eliminator_beyond_the_d_eliminators(model, monkeypatch)
         built.append(a)
         init(self, a)
 
+    rrefs = []
+    rref = kernel.rref
+
+    def counting_rref(*args):
+        rrefs.append(args)
+        return rref(*args)
+
     monkeypatch.setattr(Eliminator, "__init__", counting_init)
+    monkeypatch.setattr(kernel, "rref", counting_rref)
+    top = model.algebra.top
     for cx in (full, inv):
+        rrefs.clear()
         table = CohomologyTable(cx)
+        # per degree: the d-eliminator, and the echelon of the remainders
+        assert len(rrefs) == 2 * (top + 1)
         for k in range(table.top + 1):
             for r in table.representatives(k):
                 table.class_row(r, k)
+        assert len(rrefs) == 2 * (top + 1)
     d_matrices = {id(cx.d_matrix(k)) for cx in (full, inv) for k in range(cx.top + 1)}
-    assert len(built) == 2 * (model.algebra.top + 1)
+    assert len(built) == 2 * (top + 1)
     assert {id(a) for a in built} == d_matrices

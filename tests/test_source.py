@@ -26,14 +26,16 @@ def test_library_has_no_assert_statements():
 def test_acceptance_suite_passes_under_optimize():
     """The acceptance criteria, the d*d and action checks, the fixture
     diagnostics, the checks at the linear-algebra entry points, the
-    Lefschetz path and the formality and homology paths with their
-    ``PreconditionError`` witnesses hold with the library's asserts stripped;
+    Lefschetz path, the formality and homology paths with their
+    ``PreconditionError`` witnesses, and the topology and field checks hold
+    with the library's asserts stripped;
     pytest rewrites the tests' own asserts, so those still run."""
     r = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                         "tests/test_acceptance.py", "tests/test_algebra.py",
                         "tests/test_action.py", "tests/test_dsl.py",
                         "tests/test_symplectic.py", "tests/test_linalg.py",
-                        "tests/test_formality.py", "tests/test_homology.py"],
+                        "tests/test_formality.py", "tests/test_homology.py",
+                        "tests/test_topology.py", "tests/test_field.py"],
                        cwd=ROOT, capture_output=True, text=True)
     assert r.returncode == 0, r.stdout[-3000:] + r.stderr[-3000:]
 
