@@ -2,6 +2,9 @@
 
 Times the hot paths over Q(zeta_12): batched coefficient products, inverses
 of non-rational values, and sparse row reduction of a random matrix.  It
+times d-matrix assembly: every degree of a fresh full complex of the ladder
+session (``perfbench/sessions/ladder.cdga``, 10 generators, 1024 words), on
+a fresh differential, so the per-word Leibniz rows are computed too.  It
 also times the cyclic-action layer on ``paper.cdga``: the invariant complex
 (the orbit-sum projector) plus the fixed-part cross-check, without the
 cohomology table of the invariant complex between them.  Last, it times one
@@ -19,6 +22,7 @@ from pathlib import Path
 from cdgalab import dsl
 from cdgalab._backend import kernel
 from cdgalab.action import check_fixed_part, invariant_complex
+from cdgalab.algebra import Differential
 from cdgalab.field import make_field
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import _inv_cv
@@ -28,7 +32,9 @@ DENSITY = 0.3
 INVERSES = 20_000
 INVARIANT_REPEAT = 20
 LEFSCHETZ_QUERIES = 100
-PAPER = Path(__file__).resolve().parent.parent / "paper.cdga"
+ROOT = Path(__file__).resolve().parent.parent
+PAPER = ROOT / "paper.cdga"
+LADDER = ROOT / "perfbench" / "sessions" / "ladder.cdga"
 
 
 def rand_cv(rng, phi):
@@ -57,6 +63,15 @@ def bench_rref(rows, ncols, phi, mul, inv):
     t0 = time.perf_counter()
     rank, _ = kernel.rref(work, ncols, ncols, phi, mul, inv)
     return time.perf_counter() - t0, rank
+
+
+def bench_d_matrices(differential):
+    fresh = Differential(differential.algebra, differential.assignments)
+    t0 = time.perf_counter()
+    cx = CochainComplex(fresh)
+    for k in range(cx.top + 1):
+        cx.d_matrix(k)
+    return time.perf_counter() - t0
 
 
 def bench_invariant(action, full):
@@ -115,6 +130,11 @@ def main():
     best = min(dt for dt, _ in runs)
     print(f"rref of a {n}x{ncols} matrix at density {DENSITY} over Q(zeta_12): "
           f"{best:8.3f} s (rank {runs[0][1]})")
+
+    ladder = dsl.parse(LADDER.read_text()).algebras["M"].differential
+    best = min(bench_d_matrices(ladder) for _ in range(args.repeat))
+    print(f"d-matrices of every degree, full complex of {LADDER.name} "
+          f"({ladder.algebra.total_dim()} words): {best * 1e3:8.2f} ms")
 
     session = dsl.parse(PAPER.read_text())
     action = session.maps["rho"].action

@@ -5,20 +5,24 @@ A cyclic action is one algebra map f with f^m = id.  ``validate_action``
 builds f^m once, by repeated squaring in ``AlgebraMap.power``, to check
 that it is the identity.  The projector and the traces never compose: each
 power there is reached by applying f once more, so one map's cache of word
-images serves all of them.
+images serves all of them.  They sum over the least period r of f, not the
+declared order m: r divides m, and an m-term sum over the powers of f is
+m/r copies of the r-term sum, so the averages are the same, and a huge
+declared order costs no more than the map's actual one.  Each of them finds
+r by applying f to the generator images until they come back.
 
 - The invariant subcomplex is the image of the averaging projector
-  P = (1/m)(1 + f + ... + f^(m-1)).  The row of a word w is its orbit sum
-  (1/m)(w + f(w) + ... + f^(m-1)(w)), with f^j(w) = f(f^(j-1)(w)),
+  P = (1/r)(1 + f + ... + f^(r-1)).  The row of a word w is its orbit sum
+  (1/r)(w + f(w) + ... + f^(r-1)(w)), with f^j(w) = f(f^(j-1)(w)),
   accumulated on ``{word: cv}`` maps and boxed only by ``Subspace``.
 - Its cohomology is cross-checked against the fixed part of the induced
   action on the full cohomology.  Let A_k be the matrix of f* on H^k in the
   representative basis: row i is the class of f(r_i), one class solve per
-  representative.  The averaged map (1/m) sum A_k^j is an idempotent onto
+  representative.  The averaged map (1/r) sum A_k^j is an idempotent onto
   the fixed part, so its rank is its trace and
-  dim Fix(H^k) = (1/m) sum_{j<m} tr(A_k^j), with tr(A_k^0) = b_k.  The same
+  dim Fix(H^k) = (1/r) sum_{j<r} tr(A_k^j), with tr(A_k^0) = b_k.  The same
   loop yields tr(f*|H^k), the terms of the Lefschetz number, and checks
-  that A_k^m is the identity.
+  that A_k^r is the identity.
 
 The two sides of the cross-check stay independent: each builds its own copy
 of the generator map, so they share no cache of word images, and the
@@ -81,23 +85,41 @@ def _own_map(f: AlgebraMap) -> AlgebraMap:
     return AlgebraMap(f.source, f.target, f.assignments)
 
 
+def _period(f: AlgebraMap, m: int) -> int:
+    """The least r >= 1 with f^r = id, found by applying f to the generator
+    images until they come back, in r steps.  Since f^m = id, r divides m;
+    raises AssertionError when it does not."""
+    alg = f.source
+    one = alg.field.one.cv
+    gens = [{(g,): one} for g in range(len(alg.gens))]
+    images = gens
+    for r in range(1, m + 1):
+        images = [map_terms(f, x) for x in images]
+        if images == gens:
+            if m % r:
+                break
+            return r
+    raise AssertionError(f"f^{m} is not the identity on the generators")
+
+
 def invariant_subspaces(action: GroupAction) -> list[Subspace]:
     """Per-degree eigenvalue-1 subspaces, as the image of the projector."""
     alg = action.differential.algebra
     field = alg.field
     mul = field.mul
     f = _own_map(action.generator_map)
+    r = _period(f, action.order)
     one = field.one.cv
-    inv_m = field.rational(1, action.order).cv
+    inv_r = field.rational(1, r).cv
     subspaces = []
     for k in range(alg.top + 1):
         rows = []
         for w in alg.basis(k):
             term = {w: one}
-            acc = {w: inv_m}
-            for _ in range(action.order - 1):
+            acc = {w: inv_r}
+            for _ in range(r - 1):
                 term = map_terms(f, term)
-                kernel.row_axpy(acc, term, inv_m, mul)
+                kernel.row_axpy(acc, term, inv_r, mul)
             rows.append({alg.word_index(k, u): c for u, c in acc.items()})
         subspaces.append(Subspace.from_vectors(field, alg.dim(k), rows))
     return subspaces
@@ -109,13 +131,16 @@ def invariant_complex(action: GroupAction) -> CochainComplex:
 
 
 def induced_traces(table: CohomologyTable, action: GroupAction) -> list[list[FieldElement]]:
-    """Per degree k, the traces tr((f*)^j | H^k) for j = 0 .. m-1.
+    """Per degree k, the traces tr((f*)^j | H^k) for j = 0 .. r-1, where r
+    is the least period of f on the generators.
 
     The matrix A_k of f* has as row i the class of f(r_i), for the
     representatives r_i of ``table``; its powers are products of A_k.
-    Raises AssertionError when A_k^m, the last power built, is not the
-    identity, or when some f(r_i) fails the check of a class solve."""
+    Raises AssertionError when f^m is not the identity on the generators,
+    when A_k^r, the last power built, is not the identity, or when some
+    f(r_i) fails the check of a class solve."""
     f = _own_map(action.generator_map)
+    r = _period(f, action.order)
     field = table.complex.algebra.field
     traces = []
     for k in range(table.top + 1):
@@ -126,30 +151,29 @@ def induced_traces(table: CohomologyTable, action: GroupAction) -> list[list[Fie
         a = Matrix(field, b, rows)
         tr = [field.rational(b)]
         power = a
-        for _ in range(action.order - 1):
+        for _ in range(r - 1):
             tr.append(sum((power.entry(i, i) for i in range(b)), field.zero))
             power = power.matmul(a)
         if power != Matrix.identity(field, b):
             raise AssertionError(
-                f"the induced map to the power {action.order} is not the "
-                f"identity on H^{k}")
+                f"the induced map to the power {r} is not the identity on H^{k}")
         traces.append(tr)
     return traces
 
 
 def induced_action_fixed_dims(table: CohomologyTable, action: GroupAction) -> list[int]:
     """Dimension per degree of the fixed part of the induced action on H*,
-    (1/m) sum_j tr((f*)^j | H^k) by the trace formula."""
-    m = action.order
+    (1/r) sum_{j<r} tr((f*)^j | H^k) by the trace formula."""
     dims = []
     for k, tr in enumerate(induced_traces(table, action)):
+        r = len(tr)
         total = sum(tr[1:], tr[0])
         q = total.as_fraction() if total.is_rational() else None
-        if q is None or q < 0 or q.denominator != 1 or q.numerator % m:
+        if q is None or q < 0 or q.denominator != 1 or q.numerator % r:
             raise AssertionError(
-                f"fixed part of H^{k} would have dimension ({total})/{m}, "
+                f"fixed part of H^{k} would have dimension ({total})/{r}, "
                 f"not a non-negative integer")
-        dims.append(q.numerator // m)
+        dims.append(q.numerator // r)
     return dims
 
 

@@ -12,7 +12,9 @@ kernel's canonical integer tuples (see ``_kernel_py``) and build one
 ``GradedElement`` at the end.  Two per-word caches serve them:
 
 - a ``Differential`` computes each word's differential once, by the Leibniz
-  rule, and ``apply_d`` is the linear combination of those rows;
+  rule; ``apply_d`` is the linear combination of those rows, and
+  ``Differential.word_rows`` hands them out in word-index coordinates, the
+  rows of a d-matrix, without boxing a coefficient;
 - an ``AlgebraMap`` keeps the image of every word it has mapped, each one
   the image of the word's prefix times the image of its last generator.
 
@@ -50,6 +52,40 @@ class PreconditionError(ValueError):
 
 Word = tuple  # tuple of generator indices, sorted
 
+# The most basis words an algebra may have, and the highest top degree
+# (there is one word list per degree).  2^18 words is 18 degree-1
+# generators, whose full table took 7.4 s and 347 MB on a 2-vCPU VM.
+WORD_BUDGET = 1 << 18
+
+
+def word_count(degrees, odd, top: int) -> int:
+    """The number of basis words of the algebra on generators of these
+    degrees and parities, truncated above ``top``; raises ValueError when it
+    is over ``WORD_BUDGET``.
+
+    Counts words per degree from the degrees alone, as the coefficients of
+    prod (1 + t^d) over the odd generators times prod 1/(1 - t^d) over the
+    even ones, truncated at ``top``.  Every count added is at least one new
+    word, so the count stops as soon as it passes the budget."""
+    counts = {0: 1}  # degree -> number of words, nonzero entries only
+    total = 1
+    for d, is_odd in zip(degrees, odd):
+        new = dict(counts)
+        for k, n in counts.items():
+            # the words of degree k times g (odd), or times g, g^2, ... (even)
+            j = k + d
+            while j <= top:
+                new[j] = new.get(j, 0) + n
+                total += n
+                if total > WORD_BUDGET:
+                    raise ValueError(f"the algebra is over budget: it has more "
+                                     f"than {WORD_BUDGET} basis words")
+                if is_odd:
+                    break
+                j += d
+        counts = new
+    return total
+
 
 class Algebra:
     """Free graded-commutative algebra on named generators, truncated above
@@ -73,24 +109,34 @@ class Algebra:
             if not all(self.odd):
                 raise ValueError("an algebra with even generators needs an explicit top degree")
             top = sum(self.degrees)
+        if top > WORD_BUDGET:
+            raise ValueError(f"top degree {top} is over budget: "
+                             f"top must be at most {WORD_BUDGET}")
         self.top = top
+        word_count(self.degrees, self.odd, top)
         self._index = {g.name: i for i, g in enumerate(gens)}
-        self._basis: list[list[Word]] = [[] for _ in range(top + 1)]
-        self._collect_words(0, [], 0)
+        self._basis = self._collect_words()
         self._word_pos = [
             {w: i for i, w in enumerate(words)} for words in self._basis
         ]
         self._word_degree = {w: k for k, words in enumerate(self._basis) for w in words}
 
-    def _collect_words(self, start: int, word: list, deg: int):
-        self._basis[deg].append(tuple(word))
-        for g in range(start, len(self.gens)):
-            d2 = deg + self.degrees[g]
-            if d2 > self.top:
-                continue
-            word.append(g)
-            self._collect_words(g + 1 if self.odd[g] else g, word, d2)
-            word.pop()
+    def _collect_words(self) -> list[list[Word]]:
+        """The basis words of each degree, in lexicographic order: a
+        depth-first walk that extends a word by generators in declaration
+        order, kept on an explicit stack so word length is not bounded by
+        the interpreter's recursion limit."""
+        basis: list[list[Word]] = [[] for _ in range(self.top + 1)]
+        last = len(self.gens) - 1
+        stack = [((), 0, 0)]  # (word, its degree, first generator it may take)
+        while stack:
+            word, deg, start = stack.pop()
+            basis[deg].append(word)
+            for g in range(last, start - 1, -1):  # pushed last-first, popped first-first
+                d2 = deg + self.degrees[g]
+                if d2 <= self.top:
+                    stack.append((word + (g,), d2, g + 1 if self.odd[g] else g))
+        return basis
 
     # --- basis bookkeeping ---
 
@@ -398,6 +444,15 @@ class Differential:
             row = self._word_d[w] = self._leibniz(w)
         return row
 
+    def word_rows(self, k: int) -> list[dict]:
+        """d of each degree-k basis word, in basis order, as a fresh sparse
+        row ``{index in degree k + 1: cv}``, read from the per-word cache."""
+        alg = self.algebra
+        # d of a top-degree word is zero, so degree top + 1 is never looked up
+        pos = alg._word_pos[k + 1] if k < alg.top else None
+        return [{pos[u]: c for u, c in self._word_row(w).items()}
+                for w in alg.basis(k)]
+
     def _leibniz(self, w: Word) -> dict:
         # d(w1...wk) = sum (-1)^(deg prefix) w1..d(wi)..wk, each term merged
         # as (prefix * d(wi)) * suffix, the order in which wedge multiplies them
@@ -472,10 +527,16 @@ class AlgebraMap:
     def _word_image(self, w: Word) -> dict:
         """Image of the word w as ``{word: cv}``, the image of its prefix
         times the image of its last generator; kept for every prefix."""
-        img = self._images.get(w)
+        images = self._images
+        img = images.get(w)
         if img is None:
-            img = self._images[w] = _product(self.target, self._word_image(w[:-1]),
-                                             self._gen_images[w[-1]])
+            n = len(w) - 1
+            while w[:n] not in images:  # the longest prefix already kept
+                n -= 1
+            img = images[w[:n]]
+            for i in range(n, len(w)):
+                img = images[w[:i + 1]] = _product(self.target, img,
+                                                   self._gen_images[w[i]])
         return img
 
     def __call__(self, x: GradedElement) -> GradedElement:

@@ -4,10 +4,10 @@ Grammar (line-oriented, ``#`` comments, identifiers ``[A-Za-z][A-Za-z0-9_]*``,
 integers ``[0-9]+``; both ASCII only)::
 
     field cyclotomic <n>
-    algebra <name> generators <g1>:<deg> <g2>:<deg> ... [top <t>]
+    algebra <name> generators <g1>:<deg> <g2>:<deg> ... [top <t>]   # within the word budget
     conjugation <g> <gbar> ...            # pairs; self-paired allowed
     d <gen> = <expr>                      # unlisted generators have d = 0
-    map <name> order <m> { <gen> -> <expr> ; ... }
+    map <name> order <m> { <gen> -> <expr> ; ... }   # f^m = id; run uses f's period
     let <name> = <expr>
     task <taskname> <args...>
 

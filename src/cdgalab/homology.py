@@ -15,6 +15,14 @@ rank identity certifies B^k in Z^k.  A closed x is uniquely b + r with b in B^k
 and r in the span of the representatives; reducing x by B^k leaves exactly
 r, and reducing r by the representatives gives the class coordinates.
 
+A d-matrix is built from the differential's per-word Leibniz rows
+(``Differential.word_rows``) without boxing a coefficient: on the full
+algebra those rows are its rows, and on a subspace family each row is the
+combination of the word rows that its subspace row names, in the
+coordinates of the next subspace.  A table keeps its representatives as
+sparse rows and boxes the elements of a degree when they are first asked
+for, so a table read only for its Betti numbers boxes none.
+
 A class solve checks that its element is closed and lies in the complex.
 On a user's element a failed check is a failed precondition
 (``PreconditionError``).  Inside ``engine_built()`` the element is one the
@@ -103,10 +111,26 @@ class CochainComplex:
     # --- the differential in complex coordinates ---
 
     def d_matrix(self, k: int) -> Matrix:
-        """Rows are the images of the degree-k basis, in degree-(k+1) coords."""
+        """Rows are the images of the degree-k basis, in degree-(k+1) coords:
+        the differential's word rows, or for a subspace row the combination
+        of the word rows it names, in the coordinates of the next subspace."""
         if k not in self._d_matrices:
-            rows = [self.to_row(apply_d(self.differential, e), k + 1)
-                    for e in self.basis_elements(k)]
+            word_rows = self.differential.word_rows(k)
+            if self.subspaces is None or not word_rows:
+                rows = word_rows
+            else:
+                mul = self.algebra.field.mul
+                rows = []
+                for row in self.subspaces[k].rows:
+                    image: dict = {}
+                    for i, c in row.items():
+                        kernel.row_axpy(image, word_rows[i], c, mul)
+                    if image:
+                        image = self.subspaces[k + 1].coordinates(image)
+                        if image is None:
+                            raise ValueError(
+                                f"element of degree {k + 1} does not lie in the complex")
+                    rows.append(image)
             self._d_matrices[k] = Matrix(self.algebra.field, self.dim(k + 1), rows)
         return self._d_matrices[k]
 
@@ -152,7 +176,7 @@ class CohomologyTable:
         self.betti: list[int] = []
         self._coboundaries: list[Subspace] = []
         self._quotients: list[Subspace] = []
-        self._reps: list[list[GradedElement]] = []
+        self._reps: dict[int, list[GradedElement]] = {}
         top = complex_.top
         for k in range(top + 1):
             cob = (complex_.d_eliminator(k - 1).image if k
@@ -162,7 +186,6 @@ class CohomologyTable:
             self._coboundaries.append(cob)
             self._quotients.append(q)
             self.betti.append(q.dim)
-            self._reps.append([complex_.from_row(k, row) for row in q.rows])
 
     # --- tables ---
 
@@ -174,6 +197,10 @@ class CohomologyTable:
         return self._coboundaries[k]
 
     def representatives(self, k: int) -> list[GradedElement]:
+        """The degree-k representatives as elements, boxed on first use."""
+        if k not in self._reps:
+            self._reps[k] = [self.complex.from_row(k, row)
+                             for row in self._quotients[k].rows]
         return self._reps[k]
 
     def euler_characteristic(self) -> int:

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab import AlgebraMap, GroupAction, PreconditionError, Subspace, identity_map, \
-    invariant_cohomology, invariant_complex, validate_action
+from cdgalab import AlgebraMap, GroupAction, Matrix, PreconditionError, Subspace, dsl, \
+    identity_map, invariant_cohomology, invariant_complex, validate_action
+from cdgalab import action as action_module
 from cdgalab._backend import kernel
-from cdgalab.action import check_fixed_part, induced_action_fixed_dims, induced_traces, \
-    invariant_subspaces
+from cdgalab.action import _period, check_fixed_part, induced_action_fixed_dims, \
+    induced_traces, invariant_subspaces
 from cdgalab.algebra import apply_d, apply_map
 from cdgalab.homology import CohomologyTable
 
@@ -253,3 +254,52 @@ def test_cross_check_solves_one_class_per_representative(model, monkeypatch):
     assert sum(model.table.betti) == 144
     assert len(calls) == 144
     assert all(t is model.table for t in calls)
+
+
+# --- the period of the map, not its declared order --------------------------
+
+def _swap_session(order):
+    return ("field cyclotomic 4\nalgebra A generators a:1 b:1\n"
+            f"map f order {order} {{ a -> b ; b -> a }}\n"
+            "task invariant_betti A f reps\n")
+
+
+def test_projector_and_traces_sum_over_the_period(monkeypatch):
+    """A declared order of 10^9 on a map of period 2 gives the records of
+    order 2, with as many map steps and matrix products."""
+    steps = []
+    map_terms = action_module.map_terms
+    matmul = Matrix.matmul
+
+    def counting_map_terms(f, terms):
+        steps.append("map_terms")
+        if len(steps) > 1000:
+            raise RuntimeError("the map steps grow with the declared order")
+        return map_terms(f, terms)
+
+    def counting_matmul(self, other):
+        steps.append("matmul")
+        return matmul(self, other)
+
+    monkeypatch.setattr(action_module, "map_terms", counting_map_terms)
+    monkeypatch.setattr(Matrix, "matmul", counting_matmul)
+    runs = []
+    for order in (2, 10**9):
+        session = dsl.parse(_swap_session(order))
+        steps.clear()
+        report = dsl.run(session)
+        assert report.ok
+        runs.append((report.records, list(steps)))
+    assert runs[0] == runs[1]
+    assert 0 < len(runs[0][1]) < 40, runs[0][1]
+
+
+@pytest.mark.parametrize("order", [3, 6, 300])
+def test_a_multiple_of_the_period_gives_the_same_invariants(model, order):
+    action = GroupAction(model.rho, order, model.differential)
+    assert _period(AlgebraMap(model.algebra, model.algebra, model.rho.assignments),
+                   order) == 3
+    subs = invariant_subspaces(action)
+    assert [(s.rows, s.pivots) for s in subs] == \
+        [(s.rows, s.pivots) for s in model.invariant.subspaces]
+    assert induced_action_fixed_dims(model.table, action) == model.invariant_table.betti

@@ -5,9 +5,10 @@ import pytest
 from cdgalab import dsl
 from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential, PreconditionError,
                      apply_d, apply_map, make_field, wedge)
-from cdgalab.algebra import GradedElement, format_element
+from cdgalab.algebra import WORD_BUDGET, GradedElement, format_element, word_count
+from cdgalab.cli import main as cli_main
 
-from conftest import random_element, random_homogeneous
+from conftest import ROOT, random_element, random_homogeneous
 
 
 def test_basis_dimensions(model):
@@ -374,3 +375,66 @@ def test_conjugation_matches_boxed_reference(model, which):
         y = conj(x)
         assert y == ref_conjugate(conj, x)
         assert conj(y) == x
+
+
+# --- basis enumeration and the word budget ----------------------------------
+
+LADDER = ROOT / "perfbench" / "sessions" / "ladder.cdga"
+
+
+def ref_basis(alg):
+    """The basis words of each degree by the recursive walk the engine used
+    to take: each word, then its extensions by generators in order."""
+    basis = [[] for _ in range(alg.top + 1)]
+
+    def collect(start, word, deg):
+        basis[deg].append(tuple(word))
+        for g in range(start, len(alg.gens)):
+            d2 = deg + alg.degrees[g]
+            if d2 <= alg.top:
+                collect(g + 1 if alg.odd[g] else g, word + [g], d2)
+
+    collect(0, [], 0)
+    return basis
+
+
+def mixed_algebra():
+    return Algebra(make_field(4), [("a", 1), ("x", 2), ("b", 3), ("y", 2), ("c", 1),
+                                   ("w", 4)], top=14)
+
+
+@pytest.mark.parametrize("which", ["paper", "ladder", "mixed", "even"])
+def test_iterative_enumeration_keeps_the_recursive_word_order(model, which):
+    alg = {"paper": lambda: model.algebra,
+           "ladder": lambda: dsl.parse(LADDER.read_text()).algebras["M"].algebra,
+           "mixed": mixed_algebra,
+           "even": lambda: even_algebra()[0]}[which]()
+    ref = ref_basis(alg)
+    assert [alg.basis(k) for k in range(alg.top + 1)] == ref
+    assert word_count(alg.degrees, alg.odd, alg.top) == alg.total_dim() == sum(map(len, ref))
+
+
+def test_a_long_word_is_enumerated_and_mapped_without_recursion(tmp_path, capsys):
+    """x:2 up to degree 1980 has one word per even degree, the longest 990
+    letters: more than the interpreter's recursion limit allows a recursive
+    walk, or a recursive prefix chain of word images."""
+    path = tmp_path / "long.cdga"
+    path.write_text("field cyclotomic 4\nalgebra A generators x:2 top 1980\n"
+                    "map f order 2 { x -> {-1}*x }\ntask betti A\n")
+    assert cli_main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: ok (1 task(s))\n"
+    alg = dsl.parse(path.read_text()).algebras["A"].algebra
+    assert alg.total_dim() == 991
+    top_word = alg.word_element(alg.basis(1980)[0])
+    neg = AlgebraMap(alg, alg, {"x": -alg.generator("x")})
+    assert apply_map(neg, top_word) == top_word  # (-1)^990
+
+
+def test_word_count_refuses_past_the_budget():
+    assert word_count((1,) * 18, (True,) * 18, 18) == WORD_BUDGET
+    with pytest.raises(ValueError, match=f"more than {WORD_BUDGET} basis words"):
+        word_count((1,) * 19, (True,) * 19, 19)
+    with pytest.raises(ValueError, match=f"more than {WORD_BUDGET} basis words"):
+        word_count((2, 2, 2), (False,) * 3, 2000)  # about 500^3 / 6 words
+    with pytest.raises(ValueError, match=f"top degree {WORD_BUDGET + 1} is over budget"):
+        Algebra(make_field(4), [("x", WORD_BUDGET + 1)])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cdgalab import dsl
-from cdgalab.algebra import PreconditionError, format_element
+from cdgalab.algebra import Algebra, PreconditionError, format_element
 from cdgalab.cli import main as cli_main
 from cdgalab.homology import CochainComplex
 from cdgalab.linalg import Matrix
@@ -51,6 +51,14 @@ _F = "field cyclotomic 12\n"
 _M = _F + "algebra M generators mu:1 nu:1\n"
 _AB = (_F + "algebra A generators a:1\nlet x = a\nmap f order 1 { a -> a }\n"
        "algebra B generators b:1\n")
+# Algebras over the word budget: a top degree past it (two words, but one
+# word list per degree), and 20 generators (2^20 words).
+BUDGET_BREACHES = [
+    (_F + "algebra A generators x:1000001\n", 2, 9,
+     "top degree 1000001 is over budget: top must be at most 262144"),
+    (_F + "algebra A generators " + " ".join(f"g{i}:1" for i in range(20)) + "\n", 2, 9,
+     "the algebra is over budget: it has more than 262144 basis words"),
+]
 # One minimal session for each diagnostic the parser can give:
 # (session text, line, col, message).
 PINNED_DIAGNOSTICS = [
@@ -137,6 +145,7 @@ PINNED_DIAGNOSTICS = [
     (_M + "task verify_exact mu qq\n", 3, 22, "unknown element 'qq'"),
     (_M + "task verify_exact 1 mu\n", 3, 19, "expected element name"),
     (_AB + "task verify_exact x b\n", 6, 21, "'b' belongs to another algebra"),
+    *BUDGET_BREACHES,
 ]
 
 
@@ -180,6 +189,21 @@ def test_conductor_budget_fails_before_anything_is_built(monkeypatch, capsys):
     assert cli_main(["check", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"{path}:1:18: conductor 20000 is over budget: phi(20000) must be at most 64\n")
+
+
+@pytest.mark.parametrize("text,line,col,message", BUDGET_BREACHES)
+def test_word_budget_fails_before_enumeration(text, line, col, message, tmp_path,
+                                              monkeypatch, capsys):
+    """An algebra over the word budget is refused from its degrees alone,
+    before a single basis word is enumerated."""
+    def refuse(self):
+        raise RuntimeError("basis words were enumerated before the budget check")
+
+    monkeypatch.setattr(Algebra, "_collect_words", refuse)
+    path = tmp_path / "big.cdga"
+    path.write_text(text)
+    assert cli_main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}:{line}:{col}: {message}\n"
 
 
 def test_mu_wedge_mu_is_legal_and_zero():

@@ -1,15 +1,16 @@
 import random
+import sys
 
 import pytest
 
-from cdgalab import Matrix, make_field, top_scalar, wedge
+from cdgalab import AlgebraMap, GroupAction, Matrix, dsl, make_field, top_scalar, wedge
 from cdgalab._backend import kernel
 from cdgalab.action import invariant_complex
-from cdgalab.algebra import Algebra, Differential, PreconditionError, apply_d
+from cdgalab.algebra import Algebra, Differential, GradedElement, PreconditionError, apply_d
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator, Subspace, densify
 
-from conftest import random_field_element, random_homogeneous
+from conftest import ROOT, random_field_element, random_homogeneous
 
 # degree-3 classes spanning half of H^3; the other half is their conjugate
 W_WORDS = [
@@ -302,3 +303,94 @@ def test_tables_build_no_eliminator_beyond_the_d_eliminators(model, monkeypatch)
     d_matrices = {id(cx.d_matrix(k)) for cx in (full, inv) for k in range(cx.top + 1)}
     assert len(built) == 2 * (top + 1)
     assert {id(a) for a in built} == d_matrices
+
+
+# --- d-matrices from the word rows, representatives on first use ------------
+
+LADDER = ROOT / "perfbench" / "sessions" / "ladder.cdga"
+
+
+def ladder_complexes(model):
+    """The ladder algebra (the model times a 2-torus) with its full complex
+    and the invariant complex of rho extended by tau -> z^4 tau and
+    taubar -> z^8 taubar, an order-3 action."""
+    ctx = dsl.parse(LADDER.read_text()).algebras["M"]
+    alg, d = ctx.algebra, ctx.differential
+    z = alg.field.zeta(4)
+    weights = {"mu": z, "nu": z, "theta": z * z, "eta": z, "tau": z,
+               "mubar": z * z, "nubar": z * z, "thetabar": z, "etabar": z * z,
+               "taubar": z * z}
+    rho = AlgebraMap(alg, alg, {n: alg.generator(n).scale(w) for n, w in weights.items()})
+    return CochainComplex(d), invariant_complex(GroupAction(rho, 3, d))
+
+
+@pytest.mark.parametrize("which", ["paper", "ladder"])
+def test_d_matrix_rows_are_the_images_of_the_basis_elements(model, which):
+    """The oracle is the element path: d of each basis element by
+    ``apply_d``, in the complex's coordinates of the next degree."""
+    if which == "paper":
+        complexes = (CochainComplex(model.differential), invariant_complex(model.action))
+    else:
+        complexes = ladder_complexes(model)
+    for cx in complexes:
+        for k in range(cx.top + 1):
+            m = cx.d_matrix(k)
+            expected = [cx.to_row(apply_d(cx.differential, e), k + 1)
+                        for e in cx.basis_elements(k)]
+            assert m.sparse_rows == expected
+            assert (m.nrows, m.ncols) == (cx.dim(k), cx.dim(k + 1))
+
+
+def test_tables_are_built_without_elements(model, monkeypatch):
+    """d-matrices are read from the word rows, with no ``apply_d`` and no
+    element built, and a table boxes no representative until one is read:
+    a betti-only run of the ladder session boxes none."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cdgalab") and getattr(module, "apply_d", None) is apply_d:
+            monkeypatch.setattr(module, "apply_d", counting("apply_d", apply_d))
+    for cls, attr in ((CochainComplex, "from_row"), (CochainComplex, "basis_elements"),
+                      (GradedElement, "__init__")):
+        monkeypatch.setattr(cls, attr, counting(attr, getattr(cls, attr)))
+    full = CochainComplex(model.differential)
+    inv = CochainComplex(model.differential, model.invariant.subspaces)
+    for cx in (full, inv):
+        assert CohomologyTable(cx).betti
+    assert calls == []
+    session = dsl.parse(LADDER.read_text())  # the parser's d*d check applies d
+    calls.clear()
+    assert dsl.run(session).ok
+    assert calls.count("apply_d") == calls.count("from_row") == 0
+
+
+def test_d_matrix_of_subspaces_that_are_not_d_stable_is_refused(model):
+    """span{theta} in degree 1 with span{mu*mubar} in degree 2: d(theta) =
+    mu*nu leaves the complex."""
+    alg, g = model.algebra, model.gens
+    field = alg.field
+    subspaces = [Subspace.from_vectors(field, alg.dim(k), [{i: field.one.cv}
+                                                          for i in range(alg.dim(k))])
+                 for k in range(alg.top + 1)]
+    subspaces[1] = Subspace.from_vectors(field, alg.dim(1), [g["theta"].to_row(1)])
+    subspaces[2] = Subspace.from_vectors(field, alg.dim(2), [(g["mu"] * g["mubar"]).to_row(2)])
+    cx = CochainComplex(model.differential, subspaces)
+    assert cx.d_matrix(0).sparse_rows == [{}]
+    with pytest.raises(ValueError, match="^element of degree 2 does not lie in the complex$"):
+        cx.d_matrix(1)
+
+
+def test_representatives_are_boxed_once_per_degree(model):
+    for table in (CohomologyTable(model.complex), CohomologyTable(model.invariant)):
+        cx = table.complex
+        for k in range(table.top + 1):
+            reps = table.representatives(k)
+            assert table.representatives(k) is reps
+            assert len(reps) == table.betti[k]
+            assert [cx.to_row(r, k) for r in reps] == table._quotients[k].rows
