@@ -7,15 +7,19 @@ session (``perfbench/sessions/ladder.cdga``, 10 generators, 1024 words), on
 a fresh differential, so the per-word Leibniz rows are computed too.  It
 also times the cyclic-action layer on ``paper.cdga``: the invariant complex
 (the orbit-sum projector) plus the fixed-part cross-check, without the
-cohomology table of the invariant complex between them.  Last, it times one
+cohomology table of the invariant complex between them.  It times one
 Lefschetz query: k = 1 on ``omega`` against the full table of ``paper.cdga``,
-built once.  The end-to-end harness is ``perfbench/run.py``.
+built once.  It times ``merge_words`` on every ordered pair of basis words of
+the paper's algebra, and ``Matrix.rank`` on the 30 x 30 matrix of the first
+k = 1 query of the seed-1 scan session (``perfbench/workloads.py``).  The
+end-to-end harness is ``perfbench/run.py``.
 
     python benchmarks/bench_kernels.py [--muls N] [--size N] [--repeat N]
 """
 
 import argparse
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -32,9 +36,12 @@ DENSITY = 0.3
 INVERSES = 20_000
 INVARIANT_REPEAT = 20
 LEFSCHETZ_QUERIES = 100
+RANK_REPEAT = 20
 ROOT = Path(__file__).resolve().parent.parent
 PAPER = ROOT / "paper.cdga"
 LADDER = ROOT / "perfbench" / "sessions" / "ladder.cdga"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (the scan session generator)
 
 
 def rand_cv(rng, phi):
@@ -88,6 +95,21 @@ def bench_lefschetz(omega_class, queries):
     t0 = time.perf_counter()
     for _ in range(queries):
         lefschetz(omega_class, 1)
+    return time.perf_counter() - t0
+
+
+def bench_merge_words(alg, words):
+    merge = alg.merge_words
+    t0 = time.perf_counter()
+    for w1 in words:
+        for w2 in words:
+            merge(w1, w2)
+    return time.perf_counter() - t0
+
+
+def bench_rank(m):
+    t0 = time.perf_counter()
+    m.rank()
     return time.perf_counter() - t0
 
 
@@ -148,6 +170,19 @@ def main():
                for _ in range(args.repeat))
     print(f"lefschetz k=1 on omega, full table of {PAPER.name}, "
           f"{LEFSCHETZ_QUERIES} queries: {best / LEFSCHETZ_QUERIES * 1e3:8.3f} ms per query")
+
+    alg = full.complex.algebra
+    words = [w for k in range(alg.top + 1) for w in alg.basis(k)]
+    best = min(bench_merge_words(alg, words) for _ in range(args.repeat))
+    print(f"merge_words on all {len(words) ** 2} pairs of basis words of {PAPER.name}: "
+          f"{best / len(words) ** 2 * 1e6:8.3f} us per merge")
+
+    scan = dsl.parse(workloads.scan_session(1))
+    scan_table = CohomologyTable(CochainComplex(scan.algebras["M"].differential))
+    m = lefschetz(scan_table.class_of(scan.lets["w0"], 2), 1).matrix
+    best = min(bench_rank(m) for _ in range(RANK_REPEAT))
+    print(f"Matrix.rank of the {m.nrows}x{m.ncols} k=1 Lefschetz matrix of w0, "
+          f"scan seed 1, best of {RANK_REPEAT}: {best * 1e3:8.3f} ms")
 
 
 if __name__ == "__main__":

@@ -161,6 +161,50 @@ def rref(rows, ncols, limit, phi, mul, inv):
     return piv, pivots
 
 
+def rank(rows, ncols, mul, inv):
+    """Rank of the sparse rows of width ``ncols``, by forward elimination in
+    place.
+
+    Columns are taken in order.  A column's pivot is the lowest-numbered row
+    not yet used as a pivot that has a nonzero there, and the column is
+    cleared only in the other unused rows, by the multiple of the pivot
+    row that cancels their entry: no back-substitution and no scaling of
+    pivot rows.  An unused row is zero in every column already passed, so
+    the pivot row's other entries all lie to its right.  ``inv`` maps a
+    nonzero cv to its inverse cv; it is called only for a pivot that has
+    entries to clear.  The rows are left in no useful form.
+    """
+    holders = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    found = 0
+    for col in range(ncols):
+        if found == len(rows):
+            break
+        held = holders.get(col)
+        if not held:
+            continue
+        i = min(held)
+        prow = rows[i]
+        for j in prow:
+            holders[j].discard(i)
+        found += 1
+        if not held:  # the pivot is alone in its column: nothing to clear
+            continue
+        pcols = [j for j in prow if j != col]
+        minus_inv = cv_neg(inv(prow[col]))
+        for i2 in held:
+            target = rows[i2]
+            row_axpy(target, prow, cv_mul(target[col], minus_inv, mul), mul)
+            for j in pcols:
+                if j in target:
+                    holders[j].add(i2)
+                else:
+                    holders[j].discard(i2)
+    return found
+
+
 def reduce_against(row, rrows, pivots, ncols, mul):
     """Reduce the sparse ``row`` (mutated to the remainder) against rref rows.
 

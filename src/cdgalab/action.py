@@ -120,7 +120,7 @@ def invariant_subspaces(action: GroupAction) -> list[Subspace]:
             for _ in range(r - 1):
                 term = map_terms(f, term)
                 kernel.row_axpy(acc, term, inv_r, mul)
-            rows.append({alg.word_index(k, u): c for u, c in acc.items()})
+            rows.append(alg.terms_row(acc, k))
         subspaces.append(Subspace.from_vectors(field, alg.dim(k), rows))
     return subspaces
 
@@ -144,10 +144,10 @@ def induced_traces(table: CohomologyTable, action: GroupAction) -> list[list[Fie
     field = table.complex.algebra.field
     traces = []
     for k in range(table.top + 1):
-        reps = table.representatives(k)
-        b = len(reps)
+        b = table.betti[k]
         with engine_built():
-            rows = [table.class_row(apply_map(f, r), k) for r in reps]
+            rows = [table.class_row(map_terms(f, r), k)
+                    for r in table.representative_terms(k)]
         a = Matrix(field, b, rows)
         tr = [field.rational(b)]
         power = a

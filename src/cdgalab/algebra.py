@@ -4,12 +4,20 @@ Basis words are tuples of generator indices sorted by declaration order; odd
 generators appear at most once, even generators may repeat up to the declared
 truncation degree.  The sign of a product is the parity of degree-weighted
 transpositions in the merge of the two sorted words; this single convention
-fixes every sign produced by the engine.
+fixes every sign produced by the engine.  Only odd generators change the sign
+as they pass each other, so the enumeration keeps, beside each basis word's
+degree, its odd mask: the bit set of its odd generators.  Two basis words
+merge with one ``&`` test for a shared odd generator, a sign counted by
+popcounts, and their sorted concatenation; other words are merged by a walk
+through both.
 
 Coefficients are boxed as ``FieldElement`` only at the public boundary.
 ``wedge``, ``apply_d`` and ``apply_map`` accumulate ``{word: cv}`` maps of the
 kernel's canonical integer tuples (see ``_kernel_py``) and build one
-``GradedElement`` at the end.  Two per-word caches serve them:
+``GradedElement`` at the end.  The engine's own callers use the unboxed forms
+directly: ``_product``, ``d_terms`` and ``map_terms`` take and return such
+maps, and so the class solves of cup products and induced maps box nothing.
+Two per-word caches serve them:
 
 - a ``Differential`` computes each word's differential once, by the Leibniz
   rule; ``apply_d`` is the linear combination of those rows, and
@@ -115,27 +123,35 @@ class Algebra:
         self.top = top
         word_count(self.degrees, self.odd, top)
         self._index = {g.name: i for i, g in enumerate(gens)}
+        self._word_degree: dict = {}
+        self._word_mask: dict = {}
         self._basis = self._collect_words()
         self._word_pos = [
             {w: i for i, w in enumerate(words)} for words in self._basis
         ]
-        self._word_degree = {w: k for k, words in enumerate(self._basis) for w in words}
 
     def _collect_words(self) -> list[list[Word]]:
         """The basis words of each degree, in lexicographic order: a
         depth-first walk that extends a word by generators in declaration
         order, kept on an explicit stack so word length is not bounded by
-        the interpreter's recursion limit."""
+        the interpreter's recursion limit.  The walk also records each
+        word's degree and its odd mask, the bit set of its odd generators."""
         basis: list[list[Word]] = [[] for _ in range(self.top + 1)]
+        degree_of, mask_of = self._word_degree, self._word_mask
         last = len(self.gens) - 1
-        stack = [((), 0, 0)]  # (word, its degree, first generator it may take)
+        stack = [((), 0, 0, 0)]  # (word, degree, odd mask, first generator it may take)
         while stack:
-            word, deg, start = stack.pop()
+            word, deg, mask, start = stack.pop()
             basis[deg].append(word)
+            degree_of[word] = deg
+            mask_of[word] = mask
             for g in range(last, start - 1, -1):  # pushed last-first, popped first-first
                 d2 = deg + self.degrees[g]
                 if d2 <= self.top:
-                    stack.append((word + (g,), d2, g + 1 if self.odd[g] else g))
+                    if self.odd[g]:
+                        stack.append((word + (g,), d2, mask | 1 << g, g + 1))
+                    else:
+                        stack.append((word + (g,), d2, mask, g))
         return basis
 
     # --- basis bookkeeping ---
@@ -153,6 +169,18 @@ class Algebra:
 
     def word_index(self, degree: int, word: Word) -> int:
         return self._word_pos[degree][word]
+
+    def terms_row(self, terms: dict, degree: int) -> dict:
+        """Sparse coordinates ``{word index: cv}`` of a ``{word: cv}`` map on
+        the degree-`degree` word basis; rejects any other word."""
+        pos = self._word_pos[degree] if 0 <= degree <= self.top else {}
+        row = {}
+        for w, c in terms.items():
+            j = pos.get(w)
+            if j is None:
+                raise ValueError(f"term {self.format_word(w)} is not of degree {degree}")
+            row[j] = c
+        return row
 
     def word_degree(self, word: Word) -> int:
         deg = self._word_degree.get(word)
@@ -186,7 +214,27 @@ class Algebra:
 
     def merge_words(self, w1: Word, w2: Word):
         """Merge two sorted words; returns (word, sign) or None when the
-        product vanishes (repeated odd generator or truncation)."""
+        product vanishes (repeated odd generator or truncation).
+
+        The sign is (-1)^e, e the number of pairs of odd generators a in w1
+        and b in w2 with a > b: only odd generators change sign as they pass
+        each other.  For basis words it is read from their odd masks."""
+        m1 = self._word_mask.get(w1)
+        m2 = self._word_mask.get(w2)
+        if m1 is None or m2 is None:
+            return self._merge_loop(w1, w2)
+        if m1 & m2 or self._word_degree[w1] + self._word_degree[w2] > self.top:
+            return None
+        e = 0
+        while m2:
+            low = m2 & -m2  # the bit of the lowest odd generator b left in w2
+            e += (m1 & -(low << 1)).bit_count()  # odd generators of w1 above b
+            m2 ^= low
+        return tuple(sorted(w1 + w2)), (-1 if e & 1 else 1)
+
+    def _merge_loop(self, w1: Word, w2: Word):
+        """``merge_words`` by a walk through both words, for words that
+        are not basis words."""
         rem = self.word_degree(w1)
         if rem + self.word_degree(w2) > self.top:
             return None
@@ -316,13 +364,7 @@ class GradedElement:
     def to_row(self, degree: int) -> dict:
         """Sparse coordinates ``{word index: cv}`` on the degree-`degree` word
         basis; rejects other terms."""
-        alg = self.algebra
-        row = {}
-        for w, c in self.terms.items():
-            if alg.word_degree(w) != degree:
-                raise ValueError(f"term {alg.format_word(w)} is not of degree {degree}")
-            row[alg.word_index(degree, w)] = c.cv
-        return row
+        return self.algebra.terms_row(_cvs(self), degree)
 
     @staticmethod
     def from_row(algebra: Algebra, degree: int, row: dict) -> "GradedElement":
@@ -484,18 +526,23 @@ class Differential:
         return apply_d(self, x)
 
 
-def apply_d(d: Differential, x: GradedElement) -> GradedElement:
-    """Leibniz extension: the combination of the word differentials."""
-    alg = x.algebra
-    if alg is not d.algebra:
-        raise ValueError("algebra mismatch")
-    mul = alg.field.mul
+def d_terms(d: Differential, terms: dict) -> dict:
+    """d of a ``{word: cv}`` map, as a new one without zeros: the
+    combination of the word differentials."""
+    mul = d.algebra.field.mul
     acc: dict = {}
-    for w, c in x.terms.items():
+    for w, c in terms.items():
         row = d._word_row(w)
         if row:
-            kernel.row_axpy(acc, row, c.cv, mul)
-    return _element(alg, acc)
+            kernel.row_axpy(acc, row, c, mul)
+    return acc
+
+
+def apply_d(d: Differential, x: GradedElement) -> GradedElement:
+    """Leibniz extension: the combination of the word differentials."""
+    if x.algebra is not d.algebra:
+        raise ValueError("algebra mismatch")
+    return _element(x.algebra, d_terms(d, _cvs(x)))
 
 
 class AlgebraMap:

@@ -79,12 +79,19 @@ _TOKEN = re.compile(r"(?P<NEWLINE>\n)|[ \t\r]+|#[^\n]*|(?P<INT>[0-9]+)"
                     r"|(?P<SYM>->|[:={};*+\-^/()])|(?P<BAD>.)")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # IDENT, INT, SYM, NEWLINE, EOF
-    text: str
-    line: int
-    col: int
+    """One token and the line and column where it starts.  A plain class
+    with slots: a session builds one per token, and a frozen dataclass's
+    constructor, which sets each field through ``object.__setattr__``, cost
+    more than the regex match that finds the token."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # IDENT, INT, SYM, NEWLINE, EOF
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str) -> list[Token]:

@@ -20,14 +20,20 @@ A d-matrix is built from the differential's per-word Leibniz rows
 algebra those rows are its rows, and on a subspace family each row is the
 combination of the word rows that its subspace row names, in the
 coordinates of the next subspace.  A table keeps its representatives as
-sparse rows and boxes the elements of a degree when they are first asked
-for, so a table read only for its Betti numbers boxes none.
+sparse rows.  It turns the rows of a degree into ``{word: cv}`` maps, and
+boxes those maps as elements, each when they are first asked for, so a table
+read only for its Betti numbers does neither.
 
-A class solve checks that its element is closed and lies in the complex.
-On a user's element a failed check is a failed precondition
-(``PreconditionError``).  Inside ``engine_built()`` the element is one the
-engine made itself, such as a product of representatives or the image of
-one under a map, and a failed check is an engine fault (``AssertionError``).
+There is one class solve, ``CohomologyTable.class_row``, and it takes the
+element as a ``{word: cv}`` map.  The engine hands it products and map images
+built unboxed from ``representative_terms`` (``_product``, ``map_terms``);
+the element entry points (``class_coords``, ``is_exact``) pass ``_cvs(x)``.
+It checks that its element is closed and lies in the complex, and that the
+remainder against the representatives is zero.  On a user's element a failed
+check is a failed precondition (``PreconditionError``).  Inside
+``engine_built()`` the element is one the engine made itself, such as a
+product of representatives or the image of one under a map, and a failed
+check is an engine fault (``AssertionError``).
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._backend import kernel
-from .algebra import Differential, GradedElement, PreconditionError, apply_d, wedge
+from .algebra import (Differential, GradedElement, PreconditionError, _cvs, _element,
+                      _product, apply_d, d_terms)
 from .linalg import Eliminator, Matrix, Subspace, densify, quotient_basis
 
 
@@ -75,7 +82,11 @@ class CochainComplex:
     def to_row(self, x: GradedElement, k: int) -> dict:
         """Sparse coordinates ``{index: cv}`` of x in the degree-k basis of the
         complex; raises when x does not lie in the complex."""
-        ambient = x.to_row(k)
+        return self.terms_row(_cvs(x), k)
+
+    def terms_row(self, terms: dict, k: int) -> dict:
+        """``to_row`` of the element with the ``{word: cv}`` map ``terms``."""
+        ambient = self.algebra.terms_row(terms, k)
         if self.subspaces is None or not ambient:
             return ambient
         coords = self.subspaces[k].coordinates(ambient)
@@ -92,15 +103,20 @@ class CochainComplex:
 
     def from_row(self, k: int, coords: dict) -> GradedElement:
         """The element with sparse coordinates ``{index: cv}`` in degree k."""
-        alg = self.algebra
+        return _element(self.algebra, self.row_terms(k, coords))
+
+    def row_terms(self, k: int, coords: dict) -> dict:
+        """``from_row`` as a new ``{word: cv}`` map, without boxing."""
         if self.subspaces is None:
-            return GradedElement.from_row(alg, k, coords)
-        rows = self.subspaces[k].rows
-        mul = alg.field.mul
-        ambient: dict = {}
-        for i, c in coords.items():
-            kernel.row_axpy(ambient, rows[i], c, mul)
-        return GradedElement.from_row(alg, k, ambient)
+            ambient = coords
+        else:
+            rows = self.subspaces[k].rows
+            mul = self.algebra.field.mul
+            ambient = {}
+            for i, c in coords.items():
+                kernel.row_axpy(ambient, rows[i], c, mul)
+        words = self.algebra.basis(k)
+        return {words[j]: c for j, c in ambient.items()}
 
     def basis_elements(self, k: int) -> list[GradedElement]:
         if self.subspaces is None:
@@ -149,13 +165,18 @@ class CohomologyClass:
     degree: int
     coords: tuple
 
-    def representative(self) -> GradedElement:
-        reps = self.table.representatives(self.degree)
-        out = self.table.complex.algebra.zero()
+    def terms(self) -> dict:
+        """The representative as a new ``{word: cv}`` map."""
+        reps = self.table.representative_terms(self.degree)
+        mul = self.table.complex.algebra.field.mul
+        out: dict = {}
         for c, r in zip(self.coords, reps):
             if not c.is_zero():
-                out = out + r.scale(c)
+                kernel.row_axpy(out, r, c.cv, mul)
         return out
+
+    def representative(self) -> GradedElement:
+        return _element(self.table.complex.algebra, self.terms())
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
@@ -176,6 +197,7 @@ class CohomologyTable:
         self.betti: list[int] = []
         self._coboundaries: list[Subspace] = []
         self._quotients: list[Subspace] = []
+        self._rep_terms: dict[int, list[dict]] = {}
         self._reps: dict[int, list[GradedElement]] = {}
         top = complex_.top
         for k in range(top + 1):
@@ -196,11 +218,19 @@ class CohomologyTable:
     def coboundaries(self, k: int) -> Subspace:
         return self._coboundaries[k]
 
+    def representative_terms(self, k: int) -> list[dict]:
+        """The degree-k representatives as ``{word: cv}`` maps (shared),
+        built on first use."""
+        if k not in self._rep_terms:
+            self._rep_terms[k] = [self.complex.row_terms(k, row)
+                                  for row in self._quotients[k].rows]
+        return self._rep_terms[k]
+
     def representatives(self, k: int) -> list[GradedElement]:
         """The degree-k representatives as elements, boxed on first use."""
         if k not in self._reps:
-            self._reps[k] = [self.complex.from_row(k, row)
-                             for row in self._quotients[k].rows]
+            alg = self.complex.algebra
+            self._reps[k] = [_element(alg, t) for t in self.representative_terms(k)]
         return self._reps[k]
 
     def euler_characteristic(self) -> int:
@@ -208,24 +238,29 @@ class CohomologyTable:
 
     # --- classes ---
 
-    def _closed_row(self, x: GradedElement, k: int) -> dict:
-        """Sparse coordinates of x in the complex, after checking that x is
-        closed and lies in the complex."""
-        dx = self.complex.d(x)
-        if not dx.is_zero():
+    def _closed_row(self, terms: dict, k: int) -> dict:
+        """Sparse coordinates of the element with the ``{word: cv}`` map
+        ``terms`` in the complex, after checking that it is closed and lies
+        in the complex."""
+        cx = self.complex
+        dx = d_terms(cx.differential, terms)
+        if dx:
+            dx = _element(cx.algebra, dx)
             raise PreconditionError(f"element is not closed: d(x) = {dx}", dx)
         try:
-            return self.complex.to_row(x, k)
+            return cx.terms_row(terms, k)
         except ValueError:
             raise ValueError("element does not lie in the complex") from None
 
-    def class_row(self, x: GradedElement, k: int) -> dict:
-        """Sparse coordinates ``{j: cv}`` of [x] in the degree-k
-        representative basis: x reduced by the coboundaries, then the
-        remainder by the representatives."""
-        if x.is_zero():
+    def class_row(self, terms: dict, k: int) -> dict:
+        """Sparse coordinates ``{j: cv}`` in the degree-k representative
+        basis of the class of the element x with the ``{word: cv}`` map
+        ``terms`` (no zeros), after checking that x is closed and lies in
+        the complex: x reduced by the coboundaries, then the remainder by
+        the representatives.  Pass ``_cvs(x)`` for an element x."""
+        if not terms:
             return {}
-        rem = self._closed_row(x, k)
+        rem = self._closed_row(terms, k)
         self._coboundaries[k].reduce_owned(rem)
         coords = self._quotients[k].reduce_owned(rem)
         if rem:
@@ -239,7 +274,7 @@ class CohomologyTable:
         k = degree if degree is not None else x.degree()
         if k is None:
             raise ValueError("class_coords needs a homogeneous element")
-        return tuple(densify(self.complex.algebra.field, self.class_row(x, k),
+        return tuple(densify(self.complex.algebra.field, self.class_row(_cvs(x), k),
                              self.betti[k]))
 
     def class_of(self, x: GradedElement, degree: Optional[int] = None) -> CohomologyClass:
@@ -256,7 +291,7 @@ class CohomologyTable:
         k = degree if degree is not None else x.degree()
         if k is None:
             raise ValueError("is_exact needs a homogeneous element")
-        row = self._closed_row(x, k)
+        row = self._closed_row(_cvs(x), k)
         if k == 0:
             return None
         sol = self.complex.d_eliminator(k - 1).solve_left(row)
@@ -268,9 +303,11 @@ class CohomologyTable:
         """Product of classes via representatives."""
         if c1.table is not self or c2.table is not self:
             raise ValueError("classes come from a different table")
-        prod = wedge(c1.representative(), c2.representative())
+        alg = self.complex.algebra
+        k = c1.degree + c2.degree
         with engine_built():
-            return self.class_of(prod, c1.degree + c2.degree)
+            row = self.class_row(_product(alg, c1.terms(), c2.terms()), k)
+        return CohomologyClass(self, k, tuple(densify(alg.field, row, self.betti[k])))
 
 
 @contextmanager

@@ -27,6 +27,8 @@ Each space is put in echelon form once.  A ``Subspace`` is its reduced
 echelon rows with their pivots; an ``Eliminator`` of A keeps the row space
 of A as such a ``Subspace`` (``image``), taken from the same elimination of
 [A | I] that gives its left kernel, and every solve reduces against it.
+``Matrix.rank`` needs no echelon form and eliminates forward only
+(``kernel.rank``).
 """
 
 from __future__ import annotations
@@ -101,12 +103,10 @@ class Matrix:
         return self._entries
 
     def rank(self) -> int:
-        """Rank, from one elimination of a copy of the rows."""
+        """Rank, from one forward elimination of a copy of the rows."""
         field = self.field
-        rows = [dict(row) for row in self.sparse_rows]
-        rank, _ = kernel.rref(rows, self.ncols, self.ncols, field.phi, field.mul,
-                              _inv_cv(field))
-        return rank
+        return kernel.rank([dict(row) for row in self.sparse_rows], self.ncols,
+                           field.mul, _inv_cv(field))
 
     def entry(self, i: int, j: int) -> FieldElement:
         cv = self.sparse_rows[i].get(j)

@@ -4,10 +4,13 @@ Nondegeneracy is the top-power criterion omega^n != 0 (constant-coefficient
 model); the hard-Lefschetz maps are cup products with [omega]^k between the
 complementary cohomology degrees.
 
-A Lefschetz query eliminates once: the rank comes from one elimination of
-the cup matrix's own rows and the kernel dimension from rank-nullity.  The
-kernel basis needs the left kernel, an elimination of [A | I], and is built
-only when ``LefschetzReport.kernel`` is first read.
+A Lefschetz query stays in the kernel's forms.  omega^k and each product
+r * omega^k of a source representative r are ``{word: cv}`` maps built by
+``_product``, and each goes to the class solve as it is, so no element is
+boxed.  The rank comes from one forward elimination of the cup matrix's own
+rows (``Matrix.rank``) and the kernel dimension from rank-nullity.  The
+kernel basis needs the left kernel, a Gauss-Jordan elimination of [A | I],
+and is built only when ``LefschetzReport.kernel`` is first read.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import Conjugation, Differential, GradedElement, apply_d, wedge
+from .algebra import Conjugation, Differential, GradedElement, _product, apply_d, wedge
 from .homology import CohomologyClass, engine_built, top_scalar
 from .linalg import Eliminator, Matrix, Subspace
 
@@ -93,15 +96,15 @@ def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
     n = top // 2
     if k < 0 or k > n:
         raise ValueError(f"k must lie in 0..{n}")
-    field = table.complex.algebra.field
-    omega = omega_class.representative()
-    omega_k = table.complex.algebra.unit()
+    alg = table.complex.algebra
+    omega = omega_class.terms()
+    omega_k = {(): alg.field.one.cv}
     for _ in range(k):
-        omega_k = wedge(omega_k, omega)
+        omega_k = _product(alg, omega_k, omega)
     src, dst = n - k, n + k
     with engine_built():
-        rows = [table.class_row(wedge(r, omega_k), dst)
-                for r in table.representatives(src)]
-    m = Matrix(field, table.betti[dst], rows)
+        rows = [table.class_row(_product(alg, r, omega_k), dst)
+                for r in table.representative_terms(src)]
+    m = Matrix(alg.field, table.betti[dst], rows)
     rank = m.rank()
     return LefschetzReport(k, src, dst, m, rank, m.nrows - rank)

@@ -300,6 +300,69 @@ def even_algebra():
     return alg, d, [f, f.power(2)]
 
 
+def ref_merge_words(alg, w1, w2):
+    """The merge walk through both sorted words: a letter of w2 placed in
+    front of the letters of w1 still waiting adds its degree times theirs to
+    the sign's exponent.  Returns (word, sign), or None for a repeated odd
+    generator or a product past the top degree."""
+    rem = alg.word_degree(w1)
+    if rem + alg.word_degree(w2) > alg.top:
+        return None
+    out = []
+    i, j = 0, 0
+    sign_exp = 0
+    while i < len(w1) and j < len(w2):
+        a, b = w1[i], w2[j]
+        if a < b:
+            out.append(a)
+            rem -= alg.degrees[a]
+            i += 1
+        elif a > b:
+            out.append(b)
+            sign_exp += alg.degrees[b] * rem
+            j += 1
+        else:
+            if alg.odd[a]:
+                return None
+            out.append(a)
+            rem -= alg.degrees[a]
+            i += 1
+    out.extend(w1[i:])
+    out.extend(w2[j:])
+    return tuple(out), (-1 if sign_exp % 2 else 1)
+
+
+@pytest.mark.parametrize("which", ["paper", "truncated"])
+def test_merge_words_matches_the_merge_walk_on_every_pair(model, which):
+    """The odd-mask merge of basis words, on every ordered pair of them,
+    against the walk above; and words outside the basis, which
+    ``merge_words`` merges by a walk of its own."""
+    if which == "paper":
+        alg = model.algebra
+        outside = [(0, 0), (1, 1), (0, 1, 1)]  # mu*mu, nu*nu, mu*nu*nu
+    else:
+        alg = Algebra(make_field(12), [("x", 2), ("y", 3), ("z", 1)], top=9)
+        outside = [(1, 1), (2, 2), (0,) * 5, (0, 0, 0, 1)]  # y*y, z*z, past the top
+    words = [w for k in range(alg.top + 1) for w in alg.basis(k)]
+    outcomes = set()
+    for w1 in words:
+        for w2 in words:
+            got = alg.merge_words(w1, w2)
+            assert got == ref_merge_words(alg, w1, w2), (w1, w2)
+            if got is None:
+                past_top = alg.word_degree(w1) + alg.word_degree(w2) > alg.top
+                outcomes.add("past the top" if past_top else "repeated odd")
+            else:
+                outcomes.add(got[1])
+    assert {1, -1, "repeated odd"} <= outcomes
+    if which == "truncated":
+        assert "past the top" in outcomes
+    for w1 in outside:
+        for w2 in outside + words:
+            assert alg.merge_words(w1, w2) == ref_merge_words(alg, w1, w2), (w1, w2)
+            assert alg.merge_words(w2, w1) == ref_merge_words(alg, w2, w1), (w2, w1)
+
+
 def paper_algebra(model):
     alg, g = model.algebra, model.gens
     z = model.field.zeta(1)

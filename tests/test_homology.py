@@ -6,7 +6,8 @@ import pytest
 from cdgalab import AlgebraMap, GroupAction, Matrix, dsl, make_field, top_scalar, wedge
 from cdgalab._backend import kernel
 from cdgalab.action import invariant_complex
-from cdgalab.algebra import Algebra, Differential, GradedElement, PreconditionError, apply_d
+from cdgalab.algebra import (Algebra, Differential, GradedElement, PreconditionError, _cvs,
+                             apply_d)
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator, Subspace, densify
 
@@ -55,7 +56,7 @@ def test_listed_degree_three_classes_span(model):
     rows = []
     for e in classes:
         assert apply_d(model.differential, e).is_zero()
-        rows.append(table.class_row(e, 3))
+        rows.append(table.class_row(_cvs(e), 3))
     # independent mod exact and spanning H^3
     assert Subspace.from_vectors(model.field, table.betti[3], rows).dim == 30
 
@@ -214,7 +215,7 @@ def test_class_row_matches_class_coords(model):
                         x = x + r.scale(c)
                 samples.append(x)
             for x in samples:
-                row = table.class_row(x, k)
+                row = table.class_row(_cvs(x), k)
                 assert all(0 <= j < table.betti[k] and not kernel.cv_is_zero(cv)
                            for j, cv in row.items())
                 assert densify(field, row, table.betti[k]) == list(table.class_coords(x, k))
@@ -255,7 +256,7 @@ def test_class_row_matches_class_eliminator(model):
             samples += [random_closed(table, k, rng) for _ in range(6)]
             for x in samples:
                 if not x.is_zero():
-                    assert table.class_row(x, k) == ref_class_row(table, x, k)
+                    assert table.class_row(_cvs(x), k) == ref_class_row(table, x, k)
 
 
 def test_coboundaries_are_the_d_eliminator_image_in_echelon_form(model):
@@ -298,7 +299,7 @@ def test_tables_build_no_eliminator_beyond_the_d_eliminators(model, monkeypatch)
         assert len(rrefs) == 2 * (top + 1)
         for k in range(table.top + 1):
             for r in table.representatives(k):
-                table.class_row(r, k)
+                table.class_row(_cvs(r), k)
         assert len(rrefs) == 2 * (top + 1)
     d_matrices = {id(cx.d_matrix(k)) for cx in (full, inv) for k in range(cx.top + 1)}
     assert len(built) == 2 * (top + 1)

@@ -109,6 +109,33 @@ def test_rank_transpose_and_rank_nullity_randomized():
         assert m.ncols == rank + len(Eliminator(transpose(m)).kernel_rows())
 
 
+def test_forward_elimination_rank_matches_the_eliminator():
+    """``Matrix.rank`` eliminates forward only, without back-substitution;
+    on random sparse matrices over Q(zeta_12) of every shape, and with zero
+    and repeated rows, it must find the rank of the [A | I] elimination and
+    leave the matrix's rows as they were."""
+    f = make_field(12)
+    rng = random.Random(47)
+    cases = [Matrix(f, 5, []), Matrix(f, 3, [{}, {}])]
+    for _ in range(20):
+        short, long = rng.randint(1, 4), rng.randint(5, 9)
+        density = rng.choice((0.15, 0.3, 0.6))
+        cases.append(_random_matrix(f, rng, long, short, density))  # tall
+        cases.append(_random_matrix(f, rng, short, long, density))  # wide
+        rows = _random_matrix(f, rng, short + 2, long, density).sparse_rows
+        cases.append(Matrix(f, long, rows[:1] + [{}] + rows[1:] + [{}]))  # zero rows
+        cases.append(Matrix(f, long, rows + [dict(rows[0]), dict(rows[-1])]))  # repeats
+        cases.append(_rank_deficient_matrix(f, rng, long, short + 3))
+    deficient = 0
+    for m in cases:
+        before = [dict(row) for row in m.sparse_rows]
+        rank = m.rank()
+        assert rank == Eliminator(m).rank
+        assert m.sparse_rows == before
+        deficient += rank < min(m.nrows, m.ncols)
+    assert 20 <= deficient < len(cases)
+
+
 def test_rref_is_idempotent_and_deterministic():
     f = make_field(12)
     rng = random.Random(22)

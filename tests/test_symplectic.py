@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from cdgalab import Matrix, make_field, wedge
-from cdgalab.algebra import Algebra, Conjugation, Differential, apply_d
+from cdgalab.algebra import Algebra, Conjugation, Differential, PreconditionError, _cvs, apply_d
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator
 from cdgalab.symplectic import is_symplectic, lefschetz
+
+from conftest import sparse_row
 
 LEF_WITNESS_SIGN = -1  # frozen: omega^2*nu*nubar = d(-2*theta*mubar*etabar*eta*nubar)
 
@@ -59,7 +61,7 @@ def test_lefschetz_failure_on_invariant_complex(model):
     assert rep.kernel_dim >= 1
     assert rep.rank < table.betti[2]
     nn = model.gens["nu"] * model.gens["nubar"]
-    assert rep.kernel.contains(table.class_row(nn, 2))
+    assert rep.kernel.contains(table.class_row(_cvs(nn), 2))
 
 
 def test_lefschetz_k0_is_identity(model):
@@ -101,9 +103,9 @@ def test_lefschetz_matrices_compose(model):
     # middle step: cup with omega from H^4 to H^6
     f = model.field
     omega_rep = om.representative()
-    mid = Matrix(f, table.betti[6], [table.class_row(wedge(r, omega_rep), 6)
+    mid = Matrix(f, table.betti[6], [table.class_row(_cvs(wedge(r, omega_rep)), 6)
                                      for r in table.representatives(4)])
-    first = Matrix(f, table.betti[4], [table.class_row(wedge(r, omega_rep), 4)
+    first = Matrix(f, table.betti[4], [table.class_row(_cvs(wedge(r, omega_rep)), 4)
                                        for r in table.representatives(2)])
     assert first.matmul(mid) == m2
 
@@ -167,12 +169,17 @@ def _non_rational_closed_form(model, rng, nwords=4):
     pairs = [(a, b) for i, a in enumerate(CLOSED_1_FORMS) for b in CLOSED_1_FORMS[i + 1:]]
     form = model.algebra.zero()
     for a, b in rng.sample(pairs, nwords):
-        q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        e = rng.choice([e for e in range(1, f.n) if e != f.n // 2])
-        coeff = f.rational(q) + f.zeta(e) * rng.choice((-3, -2, -1, 1, 2, 3))
-        assert not coeff.is_rational()
-        form = form + (g[a] * g[b]).scale(coeff)
+        form = form + (g[a] * g[b]).scale(_non_rational_scalar(f, rng))
     return form
+
+
+def _non_rational_scalar(f, rng):
+    """q + c*z^e with q rational, c a nonzero integer and z^e not rational."""
+    q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    e = rng.choice([e for e in range(1, f.n) if e != f.n // 2])
+    coeff = f.rational(q) + f.zeta(e) * rng.choice((-3, -2, -1, 1, 2, 3))
+    assert not coeff.is_rational()
+    return coeff
 
 
 @pytest.mark.parametrize("seed", [5, 17, 29])
@@ -189,3 +196,52 @@ def test_galois_conjugate_forms_have_equal_lefschetz_ranks(model, seed):
     for k in (1, 2):
         ranks = [lefschetz(table.class_of(x, 2), k).rank for x in (form, conj)]
         assert ranks[0] == ranks[1] <= table.betti[4 - k]
+
+
+@pytest.mark.parametrize("which", ["table", "invariant_table"])
+@pytest.mark.parametrize("seed", [3, 11, 23])
+def test_lefschetz_matrix_is_the_class_coords_of_the_cup_products(model, which, seed):
+    """Every entry of the report's matrix, for k = 0..4: row i is the class of
+    r_i * omega^k for the source representatives r_i, solved through the
+    public element API.  omega is a seeded combination of the degree-2
+    representatives with non-rational coefficients."""
+    table = getattr(model, which)
+    f = model.field
+    rng = random.Random(seed)
+    form = model.algebra.zero()
+    for r in table.representatives(2):
+        form = form + r.scale(_non_rational_scalar(f, rng))
+    om = table.class_of(form, 2)
+    omega = om.representative()
+    n = table.top // 2
+    power = model.algebra.unit()  # omega^k
+    for k in range(n + 1):
+        src, dst = n - k, n + k
+        rows = [sparse_row(table.class_coords(wedge(r, power), dst))
+                for r in table.representatives(src)]
+        assert lefschetz(om, k).matrix == Matrix(f, table.betti[dst], rows)
+        power = wedge(power, omega)
+
+
+def test_a_non_closed_representative_is_an_engine_fault(model, monkeypatch):
+    """A Lefschetz row is the class of a product the engine built, so when a
+    representative is not closed, the closedness check of its class solve
+    reports an engine fault (``AssertionError``), not a failed precondition
+    of the caller's input (``PreconditionError``)."""
+    table = model.table
+    om = table.class_of(model.omega, 2)
+    g = model.gens
+    bad = g["theta"] * g["eta"] * g["etabar"]  # d(bad) = mu*nu*eta*etabar
+    residue = apply_d(model.differential, wedge(bad, om.representative()))
+    assert not residue.is_zero()
+    representative_terms = CohomologyTable.representative_terms
+
+    def patched(self, k):
+        reps = representative_terms(self, k)
+        return [_cvs(bad)] + reps[1:] if self is table and k == 3 else reps
+
+    monkeypatch.setattr(CohomologyTable, "representative_terms", patched)
+    with pytest.raises(AssertionError, match="^engine-built element: element is not closed") as info:
+        lefschetz(om, 1)
+    cause = info.value.__cause__
+    assert isinstance(cause, PreconditionError) and cause.witness == residue
