@@ -146,7 +146,7 @@ def induced_traces(table: CohomologyTable, action: GroupAction) -> list[list[Fie
     for k in range(table.top + 1):
         b = table.betti[k]
         with engine_built():
-            rows = [table.class_row(map_terms(f, r), k)
+            rows = [table._class_row(map_terms(f, r), k)
                     for r in table.representative_terms(k)]
         a = Matrix(field, b, rows)
         tr = [field.rational(b)]

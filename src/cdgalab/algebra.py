@@ -8,8 +8,8 @@ fixes every sign produced by the engine.  Only odd generators change the sign
 as they pass each other, so the enumeration keeps, beside each basis word's
 degree, its odd mask: the bit set of its odd generators.  Two basis words
 merge with one ``&`` test for a shared odd generator, a sign counted by
-popcounts, and their sorted concatenation; other words are merged by a walk
-through both.
+popcounts, and their sorted concatenation; a product with a word outside the
+basis is zero.
 
 Coefficients are boxed as ``FieldElement`` only at the public boundary.
 ``wedge``, ``apply_d`` and ``apply_map`` accumulate ``{word: cv}`` maps of the
@@ -218,12 +218,13 @@ class Algebra:
 
         The sign is (-1)^e, e the number of pairs of odd generators a in w1
         and b in w2 with a > b: only odd generators change sign as they pass
-        each other.  For basis words it is read from their odd masks."""
+        each other, and it is read from the words' odd masks.  A sorted word
+        outside the basis is past the top or repeats an odd generator, so
+        its products all vanish."""
         m1 = self._word_mask.get(w1)
         m2 = self._word_mask.get(w2)
-        if m1 is None or m2 is None:
-            return self._merge_loop(w1, w2)
-        if m1 & m2 or self._word_degree[w1] + self._word_degree[w2] > self.top:
+        if (m1 is None or m2 is None or m1 & m2
+                or self._word_degree[w1] + self._word_degree[w2] > self.top):
             return None
         e = 0
         while m2:
@@ -231,37 +232,6 @@ class Algebra:
             e += (m1 & -(low << 1)).bit_count()  # odd generators of w1 above b
             m2 ^= low
         return tuple(sorted(w1 + w2)), (-1 if e & 1 else 1)
-
-    def _merge_loop(self, w1: Word, w2: Word):
-        """``merge_words`` by a walk through both words, for words that
-        are not basis words."""
-        rem = self.word_degree(w1)
-        if rem + self.word_degree(w2) > self.top:
-            return None
-        out = []
-        i, j = 0, 0
-        n1, n2 = len(w1), len(w2)
-        sign_exp = 0
-        degrees = self.degrees
-        while i < n1 and j < n2:
-            a, b = w1[i], w2[j]
-            if a < b:
-                out.append(a)
-                rem -= degrees[a]
-                i += 1
-            elif a > b:
-                out.append(b)
-                sign_exp += degrees[b] * rem
-                j += 1
-            else:
-                if self.odd[a]:
-                    return None
-                out.append(a)
-                rem -= degrees[a]
-                i += 1
-        out.extend(w1[i:])
-        out.extend(w2[j:])
-        return tuple(out), (-1 if sign_exp % 2 else 1)
 
     def format_word(self, word: Word) -> str:
         return "*".join(self.gens[g].name for g in word)

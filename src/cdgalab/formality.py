@@ -156,8 +156,8 @@ def massey_triple(x: CohomologyClass, y: CohomologyClass,
     with engine_built():
         coords = table.class_coords(rep, out_deg)
         for h in table.representative_terms(y.degree + z.degree - 1):
-            rows.append(table.class_row(_product(alg, xt, h), out_deg))
+            rows.append(table._class_row(_product(alg, xt, h), out_deg))
         for h in table.representative_terms(x.degree + y.degree - 1):
-            rows.append(table.class_row(_product(alg, h, zt), out_deg))
+            rows.append(table._class_row(_product(alg, h, zt), out_deg))
     indet = Subspace.from_vectors(alg.field, table.betti[out_deg], rows)
     return MasseyResult(coords, rep, indet)

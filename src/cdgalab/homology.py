@@ -24,15 +24,16 @@ sparse rows.  It turns the rows of a degree into ``{word: cv}`` maps, and
 boxes those maps as elements, each when they are first asked for, so a table
 read only for its Betti numbers does neither.
 
-There is one class solve, ``CohomologyTable.class_row``, and it takes the
+There is one class solve, ``CohomologyTable._class_row``, and it takes the
 element as a ``{word: cv}`` map.  The engine hands it products and map images
 built unboxed from ``representative_terms`` (``_product``, ``map_terms``);
-the element entry points (``class_coords``, ``is_exact``) pass ``_cvs(x)``.
-It checks that its element is closed and lies in the complex, and that the
-remainder against the representatives is zero.  On a user's element a failed
-check is a failed precondition (``PreconditionError``).  Inside
-``engine_built()`` the element is one the engine made itself, such as a
-product of representatives or the image of one under a map, and a failed
+the element entry points (``class_row``, ``class_coords``, ``is_exact``)
+check that the element belongs to the table's algebra and pass its map.
+The solve checks that its element is closed and lies in the complex, and
+that the remainder against the representatives is zero.  On a user's
+element a failed check is a failed precondition (``PreconditionError``).
+Inside ``engine_built()`` the element is one the engine made itself, such as
+a product of representatives or the image of one under a map, and a failed
 check is an engine fault (``AssertionError``).
 """
 
@@ -46,6 +47,13 @@ from ._backend import kernel
 from .algebra import (Differential, GradedElement, PreconditionError, _cvs, _element,
                       _product, apply_d, d_terms)
 from .linalg import Eliminator, Matrix, Subspace, densify, quotient_basis
+
+
+def _terms_in(alg, x: GradedElement) -> dict:
+    """The ``{word: cv}`` map of x, which must be an element of ``alg``."""
+    if x.algebra is not alg:
+        raise ValueError("algebra mismatch")
+    return _cvs(x)
 
 
 class CochainComplex:
@@ -82,7 +90,7 @@ class CochainComplex:
     def to_row(self, x: GradedElement, k: int) -> dict:
         """Sparse coordinates ``{index: cv}`` of x in the degree-k basis of the
         complex; raises when x does not lie in the complex."""
-        return self.terms_row(_cvs(x), k)
+        return self.terms_row(_terms_in(self.algebra, x), k)
 
     def terms_row(self, terms: dict, k: int) -> dict:
         """``to_row`` of the element with the ``{word: cv}`` map ``terms``."""
@@ -252,12 +260,12 @@ class CohomologyTable:
         except ValueError:
             raise ValueError("element does not lie in the complex") from None
 
-    def class_row(self, terms: dict, k: int) -> dict:
+    def _class_row(self, terms: dict, k: int) -> dict:
         """Sparse coordinates ``{j: cv}`` in the degree-k representative
         basis of the class of the element x with the ``{word: cv}`` map
         ``terms`` (no zeros), after checking that x is closed and lies in
         the complex: x reduced by the coboundaries, then the remainder by
-        the representatives.  Pass ``_cvs(x)`` for an element x."""
+        the representatives."""
         if not terms:
             return {}
         rem = self._closed_row(terms, k)
@@ -267,6 +275,11 @@ class CohomologyTable:
             raise AssertionError("closed element must reduce against cocycles")
         return coords
 
+    def class_row(self, x: GradedElement, k: int) -> dict:
+        """Sparse coordinates ``{j: cv}`` of [x] in the degree-k
+        representative basis."""
+        return self._class_row(_terms_in(self.complex.algebra, x), k)
+
     def class_coords(self, x: GradedElement, degree: Optional[int] = None) -> tuple:
         """Coordinates of [x] in the representative basis of its degree."""
         if x.is_zero() and degree is None:
@@ -274,7 +287,7 @@ class CohomologyTable:
         k = degree if degree is not None else x.degree()
         if k is None:
             raise ValueError("class_coords needs a homogeneous element")
-        return tuple(densify(self.complex.algebra.field, self.class_row(_cvs(x), k),
+        return tuple(densify(self.complex.algebra.field, self.class_row(x, k),
                              self.betti[k]))
 
     def class_of(self, x: GradedElement, degree: Optional[int] = None) -> CohomologyClass:
@@ -286,12 +299,13 @@ class CohomologyTable:
 
         The primitive is the deterministic pivot solution inside the complex.
         """
-        if x.is_zero():
+        terms = _terms_in(self.complex.algebra, x)
+        if not terms:
             return self.complex.algebra.zero()
         k = degree if degree is not None else x.degree()
         if k is None:
             raise ValueError("is_exact needs a homogeneous element")
-        row = self._closed_row(_cvs(x), k)
+        row = self._closed_row(terms, k)
         if k == 0:
             return None
         sol = self.complex.d_eliminator(k - 1).solve_left(row)
@@ -306,7 +320,7 @@ class CohomologyTable:
         alg = self.complex.algebra
         k = c1.degree + c2.degree
         with engine_built():
-            row = self.class_row(_product(alg, c1.terms(), c2.terms()), k)
+            row = self._class_row(_product(alg, c1.terms(), c2.terms()), k)
         return CohomologyClass(self, k, tuple(densify(alg.field, row, self.betti[k])))
 
 

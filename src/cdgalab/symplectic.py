@@ -103,7 +103,7 @@ def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
         omega_k = _product(alg, omega_k, omega)
     src, dst = n - k, n + k
     with engine_built():
-        rows = [table.class_row(_product(alg, r, omega_k), dst)
+        rows = [table._class_row(_product(alg, r, omega_k), dst)
                 for r in table.representative_terms(src)]
     m = Matrix(alg.field, table.betti[dst], rows)
     rank = m.rank()

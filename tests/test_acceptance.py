@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from cdgalab import Matrix, Subspace, dsl, wedge
-from cdgalab.algebra import _cvs, apply_d, apply_map
+from cdgalab.algebra import apply_d, apply_map
 from cdgalab.action import induced_action_fixed_dims, invariant_subspaces
 from cdgalab.formality import ObstructionInput, obstruction
 from cdgalab.linalg import Eliminator, densify
@@ -51,7 +51,7 @@ def test_criterion_1_nomizu_cohomology(model):
     rows = []
     for e in classes:
         assert apply_d(model.differential, e).is_zero()
-        rows.append(model.table.class_row(_cvs(e), 3))
+        rows.append(model.table.class_row(e, 3))
     assert Subspace.from_vectors(model.field, b[3], rows).dim == 30
 
 
@@ -159,7 +159,7 @@ def test_criterion_6_hard_lefschetz(model):
     rep = lefschetz(om, 2)
     assert rep.kernel_dim >= 1
     nn = model.gens["nu"] * model.gens["nubar"]
-    assert rep.kernel.contains(table.class_row(_cvs(nn), 2))
+    assert rep.kernel.contains(table.class_row(nn, 2))
     lhs = wedge(wedge(model.omega, model.omega), nn)
     g = model.gens
     prim = (g["theta"] * g["mubar"] * g["etabar"] * g["eta"] * g["nubar"]).scale(2)

@@ -335,14 +335,14 @@ def ref_merge_words(alg, w1, w2):
 @pytest.mark.parametrize("which", ["paper", "truncated"])
 def test_merge_words_matches_the_merge_walk_on_every_pair(model, which):
     """The odd-mask merge of basis words, on every ordered pair of them,
-    against the walk above; and words outside the basis, which
-    ``merge_words`` merges by a walk of its own."""
+    against the walk above; and words outside the basis, which are past the
+    top or repeat an odd generator, so every product with them vanishes."""
     if which == "paper":
         alg = model.algebra
         outside = [(0, 0), (1, 1), (0, 1, 1)]  # mu*mu, nu*nu, mu*nu*nu
     else:
         alg = Algebra(make_field(12), [("x", 2), ("y", 3), ("z", 1)], top=9)
-        outside = [(1, 1), (2, 2), (0,) * 5, (0, 0, 0, 1)]  # y*y, z*z, past the top
+        outside = [(1, 1), (2, 2), (0,) * 5, (0, 0, 0, 0, 1)]  # y*y, z*z, past the top
     words = [w for k in range(alg.top + 1) for w in alg.basis(k)]
     outcomes = set()
     for w1 in words:
@@ -359,8 +359,8 @@ def test_merge_words_matches_the_merge_walk_on_every_pair(model, which):
         assert "past the top" in outcomes
     for w1 in outside:
         for w2 in outside + words:
-            assert alg.merge_words(w1, w2) == ref_merge_words(alg, w1, w2), (w1, w2)
-            assert alg.merge_words(w2, w1) == ref_merge_words(alg, w2, w1), (w2, w1)
+            assert alg.merge_words(w1, w2) is None, (w1, w2)
+            assert alg.merge_words(w2, w1) is None, (w2, w1)
 
 
 def paper_algebra(model):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cdgalab import dsl
-from cdgalab.algebra import Algebra, PreconditionError, _cvs, format_element
+from cdgalab.algebra import Algebra, PreconditionError, format_element
 from cdgalab.cli import main as cli_main
 from cdgalab.homology import CochainComplex
 from cdgalab.linalg import Matrix
@@ -489,7 +489,7 @@ def test_class_solve_on_user_input_is_a_failed_precondition(tmp_path, paper_sess
     assert cli_main(["run", str(f)]) == 1
     table = dsl._RunContext().table(paper_session.algebras["M"], None)
     with pytest.raises(PreconditionError) as info:
-        table.class_row(_cvs(dsl.eval_expr("theta*eta", paper_session)), 2)
+        table.class_row(dsl.eval_expr("theta*eta", paper_session), 2)
     assert info.value.witness == dsl.eval_expr("mu*nu*eta", paper_session)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cdgalab import make_field, wedge
-from cdgalab.algebra import Algebra, Differential, PreconditionError, _cvs, apply_d
+from cdgalab.algebra import Algebra, Differential, PreconditionError, apply_d
 from cdgalab.formality import ObstructionInput, massey_triple, obstruction
 from cdgalab.homology import CochainComplex, CohomologyTable
 
@@ -166,7 +166,7 @@ def test_massey_triple_on_heisenberg_algebra(model):
                 shift = shift + r.scale(c)
         # |x| = 2 is even: representative is (xi + shift)*z' - x'*zeta
         rep2 = wedge(xi + shift, xr) - cross
-        diff = table.class_row(_cvs(rep2 - res.representative), 5)
+        diff = table.class_row(rep2 - res.representative, 5)
         assert res.indeterminacy.contains(diff)
 
 

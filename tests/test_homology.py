@@ -6,12 +6,11 @@ import pytest
 from cdgalab import AlgebraMap, GroupAction, Matrix, dsl, make_field, top_scalar, wedge
 from cdgalab._backend import kernel
 from cdgalab.action import invariant_complex
-from cdgalab.algebra import (Algebra, Differential, GradedElement, PreconditionError, _cvs,
-                             apply_d)
+from cdgalab.algebra import Algebra, Differential, GradedElement, PreconditionError, apply_d
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator, Subspace, densify
 
-from conftest import ROOT, random_field_element, random_homogeneous
+from conftest import GEN_NAMES, ROOT, random_field_element, random_homogeneous
 
 # degree-3 classes spanning half of H^3; the other half is their conjugate
 W_WORDS = [
@@ -56,7 +55,7 @@ def test_listed_degree_three_classes_span(model):
     rows = []
     for e in classes:
         assert apply_d(model.differential, e).is_zero()
-        rows.append(table.class_row(_cvs(e), 3))
+        rows.append(table.class_row(e, 3))
     # independent mod exact and spanning H^3
     assert Subspace.from_vectors(model.field, table.betti[3], rows).dim == 30
 
@@ -104,6 +103,24 @@ def test_class_coords_rejects_non_closed(model):
     with pytest.raises(PreconditionError, match="not closed") as info:
         model.table.class_coords(model.gens["theta"], 1)
     assert info.value.witness == model.gens["mu"] * model.gens["nu"]
+
+
+@pytest.mark.parametrize("which", ["twin", "wider"])
+def test_elements_of_another_algebra_are_refused(model, which):
+    """An element of another algebra is refused before its words are read:
+    a twin algebra's words are valid indices here and would be read as
+    another element, a wider algebra's would fall outside the generators."""
+    names = GEN_NAMES if which == "twin" else GEN_NAMES + ["xi"]
+    other = Algebra(model.field, [(n, 1) for n in names])
+    g = {n: other.generator(n) for n in names}
+    samples = [other.zero(), g["mu"] * g["mubar"], g[names[-1]] * g["mu"]]
+    for table in (model.table, model.invariant_table):
+        for x in samples:
+            for solve in (table.class_row, table.class_coords, table.class_of,
+                          table.is_exact, table.complex.to_row):
+                with pytest.raises(ValueError, match="^algebra mismatch$"):
+                    solve(x, 2)
+            assert not table.complex.contains(x, 2)
 
 
 def test_cup_examples(model):
@@ -215,7 +232,7 @@ def test_class_row_matches_class_coords(model):
                         x = x + r.scale(c)
                 samples.append(x)
             for x in samples:
-                row = table.class_row(_cvs(x), k)
+                row = table.class_row(x, k)
                 assert all(0 <= j < table.betti[k] and not kernel.cv_is_zero(cv)
                            for j, cv in row.items())
                 assert densify(field, row, table.betti[k]) == list(table.class_coords(x, k))
@@ -256,7 +273,7 @@ def test_class_row_matches_class_eliminator(model):
             samples += [random_closed(table, k, rng) for _ in range(6)]
             for x in samples:
                 if not x.is_zero():
-                    assert table.class_row(_cvs(x), k) == ref_class_row(table, x, k)
+                    assert table.class_row(x, k) == ref_class_row(table, x, k)
 
 
 def test_coboundaries_are_the_d_eliminator_image_in_echelon_form(model):
@@ -299,7 +316,7 @@ def test_tables_build_no_eliminator_beyond_the_d_eliminators(model, monkeypatch)
         assert len(rrefs) == 2 * (top + 1)
         for k in range(table.top + 1):
             for r in table.representatives(k):
-                table.class_row(_cvs(r), k)
+                table.class_row(r, k)
         assert len(rrefs) == 2 * (top + 1)
     d_matrices = {id(cx.d_matrix(k)) for cx in (full, inv) for k in range(cx.top + 1)}
     assert len(built) == 2 * (top + 1)

@@ -61,7 +61,7 @@ def test_lefschetz_failure_on_invariant_complex(model):
     assert rep.kernel_dim >= 1
     assert rep.rank < table.betti[2]
     nn = model.gens["nu"] * model.gens["nubar"]
-    assert rep.kernel.contains(table.class_row(_cvs(nn), 2))
+    assert rep.kernel.contains(table.class_row(nn, 2))
 
 
 def test_lefschetz_k0_is_identity(model):
@@ -103,9 +103,9 @@ def test_lefschetz_matrices_compose(model):
     # middle step: cup with omega from H^4 to H^6
     f = model.field
     omega_rep = om.representative()
-    mid = Matrix(f, table.betti[6], [table.class_row(_cvs(wedge(r, omega_rep)), 6)
+    mid = Matrix(f, table.betti[6], [table.class_row(wedge(r, omega_rep), 6)
                                      for r in table.representatives(4)])
-    first = Matrix(f, table.betti[4], [table.class_row(_cvs(wedge(r, omega_rep)), 4)
+    first = Matrix(f, table.betti[4], [table.class_row(wedge(r, omega_rep), 4)
                                        for r in table.representatives(2)])
     assert first.matmul(mid) == m2
 
