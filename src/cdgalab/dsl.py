@@ -7,7 +7,7 @@ integers ``[0-9]+``; both ASCII only)::
     algebra <name> generators <g1>:<deg> <g2>:<deg> ... [top <t>]   # within the word budget
     conjugation <g> <gbar> ...            # pairs; self-paired allowed
     d <gen> = <expr>                      # unlisted generators have d = 0
-    map <name> order <m> { <gen> -> <expr> ; ... }   # f^m = id; run uses f's period
+    map <name> order <m> { <gen> -> <expr> ; ... }   # f^m = id, checked by squaring
     let <name> = <expr>
     task <taskname> <args...>
 

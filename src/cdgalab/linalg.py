@@ -124,6 +124,20 @@ class Matrix:
             out.append(acc)
         return Matrix(self.field, other.ncols, out)
 
+    def power(self, k: int) -> "Matrix":
+        """self^k by repeated squaring, in at most 2 * k.bit_length()
+        products."""
+        if self.nrows != self.ncols:
+            raise ValueError("powers need a square matrix")
+        result, square = Matrix.identity(self.field, self.nrows), self
+        while k:
+            if k & 1:
+                result = square.matmul(result)
+            k >>= 1
+            if k:
+                square = square.matmul(square)
+        return result
+
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols

@@ -132,8 +132,8 @@ def refuse_to_build_fields(mp: pytest.MonkeyPatch) -> None:
 
 
 def orbit_average(action, x):
-    """(1/m)(x + f(x) + ... + f^(m-1)(x)): the averaging projector on one
-    element, composed from single applications of the generator map."""
+    """(1/m)(x + f(x) + ... + f^(m-1)(x)): the tests' averaging oracle on
+    one element, composed from single applications of the generator map."""
     acc = y = x
     for _ in range(action.order - 1):
         y = apply_map(action.generator_map, y)
@@ -143,7 +143,8 @@ def orbit_average(action, x):
 
 def projector_rows(subspaces, algebra):
     """The rows of ``invariant_subspaces`` as elements, per degree: a basis
-    of the image of the engine's averaging projector."""
+    of the subspace the engine finds fixed, which the tests hold against the
+    image of the averaging oracle ``orbit_average``."""
     return [[GradedElement.from_row(algebra, k, row) for row in sub.rows]
             for k, sub in enumerate(subspaces)]
 

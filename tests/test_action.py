@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from cdgalab import AlgebraMap, GroupAction, Matrix, PreconditionError, Subspace
     identity_map, invariant_cohomology, invariant_complex, validate_action
 from cdgalab import action as action_module
 from cdgalab._backend import kernel
-from cdgalab.action import _period, check_fixed_part, induced_action_fixed_dims, \
-    induced_traces, invariant_subspaces
+from cdgalab.action import check_fixed_part, induced_action_fixed_dims, induced_matrices, \
+    invariant_subspaces
 from cdgalab.algebra import apply_d, apply_map
 from cdgalab.homology import CohomologyTable
 
@@ -49,8 +50,8 @@ def test_both_invariant_computations_agree(model):
 
 
 def test_projector_is_idempotent(model):
-    """The engine's projector rows span a space that the averaging fixes
-    pointwise and that holds every orbit average, so P o P = P."""
+    """The rows of ``invariant_subspaces`` span a space that the averaging
+    fixes pointwise and that holds every orbit average, so P o P = P."""
     rng = random.Random(41)
     act = model.action
     subs = invariant_subspaces(act)
@@ -67,7 +68,7 @@ def test_projector_is_idempotent(model):
 
 
 def test_projector_commutes_with_d(model):
-    """d maps the span of the projector rows in each degree into the next
+    """d maps the span of the invariant rows in each degree into the next
     one, and P(dx) = d(Px) for elements spread over all degrees."""
     rng = random.Random(42)
     act = model.action
@@ -82,7 +83,7 @@ def test_projector_commutes_with_d(model):
 
 
 def test_projector_fixes_invariants_exactly(model):
-    """Every projector row, and every orbit average, is fixed by rho."""
+    """Every invariant row, and every orbit average, is fixed by rho."""
     rng = random.Random(43)
     subs = invariant_subspaces(model.action)
     for rows in projector_rows(subs, model.algebra):
@@ -123,10 +124,7 @@ def test_invalid_action_rejected(model):
 
 def test_invariant_subspace_matches_projector_rank(model):
     subs = invariant_subspaces(model.action)
-    m = model.action.order
     for k in range(9):
-        # P has trace = sum over words of the averaged character; its rank as
-        # an idempotent equals the invariant dimension
         assert subs[k].dim == model.invariant.dim(k)
 
 
@@ -196,7 +194,7 @@ ACTIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(ACTIONS))
-def test_orbit_sum_projector_matches_composed_powers(model, name):
+def test_invariant_subspaces_match_composed_powers(model, name):
     action = ACTIONS[name](model)
     validate_action(action.generator_map, action.order, model.differential)
     new = invariant_subspaces(action)
@@ -230,10 +228,12 @@ def test_traces_and_lefschetz_numbers(model):
     expected = [1, -3, 11, -15, 21, -15, 11, -3, 1]
     lefschetz = []
     for f in (model.rho, _rho_squared(model)):
-        traces = induced_traces(model.table, GroupAction(f, 3, model.differential))
-        assert [tr[0] for tr in traces] == [field.rational(b) for b in model.table.betti]
-        assert [tr[1] for tr in traces] == [field.rational(t) for t in expected]
-        lefschetz.append(sum((-1) ** k * tr[1].as_fraction() for k, tr in enumerate(traces)))
+        matrices = induced_matrices(model.table, GroupAction(f, 3, model.differential))
+        assert [a.nrows for a in matrices] == model.table.betti
+        traces = [sum((a.entry(i, i) for i in range(a.nrows)), field.zero)
+                  for a in matrices]
+        assert traces == [field.rational(t) for t in expected]
+        lefschetz.append(sum((-1) ** k * tr.as_fraction() for k, tr in enumerate(traces)))
     assert lefschetz == [81, 81]
     chi = model.table.euler_characteristic()
     assert chi == 0
@@ -256,7 +256,7 @@ def test_cross_check_solves_one_class_per_representative(model, monkeypatch):
     assert all(t is model.table for t in calls)
 
 
-# --- the period of the map, not its declared order --------------------------
+# --- a declared order costs only the power check ----------------------------
 
 def _swap_session(order):
     return ("field cyclotomic 4\nalgebra A generators a:1 b:1\n"
@@ -264,42 +264,78 @@ def _swap_session(order):
             "task invariant_betti A f reps\n")
 
 
-def test_projector_and_traces_sum_over_the_period(monkeypatch):
+def test_a_huge_order_costs_only_the_squarings(monkeypatch):
     """A declared order of 10^9 on a map of period 2 gives the records of
-    order 2, with as many map steps and matrix products."""
-    steps = []
+    order 2 from as many map images; only the check A_k^m = I grows with m,
+    by repeated squaring, in at most 2 * m.bit_length() products a degree."""
+    images = []
+    products = []
     map_terms = action_module.map_terms
     matmul = Matrix.matmul
 
     def counting_map_terms(f, terms):
-        steps.append("map_terms")
-        if len(steps) > 1000:
-            raise RuntimeError("the map steps grow with the declared order")
+        images.append(terms)
+        if len(images) > 1000:
+            raise RuntimeError("the map images grow with the declared order")
         return map_terms(f, terms)
 
     def counting_matmul(self, other):
-        steps.append("matmul")
+        products.append(self)
+        if len(products) > 1000:
+            raise RuntimeError("the matrix products grow with the declared order")
         return matmul(self, other)
 
     monkeypatch.setattr(action_module, "map_terms", counting_map_terms)
     monkeypatch.setattr(Matrix, "matmul", counting_matmul)
     runs = []
-    for order in (2, 10**9):
-        session = dsl.parse(_swap_session(order))
-        steps.clear()
+    for m in (2, 10**9):
+        session = dsl.parse(_swap_session(m))
+        top = session.algebras["A"].algebra.top
+        images.clear()
+        products.clear()
         report = dsl.run(session)
         assert report.ok
-        runs.append((report.records, list(steps)))
+        assert 0 < len(products) <= 2 * m.bit_length() * (top + 1), len(products)
+        runs.append((report.records, len(images)))
     assert runs[0] == runs[1]
-    assert 0 < len(runs[0][1]) < 40, runs[0][1]
+    assert runs[0][1] > 0
 
 
 @pytest.mark.parametrize("order", [3, 6, 300])
 def test_a_multiple_of_the_period_gives_the_same_invariants(model, order):
     action = GroupAction(model.rho, order, model.differential)
-    assert _period(AlgebraMap(model.algebra, model.algebra, model.rho.assignments),
-                   order) == 3
     subs = invariant_subspaces(action)
     assert [(s.rows, s.pivots) for s in subs] == \
         [(s.rows, s.pivots) for s in model.invariant.subspaces]
     assert induced_action_fixed_dims(model.table, action) == model.invariant_table.betti
+
+
+# --- each side subtracts the identity on its own -----------------------------
+
+def _kernel_with(**overrides):
+    """The arithmetic kernel as ``cdgalab.action`` resolves it, with the
+    named functions replaced."""
+    return types.SimpleNamespace(**{**vars(kernel), **overrides})
+
+
+def test_a_projector_that_drops_the_shift_fails_the_cross_check(model, monkeypatch):
+    """With the -I dropped from the projector's rows, its kernel is that of
+    F_k alone, which is zero for rho, while the cross-check still finds the
+    fixed part.  Were the shift shared by the two sides, this would drop it
+    on both, they would agree on zeros, and nothing would be raised."""
+    monkeypatch.setattr(action_module, "kernel", _kernel_with(cv_sub=lambda a, b: a))
+    with pytest.raises(AssertionError, match=r"complex gives \[0, 0, 0, 0, 0, 0, 0, 0, 0\], "
+                       r"fixed part of H\* gives \[1, 0, 13, 0, 26, 0, 13, 0, 1\]"):
+        invariant_cohomology(model.action)
+
+
+def test_a_cross_check_that_drops_the_shift_fails(model, monkeypatch):
+    """With the -I dropped from the cross-check's rows, it takes
+    b_k - rank(A_k), zero for the invertible A_k, while the complex still
+    has the invariant cohomology.  A shift shared with the projector would
+    drop on both sides here too, and the check would pass."""
+    monkeypatch.setattr(action_module, "kernel",
+                        _kernel_with(row_axpy=lambda target, src, c, mul: None))
+    with pytest.raises(AssertionError, match=r"complex gives \[1, 0, 13, 0, 26, 0, 13, 0, 1\], "
+                       r"fixed part of H\* gives \[0, 0, 0, 0, 0, 0, 0, 0, 0\]"):
+        invariant_cohomology(model.action)
