@@ -11,7 +11,10 @@ part of the induced action on the full table (b_k - rank(A_k - I)).  It
 times one Lefschetz query: k = 1 on ``omega`` against the full table of
 ``paper.cdga``, built once.  It times ``merge_words`` on every ordered pair of basis words of
 the paper's algebra, and ``Matrix.rank`` on the 30 x 30 matrix of the first
-k = 1 query of the seed-1 scan session (``perfbench/workloads.py``).  The
+k = 1 query of the seed-1 scan session (``perfbench/workloads.py``).  On the
+full table of ``paper.cdga`` it times ``wedge`` on every ordered pair of
+degree-2 representatives, and ``class_row`` on the products r * omega of the
+degree-3 representatives r, the rows of a k = 1 Lefschetz query.  The
 end-to-end harness is ``perfbench/run.py``.
 
     python benchmarks/bench_kernels.py [--muls N] [--size N] [--repeat N]
@@ -26,8 +29,8 @@ from pathlib import Path
 from cdgalab import dsl
 from cdgalab._backend import kernel
 from cdgalab.action import induced_action_fixed_dims, invariant_subspaces
-from cdgalab.algebra import Differential
-from cdgalab.field import make_field
+from cdgalab.algebra import Differential, wedge
+from cdgalab.field import FieldElement, make_field
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import _inv_cv
 from cdgalab.symplectic import lefschetz
@@ -58,15 +61,16 @@ def bench_cv_mul(pairs, mul):
     return time.perf_counter() - t0
 
 
-def bench_inverse(values, inv):
+def bench_inverse(values, field):
     t0 = time.perf_counter()
     for a in values:
-        inv(a)
+        FieldElement(field, a).inverse()
     return time.perf_counter() - t0
 
 
-def bench_rref(rows, ncols, phi, mul, inv):
+def bench_rref(rows, ncols, field):
     work = [dict(r) for r in rows]
+    phi, mul, inv = field.phi, field.mul, _inv_cv(field)  # a fresh memo per run
     t0 = time.perf_counter()
     rank, _ = kernel.rref(work, ncols, ncols, phi, mul, inv)
     return time.perf_counter() - t0, rank
@@ -115,6 +119,20 @@ def bench_rank(m):
     return time.perf_counter() - t0
 
 
+def bench_wedge(pairs):
+    t0 = time.perf_counter()
+    for x, y in pairs:
+        wedge(x, y)
+    return time.perf_counter() - t0
+
+
+def bench_class_row(table, xs, k):
+    t0 = time.perf_counter()
+    for x in xs:
+        table.class_row(x, k)
+    return time.perf_counter() - t0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--muls", type=int, default=200_000)
@@ -125,7 +143,6 @@ def main():
     field = make_field(12)
     phi, mul = field.phi, field.mul
     rng = random.Random(2024)
-    inv = _inv_cv(field)
 
     pairs = [(rand_cv(rng, phi), rand_cv(rng, phi)) for _ in range(args.muls)]
     best = min(bench_cv_mul(pairs, mul) for _ in range(args.repeat))
@@ -136,7 +153,7 @@ def main():
         cv = rand_cv(rng, phi)
         if any(cv[1:-1]):  # not rational
             values.append(cv)
-    best = min(bench_inverse(values, inv) for _ in range(args.repeat))
+    best = min(bench_inverse(values, field) for _ in range(args.repeat))
     print(f"inverse x {INVERSES} of non-rational values over Q(zeta_12): {best:8.3f} s")
 
     n = args.size
@@ -150,7 +167,7 @@ def main():
                 if not kernel.cv_is_zero(cv):
                     row[j] = cv
         rows.append(row)
-    runs = [bench_rref(rows, ncols, phi, mul, inv) for _ in range(args.repeat)]
+    runs = [bench_rref(rows, ncols, field) for _ in range(args.repeat)]
     best = min(dt for dt, _ in runs)
     print(f"rref of a {n}x{ncols} matrix at density {DENSITY} over Q(zeta_12): "
           f"{best:8.3f} s (rank {runs[0][1]})")
@@ -175,6 +192,17 @@ def main():
                for _ in range(args.repeat))
     print(f"lefschetz k=1 on omega, full table of {PAPER.name}, "
           f"{LEFSCHETZ_QUERIES} queries: {best / LEFSCHETZ_QUERIES * 1e3:8.3f} ms per query")
+
+    reps = full.representatives(2)
+    pairs = [(x, y) for x in reps for y in reps]
+    best = min(bench_wedge(pairs) for _ in range(args.repeat))
+    print(f"wedge on all {len(pairs)} pairs of degree-2 representatives of {PAPER.name}: "
+          f"{best / len(pairs) * 1e6:8.3f} us per product")
+    omega = omega_class.representative()
+    products = [wedge(r, omega) for r in full.representatives(3)]
+    best = min(bench_class_row(full, products, 5) for _ in range(args.repeat))
+    print(f"class_row of r * omega for the {len(products)} degree-3 representatives r "
+          f"of {PAPER.name}: {best / len(products) * 1e6:8.3f} us per solve")
 
     alg = full.complex.algebra
     words = [w for k in range(alg.top + 1) for w in alg.basis(k)]

@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._backend import kernel
-from .algebra import (AlgebraMap, Differential, PreconditionError, apply_d, apply_map,
-                      map_terms)
+from .algebra import AlgebraMap, Differential, PreconditionError, apply_d, apply_map
 from .homology import CochainComplex, CohomologyTable, engine_built
 from .linalg import Eliminator, Matrix, Subspace
 
@@ -86,7 +85,7 @@ def invariant_subspaces(action: GroupAction) -> list[Subspace]:
     for k in range(alg.top + 1):
         rows = []
         for i, w in enumerate(alg.basis(k)):
-            row = alg.terms_row(map_terms(f, {w: one}), k)
+            row = apply_map(f, alg.word_element(w)).to_row(k)
             c = kernel.cv_sub(row.pop(i, zero), one)
             if not kernel.cv_is_zero(c):
                 row[i] = c
@@ -114,8 +113,8 @@ def induced_matrices(table: CohomologyTable, action: GroupAction) -> list[Matrix
     matrices = []
     for k in range(table.top + 1):
         with engine_built():
-            rows = [table._class_row(map_terms(f, r), k)
-                    for r in table.representative_terms(k)]
+            rows = [table.class_row(apply_map(f, r), k)
+                    for r in table.representatives(k)]
         a = Matrix(field, table.betti[k], rows)
         if a.power(m) != Matrix.identity(field, a.nrows):
             raise AssertionError(

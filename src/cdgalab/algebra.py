@@ -11,13 +11,13 @@ merge with one ``&`` test for a shared odd generator, a sign counted by
 popcounts, and their sorted concatenation; a product with a word outside the
 basis is zero.
 
-Coefficients are boxed as ``FieldElement`` only at the public boundary.
-``wedge``, ``apply_d`` and ``apply_map`` accumulate ``{word: cv}`` maps of the
-kernel's canonical integer tuples (see ``_kernel_py``) and build one
-``GradedElement`` at the end.  The engine's own callers use the unboxed forms
-directly: ``_product``, ``d_terms`` and ``map_terms`` take and return such
-maps, and so the class solves of cup products and induced maps box nothing.
-Two per-word caches serve them:
+A ``GradedElement`` stores its terms as one ``{word: cv}`` map, each value
+the kernel's canonical integer tuple of a nonzero field value (see
+``_kernel_py``).  ``wedge``, ``apply_d``, ``apply_map`` and the linear
+operations read those maps and build the new one directly, so the engine
+boxes no coefficient as a ``FieldElement``; ``terms`` boxes a fresh copy
+for a caller that wants field elements.  Two per-word caches serve the
+products and images:
 
 - a ``Differential`` computes each word's differential once, by the Leibniz
   rule; ``apply_d`` is the linear combination of those rows, and
@@ -27,7 +27,8 @@ Two per-word caches serve them:
   the image of the word's prefix times the image of its last generator.
 
 Each cache lives on its instance, so two differentials or two maps never
-share one.  Nothing cached escapes: every call returns a fresh element.
+share one.  Nothing cached escapes: every call returns a fresh element with
+a map of its own.
 """
 
 from __future__ import annotations
@@ -170,18 +171,6 @@ class Algebra:
     def word_index(self, degree: int, word: Word) -> int:
         return self._word_pos[degree][word]
 
-    def terms_row(self, terms: dict, degree: int) -> dict:
-        """Sparse coordinates ``{word index: cv}`` of a ``{word: cv}`` map on
-        the degree-`degree` word basis; rejects any other word."""
-        pos = self._word_pos[degree] if 0 <= degree <= self.top else {}
-        row = {}
-        for w, c in terms.items():
-            j = pos.get(w)
-            if j is None:
-                raise ValueError(f"term {self.format_word(w)} is not of degree {degree}")
-            row[j] = c
-        return row
-
     def word_degree(self, word: Word) -> int:
         deg = self._word_degree.get(word)
         if deg is None:  # a word past the truncation, or with a repeated odd generator
@@ -194,23 +183,19 @@ class Algebra:
         return self._index[name]
 
     def generator(self, name: str) -> "GradedElement":
-        g = self.generator_index(name)
-        return GradedElement(self, {(g,): self.field.one})
+        return self.word_element((self.generator_index(name),))
 
     def word_element(self, word: Word) -> "GradedElement":
-        return GradedElement(self, {tuple(word): self.field.one})
+        return _element(self, {tuple(word): self.field.one.cv})
 
     def zero(self) -> "GradedElement":
-        return GradedElement(self, {})
+        return _element(self, {})
 
     def scalar(self, value) -> "GradedElement":
-        c = self.field.element(value) if isinstance(value, FieldElement) else self.field.rational(value)
-        if c.is_zero():
-            return self.zero()
-        return GradedElement(self, {(): c})
+        return GradedElement(self, {(): value})
 
     def unit(self) -> "GradedElement":
-        return GradedElement(self, {(): self.field.one})
+        return self.word_element(())
 
     def merge_words(self, w1: Word, w2: Word):
         """Merge two sorted words; returns (word, sign) or None when the
@@ -242,13 +227,28 @@ class Algebra:
 
 
 class GradedElement:
-    """Element of an Algebra as a map from basis words to nonzero scalars."""
+    """Element of an Algebra: a map from basis words to nonzero scalars,
+    stored as the kernel's ``{word: cv}`` map."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "_terms")
 
     def __init__(self, algebra: Algebra, terms: dict):
+        """``terms`` maps words to scalars: rationals or ``FieldElement``s
+        of the algebra's field; a coefficient of another field raises
+        ValueError."""
+        element = algebra.field.element
         self.algebra = algebra
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+        self._terms = {}
+        for w, c in terms.items():
+            cv = element(c).cv
+            if not kernel.cv_is_zero(cv):
+                self._terms[w] = cv
+
+    @property
+    def terms(self) -> dict:
+        """The terms as a new ``{word: FieldElement}`` dict."""
+        field = self.algebra.field
+        return {w: FieldElement(field, c) for w, c in self._terms.items()}
 
     # --- linear structure ---
 
@@ -260,31 +260,34 @@ class GradedElement:
         if not isinstance(other, GradedElement):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
+        terms = dict(self._terms)
+        for w, c in other._terms.items():
             s = terms.get(w)
-            terms[w] = c if s is None else s + c
-        return GradedElement(self.algebra, terms)
+            if s is None:
+                terms[w] = c
+            else:
+                s = kernel.cv_add(s, c)
+                if kernel.cv_is_zero(s):
+                    del terms[w]
+                else:
+                    terms[w] = s
+        return _element(self.algebra, terms)
 
     def __sub__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            terms[w] = -c if s is None else s - c
-        return GradedElement(self.algebra, terms)
+        return self + -other
 
     def __neg__(self):
-        return GradedElement(self.algebra, {w: -c for w, c in self.terms.items()})
+        return _element(self.algebra, {w: kernel.cv_neg(c) for w, c in self._terms.items()})
 
     def scale(self, scalar) -> "GradedElement":
-        c = self.algebra.field.element(scalar) if isinstance(scalar, FieldElement) \
-            else self.algebra.field.rational(scalar)
+        field = self.algebra.field
+        c = field.element(scalar)
         if c.is_zero():
             return self.algebra.zero()
-        return GradedElement(self.algebra, {w: t * c for w, t in self.terms.items()})
+        return _element(self.algebra, {w: kernel.cv_mul(t, c.cv, field.mul)
+                                       for w, t in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, GradedElement):
@@ -301,24 +304,26 @@ class GradedElement:
     # --- views ---
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def coefficient(self, word: Word) -> FieldElement:
-        return self.terms.get(tuple(word), self.algebra.field.zero)
+        field = self.algebra.field
+        c = self._terms.get(tuple(word))
+        return field.zero if c is None else FieldElement(field, c)
 
     def degree(self) -> int | None:
         """The common degree of all terms, or None for 0 or mixed elements."""
-        degs = {self.algebra.word_degree(w) for w in self.terms}
+        degs = {self.algebra.word_degree(w) for w in self._terms}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         d = self.degree()
-        if not self.terms:
+        if not self._terms:
             return True
         if degree is None:
             return d is not None
@@ -334,19 +339,20 @@ class GradedElement:
     def to_row(self, degree: int) -> dict:
         """Sparse coordinates ``{word index: cv}`` on the degree-`degree` word
         basis; rejects other terms."""
-        return self.algebra.terms_row(_cvs(self), degree)
-
-    @staticmethod
-    def from_row(algebra: Algebra, degree: int, row: dict) -> "GradedElement":
-        words = algebra.basis(degree)
-        field = algebra.field
-        return GradedElement(algebra, {words[j]: FieldElement(field, cv)
-                                       for j, cv in row.items()})
+        alg = self.algebra
+        pos = alg._word_pos[degree] if 0 <= degree <= alg.top else {}
+        row = {}
+        for w, c in self._terms.items():
+            j = pos.get(w)
+            if j is None:
+                raise ValueError(f"term {alg.format_word(w)} is not of degree {degree}")
+            row[j] = c
+        return row
 
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return self.algebra is other.algebra and self._terms == other._terms
 
     def __str__(self):
         return format_element(self)
@@ -356,11 +362,12 @@ class GradedElement:
 
 
 def _element(alg: Algebra, terms: dict) -> GradedElement:
-    """Box ``{word: cv}``, which holds no zero, into a fresh element."""
-    field = alg.field
+    """A fresh element of ``alg`` that stores ``terms`` itself: a
+    ``{word: cv}`` map without zeros, just built by the caller and shared
+    with nothing else."""
     x = GradedElement.__new__(GradedElement)
     x.algebra = alg
-    x.terms = {w: FieldElement(field, cv) for w, cv in terms.items()}
+    x._terms = terms
     return x
 
 
@@ -384,15 +391,11 @@ def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
     return {w: c for w, c in acc.items() if not kernel.cv_is_zero(c)}
 
 
-def _cvs(x: GradedElement) -> dict:
-    return {w: c.cv for w, c in x.terms.items()}
-
-
 def wedge(x: GradedElement, y: GradedElement) -> GradedElement:
     """Graded-commutative product."""
     if y.algebra is not x.algebra:
         raise ValueError("algebra mismatch")
-    return _element(x.algebra, _product(x.algebra, _cvs(x), _cvs(y)))
+    return _element(x.algebra, _product(x.algebra, x._terms, y._terms))
 
 
 def format_element(x: GradedElement) -> str:
@@ -440,7 +443,7 @@ class Differential:
                     f"d({algebra.gens[g].name}) must be homogeneous of degree {want}")
             norm[g] = val
         self.assignments = norm
-        self._gen_d = {g: _cvs(v) for g, v in norm.items()}
+        self._gen_d = {g: dict(v._terms) for g, v in norm.items()}
         self._word_d: dict = {}
         for g in sorted(norm):
             residue = apply_d(self, norm[g])
@@ -496,23 +499,17 @@ class Differential:
         return apply_d(self, x)
 
 
-def d_terms(d: Differential, terms: dict) -> dict:
-    """d of a ``{word: cv}`` map, as a new one without zeros: the
-    combination of the word differentials."""
-    mul = d.algebra.field.mul
-    acc: dict = {}
-    for w, c in terms.items():
-        row = d._word_row(w)
-        if row:
-            kernel.row_axpy(acc, row, c, mul)
-    return acc
-
-
 def apply_d(d: Differential, x: GradedElement) -> GradedElement:
     """Leibniz extension: the combination of the word differentials."""
     if x.algebra is not d.algebra:
         raise ValueError("algebra mismatch")
-    return _element(x.algebra, d_terms(d, _cvs(x)))
+    mul = d.algebra.field.mul
+    acc: dict = {}
+    for w, c in x._terms.items():
+        row = d._word_row(w)
+        if row:
+            kernel.row_axpy(acc, row, c, mul)
+    return _element(x.algebra, acc)
 
 
 class AlgebraMap:
@@ -538,7 +535,7 @@ class AlgebraMap:
             raise ValueError(
                 f"conductor mismatch: {source.field.n} vs {target.field.n}")
         self.assignments = norm
-        self._gen_images = {g: _cvs(v) for g, v in norm.items()}
+        self._gen_images = {g: dict(v._terms) for g, v in norm.items()}
         self._images: dict = {(): {(): target.field.one.cv}}
 
     def _word_image(self, w: Word) -> dict:
@@ -596,22 +593,17 @@ def identity_map(algebra: Algebra) -> AlgebraMap:
         {g: algebra.word_element((g,)) for g in range(len(algebra.gens))})
 
 
-def map_terms(f: AlgebraMap, terms: dict) -> dict:
-    """The image under f of a ``{word: cv}`` map, as a new one without zeros."""
-    mul = f.target.field.mul
-    acc: dict = {}
-    for w, c in terms.items():
-        img = f._word_image(w)
-        if img:
-            kernel.row_axpy(acc, img, c, mul)
-    return acc
-
-
 def apply_map(f: AlgebraMap, x: GradedElement) -> GradedElement:
     """Multiplicative-linear extension of the generator assignments."""
     if x.algebra is not f.source:
         raise ValueError("algebra mismatch")
-    return _element(f.target, map_terms(f, _cvs(x)))
+    mul = f.target.field.mul
+    acc: dict = {}
+    for w, c in x._terms.items():
+        img = f._word_image(w)
+        if img:
+            kernel.row_axpy(acc, img, c, mul)
+    return _element(f.target, acc)
 
 
 class Conjugation:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GradedElement, PreconditionError, _cvs, _product, wedge
+from .algebra import GradedElement, PreconditionError, wedge
 from .homology import CohomologyClass, CohomologyTable, engine_built, top_scalar
 from .linalg import Subspace
 
@@ -150,14 +150,12 @@ def massey_triple(x: CohomologyClass, y: CohomologyClass,
     else:
         rep = rep - cross
     out_deg = x.degree + y.degree + z.degree - 1
-    alg = table.complex.algebra
-    xt, zt = _cvs(xr), _cvs(zr)
     rows = []
     with engine_built():
         coords = table.class_coords(rep, out_deg)
-        for h in table.representative_terms(y.degree + z.degree - 1):
-            rows.append(table._class_row(_product(alg, xt, h), out_deg))
-        for h in table.representative_terms(x.degree + y.degree - 1):
-            rows.append(table._class_row(_product(alg, h, zt), out_deg))
-    indet = Subspace.from_vectors(alg.field, table.betti[out_deg], rows)
+        for h in table.representatives(y.degree + z.degree - 1):
+            rows.append(table.class_row(wedge(xr, h), out_deg))
+        for h in table.representatives(x.degree + y.degree - 1):
+            rows.append(table.class_row(wedge(h, zr), out_deg))
+    indet = Subspace.from_vectors(xr.algebra.field, table.betti[out_deg], rows)
     return MasseyResult(coords, rep, indet)

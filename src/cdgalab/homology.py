@@ -16,24 +16,21 @@ and r in the span of the representatives; reducing x by B^k leaves exactly
 r, and reducing r by the representatives gives the class coordinates.
 
 A d-matrix is built from the differential's per-word Leibniz rows
-(``Differential.word_rows``) without boxing a coefficient: on the full
-algebra those rows are its rows, and on a subspace family each row is the
-combination of the word rows that its subspace row names, in the
-coordinates of the next subspace.  A table keeps its representatives as
-sparse rows.  It turns the rows of a degree into ``{word: cv}`` maps, and
-boxes those maps as elements, each when they are first asked for, so a table
-read only for its Betti numbers does neither.
+(``Differential.word_rows``), which are already sparse rows of the kernel's
+values: on the full algebra those rows are its rows, and on a subspace
+family each row is the combination of the word rows that its subspace row
+names, in the coordinates of the next subspace.  A table keeps its
+representatives as sparse rows and builds the elements of a degree when
+they are first asked for, so a table read only for its Betti numbers builds
+none.
 
-There is one class solve, ``CohomologyTable._class_row``, and it takes the
-element as a ``{word: cv}`` map.  The engine hands it products and map images
-built unboxed from ``representative_terms`` (``_product``, ``map_terms``);
-the element entry points (``class_row``, ``class_coords``, ``is_exact``)
-check that the element belongs to the table's algebra and pass its map.
-The solve checks that its element is closed and lies in the complex, and
-that the remainder against the representatives is zero.  On a user's
-element a failed check is a failed precondition (``PreconditionError``).
-Inside ``engine_built()`` the element is one the engine made itself, such as
-a product of representatives or the image of one under a map, and a failed
+There is one class solve, ``CohomologyTable.class_row``.  It checks that its
+element belongs to the table's algebra, is closed and lies in the complex,
+and that the remainder against the representatives is zero; ``class_coords``,
+``class_of`` and ``cup`` read their classes from it.  On a user's element a
+failed check is a failed precondition (``PreconditionError``).  Inside
+``engine_built()`` the element is one the engine made itself, such as a
+product of representatives or the image of one under a map, and a failed
 check is an engine fault (``AssertionError``).
 """
 
@@ -44,16 +41,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._backend import kernel
-from .algebra import (Differential, GradedElement, PreconditionError, _cvs, _element,
-                      _product, apply_d, d_terms)
+from .algebra import (Differential, GradedElement, PreconditionError, _element, apply_d,
+                      wedge)
 from .linalg import Eliminator, Matrix, Subspace, densify, quotient_basis
 
 
-def _terms_in(alg, x: GradedElement) -> dict:
-    """The ``{word: cv}`` map of x, which must be an element of ``alg``."""
+def _check_algebra(alg, x: GradedElement) -> None:
     if x.algebra is not alg:
         raise ValueError("algebra mismatch")
-    return _cvs(x)
 
 
 class CochainComplex:
@@ -90,11 +85,8 @@ class CochainComplex:
     def to_row(self, x: GradedElement, k: int) -> dict:
         """Sparse coordinates ``{index: cv}`` of x in the degree-k basis of the
         complex; raises when x does not lie in the complex."""
-        return self.terms_row(_terms_in(self.algebra, x), k)
-
-    def terms_row(self, terms: dict, k: int) -> dict:
-        """``to_row`` of the element with the ``{word: cv}`` map ``terms``."""
-        ambient = self.algebra.terms_row(terms, k)
+        _check_algebra(self.algebra, x)
+        ambient = x.to_row(k)
         if self.subspaces is None or not ambient:
             return ambient
         coords = self.subspaces[k].coordinates(ambient)
@@ -111,10 +103,6 @@ class CochainComplex:
 
     def from_row(self, k: int, coords: dict) -> GradedElement:
         """The element with sparse coordinates ``{index: cv}`` in degree k."""
-        return _element(self.algebra, self.row_terms(k, coords))
-
-    def row_terms(self, k: int, coords: dict) -> dict:
-        """``from_row`` as a new ``{word: cv}`` map, without boxing."""
         if self.subspaces is None:
             ambient = coords
         else:
@@ -124,13 +112,11 @@ class CochainComplex:
             for i, c in coords.items():
                 kernel.row_axpy(ambient, rows[i], c, mul)
         words = self.algebra.basis(k)
-        return {words[j]: c for j, c in ambient.items()}
+        return _element(self.algebra, {words[j]: c for j, c in ambient.items()})
 
     def basis_elements(self, k: int) -> list[GradedElement]:
-        if self.subspaces is None:
-            return [self.algebra.word_element(w) for w in self.algebra.basis(k)]
-        return [GradedElement.from_row(self.algebra, k, row)
-                for row in self.subspaces[k].rows]
+        one = self.algebra.field.one.cv
+        return [self.from_row(k, {i: one}) for i in range(self.dim(k))]
 
     # --- the differential in complex coordinates ---
 
@@ -173,18 +159,16 @@ class CohomologyClass:
     degree: int
     coords: tuple
 
-    def terms(self) -> dict:
-        """The representative as a new ``{word: cv}`` map."""
-        reps = self.table.representative_terms(self.degree)
-        mul = self.table.complex.algebra.field.mul
+    def representative(self) -> GradedElement:
+        """The combination of the table's representatives that the
+        coordinates name."""
+        reps = self.table.representatives(self.degree)
+        alg = self.table.complex.algebra
         out: dict = {}
         for c, r in zip(self.coords, reps):
             if not c.is_zero():
-                kernel.row_axpy(out, r, c.cv, mul)
-        return out
-
-    def representative(self) -> GradedElement:
-        return _element(self.table.complex.algebra, self.terms())
+                kernel.row_axpy(out, r._terms, c.cv, alg.field.mul)
+        return _element(alg, out)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
@@ -205,7 +189,6 @@ class CohomologyTable:
         self.betti: list[int] = []
         self._coboundaries: list[Subspace] = []
         self._quotients: list[Subspace] = []
-        self._rep_terms: dict[int, list[dict]] = {}
         self._reps: dict[int, list[GradedElement]] = {}
         top = complex_.top
         for k in range(top + 1):
@@ -226,19 +209,12 @@ class CohomologyTable:
     def coboundaries(self, k: int) -> Subspace:
         return self._coboundaries[k]
 
-    def representative_terms(self, k: int) -> list[dict]:
-        """The degree-k representatives as ``{word: cv}`` maps (shared),
-        built on first use."""
-        if k not in self._rep_terms:
-            self._rep_terms[k] = [self.complex.row_terms(k, row)
-                                  for row in self._quotients[k].rows]
-        return self._rep_terms[k]
-
     def representatives(self, k: int) -> list[GradedElement]:
-        """The degree-k representatives as elements, boxed on first use."""
+        """The degree-k representatives as elements (shared), built on first
+        use."""
         if k not in self._reps:
-            alg = self.complex.algebra
-            self._reps[k] = [_element(alg, t) for t in self.representative_terms(k)]
+            self._reps[k] = [self.complex.from_row(k, row)
+                             for row in self._quotients[k].rows]
         return self._reps[k]
 
     def euler_characteristic(self) -> int:
@@ -246,39 +222,32 @@ class CohomologyTable:
 
     # --- classes ---
 
-    def _closed_row(self, terms: dict, k: int) -> dict:
-        """Sparse coordinates of the element with the ``{word: cv}`` map
-        ``terms`` in the complex, after checking that it is closed and lies
-        in the complex."""
+    def _closed_row(self, x: GradedElement, k: int) -> dict:
+        """Sparse coordinates of x in the complex, after checking that it is
+        closed and lies in the complex."""
         cx = self.complex
-        dx = d_terms(cx.differential, terms)
-        if dx:
-            dx = _element(cx.algebra, dx)
+        dx = apply_d(cx.differential, x)
+        if not dx.is_zero():
             raise PreconditionError(f"element is not closed: d(x) = {dx}", dx)
         try:
-            return cx.terms_row(terms, k)
+            return cx.to_row(x, k)
         except ValueError:
             raise ValueError("element does not lie in the complex") from None
 
-    def _class_row(self, terms: dict, k: int) -> dict:
-        """Sparse coordinates ``{j: cv}`` in the degree-k representative
-        basis of the class of the element x with the ``{word: cv}`` map
-        ``terms`` (no zeros), after checking that x is closed and lies in
+    def class_row(self, x: GradedElement, k: int) -> dict:
+        """Sparse coordinates ``{j: cv}`` of [x] in the degree-k
+        representative basis, after checking that x is closed and lies in
         the complex: x reduced by the coboundaries, then the remainder by
         the representatives."""
-        if not terms:
+        _check_algebra(self.complex.algebra, x)
+        if x.is_zero():
             return {}
-        rem = self._closed_row(terms, k)
+        rem = self._closed_row(x, k)
         self._coboundaries[k].reduce_owned(rem)
         coords = self._quotients[k].reduce_owned(rem)
         if rem:
             raise AssertionError("closed element must reduce against cocycles")
         return coords
-
-    def class_row(self, x: GradedElement, k: int) -> dict:
-        """Sparse coordinates ``{j: cv}`` of [x] in the degree-k
-        representative basis."""
-        return self._class_row(_terms_in(self.complex.algebra, x), k)
 
     def class_coords(self, x: GradedElement, degree: Optional[int] = None) -> tuple:
         """Coordinates of [x] in the representative basis of its degree."""
@@ -299,13 +268,13 @@ class CohomologyTable:
 
         The primitive is the deterministic pivot solution inside the complex.
         """
-        terms = _terms_in(self.complex.algebra, x)
-        if not terms:
+        _check_algebra(self.complex.algebra, x)
+        if x.is_zero():
             return self.complex.algebra.zero()
         k = degree if degree is not None else x.degree()
         if k is None:
             raise ValueError("is_exact needs a homogeneous element")
-        row = self._closed_row(terms, k)
+        row = self._closed_row(x, k)
         if k == 0:
             return None
         sol = self.complex.d_eliminator(k - 1).solve_left(row)
@@ -317,11 +286,11 @@ class CohomologyTable:
         """Product of classes via representatives."""
         if c1.table is not self or c2.table is not self:
             raise ValueError("classes come from a different table")
-        alg = self.complex.algebra
         k = c1.degree + c2.degree
         with engine_built():
-            row = self._class_row(_product(alg, c1.terms(), c2.terms()), k)
-        return CohomologyClass(self, k, tuple(densify(alg.field, row, self.betti[k])))
+            row = self.class_row(wedge(c1.representative(), c2.representative()), k)
+        field = self.complex.algebra.field
+        return CohomologyClass(self, k, tuple(densify(field, row, self.betti[k])))
 
 
 @contextmanager

@@ -38,8 +38,15 @@ from .field import CycloField, FieldElement
 
 
 def _inv_cv(field: CycloField):
+    """The inverse of a nonzero cv, kept for the life of the closure (one
+    elimination), which meets few distinct pivots."""
+    memo: dict = {}
+
     def inv(cv):
-        return FieldElement(field, cv).inverse().cv
+        r = memo.get(cv)
+        if r is None:
+            r = memo[cv] = FieldElement(field, cv).inverse().cv
+        return r
     return inv
 
 

@@ -145,7 +145,10 @@ def projector_rows(subspaces, algebra):
     """The rows of ``invariant_subspaces`` as elements, per degree: a basis
     of the subspace the engine finds fixed, which the tests hold against the
     image of the averaging oracle ``orbit_average``."""
-    return [[GradedElement.from_row(algebra, k, row) for row in sub.rows]
+    field = algebra.field
+    return [[GradedElement(algebra, {algebra.basis(k)[j]: field_module.FieldElement(field, cv)
+                                     for j, cv in row.items()})
+             for row in sub.rows]
             for k, sub in enumerate(subspaces)]
 
 

@@ -7,6 +7,7 @@ from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential, Preconditio
                      apply_d, apply_map, make_field, wedge)
 from cdgalab.algebra import WORD_BUDGET, GradedElement, format_element, word_count
 from cdgalab.cli import main as cli_main
+from cdgalab.field import FieldElement
 
 from conftest import ROOT, random_element, random_homogeneous
 
@@ -401,12 +402,56 @@ def test_returned_elements_own_their_terms():
                         (lambda v: apply_map(f, v), ref_apply_map(f, x))):
             first = op(x)
             assert first == ref and not first.is_zero()
-            first.terms.clear()
+            first._terms.clear()
             assert op(x) == ref
             second = op(x)
-            for w in list(second.terms):
-                second.terms[w] = alg.field.rational(7)
+            for w in list(second._terms):
+                second._terms[w] = alg.field.rational(7).cv
             assert op(x) == ref
+
+
+def test_a_coefficient_of_another_field_is_refused(model):
+    """An element stores its coefficients' cvs as they are, so a value of
+    Q(zeta_4) in a Q(zeta_12) algebra would be a malformed cv of the wrong
+    length; the constructor refuses it as field arithmetic does."""
+    alg = model.algebra
+    i4 = make_field(4).imaginary_unit()
+    with pytest.raises(ValueError, match="^conductor mismatch: 4 vs 12$"):
+        GradedElement(alg, {(0,): i4})
+    with pytest.raises(ValueError, match="^conductor mismatch: 4 vs 12$"):
+        GradedElement(alg, {(0,): alg.field.one, (1,): i4})
+    x = GradedElement(alg, {(0,): alg.field.imaginary_unit(), (1,): alg.field.zero})
+    assert x.to_row(1) == {0: alg.field.imaginary_unit().cv}
+
+
+def test_engine_paths_build_no_field_element(model, monkeypatch):
+    """Products, differentials, map images, sums and class solves of
+    elements built earlier work on the stored ``{word: cv}`` maps and box
+    no coefficient; ``terms`` is a fresh boxed copy on every read."""
+    g, table = model.gens, model.table
+    x, y = model.omega, g["mu"] * g["nu"]
+    r = table.representatives(2)[0]
+    boxes = []
+    init = FieldElement.__init__
+
+    def counting(self, *args):
+        boxes.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    wedge(x, r)
+    apply_d(model.differential, y)
+    apply_map(model.rho, x)
+    assert not (x + y - x - y)
+    table.class_row(r, 2)
+    table.class_row(wedge(r, x), 4)
+    assert boxes == []
+    monkeypatch.undo()
+    terms = x.terms
+    assert terms is not x.terms and terms == x.terms
+    assert all(isinstance(c, FieldElement) for c in terms.values())
+    terms.clear()
+    assert x.terms and not x.is_zero()
 
 
 def test_word_caches_belong_to_their_instance():

@@ -6,7 +6,8 @@ import pytest
 from cdgalab import AlgebraMap, GroupAction, Matrix, dsl, make_field, top_scalar, wedge
 from cdgalab._backend import kernel
 from cdgalab.action import invariant_complex
-from cdgalab.algebra import Algebra, Differential, GradedElement, PreconditionError, apply_d
+from cdgalab.algebra import (Algebra, Differential, GradedElement, PreconditionError, _element,
+                             apply_d)
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator, Subspace, densify
 
@@ -361,8 +362,10 @@ def test_d_matrix_rows_are_the_images_of_the_basis_elements(model, which):
 
 def test_tables_are_built_without_elements(model, monkeypatch):
     """d-matrices are read from the word rows, with no ``apply_d`` and no
-    element built, and a table boxes no representative until one is read:
-    a betti-only run of the ladder session boxes none."""
+    element built, and a table builds no representative until one is read:
+    a betti-only run of the ladder session builds none.  The engine builds
+    its elements with ``algebra._element``, which is counted in every module
+    that binds it, as well as the public constructor."""
     calls = []
 
     def counting(name, fn):
@@ -374,6 +377,8 @@ def test_tables_are_built_without_elements(model, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("cdgalab") and getattr(module, "apply_d", None) is apply_d:
             monkeypatch.setattr(module, "apply_d", counting("apply_d", apply_d))
+        if name.startswith("cdgalab") and getattr(module, "_element", None) is _element:
+            monkeypatch.setattr(module, "_element", counting("_element", _element))
     for cls, attr in ((CochainComplex, "from_row"), (CochainComplex, "basis_elements"),
                       (GradedElement, "__init__")):
         monkeypatch.setattr(cls, attr, counting(attr, getattr(cls, attr)))
@@ -385,7 +390,7 @@ def test_tables_are_built_without_elements(model, monkeypatch):
     session = dsl.parse(LADDER.read_text())  # the parser's d*d check applies d
     calls.clear()
     assert dsl.run(session).ok
-    assert calls.count("apply_d") == calls.count("from_row") == 0
+    assert calls.count("apply_d") == calls.count("from_row") == calls.count("_element") == 0
 
 
 def test_d_matrix_of_subspaces_that_are_not_d_stable_is_refused(model):
@@ -404,7 +409,7 @@ def test_d_matrix_of_subspaces_that_are_not_d_stable_is_refused(model):
         cx.d_matrix(1)
 
 
-def test_representatives_are_boxed_once_per_degree(model):
+def test_representatives_are_built_once_per_degree(model):
     for table in (CohomologyTable(model.complex), CohomologyTable(model.invariant)):
         cx = table.complex
         for k in range(table.top + 1):

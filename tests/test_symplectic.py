@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cdgalab import Matrix, make_field, wedge
-from cdgalab.algebra import Algebra, Conjugation, Differential, PreconditionError, _cvs, apply_d
+from cdgalab.algebra import Algebra, Conjugation, Differential, PreconditionError, apply_d
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator
 from cdgalab.symplectic import is_symplectic, lefschetz
@@ -234,13 +234,13 @@ def test_a_non_closed_representative_is_an_engine_fault(model, monkeypatch):
     bad = g["theta"] * g["eta"] * g["etabar"]  # d(bad) = mu*nu*eta*etabar
     residue = apply_d(model.differential, wedge(bad, om.representative()))
     assert not residue.is_zero()
-    representative_terms = CohomologyTable.representative_terms
+    representatives = CohomologyTable.representatives
 
     def patched(self, k):
-        reps = representative_terms(self, k)
-        return [_cvs(bad)] + reps[1:] if self is table and k == 3 else reps
+        reps = representatives(self, k)
+        return [bad] + reps[1:] if self is table and k == 3 else reps
 
-    monkeypatch.setattr(CohomologyTable, "representative_terms", patched)
+    monkeypatch.setattr(CohomologyTable, "representatives", patched)
     with pytest.raises(AssertionError, match="^engine-built element: element is not closed") as info:
         lefschetz(om, 1)
     cause = info.value.__cause__
