@@ -13,7 +13,7 @@ times one Lefschetz query: k = 1 on ``omega`` against the full table of
 the paper's algebra, and ``Matrix.rank`` on the 30 x 30 matrix of the first
 k = 1 query of the seed-1 scan session (``perfbench/workloads.py``).  On the
 full table of ``paper.cdga`` it times ``wedge`` on every ordered pair of
-degree-2 representatives, and ``class_row`` on the products r * omega of the
+degree-2 representatives, and ``class_coords`` on the products r * omega of the
 degree-3 representatives r, the rows of a k = 1 Lefschetz query.  The
 end-to-end harness is ``perfbench/run.py``.
 
@@ -126,10 +126,10 @@ def bench_wedge(pairs):
     return time.perf_counter() - t0
 
 
-def bench_class_row(table, xs, k):
+def bench_class_coords(table, xs, k):
     t0 = time.perf_counter()
     for x in xs:
-        table.class_row(x, k)
+        table.class_coords(x, k)
     return time.perf_counter() - t0
 
 
@@ -200,8 +200,8 @@ def main():
           f"{best / len(pairs) * 1e6:8.3f} us per product")
     omega = omega_class.representative()
     products = [wedge(r, omega) for r in full.representatives(3)]
-    best = min(bench_class_row(full, products, 5) for _ in range(args.repeat))
-    print(f"class_row of r * omega for the {len(products)} degree-3 representatives r "
+    best = min(bench_class_coords(full, products, 5) for _ in range(args.repeat))
+    print(f"class_coords of r * omega for the {len(products)} degree-3 representatives r "
           f"of {PAPER.name}: {best / len(products) * 1e6:8.3f} us per solve")
 
     alg = full.complex.algebra

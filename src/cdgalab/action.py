@@ -113,7 +113,7 @@ def induced_matrices(table: CohomologyTable, action: GroupAction) -> list[Matrix
     matrices = []
     for k in range(table.top + 1):
         with engine_built():
-            rows = [table.class_row(apply_map(f, r), k)
+            rows = [table.class_coords(apply_map(f, r), k)
                     for r in table.representatives(k)]
         a = Matrix(field, table.betti[k], rows)
         if a.power(m) != Matrix.identity(field, a.nrows):
@@ -127,7 +127,7 @@ def induced_action_fixed_dims(table: CohomologyTable, action: GroupAction) -> li
     """Dimension per degree of the fixed part of the induced action on H*,
     the kernel of A_k - I: b_k - rank(A_k - I)."""
     field = table.complex.algebra.field
-    one, minus_one = field.one.cv, (-field.one).cv
+    one, minus_one = field.one.cv, kernel.cv_neg(field.one.cv)
     dims = []
     for a in induced_matrices(table, action):
         rows = [dict(row) for row in a.sparse_rows]

@@ -11,13 +11,13 @@ merge with one ``&`` test for a shared odd generator, a sign counted by
 popcounts, and their sorted concatenation; a product with a word outside the
 basis is zero.
 
-A ``GradedElement`` stores its terms as one ``{word: cv}`` map, each value
-the kernel's canonical integer tuple of a nonzero field value (see
-``_kernel_py``).  ``wedge``, ``apply_d``, ``apply_map`` and the linear
-operations read those maps and build the new one directly, so the engine
-boxes no coefficient as a ``FieldElement``; ``terms`` boxes a fresh copy
-for a caller that wants field elements.  Two per-word caches serve the
-products and images:
+A ``GradedElement`` stores its terms as one ``{word: cv}`` map, each key a
+basis word and each value the kernel's canonical integer tuple of a nonzero
+field value (see ``_kernel_py``).  ``wedge``, ``apply_d``, ``apply_map``,
+conjugation and the linear operations read those maps and build the new one
+directly, so they box no coefficient as a ``FieldElement``; ``terms`` boxes
+a fresh copy for a caller that wants field elements.  Two per-word caches
+serve the products and images:
 
 - a ``Differential`` computes each word's differential once, by the Leibniz
   rule; ``apply_d`` is the linear combination of those rows, and
@@ -121,6 +121,10 @@ class Algebra:
         if top > WORD_BUDGET:
             raise ValueError(f"top degree {top} is over budget: "
                              f"top must be at most {WORD_BUDGET}")
+        for g in gens:
+            if g.degree > top:
+                raise ValueError(f"generator {g.name}: degree {g.degree} is above "
+                                 f"the top degree {top}")
         self.top = top
         word_count(self.degrees, self.odd, top)
         self._index = {g.name: i for i, g in enumerate(gens)}
@@ -172,10 +176,11 @@ class Algebra:
         return self._word_pos[degree][word]
 
     def word_degree(self, word: Word) -> int:
-        deg = self._word_degree.get(word)
-        if deg is None:  # a word past the truncation, or with a repeated odd generator
-            return sum(self.degrees[g] for g in word)
-        return deg
+        return self._word_degree[word]
+
+    def _check_word(self, word: Word) -> None:
+        if word not in self._word_degree:
+            raise ValueError(f"{word!r} is not a basis word of the algebra")
 
     def generator_index(self, name: str) -> int:
         if name not in self._index:
@@ -186,7 +191,9 @@ class Algebra:
         return self.word_element((self.generator_index(name),))
 
     def word_element(self, word: Word) -> "GradedElement":
-        return _element(self, {tuple(word): self.field.one.cv})
+        word = tuple(word)
+        self._check_word(word)
+        return _element(self, {word: self.field.one.cv})
 
     def zero(self) -> "GradedElement":
         return _element(self, {})
@@ -233,13 +240,14 @@ class GradedElement:
     __slots__ = ("algebra", "_terms")
 
     def __init__(self, algebra: Algebra, terms: dict):
-        """``terms`` maps words to scalars: rationals or ``FieldElement``s
-        of the algebra's field; a coefficient of another field raises
-        ValueError."""
+        """``terms`` maps basis words to scalars: rationals or
+        ``FieldElement``s of the algebra's field; a word outside the basis
+        or a coefficient of another field raises ValueError."""
         element = algebra.field.element
         self.algebra = algebra
         self._terms = {}
         for w, c in terms.items():
+            algebra._check_word(w)
             cv = element(c).cv
             if not kernel.cv_is_zero(cv):
                 self._terms[w] = cv
@@ -629,5 +637,7 @@ class Conjugation:
     def __call__(self, x: GradedElement) -> GradedElement:
         if x.algebra is not self.algebra:
             raise ValueError("algebra mismatch")
-        return apply_map(self._swap, GradedElement(
-            self.algebra, {w: c.conjugate() for w, c in x.terms.items()}))
+        field = self.algebra.field
+        conj = field.galois_maps[(field.n - 1) % field.n]  # z -> z^-1
+        return apply_map(self._swap, _element(
+            self.algebra, {w: conj(c) for w, c in x._terms.items()}))

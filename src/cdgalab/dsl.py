@@ -781,8 +781,7 @@ def _run_massey(rc: _RunContext, report: Report, ctx: AlgebraContext,
     table = rc.table(ctx, None)
     result = massey_triple(table.class_of(x), table.class_of(y), table.class_of(z))
     report.add("massey_class", format_element(result.representative))
-    report.add("massey_class_is_zero",
-               "yes" if all(c.is_zero() for c in result.class_coords) else "no")
+    report.add("massey_class_is_zero", "yes" if not result.class_coords else "no")
     report.add("massey_indeterminacy_dim", result.indeterminacy.dim)
 
 

@@ -99,8 +99,9 @@ class CycloField:
         self.n = n
         self.poly = tuple(cyclotomic_polynomial(n))
         self.phi = len(self.poly) - 1
-        self.red = self._reduction_rows()
         self.pow_table = self._power_table()
+        # red[k] = integer coords of z^(phi+k), the rows the product folds by
+        self.red = tuple(self.pow_table[(self.phi + k) % n] for k in range(self.phi - 1))
         self.units = tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
         self.mul = kernel.straight_line_product(self.phi, self.red,
                                                 f"Q(zeta_{n}) product")
@@ -109,33 +110,18 @@ class CycloField:
         self._zero = FieldElement(self, (0,) * self.phi + (1,))
         self._one = FieldElement(self, (1,) + (0,) * (self.phi - 1) + (1,))
 
-    def _reduction_rows(self):
-        # red[k] = integer coords of z^(phi+k); Phi_n is monic so these are integral
+    def _power_table(self):
+        # row j = integer coords of z^j: multiply by z, then fold the carry
+        # by z^phi = -(Phi_n without its leading term); Phi_n is monic, so
+        # every row is integral
         phi = self.phi
         base = tuple(-c for c in self.poly[:phi])
-        rows = []
-        row = base
-        for _ in range(phi - 1):
-            rows.append(row)
-            shifted = [0] + list(row[: phi - 1])
-            carry = row[phi - 1]
-            row = tuple(s + carry * b for s, b in zip(shifted, base))
-        return tuple(rows)
-
-    def _power_table(self):
-        phi = self.phi
         table = []
         row = (1,) + (0,) * (phi - 1)
         for _ in range(self.n):
             table.append(row)
-            shifted = [0] + list(row[: phi - 1])
-            carry = row[phi - 1]
-            if carry and phi > 1:
-                row = tuple(s + carry * b for s, b in zip(shifted, self.red[0]))
-            elif carry:  # phi == 1: z == root of linear poly
-                row = (carry * -self.poly[0],)
-            else:
-                row = tuple(shifted)
+            carry = row[-1]
+            row = tuple(s + carry * b for s, b in zip((0,) + row[:-1], base))
         return tuple(table)
 
     def _galois_matrix(self, k: int):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedElement, PreconditionError, wedge
+from .field import FieldElement
 from .homology import CohomologyClass, CohomologyTable, engine_built, top_scalar
 from .linalg import Subspace
 
@@ -35,13 +36,13 @@ class ObstructionInput:
 class ObstructionResult:
     primitives: tuple
     element: GradedElement
-    class_coords: tuple
+    class_coords: dict
     representative: GradedElement
     scalar: object
     h3_dim: int
 
     def is_nonzero(self) -> bool:
-        return any(not c.is_zero() for c in self.class_coords)
+        return bool(self.class_coords)
 
     def certifies_nonformality(self) -> bool:
         return self.h3_dim == 0 and self.is_nonzero()
@@ -92,10 +93,13 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable,
             prod = wedge(inp.alpha, b)
             xi = table.is_exact(prod, degree=4)
             if xi is None:
-                cls = table.class_coords(prod, 4)
+                row = table.class_coords(prod, 4)
+                field = cx.algebra.field
+                cls = ", ".join(str(FieldElement(field, row[j])) if j in row else "0"
+                                for j in range(table.betti[4]))
                 raise PreconditionError(
                     f"alpha*beta_{i + 1} is not exact; its class has coordinates "
-                    f"({', '.join(str(c) for c in cls)})", prod)
+                    f"({cls})", prod)
             primitives.append(xi)
 
     x1, x2, x3 = primitives
@@ -114,7 +118,7 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable,
 
 @dataclass
 class MasseyResult:
-    class_coords: tuple
+    class_coords: dict
     representative: GradedElement
     indeterminacy: Subspace
 
@@ -154,8 +158,8 @@ def massey_triple(x: CohomologyClass, y: CohomologyClass,
     with engine_built():
         coords = table.class_coords(rep, out_deg)
         for h in table.representatives(y.degree + z.degree - 1):
-            rows.append(table.class_row(wedge(xr, h), out_deg))
+            rows.append(table.class_coords(wedge(xr, h), out_deg))
         for h in table.representatives(x.degree + y.degree - 1):
-            rows.append(table.class_row(wedge(h, zr), out_deg))
+            rows.append(table.class_coords(wedge(h, zr), out_deg))
     indet = Subspace.from_vectors(xr.algebra.field, table.betti[out_deg], rows)
     return MasseyResult(coords, rep, indet)

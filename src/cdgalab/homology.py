@@ -24,14 +24,16 @@ representatives as sparse rows and builds the elements of a degree when
 they are first asked for, so a table read only for its Betti numbers builds
 none.
 
-There is one class solve, ``CohomologyTable.class_row``.  It checks that its
-element belongs to the table's algebra, is closed and lies in the complex,
-and that the remainder against the representatives is zero; ``class_coords``,
-``class_of`` and ``cup`` read their classes from it.  On a user's element a
-failed check is a failed precondition (``PreconditionError``).  Inside
-``engine_built()`` the element is one the engine made itself, such as a
-product of representatives or the image of one under a map, and a failed
-check is an engine fault (``AssertionError``).
+There is one class solve, ``CohomologyTable.class_coords``, and a class is
+held in one form, the sparse row ``{j: cv}`` of its coordinates in the
+representative basis.  The solve checks that its element belongs to the
+table's algebra, is closed and lies in the complex, and that the remainder
+against the representatives is zero; ``class_of`` and ``cup`` read their
+classes from it.  On a user's element a failed check is a failed
+precondition (``PreconditionError``).  Inside ``engine_built()`` the element
+is one the engine made itself, such as a product of representatives or the
+image of one under a map, and a failed check is an engine fault
+(``AssertionError``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Optional
 from ._backend import kernel
 from .algebra import (Differential, GradedElement, PreconditionError, _element, apply_d,
                       wedge)
-from .linalg import Eliminator, Matrix, Subspace, densify, quotient_basis
+from .linalg import Eliminator, Matrix, Subspace, quotient_basis
 
 
 def _check_algebra(alg, x: GradedElement) -> None:
@@ -155,9 +157,11 @@ class CochainComplex:
 
 @dataclass
 class CohomologyClass:
+    """The class with sparse coordinates ``coords``, ``{j: cv}``, in the
+    degree-``degree`` representative basis of ``table``."""
     table: "CohomologyTable"
     degree: int
-    coords: tuple
+    coords: dict
 
     def representative(self) -> GradedElement:
         """The combination of the table's representatives that the
@@ -165,19 +169,12 @@ class CohomologyClass:
         reps = self.table.representatives(self.degree)
         alg = self.table.complex.algebra
         out: dict = {}
-        for c, r in zip(self.coords, reps):
-            if not c.is_zero():
-                kernel.row_axpy(out, r._terms, c.cv, alg.field.mul)
+        for j, c in self.coords.items():
+            kernel.row_axpy(out, reps[j]._terms, c, alg.field.mul)
         return _element(alg, out)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, CohomologyClass)
-                and self.table is other.table
-                and self.degree == other.degree
-                and list(self.coords) == list(other.coords))
+        return not self.coords
 
 
 class CohomologyTable:
@@ -234,11 +231,16 @@ class CohomologyTable:
         except ValueError:
             raise ValueError("element does not lie in the complex") from None
 
-    def class_row(self, x: GradedElement, k: int) -> dict:
-        """Sparse coordinates ``{j: cv}`` of [x] in the degree-k
-        representative basis, after checking that x is closed and lies in
-        the complex: x reduced by the coboundaries, then the remainder by
-        the representatives."""
+    def class_coords(self, x: GradedElement, degree: Optional[int] = None) -> dict:
+        """Sparse coordinates ``{j: cv}`` of [x] in the representative basis
+        of its degree, after checking that x is closed and lies in the
+        complex: x reduced by the coboundaries, then the remainder by the
+        representatives."""
+        if x.is_zero() and degree is None:
+            raise ValueError("the zero element needs an explicit degree")
+        k = degree if degree is not None else x.degree()
+        if k is None:
+            raise ValueError("class_coords needs a homogeneous element")
         _check_algebra(self.complex.algebra, x)
         if x.is_zero():
             return {}
@@ -248,16 +250,6 @@ class CohomologyTable:
         if rem:
             raise AssertionError("closed element must reduce against cocycles")
         return coords
-
-    def class_coords(self, x: GradedElement, degree: Optional[int] = None) -> tuple:
-        """Coordinates of [x] in the representative basis of its degree."""
-        if x.is_zero() and degree is None:
-            raise ValueError("the zero element needs an explicit degree")
-        k = degree if degree is not None else x.degree()
-        if k is None:
-            raise ValueError("class_coords needs a homogeneous element")
-        return tuple(densify(self.complex.algebra.field, self.class_row(x, k),
-                             self.betti[k]))
 
     def class_of(self, x: GradedElement, degree: Optional[int] = None) -> CohomologyClass:
         k = degree if degree is not None else x.degree()
@@ -288,9 +280,7 @@ class CohomologyTable:
             raise ValueError("classes come from a different table")
         k = c1.degree + c2.degree
         with engine_built():
-            row = self.class_row(wedge(c1.representative(), c2.representative()), k)
-        field = self.complex.algebra.field
-        return CohomologyClass(self, k, tuple(densify(field, row, self.betti[k])))
+            return self.class_of(wedge(c1.representative(), c2.representative()), k)
 
 
 @contextmanager
@@ -317,10 +307,10 @@ def top_scalar(x: GradedElement, volume: GradedElement):
     alg = x.algebra
     if volume.algebra is not alg:
         raise ValueError("algebra mismatch")
-    if len(volume.terms) != 1:
+    if len(volume._terms) != 1:
         raise ValueError("volume must be a single basis word")
-    (word, coeff), = volume.terms.items()
+    word, = volume._terms
     k = alg.word_degree(word)
     if not x.is_zero() and x.degree() != k:
         raise ValueError(f"degree mismatch: expected homogeneous degree {k}")
-    return x.coefficient(word) / coeff
+    return x.coefficient(word) / volume.coefficient(word)

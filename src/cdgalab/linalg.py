@@ -9,9 +9,8 @@ There is one vector form, the sparse row the arithmetic kernel takes: a dict
 ``{index: cv}`` of the nonzero entries only, each ``cv`` the canonical integer
 tuple of a field value (see ``_kernel_py``).  ``Matrix`` rows, the vectors
 given to ``Eliminator`` and ``Subspace``, and every coefficient vector,
-remainder and solution they return are such dicts; ``densify`` turns one into
-a list of field elements where a caller wants that view.  ``Matrix`` builds
-its dense ``entries`` view only on first use; nothing mutates a matrix's rows
+remainder and solution they return are such dicts.  ``Matrix`` builds its
+dense ``entries`` view only on first use; nothing mutates a matrix's rows
 once it is built.
 
 The public entry points (``Matrix(...)``, ``Subspace.from_vectors``,
@@ -69,14 +68,6 @@ def _sparse(v, n: int) -> dict:
     """A checked copy of the sparse row v of a space of dimension n."""
     _check_sparse(v, n)
     return dict(v)
-
-
-def densify(field: CycloField, row: dict, n: int) -> list[FieldElement]:
-    """The sparse row as a dense list of n field elements."""
-    out = [field.zero] * n
-    for j, cv in row.items():
-        out[j] = FieldElement(field, cv)
-    return out
 
 
 class Matrix:

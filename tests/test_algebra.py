@@ -442,9 +442,10 @@ def test_engine_paths_build_no_field_element(model, monkeypatch):
     wedge(x, r)
     apply_d(model.differential, y)
     apply_map(model.rho, x)
+    model.conjugation(x)
     assert not (x + y - x - y)
-    table.class_row(r, 2)
-    table.class_row(wedge(r, x), 4)
+    table.class_coords(r, 2)
+    table.class_coords(wedge(r, x), 4)
     assert boxes == []
     monkeypatch.undo()
     terms = x.terms
@@ -452,6 +453,30 @@ def test_engine_paths_build_no_field_element(model, monkeypatch):
     assert all(isinstance(c, FieldElement) for c in terms.values())
     terms.clear()
     assert x.terms and not x.is_zero()
+
+
+def test_words_outside_the_basis_are_refused():
+    """An unsorted word, a repeated odd generator, an unknown generator index
+    and a negative one are refused where an element is built from words."""
+    alg = Algebra(make_field(1), [("a", 1), ("b", 1), ("x", 2)], top=6)
+    with pytest.raises(ValueError, match="not a basis word"):
+        GradedElement(alg, {(1, 0): 1})
+    for word in [(0, 0), (7,), (-1,)]:
+        with pytest.raises(ValueError, match="not a basis word"):
+            alg.word_element(word)
+        with pytest.raises(ValueError, match="not a basis word"):
+            GradedElement(alg, {word: 1})
+    assert alg.word_element((0, 1)) == GradedElement(alg, {(0, 1): 1})
+
+
+def test_a_generator_above_the_top_degree_is_refused(tmp_path, capsys):
+    with pytest.raises(ValueError, match="generator b: degree 3 is above the top degree 2"):
+        Algebra(make_field(1), [("a", 1), ("b", 3)], top=2)
+    path = tmp_path / "s.cdga"
+    path.write_text("field cyclotomic 1\nalgebra A generators a:1 b:3 top 2\n"
+                    "let y = b\ntask betti A\n")
+    assert cli_main(["check", str(path)]) == 2
+    assert "above the top degree" in capsys.readouterr().err
 
 
 def test_word_caches_belong_to_their_instance():

@@ -186,6 +186,31 @@ def reference_galois_nums(f, cv, k):
 REFERENCE_CONDUCTORS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 105]
 
 
+def reference_power_coords(j, poly):
+    """Integer coordinates of the remainder of x^j by the monic poly, by
+    long division."""
+    phi = len(poly) - 1
+    rem = [0] * j + [1]
+    for top in range(j, phi - 1, -1):
+        c = rem[top]
+        if c:
+            for t, p in enumerate(poly):
+                rem[top - phi + t] -= c * p
+    return tuple((rem + [0] * phi)[:phi])
+
+
+@pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
+def test_power_and_reduction_tables_are_remainders_mod_phi_n(n):
+    """The tables that the product and the Galois maps are generated from:
+    ``pow_table[j]`` is z^j and ``red[k]`` is z^(phi+k), each reduced
+    mod Phi_n."""
+    f = make_field(n)
+    poly = cyclotomic_polynomial(n)
+    assert f.pow_table == tuple(reference_power_coords(j, poly) for j in range(n))
+    assert f.red == tuple(reference_power_coords(f.phi + k, poly)
+                          for k in range(f.phi - 1))
+
+
 def sample_values(f, rng):
     """Zero, rationals, signed and scaled monomials, and dense values with
     small and with large coordinates."""

@@ -4,9 +4,9 @@ import pytest
 
 from cdgalab import Matrix, Subspace, make_field, quotient_basis
 from cdgalab.algebra import apply_d
-from cdgalab.linalg import Eliminator, densify
+from cdgalab.linalg import Eliminator
 
-from conftest import random_field_element, sparse_row
+from conftest import densify, random_field_element, sparse_row
 
 
 def d_matrix(model, k):

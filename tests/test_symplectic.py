@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab import Matrix, make_field, wedge
+from cdgalab import Matrix, dsl, make_field, symplectic, wedge
 from cdgalab.algebra import Algebra, Conjugation, Differential, PreconditionError, apply_d
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator
 from cdgalab.symplectic import is_symplectic, lefschetz
 
-from conftest import sparse_row
+from conftest import ROOT
+
 
 LEF_WITNESS_SIGN = -1  # frozen: omega^2*nu*nubar = d(-2*theta*mubar*etabar*eta*nubar)
 
@@ -61,7 +62,7 @@ def test_lefschetz_failure_on_invariant_complex(model):
     assert rep.kernel_dim >= 1
     assert rep.rank < table.betti[2]
     nn = model.gens["nu"] * model.gens["nubar"]
-    assert rep.kernel.contains(table.class_row(nn, 2))
+    assert rep.kernel.contains(table.class_coords(nn, 2))
 
 
 def test_lefschetz_k0_is_identity(model):
@@ -103,9 +104,9 @@ def test_lefschetz_matrices_compose(model):
     # middle step: cup with omega from H^4 to H^6
     f = model.field
     omega_rep = om.representative()
-    mid = Matrix(f, table.betti[6], [table.class_row(wedge(r, omega_rep), 6)
+    mid = Matrix(f, table.betti[6], [table.class_coords(wedge(r, omega_rep), 6)
                                      for r in table.representatives(4)])
-    first = Matrix(f, table.betti[4], [table.class_row(wedge(r, omega_rep), 4)
+    first = Matrix(f, table.betti[4], [table.class_coords(wedge(r, omega_rep), 4)
                                        for r in table.representatives(2)])
     assert first.matmul(mid) == m2
 
@@ -135,9 +136,8 @@ def test_kernel_rank_is_basis_independent(model):
     # shift omega by an exact invariant 2-form: none exist, so instead verify
     # stability by recomputing through shifted class descriptions
     for _ in range(5):
-        coeffs = list(om.coords)
         cls = table.class_of(om.representative(), 2)
-        assert list(cls.coords) == list(coeffs)
+        assert cls.coords == om.coords
         assert lefschetz(cls, 2).rank == base_rank
 
 
@@ -217,7 +217,7 @@ def test_lefschetz_matrix_is_the_class_coords_of_the_cup_products(model, which, 
     power = model.algebra.unit()  # omega^k
     for k in range(n + 1):
         src, dst = n - k, n + k
-        rows = [sparse_row(table.class_coords(wedge(r, power), dst))
+        rows = [table.class_coords(wedge(r, power), dst)
                 for r in table.representatives(src)]
         assert lefschetz(om, k).matrix == Matrix(f, table.betti[dst], rows)
         power = wedge(power, omega)
@@ -245,3 +245,39 @@ def test_a_non_closed_representative_is_an_engine_fault(model, monkeypatch):
         lefschetz(om, 1)
     cause = info.value.__cause__
     assert isinstance(cause, PreconditionError) and cause.witness == residue
+
+
+def test_lefschetz_refuses_a_class_of_another_degree(model):
+    """omega must be a degree-2 class; a zero class of degree 3 is refused
+    too, before any product."""
+    table = model.table
+    for cls in (table.class_of(model.gens["mu"], 1),
+                table.class_of(table.representatives(3)[0], 3),
+                table.class_of(model.algebra.zero(), 3)):
+        with pytest.raises(ValueError, match="omega must be a class of degree 2"):
+            lefschetz(cls, 1)
+
+
+def test_a_huge_power_stops_at_the_first_zero_power(monkeypatch):
+    """omega^n for n = 10**9 gives the records of n = 5: the powers stop at
+    omega^5 = 0.  The counted wedge raises past 1000 calls, so a loop that
+    runs n times fails here instead of hanging."""
+    lines = [line for line in (ROOT / "paper.cdga").read_text().splitlines()
+             if not line.startswith("task ")]
+    wedges = []
+
+    def counting(x, y):
+        wedges.append(None)
+        if len(wedges) > 1000:
+            raise RuntimeError("omega is multiplied past its first zero power")
+        return wedge(x, y)
+
+    monkeypatch.setattr(symplectic, "wedge", counting)
+    records = {}
+    for n in (5, 10 ** 9):
+        wedges.clear()
+        session = dsl.parse("\n".join(lines + [f"task symplectic M omega {n} vol", ""]))
+        records[n] = dsl.run(session).records
+        assert len(wedges) <= session.algebras["M"].algebra.top // 2 + 2
+    assert records[10 ** 9] == records[5]
+    assert len(records[5]) == 4 and ("symplectic", "no") in records[5]
