@@ -1,7 +1,11 @@
-"""Micro-benchmarks of the arithmetic kernel and the invariant layer.
+"""Micro-benchmarks of start-up, the arithmetic kernel and the invariant layer.
 
-Times the hot paths over Q(zeta_12): batched coefficient products, inverses
-of non-rational values, and sparse row reduction of a random matrix.  It
+Times start-up: ``import cdgalab`` followed by ``dsl.parse`` of
+``paper.cdga``, the median over ``--repeat`` fresh interpreters that run
+with the caller's environment (so ``PYTHONDONTWRITEBYTECODE`` and
+``PYTHONPATH`` apply as they do to the caller).  Times the hot paths over
+Q(zeta_12): batched coefficient products, inverses of non-rational values,
+and sparse row reduction of a random matrix.  It
 times d-matrix assembly: every degree of a fresh full complex of the ladder
 session (``perfbench/sessions/ladder.cdga``, 10 generators, 1024 words), on
 a fresh differential, so the per-word Leibniz rows are computed too.  It
@@ -22,6 +26,8 @@ end-to-end harness is ``perfbench/run.py``.
 
 import argparse
 import random
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -45,6 +51,28 @@ PAPER = ROOT / "paper.cdga"
 LADDER = ROOT / "perfbench" / "sessions" / "ladder.cdga"
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the scan session generator)
+
+
+# Run in a fresh interpreter: the wall time of the import and the parse.
+STARTUP = """\
+import sys, time
+with open(sys.argv[1], encoding="utf-8") as f:
+    text = f.read()
+t0 = time.perf_counter()
+import cdgalab
+from cdgalab import dsl
+dsl.parse(text)
+print(time.perf_counter() - t0)
+"""
+
+
+def bench_startup(repeat):
+    times = []
+    for _ in range(repeat):
+        r = subprocess.run([sys.executable, "-c", STARTUP, str(PAPER)],
+                           capture_output=True, text=True, check=True)
+        times.append(float(r.stdout))
+    return statistics.median(times)
 
 
 def rand_cv(rng, phi):
@@ -139,6 +167,10 @@ def main():
     ap.add_argument("--size", type=int, default=32)
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
+
+    median = bench_startup(args.repeat)
+    print(f"import cdgalab and dsl.parse of {PAPER.name}, median of {args.repeat} "
+          f"fresh interpreters: {median * 1e3:8.2f} ms")
 
     field = make_field(12)
     phi, mul = field.phi, field.mul

@@ -24,9 +24,8 @@ then shows as a disagreement instead of being repeated on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._backend import kernel
+from ._record import Frozen
 from .algebra import AlgebraMap, Differential, PreconditionError, apply_d, apply_map
 from .homology import CochainComplex, CohomologyTable, engine_built
 from .linalg import Eliminator, Matrix, Subspace
@@ -56,17 +55,15 @@ def validate_action(f: AlgebraMap, m: int, d: Differential) -> None:
                 f"f does not commute with d at {alg.gens[g].name}", residue)
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Frozen):
     """A cyclic action: the generator's algebra map, the group order and the
     differential it commutes with.  It is validated when built, so every
     instance satisfies f^m = id and f o d = d o f."""
-    generator_map: AlgebraMap
-    order: int
-    differential: Differential
 
-    def __post_init__(self):
-        validate_action(self.generator_map, self.order, self.differential)
+    def __init__(self, generator_map: AlgebraMap, order: int, differential: Differential):
+        validate_action(generator_map, order, differential)
+        self.__dict__.update(generator_map=generator_map, order=order,
+                             differential=differential)
 
 
 def _own_map(f: AlgebraMap) -> AlgebraMap:

@@ -33,21 +33,20 @@ a map of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._backend import kernel
+from ._record import Frozen
 from .field import CycloField, FieldElement, format_scalar
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    name: str
-    degree: int
+class GeneratorSpec(Frozen):
+    """A generator's name and its degree, at least 1."""
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"generator {self.name}: degree must be >= 1")
+    def __init__(self, name: str, degree: int):
+        if degree < 1:
+            raise ValueError(f"generator {name}: degree must be >= 1")
+        self.__dict__.update(name=name, degree=degree)
 
 
 class PreconditionError(ValueError):

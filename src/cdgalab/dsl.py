@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional
 
+from ._record import Frozen
 from .algebra import (Algebra, AlgebraMap, Conjugation, Differential,
                       GradedElement, PreconditionError, apply_d, format_element, wedge)
 from .action import GroupAction, check_fixed_part, invariant_complex
@@ -54,11 +53,11 @@ RESERVED = {
     "edge", "proj", "p1b",
 }
 
-@dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    col: int
-    message: str
+class Diagnostic(Frozen):
+    """A message and the line and column it points at."""
+
+    def __init__(self, line: int, col: int, message: str):
+        self.__dict__.update(line=line, col=col, message=message)
 
     def __str__(self):
         return f"{self.line}:{self.col}: {self.message}"
@@ -81,9 +80,10 @@ _TOKEN = re.compile(r"(?P<NEWLINE>\n)|[ \t\r]+|#[^\n]*|(?P<INT>[0-9]+)"
 
 class Token:
     """One token and the line and column where it starts.  A plain class
-    with slots: a session builds one per token, and a frozen dataclass's
-    constructor, which sets each field through ``object.__setattr__``, cost
-    more than the regex match that finds the token."""
+    with slots: a session builds one per token, and the frozen record it
+    once was, whose constructor set each field through
+    ``object.__setattr__``, cost more than the regex match that finds the
+    token."""
 
     __slots__ = ("kind", "text", "line", "col")
 
@@ -113,48 +113,45 @@ def tokenize(text: str) -> list[Token]:
 
 # --- session model ----------------------------------------------------------
 
-@dataclass
 class AlgebraContext:
-    name: str
-    algebra: Algebra
-    d_assignments: dict = dc_field(default_factory=dict)
-    first_d_token: Optional[Token] = None
-    conjugation: Optional[Conjugation] = None
-    differential: Optional[Differential] = None  # built by finalize
-    gen_degrees: dict = dc_field(init=False, repr=False)  # generator name -> degree
-
-    def __post_init__(self):
-        self.gen_degrees = {g.name: g.degree for g in self.algebra.gens}
+    def __init__(self, name: str, algebra: Algebra):
+        self.name = name
+        self.algebra = algebra
+        self.d_assignments: dict = {}
+        self.first_d_token: Token | None = None
+        self.conjugation: Conjugation | None = None
+        self.differential: Differential | None = None  # built by finalize
+        self.gen_degrees = {g.name: g.degree for g in algebra.gens}  # name -> degree
 
 
-@dataclass
 class MapBinding:
-    token: Token  # the map's name, where its diagnostics point
-    ctx: AlgebraContext
-    order: int
-    map: AlgebraMap
-    action: Optional[GroupAction] = None  # built and validated by finalize
+    def __init__(self, token: Token, ctx: AlgebraContext, order: int, map: AlgebraMap):
+        self.token = token  # the map's name, where its diagnostics point
+        self.ctx = ctx
+        self.order = order
+        self.map = map
+        self.action: GroupAction | None = None  # built and validated by finalize
 
 
-@dataclass
 class Task:
-    name: str
-    args: tuple  # what _TASK_RUNNERS[name] takes after the run context and report
+    def __init__(self, name: str, args: tuple):
+        self.name = name
+        self.args = args  # what _TASK_RUNNERS[name] takes after the run context and report
 
 
-@dataclass
 class Session:
-    source: str
-    field: Optional[CycloField] = None
-    algebras: dict = dc_field(default_factory=dict)
-    maps: dict = dc_field(default_factory=dict)
-    lets: dict = dc_field(default_factory=dict)
-    tasks: list = dc_field(default_factory=list)
+    def __init__(self, source: str):
+        self.source = source
+        self.field: CycloField | None = None
+        self.algebras: dict = {}
+        self.maps: dict = {}
+        self.lets: dict = {}
+        self.tasks: list = []
 
     def sha256(self) -> str:
         return hashlib.sha256(self.source.encode("utf-8")).hexdigest()
 
-    def lookup_element(self, name: str) -> Optional[GradedElement]:
+    def lookup_element(self, name: str) -> GradedElement | None:
         if name in self.lets:
             return self.lets[name]
         for ctx in self.algebras.values():
@@ -166,11 +163,11 @@ class Session:
 # --- parser -----------------------------------------------------------------
 
 class Parser:
-    def __init__(self, text: str, session: Optional[Session] = None):
+    def __init__(self, text: str, session: Session | None = None):
         self.session = Session(text) if session is None else session
         self.tokens = tokenize(text)
         self.pos = 0
-        self.current: Optional[AlgebraContext] = None
+        self.current: AlgebraContext | None = None
         self.names: dict[str, str] = {}  # global namespace -> kind
 
     # token plumbing
@@ -187,7 +184,7 @@ class Parser:
     def fail(self, token: Token, message: str):
         raise DslError(Diagnostic(token.line, token.col, message))
 
-    def accept(self, text: str, kind: str = "SYM") -> Optional[Token]:
+    def accept(self, text: str, kind: str = "SYM") -> Token | None:
         t = self.peek()
         if t.kind == kind and t.text == text:
             return self.next()
@@ -523,7 +520,7 @@ class Parser:
     def arg_element(self, ctx: AlgebraContext) -> GradedElement:
         return self.resolve_element(ctx, self.expect_ident("element name"), "element")
 
-    def arg_complex_mode(self, ctx: AlgebraContext) -> Optional[MapBinding]:
+    def arg_complex_mode(self, ctx: AlgebraContext) -> MapBinding | None:
         t = self.expect_ident("'invariant' or 'full'")
         if t.text == "full":
             return None
@@ -650,7 +647,7 @@ def parse(text: str) -> Session:
     return Parser(text).parse()
 
 
-def eval_expr(text: str, session: Session, algebra_name: Optional[str] = None) -> GradedElement:
+def eval_expr(text: str, session: Session, algebra_name: str | None = None) -> GradedElement:
     """Evaluate one expression against the bindings of a parsed session."""
     parser = Parser(text, session)
     if algebra_name is None:
@@ -664,11 +661,11 @@ def eval_expr(text: str, session: Session, algebra_name: Optional[str] = None) -
 
 # --- execution --------------------------------------------------------------
 
-@dataclass
 class Report:
-    session_sha256: str
-    records: list = dc_field(default_factory=list)
-    failures: list = dc_field(default_factory=list)
+    def __init__(self, session_sha256: str):
+        self.session_sha256 = session_sha256
+        self.records: list = []
+        self.failures: list = []
 
     def add(self, key: str, value):
         self.records.append((key, str(value)))
@@ -699,7 +696,7 @@ class _RunContext:
     def __init__(self):
         self._tables: dict[tuple, CohomologyTable] = {}
 
-    def table(self, ctx: AlgebraContext, binding: Optional[MapBinding]) -> CohomologyTable:
+    def table(self, ctx: AlgebraContext, binding: MapBinding | None) -> CohomologyTable:
         """The table of the full complex of ``ctx``, or of the invariant
         complex of ``binding``'s action; each complex is built once, here."""
         key = (ctx.name, binding.token.text if binding else None)
@@ -763,7 +760,7 @@ def _run_symplectic(rc: _RunContext, report: Report, ctx: AlgebraContext,
 
 
 def _run_obstruction(rc: _RunContext, report: Report, ctx: AlgebraContext,
-                     binding: Optional[MapBinding], alpha: GradedElement, betas: tuple,
+                     binding: MapBinding | None, alpha: GradedElement, betas: tuple,
                      vol: GradedElement):
     table = rc.table(ctx, binding)
     result = obstruction(ObstructionInput(alpha, betas, vol), table)
@@ -786,7 +783,7 @@ def _run_massey(rc: _RunContext, report: Report, ctx: AlgebraContext,
 
 
 def _run_lefschetz(rc: _RunContext, report: Report, ctx: AlgebraContext,
-                   binding: Optional[MapBinding], omega: GradedElement, k: int):
+                   binding: MapBinding | None, omega: GradedElement, k: int):
     result = lefschetz(rc.table(ctx, binding).class_of(omega, 2), k)
     report.add(f"lefschetz_rank[{k}]", result.rank)
     report.add(f"lefschetz_kernel_dim[{k}]", result.kernel_dim)

@@ -13,33 +13,36 @@ its indeterminacy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import GradedElement, PreconditionError, wedge
 from .field import FieldElement
 from .homology import CohomologyClass, CohomologyTable, engine_built, top_scalar
 from .linalg import Subspace
 
 
-@dataclass
 class ObstructionInput:
-    alpha: GradedElement
-    betas: tuple
-    volume: GradedElement
+    """The degree-2 inputs alpha and beta_1..beta_3, and the volume form
+    that the obstruction's scalar is read against."""
 
-    def __post_init__(self):
-        if len(self.betas) != 3:
+    def __init__(self, alpha: GradedElement, betas: tuple, volume: GradedElement):
+        if len(betas) != 3:
             raise ValueError("exactly three beta inputs are required")
+        self.alpha = alpha
+        self.betas = betas
+        self.volume = volume
 
 
-@dataclass
 class ObstructionResult:
-    primitives: tuple
-    element: GradedElement
-    class_coords: dict
-    representative: GradedElement
-    scalar: object
-    h3_dim: int
+    """The primitives x_i, the degree-8 element, its class as a sparse row
+    with a representative and its top scalar, and dim H^3."""
+
+    def __init__(self, primitives: tuple, element: GradedElement, class_coords: dict,
+                 representative: GradedElement, scalar, h3_dim: int):
+        self.primitives = primitives
+        self.element = element
+        self.class_coords = class_coords
+        self.representative = representative
+        self.scalar = scalar
+        self.h3_dim = h3_dim
 
     def is_nonzero(self) -> bool:
         return bool(self.class_coords)
@@ -116,11 +119,15 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable,
                              top_scalar(rep, inp.volume), table.betti[3])
 
 
-@dataclass
 class MasseyResult:
-    class_coords: dict
-    representative: GradedElement
-    indeterminacy: Subspace
+    """A Massey product's class as a sparse row, its representative and its
+    indeterminacy subspace."""
+
+    def __init__(self, class_coords: dict, representative: GradedElement,
+                 indeterminacy: Subspace):
+        self.class_coords = class_coords
+        self.representative = representative
+        self.indeterminacy = indeterminacy
 
 
 def massey_triple(x: CohomologyClass, y: CohomologyClass,

@@ -39,8 +39,6 @@ image of one under a map, and a failed check is an engine fault
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional
 
 from ._backend import kernel
 from .algebra import (Differential, GradedElement, PreconditionError, _element, apply_d,
@@ -62,7 +60,7 @@ class CochainComplex:
     """
 
     def __init__(self, differential: Differential,
-                 subspaces: Optional[list[Subspace]] = None):
+                 subspaces: list[Subspace] | None = None):
         self.differential = differential
         self.algebra = differential.algebra
         self.top = self.algebra.top
@@ -155,13 +153,21 @@ class CochainComplex:
         return apply_d(self.differential, x)
 
 
-@dataclass
 class CohomologyClass:
     """The class with sparse coordinates ``coords``, ``{j: cv}``, in the
-    degree-``degree`` representative basis of ``table``."""
-    table: "CohomologyTable"
-    degree: int
-    coords: dict
+    degree-``degree`` representative basis of ``table``.  Two classes are
+    equal when they have one table, one degree and equal coordinates."""
+
+    def __init__(self, table: CohomologyTable, degree: int, coords: dict):
+        self.table = table
+        self.degree = degree
+        self.coords = coords
+
+    def __eq__(self, other):
+        if type(other) is not CohomologyClass:
+            return NotImplemented
+        return ((self.table, self.degree, self.coords)
+                == (other.table, other.degree, other.coords))
 
     def representative(self) -> GradedElement:
         """The combination of the table's representatives that the
@@ -231,7 +237,7 @@ class CohomologyTable:
         except ValueError:
             raise ValueError("element does not lie in the complex") from None
 
-    def class_coords(self, x: GradedElement, degree: Optional[int] = None) -> dict:
+    def class_coords(self, x: GradedElement, degree: int | None = None) -> dict:
         """Sparse coordinates ``{j: cv}`` of [x] in the representative basis
         of its degree, after checking that x is closed and lies in the
         complex: x reduced by the coboundaries, then the remainder by the
@@ -251,11 +257,11 @@ class CohomologyTable:
             raise AssertionError("closed element must reduce against cocycles")
         return coords
 
-    def class_of(self, x: GradedElement, degree: Optional[int] = None) -> CohomologyClass:
+    def class_of(self, x: GradedElement, degree: int | None = None) -> CohomologyClass:
         k = degree if degree is not None else x.degree()
         return CohomologyClass(self, k, self.class_coords(x, k))
 
-    def is_exact(self, x: GradedElement, degree: Optional[int] = None) -> Optional[GradedElement]:
+    def is_exact(self, x: GradedElement, degree: int | None = None) -> GradedElement | None:
         """A primitive xi with d(xi) = x, or None when [x] != 0.
 
         The primitive is the deterministic pivot solution inside the complex.

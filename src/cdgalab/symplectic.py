@@ -15,7 +15,6 @@ first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import Conjugation, Differential, GradedElement, apply_d, wedge
@@ -23,14 +22,20 @@ from .homology import CohomologyClass, engine_built, top_scalar
 from .linalg import Eliminator, Matrix, Subspace
 
 
-@dataclass
 class SymplecticVerdict:
-    closed: bool
-    real: bool
-    nondegenerate: bool
-    power_scalar: object
-    residue_d: GradedElement | None = None
-    residue_conj: GradedElement | None = None
+    """Whether omega is closed, real and nondegenerate, the scalar of
+    omega^n against the volume, and the nonzero residues d(omega) and
+    conj(omega) - omega (None when zero)."""
+
+    def __init__(self, closed: bool, real: bool, nondegenerate: bool, power_scalar,
+                 residue_d: GradedElement | None = None,
+                 residue_conj: GradedElement | None = None):
+        self.closed = closed
+        self.real = real
+        self.nondegenerate = nondegenerate
+        self.power_scalar = power_scalar
+        self.residue_d = residue_d
+        self.residue_conj = residue_conj
 
     @property
     def ok(self) -> bool:
@@ -44,13 +49,17 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
                   d: Differential, volume: GradedElement) -> SymplecticVerdict:
     """d(omega) = 0, conj(omega) = omega and omega^n != 0, all exact.
 
-    The powers stop at the first one that is zero, so a large n costs no
-    more than the top degree allows.  The top-power scalar is reported
-    against ``volume``.
+    An n below top / 2 asks nothing of the top degree and is a
+    ``ValueError``.  The powers stop at the first one that is zero, so a
+    large n costs no more than the top degree allows.  The top-power scalar
+    is reported against ``volume``.
     """
     alg = omega.algebra
     if not omega.is_zero() and omega.degree() != 2:
         raise ValueError("omega must be homogeneous of degree 2")
+    if 2 * n < alg.top:
+        raise ValueError(f"omega^{n} lies below the top degree {alg.top}: "
+                         f"the check needs n = top / 2 = {alg.top / 2:g}")
     d_res = apply_d(d, omega)
     conj_res = conjugation(omega) - omega
     power = alg.unit()
@@ -72,17 +81,19 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
     )
 
 
-@dataclass
 class LefschetzReport:
     """Cup with [omega]^k from H^(source) to H^(target): ``matrix`` in the
     representative bases, its ``rank`` and ``kernel_dim``, and ``kernel``,
     the left kernel in the source representative coordinates."""
-    k: int
-    source_degree: int
-    target_degree: int
-    matrix: Matrix
-    rank: int
-    kernel_dim: int
+
+    def __init__(self, k: int, source_degree: int, target_degree: int, matrix: Matrix,
+                 rank: int, kernel_dim: int):
+        self.k = k
+        self.source_degree = source_degree
+        self.target_degree = target_degree
+        self.matrix = matrix
+        self.rank = rank
+        self.kernel_dim = kernel_dim
 
     @cached_property
     def kernel(self) -> Subspace:

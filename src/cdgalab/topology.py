@@ -9,24 +9,23 @@ structure is modelled here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from ._record import Frozen
 
 # Real dimension of the exceptional set that resolves one isolated singular
 # point of an 8-dimensional quotient.
 EXCEPTIONAL_DIM = 6
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(Frozen):
     """Betti numbers b_0..b_top of a space of even real dimension top."""
-    values: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if any(v < 0 for v in self.values):
+    def __init__(self, values):
+        values = tuple(int(v) for v in values)
+        if any(v < 0 for v in values):
             raise ValueError("Betti numbers are non-negative")
-        if not self.values:
+        if not values:
             raise ValueError("empty Betti vector")
+        self.__dict__["values"] = values
 
     @property
     def top(self) -> int:
@@ -69,11 +68,11 @@ def betti_p1_bundle(base: BettiVector) -> BettiVector:
     return BettiVector(tuple(base[j] + base[j - 2] for j in range(top + 1)))
 
 
-@dataclass(frozen=True)
-class Edge:
-    a: int
-    b: int
-    intersection: BettiVector
+class Edge(Frozen):
+    """Components a and b of a divisor meet in ``intersection``."""
+
+    def __init__(self, a: int, b: int, intersection: BettiVector):
+        self.__dict__.update(a=a, b=b, intersection=intersection)
 
 
 def check_edge(nodes: list, e: Edge) -> None:
@@ -86,21 +85,13 @@ def check_edge(nodes: list, e: Edge) -> None:
         raise ValueError("intersections must have strictly smaller top degree")
 
 
-@dataclass
 class IncidenceGraph:
     """Components of a divisor with their pairwise intersections."""
-    nodes: list
-    edges: list = dc_field(default_factory=list)
 
-    def __post_init__(self):
+    def __init__(self, nodes, edges=()):
         self.nodes = [n if isinstance(n, BettiVector) else BettiVector(tuple(n))
-                      for n in self.nodes]
-        edges = []
-        for e in self.edges:
-            if not isinstance(e, Edge):
-                e = Edge(*e)
-            edges.append(e)
-        self.edges = edges
+                      for n in nodes]
+        self.edges = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
         for e in self.edges:
             check_edge(self.nodes, e)
 

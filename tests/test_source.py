@@ -4,7 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cdgalab
+from cdgalab.dsl import Diagnostic
+from cdgalab.topology import Edge
 
 from conftest import ROOT
 
@@ -83,3 +87,38 @@ def test_no_unused_imports():
     assert len(paths) > 20
     found = [entry for p in paths for entry in _unused_imports(p)]
     assert not found, f"unused imports: {found}"
+
+
+def test_import_loads_no_inspect_machinery():
+    """``import cdgalab, cdgalab.cli`` loads none of ``dataclasses``,
+    ``inspect``, ``ast``, ``dis`` or ``tokenize``, which cost about a quarter
+    of the import.  The check compares ``sys.modules`` before and after the
+    import in a fresh interpreter, because pytest itself loads these."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import cdgalab, cdgalab.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    r = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr[-3000:]
+    new = set(r.stdout.split())
+    assert "cdgalab.dsl" in new
+    loaded = new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not loaded, f"import cdgalab loads {sorted(loaded)}"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cdgalab.GeneratorSpec("mu", 1),
+    lambda: cdgalab.BettiVector([1, 0, 1]),
+    lambda: Edge(0, 1, cdgalab.BettiVector((1,))),
+    lambda: Diagnostic(3, 7, "unexpected character '!'"),
+])
+def test_frozen_records_compare_by_value_and_refuse_assignment(make):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != object()
+    field = next(iter(vars(a)))
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(a, field, None)
+    assert a == b

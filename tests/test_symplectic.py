@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -281,3 +282,24 @@ def test_a_huge_power_stops_at_the_first_zero_power(monkeypatch):
         assert len(wedges) <= session.algebras["M"].algebra.top // 2 + 2
     assert records[10 ** 9] == records[5]
     assert len(records[5]) == 4 and ("symplectic", "no") in records[5]
+
+
+def test_a_power_below_half_the_top_degree_is_refused(model, monkeypatch):
+    """omega^3 never reaches the top degree 8, so n = 3 asks nothing of
+    nondegeneracy: it is refused, naming top / 2, before any product."""
+    wedges = []
+
+    def counting(x, y):
+        wedges.append(None)
+        return wedge(x, y)
+
+    monkeypatch.setattr(symplectic, "wedge", counting)
+    message = "omega^3 lies below the top degree 8: the check needs n = top / 2 = 4"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        is_symplectic(model.omega, 3, model.conjugation, model.differential, model.volume)
+    assert not wedges
+    lines = [line for line in (ROOT / "paper.cdga").read_text().splitlines()
+             if not line.startswith("task ")]
+    report = dsl.run(dsl.parse("\n".join(lines + ["task symplectic M omega 3 vol", ""])))
+    assert report.records == [("symplectic_error", message)]
+    assert not wedges
