@@ -22,6 +22,13 @@ locals and has the fold's integers written in.  ``cv_mul`` stays the one
 entry point for a product, and the functions below call it through this
 module, so that a profiler or tracer that replaces it here sees every
 product.
+
+For the same reason three generic loops of the engine live here and
+nowhere else: ``combine`` is the one linear combination of sparse rows (the
+differential and a map on elements, a matrix product, the coordinates of a
+subspace or class), ``power`` the one power by repeated squaring (of a
+field value, a map, a matrix or a form), and ``signed_sum`` the one writer
+of a signed sum's text (a scalar, an element, a generated expression).
 """
 
 from math import gcd
@@ -98,6 +105,41 @@ def row_axpy(target, src, c, mul):
                 del target[j]
             else:
                 target[j] = s
+
+
+def combine(coeffs, row_of, mul):
+    """The sparse row sum(c * row_of(i) for i, c in coeffs.items()), freshly
+    built: ``coeffs`` is a sparse row of nonzero cvs and ``row_of`` maps an
+    index to its sparse row, which is only read.  Empty rows are skipped."""
+    acc = {}
+    for i, c in coeffs.items():
+        row = row_of(i)
+        if row:
+            row_axpy(acc, row, c, mul)
+    return acc
+
+
+def power(x, k, one, mul):
+    """x**k for k >= 0 by repeated squaring, ``one`` when k is 0, in at most
+    2 * k.bit_length() products; each is ``mul(square, result)`` or
+    ``mul(square, square)``."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(x, result)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return result
+
+
+def signed_sum(parts):
+    """The text of a sum from ``(negative, body)`` pairs, signs joined as in
+    "-a + b - c"; "0" when there are none."""
+    text = "".join((" - " if neg else " + ") + body for neg, body in parts)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def rref(rows, ncols, limit, phi, mul, inv):
@@ -230,17 +272,8 @@ def reduce_against(row, rrows, pivots, ncols, mul):
 
 def _signed_terms(pairs):
     """``coef*term`` pairs as one sum expression; "0" when there are none."""
-    out = []
-    for coef, term in pairs:
-        if not coef:
-            continue
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        out.append(f" {sign} {term}" if mag == 1 else f" {sign} {mag}*{term}")
-    if not out:
-        return "0"
-    text = "".join(out)
-    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+    return signed_sum((coef < 0, term if abs(coef) == 1 else f"{abs(coef)}*{term}")
+                      for coef, term in pairs if coef)
 
 
 def _compile(lines, label):

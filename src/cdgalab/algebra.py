@@ -407,8 +407,6 @@ def wedge(x: GradedElement, y: GradedElement) -> GradedElement:
 
 def format_element(x: GradedElement) -> str:
     """Canonical expression form, round-trippable through the session parser."""
-    if x.is_zero():
-        return "0"
     parts = []
     one = x.algebra.field.one
     for w, c in x.sorted_terms():
@@ -420,11 +418,8 @@ def format_element(x: GradedElement) -> str:
             body = x.algebra.format_word(w)
         else:
             body = "{%s}*%s" % (format_scalar(mag), x.algebra.format_word(w))
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
+        parts.append((neg, body))
+    return kernel.signed_sum(parts)
 
 
 class Differential:
@@ -510,13 +505,7 @@ def apply_d(d: Differential, x: GradedElement) -> GradedElement:
     """Leibniz extension: the combination of the word differentials."""
     if x.algebra is not d.algebra:
         raise ValueError("algebra mismatch")
-    mul = d.algebra.field.mul
-    acc: dict = {}
-    for w, c in x._terms.items():
-        row = d._word_row(w)
-        if row:
-            kernel.row_axpy(acc, row, c, mul)
-    return _element(x.algebra, acc)
+    return _element(x.algebra, kernel.combine(x._terms, d._word_row, d.algebra.field.mul))
 
 
 class AlgebraMap:
@@ -572,18 +561,10 @@ class AlgebraMap:
             {g: apply_map(self, img) for g, img in inner.assignments.items()})
 
     def power(self, k: int) -> "AlgebraMap":
-        """self^k by repeated squaring, in at most 2 * k.bit_length()
-        compositions."""
+        """self^k by repeated squaring (``kernel.power``)."""
         if self.source is not self.target:
             raise ValueError("powers need an endomorphism")
-        result, square = identity_map(self.source), self
-        while k:
-            if k & 1:
-                result = square.compose(result)
-            k >>= 1
-            if k:
-                square = square.compose(square)
-        return result
+        return kernel.power(self, k, identity_map(self.source), AlgebraMap.compose)
 
     def is_identity(self) -> bool:
         if self.source is not self.target:
@@ -604,17 +585,12 @@ def apply_map(f: AlgebraMap, x: GradedElement) -> GradedElement:
     """Multiplicative-linear extension of the generator assignments."""
     if x.algebra is not f.source:
         raise ValueError("algebra mismatch")
-    mul = f.target.field.mul
-    acc: dict = {}
-    for w, c in x._terms.items():
-        img = f._word_image(w)
-        if img:
-            kernel.row_axpy(acc, img, c, mul)
-    return _element(f.target, acc)
+    return _element(f.target, kernel.combine(x._terms, f._word_image, f.target.field.mul))
 
 
 class Conjugation:
-    """Semilinear involution pairing generators and conjugating scalars."""
+    """Semilinear involution pairing generators and conjugating scalars;
+    each generator lies in exactly one pair, which may pair it with itself."""
 
     def __init__(self, algebra: Algebra, pairs):
         self.algebra = algebra
@@ -624,6 +600,10 @@ class Conjugation:
             ib = algebra.generator_index(b) if isinstance(b, str) else b
             if algebra.degrees[ia] != algebra.degrees[ib]:
                 raise ValueError("conjugation must pair generators of equal degree")
+            for g in (ia, ib):
+                if g in mapping:
+                    raise ValueError(
+                        f"conjugation pairs generator {algebra.gens[g].name} twice")
             mapping[ia] = ib
             mapping[ib] = ia
         for g in range(len(algebra.gens)):

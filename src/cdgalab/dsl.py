@@ -5,7 +5,7 @@ integers ``[0-9]+``; both ASCII only)::
 
     field cyclotomic <n>
     algebra <name> generators <g1>:<deg> <g2>:<deg> ... [top <t>]   # within the word budget
-    conjugation <g> <gbar> ...            # pairs; self-paired allowed
+    conjugation <g> <gbar> ...            # disjoint pairs, self-paired allowed; one per algebra
     d <gen> = <expr>                      # unlisted generators have d = 0
     map <name> order <m> { <gen> -> <expr> ; ... }   # f^m = id, checked by squaring
     let <name> = <expr>
@@ -80,10 +80,7 @@ _TOKEN = re.compile(r"(?P<NEWLINE>\n)|[ \t\r]+|#[^\n]*|(?P<INT>[0-9]+)"
 
 class Token:
     """One token and the line and column where it starts.  A plain class
-    with slots: a session builds one per token, and the frozen record it
-    once was, whose constructor set each field through
-    ``object.__setattr__``, cost more than the regex match that finds the
-    token."""
+    with slots, because a session builds one object per token."""
 
     __slots__ = ("kind", "text", "line", "col")
 
@@ -324,6 +321,8 @@ class Parser:
     def stmt_conjugation(self):
         kw = self.next()
         ctx = self.require_algebra(kw)
+        if ctx.conjugation is not None:
+            self.fail(kw, f"duplicate conjugation for algebra {ctx.name!r}")
         pairs = []
         while self.peek().kind == "IDENT":
             a = self.next()

@@ -259,14 +259,7 @@ class FieldElement:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return kernel.power(self, k, self.field.one, FieldElement.__mul__)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -358,15 +351,11 @@ def format_scalar(a: FieldElement) -> str:
         c = coords[power]
         if c == 0:
             continue
-        neg = c < 0
-        mag = -c if neg else c
+        mag = abs(c)
         if power == 0:
             body = str(mag)
         else:
             zpow = "z" if power == 1 else f"z^{power}"
             body = zpow if mag == 1 else f"{mag}*{zpow}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts) if parts else "0"
+        parts.append((c < 0, body))
+    return kernel.signed_sum(parts)

@@ -168,5 +168,5 @@ def massey_triple(x: CohomologyClass, y: CohomologyClass,
             rows.append(table.class_coords(wedge(xr, h), out_deg))
         for h in table.representatives(x.degree + y.degree - 1):
             rows.append(table.class_coords(wedge(h, zr), out_deg))
-    indet = Subspace.from_vectors(xr.algebra.field, table.betti[out_deg], rows)
+    indet = Subspace.from_vectors(xr.algebra.field, table.dim(out_deg), rows)
     return MasseyResult(coords, rep, indet)

@@ -106,11 +106,8 @@ class CochainComplex:
         if self.subspaces is None:
             ambient = coords
         else:
-            rows = self.subspaces[k].rows
-            mul = self.algebra.field.mul
-            ambient = {}
-            for i, c in coords.items():
-                kernel.row_axpy(ambient, rows[i], c, mul)
+            ambient = kernel.combine(coords, self.subspaces[k].rows.__getitem__,
+                                     self.algebra.field.mul)
         words = self.algebra.basis(k)
         return _element(self.algebra, {words[j]: c for j, c in ambient.items()})
 
@@ -132,9 +129,7 @@ class CochainComplex:
                 mul = self.algebra.field.mul
                 rows = []
                 for row in self.subspaces[k].rows:
-                    image: dict = {}
-                    for i, c in row.items():
-                        kernel.row_axpy(image, word_rows[i], c, mul)
+                    image = kernel.combine(row, word_rows.__getitem__, mul)
                     if image:
                         image = self.subspaces[k + 1].coordinates(image)
                         if image is None:
@@ -174,10 +169,8 @@ class CohomologyClass:
         coordinates name."""
         reps = self.table.representatives(self.degree)
         alg = self.table.complex.algebra
-        out: dict = {}
-        for j, c in self.coords.items():
-            kernel.row_axpy(out, reps[j]._terms, c, alg.field.mul)
-        return _element(alg, out)
+        return _element(alg, kernel.combine(self.coords, lambda j: reps[j]._terms,
+                                            alg.field.mul))
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -212,9 +205,15 @@ class CohomologyTable:
     def coboundaries(self, k: int) -> Subspace:
         return self._coboundaries[k]
 
+    def dim(self, k: int) -> int:
+        """The Betti number of degree k; H^k = 0 outside 0..top."""
+        return self.betti[k] if 0 <= k <= self.top else 0
+
     def representatives(self, k: int) -> list[GradedElement]:
         """The degree-k representatives as elements (shared), built on first
-        use."""
+        use; none outside 0..top."""
+        if not 0 <= k <= self.top:
+            return []
         if k not in self._reps:
             self._reps[k] = [self.complex.from_row(k, row)
                              for row in self._quotients[k].rows]

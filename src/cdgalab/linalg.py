@@ -113,28 +113,15 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        mul = self.field.mul
-        out = []
-        for row in self.sparse_rows:
-            acc: dict = {}
-            for k, a in row.items():
-                kernel.row_axpy(acc, other.sparse_rows[k], a, mul)
-            out.append(acc)
-        return Matrix(self.field, other.ncols, out)
+        row_of, mul = other.sparse_rows.__getitem__, self.field.mul
+        return Matrix(self.field, other.ncols,
+                      [kernel.combine(row, row_of, mul) for row in self.sparse_rows])
 
     def power(self, k: int) -> "Matrix":
-        """self^k by repeated squaring, in at most 2 * k.bit_length()
-        products."""
+        """self^k by repeated squaring (``kernel.power``)."""
         if self.nrows != self.ncols:
             raise ValueError("powers need a square matrix")
-        result, square = Matrix.identity(self.field, self.nrows), self
-        while k:
-            if k & 1:
-                result = square.matmul(result)
-            k >>= 1
-            if k:
-                square = square.matmul(square)
-        return result
+        return kernel.power(self, k, Matrix.identity(self.field, self.nrows), Matrix.matmul)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -180,10 +167,7 @@ class Eliminator:
         coeffs, rem = self.image.reduce(b)
         if rem:
             return None
-        x: dict = {}
-        for i, c in coeffs.items():
-            kernel.row_axpy(x, self._e[i], c, self.field.mul)
-        return x
+        return kernel.combine(coeffs, self._e.__getitem__, self.field.mul)
 
 
 class Subspace:

@@ -4,9 +4,9 @@ Nondegeneracy is the top-power criterion omega^n != 0 (constant-coefficient
 model); the hard-Lefschetz maps are cup products with [omega]^k between the
 complementary cohomology degrees.
 
-A Lefschetz query builds omega^k once, and row i of its cup matrix is the
-class of r_i * omega^k for the source representatives r_i, one ``wedge``
-and one class solve each.  The rank comes from one forward elimination of
+A Lefschetz query builds omega^k once, by repeated squaring, and row i of
+its cup matrix is the class of r_i * omega^k for the source representatives
+r_i, one ``wedge`` and one class solve each.  The rank comes from one forward elimination of
 the cup matrix's own rows (``Matrix.rank``) and the kernel dimension from
 rank-nullity.  The kernel basis needs the left kernel, a Gauss-Jordan
 elimination of [A | I], and is built only when ``LefschetzReport.kernel`` is
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from ._backend import kernel
 from .algebra import Conjugation, Differential, GradedElement, apply_d, wedge
 from .homology import CohomologyClass, engine_built, top_scalar
 from .linalg import Eliminator, Matrix, Subspace
@@ -114,9 +115,7 @@ def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
     if k < 0 or k > n:
         raise ValueError(f"k must lie in 0..{n}")
     omega = omega_class.representative()
-    omega_k = omega.algebra.unit()
-    for _ in range(k):
-        omega_k = wedge(omega_k, omega)
+    omega_k = kernel.power(omega, k, omega.algebra.unit(), wedge)
     src, dst = n - k, n + k
     with engine_built():
         rows = [table.class_coords(wedge(r, omega_k), dst)

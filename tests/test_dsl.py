@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import string
@@ -88,6 +89,10 @@ PINNED_DIAGNOSTICS = [
     (_M + "conjugation\n", 3, 12, "conjugation needs at least one pair"),
     (_F + "algebra M generators a:1 b:3\nconjugation a b\n",
      3, 1, "conjugation must pair generators of equal degree"),
+    (_F + "algebra M generators a:1 b:1 c:1 e:1\nconjugation a b a c e e\n",
+     3, 1, "conjugation pairs generator a twice"),
+    (_F + "algebra M generators a:1 b:1\nconjugation a b\nconjugation a a b b\n",
+     4, 1, "duplicate conjugation for algebra 'M'"),
     (_M + "d xx = mu\n", 3, 3, "unknown generator 'xx'"),
     (_M + "d mu mu\n", 3, 6, "expected '='"),
     (_F + "algebra M generators a:1 b:1 c:1\nd c = a*b\nd c = a*b\n",
@@ -556,6 +561,50 @@ def test_mutated_paper_sessions_never_crash():
             dsl.parse("".join(chars))
         except dsl.DslError:
             pass
+
+
+# Element names of the paper session, of degrees 1 to 8, closed and not,
+# exact and not; each task below is run over all of them.
+TOTALITY_NAMES = ("mu", "theta", "omega", "alpha", "beta2", "vol", "lef_lhs", "lef_prim")
+
+
+def _totality_sessions() -> list[list[str]]:
+    names = TOTALITY_NAMES
+    modes = ("full", "invariant rho")
+    paper_args = ("alpha", "beta1", "beta2", "beta3", "vol")
+    return [
+        [f"massey M {x} {y} {z}" for x, y, z in itertools.product(names, repeat=3)],
+        [f"lefschetz M {m} {w} {k}" for m in modes for w in names for k in range(6)],
+        # each name in each argument slot of the paper's obstruction task
+        [f"obstruction M {m} " + " ".join(paper_args[:i] + (w,) + paper_args[i + 1:])
+         for m in modes for i in range(len(paper_args)) for w in names],
+        [f"symplectic M {w} {n} {v}" for w in names for n in (0, 1, 4, 5) for v in names],
+        [f"verify_exact {x} {y}" for x, y in itertools.product(names, repeat=2)],
+    ]
+
+
+def test_every_task_over_the_paper_bindings_runs_to_a_record():
+    """Run-level totality: every task over the paper's bindings either
+    reports or fails with a ``<task>_error`` record; ``dsl.run`` never lets
+    an exception escape.  One session per task kind, so that its tables are
+    built once."""
+    bindings = PAPER_SESSION.read_text().split("task ")[0]
+    for tasks in _totality_sessions():
+        session = dsl.parse(bindings + "".join(f"task {t}\n" for t in tasks))
+        report = dsl.run(session)
+        errors = [(k, v) for k, v in report.records if k.endswith("_error")]
+        assert errors == [(f"{name}_error", msg) for _, name, msg in report.failures]
+        assert all(session.tasks[i].name == name for i, name, _ in report.failures)
+        assert len(report.failures) < len(tasks)
+
+
+def test_massey_product_above_the_top_degree_is_zero():
+    """<alpha, vol, alpha> lies in H^9 = 0 of the 8-dimensional algebra: a
+    zero class with no indeterminacy, not an error."""
+    bindings = PAPER_SESSION.read_text().split("task ")[0]
+    report = dsl.run(dsl.parse(bindings + "task massey M alpha vol alpha\n"))
+    assert report.records == [("massey_class", "0"), ("massey_class_is_zero", "yes"),
+                              ("massey_indeterminacy_dim", "0")]
 
 
 def test_task_tables_agree():

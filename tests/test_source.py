@@ -89,6 +89,38 @@ def test_no_unused_imports():
     assert not found, f"unused imports: {found}"
 
 
+def _generic_loops(path: Path) -> list[tuple[str, str]]:
+    """``(owner, what)`` for each reference to ``row_axpy`` and each
+    ``while k:`` loop in ``path``; the owner is the module and the qualified
+    name of the enclosing class and function."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        elif (isinstance(node, ast.Attribute) and node.attr == "row_axpy"
+              or isinstance(node, ast.Name) and node.id == "row_axpy"):
+            found.append((owner, "row_axpy"))
+        elif (isinstance(node, ast.While) and isinstance(node.test, ast.Name)
+              and node.test.id == "k"):
+            found.append((owner, "while k"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_generic_loops_live_in_the_kernel():
+    """The sparse-row combination and the power by squaring have one owner
+    each, ``kernel.combine`` and ``kernel.power``: outside the kernel no
+    function squares in a ``while k:`` loop, and ``row_axpy`` is used only
+    where the action's fixed part subtracts the identity in its own code."""
+    found = [entry for path in sorted(SRC.glob("*.py")) if path.name != "_kernel_py.py"
+             for entry in _generic_loops(path)]
+    assert found == [("action.induced_action_fixed_dims", "row_axpy")], found
+
+
 def test_import_loads_no_inspect_machinery():
     """``import cdgalab, cdgalab.cli`` loads none of ``dataclasses``,
     ``inspect``, ``ast``, ``dis`` or ``tokenize``, which cost about a quarter
