@@ -6,11 +6,11 @@ complementary cohomology degrees.
 
 A Lefschetz query builds omega^k once, by repeated squaring, and row i of
 its cup matrix is the class of r_i * omega^k for the source representatives
-r_i, one ``wedge`` and one class solve each.  The rank comes from one forward elimination of
-the cup matrix's own rows (``Matrix.rank``) and the kernel dimension from
-rank-nullity.  The kernel basis needs the left kernel, a Gauss-Jordan
-elimination of [A | I], and is built only when ``LefschetzReport.kernel`` is
-first read.
+r_i, one ``wedge`` and one class solve each.  The rank comes from one
+forward elimination of the cup matrix's own rows (``Matrix.rank``) and the
+kernel dimension from rank-nullity.  The kernel basis needs the left
+kernel, a Gauss-Jordan elimination of [A | I], and is built only when
+``LefschetzReport.kernel`` is first read.
 """
 
 from __future__ import annotations
