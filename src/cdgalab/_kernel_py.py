@@ -120,16 +120,23 @@ def combine(coeffs, row_of, mul):
 
 
 def power(x, k, one, mul):
-    """x**k for k >= 0 by repeated squaring, ``one`` when k is 0, in at most
-    2 * k.bit_length() products; each is ``mul(square, result)`` or
+    """x**k for k >= 0 by repeated squaring: ``one`` only when k is 0, and x
+    itself when k is 1.  The result starts at the square for the lowest set
+    bit of k, so no product has ``one`` as a factor; there are at most
+    2 * (k.bit_length() - 1) of them, each ``mul(square, result)`` or
     ``mul(square, square)``."""
-    result = one
+    if not k:
+        return one
+    while not k & 1:
+        x = mul(x, x)
+        k >>= 1
+    result = x
+    k >>= 1
     while k:
+        x = mul(x, x)
         if k & 1:
             result = mul(x, result)
         k >>= 1
-        if k:
-            x = mul(x, x)
     return result
 
 

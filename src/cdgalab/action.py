@@ -9,11 +9,12 @@ kernel, so neither depends on the order beyond that check.
 - The invariant subcomplex in degree k is the left kernel of F_k - I, where
   row i of F_k is f(w_i) on the degree-k words w_i: one map image per word,
   one ``Eliminator``.
-- Its cohomology is cross-checked against the fixed part of the induced
-  action on the full cohomology.  Let A_k be the matrix of f* on H^k in the
-  representative basis: row i is the class of f(r_i), one class solve per
-  representative.  A_k^m must be the identity, built by repeated squaring
-  in ``Matrix.power``, and dim Fix(H^k) = b_k - rank(A_k - I).
+- ``invariant_cohomology``, the one builder of an invariant table, checks
+  its cohomology against the fixed part of the induced action on the full
+  table.  Let A_k be the matrix of f* on H^k in the representative basis:
+  row i is the class of f(r_i), one class solve per representative.  A_k^m
+  must be the identity, by repeated squaring in ``Matrix.power``, and
+  dim Fix(H^k) = b_k - rank(A_k - I).
 
 The two sides of the cross-check stay independent: each builds its own copy
 of the generator map, so they share no cache of word images, the invariant
@@ -134,25 +135,16 @@ def induced_action_fixed_dims(table: CohomologyTable, action: GroupAction) -> li
     return dims
 
 
-def check_fixed_part(table: CohomologyTable, full: CohomologyTable,
-                     action: GroupAction) -> None:
-    """Checks that the invariant complex's cohomology ``table`` has, in every
-    degree, the dimension of the fixed part of the induced action on the
-    full cohomology ``full``; the two sides are computed independently."""
+def invariant_cohomology(action: GroupAction, full: CohomologyTable) -> CohomologyTable:
+    """Cohomology of the invariant complex, returned only when its Betti
+    numbers equal the fixed part of the induced action on ``full``, which
+    must be the table of the full complex of the action's differential."""
+    if full.complex.differential is not action.differential or not full.complex.is_full():
+        raise ValueError("full must be the table of the full complex of the differential")
+    table = CohomologyTable(invariant_complex(action))
     fixed = induced_action_fixed_dims(full, action)
     if fixed != table.betti:
         raise AssertionError(
             f"invariant cohomology mismatch: complex gives {table.betti}, "
             f"fixed part of H* gives {fixed}")
-
-
-def invariant_cohomology(action: GroupAction) -> CohomologyTable:
-    """Cohomology of the invariant complex.
-
-    The same numbers are recomputed as the fixed part of the induced action
-    on H*(full complex) and the two must agree in every degree; this guards
-    the most error-prone reduction step.
-    """
-    table = CohomologyTable(invariant_complex(action))
-    check_fixed_part(table, CohomologyTable(CochainComplex(action.differential)), action)
     return table

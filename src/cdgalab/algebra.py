@@ -561,18 +561,12 @@ class AlgebraMap:
             {g: apply_map(self, img) for g, img in inner.assignments.items()})
 
     def power(self, k: int) -> "AlgebraMap":
-        """self^k by repeated squaring (``kernel.power``)."""
+        """self^k by repeated squaring (``kernel.power``).  ``power(1)`` is
+        self, so it shares self's cache of word images; the only reader of a
+        power is ``validate_action``, which applies it to generators."""
         if self.source is not self.target:
             raise ValueError("powers need an endomorphism")
         return kernel.power(self, k, identity_map(self.source), AlgebraMap.compose)
-
-    def is_identity(self) -> bool:
-        if self.source is not self.target:
-            return False
-        for g, img in self.assignments.items():
-            if img != self.source.word_element((g,)):
-                return False
-        return True
 
 
 def identity_map(algebra: Algebra) -> AlgebraMap:

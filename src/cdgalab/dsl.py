@@ -39,7 +39,7 @@ from fractions import Fraction
 from ._record import Frozen
 from .algebra import (Algebra, AlgebraMap, Conjugation, Differential,
                       GradedElement, PreconditionError, apply_d, format_element, wedge)
-from .action import GroupAction, check_fixed_part, invariant_complex
+from .action import GroupAction, invariant_cohomology
 from .field import CycloField, FieldElement, format_scalar, make_field
 from .formality import ObstructionInput, massey_triple, obstruction
 from .homology import CochainComplex, CohomologyTable
@@ -696,13 +696,13 @@ class _RunContext:
         self._tables: dict[tuple, CohomologyTable] = {}
 
     def table(self, ctx: AlgebraContext, binding: MapBinding | None) -> CohomologyTable:
-        """The table of the full complex of ``ctx``, or of the invariant
-        complex of ``binding``'s action; each complex is built once, here."""
+        """The table of the full complex of ``ctx``, or the checked table of
+        ``binding``'s invariant complex; each is built (and checked) once."""
         key = (ctx.name, binding.token.text if binding else None)
         if key not in self._tables:
-            cx = (CochainComplex(ctx.differential) if binding is None
-                  else invariant_complex(binding.action))
-            self._tables[key] = CohomologyTable(cx)
+            self._tables[key] = (
+                CohomologyTable(CochainComplex(ctx.differential)) if binding is None
+                else invariant_cohomology(binding.action, self.table(ctx, None)))
         return self._tables[key]
 
 
@@ -738,7 +738,6 @@ def _run_betti(rc: _RunContext, report: Report, ctx: AlgebraContext, reps: bool)
 def _run_invariant_betti(rc: _RunContext, report: Report, ctx: AlgebraContext,
                          binding: MapBinding, reps: bool):
     table = rc.table(ctx, binding)
-    check_fixed_part(table, rc.table(ctx, None), binding.action)
     cx = table.complex
     for k in range(cx.top + 1):
         report.add(f"invariant_dim[{k}]", cx.dim(k))

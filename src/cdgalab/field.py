@@ -153,16 +153,6 @@ class CycloField:
             raise ValueError(f"i is not available: conductor {self.n} is not divisible by 4")
         return self.zeta(self.n // 4)
 
-    def from_coords(self, coords) -> "FieldElement":
-        coords = [Fraction(c) for c in coords]
-        if len(coords) != self.phi:
-            raise ValueError(f"expected {self.phi} coordinates, got {len(coords)}")
-        den = 1
-        for c in coords:
-            den = den * c.denominator // gcd(den, c.denominator)
-        nums = [int(c * den) for c in coords]
-        return FieldElement(self, kernel.cv_normalize(nums, den))
-
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
             if value.field.n != self.n:
@@ -286,14 +276,19 @@ class FieldElement:
             [scale * v for v in c[:-1]], c[-1] * nrm[0]))
 
     def galois(self, k: int) -> "FieldElement":
-        """The automorphism z -> z**k (k coprime to the conductor)."""
+        """The automorphism z -> z**k (k coprime to the conductor).  Public
+        for ``conjugate`` and for the Hermitian congruence of the signature
+        (ROADMAP item 2), which conjugates scalars."""
         f = self.field
         if gcd(k, f.n) != 1:
             raise ValueError(f"{k} is not coprime to the conductor {f.n}")
         return FieldElement(f, f.galois_maps[k % f.n](self.cv))
 
     def conjugate(self) -> "FieldElement":
-        """Complex conjugation, the automorphism z -> z**-1."""
+        """Complex conjugation, the automorphism z -> z**-1.  The engine
+        conjugates elements on their cvs (``Conjugation``); this public form
+        waits for the Hermitian congruence of the signature (ROADMAP item 2),
+        which conjugates scalars."""
         if self.field.n <= 2:
             return self
         return self.galois(self.field.n - 1)
@@ -308,11 +303,6 @@ class FieldElement:
 
     def is_rational(self) -> bool:
         return all(v == 0 for v in self.cv[1:-1])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.cv[0], self.cv[-1])
 
     @property
     def coords(self) -> tuple[Fraction, ...]:

@@ -112,6 +112,9 @@ class CochainComplex:
         return _element(self.algebra, {words[j]: c for j, c in ambient.items()})
 
     def basis_elements(self, k: int) -> list[GradedElement]:
+        """The degree-k basis of the complex as elements.  The engine reads
+        coordinates, not basis elements; this stays public because tests
+        walk the invariant complex's basis with it."""
         one = self.algebra.field.one.cv
         return [self.from_row(k, {i: one}) for i in range(self.dim(k))]
 
@@ -220,6 +223,9 @@ class CohomologyTable:
         return self._reps[k]
 
     def euler_characteristic(self) -> int:
+        """The alternating sum of the Betti numbers.  No engine code reads it
+        yet: it waits for the duality task and the gates of the generated
+        Lie-algebra workload (ROADMAP items 2 and 15)."""
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
     # --- classes ---

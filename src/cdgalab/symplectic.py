@@ -63,11 +63,11 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
                          f"the check needs n = top / 2 = {alg.top / 2:g}")
     d_res = apply_d(d, omega)
     conj_res = conjugation(omega) - omega
-    power = alg.unit()
-    for _ in range(n):
-        power = wedge(power, omega)
+    power = omega if n else alg.unit()
+    for _ in range(n - 1):
         if power.is_zero():
             break
+        power = wedge(power, omega)
     if power.is_zero():
         scalar = alg.field.zero
     else:

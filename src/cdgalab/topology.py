@@ -37,9 +37,15 @@ class BettiVector(Frozen):
         return 0
 
     def euler(self) -> int:
+        """The alternating sum of the entries.  No engine code reads it yet:
+        it waits for the duality task and the gates of the generated
+        Lie-algebra workload (ROADMAP items 2 and 15)."""
         return sum((-1) ** j * v for j, v in enumerate(self.values))
 
     def is_poincare_symmetric(self) -> bool:
+        """b_j = b_(top - j) for every j.  No engine code reads it yet: it
+        waits for the duality task and the gates of the generated
+        Lie-algebra workload (ROADMAP items 2 and 15)."""
         return all(self[j] == self[self.top - j] for j in range(self.top + 1))
 
     def __iter__(self):

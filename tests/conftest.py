@@ -86,7 +86,8 @@ def torus2():
 
 
 def random_field_element(field, rng: random.Random, span: int = 4):
-    return field.from_coords([rng.randint(-span, span) for _ in range(field.phi)])
+    coords = [rng.randint(-span, span) for _ in range(field.phi)]
+    return sum((field.zeta(j) * c for j, c in enumerate(coords)), field.zero)
 
 
 def sparse_row(v) -> dict:

@@ -4,7 +4,7 @@ import pytest
 
 from cdgalab import dsl
 from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential, PreconditionError,
-                     apply_d, apply_map, make_field, wedge)
+                     apply_d, apply_map, identity_map, make_field, wedge)
 from cdgalab.algebra import WORD_BUDGET, GradedElement, format_element, word_count
 from cdgalab.cli import main as cli_main
 from cdgalab.field import FieldElement
@@ -89,15 +89,16 @@ def test_apply_map_examples(model):
 
 
 def test_rho_has_order_three(model):
-    assert model.rho.power(3).is_identity()
-    assert not model.rho.power(1).is_identity()
-    assert not model.rho.power(2).is_identity()
+    identity = identity_map(model.algebra).assignments
+    assert model.rho.power(3).assignments == identity
+    assert model.rho.power(1).assignments != identity
+    assert model.rho.power(2).assignments != identity
 
 
 def test_power_by_squaring_matches_repeated_composition(model):
     rho = model.rho
     step = rho.power(0)
-    assert step.is_identity()
+    assert step.assignments == identity_map(model.algebra).assignments
     for k in range(1, 8):
         step = rho.compose(step)
         assert rho.power(k).assignments == step.assignments
@@ -123,6 +124,29 @@ def test_declared_order_costs_logarithmic_compositions(m, monkeypatch):
     else:
         dsl.parse(text)
     assert 0 < len(calls) <= 2 * m.bit_length()
+
+
+def test_powers_make_no_composition_with_the_identity(model, monkeypatch):
+    """``kernel.power`` starts from the square for the lowest set bit of k,
+    so rho^1 is rho itself and rho^2, rho^3 and rho^4 take 1, 2 and 2
+    compositions, none of them with the identity map."""
+    calls = []
+    compose = AlgebraMap.compose
+
+    def counting_compose(self, inner):
+        calls.append((self, inner))
+        return compose(self, inner)
+
+    monkeypatch.setattr(AlgebraMap, "compose", counting_compose)
+    identity = identity_map(model.algebra).assignments
+    counts = []
+    for k in range(5):
+        calls.clear()
+        model.rho.power(k)
+        counts.append(len(calls))
+        assert all(f.assignments != identity for pair in calls for f in pair)
+    assert counts == [0, 0, 1, 2, 2]
+    assert model.rho.power(1) is model.rho
 
 
 def test_graded_commutativity_randomized(model):

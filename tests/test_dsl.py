@@ -4,6 +4,7 @@ import re
 import string
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,12 @@ def paper_session():
     return dsl.parse(PAPER_SESSION.read_text())
 
 
+def _paper_with(*tasks):
+    """The text of the paper's session with its tasks replaced by ``tasks``."""
+    text = PAPER_SESSION.read_text()
+    return text[:text.index("\ntask ") + 1] + "".join(f"task {t}\n" for t in tasks)
+
+
 def test_paper_session_parses_cleanly(paper_session):
     assert len(paper_session.tasks) == 9
     assert paper_session.field.n == 12
@@ -285,7 +292,7 @@ def test_paper_run_builds_each_table_once(monkeypatch, paper_session):
     """The invariant_betti cross-check reuses the run's tables: one full and
     one invariant table, built on the run's only two complexes, one of them
     invariant."""
-    from cdgalab import homology
+    from cdgalab import action, homology
     built = []
     init = homology.CohomologyTable.__init__
 
@@ -301,7 +308,7 @@ def test_paper_run_builds_each_table_once(monkeypatch, paper_session):
         init_complex(self, *args)
 
     complexes = []
-    make_complex = dsl.invariant_complex
+    make_complex = action.invariant_complex
 
     def counting_complex(*args):
         complexes.append(args)
@@ -309,7 +316,7 @@ def test_paper_run_builds_each_table_once(monkeypatch, paper_session):
 
     monkeypatch.setattr(homology.CohomologyTable, "__init__", counting_init)
     monkeypatch.setattr(homology.CochainComplex, "__init__", counting_init_complex)
-    monkeypatch.setattr(dsl, "invariant_complex", counting_complex)
+    monkeypatch.setattr(action, "invariant_complex", counting_complex)
     assert dsl.run(paper_session).ok
     assert sorted(built) == ["full", "invariant"]
     assert len(complexes) == 1
@@ -430,11 +437,75 @@ def test_verify_exact_failure_is_carried_in_report(tmp_path):
     assert cli_main(["run", str(f)]) == 1
 
 
-def test_cli_run_exits_3_on_a_violated_invariant(tmp_path, monkeypatch, capsys):
-    def broken(table, full, action):
-        raise AssertionError("invariant cohomology mismatch")
+@pytest.mark.parametrize("tasks", [
+    ("lefschetz M invariant rho omega 2",
+     "obstruction M invariant rho alpha beta1 beta2 beta3 vol",
+     "resolution M rho 1 node proj 3"),
+    ("invariant_betti M rho", "invariant_betti M rho"),
+])
+def test_each_invariant_table_is_cross_checked_once(tasks, monkeypatch):
+    """Every invariant table a run reads is checked against the fixed part
+    of H* once, whichever task reads it first and however many read it."""
+    from cdgalab import action
+    calls = []
+    fixed_dims = action.induced_action_fixed_dims
 
-    monkeypatch.setattr(dsl, "check_fixed_part", broken)
+    def counting(full, act):
+        calls.append(full)
+        return fixed_dims(full, act)
+
+    monkeypatch.setattr(action, "induced_action_fixed_dims", counting)
+    assert dsl.run(dsl.parse(_paper_with(*tasks))).ok
+    assert len(calls) == 1 and calls[0].complex.is_full()
+
+
+def test_an_invariant_read_alone_exits_3_on_a_broken_cross_check(tmp_path, monkeypatch,
+                                                                 capsys):
+    """A lefschetz query on the invariant table, with no invariant_betti task
+    in the session, still runs the cross-check: with the -I dropped from the
+    cross-check's rows the two sides disagree, and the run is an engine fault."""
+    from cdgalab import action
+    broken = types.SimpleNamespace(**{**vars(action.kernel),
+                                      "row_axpy": lambda target, src, c, mul: None})
+    monkeypatch.setattr(action, "kernel", broken)
+    f = tmp_path / "lefschetz.cdga"
+    f.write_text(_paper_with("lefschetz M invariant rho omega 2"))
+    assert cli_main(["run", str(f)]) == 3
+    assert "invariant cohomology mismatch" in capsys.readouterr().err
+
+
+def test_paper_run_makes_no_product_with_an_identity(monkeypatch, paper_session):
+    """Powers start from the square for the lowest set bit of k: the paper
+    run makes 18 matrix products, and neither the symplectic check nor the
+    Lefschetz query wedges with the unit."""
+    from cdgalab import symplectic
+    products, unit_wedges = [], []
+    matmul, wedge = Matrix.matmul, symplectic.wedge
+
+    def counting_matmul(self, other):
+        products.append(self)
+        return matmul(self, other)
+
+    def counting_wedge(x, y):
+        unit = x.algebra.unit()
+        if x == unit or y == unit:
+            unit_wedges.append((x, y))
+        return wedge(x, y)
+
+    monkeypatch.setattr(Matrix, "matmul", counting_matmul)
+    monkeypatch.setattr(symplectic, "wedge", counting_wedge)
+    assert dsl.run(paper_session).ok
+    assert len(products) == 18
+    assert unit_wedges == []
+
+
+def test_cli_run_exits_3_on_a_violated_invariant(tmp_path, monkeypatch, capsys):
+    from cdgalab import action
+
+    def broken(full, _action):
+        return [0] * (full.top + 1)
+
+    monkeypatch.setattr(action, "induced_action_fixed_dims", broken)
     out = tmp_path / "out.report"
     assert cli_main(["run", str(PAPER_SESSION), "--report", str(out)]) == 3
     assert "invariant cohomology mismatch" in capsys.readouterr().err

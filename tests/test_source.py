@@ -1,5 +1,6 @@
 import ast
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,70 @@ def test_generic_loops_live_in_the_kernel():
     found = [entry for path in sorted(SRC.glob("*.py")) if path.name != "_kernel_py.py"
              for entry in _generic_loops(path)]
     assert found == [("action.induced_action_fixed_dims", "row_axpy")], found
+
+
+# Functions and methods of the library that nothing in src/, perfbench/*.py
+# or benchmarks/ references, with the reason each stays.
+ALLOWED = {
+    "dsl.eval_expr": "public: evaluates one expression against a parsed session",
+    "field.FieldElement.conjugate": "public; the signature's Hermitian congruence will read it",
+    "homology.CochainComplex.basis_elements": "tests walk the invariant complex's basis with it",
+    "homology.CohomologyTable.coboundaries": "tests check representatives against B^k with it",
+    "homology.CohomologyTable.euler_characteristic": "waits for the duality task",
+    "linalg.Matrix.entry": "tests read the traces of the induced matrices with it",
+    "topology.BettiVector.euler": "waits for the duality task",
+    "topology.BettiVector.is_poincare_symmetric": "waits for the duality task",
+}
+
+
+def _references(tree) -> Counter:
+    """How often each name is read as an AST ``Name`` or ``Attribute``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _definitions(path: Path):
+    """``(qualified name, def node)`` for every function and method in
+    ``path``, qualified by the module and the enclosing classes and
+    functions."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    yield name, child
+                yield from visit(child, name)
+            else:
+                yield from visit(child, owner)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+
+
+def test_every_library_function_has_a_reader():
+    """Each function and method of the library is referenced somewhere in
+    the library, the benchmark harness or the micro-benchmarks, not counting
+    its own body, or is listed in ``ALLOWED`` with its reason.  Dunders and
+    the parser's ``stmt_*`` and ``task_*`` methods, which it dispatches
+    through ``getattr``, are exempt."""
+    readers = [p for d in (SRC, ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
+    readers += sorted((ROOT / "benchmarks").rglob("*.py"))
+    total = Counter()
+    for path in readers:
+        total += _references(ast.parse(path.read_text(), filename=str(path)))
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualified, node in _definitions(path):
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")
+                    or name.startswith(("stmt_", "task_"))):
+                continue
+            if total[name] - _references(node)[name] <= 0:
+                unread.append(qualified)
+    assert len(readers) > 20
+    assert sorted(unread) == sorted(ALLOWED), \
+        f"unread: {sorted(set(unread) - set(ALLOWED))}, " \
+        f"allowed but read or gone: {sorted(set(ALLOWED) - set(unread))}"
 
 
 def test_import_loads_no_inspect_machinery():
