@@ -120,13 +120,14 @@ def combine(coeffs, row_of, mul):
 
 
 def power(x, k, one, mul):
-    """x**k for k >= 0 by repeated squaring: ``one`` only when k is 0, and x
-    itself when k is 1.  The result starts at the square for the lowest set
-    bit of k, so no product has ``one`` as a factor; there are at most
+    """x**k for k >= 0 by repeated squaring: ``one()`` only when k is 0, so
+    a caller builds its identity only then, and x itself when k is 1.  The
+    result starts at the square for the lowest set bit of k, so no product
+    has the identity as a factor; there are at most
     2 * (k.bit_length() - 1) of them, each ``mul(square, result)`` or
     ``mul(square, square)``."""
     if not k:
-        return one
+        return one()
     while not k & 1:
         x = mul(x, x)
         k >>= 1

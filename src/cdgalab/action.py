@@ -18,9 +18,12 @@ kernel, so neither depends on the order beyond that check.
 
 The two sides of the cross-check stay independent: each builds its own copy
 of the generator map, so they share no cache of word images, the invariant
-side never reads the full cohomology table, and each subtracts the identity
-in its own code.  An error in either side's map images, shift or class solves
-then shows as a disagreement instead of being repeated on both sides.
+side never reads the full cohomology table, each subtracts the identity in
+its own code, and each counts with its own elimination: the invariant side
+by the dimensions of its table's quotients (``kernel.rref``), not its Betti
+numbers, which come from ``kernel.rank`` as the fixed part does.  An error
+in either side's map images, shift, class solves or eliminations then shows
+as a disagreement instead of being repeated on both sides.
 """
 
 from __future__ import annotations
@@ -136,15 +139,16 @@ def induced_action_fixed_dims(table: CohomologyTable, action: GroupAction) -> li
 
 
 def invariant_cohomology(action: GroupAction, full: CohomologyTable) -> CohomologyTable:
-    """Cohomology of the invariant complex, returned only when its Betti
-    numbers equal the fixed part of the induced action on ``full``, which
+    """Cohomology of the invariant complex, returned only when its quotient
+    dimensions equal the fixed part of the induced action on ``full``, which
     must be the table of the full complex of the action's differential."""
     if full.complex.differential is not action.differential or not full.complex.is_full():
         raise ValueError("full must be the table of the full complex of the differential")
     table = CohomologyTable(invariant_complex(action))
     fixed = induced_action_fixed_dims(full, action)
-    if fixed != table.betti:
+    dims = [table.quotient(k).dim for k in range(table.top + 1)]
+    if fixed != dims:
         raise AssertionError(
-            f"invariant cohomology mismatch: complex gives {table.betti}, "
+            f"invariant cohomology mismatch: complex gives {dims}, "
             f"fixed part of H* gives {fixed}")
     return table

@@ -566,7 +566,7 @@ class AlgebraMap:
         power is ``validate_action``, which applies it to generators."""
         if self.source is not self.target:
             raise ValueError("powers need an endomorphism")
-        return kernel.power(self, k, identity_map(self.source), AlgebraMap.compose)
+        return kernel.power(self, k, lambda: identity_map(self.source), AlgebraMap.compose)
 
 
 def identity_map(algebra: Algebra) -> AlgebraMap:

@@ -249,7 +249,7 @@ class FieldElement:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return kernel.power(self, k, self.field.one, FieldElement.__mul__)
+        return kernel.power(self, k, lambda: self.field.one, FieldElement.__mul__)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():

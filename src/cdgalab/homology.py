@@ -6,14 +6,22 @@ degree-by-degree computation produces exact Betti numbers, echelon-chosen
 representatives, coordinates of classes, exactness witnesses, cup products
 and the top-degree pairing scalar.
 
-Each degree k takes two eliminations.  Its d-eliminator gives the cocycles
-Z^k as kernel rows; the one of degree k - 1 gives the coboundaries B^k as
-its image.  The representatives are the reduced echelon rows of the kernel
-rows' remainders against B^k, so they are zero in the pivot columns of B^k;
-their number is dim Z^k - dim B^k exactly when B^k lies in Z^k, and that
-rank identity certifies B^k in Z^k.  A closed x is uniquely b + r with b in B^k
-and r in the span of the representatives; reducing x by B^k leaves exactly
-r, and reducing r by the representatives gives the class coordinates.
+Each degree k is read two ways.  Its Betti number comes from ranks,
+b_k = dim C^k - rank D_k - rank D_(k-1) (``Matrix.rank``, forward
+elimination).  Its quotient is built on the first class solve,
+representative read or coboundary read of degree k: Z^k is the kernel of
+the d-eliminator of degree k, B^k the image of the one of degree k - 1, and
+the representatives are the reduced echelon rows of the remainders of Z^k
+against B^k, zero in the pivot columns of B^k.  Their number is
+dim Z^k - dim B^k exactly when B^k lies in Z^k, and it must equal b_k, so
+each quotient built certifies B^k in Z^k.  A table read only for its Betti
+numbers builds no ``Eliminator``; there B^k in Z^k rests on d∘d = 0, which
+``Differential`` checks on the generators (the Leibniz rule extends it to
+every word), and on a subspace complex also on ``CochainComplex.d_matrix``,
+which refuses a family that is not d-stable when the ranks read it.  A
+closed x is uniquely b + r with b in B^k and r in the span of the
+representatives; reducing x by B^k leaves exactly r, and reducing r by the
+representatives gives the class coordinates.
 
 A d-matrix is built from the differential's per-word Leibniz rows
 (``Differential.word_rows``), which are already sparse rows of the kernel's
@@ -21,8 +29,7 @@ values: on the full algebra those rows are its rows, and on a subspace
 family each row is the combination of the word rows that its subspace row
 names, in the coordinates of the next subspace.  A table keeps its
 representatives as sparse rows and builds the elements of a degree when
-they are first asked for, so a table read only for its Betti numbers builds
-none.
+they are first asked for.
 
 There is one class solve, ``CohomologyTable.class_coords``, and a class is
 held in one form, the sparse row ``{j: cv}`` of its coordinates in the
@@ -184,20 +191,12 @@ class CohomologyTable:
 
     def __init__(self, complex_: CochainComplex):
         self.complex = complex_
-        field = complex_.algebra.field
-        self.betti: list[int] = []
-        self._coboundaries: list[Subspace] = []
-        self._quotients: list[Subspace] = []
+        ranks = [complex_.d_matrix(k).rank() for k in range(complex_.top + 1)]
+        self.betti: list[int] = [complex_.dim(k) - r - (ranks[k - 1] if k else 0)
+                                 for k, r in enumerate(ranks)]
+        self._coboundaries: dict[int, Subspace] = {}
+        self._quotients: dict[int, Subspace] = {}
         self._reps: dict[int, list[GradedElement]] = {}
-        top = complex_.top
-        for k in range(top + 1):
-            cob = (complex_.d_eliminator(k - 1).image if k
-                   else Subspace(field, complex_.dim(k), [], []))
-            with engine_built("table"):
-                q = quotient_basis(complex_.d_eliminator(k).kernel_rows(), cob)
-            self._coboundaries.append(cob)
-            self._quotients.append(q)
-            self.betti.append(q.dim)
 
     # --- tables ---
 
@@ -206,7 +205,25 @@ class CohomologyTable:
         return self.complex.top
 
     def coboundaries(self, k: int) -> Subspace:
+        self.quotient(k)
         return self._coboundaries[k]
+
+    def quotient(self, k: int) -> Subspace:
+        """The representatives' rows in degree k, built with B^k on first
+        read; a dimension other than ``betti[k]`` is an engine fault."""
+        if k not in self._quotients:
+            cx = self.complex
+            cob = (cx.d_eliminator(k - 1).image if k
+                   else Subspace(cx.algebra.field, cx.dim(k), [], []))
+            with engine_built("table"):
+                q = quotient_basis(cx.d_eliminator(k).kernel_rows(), cob)
+            if q.dim != self.betti[k]:
+                raise AssertionError(
+                    f"engine-built table: the quotient of degree {k} has dimension "
+                    f"{q.dim}, the ranks give b_{k} = {self.betti[k]}")
+            self._coboundaries[k] = cob
+            self._quotients[k] = q
+        return self._quotients[k]
 
     def dim(self, k: int) -> int:
         """The Betti number of degree k; H^k = 0 outside 0..top."""
@@ -219,7 +236,7 @@ class CohomologyTable:
             return []
         if k not in self._reps:
             self._reps[k] = [self.complex.from_row(k, row)
-                             for row in self._quotients[k].rows]
+                             for row in self.quotient(k).rows]
         return self._reps[k]
 
     def euler_characteristic(self) -> int:
@@ -256,8 +273,9 @@ class CohomologyTable:
         if x.is_zero():
             return {}
         rem = self._closed_row(x, k)
+        q = self.quotient(k)
         self._coboundaries[k].reduce_owned(rem)
-        coords = self._quotients[k].reduce_owned(rem)
+        coords = q.reduce_owned(rem)
         if rem:
             raise AssertionError("closed element must reduce against cocycles")
         return coords

@@ -121,7 +121,8 @@ class Matrix:
         """self^k by repeated squaring (``kernel.power``)."""
         if self.nrows != self.ncols:
             raise ValueError("powers need a square matrix")
-        return kernel.power(self, k, Matrix.identity(self.field, self.nrows), Matrix.matmul)
+        return kernel.power(self, k, lambda: Matrix.identity(self.field, self.nrows),
+                            Matrix.matmul)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

@@ -115,7 +115,7 @@ def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
     if k < 0 or k > n:
         raise ValueError(f"k must lie in 0..{n}")
     omega = omega_class.representative()
-    omega_k = kernel.power(omega, k, omega.algebra.unit(), wedge)
+    omega_k = kernel.power(omega, k, omega.algebra.unit, wedge)
     src, dst = n - k, n + k
     with engine_built():
         rows = [table.class_coords(wedge(r, omega_k), dst)

@@ -8,6 +8,7 @@ import pytest
 from cdgalab import AlgebraMap, Differential, GroupAction, Matrix, PreconditionError, \
     Subspace, dsl, identity_map, invariant_cohomology, invariant_complex, validate_action
 from cdgalab import action as action_module
+from cdgalab import homology
 from cdgalab._backend import kernel
 from cdgalab.action import induced_action_fixed_dims, induced_matrices, invariant_subspaces
 from cdgalab.algebra import apply_d, apply_map
@@ -280,6 +281,43 @@ def test_cross_check_solves_one_class_per_representative(model, monkeypatch):
     assert sum(model.table.betti) == 144
     assert len(calls) == 144
     assert all(t is model.table for t in calls)
+
+
+def _counting_quotients(model, monkeypatch, drop_last_row=False):
+    """The complements ``quotient_basis`` builds once the full table has all
+    of its own, so that every one recorded belongs to the invariant table;
+    with ``drop_last_row`` each loses its last row."""
+    for k in range(model.table.top + 1):
+        model.table.representatives(k)
+    built = []
+    quotient_basis = homology.quotient_basis
+
+    def counting(rows, small):
+        q = quotient_basis(rows, small)
+        if drop_last_row and q.dim:
+            q = Subspace(q.field, q.ambient_dim, q.rows[:-1], q.pivots[:-1])
+        built.append(q)
+        return q
+
+    monkeypatch.setattr(homology, "quotient_basis", counting)
+    return built
+
+
+def test_the_cross_check_builds_every_invariant_quotient(model, monkeypatch):
+    """The fixed part is compared with the invariant table's quotient
+    dimensions, not its Betti numbers, which come from ``kernel.rank`` as
+    the fixed part's ranks do: every quotient is built before it returns."""
+    built = _counting_quotients(model, monkeypatch)
+    table = invariant_cohomology(model.action, model.table)
+    assert [q.dim for q in built] == table.betti == [1, 0, 13, 0, 26, 0, 13, 0, 1]
+    assert sorted(table._quotients) == list(range(table.top + 1))
+
+
+def test_an_invariant_quotient_short_of_a_row_fails_the_cross_check(model, monkeypatch):
+    _counting_quotients(model, monkeypatch, drop_last_row=True)
+    with pytest.raises(AssertionError, match="^engine-built table: the quotient of degree 0 "
+                       "has dimension 0, the ranks give b_0 = 1$"):
+        invariant_cohomology(model.action, model.table)
 
 
 # --- a declared order costs only the power check ----------------------------

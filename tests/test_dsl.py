@@ -499,6 +499,30 @@ def test_paper_run_makes_no_product_with_an_identity(monkeypatch, paper_session)
     assert unit_wedges == []
 
 
+def test_powers_build_an_identity_only_for_the_zeroth_power(monkeypatch):
+    """``kernel.power`` calls its ``one`` only for k = 0: a paper run builds
+    one identity matrix per degree, for the check A_k^3 = I, and none in
+    ``Matrix.power``; validating the action builds no identity map, and the
+    Lefschetz queries build no unit."""
+    from cdgalab import algebra
+    built = []
+    identity, identity_map, unit = Matrix.identity.__func__, algebra.identity_map, Algebra.unit
+
+    def counting(name, fn):
+        def wrapper(*args):
+            built.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(counting("matrix", identity)))
+    monkeypatch.setattr(algebra, "identity_map", counting("map", identity_map))
+    monkeypatch.setattr(Algebra, "unit", counting("unit", unit))
+    session = dsl.parse(PAPER_SESSION.read_text())
+    assert built == []
+    assert dsl.run(session).ok
+    assert built == ["matrix"] * (session.algebras["M"].algebra.top + 1)
+
+
 def test_cli_run_exits_3_on_a_violated_invariant(tmp_path, monkeypatch, capsys):
     from cdgalab import action
 
@@ -533,8 +557,8 @@ def test_a_table_whose_coboundaries_are_not_cocycles_is_an_engine_fault(
         paper_session, monkeypatch, capsys):
     """A d-matrix that sends 1 to theta puts the open theta among the
     coboundaries.  Differential checks d∘d = 0, so only an engine fault
-    can do that; the table's quotient step raises AssertionError (exit 3),
-    not a task error (exit 1)."""
+    can do that; the quotient step of the first read of degree 1 raises
+    AssertionError (exit 3), not a task error (exit 1)."""
     d_matrix = CochainComplex.d_matrix
 
     def one_to_theta(self, k):
@@ -545,11 +569,31 @@ def test_a_table_whose_coboundaries_are_not_cocycles_is_an_engine_fault(
 
     monkeypatch.setattr(CochainComplex, "d_matrix", one_to_theta)
     model = paper_session.algebras["M"]
+    table = dsl._RunContext().table(model, None)
     with pytest.raises(AssertionError, match="engine-built table: small subspace "
                                              "is not contained in the big one"):
-        dsl._RunContext().table(model, None)
+        table.representatives(1)
     assert cli_main(["run", str(PAPER_SESSION)]) == 3
     assert "engine-built table: small subspace" in capsys.readouterr().err
+
+
+def test_a_rank_that_disagrees_with_its_quotient_is_an_engine_fault(monkeypatch, capsys):
+    """With one rank too few for D_2 of the paper's full complex, the only
+    d-matrix of 28 rows and 56 columns, the Betti numbers of degrees 2 and 3
+    each exceed the dimension of their quotient: the first read of degree 2
+    exits 3 with the dimension on stderr."""
+    from cdgalab import linalg
+    rank = linalg.kernel.rank
+
+    def short_rank(rows, ncols, mul, inv):
+        r = rank(rows, ncols, mul, inv)
+        return r - 1 if (len(rows), ncols) == (28, 56) else r
+
+    monkeypatch.setattr(linalg, "kernel",
+                        types.SimpleNamespace(**{**vars(linalg.kernel), "rank": short_rank}))
+    assert cli_main(["run", str(PAPER_SESSION)]) == 3
+    assert ("engine-built table: the quotient of degree 2 has dimension 17, "
+            "the ranks give b_2 = 18") in capsys.readouterr().err
 
 
 def test_class_solve_on_user_input_is_a_failed_precondition(tmp_path, paper_session):

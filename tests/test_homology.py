@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from cdgalab import AlgebraMap, GroupAction, Matrix, dsl, make_field, top_scalar, wedge
+from cdgalab import AlgebraMap, GroupAction, Matrix, dsl, homology, make_field, top_scalar, wedge
 from cdgalab._backend import kernel
 from cdgalab.action import invariant_complex
 from cdgalab.algebra import (Algebra, Differential, GradedElement, PreconditionError, _element,
@@ -283,9 +283,11 @@ def test_tables_build_no_eliminator_beyond_the_d_eliminators(model, monkeypatch)
     top = model.algebra.top
     for cx in (full, inv):
         rrefs.clear()
+        before = len(built)
         table = CohomologyTable(cx)
-        # per degree: the d-eliminator, and the echelon of the remainders
-        assert len(rrefs) == 2 * (top + 1)
+        # the Betti numbers come from ranks: no rref and no Eliminator
+        assert rrefs == [] and len(built) == before
+        # per degree read: the d-eliminator, and the echelon of the remainders
         for k in range(table.top + 1):
             for r in table.representatives(k):
                 table.class_coords(r, k)
@@ -364,7 +366,7 @@ def test_tables_are_built_without_elements(model, monkeypatch):
     assert calls.count("apply_d") == calls.count("from_row") == calls.count("_element") == 0
 
 
-def test_d_matrix_of_subspaces_that_are_not_d_stable_is_refused(model):
+def _not_d_stable(model) -> CochainComplex:
     """span{theta} in degree 1 with span{mu*mubar} in degree 2: d(theta) =
     mu*nu leaves the complex."""
     alg, g = model.algebra, model.gens
@@ -374,10 +376,62 @@ def test_d_matrix_of_subspaces_that_are_not_d_stable_is_refused(model):
                  for k in range(alg.top + 1)]
     subspaces[1] = Subspace.from_vectors(field, alg.dim(1), [g["theta"].to_row(1)])
     subspaces[2] = Subspace.from_vectors(field, alg.dim(2), [(g["mu"] * g["mubar"]).to_row(2)])
-    cx = CochainComplex(model.differential, subspaces)
+    return CochainComplex(model.differential, subspaces)
+
+
+def test_d_matrix_of_subspaces_that_are_not_d_stable_is_refused(model):
+    cx = _not_d_stable(model)
     assert cx.d_matrix(0).sparse_rows == [{}]
     with pytest.raises(ValueError, match="^element of degree 2 does not lie in the complex$"):
         cx.d_matrix(1)
+
+
+def test_a_table_of_subspaces_that_are_not_d_stable_is_refused(model):
+    """A Betti-only table builds no quotient, so B in Z rests on the
+    d-stability check of the d-matrices that its ranks read."""
+    with pytest.raises(ValueError, match="^element of degree 2 does not lie in the complex$"):
+        CohomologyTable(_not_d_stable(model))
+
+
+def test_a_betti_only_run_builds_no_eliminator_and_no_quotient(monkeypatch):
+    """The ladder session's one betti task reads the ranks of the
+    d-matrices only: no ``Eliminator``, no ``quotient_basis`` and no
+    ``kernel.rref``."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Eliminator, "__init__", counting("eliminator", Eliminator.__init__))
+    monkeypatch.setattr(homology, "quotient_basis",
+                        counting("quotient", homology.quotient_basis))
+    monkeypatch.setattr(kernel, "rref", counting("rref", kernel.rref))
+    assert dsl.run(dsl.parse(LADDER.read_text())).ok
+    assert calls == []
+
+
+def test_filiform_betti_numbers_agree_on_the_rank_and_quotient_routes():
+    """The standard filiform algebra L_12: generators e1..e12 of degree 1,
+    d e_j = e1*e_(j-1) for j = 3..12.  These Betti numbers are this
+    engine's own values, on which four routes agreed when they were first
+    measured, not a published table.  The betti task reads them from ranks;
+    the representatives read afterwards build every degree's quotient,
+    whose dimension the table checks against them."""
+    gens = " ".join(f"e{j}:1" for j in range(1, 13))
+    ds = "".join(f"d e{j} = e1*e{j - 1}\n" for j in range(3, 13))
+    session = dsl.parse(f"field cyclotomic 12\nalgebra L generators {gens}\n{ds}"
+                        "task betti L\n")
+    rc, report = dsl._RunContext(), dsl.Report(session.sha256())
+    task, = session.tasks
+    dsl._TASK_RUNNERS[task.name](rc, report, *task.args)
+    betti = [int(v) for _, v in report.records]
+    assert betti == [1, 2, 6, 18, 37, 56, 64, 56, 37, 18, 6, 2, 1]
+    table = rc.table(session.algebras["L"], None)
+    assert table._quotients == {}
+    assert [len(table.representatives(k)) for k in range(table.top + 1)] == betti
 
 
 def test_representatives_are_built_once_per_degree(model):
