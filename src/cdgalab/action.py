@@ -7,8 +7,8 @@ that it is the identity.  Both sides below take a fixed subspace as a
 kernel, so neither depends on the order beyond that check.
 
 - The invariant subcomplex in degree k is the left kernel of F_k - I, where
-  row i of F_k is f(w_i) on the degree-k words w_i: one map image per word,
-  one ``Eliminator``.
+  row i of F_k is f(w_i) on the degree-k words w_i, read from
+  ``AlgebraMap.word_rows``: one ``Eliminator``.
 - ``invariant_cohomology``, the one builder of an invariant table, checks
   its cohomology against the fixed part of the induced action on the full
   table.  Let A_k be the matrix of f* on H^k in the representative basis:
@@ -47,7 +47,7 @@ def validate_action(f: AlgebraMap, m: int, d: Differential) -> None:
     fm = f.power(m)
     for g in range(len(alg.gens)):
         gen = alg.word_element((g,))
-        residue = fm(gen) - gen
+        residue = apply_map(fm, gen) - gen
         if not residue.is_zero():
             raise PreconditionError(
                 f"f^{m} is not the identity at {alg.gens[g].name}", residue)
@@ -84,13 +84,11 @@ def invariant_subspaces(action: GroupAction) -> list[Subspace]:
     one, zero = field.one.cv, field.zero.cv
     subspaces = []
     for k in range(alg.top + 1):
-        rows = []
-        for i, w in enumerate(alg.basis(k)):
-            row = apply_map(f, alg.word_element(w)).to_row(k)
+        rows = f.word_rows(k)
+        for i, row in enumerate(rows):
             c = kernel.cv_sub(row.pop(i, zero), one)
             if not kernel.cv_is_zero(c):
                 row[i] = c
-            rows.append(row)
         fixed = Eliminator(Matrix(field, alg.dim(k), rows)).kernel_rows()
         subspaces.append(Subspace.from_vectors(field, alg.dim(k), fixed))
     return subspaces

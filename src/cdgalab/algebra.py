@@ -16,19 +16,15 @@ basis word and each value the kernel's canonical integer tuple of a nonzero
 field value (see ``_kernel_py``).  ``wedge``, ``apply_d``, ``apply_map``,
 conjugation and the linear operations read those maps and build the new one
 directly, so they box no coefficient as a ``FieldElement``; ``terms`` boxes
-a fresh copy for a caller that wants field elements.  Two per-word caches
-serve the products and images:
+a fresh copy for a caller that wants field elements.
 
-- a ``Differential`` computes each word's differential once, by the Leibniz
-  rule; ``apply_d`` is the linear combination of those rows, and
-  ``Differential.word_rows`` hands them out in word-index coordinates, the
-  rows of a d-matrix, without boxing a coefficient;
-- an ``AlgebraMap`` keeps the image of every word it has mapped, each one
-  the image of the word's prefix times the image of its last generator.
-
-Each cache lives on its instance, so two differentials or two maps never
-share one.  Nothing cached escapes: every call returns a fresh element with
-a map of its own.
+A ``Differential`` and an ``AlgebraMap`` are both given on generators and
+extended along prefixes: the value on a word p*g is built from the value on
+p by one rule, the Leibniz rule or the product, and kept per instance, so
+two maps never share a cache.  ``apply_d`` and ``apply_map`` are linear
+combinations of those values, and ``word_rows`` hands them out in word-index
+coordinates, the rows of a d-matrix or of a map's matrix F_k, without boxing
+a coefficient.  Nothing cached escapes: every call returns a fresh element.
 """
 
 from __future__ import annotations
@@ -422,80 +418,110 @@ def format_element(x: GradedElement) -> str:
     return kernel.signed_sum(parts)
 
 
-class Differential:
-    """Degree +1 derivation given on generators and extended by Leibniz.
+class _WordLinear:
+    """A linear map from degree k of ``source`` to degree k + ``shift`` of
+    ``target``, given on generators: ``_extend(p, value on p, g)`` is the
+    value on p*g.  A word's value is built from its longest kept prefix in
+    a loop, so word length is not bounded by the recursion limit."""
+
+    shift = 0
+
+    def __init__(self, source: Algebra, target: Algebra, assignments: dict, unit: dict):
+        """Checks and keeps the generator assignments; ``unit`` is the value
+        on the empty word."""
+        self.source = source
+        self.target = target
+        self.assignments: dict[int, GradedElement] = {}
+        for key, val in assignments.items():
+            g = source.generator_index(key) if isinstance(key, str) else key
+            if val.algebra is not target:
+                raise ValueError(f"algebra mismatch in {self._kind} assignment")
+            want = source.degrees[g] + self.shift
+            if not val.is_homogeneous(want):
+                raise ValueError(f"{self._value_of.format(source.gens[g].name)} "
+                                 f"must be homogeneous of degree {want}")
+            self.assignments[g] = val
+        self._gen_values = {g: dict(v._terms) for g, v in self.assignments.items()}
+        self._values: dict = {(): unit}
+
+    def _value(self, w: Word) -> dict:
+        """The value on the word w as ``{word: cv}``, kept for every prefix."""
+        values = self._values
+        v = values.get(w)
+        if v is None:
+            n = len(w)
+            while v is None:  # the longest prefix already kept
+                n -= 1
+                p = w[:n]
+                v = values.get(p)
+            for i in range(n, len(w)):
+                q = w[:i + 1]
+                v = values[q] = self._extend(p, v, w[i])
+                p = q
+        return v
+
+    def word_rows(self, k: int) -> list[dict]:
+        """The value on each degree-k word of the source, in basis order, as a
+        fresh sparse row ``{index in degree k + shift of the target: cv}``;
+        none outside 0..top."""
+        j = k + self.shift
+        pos = self.target._word_pos[j] if 0 <= j <= self.target.top else {}
+        return [{pos[u]: c for u, c in self._value(w).items()}
+                for w in self.source.basis(k)]
+
+    def _apply(self, x: GradedElement) -> GradedElement:
+        if x.algebra is not self.source:
+            raise ValueError("algebra mismatch")
+        return _element(self.target, kernel.combine(x._terms, self._value,
+                                                    self.target.field.mul))
+
+
+class Differential(_WordLinear):
+    """Degree +1 derivation given on generators and extended by the Leibniz
+    rule along prefixes: d(p*g) = d(p)*g + (-1)^|p| p*d(g).
 
     Generators absent from the assignment map have differential zero.  The
     assignments are validated when built: each must be homogeneous of degree
     one more than its generator, and d*d = 0 on every generator (sufficient
     by the Leibniz rule), checked in declaration order."""
 
+    shift = 1
+    _kind = "differential"
+    _value_of = "d({})"
+
     def __init__(self, algebra: Algebra, assignments: dict):
         self.algebra = algebra
-        norm: dict[int, GradedElement] = {}
-        for key, val in assignments.items():
-            g = algebra.generator_index(key) if isinstance(key, str) else key
-            if val.algebra is not algebra:
-                raise ValueError("algebra mismatch in differential assignment")
-            if val.is_zero():
-                continue
-            want = algebra.degrees[g] + 1
-            if not val.is_homogeneous(want):
-                raise ValueError(
-                    f"d({algebra.gens[g].name}) must be homogeneous of degree {want}")
-            norm[g] = val
-        self.assignments = norm
-        self._gen_d = {g: dict(v._terms) for g, v in norm.items()}
-        self._word_d: dict = {}
-        for g in sorted(norm):
-            residue = apply_d(self, norm[g])
+        super().__init__(algebra, algebra, assignments, {})
+        self.assignments = {g: v for g, v in self.assignments.items() if v}
+        for g in sorted(self.assignments):
+            residue = apply_d(self, self.assignments[g])
             if not residue.is_zero():
                 raise PreconditionError(
                     f"d*d != 0 at generator {algebra.gens[g].name}: "
                     f"residue {residue}", residue)
 
-    def _word_row(self, w: Word) -> dict:
-        """d of the word w as ``{word: cv}``, computed on first use and kept."""
-        row = self._word_d.get(w)
-        if row is None:
-            row = self._word_d[w] = self._leibniz(w)
-        return row
-
-    def word_rows(self, k: int) -> list[dict]:
-        """d of each degree-k basis word, in basis order, as a fresh sparse
-        row ``{index in degree k + 1: cv}``, read from the per-word cache."""
+    def _extend(self, p: Word, dp: dict, g: int) -> dict:
+        # the terms d(p)*g and (-1)^|p| p*d(g), each merged in that order
+        dg = self._gen_values.get(g)
+        if not (dp or dg):
+            return {}
         alg = self.algebra
-        # d of a top-degree word is zero, so degree top + 1 is never looked up
-        pos = alg._word_pos[k + 1] if k < alg.top else None
-        return [{pos[u]: c for u, c in self._word_row(w).items()}
-                for w in alg.basis(k)]
-
-    def _leibniz(self, w: Word) -> dict:
-        # d(w1...wk) = sum (-1)^(deg prefix) w1..d(wi)..wk, each term merged
-        # as (prefix * d(wi)) * suffix, the order in which wedge multiplies them
-        alg = self.algebra
-        merge = alg.merge_words
+        merge, neg = alg.merge_words, kernel.cv_neg
+        pairs = [(u, (g,), c) for u, c in dp.items()]
+        if dg:
+            odd = alg.word_degree(p) & 1
+            pairs += [(p, u, neg(c) if odd else c) for u, c in dg.items()]
         acc: dict = {}
-        prefix_deg = 0
-        for i, g in enumerate(w):
-            dg = self._gen_d.get(g)
-            if dg is not None:
-                pre, suf = w[:i], w[i + 1:]
-                for t, c in dg.items():
-                    m = merge(pre, t)
-                    if m is None:
-                        continue
-                    r, s1 = m
-                    m = merge(r, suf)
-                    if m is None:
-                        continue
-                    word, s2 = m
-                    if s1 * s2 * (-1 if prefix_deg % 2 else 1) < 0:
-                        c = kernel.cv_neg(c)
-                    s = acc.get(word)
-                    acc[word] = c if s is None else kernel.cv_add(s, c)
-            prefix_deg += alg.degrees[g]
-        return {word: c for word, c in acc.items() if not kernel.cv_is_zero(c)}
+        for u, v, c in pairs:
+            m = merge(u, v)
+            if m is None:
+                continue
+            w, sign = m
+            if sign < 0:
+                c = neg(c)
+            s = acc.get(w)
+            acc[w] = c if s is None else kernel.cv_add(s, c)
+        return {w: c for w, c in acc.items() if not kernel.cv_is_zero(c)}
 
     def __call__(self, x: GradedElement) -> GradedElement:
         return apply_d(self, x)
@@ -503,51 +529,26 @@ class Differential:
 
 def apply_d(d: Differential, x: GradedElement) -> GradedElement:
     """Leibniz extension: the combination of the word differentials."""
-    if x.algebra is not d.algebra:
-        raise ValueError("algebra mismatch")
-    return _element(x.algebra, kernel.combine(x._terms, d._word_row, d.algebra.field.mul))
+    return d._apply(x)
 
 
-class AlgebraMap:
-    """Degree-preserving algebra morphism given on generators."""
+class AlgebraMap(_WordLinear):
+    """Degree-preserving algebra morphism given on generators and extended
+    multiplicatively along prefixes: f(p*g) = f(p)*f(g)."""
+
+    _kind = "map"
+    _value_of = "image of {}"
 
     def __init__(self, source: Algebra, target: Algebra, assignments: dict):
-        self.source = source
-        self.target = target
-        norm: dict[int, GradedElement] = {}
-        for key, val in assignments.items():
-            g = source.generator_index(key) if isinstance(key, str) else key
-            if val.algebra is not target:
-                raise ValueError("algebra mismatch in map assignment")
-            if not val.is_homogeneous(source.degrees[g]):
-                raise ValueError(
-                    f"image of {source.gens[g].name} must be homogeneous of degree "
-                    f"{source.degrees[g]}")
-            norm[g] = val
+        super().__init__(source, target, assignments, {(): target.field.one.cv})
         for g in range(len(source.gens)):
-            if g not in norm:
+            if g not in self.assignments:
                 raise ValueError(f"map misses generator {source.gens[g].name}")
         if source.field != target.field:
-            raise ValueError(
-                f"conductor mismatch: {source.field.n} vs {target.field.n}")
-        self.assignments = norm
-        self._gen_images = {g: dict(v._terms) for g, v in norm.items()}
-        self._images: dict = {(): {(): target.field.one.cv}}
+            raise ValueError(f"conductor mismatch: {source.field.n} vs {target.field.n}")
 
-    def _word_image(self, w: Word) -> dict:
-        """Image of the word w as ``{word: cv}``, the image of its prefix
-        times the image of its last generator; kept for every prefix."""
-        images = self._images
-        img = images.get(w)
-        if img is None:
-            n = len(w) - 1
-            while w[:n] not in images:  # the longest prefix already kept
-                n -= 1
-            img = images[w[:n]]
-            for i in range(n, len(w)):
-                img = images[w[:i + 1]] = _product(self.target, img,
-                                                   self._gen_images[w[i]])
-        return img
+    def _extend(self, p: Word, fp: dict, g: int) -> dict:
+        return _product(self.target, fp, self._gen_values[g])
 
     def __call__(self, x: GradedElement) -> GradedElement:
         return apply_map(self, x)
@@ -577,9 +578,7 @@ def identity_map(algebra: Algebra) -> AlgebraMap:
 
 def apply_map(f: AlgebraMap, x: GradedElement) -> GradedElement:
     """Multiplicative-linear extension of the generator assignments."""
-    if x.algebra is not f.source:
-        raise ValueError("algebra mismatch")
-    return _element(f.target, kernel.combine(x._terms, f._word_image, f.target.field.mul))
+    return f._apply(x)
 
 
 class Conjugation:

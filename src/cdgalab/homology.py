@@ -23,7 +23,7 @@ closed x is uniquely b + r with b in B^k and r in the span of the
 representatives; reducing x by B^k leaves exactly r, and reducing r by the
 representatives gives the class coordinates.
 
-A d-matrix is built from the differential's per-word Leibniz rows
+A d-matrix is built from the differential's word rows
 (``Differential.word_rows``), which are already sparse rows of the kernel's
 values: on the full algebra those rows are its rows, and on a subspace
 family each row is the combination of the word rows that its subspace row
@@ -210,17 +210,19 @@ class CohomologyTable:
 
     def quotient(self, k: int) -> Subspace:
         """The representatives' rows in degree k, built with B^k on first
-        read; a dimension other than ``betti[k]`` is an engine fault."""
+        read; a dimension other than ``betti[k]`` is an engine fault.  Both
+        are zero outside 0..top, as is B^0."""
         if k not in self._quotients:
             cx = self.complex
-            cob = (cx.d_eliminator(k - 1).image if k
-                   else Subspace(cx.algebra.field, cx.dim(k), [], []))
-            with engine_built("table"):
-                q = quotient_basis(cx.d_eliminator(k).kernel_rows(), cob)
-            if q.dim != self.betti[k]:
-                raise AssertionError(
-                    f"engine-built table: the quotient of degree {k} has dimension "
-                    f"{q.dim}, the ranks give b_{k} = {self.betti[k]}")
+            q = cob = Subspace(cx.algebra.field, cx.dim(k), [], [])
+            if 0 <= k <= self.top:
+                cob = cx.d_eliminator(k - 1).image if k else cob
+                with engine_built("table"):
+                    q = quotient_basis(cx.d_eliminator(k).kernel_rows(), cob)
+                if q.dim != self.betti[k]:
+                    raise AssertionError(
+                        f"engine-built table: the quotient of degree {k} has dimension "
+                        f"{q.dim}, the ranks give b_{k} = {self.betti[k]}")
             self._coboundaries[k] = cob
             self._quotients[k] = q
         return self._quotients[k]

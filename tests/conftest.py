@@ -77,6 +77,28 @@ def model() -> HeisenbergModel:
     return build_heisenberg_model()
 
 
+# Even generators x and y next to odd ones, truncation above degree 10, a
+# nonzero d on an odd and on an even generator, and an order-3 diagonal map
+# f (zeta = z^4) that commutes with d.  The lets are closed and not, exact
+# and not, and one is not homogeneous.
+EVEN_SESSION = """\
+field cyclotomic 12
+algebra E generators a:1 b:1 x:2 c:3 y:2 top 10
+conjugation a b x y c c
+d b = x
+d y = a*x
+d c = x*x
+map f order 3 { a -> {z^4}*a ; b -> {z^4}*b ; x -> {z^4}*x ; c -> {z^8}*c ; y -> {z^8}*y }
+let ax = a*x
+let xx = x*x
+let ab = a*b
+let ay = a*y
+let w = {z}*(a*b + y)
+let vol = a*b*x*x*y*y
+let mixed = a + x
+"""
+
+
 @pytest.fixture(scope="session")
 def torus2():
     """Two-generator exterior algebra with zero differential."""

@@ -11,11 +11,11 @@ from cdgalab import action as action_module
 from cdgalab import homology
 from cdgalab._backend import kernel
 from cdgalab.action import induced_action_fixed_dims, induced_matrices, invariant_subspaces
-from cdgalab.algebra import apply_d, apply_map
+from cdgalab.algebra import Algebra, apply_d, apply_map
 from cdgalab.field import FieldElement
 from cdgalab.homology import CochainComplex, CohomologyTable
 
-from conftest import in_projector_image, orbit_average, projector_rows, random_element
+from conftest import ROOT, in_projector_image, orbit_average, projector_rows, random_element
 
 
 def test_validate_action_examples(model):
@@ -363,6 +363,29 @@ def test_a_huge_order_costs_only_the_squarings(monkeypatch):
         runs.append((report.records, len(images)))
     assert runs[0] == runs[1]
     assert runs[0][1] > 0
+
+
+def test_the_projector_reads_the_map_rows_without_boxing_words(monkeypatch):
+    """F_k comes from ``AlgebraMap.word_rows``: a paper run boxes no basis
+    word, and its only map images are the 144 = sum b_k class solves of the
+    cross-check, one per representative of the full table."""
+    session = dsl.parse((ROOT / "paper.cdga").read_text())
+    boxed, images = [], []
+    word_element = Algebra.word_element
+    apply_map_ = action_module.apply_map
+
+    def counting_word_element(self, word):
+        boxed.append(word)
+        return word_element(self, word)
+
+    def counting_apply_map(f, x):
+        images.append(x)
+        return apply_map_(f, x)
+
+    monkeypatch.setattr(Algebra, "word_element", counting_word_element)
+    monkeypatch.setattr(action_module, "apply_map", counting_apply_map)
+    assert dsl.run(session).ok
+    assert (len(boxed), len(images)) == (0, 144)
 
 
 @pytest.mark.parametrize("order", [3, 6, 300])

@@ -411,11 +411,14 @@ def test_cochain_arithmetic_matches_boxed_reference(model, which):
         for f in maps:
             assert apply_map(f, x) == ref_apply_map(f, x)
     for k in range(alg.top + 1):
-        for w in alg.basis(k):
+        rows = [f.word_rows(k) for f in maps]
+        for i, w in enumerate(alg.basis(k)):
             e = alg.word_element(w)
             assert apply_d(d, e) == ref_apply_d(d, e)
-            for f in maps:
-                assert apply_map(f, e) == ref_apply_map(f, e)
+            for f, f_rows in zip(maps, rows):
+                image = ref_apply_map(f, e)
+                assert apply_map(f, e) == image
+                assert f_rows[i] == image.to_row(k)
 
 
 def test_returned_elements_own_their_terms():
@@ -585,6 +588,24 @@ def test_a_long_word_is_enumerated_and_mapped_without_recursion(tmp_path, capsys
     top_word = alg.word_element(alg.basis(1980)[0])
     neg = AlgebraMap(alg, alg, {"x": -alg.generator("x")})
     assert apply_map(neg, top_word) == top_word  # (-1)^990
+
+
+def test_a_word_row_merges_only_d_of_its_prefix_and_of_its_last_generator(monkeypatch):
+    """d(p*g) = d(p)*g + (-1)^|p| p*d(g): every word row of the ladder takes
+    one merge per term of d(p) and of d(g), 307 in all, not one per term of
+    d(letter) for every letter of every word."""
+    ctx = dsl.parse(LADDER.read_text()).algebras["M"]
+    merges = []
+    merge = Algebra.merge_words
+
+    def counting(self, w1, w2):
+        merges.append((w1, w2))
+        return merge(self, w1, w2)
+
+    monkeypatch.setattr(Algebra, "merge_words", counting)
+    for k in range(ctx.algebra.top + 1):
+        ctx.differential.word_rows(k)
+    assert len(merges) == 307
 
 
 def test_word_count_refuses_past_the_budget():

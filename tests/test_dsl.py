@@ -15,7 +15,7 @@ from cdgalab.cli import main as cli_main
 from cdgalab.homology import CochainComplex
 from cdgalab.linalg import Matrix
 
-from conftest import ROOT, random_element, refuse_to_build_fields
+from conftest import EVEN_SESSION, ROOT, random_element, refuse_to_build_fields
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "paper.report"
@@ -683,17 +683,16 @@ def test_mutated_paper_sessions_never_crash():
 TOTALITY_NAMES = ("mu", "theta", "omega", "alpha", "beta2", "vol", "lef_lhs", "lef_prim")
 
 
-def _totality_sessions() -> list[list[str]]:
-    names = TOTALITY_NAMES
-    modes = ("full", "invariant rho")
-    paper_args = ("alpha", "beta1", "beta2", "beta3", "vol")
+def _totality_sessions(names=TOTALITY_NAMES, alg="M", rho="rho",
+                       paper_args=("alpha", "beta1", "beta2", "beta3", "vol")) -> list[list[str]]:
+    modes = ("full", f"invariant {rho}")
     return [
-        [f"massey M {x} {y} {z}" for x, y, z in itertools.product(names, repeat=3)],
-        [f"lefschetz M {m} {w} {k}" for m in modes for w in names for k in range(6)],
+        [f"massey {alg} {x} {y} {z}" for x, y, z in itertools.product(names, repeat=3)],
+        [f"lefschetz {alg} {m} {w} {k}" for m in modes for w in names for k in range(6)],
         # each name in each argument slot of the paper's obstruction task
-        [f"obstruction M {m} " + " ".join(paper_args[:i] + (w,) + paper_args[i + 1:])
+        [f"obstruction {alg} {m} " + " ".join(paper_args[:i] + (w,) + paper_args[i + 1:])
          for m in modes for i in range(len(paper_args)) for w in names],
-        [f"symplectic M {w} {n} {v}" for w in names for n in (0, 1, 4, 5) for v in names],
+        [f"symplectic {alg} {w} {n} {v}" for w in names for n in (0, 1, 4, 5) for v in names],
         [f"verify_exact {x} {y}" for x, y in itertools.product(names, repeat=2)],
     ]
 
@@ -706,6 +705,24 @@ def test_every_task_over_the_paper_bindings_runs_to_a_record():
     bindings = PAPER_SESSION.read_text().split("task ")[0]
     for tasks in _totality_sessions():
         session = dsl.parse(bindings + "".join(f"task {t}\n" for t in tasks))
+        report = dsl.run(session)
+        errors = [(k, v) for k, v in report.records if k.endswith("_error")]
+        assert errors == [(f"{name}_error", msg) for _, name, msg in report.failures]
+        assert all(session.tasks[i].name == name for i, name, _ in report.failures)
+        assert len(report.failures) < len(tasks)
+
+
+def test_every_task_over_even_generators_runs_to_a_record():
+    """Run-level totality on an algebra with even generators, a nonzero d,
+    truncation and an order-3 map: every task kind, the table tasks among
+    them, reports or fails with a ``<task>_error`` record."""
+    names = ("a", "x", "y", "ax", "xx", "ab", "ay", "w", "vol", "mixed")
+    graph = "node proj 3 node p1b 2 edge 0 1 proj 2"
+    sessions = _totality_sessions(names, "E", "f", ("w", "x", "x", "x", "vol"))
+    sessions.append(["betti E reps", "invariant_betti E f reps", f"mv_union {graph}",
+                     *(f"resolution E f {s} {graph}" for s in (0, 1, 2))])
+    for tasks in sessions:
+        session = dsl.parse(EVEN_SESSION + "".join(f"task {t}\n" for t in tasks))
         report = dsl.run(session)
         errors = [(k, v) for k, v in report.records if k.endswith("_error")]
         assert errors == [(f"{name}_error", msg) for _, name, msg in report.failures]

@@ -11,7 +11,7 @@ from cdgalab.algebra import (Algebra, Differential, GradedElement, PreconditionE
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator, Subspace
 
-from conftest import GEN_NAMES, ROOT, random_field_element, random_homogeneous
+from conftest import EVEN_SESSION, GEN_NAMES, ROOT, random_field_element, random_homogeneous
 
 # degree-3 classes spanning half of H^3; the other half is their conjugate
 W_WORDS = [
@@ -316,14 +316,18 @@ def ladder_complexes(model):
     return CochainComplex(d), invariant_complex(GroupAction(rho, 3, d))
 
 
-@pytest.mark.parametrize("which", ["paper", "ladder"])
+@pytest.mark.parametrize("which", ["paper", "ladder", "even"])
 def test_d_matrix_rows_are_the_images_of_the_basis_elements(model, which):
     """The oracle is the element path: d of each basis element by
     ``apply_d``, in the complex's coordinates of the next degree."""
     if which == "paper":
         complexes = (CochainComplex(model.differential), invariant_complex(model.action))
-    else:
+    elif which == "ladder":
         complexes = ladder_complexes(model)
+    else:
+        session = dsl.parse(EVEN_SESSION)
+        action = session.maps["f"].action
+        complexes = (CochainComplex(action.differential), invariant_complex(action))
     for cx in complexes:
         for k in range(cx.top + 1):
             m = cx.d_matrix(k)
@@ -331,6 +335,19 @@ def test_d_matrix_rows_are_the_images_of_the_basis_elements(model, which):
                         for e in cx.basis_elements(k)]
             assert m.sparse_rows == expected
             assert (m.nrows, m.ncols) == (cx.dim(k), cx.dim(k + 1))
+
+
+def test_degrees_outside_the_table_are_the_zero_space(model):
+    """H^k = 0 outside 0..top on every read of a degree: k = -1 is not the
+    last degree, and k = top + 1 is no index past the end."""
+    table, d = model.table, model.differential
+    for k in (-1, table.top + 1):
+        assert table.dim(k) == 0 and table.representatives(k) == []
+        for space in (table.quotient(k), table.coboundaries(k)):
+            assert (space.dim, space.ambient_dim) == (0, 0)
+    assert d.word_rows(-2) == d.word_rows(-1) == d.word_rows(table.top + 1) == []
+    assert d.word_rows(table.top) == [{}]
+    assert model.rho.word_rows(-1) == model.rho.word_rows(table.top + 1) == []
 
 
 def test_tables_are_built_without_elements(model, monkeypatch):
