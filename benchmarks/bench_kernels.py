@@ -4,8 +4,10 @@ Times start-up: ``import cdgalab`` followed by ``dsl.parse`` of
 ``paper.cdga``, the median over ``--repeat`` fresh interpreters that run
 with the caller's environment (so ``PYTHONDONTWRITEBYTECODE`` and
 ``PYTHONPATH`` apply as they do to the caller).  Times the hot paths over
-Q(zeta_12): batched coefficient products, inverses of non-rational values,
-and sparse row reduction of a random matrix.  It
+Q(zeta_12): batched coefficient products, the fused multiply-add
+``t + a*b`` of the field against ``cv_add`` after ``cv_mul`` on the same
+values, inverses of non-rational values, and sparse row reduction of a
+random matrix.  It
 times d-matrix assembly: every degree of a fresh full complex of the ladder
 session (``perfbench/sessions/ladder.cdga``, 10 generators, 1024 words), on
 a fresh differential, so the per-word Leibniz rows are computed too.  It
@@ -89,6 +91,20 @@ def bench_cv_mul(pairs, mul):
     return time.perf_counter() - t0
 
 
+def bench_addmul(triples, addmul):
+    t0 = time.perf_counter()
+    for t, a, b in triples:
+        addmul(t, a, b)
+    return time.perf_counter() - t0
+
+
+def bench_add_after_mul(triples, mul):
+    t0 = time.perf_counter()
+    for t, a, b in triples:
+        kernel.cv_add(t, kernel.cv_mul(a, b, mul))
+    return time.perf_counter() - t0
+
+
 def bench_inverse(values, field):
     t0 = time.perf_counter()
     for a in values:
@@ -98,9 +114,9 @@ def bench_inverse(values, field):
 
 def bench_rref(rows, ncols, field):
     work = [dict(r) for r in rows]
-    phi, mul, inv = field.phi, field.mul, _inv_cv(field)  # a fresh memo per run
+    inv = _inv_cv(field)  # a fresh memo per run
     t0 = time.perf_counter()
-    rank, _ = kernel.rref(work, ncols, ncols, phi, mul, inv)
+    rank, _ = kernel.rref(work, ncols, ncols, field, inv)
     return time.perf_counter() - t0, rank
 
 
@@ -179,6 +195,13 @@ def main():
     pairs = [(rand_cv(rng, phi), rand_cv(rng, phi)) for _ in range(args.muls)]
     best = min(bench_cv_mul(pairs, mul) for _ in range(args.repeat))
     print(f"cv_mul x {args.muls} over Q(zeta_12): {best:8.3f} s")
+    # t runs over the same values: t_i is the left factor of pair i - 1
+    triples = [(t, a, b) for (t, _), (a, b) in zip(pairs[-1:] + pairs, pairs)]
+    for name, bench, op in (("addmul", bench_addmul, field.addmul),
+                            ("cv_add(t, cv_mul(a, b))", bench_add_after_mul, mul)):
+        best = min(bench(triples, op) for _ in range(args.repeat))
+        print(f"{name} over Q(zeta_12), the same {len(triples)} values: "
+              f"{best / len(triples) * 1e6:8.3f} us per call")
 
     values = []
     while len(values) < INVERSES:

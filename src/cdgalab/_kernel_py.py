@@ -10,18 +10,24 @@ A matrix row is sparse: a dict ``{col: cv}`` that holds only the nonzero
 entries.  A column absent from the dict is zero, and the row functions below
 delete an entry as soon as it cancels, so ``not row`` tests for the zero row.
 
-``mul`` is the per-field argument: the field's product ``mul(a, b) -> cv``
-of two cvs.  Each ``CycloField`` builds it once, with
-``straight_line_product``, from the reduction table of Phi_n, and builds
-one ``straight_line_map`` per Galois automorphism the same way.  A product
-is straight-line code because in pure Python its cost is the interpreter's
-work per operation, not the integer arithmetic: a loop over the phi x phi
-convolution, the fold of z^phi .. z^(2 phi - 2) and the zero tests runs
-three to five times as long as one body that holds the coordinates in
-locals and has the fold's integers written in.  ``cv_mul`` stays the one
-entry point for a product, and the functions below call it through this
-module, so that a profiler or tracer that replaces it here sees every
-product.
+``field`` is the per-field argument of the row functions: its ``mul(a, b)``
+is the product of two cvs, and its ``addmul(t, a, b)`` and
+``submul(t, a, b)`` are the fused ``t + a*b`` and ``t - a*b``, in lowest
+terms, or None when the sum cancels.  Each ``CycloField`` builds the three
+once from the reduction table of Phi_n, with ``straight_line_product`` and
+``straight_line_fused`` over one set of convolution and reduction lines,
+and builds one ``straight_line_map`` per Galois automorphism the same way.
+The arithmetic is straight-line code because in pure Python its cost is the
+interpreter's work per operation, not the integer arithmetic: a loop over
+the phi x phi convolution, the fold of z^phi .. z^(2 phi - 2) and the zero
+tests runs three to five times as long as one body that holds the
+coordinates in locals and has the fold's integers written in.  For the same
+reason a multiply-accumulate is one call: ``cv_add`` after ``cv_mul`` adds
+three interpreted calls per entry (the sum, its lowest terms and the zero
+test).  ``row_axpy``, ``reduce_against`` and ``algebra``'s product of
+elements add each product to an existing entry with the fused op, and make
+only a new entry with ``cv_mul``; so a profiler or tracer that replaces
+``cv_mul`` here counts the products that make entries, not the fused ones.
 
 For the same reason three generic loops of the engine live here and
 nowhere else: ``combine`` is the one linear combination of sparse rows (the
@@ -85,29 +91,30 @@ def cv_mul(a, b, mul):
 
 # --- sparse-row helpers -----------------------------------------------------
 
-def row_scale(row, c, mul):
+def row_scale(row, c, field):
     """row <- c * row, entrywise (c nonzero)."""
+    mul = field.mul
     for j, v in row.items():
         row[j] = cv_mul(v, c, mul)
 
 
-def row_axpy(target, src, c, mul):
+def row_axpy(target, src, c, field):
     """target <- target + c * src, entrywise (c nonzero); cancelled entries
     are removed."""
+    mul, addmul = field.mul, field.addmul
     for j, v in src.items():
-        p = cv_mul(v, c, mul)
         t = target.get(j)
         if t is None:
-            target[j] = p
+            target[j] = cv_mul(v, c, mul)
         else:
-            s = cv_add(t, p)
-            if cv_is_zero(s):
+            t = addmul(t, v, c)
+            if t is None:
                 del target[j]
             else:
-                target[j] = s
+                target[j] = t
 
 
-def combine(coeffs, row_of, mul):
+def combine(coeffs, row_of, field):
     """The sparse row sum(c * row_of(i) for i, c in coeffs.items()), freshly
     built: ``coeffs`` is a sparse row of nonzero cvs and ``row_of`` maps an
     index to its sparse row, which is only read.  Empty rows are skipped."""
@@ -115,7 +122,7 @@ def combine(coeffs, row_of, mul):
     for i, c in coeffs.items():
         row = row_of(i)
         if row:
-            row_axpy(acc, row, c, mul)
+            row_axpy(acc, row, c, field)
     return acc
 
 
@@ -150,7 +157,7 @@ def signed_sum(parts):
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def rref(rows, ncols, limit, phi, mul, inv):
+def rref(rows, ncols, limit, field, inv):
     """In-place reduced row echelon form with deterministic pivoting.
 
     ``rows`` is a list of sparse rows of width ``ncols``.  Pivots are searched
@@ -166,7 +173,7 @@ def rref(rows, ncols, limit, phi, mul, inv):
     are named by their index in the input and reordered once at the end;
     until then ``order[p]`` is the row at position ``p``.
     """
-    one = (1,) + (0,) * (phi - 1) + (1,)
+    one = (1,) + (0,) * (field.phi - 1) + (1,)
     nrows = len(rows)
     holders = {}
     for i, row in enumerate(rows):
@@ -195,11 +202,11 @@ def rref(rows, ncols, limit, phi, mul, inv):
         prow = rows[i]
         p = prow[col]
         if p != one:
-            row_scale(prow, inv(p), mul)
+            row_scale(prow, inv(p), field)
         pcols = [j for j in prow if j < limit]
         for i2 in held - {i}:
             target = rows[i2]
-            row_axpy(target, prow, cv_neg(target[col]), mul)
+            row_axpy(target, prow, cv_neg(target[col]), field)
             for j in pcols:
                 if j in target:
                     holders[j].add(i2)
@@ -211,7 +218,7 @@ def rref(rows, ncols, limit, phi, mul, inv):
     return piv, pivots
 
 
-def rank(rows, ncols, mul, inv):
+def rank(rows, ncols, field, inv):
     """Rank of the sparse rows of width ``ncols``, by forward elimination in
     place.
 
@@ -246,7 +253,7 @@ def rank(rows, ncols, mul, inv):
         minus_inv = cv_neg(inv(prow[col]))
         for i2 in held:
             target = rows[i2]
-            row_axpy(target, prow, cv_mul(target[col], minus_inv, mul), mul)
+            row_axpy(target, prow, cv_mul(target[col], minus_inv, field.mul), field)
             for j in pcols:
                 if j in target:
                     holders[j].add(i2)
@@ -255,7 +262,7 @@ def rank(rows, ncols, mul, inv):
     return found
 
 
-def reduce_against(row, rrows, pivots, ncols, mul):
+def reduce_against(row, rrows, pivots, ncols, field):
     """Reduce the sparse ``row`` (mutated to the remainder) against rref rows.
 
     ``pivots`` maps each pivot column to the index of its row in ``rrows``.
@@ -263,12 +270,24 @@ def reduce_against(row, rrows, pivots, ncols, mul):
     original_row = sum(coeff_i * rrows[i]) + remainder.  Each rref row is
     zero in the other rows' pivot columns, so reducing by one row leaves the
     others' coefficients alone: they are the row's entries at the pivots.
+    Each step subtracts in place with the fused ``submul``, so the common
+    case, an entry that is already there, needs no negated coefficient.
     """
+    mul, submul = field.mul, field.submul
     coeffs = {}
     for col in [j for j in row if j in pivots]:
         i = pivots[col]
         c = coeffs[i] = row[col]
-        row_axpy(row, rrows[i], cv_neg(c), mul)
+        for j, v in rrows[i].items():
+            t = row.get(j)
+            if t is None:
+                row[j] = cv_neg(cv_mul(v, c, mul))
+            else:
+                t = submul(t, v, c)
+                if t is None:
+                    del row[j]
+                else:
+                    row[j] = t
     return coeffs
 
 
@@ -290,15 +309,15 @@ def _compile(lines, label):
     return namespace["f"]
 
 
-def straight_line_product(phi, red, label):
-    """The product of two cvs in the field of degree ``phi`` whose reduction
-    table is ``red`` (``red[k]`` holds the integer coordinates of
-    ``z**(phi + k)``), as one straight-line function.
+def _product_lines(phi, red):
+    """The lines that unpack cvs ``a`` and ``b`` of the field of degree
+    ``phi`` with reduction table ``red`` (``red[k]`` holds the integer
+    coordinates of ``z**(phi + k)``) and leave the numerators of their
+    product in ``c0 ..``, over the denominator ``da * db``, not reduced.
 
     The convolution coefficients of z^phi .. z^(2 phi - 2) go to locals
     ``t<e>``, and each output coordinate is its own convolution coefficient
-    plus those locals times the table's integers.  The result is put in
-    lowest terms; a denominator of 1 needs no gcd."""
+    plus those locals times the table's integers."""
     a = [f"a{i}" for i in range(phi)]
     b = [f"b{j}" for j in range(phi)]
 
@@ -306,22 +325,56 @@ def straight_line_product(phi, red, label):
         return [(1, f"{a[i]}*{b[e - i]}")
                 for i in range(max(0, e - phi + 1), min(e, phi - 1) + 1)]
 
-    lines = ["def f(a, b):",
-             f"    {', '.join(a)}, da = a",
+    lines = [f"    {', '.join(a)}, da = a",
              f"    {', '.join(b)}, db = b"]
     for e in range(phi, 2 * phi - 1):
         lines.append(f"    t{e} = {_signed_terms(conv(e))}")
     for j in range(phi):
         fold = [(red[e - phi][j], f"t{e}") for e in range(phi, 2 * phi - 1)]
         lines.append(f"    c{j} = {_signed_terms(conv(j) + fold)}")
-    c = ", ".join(f"c{j}" for j in range(phi))
-    lines += ["    d = da * db",
-              "    if d == 1:",
-              f"        return ({c}, 1)",
-              f"    g = gcd({c}, d)",
-              "    if g == 1:",
-              f"        return ({c}, d)",
-              f"    return ({', '.join(f'c{j} // g' for j in range(phi))}, d // g)"]
+    return lines
+
+
+def _lowest_terms(num, phi):
+    """The lines that return the numerators ``<num>0 ..`` over ``d`` in
+    lowest terms; a denominator of 1 needs no gcd."""
+    n = ", ".join(f"{num}{j}" for j in range(phi))
+    return ["    if d == 1:",
+            f"        return ({n}, 1)",
+            f"    g = gcd({n}, d)",
+            "    if g == 1:",
+            f"        return ({n}, d)",
+            f"    return ({', '.join(f'{num}{j} // g' for j in range(phi))}, d // g)"]
+
+
+def straight_line_product(phi, red, label):
+    """The product of two cvs in the field of degree ``phi`` whose reduction
+    table is ``red``, as one straight-line function (``_product_lines``),
+    in lowest terms."""
+    lines = (["def f(a, b):"] + _product_lines(phi, red) + ["    d = da * db"]
+             + _lowest_terms("c", phi))
+    return _compile(lines, label)
+
+
+def straight_line_fused(phi, red, sign, label):
+    """The fused ``x + a*b`` (``sign`` 1) or ``x - a*b`` (``sign`` -1) of
+    three cvs, as one straight-line function over the product's lines
+    (``_product_lines``): the same value as adding the product with
+    ``cv_add``, in lowest terms, or None when the sum is zero.  Numerators
+    over equal denominators are added directly."""
+    op = "+" if sign > 0 else "-"
+    x = [f"x{j}" for j in range(phi)]
+    lines = (["def f(x, a, b):"] + _product_lines(phi, red)
+             + [f"    {', '.join(x)}, dx = x",
+                "    d = da * db",
+                "    if d == dx:"]
+             + [f"        n{j} = x{j} {op} c{j}" for j in range(phi)]
+             + ["    else:"]
+             + [f"        n{j} = x{j} * d {op} c{j} * dx" for j in range(phi)]
+             + ["        d *= dx",
+                f"    if not ({' or '.join(f'n{j}' for j in range(phi))}):",
+                "        return None"]
+             + _lowest_terms("n", phi))
     return _compile(lines, label)
 
 

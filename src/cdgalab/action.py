@@ -131,7 +131,7 @@ def induced_action_fixed_dims(table: CohomologyTable, action: GroupAction) -> li
     for a in induced_matrices(table, action):
         rows = [dict(row) for row in a.sparse_rows]
         for i, row in enumerate(rows):
-            kernel.row_axpy(row, {i: one}, minus_one, field.mul)
+            kernel.row_axpy(row, {i: one}, minus_one, field)
         dims.append(a.nrows - Matrix(field, a.ncols, rows).rank())
     return dims
 

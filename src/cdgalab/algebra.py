@@ -375,10 +375,16 @@ def _element(alg: Algebra, terms: dict) -> GradedElement:
 
 
 def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
-    """The product of ``{word: cv}`` maps, as a new one without zeros."""
-    mul = alg.field.mul
+    """The product of ``{word: cv}`` maps, as a new one without zeros.
+
+    A word's first term is a product, each later one is added by the
+    field's fused ``addmul`` or ``submul``, and a sum that cancels is held
+    as None until the end, so the words keep the order of their first
+    terms."""
+    field = alg.field
+    mul, fused = field.mul, {1: field.addmul, -1: field.submul}
     merge = alg.merge_words
-    cv_mul, cv_neg, cv_add = kernel.cv_mul, kernel.cv_neg, kernel.cv_add
+    cv_mul, cv_neg = kernel.cv_mul, kernel.cv_neg
     acc: dict = {}
     for w1, a in xs.items():
         for w2, b in ys.items():
@@ -386,12 +392,13 @@ def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
             if m is None:
                 continue
             w, sign = m
-            c = cv_mul(a, b, mul)
-            if sign < 0:
-                c = cv_neg(c)
             s = acc.get(w)
-            acc[w] = c if s is None else cv_add(s, c)
-    return {w: c for w, c in acc.items() if not kernel.cv_is_zero(c)}
+            if s is None:
+                c = cv_mul(a, b, mul)
+                acc[w] = c if sign > 0 else cv_neg(c)
+            else:
+                acc[w] = fused[sign](s, a, b)
+    return {w: c for w, c in acc.items() if c is not None}
 
 
 def wedge(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -473,7 +480,7 @@ class _WordLinear:
         if x.algebra is not self.source:
             raise ValueError("algebra mismatch")
         return _element(self.target, kernel.combine(x._terms, self._value,
-                                                    self.target.field.mul))
+                                                    self.target.field))
 
 
 class Differential(_WordLinear):

@@ -114,7 +114,7 @@ class CochainComplex:
             ambient = coords
         else:
             ambient = kernel.combine(coords, self.subspaces[k].rows.__getitem__,
-                                     self.algebra.field.mul)
+                                     self.algebra.field)
         words = self.algebra.basis(k)
         return _element(self.algebra, {words[j]: c for j, c in ambient.items()})
 
@@ -136,10 +136,10 @@ class CochainComplex:
             if self.subspaces is None or not word_rows:
                 rows = word_rows
             else:
-                mul = self.algebra.field.mul
                 rows = []
                 for row in self.subspaces[k].rows:
-                    image = kernel.combine(row, word_rows.__getitem__, mul)
+                    image = kernel.combine(row, word_rows.__getitem__,
+                                           self.algebra.field)
                     if image:
                         image = self.subspaces[k + 1].coordinates(image)
                         if image is None:
@@ -180,7 +180,7 @@ class CohomologyClass:
         reps = self.table.representatives(self.degree)
         alg = self.table.complex.algebra
         return _element(alg, kernel.combine(self.coords, lambda j: reps[j]._terms,
-                                            alg.field.mul))
+                                            alg.field))
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -251,7 +251,8 @@ class CohomologyTable:
 
     def _closed_row(self, x: GradedElement, k: int) -> dict:
         """Sparse coordinates of x in the complex, after checking that it is
-        closed and lies in the complex."""
+        closed and lies in the complex; a closed x with a term of another
+        degree than k fails the precondition on its degree."""
         cx = self.complex
         dx = apply_d(cx.differential, x)
         if not dx.is_zero():
@@ -259,7 +260,9 @@ class CohomologyTable:
         try:
             return cx.to_row(x, k)
         except ValueError:
-            raise ValueError("element does not lie in the complex") from None
+            if not x.is_homogeneous(k):
+                raise PreconditionError(f"element is not of degree {k}", x) from None
+            raise
 
     def class_coords(self, x: GradedElement, degree: int | None = None) -> dict:
         """Sparse coordinates ``{j: cv}`` of [x] in the representative basis

@@ -104,7 +104,7 @@ class Matrix:
         """Rank, from one forward elimination of a copy of the rows."""
         field = self.field
         return kernel.rank([dict(row) for row in self.sparse_rows], self.ncols,
-                           field.mul, _inv_cv(field))
+                           field, _inv_cv(field))
 
     def entry(self, i: int, j: int) -> FieldElement:
         cv = self.sparse_rows[i].get(j)
@@ -113,9 +113,9 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        row_of, mul = other.sparse_rows.__getitem__, self.field.mul
-        return Matrix(self.field, other.ncols,
-                      [kernel.combine(row, row_of, mul) for row in self.sparse_rows])
+        row_of, field = other.sparse_rows.__getitem__, self.field
+        return Matrix(field, other.ncols,
+                      [kernel.combine(row, row_of, field) for row in self.sparse_rows])
 
     def power(self, k: int) -> "Matrix":
         """self^k by repeated squaring (``kernel.power``)."""
@@ -153,7 +153,7 @@ class Eliminator:
             aug[n + i] = one
             rows.append(aug)
         self.rank, self.pivots = kernel.rref(
-            rows, n + a.nrows, n, field.phi, field.mul, _inv_cv(field))
+            rows, n + a.nrows, n, field, _inv_cv(field))
         self.image = Subspace(field, n, [{j: cv for j, cv in row.items() if j < n}
                                          for row in rows[:self.rank]], self.pivots)
         self._e = [{j - n: cv for j, cv in row.items() if j >= n}
@@ -168,7 +168,7 @@ class Eliminator:
         coeffs, rem = self.image.reduce(b)
         if rem:
             return None
-        return kernel.combine(coeffs, self._e.__getitem__, self.field.mul)
+        return kernel.combine(coeffs, self._e.__getitem__, self.field)
 
 
 class Subspace:
@@ -186,8 +186,8 @@ class Subspace:
     @classmethod
     def from_vectors(cls, field: CycloField, ambient_dim: int, vectors) -> "Subspace":
         rows = [_sparse(v, ambient_dim) for v in vectors]
-        rank, pivots = kernel.rref(rows, ambient_dim, ambient_dim, field.phi,
-                                   field.mul, _inv_cv(field))
+        rank, pivots = kernel.rref(rows, ambient_dim, ambient_dim, field,
+                                   _inv_cv(field))
         return cls(field, ambient_dim, rows[:rank], pivots)
 
     @property
@@ -207,7 +207,7 @@ class Subspace:
         becomes the remainder.  Neither checked nor copied: only for a
         well-formed row that the caller has just built and owns."""
         return kernel.reduce_against(row, self.rows, self._pivot_index,
-                                     self.ambient_dim, self.field.mul)
+                                     self.ambient_dim, self.field)
 
     def coordinates(self, v: dict) -> dict | None:
         if self.is_full():
@@ -233,7 +233,7 @@ def quotient_basis(rows: list[dict], small: Subspace) -> Subspace:
         rem = dict(row)
         small.reduce_owned(rem)
         rems.append(rem)
-    rank, pivots = kernel.rref(rems, n, n, field.phi, field.mul, _inv_cv(field))
+    rank, pivots = kernel.rref(rems, n, n, field, _inv_cv(field))
     if rank != len(rows) - small.dim:
         raise ValueError("small subspace is not contained in the big one")
     return Subspace(field, n, rems[:rank], pivots)

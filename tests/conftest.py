@@ -159,6 +159,7 @@ def refuse_to_build_fields(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(field_module, "cyclotomic_polynomial", refuse)
     mp.setattr(field_module.CycloField, "_power_table", refuse)
     mp.setattr(_kernel_py, "straight_line_product", refuse)
+    mp.setattr(_kernel_py, "straight_line_fused", refuse)
     mp.setattr(_kernel_py, "straight_line_map", refuse)
 
 

@@ -193,7 +193,7 @@ def reference_fixed_dims(table, action):
         for r in reps:
             acc = {}
             for f in powers:
-                kernel.row_axpy(acc, table.class_coords(apply_map(f, r), k), inv_m, field.mul)
+                kernel.row_axpy(acc, table.class_coords(apply_map(f, r), k), inv_m, field)
             rows.append(acc)
         dims.append(Subspace.from_vectors(field, len(reps), rows).dim)
     return dims
@@ -422,7 +422,7 @@ def test_a_cross_check_that_drops_the_shift_fails(model, monkeypatch):
     has the invariant cohomology.  A shift shared with the projector would
     drop on both sides here too, and the check would pass."""
     monkeypatch.setattr(action_module, "kernel",
-                        _kernel_with(row_axpy=lambda target, src, c, mul: None))
+                        _kernel_with(row_axpy=lambda target, src, c, field: None))
     with pytest.raises(AssertionError, match=r"complex gives \[1, 0, 13, 0, 26, 0, 13, 0, 1\], "
                        r"fixed part of H\* gives \[0, 0, 0, 0, 0, 0, 0, 0, 0\]"):
         invariant_cohomology(model.action, model.table)

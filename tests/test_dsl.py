@@ -466,7 +466,7 @@ def test_an_invariant_read_alone_exits_3_on_a_broken_cross_check(tmp_path, monke
     cross-check's rows the two sides disagree, and the run is an engine fault."""
     from cdgalab import action
     broken = types.SimpleNamespace(**{**vars(action.kernel),
-                                      "row_axpy": lambda target, src, c, mul: None})
+                                      "row_axpy": lambda target, src, c, field: None})
     monkeypatch.setattr(action, "kernel", broken)
     f = tmp_path / "lefschetz.cdga"
     f.write_text(_paper_with("lefschetz M invariant rho omega 2"))
@@ -585,8 +585,8 @@ def test_a_rank_that_disagrees_with_its_quotient_is_an_engine_fault(monkeypatch,
     from cdgalab import linalg
     rank = linalg.kernel.rank
 
-    def short_rank(rows, ncols, mul, inv):
-        r = rank(rows, ncols, mul, inv)
+    def short_rank(rows, ncols, field, inv):
+        r = rank(rows, ncols, field, inv)
         return r - 1 if (len(rows), ncols) == (28, 56) else r
 
     monkeypatch.setattr(linalg, "kernel",
@@ -611,6 +611,22 @@ def test_class_solve_on_user_input_is_a_failed_precondition(tmp_path, paper_sess
     with pytest.raises(PreconditionError) as info:
         table.class_coords(dsl.eval_expr("theta*eta", paper_session), 2)
     assert info.value.witness == dsl.eval_expr("mu*nu*eta", paper_session)
+
+
+@pytest.mark.parametrize("name", ["vol", "mu", "lef_lhs"])
+@pytest.mark.parametrize("table", ["full", "invariant rho"])
+def test_a_lefschetz_form_of_another_degree_is_a_failed_precondition(tmp_path, name,
+                                                                    table):
+    """A closed element of degree 8, 1 or 6 lies in the complex but is no
+    2-form: the failed precondition is its degree (exit 1), on the full and
+    on the invariant table."""
+    text = PAPER_SESSION.read_text().split("task ")[0] + (
+        f"task lefschetz M {table} {name} 1\n")
+    report = dsl.run(dsl.parse(text))
+    assert report.records == [("lefschetz_error", "element is not of degree 2")]
+    f = tmp_path / "degree.cdga"
+    f.write_text(text)
+    assert cli_main(["run", str(f)]) == 1
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):

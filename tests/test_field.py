@@ -235,6 +235,33 @@ def test_straight_line_product_matches_the_loop(n):
 
 
 @pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
+def test_fused_multiply_add_matches_the_add_after_the_product(n):
+    """``addmul(t, a, b)`` is ``cv_add(t, cv_mul(a, b))`` and ``submul`` the
+    same with -a, each None exactly where that sum is zero.  Besides sample
+    values, t runs over +-a*b, where the sum cancels, and over a value whose
+    denominator is da * db, where the numerators are added directly."""
+    f = make_field(n)
+    values = sample_values(f, random.Random(800 + n))
+    ts = [t.cv for t in values[::len(values) // 4]]
+    cancelled = summed = 0
+    for a in values[::max(1, len(values) // 24)]:
+        for b in values[::len(values) // 12]:
+            a_, b_ = a.cv, b.cv
+            p = kernel.cv_mul(a_, b_, f.mul)
+            over_d = f.rational(-7, a_[-1] * b_[-1]).cv
+            for t in ts + [p, kernel.cv_neg(p), over_d]:
+                for fused, c in ((f.addmul, a_), (f.submul, kernel.cv_neg(a_))):
+                    expected = kernel.cv_add(t, kernel.cv_mul(c, b_, f.mul))
+                    if kernel.cv_is_zero(expected):
+                        assert fused(t, a_, b_) is None
+                        cancelled += 1
+                    else:
+                        assert fused(t, a_, b_) == expected
+                        summed += 1
+    assert cancelled and summed
+
+
+@pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
 def test_straight_line_galois_maps_match_the_loop(n):
     f = make_field(n)
     values = sample_values(f, random.Random(600 + n))

@@ -233,7 +233,7 @@ def random_closed(table, k, rng):
     for r in cx.d_eliminator(k).kernel_rows() + table.coboundaries(k).rows:
         c = random_field_element(field, rng, 2)
         if not c.is_zero():
-            kernel.row_axpy(row, r, c.cv, field.mul)
+            kernel.row_axpy(row, r, c.cv, field)
     return cx.from_row(k, row)
 
 

@@ -122,6 +122,42 @@ def test_generic_loops_live_in_the_kernel():
     assert found == [("action.induced_action_fixed_dims", "row_axpy")], found
 
 
+def _qualified_nodes(path: Path):
+    """``(owner, node)`` for every AST node of ``path``; the owner is the
+    module and the qualified name of the enclosing class and function."""
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        yield owner, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+
+
+def test_products_are_added_by_the_fused_op_only():
+    """A product that is added to an entry is added by the field's fused
+    ``addmul`` or ``submul``, read in exactly the three accumulation loops,
+    and no loop of the library adds with ``cv_add`` a product (``cv_mul``
+    or ``mul``) made in the same loop."""
+    readers, adders = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _qualified_nodes(path):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in ("addmul", "submul") and isinstance(node.ctx, ast.Load):
+                readers.add(owner)
+            if isinstance(node, (ast.For, ast.While)):
+                called = {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+                          for c in ast.walk(node) if isinstance(c, ast.Call)
+                          and isinstance(c.func, (ast.Name, ast.Attribute))}
+                if "cv_add" in called and called & {"cv_mul", "mul"}:
+                    adders.append(f"{owner}:{node.lineno}")
+    assert sorted(readers) == ["_kernel_py.reduce_against", "_kernel_py.row_axpy",
+                               "algebra._product"], sorted(readers)
+    assert not adders, f"loops that add a product by cv_add: {adders}"
+
+
 # Functions and methods of the library that nothing in src/, perfbench/*.py
 # or benchmarks/ references, with the reason each stays.
 ALLOWED = {
