@@ -25,9 +25,9 @@ coordinates in locals and has the fold's integers written in.  For the same
 reason a multiply-accumulate is one call: ``cv_add`` after ``cv_mul`` adds
 three interpreted calls per entry (the sum, its lowest terms and the zero
 test).  ``row_axpy``, ``reduce_against`` and ``algebra``'s product of
-elements add each product to an existing entry with the fused op, and make
-only a new entry with ``cv_mul``; so a profiler or tracer that replaces
-``cv_mul`` here counts the products that make entries, not the fused ones.
+elements add each product to an existing entry with the fused op and make
+a new entry with ``cv_mul``, so a profiler or tracer that replaces
+``cv_mul`` here counts every product except the fused ones.
 
 For the same reason three generic loops of the engine live here and
 nowhere else: ``combine`` is the one linear combination of sparse rows (the
