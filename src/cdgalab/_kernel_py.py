@@ -65,7 +65,9 @@ def cv_is_zero(a):
 
 
 def cv_neg(a):
-    return tuple(-v for v in a[:-1]) + (a[-1],)
+    out = [-v for v in a]
+    out[-1] = a[-1]  # the denominator stays positive
+    return tuple(out)
 
 
 def cv_add(a, b):

@@ -46,13 +46,13 @@ def validate_action(f: AlgebraMap, m: int, d: Differential) -> None:
         raise PreconditionError(f"order must be positive, got {m}")
     fm = f.power(m)
     for g in range(len(alg.gens)):
-        gen = alg.word_element((g,))
+        gen = alg.word_element(alg.generator_word(g))
         residue = apply_map(fm, gen) - gen
         if not residue.is_zero():
             raise PreconditionError(
                 f"f^{m} is not the identity at {alg.gens[g].name}", residue)
     for g in range(len(alg.gens)):
-        gen = alg.word_element((g,))
+        gen = alg.word_element(alg.generator_word(g))
         residue = apply_map(f, apply_d(d, gen)) - apply_d(d, apply_map(f, gen))
         if not residue.is_zero():
             raise PreconditionError(

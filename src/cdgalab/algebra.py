@@ -1,15 +1,24 @@
 """Free graded-commutative algebras with a differential.
 
-Basis words are tuples of generator indices sorted by declaration order; odd
-generators appear at most once, even generators may repeat up to the declared
-truncation degree.  The sign of a product is the parity of degree-weighted
-transpositions in the merge of the two sorted words; this single convention
-fixes every sign produced by the engine.  Only odd generators change the sign
-as they pass each other, so the enumeration keeps, beside each basis word's
-degree, its odd mask: the bit set of its odd generators.  Two basis words
-merge with one ``&`` test for a shared odd generator, a sign counted by
-popcounts, and their sorted concatenation; a product with a word outside the
-basis is zero.
+A basis word is one int: a monomial in the generators, odd ones at most
+once, even ones up to the declared truncation degree.  Each odd generator
+has one bit and each even generator a field that holds its exponent up to
+top // degree, plus a guard bit, so two basis words without a common odd
+generator add up, with no carry out of any field, to the monomial of their
+product, in the basis or past the top.  The fields follow declaration order
+from bit 0, so a word's highest set bit names its last generator, the word
+of a product is the sum of the words, and the prefix p of a word p*g is
+p*g minus the word of g.  Each degree's basis lists its words in the
+lexicographic order of their generator sequences, which is not integer
+order; only ``format_word`` reads a word's generators back.
+
+The sign of a product is the parity of degree-weighted transpositions in the
+merge of the two sorted generator sequences; this single convention fixes
+every sign produced by the engine.  Only odd generators change the sign as
+they pass each other, so it is counted by popcounts on the words' odd bits.
+Two basis words merge with one ``&`` test for a shared odd generator, one
+test of their degrees against the top, and that count; a product with a word
+outside the basis is zero.
 
 A ``GradedElement`` stores its terms as one ``{word: cv}`` map, each key a
 basis word and each value the kernel's canonical integer tuple of a nonzero
@@ -54,7 +63,7 @@ class PreconditionError(ValueError):
         self.witness = witness
 
 
-Word = tuple  # tuple of generator indices, sorted
+Word = int  # a monomial: one bit per odd generator, one exponent field per even one
 
 # The most basis words an algebra may have, and the highest top degree
 # (there is one word list per degree).  2^18 words is 18 degree-1
@@ -123,35 +132,42 @@ class Algebra:
         self.top = top
         word_count(self.degrees, self.odd, top)
         self._index = {g.name: i for i, g in enumerate(gens)}
+        # the word of each generator, and for each bit length of a nonempty
+        # word the generator whose field holds its highest bit
+        self._unit: list[Word] = []
+        self._last: list[int] = [-1]
+        for g, (d, is_odd) in enumerate(zip(self.degrees, self.odd)):
+            self._unit.append(1 << (len(self._last) - 1))
+            width = 1 if is_odd else (top // d).bit_length() + 1  # with a guard bit
+            self._last += [g] * width
+        self._odd_bits = sum(u for u, is_odd in zip(self._unit, self.odd) if is_odd)
         self._word_degree: dict = {}
-        self._word_mask: dict = {}
         self._basis = self._collect_words()
         self._word_pos = [
             {w: i for i, w in enumerate(words)} for words in self._basis
         ]
 
     def _collect_words(self) -> list[list[Word]]:
-        """The basis words of each degree, in lexicographic order: a
-        depth-first walk that extends a word by generators in declaration
-        order, kept on an explicit stack so word length is not bounded by
-        the interpreter's recursion limit.  The walk also records each
-        word's degree and its odd mask, the bit set of its odd generators."""
-        basis: list[list[Word]] = [[] for _ in range(self.top + 1)]
-        degree_of, mask_of = self._word_degree, self._word_mask
+        """The basis words of each degree, in the lexicographic order of
+        their generator sequences: a depth-first walk that extends a word by
+        generators in declaration order, kept on an explicit stack so word
+        length is not bounded by the interpreter's recursion limit.  The
+        walk also records each word's degree."""
+        top, degrees, unit = self.top, self.degrees, self._unit
+        basis: list[list[Word]] = [[] for _ in range(top + 1)]
+        degree_of = self._word_degree
+        # the first generator a word may take after g: an odd g only once
+        after = [g + 1 if is_odd else g for g, is_odd in enumerate(self.odd)]
         last = len(self.gens) - 1
-        stack = [((), 0, 0, 0)]  # (word, degree, odd mask, first generator it may take)
+        stack = [(0, 0, 0)]  # (word, degree, first generator it may take)
         while stack:
-            word, deg, mask, start = stack.pop()
+            word, deg, start = stack.pop()
             basis[deg].append(word)
             degree_of[word] = deg
-            mask_of[word] = mask
             for g in range(last, start - 1, -1):  # pushed last-first, popped first-first
-                d2 = deg + self.degrees[g]
-                if d2 <= self.top:
-                    if self.odd[g]:
-                        stack.append((word + (g,), d2, mask | 1 << g, g + 1))
-                    else:
-                        stack.append((word + (g,), d2, mask, g))
+                d2 = deg + degrees[g]
+                if d2 <= top:
+                    stack.append((word + unit[g], d2, after[g]))
         return basis
 
     # --- basis bookkeeping ---
@@ -174,7 +190,7 @@ class Algebra:
         return self._word_degree[word]
 
     def _check_word(self, word: Word) -> None:
-        if word not in self._word_degree:
+        if type(word) is not int or word not in self._word_degree:
             raise ValueError(f"{word!r} is not a basis word of the algebra")
 
     def generator_index(self, name: str) -> int:
@@ -182,11 +198,14 @@ class Algebra:
             raise KeyError(f"unknown generator {name!r}")
         return self._index[name]
 
+    def generator_word(self, g: int) -> Word:
+        """The word of the generator with index g."""
+        return self._unit[g]
+
     def generator(self, name: str) -> "GradedElement":
-        return self.word_element((self.generator_index(name),))
+        return self.word_element(self.generator_word(self.generator_index(name)))
 
     def word_element(self, word: Word) -> "GradedElement":
-        word = tuple(word)
         self._check_word(word)
         return _element(self, {word: self.field.one.cv})
 
@@ -194,34 +213,46 @@ class Algebra:
         return _element(self, {})
 
     def scalar(self, value) -> "GradedElement":
-        return GradedElement(self, {(): value})
+        return GradedElement(self, {0: value})
 
     def unit(self) -> "GradedElement":
-        return self.word_element(())
+        return self.word_element(0)
 
     def merge_words(self, w1: Word, w2: Word):
-        """Merge two sorted words; returns (word, sign) or None when the
+        """The product of two words; returns (word, sign) or None when the
         product vanishes (repeated odd generator or truncation).
 
         The sign is (-1)^e, e the number of pairs of odd generators a in w1
         and b in w2 with a > b: only odd generators change sign as they pass
-        each other, and it is read from the words' odd masks.  A sorted word
-        outside the basis is past the top or repeats an odd generator, so
-        its products all vanish."""
-        m1 = self._word_mask.get(w1)
-        m2 = self._word_mask.get(w2)
-        if (m1 is None or m2 is None or m1 & m2
-                or self._word_degree[w1] + self._word_degree[w2] > self.top):
+        each other, and the bits of w1 and w2 under the odd mask are those
+        generators in order.  A word outside the basis has no degree, so its
+        products all vanish."""
+        odd = self._odd_bits
+        if w1 & w2 & odd:
             return None
+        degree_of = self._word_degree
+        d1 = degree_of.get(w1)
+        d2 = degree_of.get(w2)
+        if d1 is None or d2 is None or d1 + d2 > self.top:
+            return None
+        m1 = w1 & odd
+        m2 = w2 & odd
         e = 0
         while m2:
             low = m2 & -m2  # the bit of the lowest odd generator b left in w2
             e += (m1 & -(low << 1)).bit_count()  # odd generators of w1 above b
             m2 ^= low
-        return tuple(sorted(w1 + w2)), (-1 if e & 1 else 1)
+        return w1 + w2, (-1 if e & 1 else 1)
 
     def format_word(self, word: Word) -> str:
-        return "*".join(self.gens[g].name for g in word)
+        """The word's generator names in declaration order, joined by
+        ``*``; read from the last generator down, one prefix step each."""
+        names = []
+        while word:
+            g = self._last[word.bit_length()]
+            names.append(self.gens[g].name)
+            word -= self._unit[g]
+        return "*".join(reversed(names))
 
     def __repr__(self):
         gens = " ".join(f"{g.name}:{g.degree}" for g in self.gens)
@@ -313,8 +344,11 @@ class GradedElement:
         return bool(self._terms)
 
     def coefficient(self, word: Word) -> FieldElement:
+        """The coefficient of a basis word; a word outside the basis raises
+        ValueError."""
+        self.algebra._check_word(word)
         field = self.algebra.field
-        c = self._terms.get(tuple(word))
+        c = self._terms.get(word)
         return field.zero if c is None else FieldElement(field, c)
 
     def degree(self) -> int | None:
@@ -382,7 +416,7 @@ def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
     as None until the end, so the words keep the order of their first
     terms."""
     field = alg.field
-    mul, fused = field.mul, {1: field.addmul, -1: field.submul}
+    mul, addmul, submul = field.mul, field.addmul, field.submul
     merge = alg.merge_words
     cv_mul, cv_neg = kernel.cv_mul, kernel.cv_neg
     acc: dict = {}
@@ -397,8 +431,10 @@ def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
                 c = cv_mul(a, b, mul)
                 acc[w] = c if sign > 0 else cv_neg(c)
             else:
-                acc[w] = fused[sign](s, a, b)
-    return {w: c for w, c in acc.items() if c is not None}
+                acc[w] = addmul(s, a, b) if sign > 0 else submul(s, a, b)
+    if None in acc.values():
+        return {w: c for w, c in acc.items() if c is not None}
+    return acc
 
 
 def wedge(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -449,21 +485,25 @@ class _WordLinear:
                                  f"must be homogeneous of degree {want}")
             self.assignments[g] = val
         self._gen_values = {g: dict(v._terms) for g, v in self.assignments.items()}
-        self._values: dict = {(): unit}
+        self._values: dict = {0: unit}
 
     def _value(self, w: Word) -> dict:
         """The value on the word w as ``{word: cv}``, kept for every prefix."""
         values = self._values
         v = values.get(w)
         if v is None:
-            n = len(w)
-            while v is None:  # the longest prefix already kept
-                n -= 1
-                p = w[:n]
+            last, unit = self.source._last, self.source._unit
+            steps = []  # the generators stepped over, last first
+            p = w
+            while v is None:  # down to the longest prefix already kept
+                g = last[p.bit_length()]
+                p -= unit[g]
+                steps.append(g)
                 v = values.get(p)
-            for i in range(n, len(w)):
-                q = w[:i + 1]
-                v = values[q] = self._extend(p, v, w[i])
+            while steps:
+                g = steps.pop()
+                q = p + unit[g]
+                v = values[q] = self._extend(p, v, g)
                 p = q
         return v
 
@@ -473,8 +513,8 @@ class _WordLinear:
         none outside 0..top."""
         j = k + self.shift
         pos = self.target._word_pos[j] if 0 <= j <= self.target.top else {}
-        return [{pos[u]: c for u, c in self._value(w).items()}
-                for w in self.source.basis(k)]
+        return [{pos[u]: c for u, c in v.items()} if v else {}
+                for v in map(self._value, self.source.basis(k))]
 
     def _apply(self, x: GradedElement) -> GradedElement:
         if x.algebra is not self.source:
@@ -508,27 +548,39 @@ class Differential(_WordLinear):
                     f"residue {residue}", residue)
 
     def _extend(self, p: Word, dp: dict, g: int) -> dict:
-        # the terms d(p)*g and (-1)^|p| p*d(g), each merged in that order
+        # the terms d(p)*g, then (-1)^|p| p*d(g), each merged in that order;
+        # the words of each group are distinct, so only a word of the second
+        # group can meet one of the first, and a sum that cancels is dropped
         dg = self._gen_values.get(g)
         if not (dp or dg):
             return {}
         alg = self.algebra
         merge, neg = alg.merge_words, kernel.cv_neg
-        pairs = [(u, (g,), c) for u, c in dp.items()]
+        gw = alg.generator_word(g)
+        acc: dict = {}
+        for u, c in dp.items():
+            m = merge(u, gw)
+            if m is not None:
+                acc[m[0]] = c if m[1] > 0 else neg(c)
         if dg:
             odd = alg.word_degree(p) & 1
-            pairs += [(p, u, neg(c) if odd else c) for u, c in dg.items()]
-        acc: dict = {}
-        for u, v, c in pairs:
-            m = merge(u, v)
-            if m is None:
-                continue
-            w, sign = m
-            if sign < 0:
-                c = neg(c)
-            s = acc.get(w)
-            acc[w] = c if s is None else kernel.cv_add(s, c)
-        return {w: c for w, c in acc.items() if not kernel.cv_is_zero(c)}
+            for u, c in dg.items():
+                m = merge(p, u)
+                if m is None:
+                    continue
+                w, sign = m
+                if (sign < 0) != odd:
+                    c = neg(c)
+                s = acc.get(w)
+                if s is None:
+                    acc[w] = c
+                else:
+                    s = kernel.cv_add(s, c)
+                    if kernel.cv_is_zero(s):
+                        del acc[w]
+                    else:
+                        acc[w] = s
+        return acc
 
     def __call__(self, x: GradedElement) -> GradedElement:
         return apply_d(self, x)
@@ -547,7 +599,7 @@ class AlgebraMap(_WordLinear):
     _value_of = "image of {}"
 
     def __init__(self, source: Algebra, target: Algebra, assignments: dict):
-        super().__init__(source, target, assignments, {(): target.field.one.cv})
+        super().__init__(source, target, assignments, {0: target.field.one.cv})
         for g in range(len(source.gens)):
             if g not in self.assignments:
                 raise ValueError(f"map misses generator {source.gens[g].name}")
@@ -580,7 +632,8 @@ class AlgebraMap(_WordLinear):
 def identity_map(algebra: Algebra) -> AlgebraMap:
     return AlgebraMap(
         algebra, algebra,
-        {g: algebra.word_element((g,)) for g in range(len(algebra.gens))})
+        {g: algebra.word_element(algebra.generator_word(g))
+         for g in range(len(algebra.gens))})
 
 
 def apply_map(f: AlgebraMap, x: GradedElement) -> GradedElement:
@@ -611,7 +664,8 @@ class Conjugation:
                 raise ValueError(f"conjugation misses generator {algebra.gens[g].name}")
         self.pairing = mapping
         self._swap = AlgebraMap(algebra, algebra,
-                                {g: algebra.word_element((h,)) for g, h in mapping.items()})
+                                {g: algebra.word_element(algebra.generator_word(h))
+                                 for g, h in mapping.items()})
 
     def __call__(self, x: GradedElement) -> GradedElement:
         if x.algebra is not self.algebra:

@@ -127,6 +127,27 @@ def densify(field, row: dict, n: int) -> list:
     return out
 
 
+def letters(algebra, word: int) -> tuple:
+    """The sorted generator indices of an int word, read from the words of
+    the generators alone: generator g's field lies between its word and the
+    next generator's, so its exponent is word mod (next word) div (its
+    word).  The tests' decoder, apart from ``Algebra.format_word``."""
+    units = [algebra.generator_word(g) for g in range(len(algebra.gens))]
+    out = []
+    for g, unit in enumerate(units):
+        field = word % units[g + 1] if g + 1 < len(units) else word
+        out += [g] * (field // unit)
+    assert word_of(algebra, out) == word, word
+    return tuple(out)
+
+
+def word_of(algebra, seq) -> int:
+    """The int word of a sorted sequence of generator indices: the sum of
+    their generator words, which is a basis word only when the sequence is
+    one (an odd generator repeated carries into the next field)."""
+    return sum(algebra.generator_word(g) for g in seq)
+
+
 def random_homogeneous(algebra, degree: int, rng: random.Random, nterms: int = 3,
                        span: int = 3):
     words = algebra.basis(degree)

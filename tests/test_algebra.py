@@ -9,7 +9,7 @@ from cdgalab.algebra import WORD_BUDGET, GradedElement, format_element, word_cou
 from cdgalab.cli import main as cli_main
 from cdgalab.field import FieldElement
 
-from conftest import ROOT, random_element, random_homogeneous
+from conftest import ROOT, letters, random_element, random_homogeneous, word_of
 
 
 def test_basis_dimensions(model):
@@ -66,7 +66,7 @@ def test_random_failing_differentials_raise_with_witness():
             assert str(e).endswith(f"residue {e.witness}")
             continue
         for g in range(5):
-            assert apply_d(d, apply_d(d, alg.word_element((g,)))).is_zero()
+            assert apply_d(d, apply_d(d, alg.word_element(alg.generator_word(g)))).is_zero()
     assert found > 0, "the randomized search must hit failing differentials"
 
 
@@ -274,11 +274,12 @@ def ref_apply_d(d, x):
     out = alg.zero()
     for w, c in x.terms.items():
         prefix_deg = 0
-        for i, g in enumerate(w):
+        seq = letters(alg, w)
+        for i, g in enumerate(seq):
             dg = d.assignments.get(g)
             if dg is not None:
-                term = ref_wedge(ref_wedge(alg.word_element(w[:i]), dg),
-                                 alg.word_element(w[i + 1:]))
+                term = ref_wedge(ref_wedge(alg.word_element(word_of(alg, seq[:i])), dg),
+                                 alg.word_element(word_of(alg, seq[i + 1:])))
                 out = out + term.scale(c if prefix_deg % 2 == 0 else -c)
             prefix_deg += alg.degrees[g]
     return out
@@ -289,7 +290,7 @@ def ref_apply_map(f, x):
     out = f.target.zero()
     for w, c in x.terms.items():
         acc = f.target.unit()
-        for g in w:
+        for g in letters(f.source, w):
             acc = ref_wedge(acc, f.assignments[g])
         out = out + acc.scale(c)
     return out
@@ -302,8 +303,8 @@ def ref_conjugate(conj, x):
     out = alg.zero()
     for w, c in x.terms.items():
         acc = alg.unit()
-        for g in w:
-            acc = ref_wedge(acc, alg.word_element((conj.pairing[g],)))
+        for g in letters(alg, w):
+            acc = ref_wedge(acc, alg.word_element(alg.generator_word(conj.pairing[g])))
         out = out + acc.scale(c.conjugate())
     return out
 
@@ -326,12 +327,12 @@ def even_algebra():
 
 
 def ref_merge_words(alg, w1, w2):
-    """The merge walk through both sorted words: a letter of w2 placed in
-    front of the letters of w1 still waiting adds its degree times theirs to
-    the sign's exponent.  Returns (word, sign), or None for a repeated odd
-    generator or a product past the top degree."""
-    rem = alg.word_degree(w1)
-    if rem + alg.word_degree(w2) > alg.top:
+    """The merge walk through two sorted generator sequences: a letter of w2
+    placed in front of the letters of w1 still waiting adds its degree times
+    theirs to the sign's exponent.  Returns (sequence, sign), or None for a
+    repeated odd generator or a product past the top degree."""
+    rem = sum(alg.degrees[g] for g in w1)
+    if rem + sum(alg.degrees[g] for g in w2) > alg.top:
         return None
     out = []
     i, j = 0, 0
@@ -359,21 +360,29 @@ def ref_merge_words(alg, w1, w2):
 
 @pytest.mark.parametrize("which", ["paper", "truncated"])
 def test_merge_words_matches_the_merge_walk_on_every_pair(model, which):
-    """The odd-mask merge of basis words, on every ordered pair of them,
-    against the walk above; and words outside the basis, which are past the
-    top or repeat an odd generator, so every product with them vanishes."""
+    """The int merge of basis words, decoded, on every ordered pair of them,
+    against the walk above; and ints outside the basis (past the top, in a
+    guard bit, above every field, negative), whose products all vanish."""
     if which == "paper":
         alg = model.algebra
-        outside = [(0, 0), (1, 1), (0, 1, 1)]  # mu*mu, nu*nu, mu*nu*nu
+        outside = [1 << 8, (1 << 8) | 1, -1]  # above the eight generator bits
     else:
         alg = Algebra(make_field(12), [("x", 2), ("y", 3), ("z", 1)], top=9)
-        outside = [(1, 1), (2, 2), (0,) * 5, (0, 0, 0, 0, 1)]  # y*y, z*z, past the top
+        x, y, z = (alg.generator_word(g) for g in range(3))
+        # x^5 and x^4*y are past the top, x^8 sets x's guard bit, and 2*z
+        # is the bit above z's, past every field
+        outside = [5 * x, 4 * x + y, 8 * x, 2 * z, -1]
+        assert alg.merge_words(4 * x, x) is None  # an even exponent past the top
+        assert alg.merge_words(y, y) is None and alg.merge_words(x + z, z) is None
+        assert alg.merge_words(x + y, x) == (2 * x + y, 1)
+        assert alg.merge_words(z, y) == (y + z, -1)
     words = [w for k in range(alg.top + 1) for w in alg.basis(k)]
     outcomes = set()
     for w1 in words:
         for w2 in words:
             got = alg.merge_words(w1, w2)
-            assert got == ref_merge_words(alg, w1, w2), (w1, w2)
+            ref = ref_merge_words(alg, letters(alg, w1), letters(alg, w2))
+            assert (got and (letters(alg, got[0]), got[1])) == ref, (w1, w2)
             if got is None:
                 past_top = alg.word_degree(w1) + alg.word_degree(w2) > alg.top
                 outcomes.add("past the top" if past_top else "repeated odd")
@@ -444,10 +453,10 @@ def test_a_coefficient_of_another_field_is_refused(model):
     alg = model.algebra
     i4 = make_field(4).imaginary_unit()
     with pytest.raises(ValueError, match="^conductor mismatch: 4 vs 12$"):
-        GradedElement(alg, {(0,): i4})
+        GradedElement(alg, {1: i4})
     with pytest.raises(ValueError, match="^conductor mismatch: 4 vs 12$"):
-        GradedElement(alg, {(0,): alg.field.one, (1,): i4})
-    x = GradedElement(alg, {(0,): alg.field.imaginary_unit(), (1,): alg.field.zero})
+        GradedElement(alg, {1: alg.field.one, 2: i4})
+    x = GradedElement(alg, {1: alg.field.imaginary_unit(), 2: alg.field.zero})
     assert x.to_row(1) == {0: alg.field.imaginary_unit().cv}
 
 
@@ -458,6 +467,11 @@ def test_engine_paths_build_no_field_element(model, monkeypatch):
     g, table = model.gens, model.table
     x, y = model.omega, g["mu"] * g["nu"]
     r = table.representatives(2)[0]
+    # the eliminators behind the class solves invert each pivot once, in
+    # linalg._inv_cv, which boxes; build them first, so the test does not
+    # depend on another test having built them
+    table.class_coords(r, 2)
+    table.class_coords(wedge(r, x), 4)
     boxes = []
     init = FieldElement.__init__
 
@@ -482,18 +496,29 @@ def test_engine_paths_build_no_field_element(model, monkeypatch):
     assert x.terms and not x.is_zero()
 
 
-def test_words_outside_the_basis_are_refused():
-    """An unsorted word, a repeated odd generator, an unknown generator index
-    and a negative one are refused where an element is built from words."""
+def test_words_outside_the_basis_are_refused(model):
+    """A tuple of generator indices, x^4 past the top (in x's guard bit), a
+    bit above every field, a negative int and a bool are refused where an
+    element is built from words or a coefficient is read."""
     alg = Algebra(make_field(1), [("a", 1), ("b", 1), ("x", 2)], top=6)
-    with pytest.raises(ValueError, match="not a basis word"):
-        GradedElement(alg, {(1, 0): 1})
-    for word in [(0, 0), (7,), (-1,)]:
+    a, b, x = (alg.generator_word(g) for g in range(3))
+    assert (a, b, x) == (1, 2, 4)  # x's field: exponents 0..3 and a guard bit
+    y = alg.word_element(a + b)
+    for word in [(0, 1), 4 * x, 1 << 5, -1, True]:
         with pytest.raises(ValueError, match="not a basis word"):
             alg.word_element(word)
         with pytest.raises(ValueError, match="not a basis word"):
             GradedElement(alg, {word: 1})
-    assert alg.word_element((0, 1)) == GradedElement(alg, {(0, 1): 1})
+        with pytest.raises(ValueError, match="not a basis word"):
+            y.coefficient(word)
+    assert y == GradedElement(alg, {word_of(alg, (0, 1)): 1})
+    assert y.coefficient(a + b) == alg.field.one and y.coefficient(a).is_zero()
+    omega = model.omega
+    for word in [(1, 0), (99,), 1 << 8]:
+        with pytest.raises(ValueError, match="not a basis word"):
+            omega.coefficient(word)
+    mu_mubar = word_of(model.algebra, (0, 4))
+    assert omega.coefficient(mu_mubar) == model.field.imaginary_unit()
 
 
 def test_a_generator_above_the_top_degree_is_refused(tmp_path, capsys):
@@ -543,8 +568,9 @@ LADDER = ROOT / "perfbench" / "sessions" / "ladder.cdga"
 
 
 def ref_basis(alg):
-    """The basis words of each degree by the recursive walk the engine used
-    to take: each word, then its extensions by generators in order."""
+    """The basis words of each degree, as generator sequences, by the
+    recursive walk the engine used to take: each word, then its extensions
+    by generators in order."""
     basis = [[] for _ in range(alg.top + 1)]
 
     def collect(start, word, deg):
@@ -563,14 +589,25 @@ def mixed_algebra():
                                    ("w", 4)], top=14)
 
 
-@pytest.mark.parametrize("which", ["paper", "ladder", "mixed", "even"])
+@pytest.mark.parametrize("which", ["paper", "ladder", "mixed", "even", "truncated"])
 def test_iterative_enumeration_keeps_the_recursive_word_order(model, which):
+    """The int words of each degree decode to the sequences of the recursive
+    walk, in its order, which is the lexicographic order of the sequences;
+    ``format_word`` names the same sequence."""
     alg = {"paper": lambda: model.algebra,
            "ladder": lambda: dsl.parse(LADDER.read_text()).algebras["M"].algebra,
            "mixed": mixed_algebra,
-           "even": lambda: even_algebra()[0]}[which]()
+           "even": lambda: even_algebra()[0],
+           "truncated": lambda: Algebra(make_field(12), [("x", 2), ("y", 3), ("z", 1)],
+                                        top=9)}[which]()
     ref = ref_basis(alg)
-    assert [alg.basis(k) for k in range(alg.top + 1)] == ref
+    decoded = [[letters(alg, w) for w in alg.basis(k)] for k in range(alg.top + 1)]
+    assert decoded == ref
+    assert all(seqs == sorted(seqs) for seqs in decoded)
+    for k in range(alg.top + 1):
+        for w, seq in zip(alg.basis(k), decoded[k]):
+            assert alg.format_word(w) == "*".join(alg.gens[g].name for g in seq)
+            assert alg.word_degree(w) == k
     assert word_count(alg.degrees, alg.odd, alg.top) == alg.total_dim() == sum(map(len, ref))
 
 
@@ -585,6 +622,7 @@ def test_a_long_word_is_enumerated_and_mapped_without_recursion(tmp_path, capsys
     assert capsys.readouterr().out == f"{path}: ok (1 task(s))\n"
     alg = dsl.parse(path.read_text()).algebras["A"].algebra
     assert alg.total_dim() == 991
+    assert letters(alg, alg.basis(1980)[0]) == (0,) * 990
     top_word = alg.word_element(alg.basis(1980)[0])
     neg = AlgebraMap(alg, alg, {"x": -alg.generator("x")})
     assert apply_map(neg, top_word) == top_word  # (-1)^990

@@ -262,6 +262,18 @@ def test_fused_multiply_add_matches_the_add_after_the_product(n):
 
 
 @pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
+def test_negation_is_subtraction_from_zero(n):
+    """``cv_neg(a)`` is the canonical tuple ``cv_sub(0, a)``, and negating
+    twice gives back the same tuple."""
+    f = make_field(n)
+    for a in sample_values(f, random.Random(900 + n)):
+        neg = kernel.cv_neg(a.cv)
+        assert type(neg) is tuple
+        assert neg == kernel.cv_sub(f.zero.cv, a.cv) == (-a).cv
+        assert kernel.cv_neg(neg) == a.cv
+
+
+@pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
 def test_straight_line_galois_maps_match_the_loop(n):
     f = make_field(n)
     values = sample_values(f, random.Random(600 + n))
