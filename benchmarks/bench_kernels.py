@@ -20,8 +20,10 @@ the paper's algebra, and ``Matrix.rank`` on the 30 x 30 matrix of the first
 k = 1 query of the seed-1 scan session (``perfbench/workloads.py``).  On the
 full table of ``paper.cdga`` it times ``wedge`` on every ordered pair of
 degree-2 representatives, and ``class_coords`` on the products r * omega of the
-degree-3 representatives r, the rows of a k = 1 Lefschetz query.  The
-end-to-end harness is ``perfbench/run.py``.
+degree-3 representatives r, the rows of a k = 1 Lefschetz query.  In-process,
+it times ``dsl.tokenize`` and ``dsl.parse`` of the seed-1 scan session, the
+median of ``PARSE_REPEAT`` calls each.  The end-to-end harness is
+``perfbench/run.py``.
 
     python benchmarks/bench_kernels.py [--muls N] [--size N] [--repeat N]
 """
@@ -47,6 +49,7 @@ DENSITY = 0.3
 INVERSES = 20_000
 INVARIANT_REPEAT = 20
 LEFSCHETZ_QUERIES = 100
+PARSE_REPEAT = 40
 RANK_REPEAT = 20
 ROOT = Path(__file__).resolve().parent.parent
 PAPER = ROOT / "paper.cdga"
@@ -154,6 +157,12 @@ def bench_merge_words(alg, words):
     for w1 in words:
         for w2 in words:
             merge(w1, w2)
+    return time.perf_counter() - t0
+
+
+def bench_call(fn, arg):
+    t0 = time.perf_counter()
+    fn(arg)
     return time.perf_counter() - t0
 
 
@@ -265,7 +274,13 @@ def main():
     print(f"merge_words on all {len(words) ** 2} pairs of basis words of {PAPER.name}: "
           f"{best / len(words) ** 2 * 1e6:8.3f} us per merge")
 
-    scan = dsl.parse(workloads.scan_session(1))
+    scan_text = workloads.scan_session(1)
+    for name, fn in (("tokenize", dsl.tokenize), ("parse", dsl.parse)):
+        median = statistics.median(bench_call(fn, scan_text) for _ in range(PARSE_REPEAT))
+        print(f"dsl.{name} of the seed-1 scan session ({len(scan_text)} chars), "
+              f"median of {PARSE_REPEAT}: {median * 1e3:8.2f} ms")
+
+    scan = dsl.parse(scan_text)
     scan_table = CohomologyTable(CochainComplex(scan.algebras["M"].differential))
     m = lefschetz(scan_table.class_of(scan.lets["w0"], 2), 1).matrix
     best = min(bench_rank(m) for _ in range(RANK_REPEAT))

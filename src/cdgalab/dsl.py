@@ -17,8 +17,14 @@ integers ``[0-9]+``; both ASCII only)::
     scalar := '{' polynomial in z (and i when 4 | n) with rationals '}'
 
 ``*`` between forms is the wedge product; juxtaposition is not allowed.  A
-bare scalar term denotes a degree-0 element.  Every failure is a positioned
-diagnostic; no input text crashes the parser.
+bare scalar term denotes a degree-0 element, and a scalar is parsed straight
+to the kernel's cv.  Parentheses nest at most ``MAX_NESTING`` (64) deep.
+Every failure is a positioned diagnostic; no input text crashes the parser.
+
+Tokens come from one ``findall`` pass that skips blanks and comments; a
+token's kind is looked up by its first character, and a character with no kind
+is unexpected.  A token is its index in the lists of kinds and texts; its line
+and column are counted only for a diagnostic, by walking the matches again.
 
 Tasks: ``betti``, ``invariant_betti``, ``obstruction``, ``massey``,
 ``symplectic``, ``lefschetz``, ``mv_union``, ``resolution``, ``verify_exact``.
@@ -33,9 +39,12 @@ sessions produce byte-identical reports.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import operator
 import re
-from fractions import Fraction
+import string
 
+from ._backend import kernel
 from ._record import Frozen
 from .algebra import (Algebra, AlgebraMap, Conjugation, Differential,
                       GradedElement, PreconditionError, apply_d, format_element, wedge)
@@ -47,11 +56,8 @@ from .symplectic import is_symplectic, lefschetz
 from .topology import EXCEPTIONAL_DIM, BettiVector, Edge, IncidenceGraph, betti_p1_bundle, \
     betti_projective, betti_resolution, betti_union, check_edge
 
-RESERVED = {
-    "field", "cyclotomic", "algebra", "generators", "conjugation", "d", "map",
-    "order", "let", "task", "top", "z", "i", "invariant", "full", "node",
-    "edge", "proj", "p1b",
-}
+RESERVED = {"field", "cyclotomic", "algebra", "generators", "conjugation", "d", "map", "order",
+            "let", "task", "top", "z", "i", "invariant", "full", "node", "edge", "proj", "p1b"}
 
 class Diagnostic(Frozen):
     """A message and the line and column it points at."""
@@ -71,41 +77,33 @@ class DslError(Exception):
 
 # --- tokens -----------------------------------------------------------------
 
-# One alternative per token kind; blanks and comments match no named group
-# and are skipped, and any other character is BAD.
-_TOKEN = re.compile(r"(?P<NEWLINE>\n)|[ \t\r]+|#[^\n]*|(?P<INT>[0-9]+)"
-                    r"|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)"
-                    r"|(?P<SYM>->|[:={};*+\-^/()])|(?P<BAD>.)")
+# Each match skips blanks and a comment, then captures one token text; the
+# empty capture at the end of the text is EOF.
+_TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?(->|[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^ \t\r]|\Z)")
+# A token's kind by its first character; a character not in the table is BAD.
+_KIND = {"": "EOF", "\n": "NEWLINE", **dict.fromkeys(string.digits, "INT"),
+         **dict.fromkeys(string.ascii_letters, "IDENT"), **dict.fromkeys(":={};*+-^/()", "SYM")}
+MAX_NESTING = 64  # parentheses an expression may open around one factor
 
 
-class Token:
-    """One token and the line and column where it starts.  A plain class
-    with slots, because a session builds one object per token."""
+def tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens of ``text``, the last one EOF; a
+    token is its index in both lists."""
+    texts = _TOKEN.findall(text)
+    if len(texts) > 1 and not texts[-2]:  # blanks or a comment end the text
+        texts.pop()
+    kinds = [_KIND.get(t[:1], "BAD") for t in texts]
+    if "BAD" in kinds:
+        i = kinds.index("BAD")
+        raise DslError(_diagnostic(text, i, f"unexpected character {texts[i]!r}"))
+    return kinds, texts
 
-    __slots__ = ("kind", "text", "line", "col")
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # IDENT, INT, SYM, NEWLINE, EOF
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        col = m.start() - line_start + 1
-        if kind == "BAD":
-            raise DslError(Diagnostic(line, col, f"unexpected character {m.group()!r}"))
-        tokens.append(Token(kind, m.group(), line, col))
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+def _diagnostic(text: str, index: int, message: str) -> Diagnostic:
+    """``message`` at the line and column of token ``index`` of ``text``,
+    counted only now, by walking the token matches again up to that one."""
+    start = next(itertools.islice(_TOKEN.finditer(text), index, None)).start(1)
+    return Diagnostic(text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start), message)
 
 
 # --- session model ----------------------------------------------------------
@@ -115,14 +113,14 @@ class AlgebraContext:
         self.name = name
         self.algebra = algebra
         self.d_assignments: dict = {}
-        self.first_d_token: Token | None = None
+        self.first_d_token: int | None = None
         self.conjugation: Conjugation | None = None
         self.differential: Differential | None = None  # built by finalize
         self.gen_degrees = {g.name: g.degree for g in algebra.gens}  # name -> degree
 
 
 class MapBinding:
-    def __init__(self, token: Token, ctx: AlgebraContext, order: int, map: AlgebraMap):
+    def __init__(self, token: int, ctx: AlgebraContext, order: int, map: AlgebraMap):
         self.token = token  # the map's name, where its diagnostics point
         self.ctx = ctx
         self.order = order
@@ -162,98 +160,99 @@ class Session:
 class Parser:
     def __init__(self, text: str, session: Session | None = None):
         self.session = Session(text) if session is None else session
-        self.tokens = tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.kinds, self.texts = tokenize(text)
+        self.pos = 0  # a token is its index into kinds and texts
+        self.depth = 0  # parentheses open around the factor being parsed
         self.current: AlgebraContext | None = None
         self.names: dict[str, str] = {}  # global namespace -> kind
 
     # token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
+    def next(self) -> int:
+        t = self.pos
+        if self.kinds[t] != "EOF":
+            self.pos = t + 1
         return t
 
-    def fail(self, token: Token, message: str):
-        raise DslError(Diagnostic(token.line, token.col, message))
+    def fail(self, token: int, message: str):
+        raise DslError(_diagnostic(self.text, token, message))
 
-    def accept(self, text: str, kind: str = "SYM") -> Token | None:
-        t = self.peek()
-        if t.kind == kind and t.text == text:
-            return self.next()
-        return None
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is the symbol or keyword ``text``."""
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, text: str, kind: str = "SYM") -> Token:
-        """The next token, which must be the symbol (or, with kind IDENT,
-        the keyword) ``text``."""
+    def expect(self, text: str) -> int:
+        """The next token, which must be the symbol or keyword ``text``."""
         t = self.next()
-        if t.kind != kind or t.text != text:
+        if self.texts[t] != text:
             self.fail(t, f"expected {text!r}")
         return t
 
-    def expect_ident(self, what: str = "identifier") -> Token:
+    def expect_ident(self, what: str = "identifier") -> int:
         t = self.next()
-        if t.kind != "IDENT":
+        if self.kinds[t] != "IDENT":
             self.fail(t, f"expected {what}")
         return t
 
-    def expect_int(self, what: str = "integer") -> tuple[int, Token]:
+    def expect_int(self, what: str = "integer") -> tuple[int, int]:
         t = self.next()
-        if t.kind != "INT":
+        if self.kinds[t] != "INT":
             self.fail(t, f"expected {what}")
         try:
-            return int(t.text), t
+            return int(self.texts[t]), t
         except ValueError:  # longer than the interpreter converts
-            self.fail(t, f"integer literal too long: {len(t.text)} digits")
+            self.fail(t, f"integer literal too long: {len(self.texts[t])} digits")
 
     def skip_newlines(self):
-        while self.peek().kind == "NEWLINE":
-            self.next()
+        while self.kinds[self.pos] == "NEWLINE":
+            self.pos += 1
 
     def expect_end_of_statement(self):
-        t = self.peek()
-        if t.kind in ("NEWLINE", "EOF"):
-            if t.kind == "NEWLINE":
-                self.next()
-            return
-        self.fail(t, f"unexpected trailing token {t.text!r}")
+        t = self.pos
+        if self.kinds[t] == "NEWLINE":
+            self.pos = t + 1
+        elif self.kinds[t] != "EOF":
+            self.fail(t, f"unexpected trailing token {self.texts[t]!r}")
 
-    def declare(self, token: Token, kind: str):
-        name = token.text
+    def declare(self, token: int, kind: str):
+        name = self.texts[token]
         if name in RESERVED:
             self.fail(token, f"{name!r} is a reserved word")
         if name in self.names:
             self.fail(token, f"duplicate declaration of {name!r} (already a {self.names[name]})")
         self.names[name] = kind
 
-    def require_field(self, token: Token) -> CycloField:
+    def require_field(self, token: int) -> CycloField:
         if self.session.field is None:
             self.fail(token, "no field declared yet")
         return self.session.field
 
-    def require_algebra(self, token: Token) -> AlgebraContext:
+    def require_algebra(self, token: int) -> AlgebraContext:
         if self.current is None:
             self.fail(token, "no algebra declared yet")
         return self.current
 
-    def known_generator(self, ctx: AlgebraContext, t: Token) -> Token:
-        if t.text not in ctx.gen_degrees:
-            self.fail(t, f"unknown generator {t.text!r}")
-        return t
+    def known_generator(self, ctx: AlgebraContext, t: int) -> str:
+        """The name of the generator of ``ctx`` that ``t`` names."""
+        name = self.texts[t]
+        if name not in ctx.gen_degrees:
+            self.fail(t, f"unknown generator {name!r}")
+        return name
 
-    def resolve_element(self, ctx: AlgebraContext, t: Token, noun: str) -> GradedElement:
+    def resolve_element(self, ctx: AlgebraContext, t: int, noun: str) -> GradedElement:
         """The generator or ``let`` of ``ctx``'s algebra that ``t`` names."""
-        if t.text in ctx.gen_degrees:
-            return ctx.algebra.generator(t.text)
-        value = self.session.lets.get(t.text)
+        name = self.texts[t]
+        if name in ctx.gen_degrees:
+            return ctx.algebra.generator(name)
+        value = self.session.lets.get(name)
         if value is None:
-            self.fail(t, f"unknown {noun} {t.text!r}")
+            self.fail(t, f"unknown {noun} {name!r}")
         if value.algebra is not ctx.algebra:
-            self.fail(t, f"{t.text!r} belongs to another algebra")
+            self.fail(t, f"{name!r} belongs to another algebra")
         return value
 
     # statements
@@ -261,14 +260,15 @@ class Parser:
     def parse(self) -> Session:
         while True:
             self.skip_newlines()
-            t = self.peek()
-            if t.kind == "EOF":
+            t = self.pos
+            kind, text = self.kinds[t], self.texts[t]
+            if kind == "EOF":
                 break
-            if t.kind != "IDENT":
-                self.fail(t, f"expected a statement keyword, got {t.text!r}")
-            handler = getattr(self, f"stmt_{t.text}", None)
+            if kind != "IDENT":
+                self.fail(t, f"expected a statement keyword, got {text!r}")
+            handler = getattr(self, f"stmt_{text}", None)
             if handler is None:
-                self.fail(t, f"unknown statement {t.text!r}")
+                self.fail(t, f"unknown statement {text!r}")
             handler()
         self.finalize()
         return self.session
@@ -278,8 +278,8 @@ class Parser:
         if self.session.field is not None:
             self.fail(kw, "duplicate field declaration")
         t = self.expect_ident("'cyclotomic'")
-        if t.text != "cyclotomic":
-            self.fail(t, f"unknown field kind {t.text!r}")
+        if self.texts[t] != "cyclotomic":
+            self.fail(t, f"unknown field kind {self.texts[t]!r}")
         n, ntok = self.expect_int("conductor")
         try:
             self.session.field = make_field(n)
@@ -292,12 +292,11 @@ class Parser:
         field = self.require_field(kw)
         name_tok = self.expect_ident("algebra name")
         self.declare(name_tok, "algebra")
-        self.expect("generators", "IDENT")
-        gens = []
-        top = None
-        while self.peek().kind not in ("NEWLINE", "EOF"):
+        self.expect("generators")
+        gens, top = [], None
+        while self.kinds[self.pos] not in ("NEWLINE", "EOF"):
             g = self.expect_ident("generator name")
-            if g.text == "top":
+            if self.texts[g] == "top":
                 top, _ = self.expect_int("top degree")
                 break
             self.expect(":")
@@ -306,15 +305,16 @@ class Parser:
                 self.fail(dtok, f"generator degree must be >= 1, got {deg}")
             gens.append((g, deg))
         if not gens:
-            self.fail(self.peek(), "an algebra needs at least one generator")
+            self.fail(self.pos, "an algebra needs at least one generator")
         for g, _deg in gens:
             self.declare(g, "generator")
+        name = self.texts[name_tok]
         try:
-            algebra = Algebra(field, [(g.text, deg) for g, deg in gens], top=top)
+            algebra = Algebra(field, [(self.texts[g], deg) for g, deg in gens], top=top)
         except ValueError as e:
             self.fail(name_tok, str(e))
-        ctx = AlgebraContext(name_tok.text, algebra)
-        self.session.algebras[name_tok.text] = ctx
+        ctx = AlgebraContext(name, algebra)
+        self.session.algebras[name] = ctx
         self.current = ctx
         self.expect_end_of_statement()
 
@@ -324,14 +324,15 @@ class Parser:
         if ctx.conjugation is not None:
             self.fail(kw, f"duplicate conjugation for algebra {ctx.name!r}")
         pairs = []
-        while self.peek().kind == "IDENT":
+        while self.kinds[self.pos] == "IDENT":
             a = self.next()
-            if self.peek().kind != "IDENT":
-                self.fail(a, f"conjugation takes generator pairs; {a.text!r} has no partner")
+            if self.kinds[self.pos] != "IDENT":
+                self.fail(a, "conjugation takes generator pairs; "
+                             f"{self.texts[a]!r} has no partner")
             b = self.next()
-            pairs.append((self.known_generator(ctx, a).text, self.known_generator(ctx, b).text))
+            pairs.append((self.known_generator(ctx, a), self.known_generator(ctx, b)))
         if not pairs:
-            self.fail(self.peek(), "conjugation needs at least one pair")
+            self.fail(self.pos, "conjugation needs at least one pair")
         try:
             ctx.conjugation = Conjugation(ctx.algebra, pairs)
         except ValueError as e:
@@ -341,19 +342,18 @@ class Parser:
     def stmt_d(self):
         kw = self.next()
         ctx = self.require_algebra(kw)
-        gen_tok = self.known_generator(ctx, self.expect_ident("generator name"))
-        if gen_tok.text in ctx.d_assignments:
-            self.fail(gen_tok, f"duplicate differential for {gen_tok.text!r}")
+        gen_tok = self.expect_ident("generator name")
+        gen = self.known_generator(ctx, gen_tok)
+        if gen in ctx.d_assignments:
+            self.fail(gen_tok, f"duplicate differential for {gen!r}")
         self.expect("=")
-        expr_tok = self.peek()
+        expr_tok = self.pos
         value = self.parse_expr(ctx)
-        want = ctx.gen_degrees[gen_tok.text] + 1
+        want = ctx.gen_degrees[gen] + 1
         if not value.is_zero() and value.degree() != want:
-            got = value.degree()
-            shown = got if got is not None else "mixed"
-            self.fail(expr_tok,
-                      f"degree mismatch: d({gen_tok.text}) must have degree {want}, got {shown}")
-        ctx.d_assignments[gen_tok.text] = value
+            got = "mixed" if value.degree() is None else value.degree()
+            self.fail(expr_tok, f"degree mismatch: d({gen}) must have degree {want}, got {got}")
+        ctx.d_assignments[gen] = value
         if ctx.first_d_token is None:
             ctx.first_d_token = gen_tok
         self.expect_end_of_statement()
@@ -363,7 +363,7 @@ class Parser:
         ctx = self.require_algebra(kw)
         name_tok = self.expect_ident("map name")
         self.declare(name_tok, "map")
-        self.expect("order", "IDENT")
+        self.expect("order")
         order, otok = self.expect_int("map order")
         if order < 1:
             self.fail(otok, f"order must be >= 1, got {order}")
@@ -373,17 +373,17 @@ class Parser:
             self.skip_newlines()
             if self.accept("}"):
                 break
-            gen_tok = self.known_generator(ctx, self.expect_ident("generator name"))
-            if gen_tok.text in assignments:
-                self.fail(gen_tok, f"duplicate map assignment for {gen_tok.text!r}")
+            gen_tok = self.expect_ident("generator name")
+            gen = self.known_generator(ctx, gen_tok)
+            if gen in assignments:
+                self.fail(gen_tok, f"duplicate map assignment for {gen!r}")
             self.expect("->")
-            expr_tok = self.peek()
+            expr_tok = self.pos
             value = self.parse_expr(ctx)
-            want = ctx.gen_degrees[gen_tok.text]
+            want = ctx.gen_degrees[gen]
             if not value.is_zero() and value.degree() != want:
-                self.fail(expr_tok,
-                          f"degree mismatch: image of {gen_tok.text} must have degree {want}")
-            assignments[gen_tok.text] = value
+                self.fail(expr_tok, f"degree mismatch: image of {gen} must have degree {want}")
+            assignments[gen] = value
             self.skip_newlines()
             if not self.accept(";"):
                 self.skip_newlines()
@@ -393,7 +393,7 @@ class Parser:
             amap = AlgebraMap(ctx.algebra, ctx.algebra, assignments)
         except ValueError as e:
             self.fail(name_tok, str(e))
-        self.session.maps[name_tok.text] = MapBinding(name_tok, ctx, order, amap)
+        self.session.maps[self.texts[name_tok]] = MapBinding(name_tok, ctx, order, amap)
         self.expect_end_of_statement()
 
     def stmt_let(self):
@@ -403,31 +403,32 @@ class Parser:
         self.declare(name_tok, "let")
         self.expect("=")
         value = self.parse_expr(ctx)
-        self.session.lets[name_tok.text] = value
+        self.session.lets[self.texts[name_tok]] = value
         self.expect_end_of_statement()
 
     # expressions
 
-    def signed_sum(self, term):
-        """``['-'] term (('+'|'-') term)*``, for elements and for scalars."""
+    def signed_sum(self, term, neg, add, sub):
+        """``['-'] term (('+'|'-') term)*``, for elements and for scalars,
+        with the negation, sum and difference of their kind."""
         negate = self.accept("-")
         acc = term()
         if negate:
-            acc = -acc
+            acc = neg(acc)
         while True:
-            t = self.peek()
-            if t.kind != "SYM" or t.text not in ("+", "-"):
+            op = self.texts[self.pos]
+            if op != "+" and op != "-":
                 return acc
-            self.next()
-            acc = acc + term() if t.text == "+" else acc - term()
+            self.pos += 1
+            acc = add(acc, term()) if op == "+" else sub(acc, term())
 
     def parse_expr(self, ctx: AlgebraContext) -> GradedElement:
-        return self.signed_sum(lambda: self.parse_term(ctx))
+        return self.signed_sum(lambda: self.parse_term(ctx),
+                               operator.neg, operator.add, operator.sub)
 
     def parse_term(self, ctx: AlgebraContext) -> GradedElement:
-        t = self.peek()
-        if t.kind == "SYM" and t.text == "{":
-            scalar = self.parse_scalar(ctx)
+        if self.texts[self.pos] == "{":
+            scalar = self.parse_scalar()
             if not self.accept("*"):
                 return ctx.algebra.scalar(scalar)
             acc = self.parse_factor(ctx).scale(scalar)
@@ -439,61 +440,60 @@ class Parser:
 
     def parse_factor(self, ctx: AlgebraContext) -> GradedElement:
         t = self.next()
-        if t.kind == "SYM" and t.text == "(":
+        if self.texts[t] == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(t, f"expression nested deeper than {MAX_NESTING}")
+            self.depth += 1
             e = self.parse_expr(ctx)
+            self.depth -= 1
             self.expect(")")
             return e
-        if t.kind != "IDENT":
-            self.fail(t, f"expected an element, got {t.text!r}")
+        if self.kinds[t] != "IDENT":
+            self.fail(t, f"expected an element, got {self.texts[t]!r}")
         return self.resolve_element(ctx, t, "identifier")
 
-    def parse_scalar(self, ctx: AlgebraContext) -> FieldElement:
-        open_tok = self.expect("{")
-        field = self.require_field(open_tok)
-        value = self.signed_sum(lambda: self.scalar_term(field))
+    def parse_scalar(self) -> FieldElement:
+        field = self.require_field(self.expect("{"))
+        value = self.signed_sum(lambda: self.scalar_term(field),
+                                kernel.cv_neg, kernel.cv_add, kernel.cv_sub)
         t = self.next()
-        if t.kind in ("NEWLINE", "EOF"):
-            self.fail(t, "malformed scalar: missing '}'")
-        if t.kind != "SYM" or t.text != "}":
-            self.fail(t, f"malformed scalar: unexpected {t.text!r}")
-        return value
+        if self.texts[t] != "}":
+            self.fail(t, "malformed scalar: missing '}'" if self.kinds[t] in ("NEWLINE", "EOF")
+                      else f"malformed scalar: unexpected {self.texts[t]!r}")
+        return FieldElement(field, value)
 
-    def scalar_term(self, field: CycloField) -> FieldElement:
+    def scalar_term(self, field: CycloField) -> tuple:
         acc = self.scalar_factor(field)
         while self.accept("*"):
-            acc = acc * self.scalar_factor(field)
+            acc = field.mul(acc, self.scalar_factor(field))
         return acc
 
-    def scalar_factor(self, field: CycloField) -> FieldElement:
-        t = self.peek()
-        if t.kind == "INT":
+    def scalar_factor(self, field: CycloField) -> tuple:
+        """An integer, a fraction, or a power of z or i, as a cv."""
+        if self.kinds[self.pos] == "INT":
             num, _ = self.expect_int()
+            den = 1
             if self.accept("/"):
                 den, dtok = self.expect_int("denominator")
                 if den == 0:
                     self.fail(dtok, "malformed scalar: zero denominator")
-                return field.rational(Fraction(num, den))
-            return field.rational(num)
-        self.next()
-        if t.kind == "IDENT" and t.text in ("z", "i"):
-            if t.text == "i":
-                if field.n % 4 != 0:
-                    self.fail(t, f"malformed scalar: 'i' needs 4 | conductor, got {field.n}")
-                base = field.imaginary_unit()
-            else:
-                base = field.zeta(1)
-            if self.accept("^"):
-                k, _ = self.expect_int("exponent")
-                return base ** k
-            return base
-        self.fail(t, f"malformed scalar: unexpected {t.text!r}")
+            return kernel.cv_normalize([num] + [0] * (field.phi - 1), den)
+        t = self.next()
+        base = self.texts[t]
+        if base == "i" and field.n % 4:
+            self.fail(t, f"malformed scalar: 'i' needs 4 | conductor, got {field.n}")
+        if base not in ("z", "i"):
+            self.fail(t, f"malformed scalar: unexpected {base!r}")
+        k = self.expect_int("exponent")[0] if self.accept("^") else 1
+        # z^k, and i^k = z^(k n/4), from the field's table of z^0 .. z^(n-1)
+        return field.pow_table[(k if base == "z" else k * (field.n // 4)) % field.n] + (1,)
 
     # tasks
 
     def stmt_task(self):
         self.next()
         name_tok = self.expect_ident("task name")
-        name = name_tok.text
+        name = self.texts[name_tok]
         if name not in _TASK_RUNNERS:
             self.fail(name_tok, f"unknown task {name!r}")
         args = getattr(self, f"task_{name}")(name_tok)
@@ -502,18 +502,19 @@ class Parser:
 
     def arg_algebra(self) -> AlgebraContext:
         t = self.expect_ident("algebra name")
-        ctx = self.session.algebras.get(t.text)
+        ctx = self.session.algebras.get(self.texts[t])
         if ctx is None:
-            self.fail(t, f"unknown algebra {t.text!r}")
+            self.fail(t, f"unknown algebra {self.texts[t]!r}")
         return ctx
 
     def arg_map(self, ctx: AlgebraContext) -> MapBinding:
         t = self.expect_ident("map name")
-        binding = self.session.maps.get(t.text)
+        name = self.texts[t]
+        binding = self.session.maps.get(name)
         if binding is None:
-            self.fail(t, f"unknown map {t.text!r}")
+            self.fail(t, f"unknown map {name!r}")
         if binding.ctx is not ctx:
-            self.fail(t, f"map {t.text!r} belongs to another algebra")
+            self.fail(t, f"map {name!r} belongs to another algebra")
         return binding
 
     def arg_element(self, ctx: AlgebraContext) -> GradedElement:
@@ -521,20 +522,20 @@ class Parser:
 
     def arg_complex_mode(self, ctx: AlgebraContext) -> MapBinding | None:
         t = self.expect_ident("'invariant' or 'full'")
-        if t.text == "full":
+        if self.texts[t] == "full":
             return None
-        if t.text == "invariant":
+        if self.texts[t] == "invariant":
             return self.arg_map(ctx)
         self.fail(t, "expected 'invariant <map>' or 'full'")
 
-    def task_betti(self, tok: Token) -> tuple:
-        return self.arg_algebra(), self.accept("reps", "IDENT") is not None
+    def task_betti(self, tok: int) -> tuple:
+        return self.arg_algebra(), self.accept("reps")
 
-    def task_invariant_betti(self, tok: Token) -> tuple:
+    def task_invariant_betti(self, tok: int) -> tuple:
         ctx = self.arg_algebra()
-        return ctx, self.arg_map(ctx), self.accept("reps", "IDENT") is not None
+        return ctx, self.arg_map(ctx), self.accept("reps")
 
-    def task_symplectic(self, tok: Token) -> tuple:
+    def task_symplectic(self, tok: int) -> tuple:
         ctx = self.arg_algebra()
         omega = self.arg_element(ctx)
         n, _ = self.expect_int("half dimension")
@@ -543,18 +544,18 @@ class Parser:
             self.fail(tok, f"algebra {ctx.name!r} has no conjugation declared")
         return ctx, omega, n, vol
 
-    def task_obstruction(self, tok: Token) -> tuple:
+    def task_obstruction(self, tok: int) -> tuple:
         ctx = self.arg_algebra()
         mode = self.arg_complex_mode(ctx)
         alpha = self.arg_element(ctx)
         betas = tuple(self.arg_element(ctx) for _ in range(3))
         return ctx, mode, alpha, betas, self.arg_element(ctx)
 
-    def task_massey(self, tok: Token) -> tuple:
+    def task_massey(self, tok: int) -> tuple:
         ctx = self.arg_algebra()
         return (ctx, *(self.arg_element(ctx) for _ in range(3)))
 
-    def task_lefschetz(self, tok: Token) -> tuple:
+    def task_lefschetz(self, tok: int) -> tuple:
         ctx = self.arg_algebra()
         mode = self.arg_complex_mode(ctx)
         omega = self.arg_element(ctx)
@@ -563,24 +564,25 @@ class Parser:
 
     def parse_space(self) -> BettiVector:
         t = self.expect_ident("'proj' or 'p1b'")
-        if t.text not in ("proj", "p1b"):
+        kind = self.texts[t]
+        if kind not in ("proj", "p1b"):
             self.fail(t, "expected 'proj <n>' or 'p1b <n>'")
-        n, ntok = self.expect_int("projective dimension" if t.text == "proj"
+        n, ntok = self.expect_int("projective dimension" if kind == "proj"
                                   else "base projective dimension")
-        dim = 2 * n if t.text == "proj" else 2 * n + 2
+        dim = 2 * n if kind == "proj" else 2 * n + 2
         if dim > EXCEPTIONAL_DIM:
-            self.fail(ntok, f"{t.text} {n} has real dimension {dim}, above the "
+            self.fail(ntok, f"{kind} {n} has real dimension {dim}, above the "
                             f"exceptional set's {EXCEPTIONAL_DIM}")
         space = betti_projective(n)
-        return space if t.text == "proj" else betti_p1_bundle(space)
+        return space if kind == "proj" else betti_p1_bundle(space)
 
     def parse_graph(self) -> IncidenceGraph:
-        nodes = []
-        edges = []
+        nodes, edges = [], []
         while True:
-            if self.accept("node", "IDENT"):
+            if self.accept("node"):
                 nodes.append(self.parse_space())
-            elif etok := self.accept("edge", "IDENT"):
+            elif self.texts[self.pos] == "edge":
+                etok = self.next()
                 a, atok = self.expect_int("node index")
                 b, btok = self.expect_int("node index")
                 inter = self.parse_space()
@@ -596,29 +598,29 @@ class Parser:
             else:
                 break
         if not nodes:
-            self.fail(self.peek(), "expected at least one 'node' clause")
+            self.fail(self.pos, "expected at least one 'node' clause")
         return IncidenceGraph(nodes, edges)
 
-    def task_mv_union(self, tok: Token) -> tuple:
+    def task_mv_union(self, tok: int) -> tuple:
         return (self.parse_graph(),)
 
-    def task_resolution(self, tok: Token) -> tuple:
+    def task_resolution(self, tok: int) -> tuple:
         ctx = self.arg_algebra()
         binding = self.arg_map(ctx)
         s, _ = self.expect_int("number of resolved points")
         return ctx, binding, s, self.parse_graph()
 
-    def task_verify_exact(self, tok: Token) -> tuple:
+    def task_verify_exact(self, tok: int) -> tuple:
         values = []
         for _ in range(2):  # lhs, then the primitive, looked up session-wide
             t = self.expect_ident("element name")
-            value = self.session.lookup_element(t.text)
+            value = self.session.lookup_element(self.texts[t])
             if value is None:
-                self.fail(t, f"unknown element {t.text!r}")
+                self.fail(t, f"unknown element {self.texts[t]!r}")
             values.append(value)
         lhs, prim = values
         if prim.algebra is not lhs.algebra:
-            self.fail(t, f"{t.text!r} belongs to another algebra")
+            self.fail(t, f"{self.texts[t]!r} belongs to another algebra")
         ctx = next(c for c in self.session.algebras.values() if c.algebra is lhs.algebra)
         return ctx, lhs, prim
 
@@ -635,9 +637,8 @@ class Parser:
                 binding.action = GroupAction(binding.map, binding.order,
                                              binding.ctx.differential)
             except ValueError as e:
-                self.fail(binding.token,
-                          f"map {binding.token.text!r} is not a valid "
-                          f"order-{binding.order} action: {e}")
+                self.fail(binding.token, f"map {self.texts[binding.token]!r} is not a "
+                                         f"valid order-{binding.order} action: {e}")
 
 
 def parse(text: str) -> Session:
@@ -678,15 +679,14 @@ class Report:
         return not self.failures
 
     def machine_text(self) -> str:
-        lines = [f"session_sha256 = {self.session_sha256}"]
-        lines.extend(f"{k} = {v}" for k, v in self.records)
-        return "\n".join(lines) + "\n"
+        return self._text(f"session_sha256 = {self.session_sha256}")
 
     def human_text(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} task(s) failed"
-        lines = [f"# session {self.session_sha256[:12]}   [{status}]"]
-        lines.extend(f"{k} = {v}" for k, v in self.records)
-        return "\n".join(lines) + "\n"
+        return self._text(f"# session {self.session_sha256[:12]}   [{status}]")
+
+    def _text(self, header: str) -> str:
+        return "\n".join([header, *(f"{k} = {v}" for k, v in self.records)]) + "\n"
 
 
 class _RunContext:
@@ -698,7 +698,7 @@ class _RunContext:
     def table(self, ctx: AlgebraContext, binding: MapBinding | None) -> CohomologyTable:
         """The table of the full complex of ``ctx``, or the checked table of
         ``binding``'s invariant complex; each is built (and checked) once."""
-        key = (ctx.name, binding.token.text if binding else None)
+        key = (ctx.name, binding)  # one binding per map name
         if key not in self._tables:
             self._tables[key] = (
                 CohomologyTable(CochainComplex(ctx.differential)) if binding is None

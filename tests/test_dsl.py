@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import itertools
+import operator
 import random
 import re
 import string
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from cdgalab import dsl
-from cdgalab.algebra import Algebra, PreconditionError, format_element
+from cdgalab.algebra import Algebra, PreconditionError, format_element, wedge
 from cdgalab.cli import main as cli_main
 from cdgalab.homology import CochainComplex
 from cdgalab.linalg import Matrix
@@ -797,3 +800,131 @@ def test_graph_edge_errors_point_at_the_edge(edge, message):
         dsl.parse(text)
     d = err.value.diagnostic
     assert (d.line, d.col, d.message) == (2, 39, message)
+
+
+# Diagnostics whose line and column are counted from the failing token only:
+# blanks, CRLF line ends, comments and a text without a final newline before it.
+POSITION_DIAGNOSTICS = [
+    (_F + "algebra M\t@ generators a:1\n", 2, 11, "unexpected character '@'"),
+    ("field cyclotomic 12\r\nalgebra M generators a:1\r\n@\r\n", 3, 1,
+     "unexpected character '@'"),
+    ("# a comment may hold @ and é\n" + _F + "  # and so may this: $\n  $\n", 4, 3,
+     "unexpected character '$'"),
+    (_F + "algebra M generators _x:1\n", 2, 22, "unexpected character '_'"),
+    (_M + "map f order 1 { mu > mu }\n", 3, 20, "unexpected character '>'"),
+    (_M + "let é = mu\n", 3, 5, "unexpected character 'é'"),
+    ("field cyclotomic 12\r\nalgebra M generators mu:1\r\nlet x = {1/\t0}", 3, 13,
+     "malformed scalar: zero denominator"),
+    (_M + "let x = {1 + z", 3, 15, "malformed scalar: missing '}'"),
+    (_M + "let x = {1 + z   ", 3, 18, "malformed scalar: missing '}'"),
+    (_M + "let x = {1 + z # no final newline", 3, 34, "malformed scalar: missing '}'"),
+    # The tokenizer reads the whole text first: its error wins over an earlier
+    # parse error.
+    ("field 12\nalgebra M generators mu:1\nlet x = mu @\n", 3, 12,
+     "unexpected character '@'"),
+]
+
+
+@pytest.mark.parametrize("text,line,col,message", POSITION_DIAGNOSTICS)
+def test_diagnostic_positions_are_counted_at_the_failing_token(text, line, col, message):
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(text)
+    d = err.value.diagnostic
+    assert (d.line, d.col, d.message) == (line, col, message)
+
+
+def _nested(depth: int) -> str:
+    return "(" * depth + "mu" + ")" * depth
+
+
+@pytest.mark.parametrize("depth", [dsl.MAX_NESTING, dsl.MAX_NESTING + 1, 400])
+def test_deep_parentheses_are_a_diagnostic_not_a_crash(depth, paper_session):
+    """Up to ``MAX_NESTING`` parentheses parse; one more is a diagnostic at
+    the first parenthesis past the bound, in a session and in ``eval_expr``,
+    long before the interpreter's recursion limit."""
+    session_text = _M + "let x = " + _nested(depth) + "\n"
+    if depth <= dsl.MAX_NESTING:
+        session = dsl.parse(session_text)
+        assert session.lets["x"] == session.algebras["M"].algebra.generator("mu")
+        mu = paper_session.algebras["M"].algebra.generator("mu")
+        assert dsl.eval_expr(_nested(depth), paper_session, "M") == mu
+        return
+    message = f"expression nested deeper than {dsl.MAX_NESTING}"
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(session_text)
+    d = err.value.diagnostic
+    assert (d.line, d.col, d.message) == (3, len("let x = ") + dsl.MAX_NESTING + 1, message)
+    with pytest.raises(dsl.DslError) as err:
+        dsl.eval_expr(_nested(depth), paper_session, "M")
+    d = err.value.diagnostic
+    assert (d.line, d.col, d.message) == (1, dsl.MAX_NESTING + 1, message)
+
+
+def test_expressions_match_the_elements_built_through_the_api(paper_session):
+    """``eval_expr`` parses scalars straight to cvs; the same elements built
+    with ``wedge``, ``scale``, ``+`` and ``FieldElement`` arithmetic agree."""
+    alg = paper_session.algebras["M"].algebra
+    f = alg.field
+    mu, nu, theta = (alg.generator(n) for n in ("mu", "nu", "theta"))
+    z, i = f.zeta(1), f.imaginary_unit()
+    cases = {
+        "{0}*mu": alg.zero(),
+        "{z^25}*mu": mu.scale(z ** 25),
+        "{z^0}*nu": nu,
+        "{i^3}*nu": nu.scale(i ** 3),
+        "{i}*nu": nu.scale(i),
+        "{-1/2*z^2*i}*theta": theta.scale(f.rational(-1, 2) * z ** 2 * i),
+        "{3/4 - z + 6/8*z^13}": alg.scalar(f.rational(3, 4) - z + f.rational(6, 8) * z ** 13),
+        "-(mu*nu) + {3}": -wedge(mu, nu) + alg.scalar(f.rational(3)),
+        "(mu + nu)*(mu - nu)": wedge(mu + nu, mu - nu),
+        "mu*theta*mu": wedge(wedge(mu, theta), mu),
+    }
+    for text, expected in cases.items():
+        assert dsl.eval_expr(text, paper_session, "M") == expected, text
+    assert cases["mu*theta*mu"].is_zero() and not cases["(mu + nu)*(mu - nu)"].is_zero()
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _api_product(alg, word: str):
+    return functools.reduce(wedge, (alg.generator(n) for n in word.split("*")))
+
+
+def test_paper_lets_match_the_elements_built_through_the_api(paper_session):
+    alg = paper_session.algebras["M"].algebra
+    i = alg.field.imaginary_unit()
+    p = functools.partial(_api_product, alg)
+    omega = (p("mu*mubar").scale(i) + p("nu*theta") + p("nubar*thetabar")
+             + p("eta*etabar").scale(i))
+    expected = {
+        "omega": omega,
+        "alpha": p("mu*mubar"), "beta1": p("nu*nubar"),
+        "beta2": p("nu*etabar"), "beta3": p("nubar*eta"),
+        "vol": p("theta*mu*nu*eta*thetabar*mubar*nubar*etabar"),
+        "lef_lhs": wedge(wedge(omega, omega), p("nu*nubar")),
+        "lef_prim": -p("theta*mubar*etabar*eta*nubar").scale(alg.field.rational(2)),
+    }
+    assert paper_session.lets == expected
+
+
+def test_scan_lets_match_the_elements_built_through_the_api():
+    """Every form of the seed-1 scan session, from the coefficients its
+    generator drew: ``(rational + c*z^e) * word`` summed over the words."""
+    workloads = _load_workloads()
+    session = dsl.parse(workloads.scan_session(1))
+    alg = session.algebras["M"].algebra
+    f = alg.field
+    expected = {"vol": _api_product(alg, "theta*mu*nu*eta*thetabar*mubar*nubar*etabar")}
+    for n, (coeffs, _k) in enumerate(workloads.scan_forms(1)):
+        for name, cs in ((f"w{n}", coeffs), (f"w{n}c", workloads.galois_conjugate(coeffs))):
+            terms = [_api_product(alg, w).scale(f.rational(r) + f.zeta(e) * c)
+                     for w, (r, c, e) in cs]
+            expected[name] = functools.reduce(operator.add, terms)
+    assert len(expected) == 121
+    assert session.lets == expected

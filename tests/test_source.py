@@ -162,6 +162,7 @@ def test_products_are_added_by_the_fused_op_only():
 # or benchmarks/ references, with the reason each stays.
 ALLOWED = {
     "dsl.eval_expr": "public: evaluates one expression against a parsed session",
+    "field.CycloField.imaginary_unit": "public: the field's i; the parser reads i^k off pow_table",
     "field.FieldElement.conjugate": "public; the signature's Hermitian congruence will read it",
     "homology.CochainComplex.basis_elements": "tests walk the invariant complex's basis with it",
     "homology.CohomologyTable.coboundaries": "tests check representatives against B^k with it",
