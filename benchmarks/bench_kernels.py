@@ -19,8 +19,9 @@ times one Lefschetz query: k = 1 on ``omega`` against the full table of
 the paper's algebra, and ``Matrix.rank`` on the 30 x 30 matrix of the first
 k = 1 query of the seed-1 scan session (``perfbench/workloads.py``).  On the
 full table of ``paper.cdga`` it times ``wedge`` on every ordered pair of
-degree-2 representatives, and ``class_coords`` on the products r * omega of the
-degree-3 representatives r, the rows of a k = 1 Lefschetz query.  In-process,
+degree-2 representatives, ``class_coords`` on the products r * omega of the
+degree-3 representatives r, the rows of a k = 1 Lefschetz query, and
+``product_rows(omega, 3, 5)``, the same rows with their wedges.  In-process,
 it times ``dsl.tokenize`` and ``dsl.parse`` of the seed-1 scan session, the
 median of ``PARSE_REPEAT`` calls each.  The end-to-end harness is
 ``perfbench/run.py``.
@@ -267,6 +268,10 @@ def main():
     best = min(bench_class_coords(full, products, 5) for _ in range(args.repeat))
     print(f"class_coords of r * omega for the {len(products)} degree-3 representatives r "
           f"of {PAPER.name}: {best / len(products) * 1e6:8.3f} us per solve")
+    best = min(bench_call(lambda x: full.product_rows(x, 3, 5), omega)
+               for _ in range(args.repeat))
+    print(f"product_rows(omega, 3, 5), the same rows with their wedges: "
+          f"{best / len(products) * 1e6:8.3f} us per row")
 
     alg = full.complex.algebra
     words = [w for k in range(alg.top + 1) for w in alg.basis(k)]

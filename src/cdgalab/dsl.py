@@ -654,6 +654,8 @@ def eval_expr(text: str, session: Session, algebra_name: str | None = None) -> G
         if not session.algebras:
             raise DslError(Diagnostic(1, 1, "no algebra declared"))
         algebra_name = next(reversed(session.algebras))
+    elif algebra_name not in session.algebras:
+        raise DslError(Diagnostic(1, 1, f"unknown algebra {algebra_name!r}"))
     value = parser.parse_expr(session.algebras[algebra_name])
     parser.expect_end_of_statement()
     return value

@@ -13,7 +13,7 @@ its indeterminacy.
 
 from __future__ import annotations
 
-from .algebra import GradedElement, PreconditionError, wedge
+from .algebra import GradedElement, PreconditionError, apply_d, wedge
 from .field import FieldElement
 from .homology import CohomologyClass, CohomologyTable, engine_built, top_scalar
 from .linalg import Subspace
@@ -58,7 +58,7 @@ def _require_closed(table: CohomologyTable, x: GradedElement, label: str, degree
             raise PreconditionError(f"{label} must be homogeneous of degree {degree}")
         if not cx.contains(x, degree):
             raise PreconditionError(f"{label} does not lie in the working complex")
-    dx = cx.d(x)
+    dx = apply_d(cx.differential, x)
     if not dx.is_zero():
         raise PreconditionError(f"{label} is not closed", dx)
 
@@ -86,7 +86,7 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable,
             if not cx.contains(xi, 3):
                 raise PreconditionError(
                     f"xi_{i + 1} does not lie in the working complex")
-            diff = cx.d(xi) - wedge(inp.alpha, b)
+            diff = apply_d(cx.differential, xi) - wedge(inp.alpha, b)
             if not diff.is_zero():
                 raise PreconditionError(
                     f"d(xi_{i + 1}) != alpha*beta_{i + 1}", diff)
@@ -108,7 +108,7 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable,
     x1, x2, x3 = primitives
     b1, b2, b3 = inp.betas
     element = wedge(wedge(x1, x2), b3) + wedge(wedge(x2, x3), b1) + wedge(wedge(x3, x1), b2)
-    residue = cx.d(element)
+    residue = apply_d(cx.differential, element)
     if not residue.is_zero():
         raise AssertionError(f"obstruction element failed to close: {residue}")
 
@@ -161,12 +161,10 @@ def massey_triple(x: CohomologyClass, y: CohomologyClass,
     else:
         rep = rep - cross
     out_deg = x.degree + y.degree + z.degree - 1
-    rows = []
     with engine_built():
         coords = table.class_coords(rep, out_deg)
-        for h in table.representatives(y.degree + z.degree - 1):
-            rows.append(table.class_coords(wedge(xr, h), out_deg))
-        for h in table.representatives(x.degree + y.degree - 1):
-            rows.append(table.class_coords(wedge(h, zr), out_deg))
+    # h*x' is (-1)^(|x||h|) x'*h, a sign that leaves the span unchanged
+    rows = (table.product_rows(xr, y.degree + z.degree - 1, out_deg)
+            + table.product_rows(zr, x.degree + y.degree - 1, out_deg))
     indet = Subspace.from_vectors(xr.algebra.field, table.dim(out_deg), rows)
     return MasseyResult(coords, rep, indet)

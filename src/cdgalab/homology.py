@@ -35,12 +35,13 @@ There is one class solve, ``CohomologyTable.class_coords``, and a class is
 held in one form, the sparse row ``{j: cv}`` of its coordinates in the
 representative basis.  The solve checks that its element belongs to the
 table's algebra, is closed and lies in the complex, and that the remainder
-against the representatives is zero; ``class_of`` and ``cup`` read their
-classes from it.  On a user's element a failed check is a failed
-precondition (``PreconditionError``).  Inside ``engine_built()`` the element
-is one the engine made itself, such as a product of representatives or the
-image of one under a map, and a failed check is an engine fault
-(``AssertionError``).
+against the representatives is zero; ``class_of``, ``cup`` and the one
+product loop, ``product_rows`` (the classes of r * x over the representatives
+r of a degree), read their classes from it.  On a user's element a failed
+check is a failed precondition (``PreconditionError``).  Inside
+``engine_built()`` the element is one the engine made itself, such as a
+product of representatives or the image of one under a map, and a failed
+check is an engine fault (``AssertionError``).
 """
 
 from __future__ import annotations
@@ -153,9 +154,6 @@ class CochainComplex:
         if k not in self._d_eliminators:
             self._d_eliminators[k] = Eliminator(self.d_matrix(k))
         return self._d_eliminators[k]
-
-    def d(self, x: GradedElement) -> GradedElement:
-        return apply_d(self.differential, x)
 
 
 class CohomologyClass:
@@ -308,6 +306,12 @@ class CohomologyTable:
             return None
         return self.complex.from_row(k - 1, sol)
 
+    def product_rows(self, x: GradedElement, k: int, degree: int) -> list[dict]:
+        """The classes in ``degree`` of r * x for the degree-k representatives
+        r, none outside 0..top; the degree is explicit as x may be zero."""
+        with engine_built():
+            return [self.class_coords(wedge(r, x), degree) for r in self.representatives(k)]
+
     def cup(self, c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
         """Product of classes via representatives."""
         if c1.table is not self or c2.table is not self:
@@ -345,6 +349,10 @@ def top_scalar(x: GradedElement, volume: GradedElement):
         raise ValueError("volume must be a single basis word")
     word, = volume._terms
     k = alg.word_degree(word)
-    if not x.is_zero() and x.degree() != k:
+    if k != alg.top:
+        raise ValueError(f"volume must be of the top degree {alg.top}, got {k}")
+    if x.is_zero():
+        return alg.field.zero
+    if x.degree() != k:
         raise ValueError(f"degree mismatch: expected homogeneous degree {k}")
     return x.coefficient(word) / volume.coefficient(word)

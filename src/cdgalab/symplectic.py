@@ -4,9 +4,9 @@ Nondegeneracy is the top-power criterion omega^n != 0 (constant-coefficient
 model); the hard-Lefschetz maps are cup products with [omega]^k between the
 complementary cohomology degrees.
 
-A Lefschetz query builds omega^k once, by repeated squaring, and row i of
-its cup matrix is the class of r_i * omega^k for the source representatives
-r_i, one ``wedge`` and one class solve each.  The rank comes from one
+A Lefschetz query builds omega^k once, by repeated squaring, and its cup
+matrix is ``CohomologyTable.product_rows`` of omega^k: row i is the class of
+r_i * omega^k for the source representatives r_i.  The rank comes from one
 forward elimination of the cup matrix's own rows (``Matrix.rank``) and the
 kernel dimension from rank-nullity.  The kernel basis needs the left
 kernel, a Gauss-Jordan elimination of [A | I], and is built only when
@@ -19,7 +19,7 @@ from functools import cached_property
 
 from ._backend import kernel
 from .algebra import Conjugation, Differential, GradedElement, apply_d, wedge
-from .homology import CohomologyClass, engine_built, top_scalar
+from .homology import CohomologyClass, top_scalar
 from .linalg import Eliminator, Matrix, Subspace
 
 
@@ -68,15 +68,11 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
         if power.is_zero():
             break
         power = wedge(power, omega)
-    if power.is_zero():
-        scalar = alg.field.zero
-    else:
-        scalar = top_scalar(power, volume)
     return SymplecticVerdict(
         closed=d_res.is_zero(),
         real=conj_res.is_zero(),
         nondegenerate=not power.is_zero(),
-        power_scalar=scalar,
+        power_scalar=top_scalar(power, volume),
         residue_d=None if d_res.is_zero() else d_res,
         residue_conj=None if conj_res.is_zero() else conj_res,
     )
@@ -117,9 +113,6 @@ def lefschetz(omega_class: CohomologyClass, k: int) -> LefschetzReport:
     omega = omega_class.representative()
     omega_k = kernel.power(omega, k, omega.algebra.unit, wedge)
     src, dst = n - k, n + k
-    with engine_built():
-        rows = [table.class_coords(wedge(r, omega_k), dst)
-                for r in table.representatives(src)]
-    m = Matrix(omega.algebra.field, table.betti[dst], rows)
+    m = Matrix(omega.algebra.field, table.betti[dst], table.product_rows(omega_k, src, dst))
     rank = m.rank()
     return LefschetzReport(k, src, dst, m, rank, m.nrows - rank)

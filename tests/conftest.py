@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +16,15 @@ from cdgalab.homology import CochainComplex, CohomologyTable
 ROOT = Path(__file__).resolve().parent.parent
 
 GEN_NAMES = ["mu", "nu", "theta", "eta", "mubar", "nubar", "thetabar", "etabar"]
+
+
+def load_workloads():
+    """The benchmark's session generators, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @dataclass

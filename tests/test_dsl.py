@@ -1,5 +1,4 @@
 import functools
-import importlib.util
 import itertools
 import operator
 import random
@@ -15,10 +14,11 @@ import pytest
 from cdgalab import dsl
 from cdgalab.algebra import Algebra, PreconditionError, format_element, wedge
 from cdgalab.cli import main as cli_main
-from cdgalab.homology import CochainComplex
+from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Matrix
 
-from conftest import EVEN_SESSION, ROOT, random_element, refuse_to_build_fields
+from conftest import (EVEN_SESSION, ROOT, load_workloads, random_element,
+                      refuse_to_build_fields)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "paper.report"
@@ -632,6 +632,84 @@ def test_a_lefschetz_form_of_another_degree_is_a_failed_precondition(tmp_path, n
     assert cli_main(["run", str(f)]) == 1
 
 
+def test_a_value_error_inside_product_rows_exits_3(monkeypatch, capsys):
+    """A class solve that fails inside ``product_rows`` fails on a product
+    the engine built: the Lefschetz task of the paper run is an engine
+    fault (exit 3).  ``product_rows`` solves through the method, so the
+    patched ``class_coords`` is the one it calls."""
+    product_rows, class_coords = CohomologyTable.product_rows, CohomologyTable.class_coords
+    inside = []
+
+    def flagged(self, x, k, degree):
+        inside.append(None)
+        try:
+            return product_rows(self, x, k, degree)
+        finally:
+            inside.pop()
+
+    def refusing(self, x, degree=None):
+        if inside:
+            raise ValueError("refused")
+        return class_coords(self, x, degree)
+
+    monkeypatch.setattr(CohomologyTable, "product_rows", flagged)
+    monkeypatch.setattr(CohomologyTable, "class_coords", refusing)
+    assert cli_main(["run", str(PAPER_SESSION)]) == 3
+    assert "engine-built element: refused" in capsys.readouterr().err
+
+
+def test_a_paper_run_makes_92_wedges_and_225_class_solves(paper_session, monkeypatch):
+    """Frozen counts: the product loop makes the products and solves that
+    the Lefschetz and Massey loops made before it, in every module that
+    binds ``wedge``."""
+    calls = []
+
+    def counting_wedge(x, y):
+        calls.append("wedge")
+        return wedge(x, y)
+
+    def counting_class_coords(self, x, degree=None):
+        calls.append("class_coords")
+        return class_coords(self, x, degree)
+
+    class_coords = CohomologyTable.class_coords
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cdgalab.") and getattr(module, "wedge", None) is wedge:
+            monkeypatch.setattr(module, "wedge", counting_wedge)
+    monkeypatch.setattr(CohomologyTable, "class_coords", counting_class_coords)
+    report = dsl.run(paper_session)
+    assert report.machine_text() == GOLDEN.read_text()
+    assert (calls.count("wedge"), calls.count("class_coords")) == (92, 225)
+
+
+@pytest.mark.parametrize("task", ["symplectic M zero 4 {vol}", "symplectic M omega 4 {vol}",
+                                  "obstruction M invariant rho zero zero zero zero {vol}",
+                                  "obstruction M invariant rho alpha beta1 beta2 beta3 {vol}"])
+@pytest.mark.parametrize("vol, k", [("alpha", 2), ("seven", 7)])
+def test_a_volume_of_another_degree_is_refused(tmp_path, task, vol, k):
+    """The volume's degree is checked before the scalar is read, so a zero
+    power or obstruction class no longer reads 0 against a 2-form, and a
+    nonzero one no longer reports a degree mismatch against the volume's
+    degree."""
+    name = task.split()[0]
+    text = PAPER_SESSION.read_text().split("task ")[0] + (
+        "let zero = {0}*mu*nu\n"
+        "let seven = theta*mu*nu*eta*thetabar*mubar*nubar\n"
+        f"task {task.format(vol=vol)}\n")
+    report = dsl.run(dsl.parse(text))
+    assert report.records == [(f"{name}_error", f"volume must be of the top degree 8, got {k}")]
+    f = tmp_path / "volume.cdga"
+    f.write_text(text)
+    assert cli_main(["run", str(f)]) == 1
+
+
+def test_eval_expr_refuses_an_unknown_algebra(paper_session):
+    with pytest.raises(dsl.DslError, match="^1:1: unknown algebra 'nope'$"):
+        dsl.eval_expr("mu", paper_session, "nope")
+    with pytest.raises(dsl.DslError, match="^1:1: no algebra declared$"):
+        dsl.eval_expr("mu", dsl.parse("field cyclotomic 12\n"))
+
+
 def test_cli_check_exit_codes(tmp_path, capsys):
     assert cli_main(["check", str(PAPER_SESSION)]) == 0
     bad = FIXTURES / "bad_unknown_ident.cdga"
@@ -884,14 +962,6 @@ def test_expressions_match_the_elements_built_through_the_api(paper_session):
     assert cases["mu*theta*mu"].is_zero() and not cases["(mu + nu)*(mu - nu)"].is_zero()
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def _api_product(alg, word: str):
     return functools.reduce(wedge, (alg.generator(n) for n in word.split("*")))
 
@@ -916,7 +986,7 @@ def test_paper_lets_match_the_elements_built_through_the_api(paper_session):
 def test_scan_lets_match_the_elements_built_through_the_api():
     """Every form of the seed-1 scan session, from the coefficients its
     generator drew: ``(rational + c*z^e) * word`` summed over the words."""
-    workloads = _load_workloads()
+    workloads = load_workloads()
     session = dsl.parse(workloads.scan_session(1))
     alg = session.algebras["M"].algebra
     f = alg.field

@@ -6,6 +6,7 @@ from cdgalab import dsl, make_field, wedge
 from cdgalab.algebra import Algebra, Differential, PreconditionError, apply_d
 from cdgalab.formality import ObstructionInput, massey_triple, obstruction
 from cdgalab.homology import CochainComplex, CohomologyTable
+from cdgalab.linalg import Subspace
 
 from conftest import ROOT, densify
 
@@ -146,6 +147,20 @@ def test_scalar_scales_quadratically_in_alpha(model):
     assert scaled.scalar == base.scalar * lam * lam
 
 
+def _two_loop_indeterminacy(x, y, z):
+    """x.H^(|y|+|z|-1) + H^(|x|+|y|-1).z as ``massey_triple`` built it in its
+    own two loops, before ``CohomologyTable.product_rows``: the rows x'*h,
+    then h*z'."""
+    table = x.table
+    xr, zr = x.representative(), z.representative()
+    out_deg = x.degree + y.degree + z.degree - 1
+    rows = [table.class_coords(wedge(xr, h), out_deg)
+            for h in table.representatives(y.degree + z.degree - 1)]
+    rows += [table.class_coords(wedge(h, zr), out_deg)
+             for h in table.representatives(x.degree + y.degree - 1)]
+    return Subspace.from_vectors(xr.algebra.field, table.dim(out_deg), rows)
+
+
 def test_massey_triple_on_heisenberg_algebra(model):
     table = model.table
     a = table.class_of(model.gens["mu"] * model.gens["mubar"], 2)
@@ -153,6 +168,9 @@ def test_massey_triple_on_heisenberg_algebra(model):
     res = massey_triple(a, b, a)
     assert all(0 <= j < table.betti[5] for j in res.class_coords)
     assert res.indeterminacy.ambient_dim == table.betti[5]
+    old = _two_loop_indeterminacy(a, b, a)
+    assert (res.indeterminacy.rows, res.indeterminacy.pivots) == (old.rows, old.pivots)
+    assert res.indeterminacy.dim == 4
     # the coset is well defined: shifting the first primitive by any closed
     # degree-3 class moves the value inside the indeterminacy subspace
     rng = random.Random(53)
@@ -191,6 +209,14 @@ def test_massey_on_formal_torus():
     # a*a = 0 exactly, so <a, a, a> is defined and lands in the zero coset
     res = massey_triple(x, x, x)
     assert all(c.is_zero() for c in res.class_coords)
+    # |x| = |h| = 1: the x.H rows come out as h*a, the negatives of the a*h
+    # rows, and the reduced echelon rows of the span are the same
+    a = x.representative()
+    flipped = [h for h in table.representatives(1) if not wedge(h, a).is_zero()]
+    assert len(flipped) == 3 and all(wedge(h, a) == -wedge(a, h) for h in flipped)
+    old = _two_loop_indeterminacy(x, x, x)
+    assert (res.indeterminacy.rows, res.indeterminacy.pivots) == (old.rows, old.pivots)
+    assert res.indeterminacy.dim == 3
 
 
 def test_class_is_choice_dependent_when_h3_is_nonzero(model):

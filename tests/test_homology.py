@@ -187,6 +187,38 @@ def test_top_scalar_degree_mismatch(model):
         top_scalar(model.gens["mu"], model.volume)
 
 
+def test_top_scalar_refuses_a_volume_of_another_degree(model):
+    """The volume's degree is checked before x is read: a zero x, an x of
+    the volume's degree and an x of the top degree are all refused."""
+    g = model.gens
+    seven = g["theta"] * g["mu"] * g["nu"] * g["eta"] * g["thetabar"] * g["mubar"] * g["nubar"]
+    for volume, k in ((model.alpha, 2), (seven, 7)):
+        for x in (model.algebra.zero(), volume, model.volume):
+            with pytest.raises(ValueError, match=f"^volume must be of the top degree 8, got {k}$"):
+                top_scalar(x, volume)
+
+
+def test_product_rows_outside_the_degrees_and_of_zero(model):
+    """No rows outside 0..top; a zero x gives one empty row per
+    representative, in the degree it is asked for."""
+    table = model.table
+    omega = model.omega
+    assert table.product_rows(omega, -1, 1) == []
+    assert table.product_rows(omega, table.top + 1, table.top + 3) == []
+    assert table.product_rows(model.algebra.zero(), 3, 5) == [{}] * table.betti[3]
+    assert table.product_rows(omega, table.top, table.top + 2) == [{}]
+
+
+def test_a_value_error_inside_product_rows_is_an_engine_fault(model, monkeypatch):
+    def refuse(self, x, degree=None):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(CohomologyTable, "class_coords", refuse)
+    with pytest.raises(AssertionError, match="^engine-built element: refused$") as info:
+        model.table.product_rows(model.omega, 3, 5)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_two_step_complex_with_even_generator():
     # truncated polynomial algebra on one degree-2 generator: projective-space
     # cohomology when d = 0

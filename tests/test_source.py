@@ -135,6 +135,33 @@ def _qualified_nodes(path: Path):
     yield from visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
 
 
+def _product_solves(path: Path) -> list[str]:
+    """The owner of each ``class_coords`` or ``class_of`` call in ``path``
+    whose first argument is a ``wedge(...)`` call."""
+    def name(func):
+        return (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+
+    return [owner for owner, node in _qualified_nodes(path)
+            if isinstance(node, ast.Call) and name(node.func) in ("class_coords", "class_of")
+            and node.args and isinstance(node.args[0], ast.Call)
+            and name(node.args[0].func) == "wedge"]
+
+
+def test_products_of_representatives_are_solved_in_product_rows_only(tmp_path):
+    """The class rows of products r * x have one loop,
+    ``CohomologyTable.product_rows``; ``cup`` solves its one product.  The
+    old Lefschetz comprehension, written back into a module, is caught."""
+    found = [owner for path in sorted(SRC.glob("*.py")) for owner in _product_solves(path)]
+    assert sorted(found) == ["homology.CohomologyTable.cup",
+                             "homology.CohomologyTable.product_rows"], found
+    old = tmp_path / "symplectic.py"
+    old.write_text("def lefschetz(table, omega_k, src, dst):\n"
+                   "    return [table.class_coords(wedge(r, omega_k), dst)\n"
+                   "            for r in table.representatives(src)]\n")
+    assert _product_solves(old) == ["symplectic.lefschetz"]
+
+
 def test_products_are_added_by_the_fused_op_only():
     """A product that is added to an entry is added by the field's fused
     ``addmul`` or ``submul``, read in exactly the three accumulation loops,

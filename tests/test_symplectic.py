@@ -10,7 +10,7 @@ from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator
 from cdgalab.symplectic import is_symplectic, lefschetz
 
-from conftest import ROOT
+from conftest import ROOT, load_workloads
 
 
 LEF_WITNESS_SIGN = -1  # frozen: omega^2*nu*nubar = d(-2*theta*mubar*etabar*eta*nubar)
@@ -199,29 +199,44 @@ def test_galois_conjugate_forms_have_equal_lefschetz_ranks(model, seed):
         assert ranks[0] == ranks[1] <= table.betti[4 - k]
 
 
-@pytest.mark.parametrize("which", ["table", "invariant_table"])
-@pytest.mark.parametrize("seed", [3, 11, 23])
-def test_lefschetz_matrix_is_the_class_coords_of_the_cup_products(model, which, seed):
-    """Every entry of the report's matrix, for k = 0..4: row i is the class of
-    r_i * omega^k for the source representatives r_i, solved through the
-    public element API.  omega is a seeded combination of the degree-2
-    representatives with non-rational coefficients."""
-    table = getattr(model, which)
-    f = model.field
-    rng = random.Random(seed)
-    form = model.algebra.zero()
-    for r in table.representatives(2):
-        form = form + r.scale(_non_rational_scalar(f, rng))
-    om = table.class_of(form, 2)
+def _cup_matrices(table, om):
+    """For k = 0..top/2, the report's matrix and the one solved through the
+    public element API in a loop of its own: row i is the class of
+    r_i * omega^k for the source representatives r_i."""
     omega = om.representative()
     n = table.top // 2
-    power = model.algebra.unit()  # omega^k
+    power = omega.algebra.unit()  # omega^k
     for k in range(n + 1):
         src, dst = n - k, n + k
         rows = [table.class_coords(wedge(r, power), dst)
                 for r in table.representatives(src)]
-        assert lefschetz(om, k).matrix == Matrix(f, table.betti[dst], rows)
+        yield lefschetz(om, k).matrix, Matrix(omega.algebra.field, table.betti[dst], rows)
         power = wedge(power, omega)
+
+
+@pytest.mark.parametrize("which", ["table", "invariant_table"])
+@pytest.mark.parametrize("seed", [3, 11, 23, None])
+def test_lefschetz_matrix_is_the_class_coords_of_the_cup_products(model, which, seed):
+    """Every entry of the report's matrix, for k = 0..4.  omega is the
+    paper's form (seed None) or a seeded combination of the degree-2
+    representatives with non-rational coefficients."""
+    table = getattr(model, which)
+    form = model.omega
+    if seed is not None:
+        rng = random.Random(seed)
+        form = model.algebra.zero()
+        for r in table.representatives(2):
+            form = form + r.scale(_non_rational_scalar(model.field, rng))
+    for reported, solved in _cup_matrices(table, table.class_of(form, 2)):
+        assert reported == solved
+
+
+@pytest.mark.parametrize("name", ["w0", "w1"])
+def test_lefschetz_matrix_of_a_scan_form_is_the_class_coords_of_the_cup_products(name):
+    session = dsl.parse(load_workloads().scan_session(1))
+    table = CohomologyTable(CochainComplex(session.algebras["M"].differential))
+    for reported, solved in _cup_matrices(table, table.class_of(session.lets[name], 2)):
+        assert reported == solved
 
 
 def test_a_non_closed_representative_is_an_engine_fault(model, monkeypatch):
