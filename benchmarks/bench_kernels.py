@@ -20,8 +20,10 @@ the paper's algebra, and ``Matrix.rank`` on the 30 x 30 matrix of the first
 k = 1 query of the seed-1 scan session (``perfbench/workloads.py``).  On the
 full table of ``paper.cdga`` it times ``wedge`` on every ordered pair of
 degree-2 representatives, ``class_coords`` on the products r * omega of the
-degree-3 representatives r, the rows of a k = 1 Lefschetz query, and
-``product_rows(omega, 3, 5)``, the same rows with their wedges.  In-process,
+degree-3 representatives r, the rows of a k = 1 Lefschetz query,
+``product_rows(omega, 3, 5)``, the same rows with their wedges, and
+``massey_triple`` on the paper's <alpha, beta1, alpha>, the query of its
+``massey`` task, with its exactness solves and indeterminacy.  In-process,
 it times ``dsl.tokenize`` and ``dsl.parse`` of the seed-1 scan session, the
 median of ``PARSE_REPEAT`` calls each.  The end-to-end harness is
 ``perfbench/run.py``.
@@ -42,6 +44,7 @@ from cdgalab._backend import kernel
 from cdgalab.action import induced_action_fixed_dims, invariant_subspaces
 from cdgalab.algebra import Differential, wedge
 from cdgalab.field import FieldElement, make_field
+from cdgalab.formality import massey_triple
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import _inv_cv
 from cdgalab.symplectic import lefschetz
@@ -272,6 +275,12 @@ def main():
                for _ in range(args.repeat))
     print(f"product_rows(omega, 3, 5), the same rows with their wedges: "
           f"{best / len(products) * 1e6:8.3f} us per row")
+    alpha = full.class_of(session.lets["alpha"], 2)
+    beta1 = full.class_of(session.lets["beta1"], 2)
+    best = min(bench_call(lambda x: massey_triple(x, beta1, x), alpha)
+               for _ in range(args.repeat))
+    print(f"massey_triple <alpha, beta1, alpha>, full table of {PAPER.name}: "
+          f"{best * 1e3:8.3f} ms")
 
     alg = full.complex.algebra
     words = [w for k in range(alg.top + 1) for w in alg.basis(k)]

@@ -358,13 +358,8 @@ class GradedElement:
             return degs.pop()
         return None
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        d = self.degree()
-        if not self._terms:
-            return True
-        if degree is None:
-            return d is not None
-        return d == degree
+    def is_homogeneous(self, degree: int) -> bool:
+        return not self._terms or self.degree() == degree
 
     def sorted_terms(self):
         alg = self.algebra

@@ -37,7 +37,9 @@ representative basis.  The solve checks that its element belongs to the
 table's algebra, is closed and lies in the complex, and that the remainder
 against the representatives is zero; ``class_of``, ``cup`` and the one
 product loop, ``product_rows`` (the classes of r * x over the representatives
-r of a degree), read their classes from it.  On a user's element a failed
+r of a degree), read their classes from it.  The solve and ``is_exact`` take
+the degree, as their element may be zero; ``class_of`` is the one entry that
+infers it, from a nonzero homogeneous element.  On a user's element a failed
 check is a failed precondition (``PreconditionError``).  Inside
 ``engine_built()`` the element is one the engine made itself, such as a
 product of representatives or the image of one under a map, and a failed
@@ -262,32 +264,30 @@ class CohomologyTable:
                 raise PreconditionError(f"element is not of degree {k}", x) from None
             raise
 
-    def class_coords(self, x: GradedElement, degree: int | None = None) -> dict:
-        """Sparse coordinates ``{j: cv}`` of [x] in the representative basis
-        of its degree, after checking that x is closed and lies in the
-        complex: x reduced by the coboundaries, then the remainder by the
-        representatives."""
-        if x.is_zero() and degree is None:
-            raise ValueError("the zero element needs an explicit degree")
-        k = degree if degree is not None else x.degree()
-        if k is None:
-            raise ValueError("class_coords needs a homogeneous element")
+    def class_coords(self, x: GradedElement, degree: int) -> dict:
+        """Sparse coordinates ``{j: cv}`` of [x] in the degree-``degree``
+        representatives, after checking that x is closed and lies in the
+        complex: x reduced by the coboundaries, then by the representatives."""
         _check_algebra(self.complex.algebra, x)
         if x.is_zero():
             return {}
-        rem = self._closed_row(x, k)
-        q = self.quotient(k)
-        self._coboundaries[k].reduce_owned(rem)
+        rem = self._closed_row(x, degree)
+        q = self.quotient(degree)
+        self._coboundaries[degree].reduce_owned(rem)
         coords = q.reduce_owned(rem)
         if rem:
             raise AssertionError("closed element must reduce against cocycles")
         return coords
 
     def class_of(self, x: GradedElement, degree: int | None = None) -> CohomologyClass:
-        k = degree if degree is not None else x.degree()
+        if degree is None and x.is_zero():
+            raise ValueError("the zero element needs an explicit degree")
+        k = x.degree() if degree is None else degree
+        if k is None:
+            raise ValueError("class_coords needs a homogeneous element")
         return CohomologyClass(self, k, self.class_coords(x, k))
 
-    def is_exact(self, x: GradedElement, degree: int | None = None) -> GradedElement | None:
+    def is_exact(self, x: GradedElement, degree: int) -> GradedElement | None:
         """A primitive xi with d(xi) = x, or None when [x] != 0.
 
         The primitive is the deterministic pivot solution inside the complex.
@@ -295,16 +295,13 @@ class CohomologyTable:
         _check_algebra(self.complex.algebra, x)
         if x.is_zero():
             return self.complex.algebra.zero()
-        k = degree if degree is not None else x.degree()
-        if k is None:
-            raise ValueError("is_exact needs a homogeneous element")
-        row = self._closed_row(x, k)
-        if k == 0:
+        row = self._closed_row(x, degree)
+        if degree == 0:
             return None
-        sol = self.complex.d_eliminator(k - 1).solve_left(row)
+        sol = self.complex.d_eliminator(degree - 1).solve_left(row)
         if sol is None:
             return None
-        return self.complex.from_row(k - 1, sol)
+        return self.complex.from_row(degree - 1, sol)
 
     def product_rows(self, x: GradedElement, k: int, degree: int) -> list[dict]:
         """The classes in ``degree`` of r * x for the degree-k representatives

@@ -50,17 +50,21 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
                   d: Differential, volume: GradedElement) -> SymplecticVerdict:
     """d(omega) = 0, conj(omega) = omega and omega^n != 0, all exact.
 
-    An n below top / 2 asks nothing of the top degree and is a
-    ``ValueError``.  The powers stop at the first one that is zero, so a
-    large n costs no more than the top degree allows.  The top-power scalar
-    is reported against ``volume``.
+    Any n other than top / 2 is a ``ValueError``: a lower power asks nothing
+    of the top degree, and a higher one lies past it and is always zero, so
+    it would call a symplectic form degenerate.  An odd top degree is a
+    ``ValueError`` too.  The powers stop at the first one that is zero.  The
+    top-power scalar is reported against ``volume``.
     """
     alg = omega.algebra
     if not omega.is_zero() and omega.degree() != 2:
         raise ValueError("omega must be homogeneous of degree 2")
-    if 2 * n < alg.top:
-        raise ValueError(f"omega^{n} lies below the top degree {alg.top}: "
-                         f"the check needs n = top / 2 = {alg.top / 2:g}")
+    if alg.top % 2:
+        raise ValueError("the symplectic check needs an even top degree")
+    if 2 * n != alg.top:
+        side = "below" if 2 * n < alg.top else "above"
+        raise ValueError(f"omega^{n} lies {side} the top degree {alg.top}: "
+                         f"the check needs n = top / 2 = {alg.top // 2}")
     d_res = apply_d(d, omega)
     conj_res = conjugation(omega) - omega
     power = omega if n else alg.unit()

@@ -272,7 +272,7 @@ def test_cross_check_solves_one_class_per_representative(model, monkeypatch):
     calls = []
     class_coords = CohomologyTable.class_coords
 
-    def counting(self, x, degree=None):
+    def counting(self, x, degree):
         calls.append(self)
         return class_coords(self, x, degree)
 

@@ -647,7 +647,7 @@ def test_a_value_error_inside_product_rows_exits_3(monkeypatch, capsys):
         finally:
             inside.pop()
 
-    def refusing(self, x, degree=None):
+    def refusing(self, x, degree):
         if inside:
             raise ValueError("refused")
         return class_coords(self, x, degree)
@@ -658,17 +658,18 @@ def test_a_value_error_inside_product_rows_exits_3(monkeypatch, capsys):
     assert "engine-built element: refused" in capsys.readouterr().err
 
 
-def test_a_paper_run_makes_92_wedges_and_225_class_solves(paper_session, monkeypatch):
-    """Frozen counts: the product loop makes the products and solves that
-    the Lefschetz and Massey loops made before it, in every module that
-    binds ``wedge``."""
+def test_a_paper_run_makes_90_wedges_and_223_class_solves(paper_session, monkeypatch):
+    """Frozen counts, in every module that binds ``wedge``: the product loop
+    makes the products and solves that the Lefschetz and Massey loops made
+    before it, and the Massey task's exactness solves decide its
+    preconditions, with no cup product solved ahead of them."""
     calls = []
 
     def counting_wedge(x, y):
         calls.append("wedge")
         return wedge(x, y)
 
-    def counting_class_coords(self, x, degree=None):
+    def counting_class_coords(self, x, degree):
         calls.append("class_coords")
         return class_coords(self, x, degree)
 
@@ -679,7 +680,7 @@ def test_a_paper_run_makes_92_wedges_and_225_class_solves(paper_session, monkeyp
     monkeypatch.setattr(CohomologyTable, "class_coords", counting_class_coords)
     report = dsl.run(paper_session)
     assert report.machine_text() == GOLDEN.read_text()
-    assert (calls.count("wedge"), calls.count("class_coords")) == (92, 225)
+    assert (calls.count("wedge"), calls.count("class_coords")) == (90, 223)
 
 
 @pytest.mark.parametrize("task", ["symplectic M zero 4 {vol}", "symplectic M omega 4 {vol}",
@@ -834,6 +835,23 @@ def test_massey_product_above_the_top_degree_is_zero():
     report = dsl.run(dsl.parse(bindings + "task massey M alpha vol alpha\n"))
     assert report.records == [("massey_class", "0"), ("massey_class_is_zero", "yes"),
                               ("massey_indeterminacy_dim", "0")]
+
+
+@pytest.mark.parametrize("value, message", [
+    ("{0}*mu*nu", "the zero element needs an explicit degree"),
+    ("mu + alpha", "class_coords needs a homogeneous element"),
+])
+def test_massey_of_a_zero_or_mixed_element_is_refused(paper_session, value, message):
+    """``class_of`` is the one entry that infers a degree, from a nonzero
+    homogeneous element; the Massey task hands it the session's elements,
+    so a zero and a mixed one are refused with their own messages."""
+    bindings = PAPER_SESSION.read_text().split("task ")[0]
+    text = bindings + f"let probe = {value}\ntask massey M alpha probe alpha\n"
+    report = dsl.run(dsl.parse(text))
+    assert report.records == [("massey_error", message)]
+    table = dsl._RunContext().table(paper_session.algebras["M"], None)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        table.class_of(dsl.eval_expr(value, paper_session))
 
 
 def test_task_tables_agree():

@@ -175,8 +175,8 @@ def test_massey_triple_on_heisenberg_algebra(model):
     # degree-3 class moves the value inside the indeterminacy subspace
     rng = random.Random(53)
     xr, yr = a.representative(), b.representative()
-    xi = table.is_exact(wedge(xr, yr))
-    zeta = table.is_exact(wedge(yr, xr))
+    xi = table.is_exact(wedge(xr, yr), 4)
+    zeta = table.is_exact(wedge(yr, xr), 4)
     cross = wedge(xr, zeta)
     for _ in range(10):
         shift = model.algebra.zero()
@@ -191,11 +191,17 @@ def test_massey_triple_on_heisenberg_algebra(model):
 
 
 def test_massey_requires_vanishing_cups(model):
+    """The exactness solves of the two products decide the preconditions,
+    x.y first: a nonzero cup is a ``ValueError``, not an engine fault."""
     table = model.table
     c = table.class_of(model.gens["mu"] * model.gens["mubar"], 2)
     e = table.class_of(model.gens["eta"] * model.gens["etabar"], 2)
-    with pytest.raises(ValueError, match="undefined"):
+    a = table.class_of(model.gens["nu"] * model.gens["nubar"], 2)
+    assert not table.cup(c, e).is_zero() and table.cup(c, a).is_zero()
+    with pytest.raises(ValueError, match=r"^x\.y != 0: the Massey product is undefined$"):
         massey_triple(c, e, c)
+    with pytest.raises(ValueError, match=r"^y\.z != 0: the Massey product is undefined$"):
+        massey_triple(a, c, e)
     other = model.invariant_table.class_of(model.gens["mu"] * model.gens["mubar"], 2)
     with pytest.raises(ValueError, match="different table"):
         massey_triple(c, other, c)

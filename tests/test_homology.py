@@ -81,16 +81,16 @@ def test_is_exact_examples(model):
     d = model.differential
 
     x = g["mu"] * g["mubar"] * g["nu"] * g["nubar"]
-    xi = table.is_exact(x)
+    xi = table.is_exact(x, 4)
     assert xi is not None
     assert apply_d(d, xi) == x
     # one valid primitive is -theta*mubar*nubar up to closed corrections
     assert apply_d(d, -(g["theta"] * g["mubar"] * g["nubar"])) == x
 
-    xi2 = table.is_exact(g["mu"] * g["nu"])
+    xi2 = table.is_exact(g["mu"] * g["nu"], 2)
     assert xi2 is not None and apply_d(d, xi2) == g["mu"] * g["nu"]
 
-    assert table.is_exact(g["mu"] * g["eta"]) is None
+    assert table.is_exact(g["mu"] * g["eta"], 2) is None
 
 
 def test_class_coords_of_zero(model):
@@ -170,7 +170,7 @@ def test_exact_stays_exact_under_wedge_with_closed(model):
         prod = wedge(x, y)
         if prod.is_zero():
             continue
-        assert table.is_exact(prod) is not None
+        assert table.is_exact(prod, k + 1 + m) is not None
 
 
 def test_top_scalar_examples(model):
@@ -210,7 +210,7 @@ def test_product_rows_outside_the_degrees_and_of_zero(model):
 
 
 def test_a_value_error_inside_product_rows_is_an_engine_fault(model, monkeypatch):
-    def refuse(self, x, degree=None):
+    def refuse(self, x, degree):
         raise ValueError("refused")
 
     monkeypatch.setattr(CohomologyTable, "class_coords", refuse)

@@ -28,21 +28,34 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
-def test_acceptance_suite_passes_under_optimize():
-    """The acceptance criteria, the d*d and action checks, the fixture
-    diagnostics, the checks at the linear-algebra entry points, the
-    Lefschetz path, the formality and homology paths with their
-    ``PreconditionError`` witnesses, and the topology and field checks hold
-    with the library's asserts stripped;
-    pytest rewrites the tests' own asserts, so those still run."""
-    r = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                        "tests/test_acceptance.py", "tests/test_algebra.py",
-                        "tests/test_action.py", "tests/test_dsl.py",
-                        "tests/test_symplectic.py", "tests/test_linalg.py",
-                        "tests/test_formality.py", "tests/test_homology.py",
-                        "tests/test_topology.py", "tests/test_field.py"],
-                       cwd=ROOT, capture_output=True, text=True)
-    assert r.returncode == 0, r.stdout[-3000:] + r.stderr[-3000:]
+def _optimize_reads(path: Path) -> list[str]:
+    """``path:line`` of each read of ``__debug__`` or ``sys.flags`` in
+    ``path``, by name, attribute or ``from sys import flags``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Name) and node.id == "__debug__"
+                or isinstance(node, ast.Attribute) and node.attr == "flags"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"
+                or isinstance(node, ast.ImportFrom) and node.module == "sys"
+                and any(alias.name == "flags" for alias in node.names)):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_library_reads_no_optimize_flag(tmp_path):
+    """Besides stripping ``assert``, ``python -O`` sets ``__debug__`` to
+    False and ``sys.flags.optimize`` to 1; no library module reads either,
+    so with no assert statements the library runs the same checks under
+    ``-O``, in code that no test reaches too.  Each form of read, written
+    into a module, is caught."""
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in _optimize_reads(path)]
+    assert not found, f"reads of __debug__ or sys.flags in the library: {found}"
+    probe = tmp_path / "probe.py"
+    probe.write_text("import sys\n"
+                     "from sys import flags\n"
+                     "if __debug__:\n"
+                     "    level = sys.flags.optimize\n")
+    assert _optimize_reads(probe) == ["probe.py:2", "probe.py:3", "probe.py:4"]
 
 
 def test_every_exported_name_resolves_and_star_import_works():
@@ -193,6 +206,7 @@ ALLOWED = {
     "field.FieldElement.conjugate": "public; the signature's Hermitian congruence will read it",
     "homology.CochainComplex.basis_elements": "tests walk the invariant complex's basis with it",
     "homology.CohomologyTable.coboundaries": "tests check representatives against B^k with it",
+    "homology.CohomologyTable.cup": "public: tests check the ring laws of H* through it",
     "homology.CohomologyTable.euler_characteristic": "waits for the duality task",
     "linalg.Matrix.entry": "tests read the traces of the induced matrices with it",
     "topology.BettiVector.euler": "waits for the duality task",

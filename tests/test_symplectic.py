@@ -274,34 +274,12 @@ def test_lefschetz_refuses_a_class_of_another_degree(model):
             lefschetz(cls, 1)
 
 
-def test_a_huge_power_stops_at_the_first_zero_power(monkeypatch):
-    """omega^n for n = 10**9 gives the records of n = 5: the powers stop at
-    omega^5 = 0.  The counted wedge raises past 1000 calls, so a loop that
-    runs n times fails here instead of hanging."""
-    lines = [line for line in (ROOT / "paper.cdga").read_text().splitlines()
-             if not line.startswith("task ")]
-    wedges = []
-
-    def counting(x, y):
-        wedges.append(None)
-        if len(wedges) > 1000:
-            raise RuntimeError("omega is multiplied past its first zero power")
-        return wedge(x, y)
-
-    monkeypatch.setattr(symplectic, "wedge", counting)
-    records = {}
-    for n in (5, 10 ** 9):
-        wedges.clear()
-        session = dsl.parse("\n".join(lines + [f"task symplectic M omega {n} vol", ""]))
-        records[n] = dsl.run(session).records
-        assert len(wedges) <= session.algebras["M"].algebra.top // 2 + 2
-    assert records[10 ** 9] == records[5]
-    assert len(records[5]) == 4 and ("symplectic", "no") in records[5]
-
-
-def test_a_power_below_half_the_top_degree_is_refused(model, monkeypatch):
+@pytest.mark.parametrize("n, side", [(3, "below"), (5, "above"), (10 ** 9, "above")])
+def test_a_power_below_half_the_top_degree_is_refused(model, monkeypatch, n, side):
     """omega^3 never reaches the top degree 8, so n = 3 asks nothing of
-    nondegeneracy: it is refused, naming top / 2, before any product."""
+    nondegeneracy; omega^5 lies past it and is zero for every 2-form, so
+    n = 5 would call the paper's symplectic form degenerate.  Each n other
+    than 4 is refused, naming top / 2, before any product, however large."""
     wedges = []
 
     def counting(x, y):
@@ -309,12 +287,22 @@ def test_a_power_below_half_the_top_degree_is_refused(model, monkeypatch):
         return wedge(x, y)
 
     monkeypatch.setattr(symplectic, "wedge", counting)
-    message = "omega^3 lies below the top degree 8: the check needs n = top / 2 = 4"
+    message = f"omega^{n} lies {side} the top degree 8: the check needs n = top / 2 = 4"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        is_symplectic(model.omega, 3, model.conjugation, model.differential, model.volume)
+        is_symplectic(model.omega, n, model.conjugation, model.differential, model.volume)
     assert not wedges
     lines = [line for line in (ROOT / "paper.cdga").read_text().splitlines()
              if not line.startswith("task ")]
-    report = dsl.run(dsl.parse("\n".join(lines + ["task symplectic M omega 3 vol", ""])))
+    report = dsl.run(dsl.parse("\n".join(lines + [f"task symplectic M omega {n} vol", ""])))
     assert report.records == [("symplectic_error", message)]
     assert not wedges
+
+
+def test_an_odd_top_degree_is_refused():
+    """No n has 2n equal to an odd top degree: the check is refused."""
+    field = make_field(12)
+    alg = Algebra(field, [(n, 1) for n in "xyz"])
+    omega = alg.generator("x") * alg.generator("y")
+    conj = Conjugation(alg, [(n, n) for n in "xyz"])
+    with pytest.raises(ValueError, match="^the symplectic check needs an even top degree$"):
+        is_symplectic(omega, 1, conj, Differential(alg, {}), omega * alg.generator("z"))
