@@ -39,8 +39,6 @@ of a signed sum's text (a scalar, an element, a generated expression).
 
 from math import gcd
 
-BACKEND = "python"
-
 
 def cv_normalize(nums, den):
     """Lowest terms, positive denominator; returns a tuple cv."""

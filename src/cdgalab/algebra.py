@@ -66,8 +66,7 @@ class PreconditionError(ValueError):
 Word = int  # a monomial: one bit per odd generator, one exponent field per even one
 
 # The most basis words an algebra may have, and the highest top degree
-# (there is one word list per degree).  2^18 words is 18 degree-1
-# generators, whose full table took 7.4 s and 347 MB on a 2-vCPU VM.
+# (there is one word list per degree).  2^18 words is 18 degree-1 generators.
 WORD_BUDGET = 1 << 18
 
 

@@ -95,10 +95,7 @@ class CycloField:
     None when the sum cancels, and ``galois_maps[k % n]`` the cv map of
     z -> z**k for each unit k.  All are straight-line code generated once
     from the reduction table of Phi_n, the product and the fused ops from
-    one set of convolution and reduction lines (see ``_kernel_py``).  Over
-    Q(zeta_12) a fused op takes about 0.9 us a call, against 3.9 us for
-    ``cv_add`` after ``cv_mul`` (``benchmarks/bench_kernels.py``, 2-vCPU VM,
-    Python 3.11)."""
+    one set of convolution and reduction lines (see ``_kernel_py``)."""
 
     def __init__(self, n: int):
         check_conductor(n)

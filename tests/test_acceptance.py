@@ -5,6 +5,7 @@ appear; every tolerance is exact equality (the engine has no floats).
 """
 
 import functools
+import os
 import random
 import subprocess
 import sys
@@ -292,7 +293,8 @@ def test_criterion_9_toolchain(tmp_path, monkeypatch):
     golden = Path(__file__).parent / "golden" / "paper.report"
     out = tmp_path / "report.txt"
     r = subprocess.run([sys.executable, "-m", "cdgalab", "run", str(session),
-                        "--report", str(out)], capture_output=True, text=True)
+                        "--report", str(out)], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert r.returncode == 0
     assert out.read_bytes() == golden.read_bytes()
     assert len(EXPECTED_DIAGNOSTICS) == 16

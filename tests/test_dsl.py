@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import os
 import random
 import re
 import string
@@ -286,7 +287,8 @@ def test_run_report_matches_golden_under_optimize(tmp_path):
     out = tmp_path / "report.txt"
     r = subprocess.run([sys.executable, "-O", "-m", "cdgalab", "run",
                         str(PAPER_SESSION), "--report", str(out)],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert r.returncode == 0, r.stderr
     assert out.read_bytes() == GOLDEN.read_bytes()
 
@@ -741,7 +743,8 @@ def test_cli_dump(capsys):
 
 def test_cli_subprocess_entry_point():
     r = subprocess.run([sys.executable, "-m", "cdgalab", "check", str(PAPER_SESSION)],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert r.returncode == 0
 
 

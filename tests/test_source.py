@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 from collections import Counter
 import subprocess
 import sys
@@ -96,8 +97,7 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     """No linter runs on this repository, so check the one lint rule that
     deletions keep breaking: every imported name is used."""
-    paths = [p for d in (SRC, ROOT / "tests", ROOT / "benchmarks")
-             for p in sorted(d.glob("*.py"))]
+    paths = [p for d in (SRC, ROOT / "tests") for p in sorted(d.glob("*.py"))]
     assert len(paths) > 20
     found = [entry for p in paths for entry in _unused_imports(p)]
     assert not found, f"unused imports: {found}"
@@ -198,8 +198,8 @@ def test_products_are_added_by_the_fused_op_only():
     assert not adders, f"loops that add a product by cv_add: {adders}"
 
 
-# Functions and methods of the library that nothing in src/, perfbench/*.py
-# or benchmarks/ references, with the reason each stays.
+# Functions and methods of the library that nothing in src/ or perfbench/*.py
+# references, with the reason each stays.
 ALLOWED = {
     "dsl.eval_expr": "public: evaluates one expression against a parsed session",
     "field.CycloField.imaginary_unit": "public: the field's i; the parser reads i^k off pow_table",
@@ -240,12 +240,11 @@ def _definitions(path: Path):
 
 def test_every_library_function_has_a_reader():
     """Each function and method of the library is referenced somewhere in
-    the library, the benchmark harness or the micro-benchmarks, not counting
-    its own body, or is listed in ``ALLOWED`` with its reason.  Dunders and
-    the parser's ``stmt_*`` and ``task_*`` methods, which it dispatches
-    through ``getattr``, are exempt."""
+    the library or the benchmark harness, not counting its own body, or is
+    listed in ``ALLOWED`` with its reason.  Dunders and the parser's
+    ``stmt_*`` and ``task_*`` methods, which it dispatches through
+    ``getattr``, are exempt."""
     readers = [p for d in (SRC, ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
-    readers += sorted((ROOT / "benchmarks").rglob("*.py"))
     total = Counter()
     for path in readers:
         total += _references(ast.parse(path.read_text(), filename=str(path)))
@@ -262,6 +261,27 @@ def test_every_library_function_has_a_reader():
     assert sorted(unread) == sorted(ALLOWED), \
         f"unread: {sorted(set(unread) - set(ALLOWED))}, " \
         f"allowed but read or gone: {sorted(set(ALLOWED) - set(unread))}"
+
+
+# A repository path in backticks: ``dir/file`` with one of these suffixes.
+PATH_REFERENCE = re.compile(r"`+([\w.-]+(?:/[\w.-]+)+\.(?:py|cdga|md|json|report))`+")
+
+
+def test_named_repository_paths_exist():
+    """Every repository path that README.md or a library docstring names in
+    backticks exists, so deleting or moving a file cannot leave prose that
+    points at it."""
+    texts = [(ROOT / "README.md").read_text()]
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                texts.append(ast.get_docstring(node, clean=False) or "")
+    named = [ref for text in texts for ref in PATH_REFERENCE.findall(text)]
+    missing = [ref for ref in named if not (ROOT / ref).is_file()]
+    assert named and not missing, f"named paths that do not exist: {missing}"
+    assert PATH_REFERENCE.findall("see `a/b.py`, ``c/d/e.report``, `f.py` and `g/h.txt`") \
+        == ["a/b.py", "c/d/e.report"]
 
 
 def test_import_loads_no_inspect_machinery():
