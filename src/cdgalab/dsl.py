@@ -21,6 +21,12 @@ bare scalar term denotes a degree-0 element, and a scalar is parsed straight
 to the kernel's cv.  Parentheses nest at most ``MAX_NESTING`` (64) deep.
 Every failure is a positioned diagnostic; no input text crashes the parser.
 
+``Parser.parse`` steps past a statement's keyword, calls ``stmt_<keyword>``
+and checks the statement's end.  Algebras, generators, maps and lets share
+one name table, ``Session.names``: name -> (kind, algebra context, value).  A name is reserved when its statement starts and bound once the
+statement has built its value, so ``let x = x`` finds no ``x``.  Every lookup
+is ``Parser.lookup``, which refuses unknown names and those of another algebra.
+
 Tokens come from one ``findall`` pass that skips blanks and comments; a
 token's kind is looked up by its first character, and a character with no kind
 is unexpected.  A token is its index in the lists of kinds and texts; its line
@@ -58,6 +64,9 @@ from .topology import EXCEPTIONAL_DIM, BettiVector, Edge, IncidenceGraph, betti_
 
 RESERVED = {"field", "cyclotomic", "algebra", "generators", "conjugation", "d", "map", "order",
             "let", "task", "top", "z", "i", "invariant", "full", "node", "edge", "proj", "p1b"}
+
+_GENERATOR, _ELEMENT = ("generator",), ("generator", "let")  # kinds a lookup accepts
+_UNBOUND = (None, None, None)  # the entry of a name no statement declared
 
 class Diagnostic(Frozen):
     """A message and the line and column it points at."""
@@ -116,7 +125,6 @@ class AlgebraContext:
         self.first_d_token: int | None = None
         self.conjugation: Conjugation | None = None
         self.differential: Differential | None = None  # built by finalize
-        self.gen_degrees = {g.name: g.degree for g in algebra.gens}  # name -> degree
 
 
 class MapBinding:
@@ -138,7 +146,8 @@ class Session:
     def __init__(self, source: str):
         self.source = source
         self.field: CycloField | None = None
-        self.algebras: dict = {}
+        self.names: dict[str, tuple] = {}  # name -> (kind, ctx, value), value None until built
+        self.algebras: dict = {}  # with maps and lets, the records in declaration order
         self.maps: dict = {}
         self.lets: dict = {}
         self.tasks: list = []
@@ -147,12 +156,8 @@ class Session:
         return hashlib.sha256(self.source.encode("utf-8")).hexdigest()
 
     def lookup_element(self, name: str) -> GradedElement | None:
-        if name in self.lets:
-            return self.lets[name]
-        for ctx in self.algebras.values():
-            if name in ctx.gen_degrees:
-                return ctx.algebra.generator(name)
-        return None
+        kind, _, value = self.names.get(name, _UNBOUND)
+        return value if kind in _ELEMENT else None
 
 
 # --- parser -----------------------------------------------------------------
@@ -165,7 +170,6 @@ class Parser:
         self.pos = 0  # a token is its index into kinds and texts
         self.depth = 0  # parentheses open around the factor being parsed
         self.current: AlgebraContext | None = None
-        self.names: dict[str, str] = {}  # global namespace -> kind
 
     # token plumbing
 
@@ -218,13 +222,32 @@ class Parser:
         elif self.kinds[t] != "EOF":
             self.fail(t, f"unexpected trailing token {self.texts[t]!r}")
 
-    def declare(self, token: int, kind: str):
+    def declare(self, token: int, kind: str) -> str:
+        """Reserve the name ``token`` for a ``kind``; ``bind`` gives it its value."""
         name = self.texts[token]
         if name in RESERVED:
             self.fail(token, f"{name!r} is a reserved word")
-        if name in self.names:
-            self.fail(token, f"duplicate declaration of {name!r} (already a {self.names[name]})")
-        self.names[name] = kind
+        names = self.session.names
+        if name in names:
+            self.fail(token, f"duplicate declaration of {name!r} (already a {names[name][0]})")
+        names[name] = (kind, None, None)
+        return name
+
+    def bind(self, name: str, ctx: AlgebraContext, value):
+        self.session.names[name] = (self.session.names[name][0], ctx, value)
+        return value
+
+    def lookup(self, token: int, kinds: tuple, noun: str, ctx: AlgebraContext | None = None):
+        """The value of the name ``token``, bound to one of ``kinds`` and,
+        when ``ctx`` is given, to ``ctx``'s algebra."""
+        name = self.texts[token]
+        kind, owner, value = self.session.names.get(name, _UNBOUND)
+        if kind not in kinds or value is None:
+            self.fail(token, f"unknown {noun} {name!r}")
+        if ctx is not None and owner is not ctx:
+            what = f"map {name!r}" if kind == "map" else repr(name)
+            self.fail(token, f"{what} belongs to another algebra")
+        return value
 
     def require_field(self, token: int) -> CycloField:
         if self.session.field is None:
@@ -235,25 +258,6 @@ class Parser:
         if self.current is None:
             self.fail(token, "no algebra declared yet")
         return self.current
-
-    def known_generator(self, ctx: AlgebraContext, t: int) -> str:
-        """The name of the generator of ``ctx`` that ``t`` names."""
-        name = self.texts[t]
-        if name not in ctx.gen_degrees:
-            self.fail(t, f"unknown generator {name!r}")
-        return name
-
-    def resolve_element(self, ctx: AlgebraContext, t: int, noun: str) -> GradedElement:
-        """The generator or ``let`` of ``ctx``'s algebra that ``t`` names."""
-        name = self.texts[t]
-        if name in ctx.gen_degrees:
-            return ctx.algebra.generator(name)
-        value = self.session.lets.get(name)
-        if value is None:
-            self.fail(t, f"unknown {noun} {name!r}")
-        if value.algebra is not ctx.algebra:
-            self.fail(t, f"{name!r} belongs to another algebra")
-        return value
 
     # statements
 
@@ -269,12 +273,12 @@ class Parser:
             handler = getattr(self, f"stmt_{text}", None)
             if handler is None:
                 self.fail(t, f"unknown statement {text!r}")
-            handler()
+            handler(self.next())
+            self.expect_end_of_statement()
         self.finalize()
         return self.session
 
-    def stmt_field(self):
-        kw = self.next()
+    def stmt_field(self, kw: int):
         if self.session.field is not None:
             self.fail(kw, "duplicate field declaration")
         t = self.expect_ident("'cyclotomic'")
@@ -285,13 +289,11 @@ class Parser:
             self.session.field = make_field(n)
         except ValueError as e:  # conductor below 1 or over the budget
             self.fail(ntok, str(e))
-        self.expect_end_of_statement()
 
-    def stmt_algebra(self):
-        kw = self.next()
+    def stmt_algebra(self, kw: int):
         field = self.require_field(kw)
         name_tok = self.expect_ident("algebra name")
-        self.declare(name_tok, "algebra")
+        name = self.declare(name_tok, "algebra")
         self.expect("generators")
         gens, top = [], None
         while self.kinds[self.pos] not in ("NEWLINE", "EOF"):
@@ -308,18 +310,16 @@ class Parser:
             self.fail(self.pos, "an algebra needs at least one generator")
         for g, _deg in gens:
             self.declare(g, "generator")
-        name = self.texts[name_tok]
         try:
             algebra = Algebra(field, [(self.texts[g], deg) for g, deg in gens], top=top)
         except ValueError as e:
             self.fail(name_tok, str(e))
         ctx = AlgebraContext(name, algebra)
-        self.session.algebras[name] = ctx
-        self.current = ctx
-        self.expect_end_of_statement()
+        for g in algebra.gens:
+            self.bind(g.name, ctx, algebra.generator(g.name))
+        self.session.algebras[name] = self.current = self.bind(name, ctx, ctx)
 
-    def stmt_conjugation(self):
-        kw = self.next()
+    def stmt_conjugation(self, kw: int):
         ctx = self.require_algebra(kw)
         if ctx.conjugation is not None:
             self.fail(kw, f"duplicate conjugation for algebra {ctx.name!r}")
@@ -330,39 +330,37 @@ class Parser:
                 self.fail(a, "conjugation takes generator pairs; "
                              f"{self.texts[a]!r} has no partner")
             b = self.next()
-            pairs.append((self.known_generator(ctx, a), self.known_generator(ctx, b)))
+            for t in (a, b):
+                self.lookup(t, _GENERATOR, "generator", ctx)
+            pairs.append((self.texts[a], self.texts[b]))
         if not pairs:
             self.fail(self.pos, "conjugation needs at least one pair")
         try:
             ctx.conjugation = Conjugation(ctx.algebra, pairs)
         except ValueError as e:
             self.fail(kw, str(e))
-        self.expect_end_of_statement()
 
-    def stmt_d(self):
-        kw = self.next()
+    def stmt_d(self, kw: int):
         ctx = self.require_algebra(kw)
         gen_tok = self.expect_ident("generator name")
-        gen = self.known_generator(ctx, gen_tok)
+        want = self.lookup(gen_tok, _GENERATOR, "generator", ctx).degree() + 1
+        gen = self.texts[gen_tok]
         if gen in ctx.d_assignments:
             self.fail(gen_tok, f"duplicate differential for {gen!r}")
         self.expect("=")
         expr_tok = self.pos
         value = self.parse_expr(ctx)
-        want = ctx.gen_degrees[gen] + 1
-        if not value.is_zero() and value.degree() != want:
+        if not value.is_homogeneous(want):
             got = "mixed" if value.degree() is None else value.degree()
             self.fail(expr_tok, f"degree mismatch: d({gen}) must have degree {want}, got {got}")
         ctx.d_assignments[gen] = value
         if ctx.first_d_token is None:
             ctx.first_d_token = gen_tok
-        self.expect_end_of_statement()
 
-    def stmt_map(self):
-        kw = self.next()
+    def stmt_map(self, kw: int):
         ctx = self.require_algebra(kw)
         name_tok = self.expect_ident("map name")
-        self.declare(name_tok, "map")
+        name = self.declare(name_tok, "map")
         self.expect("order")
         order, otok = self.expect_int("map order")
         if order < 1:
@@ -374,14 +372,14 @@ class Parser:
             if self.accept("}"):
                 break
             gen_tok = self.expect_ident("generator name")
-            gen = self.known_generator(ctx, gen_tok)
+            want = self.lookup(gen_tok, _GENERATOR, "generator", ctx).degree()
+            gen = self.texts[gen_tok]
             if gen in assignments:
                 self.fail(gen_tok, f"duplicate map assignment for {gen!r}")
             self.expect("->")
             expr_tok = self.pos
             value = self.parse_expr(ctx)
-            want = ctx.gen_degrees[gen]
-            if not value.is_zero() and value.degree() != want:
+            if not value.is_homogeneous(want):
                 self.fail(expr_tok, f"degree mismatch: image of {gen} must have degree {want}")
             assignments[gen] = value
             self.skip_newlines()
@@ -393,18 +391,13 @@ class Parser:
             amap = AlgebraMap(ctx.algebra, ctx.algebra, assignments)
         except ValueError as e:
             self.fail(name_tok, str(e))
-        self.session.maps[self.texts[name_tok]] = MapBinding(name_tok, ctx, order, amap)
-        self.expect_end_of_statement()
+        self.session.maps[name] = self.bind(name, ctx, MapBinding(name_tok, ctx, order, amap))
 
-    def stmt_let(self):
-        kw = self.next()
+    def stmt_let(self, kw: int):
         ctx = self.require_algebra(kw)
-        name_tok = self.expect_ident("binding name")
-        self.declare(name_tok, "let")
+        name = self.declare(self.expect_ident("binding name"), "let")
         self.expect("=")
-        value = self.parse_expr(ctx)
-        self.session.lets[self.texts[name_tok]] = value
-        self.expect_end_of_statement()
+        self.session.lets[name] = self.bind(name, ctx, self.parse_expr(ctx))
 
     # expressions
 
@@ -450,7 +443,7 @@ class Parser:
             return e
         if self.kinds[t] != "IDENT":
             self.fail(t, f"expected an element, got {self.texts[t]!r}")
-        return self.resolve_element(ctx, t, "identifier")
+        return self.lookup(t, _ELEMENT, "identifier", ctx)
 
     def parse_scalar(self) -> FieldElement:
         field = self.require_field(self.expect("{"))
@@ -490,35 +483,22 @@ class Parser:
 
     # tasks
 
-    def stmt_task(self):
-        self.next()
+    def stmt_task(self, kw: int):
         name_tok = self.expect_ident("task name")
         name = self.texts[name_tok]
         if name not in _TASK_RUNNERS:
             self.fail(name_tok, f"unknown task {name!r}")
         args = getattr(self, f"task_{name}")(name_tok)
         self.session.tasks.append(Task(name, args))
-        self.expect_end_of_statement()
 
     def arg_algebra(self) -> AlgebraContext:
-        t = self.expect_ident("algebra name")
-        ctx = self.session.algebras.get(self.texts[t])
-        if ctx is None:
-            self.fail(t, f"unknown algebra {self.texts[t]!r}")
-        return ctx
+        return self.lookup(self.expect_ident("algebra name"), ("algebra",), "algebra")
 
     def arg_map(self, ctx: AlgebraContext) -> MapBinding:
-        t = self.expect_ident("map name")
-        name = self.texts[t]
-        binding = self.session.maps.get(name)
-        if binding is None:
-            self.fail(t, f"unknown map {name!r}")
-        if binding.ctx is not ctx:
-            self.fail(t, f"map {name!r} belongs to another algebra")
-        return binding
+        return self.lookup(self.expect_ident("map name"), ("map",), "map", ctx)
 
     def arg_element(self, ctx: AlgebraContext) -> GradedElement:
-        return self.resolve_element(ctx, self.expect_ident("element name"), "element")
+        return self.lookup(self.expect_ident("element name"), _ELEMENT, "element", ctx)
 
     def arg_complex_mode(self, ctx: AlgebraContext) -> MapBinding | None:
         t = self.expect_ident("'invariant' or 'full'")
@@ -611,18 +591,10 @@ class Parser:
         return ctx, binding, s, self.parse_graph()
 
     def task_verify_exact(self, tok: int) -> tuple:
-        values = []
-        for _ in range(2):  # lhs, then the primitive, looked up session-wide
-            t = self.expect_ident("element name")
-            value = self.session.lookup_element(self.texts[t])
-            if value is None:
-                self.fail(t, f"unknown element {self.texts[t]!r}")
-            values.append(value)
-        lhs, prim = values
-        if prim.algebra is not lhs.algebra:
-            self.fail(t, f"{self.texts[t]!r} belongs to another algebra")
-        ctx = next(c for c in self.session.algebras.values() if c.algebra is lhs.algebra)
-        return ctx, lhs, prim
+        t = self.expect_ident("element name")  # the lhs, looked up session-wide
+        lhs = self.lookup(t, _ELEMENT, "element")
+        ctx = self.session.names[self.texts[t]][1]
+        return ctx, lhs, self.arg_element(ctx)
 
     # finalization: build and validate differentials and declared actions
 
@@ -657,6 +629,7 @@ def eval_expr(text: str, session: Session, algebra_name: str | None = None) -> G
     elif algebra_name not in session.algebras:
         raise DslError(Diagnostic(1, 1, f"unknown algebra {algebra_name!r}"))
     value = parser.parse_expr(session.algebras[algebra_name])
+    parser.skip_newlines()
     parser.expect_end_of_statement()
     return value
 

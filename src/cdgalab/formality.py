@@ -53,11 +53,10 @@ class ObstructionResult:
 
 def _require_closed(table: CohomologyTable, x: GradedElement, label: str, degree: int):
     cx = table.complex
-    if not x.is_zero():
-        if x.degree() != degree:
-            raise PreconditionError(f"{label} must be homogeneous of degree {degree}")
-        if not cx.contains(x, degree):
-            raise PreconditionError(f"{label} does not lie in the working complex")
+    if not x.is_homogeneous(degree):
+        raise PreconditionError(f"{label} must be homogeneous of degree {degree}")
+    if not x.is_zero() and not cx.contains(x, degree):
+        raise PreconditionError(f"{label} does not lie in the working complex")
     dx = apply_d(cx.differential, x)
     if not dx.is_zero():
         raise PreconditionError(f"{label} is not closed", dx)

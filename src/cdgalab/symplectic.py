@@ -53,11 +53,10 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
     Any n other than top / 2 is a ``ValueError``: a lower power asks nothing
     of the top degree, and a higher one lies past it and is always zero, so
     it would call a symplectic form degenerate.  An odd top degree is a
-    ``ValueError`` too.  The powers stop at the first one that is zero.  The
-    top-power scalar is reported against ``volume``.
+    ``ValueError`` too.  The top-power scalar is reported against ``volume``.
     """
     alg = omega.algebra
-    if not omega.is_zero() and omega.degree() != 2:
+    if not omega.is_homogeneous(2):
         raise ValueError("omega must be homogeneous of degree 2")
     if alg.top % 2:
         raise ValueError("the symplectic check needs an even top degree")
@@ -67,11 +66,7 @@ def is_symplectic(omega: GradedElement, n: int, conjugation: Conjugation,
                          f"the check needs n = top / 2 = {alg.top // 2}")
     d_res = apply_d(d, omega)
     conj_res = conjugation(omega) - omega
-    power = omega if n else alg.unit()
-    for _ in range(n - 1):
-        if power.is_zero():
-            break
-        power = wedge(power, omega)
+    power = kernel.power(omega, n, alg.unit, wedge)
     return SymplecticVerdict(
         closed=d_res.is_zero(),
         real=conj_res.is_zero(),

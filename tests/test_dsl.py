@@ -91,6 +91,7 @@ PINNED_DIAGNOSTICS = [
     (_F + "algebra M generators a:2\n",
      2, 9, "an algebra with even generators needs an explicit top degree"),
     (_M + "conjugation mu xx\n", 3, 16, "unknown generator 'xx'"),
+    (_AB + "conjugation a b\n", 6, 13, "'a' belongs to another algebra"),
     (_M + "conjugation\n", 3, 12, "conjugation needs at least one pair"),
     (_F + "algebra M generators a:1 b:3\nconjugation a b\n",
      3, 1, "conjugation must pair generators of equal degree"),
@@ -99,6 +100,7 @@ PINNED_DIAGNOSTICS = [
     (_F + "algebra M generators a:1 b:1\nconjugation a b\nconjugation a a b b\n",
      4, 1, "duplicate conjugation for algebra 'M'"),
     (_M + "d xx = mu\n", 3, 3, "unknown generator 'xx'"),
+    (_AB + "d a = b\n", 6, 3, "'a' belongs to another algebra"),
     (_M + "d mu mu\n", 3, 6, "expected '='"),
     (_F + "algebra M generators a:1 b:1 c:1\nd c = a*b\nd c = a*b\n",
      4, 3, "duplicate differential for 'c'"),
@@ -108,6 +110,7 @@ PINNED_DIAGNOSTICS = [
     (_M + "map f order 0 { }\n", 3, 13, "order must be >= 1, got 0"),
     (_M + "map f order 1 ( }\n", 3, 15, "expected '{'"),
     (_M + "map f order 1 { xx -> mu }\n", 3, 17, "unknown generator 'xx'"),
+    (_AB + "map g order 1 { a -> b }\n", 6, 17, "'a' belongs to another algebra"),
     (_M + "map f order 1 { mu nu }\n", 3, 20, "expected '->'"),
     (_M + "map f order 1 { mu -> mu ; mu -> nu }\n", 3, 28, "duplicate map assignment for 'mu'"),
     (_M + "map f order 1 { mu -> mu ; nu -> nu\n", 4, 1, "expected '}'"),
@@ -116,6 +119,7 @@ PINNED_DIAGNOSTICS = [
     (_M + "let x = mu * +\n", 3, 14, "expected an element, got '+'"),
     (_M + "let x = (mu + nu\n", 3, 17, "expected ')'"),
     (_AB + "let y = x\n", 6, 9, "'x' belongs to another algebra"),
+    (_AB + "let y = a\n", 6, 9, "'a' belongs to another algebra"),
     (_M + "let x = {1\n", 3, 11, "malformed scalar: missing '}'"),
     (_M + "let x = {1/0}\n", 3, 12, "malformed scalar: zero denominator"),
     (_M + "let x = {1/y}\n", 3, 12, "expected denominator"),
@@ -133,6 +137,7 @@ PINNED_DIAGNOSTICS = [
     (_M + "task massey M mu nu qq\n", 3, 21, "unknown element 'qq'"),
     (_M + "task massey M mu nu 1\n", 3, 21, "expected element name"),
     (_AB + "task massey B b b x\n", 6, 19, "'x' belongs to another algebra"),
+    (_AB + "task massey B b b a\n", 6, 19, "'a' belongs to another algebra"),
     (_M + "task lefschetz M partial mu 1\n", 3, 18, "expected 'invariant <map>' or 'full'"),
     (_M + "task lefschetz M full mu x\n", 3, 26, "expected power k"),
     (_M + "task symplectic M mu 1 mu\n", 3, 6, "algebra 'M' has no conjugation declared"),
@@ -660,11 +665,12 @@ def test_a_value_error_inside_product_rows_exits_3(monkeypatch, capsys):
     assert "engine-built element: refused" in capsys.readouterr().err
 
 
-def test_a_paper_run_makes_90_wedges_and_223_class_solves(paper_session, monkeypatch):
+def test_a_paper_run_makes_89_wedges_and_223_class_solves(paper_session, monkeypatch):
     """Frozen counts, in every module that binds ``wedge``: the product loop
     makes the products and solves that the Lefschetz and Massey loops made
-    before it, and the Massey task's exactness solves decide its
-    preconditions, with no cup product solved ahead of them."""
+    before it, the Massey task's exactness solves decide its
+    preconditions, with no cup product solved ahead of them, and the
+    symplectic check builds omega^4 by two squarings."""
     calls = []
 
     def counting_wedge(x, y):
@@ -682,7 +688,7 @@ def test_a_paper_run_makes_90_wedges_and_223_class_solves(paper_session, monkeyp
     monkeypatch.setattr(CohomologyTable, "class_coords", counting_class_coords)
     report = dsl.run(paper_session)
     assert report.machine_text() == GOLDEN.read_text()
-    assert (calls.count("wedge"), calls.count("class_coords")) == (90, 223)
+    assert (calls.count("wedge"), calls.count("class_coords")) == (89, 223)
 
 
 @pytest.mark.parametrize("task", ["symplectic M zero 4 {vol}", "symplectic M omega 4 {vol}",
@@ -711,6 +717,19 @@ def test_eval_expr_refuses_an_unknown_algebra(paper_session):
         dsl.eval_expr("mu", paper_session, "nope")
     with pytest.raises(dsl.DslError, match="^1:1: no algebra declared$"):
         dsl.eval_expr("mu", dsl.parse("field cyclotomic 12\n"))
+
+
+@pytest.mark.parametrize("text,error", [("mu\nnu", "2:1: unexpected trailing token 'nu'"),
+                                        ("mu\n+", "2:1: unexpected trailing token '+'"),
+                                        ("mu\n", None), ("mu # c\n\n", None)])
+def test_eval_expr_reads_to_the_end_of_the_text(paper_session, text, error):
+    """Blank lines and comments may follow the expression; any other token
+    after it is refused, on its own line too."""
+    if error is None:
+        assert dsl.eval_expr(text, paper_session) == dsl.eval_expr("mu", paper_session)
+    else:
+        with pytest.raises(dsl.DslError, match=f"^{re.escape(error)}$"):
+            dsl.eval_expr(text, paper_session)
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):

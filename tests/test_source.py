@@ -175,6 +175,35 @@ def test_products_of_representatives_are_solved_in_product_rows_only(tmp_path):
     assert _product_solves(old) == ["symplectic.lefschetz"]
 
 
+def _strings_containing(path: Path, phrase: str) -> list[str]:
+    """The owner of each string constant of ``path``, the literal parts of
+    f-strings included, that contains ``phrase``."""
+    return [owner for owner, node in _qualified_nodes(path)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and phrase in node.value]
+
+
+def test_names_of_another_algebra_are_refused_in_lookup_only(tmp_path):
+    """Session names have one resolver, ``Parser.lookup``, so it alone says
+    that a name belongs to another algebra.  The old element resolver,
+    written back into a module, is caught."""
+    phrase = "belongs to another algebra"
+    assert _strings_containing(SRC / "dsl.py", phrase) == ["dsl.Parser.lookup"]
+    old = tmp_path / "dsl.py"
+    old.write_text("class Parser:\n"
+                   "    def resolve_element(self, ctx, t, noun):\n"
+                   "        name = self.texts[t]\n"
+                   "        if name in ctx.gen_degrees:\n"
+                   "            return ctx.algebra.generator(name)\n"
+                   "        value = self.session.lets.get(name)\n"
+                   "        if value is None:\n"
+                   "            self.fail(t, f\"unknown {noun} {name!r}\")\n"
+                   "        if value.algebra is not ctx.algebra:\n"
+                   "            self.fail(t, f\"{name!r} belongs to another algebra\")\n"
+                   "        return value\n")
+    assert _strings_containing(old, phrase) == ["dsl.Parser.resolve_element"]
+
+
 def test_products_are_added_by_the_fused_op_only():
     """A product that is added to an entry is added by the field's fused
     ``addmul`` or ``submul``, read in exactly the three accumulation loops,
