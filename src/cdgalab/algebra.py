@@ -38,11 +38,9 @@ a coefficient.  Nothing cached escapes: every call returns a fresh element.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._backend import kernel
 from ._record import Frozen
-from .field import CycloField, FieldElement, format_scalar
+from .field import CycloField, FieldElement, format_scalar, is_rational
 
 
 class GeneratorSpec(Frozen):
@@ -325,12 +323,12 @@ class GradedElement:
     def __mul__(self, other):
         if isinstance(other, GradedElement):
             return wedge(self, other)
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, FieldElement) or is_rational(other):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, FieldElement) or is_rational(other):
             return self.scale(other)
         return NotImplemented
 

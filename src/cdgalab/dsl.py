@@ -40,27 +40,46 @@ one runner table, for each task and calls it with ``(run context, report,
 *args)``.  The machine-readable report is one ``key = value`` record per line
 after a header record carrying the sha256 of the session text; identical
 sessions produce byte-identical reports.
+
+A session loads only the engine modules its statements use.  This module
+imports the core (``field``, ``algebra``, ``linalg``, ``homology``) and
+``hashlib``, whose sha256 the report header needs.  While ``parse`` runs,
+``_load`` imports, once, what the table ``_MODULES`` names: ``action`` for a
+``map`` statement, and a task's own module (``symplectic``, ``formality`` or
+``topology``) for each task, so no module is imported or compiled inside
+``run``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import itertools
 import operator
 import re
-import string
 
 from ._backend import kernel
 from ._record import Frozen
 from .algebra import (Algebra, AlgebraMap, Conjugation, Differential,
                       GradedElement, PreconditionError, apply_d, format_element, wedge)
-from .action import GroupAction, invariant_cohomology
 from .field import CycloField, FieldElement, format_scalar, make_field
-from .formality import ObstructionInput, massey_triple, obstruction
 from .homology import CochainComplex, CohomologyTable
-from .symplectic import is_symplectic, lefschetz
-from .topology import EXCEPTIONAL_DIM, BettiVector, Edge, IncidenceGraph, betti_p1_bundle, \
-    betti_projective, betti_resolution, betti_union, check_edge
+
+# Statement keyword or task name -> the engine module it needs.  ``mv_union``
+# and ``resolution`` also parse their ``node``/``edge`` clauses with theirs.
+# Parser and runners read a loaded module as a global of this module.
+_MODULES = {"map": "action", "symplectic": "symplectic", "lefschetz": "symplectic",
+            "obstruction": "formality", "massey": "formality",
+            "mv_union": "topology", "resolution": "topology"}
+action = formality = symplectic = topology = None
+
+
+def _load(keyword: str):
+    """Bind the engine module that ``keyword``'s statements need, once."""
+    name = _MODULES.get(keyword)
+    if name is not None and globals()[name] is None:
+        globals()[name] = importlib.import_module(f"{__package__}.{name}")
+
 
 RESERVED = {"field", "cyclotomic", "algebra", "generators", "conjugation", "d", "map", "order",
             "let", "task", "top", "z", "i", "invariant", "full", "node", "edge", "proj", "p1b"}
@@ -90,8 +109,9 @@ class DslError(Exception):
 # empty capture at the end of the text is EOF.
 _TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?(->|[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^ \t\r]|\Z)")
 # A token's kind by its first character; a character not in the table is BAD.
-_KIND = {"": "EOF", "\n": "NEWLINE", **dict.fromkeys(string.digits, "INT"),
-         **dict.fromkeys(string.ascii_letters, "IDENT"), **dict.fromkeys(":={};*+-^/()", "SYM")}
+_KIND = {"": "EOF", "\n": "NEWLINE", **dict.fromkeys("0123456789", "INT"),
+         **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "IDENT"),
+         **dict.fromkeys(":={};*+-^/()", "SYM")}
 MAX_NESTING = 64  # parentheses an expression may open around one factor
 
 
@@ -133,7 +153,7 @@ class MapBinding:
         self.ctx = ctx
         self.order = order
         self.map = map
-        self.action: GroupAction | None = None  # built and validated by finalize
+        self.action: action.GroupAction | None = None  # built and validated by finalize
 
 
 class Task:
@@ -273,6 +293,7 @@ class Parser:
             handler = getattr(self, f"stmt_{text}", None)
             if handler is None:
                 self.fail(t, f"unknown statement {text!r}")
+            _load(text)
             handler(self.next())
             self.expect_end_of_statement()
         self.finalize()
@@ -488,6 +509,7 @@ class Parser:
         name = self.texts[name_tok]
         if name not in _TASK_RUNNERS:
             self.fail(name_tok, f"unknown task {name!r}")
+        _load(name)
         args = getattr(self, f"task_{name}")(name_tok)
         self.session.tasks.append(Task(name, args))
 
@@ -542,7 +564,7 @@ class Parser:
         k, _ = self.expect_int("power k")
         return ctx, mode, omega, k
 
-    def parse_space(self) -> BettiVector:
+    def parse_space(self) -> topology.BettiVector:
         t = self.expect_ident("'proj' or 'p1b'")
         kind = self.texts[t]
         if kind not in ("proj", "p1b"):
@@ -550,13 +572,13 @@ class Parser:
         n, ntok = self.expect_int("projective dimension" if kind == "proj"
                                   else "base projective dimension")
         dim = 2 * n if kind == "proj" else 2 * n + 2
-        if dim > EXCEPTIONAL_DIM:
+        if dim > topology.EXCEPTIONAL_DIM:
             self.fail(ntok, f"{kind} {n} has real dimension {dim}, above the "
-                            f"exceptional set's {EXCEPTIONAL_DIM}")
-        space = betti_projective(n)
-        return space if kind == "proj" else betti_p1_bundle(space)
+                            f"exceptional set's {topology.EXCEPTIONAL_DIM}")
+        space = topology.betti_projective(n)
+        return space if kind == "proj" else topology.betti_p1_bundle(space)
 
-    def parse_graph(self) -> IncidenceGraph:
+    def parse_graph(self) -> topology.IncidenceGraph:
         nodes, edges = [], []
         while True:
             if self.accept("node"):
@@ -569,9 +591,9 @@ class Parser:
                 for index, itok in ((a, atok), (b, btok)):
                     if not 0 <= index < len(nodes):
                         self.fail(itok, f"node index {index} out of range")
-                edge = Edge(a, b, inter)
+                edge = topology.Edge(a, b, inter)
                 try:
-                    check_edge(nodes, edge)
+                    topology.check_edge(nodes, edge)
                 except ValueError as e:
                     self.fail(etok, str(e))
                 edges.append(edge)
@@ -579,7 +601,7 @@ class Parser:
                 break
         if not nodes:
             self.fail(self.pos, "expected at least one 'node' clause")
-        return IncidenceGraph(nodes, edges)
+        return topology.IncidenceGraph(nodes, edges)
 
     def task_mv_union(self, tok: int) -> tuple:
         return (self.parse_graph(),)
@@ -606,7 +628,7 @@ class Parser:
                 self.fail(ctx.first_d_token, str(e))
         for binding in self.session.maps.values():
             try:
-                binding.action = GroupAction(binding.map, binding.order,
+                binding.action = action.GroupAction(binding.map, binding.order,
                                              binding.ctx.differential)
             except ValueError as e:
                 self.fail(binding.token, f"map {self.texts[binding.token]!r} is not a "
@@ -677,7 +699,7 @@ class _RunContext:
         if key not in self._tables:
             self._tables[key] = (
                 CohomologyTable(CochainComplex(ctx.differential)) if binding is None
-                else invariant_cohomology(binding.action, self.table(ctx, None)))
+                else action.invariant_cohomology(binding.action, self.table(ctx, None)))
         return self._tables[key]
 
 
@@ -725,7 +747,7 @@ def _run_invariant_betti(rc: _RunContext, report: Report, ctx: AlgebraContext,
 
 def _run_symplectic(rc: _RunContext, report: Report, ctx: AlgebraContext,
                     omega: GradedElement, n: int, vol: GradedElement):
-    verdict = is_symplectic(omega, n, ctx.conjugation, ctx.differential, vol)
+    verdict = symplectic.is_symplectic(omega, n, ctx.conjugation, ctx.differential, vol)
     report.add("symplectic", "yes" if verdict.ok else "no")
     report.add("symplectic_closed", "yes" if verdict.closed else "no")
     report.add("symplectic_real", "yes" if verdict.real else "no")
@@ -736,7 +758,7 @@ def _run_obstruction(rc: _RunContext, report: Report, ctx: AlgebraContext,
                      binding: MapBinding | None, alpha: GradedElement, betas: tuple,
                      vol: GradedElement):
     table = rc.table(ctx, binding)
-    result = obstruction(ObstructionInput(alpha, betas, vol), table)
+    result = formality.obstruction(formality.ObstructionInput(alpha, betas, vol), table)
     for i, xi in enumerate(result.primitives):
         report.add(f"obstruction_xi[{i + 1}]", format_element(xi))
     report.add("obstruction_scalar", format_scalar(result.scalar))
@@ -749,7 +771,7 @@ def _run_obstruction(rc: _RunContext, report: Report, ctx: AlgebraContext,
 def _run_massey(rc: _RunContext, report: Report, ctx: AlgebraContext,
                 x: GradedElement, y: GradedElement, z: GradedElement):
     table = rc.table(ctx, None)
-    result = massey_triple(table.class_of(x), table.class_of(y), table.class_of(z))
+    result = formality.massey_triple(table.class_of(x), table.class_of(y), table.class_of(z))
     report.add("massey_class", format_element(result.representative))
     report.add("massey_class_is_zero", "yes" if not result.class_coords else "no")
     report.add("massey_indeterminacy_dim", result.indeterminacy.dim)
@@ -757,20 +779,20 @@ def _run_massey(rc: _RunContext, report: Report, ctx: AlgebraContext,
 
 def _run_lefschetz(rc: _RunContext, report: Report, ctx: AlgebraContext,
                    binding: MapBinding | None, omega: GradedElement, k: int):
-    result = lefschetz(rc.table(ctx, binding).class_of(omega, 2), k)
+    result = symplectic.lefschetz(rc.table(ctx, binding).class_of(omega, 2), k)
     report.add(f"lefschetz_rank[{k}]", result.rank)
     report.add(f"lefschetz_kernel_dim[{k}]", result.kernel_dim)
 
 
-def _run_mv_union(rc: _RunContext, report: Report, graph: IncidenceGraph):
-    for j, b in enumerate(betti_union(graph)):
+def _run_mv_union(rc: _RunContext, report: Report, graph: topology.IncidenceGraph):
+    for j, b in enumerate(topology.betti_union(graph)):
         report.add(f"mv_betti[{j}]", b)
 
 
 def _run_resolution(rc: _RunContext, report: Report, ctx: AlgebraContext,
-                    binding: MapBinding, s: int, graph: IncidenceGraph):
-    bhat = BettiVector(tuple(rc.table(ctx, binding).betti))
-    v = betti_resolution(bhat, betti_union(graph), s)
+                    binding: MapBinding, s: int, graph: topology.IncidenceGraph):
+    bhat = topology.BettiVector(tuple(rc.table(ctx, binding).betti))
+    v = topology.betti_resolution(bhat, topology.betti_union(graph), s)
     report.add("resolution_s", s)
     for j, b in enumerate(v):
         report.add(f"betti_resolution[{j}]", b)

@@ -8,16 +8,32 @@ rationals.
 
 Scalars print as polynomials in ``z`` with rational coefficients in
 decreasing power order (``1/2*z^3 - 2``); the zero element prints as ``0``.
+Each coefficient is printed from its integer coordinate and the denominator,
+reduced by their gcd.
+
+The rationals the engine takes as scalars are ``int`` (``bool`` included) and
+``fractions.Fraction``, read through their ``numerator`` and ``denominator``.
+The module does not import ``fractions``, which loads ``decimal`` and
+``numbers``: ``is_rational`` tests for a Fraction only once that module is
+loaded, and the public ``FieldElement.coords`` imports it when it is read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd
 
 from ._backend import kernel
 
-Rational = Fraction  # exact rational scalars; arbitrary precision
+
+def is_rational(value) -> bool:
+    """Whether ``value`` is an ``int`` (``bool`` included) or a
+    ``fractions.Fraction``.  Before ``fractions`` is loaded no value is a
+    Fraction, so the test needs no import."""
+    if isinstance(value, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -147,9 +163,15 @@ class CycloField:
         return self._one
 
     def rational(self, p, q=1) -> "FieldElement":
-        f = Fraction(p, q)
-        nums = [f.numerator] + [0] * (self.phi - 1)
-        return FieldElement(self, kernel.cv_normalize(nums, f.denominator))
+        """The rational p / q of two ints or Fractions; anything else is a
+        ``TypeError`` and q = 0 a ``ZeroDivisionError``."""
+        if not (is_rational(p) and is_rational(q)):
+            raise TypeError("a rational scalar needs int or Fraction parts, got "
+                            f"{type(p).__name__} and {type(q).__name__}")
+        num, den = p.numerator * q.denominator, p.denominator * q.numerator
+        if den == 0:
+            raise ZeroDivisionError(f"rational scalar {p}/{q}")
+        return FieldElement(self, kernel.cv_normalize([num] + [0] * (self.phi - 1), den))
 
     def zeta(self, k: int = 1) -> "FieldElement":
         """The root-of-unity power z**k."""
@@ -204,7 +226,7 @@ class FieldElement:
                 raise ValueError(
                     f"conductor mismatch: {self.field.n} vs {other.field.n}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if is_rational(other):
             return self.field.rational(other)
         return None
 
@@ -312,12 +334,15 @@ class FieldElement:
         return all(v == 0 for v in self.cv[1:-1])
 
     @property
-    def coords(self) -> tuple[Fraction, ...]:
+    def coords(self) -> tuple:
+        """The power-basis coordinates as Fractions, importing ``fractions``
+        when read; the engine itself reads the integer ``cv``."""
+        from fractions import Fraction
         den = self.cv[-1]
         return tuple(Fraction(v, den) for v in self.cv[:-1])
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_rational(other):
             other = self.field.rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
@@ -342,17 +367,18 @@ class FieldElement:
 
 def format_scalar(a: FieldElement) -> str:
     """Canonical textual form: z-polynomial, decreasing powers, no zero terms."""
-    coords = a.coords
+    *nums, den = a.cv
     parts = []
-    for power in range(len(coords) - 1, -1, -1):
-        c = coords[power]
-        if c == 0:
+    for power in range(len(nums) - 1, -1, -1):
+        v = nums[power]
+        if not v:
             continue
-        mag = abs(c)
+        g = gcd(v, den)
+        mag = str(abs(v) // g) if g == den else f"{abs(v) // g}/{den // g}"
         if power == 0:
-            body = str(mag)
+            body = mag
         else:
             zpow = "z" if power == 1 else f"z^{power}"
-            body = zpow if mag == 1 else f"{mag}*{zpow}"
-        parts.append((c < 0, body))
+            body = zpow if mag == "1" else f"{mag}*{zpow}"
+        parts.append((v < 0, body))
     return kernel.signed_sum(parts)

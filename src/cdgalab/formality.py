@@ -159,8 +159,10 @@ def massey_triple(x: CohomologyClass, y: CohomologyClass,
     out_deg = x.degree + y.degree + z.degree - 1
     with engine_built():
         coords = table.class_coords(rep, out_deg)
-    # h*x' is (-1)^(|x||h|) x'*h, a sign that leaves the span unchanged
-    rows = (table.product_rows(xr, y.degree + z.degree - 1, out_deg)
-            + table.product_rows(zr, x.degree + y.degree - 1, out_deg))
+    # h*x' is (-1)^(|x||h|) x'*h, a sign that leaves the span unchanged; for
+    # <x, y, x> the two row sets are one, and the span keeps one basis
+    rows = table.product_rows(xr, y.degree + z.degree - 1, out_deg)
+    if z != x:
+        rows += table.product_rows(zr, x.degree + y.degree - 1, out_deg)
     indet = Subspace.from_vectors(xr.algebra.field, table.dim(out_deg), rows)
     return MasseyResult(coords, rep, indet)

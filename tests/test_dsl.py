@@ -665,12 +665,13 @@ def test_a_value_error_inside_product_rows_exits_3(monkeypatch, capsys):
     assert "engine-built element: refused" in capsys.readouterr().err
 
 
-def test_a_paper_run_makes_89_wedges_and_223_class_solves(paper_session, monkeypatch):
+def test_a_paper_run_makes_59_wedges_and_193_class_solves(paper_session, monkeypatch):
     """Frozen counts, in every module that binds ``wedge``: the product loop
     makes the products and solves that the Lefschetz and Massey loops made
     before it, the Massey task's exactness solves decide its
-    preconditions, with no cup product solved ahead of them, and the
-    symplectic check builds omega^4 by two squarings."""
+    preconditions, with no cup product solved ahead of them, the Massey
+    task <alpha, beta1, alpha> reads its one indeterminacy row set once,
+    and the symplectic check builds omega^4 by two squarings."""
     calls = []
 
     def counting_wedge(x, y):
@@ -688,7 +689,7 @@ def test_a_paper_run_makes_89_wedges_and_223_class_solves(paper_session, monkeyp
     monkeypatch.setattr(CohomologyTable, "class_coords", counting_class_coords)
     report = dsl.run(paper_session)
     assert report.machine_text() == GOLDEN.read_text()
-    assert (calls.count("wedge"), calls.count("class_coords")) == (89, 223)
+    assert (calls.count("wedge"), calls.count("class_coords")) == (59, 193)
 
 
 @pytest.mark.parametrize("task", ["symplectic M zero 4 {vol}", "symplectic M omega 4 {vol}",

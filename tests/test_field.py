@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cdgalab
 from cdgalab import cyclotomic_polynomial, make_field
 from cdgalab._backend import kernel
 from cdgalab.field import MAX_DEGREE, check_conductor, format_scalar
@@ -129,6 +130,57 @@ def test_canonical_formatting():
     assert format_scalar(f.zeta(3)) == "z^3"
     a = f.zeta(3) * Fraction(1, 2) - 2
     assert format_scalar(a) == "1/2*z^3 - 2"
+
+
+def _fraction_scalar_text(a) -> str:
+    """The scalar text built from Fraction coordinates, as ``format_scalar``
+    built it before it read the integer cv."""
+    den = a.cv[-1]
+    parts = []
+    for power in range(a.field.phi - 1, -1, -1):
+        c = Fraction(a.cv[power], den)
+        if c:
+            mag = abs(c)
+            zpow = "" if power == 0 else "z" if power == 1 else f"z^{power}"
+            body = str(mag) if not zpow else zpow if mag == 1 else f"{mag}*{zpow}"
+            parts.append((" - " if c < 0 else " + ") + body)
+    text = "".join(parts)
+    return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 12])
+def test_scalar_text_matches_the_fraction_formatter(n):
+    """Random scalars with negative and zero coordinates and denominators
+    that share factors with some coordinates and not others."""
+    f = make_field(n)
+    rng = random.Random(600 + n)
+    samples = [f.zero, f.one, -f.one, f.rational(-7, 6)]
+    for _ in range(400):
+        coords = [rng.choice([0, 0, rng.randint(-40, 40)]) for _ in range(f.phi)]
+        den = rng.choice([1, 2, 3, 4, 6, 12, 35, rng.randint(1, 99)])
+        samples.append(sum((f.zeta(j) * Fraction(c, den) for j, c in enumerate(coords)), f.zero))
+    assert any(a.is_zero() for a in samples[4:]) and any(a.cv[-1] > 1 for a in samples)
+    for a in samples:
+        assert format_scalar(a) == _fraction_scalar_text(a), a.cv
+
+
+def test_rational_scalars_are_ints_bools_and_fractions():
+    f = make_field(12)
+    assert cdgalab.Rational is Fraction
+    assert f.element(3) == f.rational(3) == 3 and f.element(True) == f.one
+    assert f.element(Fraction(-6, 4)) == f.rational(-3, 2) == Fraction(-3, 2)
+    assert f.rational(Fraction(1, 2), Fraction(-3, 4)) == f.rational(-2, 3)
+    assert f.one * Fraction(1, 3) + 1 == f.rational(4, 3) and 2 * f.one == f.rational(2)
+    for bad in (0.5, "1/3", None):
+        with pytest.raises(TypeError):
+            f.element(bad)
+        with pytest.raises(TypeError):
+            f.one + bad
+        assert f.one != bad
+    with pytest.raises(TypeError):
+        f.rational(1, 2.0)
+    with pytest.raises(ZeroDivisionError):
+        f.rational(1, 0)
 
 
 def test_coords_roundtrip():

@@ -190,6 +190,29 @@ def test_massey_triple_on_heisenberg_algebra(model):
         assert res.indeterminacy.contains(diff)
 
 
+def test_massey_reads_a_second_row_set_only_for_a_second_class(model, monkeypatch):
+    """<x, y, x> has one indeterminacy row set, read once; for z != x both
+    x.H and H.z are read, and the span is the one of the two old loops."""
+    table, g = model.table, model.gens
+    x = table.class_of(g["mu"] * g["mubar"], 2)
+    y = table.class_of(g["nu"] * g["nubar"], 2)
+    z = table.class_of(g["nu"] * g["etabar"], 2)
+    assert z != x and table.class_of(g["mu"] * g["mubar"], 2) == x
+    product_rows, reads = CohomologyTable.product_rows, []
+
+    def counting(self, r, k, degree):
+        reads.append(r)
+        return product_rows(self, r, k, degree)
+
+    monkeypatch.setattr(CohomologyTable, "product_rows", counting)
+    for third, expected in ((x, [x]), (z, [x, z])):
+        reads.clear()
+        res = massey_triple(x, y, third)
+        assert reads == [c.representative() for c in expected]
+        old = _two_loop_indeterminacy(x, y, third)
+        assert (res.indeterminacy.rows, res.indeterminacy.pivots) == (old.rows, old.pivots)
+
+
 def test_massey_requires_vanishing_cups(model):
     """The exactness solves of the two products decide the preconditions,
     x.y first: a nonzero cup is a ``ValueError``, not an engine fault."""

@@ -72,7 +72,7 @@ def test_every_exported_name_resolves_and_star_import_works():
 
 def _unused_imports(path: Path) -> list[str]:
     """Names that ``path`` imports but never reads as a name and does not
-    list in ``__all__``."""
+    list in a literal ``__all__``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
     used = set()
@@ -86,7 +86,7 @@ def _unused_imports(path: Path) -> list[str]:
                     imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return [f"{path.relative_to(ROOT)}:{line}: {name}"
@@ -330,6 +330,51 @@ def test_import_loads_no_inspect_machinery():
     assert "cdgalab.dsl" in new
     loaded = new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert not loaded, f"import cdgalab loads {sorted(loaded)}"
+
+
+# Modules a Betti-only session never needs: the rationals' module with the two
+# it loads, ``string``, and the engine modules that only maps and tasks use.
+_LAZY_STDLIB = {"fractions", "decimal", "numbers", "string"}
+_TASK_MODULES = {"cdgalab.action", "cdgalab.formality", "cdgalab.symplectic",
+                 "cdgalab.topology"}
+# Prints the modules that each step loads, one line per step: the import and
+# the parse of session argv[1], the parse of argv[2], and its run.
+_LOAD_STEPS = """
+import sys
+before, steps = set(sys.modules), []
+
+def step():
+    steps.append(set(sys.modules) - before - set().union(*steps))
+
+import cdgalab, cdgalab.cli
+from cdgalab import dsl
+dsl.parse(open(sys.argv[1]).read())
+step()
+session = dsl.parse(open(sys.argv[2]).read())
+step()
+dsl.run(session)
+step()
+print("\\n".join(" ".join(sorted(names)) for names in steps))
+"""
+
+
+def test_sessions_load_only_the_modules_their_statements_use():
+    """In a fresh interpreter, ``import cdgalab, cdgalab.cli`` and the parse
+    of the ladder session load no module of ``_LAZY_STDLIB`` or
+    ``_TASK_MODULES``; the parse of the paper session loads the four task
+    modules, and its run loads nothing more, so no module is compiled
+    inside the run."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    sessions = [str(ROOT / "perfbench/sessions/ladder.cdga"), str(ROOT / "paper.cdga")]
+    r = subprocess.run([sys.executable, "-c", _LOAD_STEPS, *sessions], cwd=ROOT, env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr[-3000:]
+    ladder, paper_parse, paper_run = (set(line.split()) for line in r.stdout.split("\n")[:3])
+    assert {"cdgalab.dsl", "cdgalab.homology"} <= ladder
+    loaded = ladder & (_LAZY_STDLIB | _TASK_MODULES)
+    assert not loaded, f"a ladder session loads {sorted(loaded)}"
+    assert _TASK_MODULES <= paper_parse, sorted(paper_parse)
+    assert not paper_run, f"the paper run loads {sorted(paper_run)}"
 
 
 @pytest.mark.parametrize("make", [
