@@ -42,21 +42,30 @@ after a header record carrying the sha256 of the session text; identical
 sessions produce byte-identical reports.
 
 A session loads only the engine modules its statements use.  This module
-imports the core (``field``, ``algebra``, ``linalg``, ``homology``) and
-``hashlib``, whose sha256 the report header needs.  While ``parse`` runs,
-``_load`` imports, once, what the table ``_MODULES`` names: ``action`` for a
-``map`` statement, and a task's own module (``symplectic``, ``formality`` or
-``topology``) for each task, so no module is imported or compiled inside
-``run``.
+imports the core (``field``, ``algebra``, ``linalg``, ``homology``) and the
+report header's ``sha256`` from CPython's own module (``_sha2``, or
+``_sha256`` before 3.12), which ``hashlib`` itself falls back to; only an
+interpreter with neither imports ``hashlib``, whose OpenSSL costs a session
+about 2-3 ms.  While ``parse`` runs, ``_load`` imports, once, what the table
+``_MODULES`` names: ``action`` for a ``map`` statement, and a task's own
+module (``symplectic``, ``formality`` or ``topology``) for each task, so no
+module is imported or compiled inside ``run``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import itertools
 import operator
 import re
+
+try:  # CPython's own sha256, the one hashlib falls back to; it loads no OpenSSL
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from ._backend import kernel
 from ._record import Frozen
@@ -173,7 +182,7 @@ class Session:
         self.tasks: list = []
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.source.encode("utf-8")).hexdigest()
+        return sha256(self.source.encode("utf-8")).hexdigest()
 
     def lookup_element(self, name: str) -> GradedElement | None:
         kind, _, value = self.names.get(name, _UNBOUND)

@@ -121,13 +121,6 @@ class CochainComplex:
         words = self.algebra.basis(k)
         return _element(self.algebra, {words[j]: c for j, c in ambient.items()})
 
-    def basis_elements(self, k: int) -> list[GradedElement]:
-        """The degree-k basis of the complex as elements.  The engine reads
-        coordinates, not basis elements; this stays public because tests
-        walk the invariant complex's basis with it."""
-        one = self.algebra.field.one.cv
-        return [self.from_row(k, {i: one}) for i in range(self.dim(k))]
-
     # --- the differential in complex coordinates ---
 
     def d_matrix(self, k: int) -> Matrix:

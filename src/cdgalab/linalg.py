@@ -106,10 +106,6 @@ class Matrix:
         return kernel.rank([dict(row) for row in self.sparse_rows], self.ncols,
                            field, _inv_cv(field))
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        cv = self.sparse_rows[i].get(j)
-        return self.field.zero if cv is None else FieldElement(self.field, cv)
-
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")

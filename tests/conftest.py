@@ -137,6 +137,23 @@ def densify(field, row: dict, n: int) -> list:
     return out
 
 
+def times(field, x, m) -> list:
+    """The product x * A of the dense row x of field elements and the
+    Matrix A, summed over the rows ``A.sparse_rows``."""
+    out = [field.zero] * m.ncols
+    for xi, row in zip(x, m.sparse_rows):
+        for j, cv in row.items():
+            out[j] = out[j] + xi * field_module.FieldElement(field, cv)
+    return out
+
+
+def complex_basis(cx, k: int) -> list:
+    """The degree-k basis of the cochain complex cx as elements, each read
+    by ``from_row`` from a unit row."""
+    one = cx.algebra.field.one.cv
+    return [cx.from_row(k, {i: one}) for i in range(cx.dim(k))]
+
+
 def letters(algebra, word: int) -> tuple:
     """The sorted generator indices of an int word, read from the words of
     the generators alone: generator g's field lies between its word and the

@@ -22,8 +22,9 @@ from cdgalab.symplectic import is_symplectic, lefschetz
 from cdgalab.topology import BettiVector, IncidenceGraph, betti_p1_bundle, \
     betti_projective, betti_resolution, betti_union
 
-from conftest import ROOT, densify, in_projector_image, orbit_average, projector_rows, \
-    random_element, random_field_element, random_homogeneous, refuse_to_build_fields, sparse_row
+from conftest import ROOT, complex_basis, densify, in_projector_image, orbit_average, \
+    projector_rows, random_element, random_field_element, random_homogeneous, \
+    refuse_to_build_fields, sparse_row, times
 from test_dsl import EXPECTED_DIAGNOSTICS, FIXTURES, REFUSED_CONDUCTORS
 from test_homology import w_elements
 
@@ -99,7 +100,7 @@ def test_criterion_5_independence_suite(model):
     base_inv = obstruction(inp, model.invariant_table)
     assert base_inv.h3_dim == 0
     base_full = obstruction(inp, model.table, primitives=base_inv.primitives)
-    closed_inv3 = [e for e in model.invariant.basis_elements(3)
+    closed_inv3 = [e for e in complex_basis(model.invariant, 3)
                    if apply_d(model.differential, e).is_zero()]
     one_forms = [g[n] for n in ("mu", "nu", "theta", "eta",
                                 "mubar", "nubar", "thetabar", "etabar")]
@@ -273,17 +274,14 @@ def test_criterion_8_property_suites(model):
                                          for _ in range(nc)]) for _ in range(nr)])
         if rng.random() < 0.6:
             x0 = [random_field_element(f12, rng, span=2) for _ in range(nr)]
-            b = [sum((x0[i] * m.entry(i, j) for i in range(nr)), f12.zero)
-                 for j in range(nc)]
+            b = times(f12, x0, m)
         else:
             b = [random_field_element(f12, rng, span=2) for _ in range(nc)]
         x = Eliminator(m).solve_left(sparse_row(b))
         if x is not None:
             solved += 1
             x = densify(f12, x, nr)
-            xa = [sum((x[i] * m.entry(i, j) for i in range(nr)), f12.zero)
-                  for j in range(nc)]
-            assert xa == b
+            assert times(f12, x, m) == b
     assert solved >= N // 3
 
 

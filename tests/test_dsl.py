@@ -406,6 +406,34 @@ def test_empty_task_list_is_success():
     assert report.machine_text().startswith("session_sha256 = ")
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    PAPER_SESSION.read_text(encoding="utf-8"),
+    "# été ω∧ω → ℤ/3 \U0001d4dc\nfield cyclotomic 12\n",
+    "let x = mu*nu  # ω\n" * 50_000,
+], ids=["empty", "paper", "non_ascii", "one_megabyte"])
+def test_session_digest_is_hashlib_sha256_of_the_utf8_text(text):
+    import hashlib
+
+    assert dsl.Session(text).sha256() == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_session_digest_falls_back_to_hashlib_without_the_builtin_module():
+    """With CPython's own sha256 modules blocked, ``dsl`` takes ``sha256``
+    from ``hashlib``, and the digest of ``paper.cdga`` is unchanged."""
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from cdgalab import dsl\n"
+            "assert dsl.sha256 is hashlib.sha256, dsl.sha256\n"
+            "print(dsl.Session(open(sys.argv[1], encoding='utf-8').read()).sha256())\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-c", code, str(PAPER_SESSION)], cwd=ROOT, env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr[-3000:]
+    assert r.stdout.strip() == dsl.Session(PAPER_SESSION.read_text(encoding="utf-8")).sha256()
+
+
 def test_obstruction_task_error_is_carried_in_report(tmp_path):
     text = (
         "field cyclotomic 12\n"

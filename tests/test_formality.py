@@ -8,7 +8,7 @@ from cdgalab.formality import ObstructionInput, massey_triple, obstruction
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Subspace
 
-from conftest import ROOT, densify
+from conftest import ROOT, complex_basis, densify
 
 THEOREM_SCALAR = 2  # frozen once under the engine's documented sign convention
 
@@ -91,7 +91,7 @@ def test_alpha_representative_shift(model):
 def test_primitive_shift_by_closed_invariant(model):
     rng = random.Random(51)
     base = obstruction(theorem_input(model), model.invariant_table)
-    reps3 = model.invariant.basis_elements(3)
+    reps3 = complex_basis(model.invariant, 3)
     closed3 = [e for e in reps3 if apply_d(model.differential, e).is_zero()]
     for _ in range(20):
         coeffs = [rng.randint(-2, 2) for _ in closed3]

@@ -6,7 +6,7 @@ from cdgalab import Matrix, Subspace, make_field, quotient_basis
 from cdgalab.algebra import apply_d
 from cdgalab.linalg import Eliminator
 
-from conftest import densify, random_field_element, sparse_row
+from conftest import densify, random_field_element, sparse_row, times
 
 
 def d_matrix(model, k):
@@ -28,12 +28,6 @@ def transpose(m):
         for j, cv in row.items():
             cols[j][i] = cv
     return Matrix(m.field, m.nrows, cols)
-
-
-def times(f, x, m):
-    """The product x * A for a dense row x."""
-    return [sum((x[i] * m.entry(i, j) for i in range(m.nrows)), f.zero)
-            for j in range(m.ncols)]
 
 
 def test_rref_identity_and_zero():
@@ -245,10 +239,8 @@ def _rank_deficient_matrix(f, rng, nrows, ncols):
     r = rng.randint(0, max(0, min(nrows, ncols) - 1))
     left = _random_matrix(f, rng, nrows, r, density=0.7)
     right = _random_matrix(f, rng, r, ncols, density=0.7)
-    return Matrix(f, ncols, [sparse_row([sum((left.entry(i, k) * right.entry(k, j)
-                                              for k in range(r)), f.zero)
-                                         for j in range(ncols)])
-                             for i in range(nrows)])
+    return Matrix(f, ncols, [sparse_row(times(f, x, right))
+                             for x in dense_rows(f, left.sparse_rows, r)])
 
 
 def _matrix_cases():
@@ -293,8 +285,7 @@ def test_eliminator_matches_dense_reference():
         targets = [[random_field_element(f, rng) for _ in range(m.ncols)],
                    [f.zero] * m.ncols]
         x0 = [random_field_element(f, rng) for _ in range(m.nrows)]
-        targets.append([sum((x0[i] * m.entry(i, j) for i in range(m.nrows)), f.zero)
-                        for j in range(m.ncols)])
+        targets.append(times(f, x0, m))
         for b in targets:
             want = dense_solve_left(f, ref, b)
             got = el.solve_left(sparse_row(b))

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import re
 from collections import Counter
@@ -233,11 +234,9 @@ ALLOWED = {
     "dsl.eval_expr": "public: evaluates one expression against a parsed session",
     "field.CycloField.imaginary_unit": "public: the field's i; the parser reads i^k off pow_table",
     "field.FieldElement.conjugate": "public; the signature's Hermitian congruence will read it",
-    "homology.CochainComplex.basis_elements": "tests walk the invariant complex's basis with it",
     "homology.CohomologyTable.coboundaries": "tests check representatives against B^k with it",
     "homology.CohomologyTable.cup": "public: tests check the ring laws of H* through it",
     "homology.CohomologyTable.euler_characteristic": "waits for the duality task",
-    "linalg.Matrix.entry": "tests read the traces of the induced matrices with it",
     "topology.BettiVector.euler": "waits for the duality task",
     "topology.BettiVector.is_poincare_symmetric": "waits for the duality task",
 }
@@ -337,6 +336,9 @@ def test_import_loads_no_inspect_machinery():
 _LAZY_STDLIB = {"fractions", "decimal", "numbers", "string"}
 _TASK_MODULES = {"cdgalab.action", "cdgalab.formality", "cdgalab.symplectic",
                  "cdgalab.topology"}
+# No session needs OpenSSL when the interpreter has its own sha256 module.
+_OPENSSL = {"hashlib", "_hashlib"}
+_BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 # Prints the modules that each step loads, one line per step: the import and
 # the parse of session argv[1], the parse of argv[2], and its run.
 _LOAD_STEPS = """
@@ -363,7 +365,8 @@ def test_sessions_load_only_the_modules_their_statements_use():
     of the ladder session load no module of ``_LAZY_STDLIB`` or
     ``_TASK_MODULES``; the parse of the paper session loads the four task
     modules, and its run loads nothing more, so no module is compiled
-    inside the run."""
+    inside the run.  Where the interpreter has its own sha256 module, no
+    step loads ``hashlib`` or OpenSSL's ``_hashlib``."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     sessions = [str(ROOT / "perfbench/sessions/ladder.cdga"), str(ROOT / "paper.cdga")]
     r = subprocess.run([sys.executable, "-c", _LOAD_STEPS, *sessions], cwd=ROOT, env=env,
@@ -375,6 +378,26 @@ def test_sessions_load_only_the_modules_their_statements_use():
     assert not loaded, f"a ladder session loads {sorted(loaded)}"
     assert _TASK_MODULES <= paper_parse, sorted(paper_parse)
     assert not paper_run, f"the paper run loads {sorted(paper_run)}"
+    if _BUILTIN_SHA256:
+        openssl = (ladder | paper_parse) & _OPENSSL
+        assert not openssl, f"the sessions load {sorted(openssl)}"
+
+
+def test_hashlib_is_imported_only_as_the_sha256_fallback():
+    """One line of the library imports ``hashlib``: the fallback for
+    ``dsl.sha256`` when neither ``_sha2`` nor ``_sha256`` exists."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "hashlib" in names:
+                sites.append((path.name, ast.unparse(node)))
+    assert sites == [("dsl.py", "from hashlib import sha256")], sites
 
 
 @pytest.mark.parametrize("make", [
