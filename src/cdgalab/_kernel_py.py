@@ -166,7 +166,10 @@ def rref(rows, ncols, limit, field, inv):
     there, swapped up into place.  Row operations act on whole rows, so
     callers may augment past ``limit``.  ``inv`` maps a nonzero cv to its
     multiplicative inverse cv.  Returns ``(rank, pivot_columns)``; the rows
-    past the rank are left empty in the first ``limit`` columns.
+    past the rank are left empty in the first ``limit`` columns.  The
+    elimination never reads ``ncols``: ``perfbench/tracer.py`` reads it, by
+    position, to count ``kernel.cells``, so dropping it would change
+    ``kernel.mul_per_cell``.
 
     Each column below ``limit`` keeps the set of rows with a nonzero in it,
     so finding a pivot and clearing its column visit only those rows.  Rows
@@ -272,6 +275,9 @@ def reduce_against(row, rrows, pivots, ncols, field):
     others' coefficients alone: they are the row's entries at the pivots.
     Each step subtracts in place with the fused ``submul``, so the common
     case, an entry that is already there, needs no negated coefficient.
+    The reduction never reads ``ncols``, the width of the rows:
+    ``perfbench/tracer.py`` reads it, by position, to count ``kernel.cells``,
+    so dropping it would change ``kernel.mul_per_cell``.
     """
     mul, submul = field.mul, field.submul
     coeffs = {}

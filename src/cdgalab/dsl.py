@@ -414,7 +414,6 @@ class Parser:
             assignments[gen] = value
             self.skip_newlines()
             if not self.accept(";"):
-                self.skip_newlines()
                 self.expect("}")
                 break
         try:

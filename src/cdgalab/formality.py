@@ -51,69 +51,48 @@ class ObstructionResult:
         return self.h3_dim == 0 and self.is_nonzero()
 
 
-def _require_closed(table: CohomologyTable, x: GradedElement, label: str, degree: int):
+def _require_closed(table: CohomologyTable, x: GradedElement, label: str):
     cx = table.complex
-    if not x.is_homogeneous(degree):
-        raise PreconditionError(f"{label} must be homogeneous of degree {degree}")
-    if not x.is_zero() and not cx.contains(x, degree):
+    if not x.is_homogeneous(2):
+        raise PreconditionError(f"{label} must be homogeneous of degree 2")
+    if not x.is_zero() and not cx.contains(x, 2):
         raise PreconditionError(f"{label} does not lie in the working complex")
     dx = apply_d(cx.differential, x)
     if not dx.is_zero():
         raise PreconditionError(f"{label} is not closed", dx)
 
 
-def obstruction(inp: ObstructionInput, table: CohomologyTable,
-                primitives=None) -> ObstructionResult:
-    """Compute the obstruction class for validated input data in the complex
-    of ``table``.
+def obstruction(inp: ObstructionInput, table: CohomologyTable) -> ObstructionResult:
+    """The obstruction class of validated input data in the complex of
+    ``table``, with the deterministic pivot primitives inside that complex.
+    Independence from those choices is a theorem when h3_dim = 0, exercised
+    by the test suite, not assumed here.  The degree-8 element is closed by
+    construction, so its one class solve, in the top degree, runs inside
+    ``engine_built()``."""
+    for label, x in zip(("alpha", "beta_1", "beta_2", "beta_3"), (inp.alpha, *inp.betas)):
+        _require_closed(table, x, label)
 
-    By default the primitives are the deterministic pivot solutions inside
-    that complex; independence from those choices is a theorem when
-    h3_dim = 0 and is exercised by the test suite, not assumed here.  An
-    explicit ``primitives`` triple is accepted and validated instead.
-    """
-    cx = table.complex
-    _require_closed(table, inp.alpha, "alpha", 2)
+    primitives = []
     for i, b in enumerate(inp.betas):
-        _require_closed(table, b, f"beta_{i + 1}", 2)
-
-    if primitives is not None:
-        primitives = list(primitives)
-        if len(primitives) != 3:
-            raise PreconditionError("exactly three primitives are required")
-        for i, (xi, b) in enumerate(zip(primitives, inp.betas)):
-            if not cx.contains(xi, 3):
-                raise PreconditionError(
-                    f"xi_{i + 1} does not lie in the working complex")
-            diff = apply_d(cx.differential, xi) - wedge(inp.alpha, b)
-            if not diff.is_zero():
-                raise PreconditionError(
-                    f"d(xi_{i + 1}) != alpha*beta_{i + 1}", diff)
-    else:
-        primitives = []
-        for i, b in enumerate(inp.betas):
-            prod = wedge(inp.alpha, b)
-            xi = table.is_exact(prod, degree=4)
-            if xi is None:
-                row = table.class_coords(prod, 4)
-                field = cx.algebra.field
-                cls = ", ".join(str(FieldElement(field, row[j])) if j in row else "0"
-                                for j in range(table.betti[4]))
-                raise PreconditionError(
-                    f"alpha*beta_{i + 1} is not exact; its class has coordinates "
-                    f"({cls})", prod)
-            primitives.append(xi)
+        prod = wedge(inp.alpha, b)
+        xi = table.is_exact(prod, degree=4)
+        if xi is None:
+            row = table.class_coords(prod, 4)
+            field = table.complex.algebra.field
+            cls = ", ".join(str(FieldElement(field, row[j])) if j in row else "0"
+                            for j in range(table.betti[4]))
+            raise PreconditionError(
+                f"alpha*beta_{i + 1} is not exact; its class has coordinates ({cls})", prod)
+        primitives.append(xi)
 
     x1, x2, x3 = primitives
     b1, b2, b3 = inp.betas
     element = wedge(wedge(x1, x2), b3) + wedge(wedge(x2, x3), b1) + wedge(wedge(x3, x1), b2)
-    residue = apply_d(cx.differential, element)
-    if not residue.is_zero():
-        raise AssertionError(f"obstruction element failed to close: {residue}")
-
-    top = cx.top
-    coords = table.class_coords(element, top)
-    rep = CohomologyClass(table, top, coords).representative()
+    if not element.is_homogeneous(table.top):  # an algebra of another top degree
+        raise PreconditionError(f"element is not of degree {table.top}", element)
+    with engine_built():
+        coords = table.class_coords(element, table.top)
+    rep = CohomologyClass(table, table.top, coords).representative()
     return ObstructionResult(tuple(primitives), element, coords, rep,
                              top_scalar(rep, inp.volume), table.betti[3])
 

@@ -3,13 +3,13 @@
 A ``CochainComplex`` is the whole algebra or a differential-stable family of
 subspaces (one per degree, e.g. the invariants of a group action).  The
 degree-by-degree computation produces exact Betti numbers, echelon-chosen
-representatives, coordinates of classes, exactness witnesses, cup products
-and the top-degree pairing scalar.
+representatives, coordinates of classes, exactness witnesses, the class
+rows of products and the top-degree pairing scalar.
 
 Each degree k is read two ways.  Its Betti number comes from ranks,
 b_k = dim C^k - rank D_k - rank D_(k-1) (``Matrix.rank``, forward
-elimination).  Its quotient is built on the first class solve,
-representative read or coboundary read of degree k: Z^k is the kernel of
+elimination).  Its quotient is built on the first class solve or
+representative read of degree k: Z^k is the kernel of
 the d-eliminator of degree k, B^k the image of the one of degree k - 1, and
 the representatives are the reduced echelon rows of the remainders of Z^k
 against B^k, zero in the pivot columns of B^k.  Their number is
@@ -35,15 +35,17 @@ There is one class solve, ``CohomologyTable.class_coords``, and a class is
 held in one form, the sparse row ``{j: cv}`` of its coordinates in the
 representative basis.  The solve checks that its element belongs to the
 table's algebra, is closed and lies in the complex, and that the remainder
-against the representatives is zero; ``class_of``, ``cup`` and the one
-product loop, ``product_rows`` (the classes of r * x over the representatives
-r of a degree), read their classes from it.  The solve and ``is_exact`` take
-the degree, as their element may be zero; ``class_of`` is the one entry that
-infers it, from a nonzero homogeneous element.  On a user's element a failed
-check is a failed precondition (``PreconditionError``).  Inside
-``engine_built()`` the element is one the engine made itself, such as a
-product of representatives or the image of one under a map, and a failed
-check is an engine fault (``AssertionError``).
+against the representatives is zero; ``class_of`` and the one product
+loop, ``product_rows`` (the classes of r * x over the representatives r of
+a degree), read their classes from it.  B^k is kept beside the quotient, so
+a solve reads it from a dict and builds no eliminator of its own.  The
+solve and ``is_exact`` take the degree, as their element may be zero;
+``class_of`` is the one entry that infers it, from a nonzero homogeneous
+element.  On a user's element a failed check is a failed precondition
+(``PreconditionError``).  Inside ``engine_built()`` the element is one the
+engine made itself, such as a product of representatives, the image of one
+under a map or the obstruction's degree-8 element, and a failed check is an
+engine fault (``AssertionError``).
 """
 
 from __future__ import annotations
@@ -197,10 +199,6 @@ class CohomologyTable:
     def top(self) -> int:
         return self.complex.top
 
-    def coboundaries(self, k: int) -> Subspace:
-        self.quotient(k)
-        return self._coboundaries[k]
-
     def quotient(self, k: int) -> Subspace:
         """The representatives' rows in degree k, built with B^k on first
         read; a dimension other than ``betti[k]`` is an engine fault.  Both
@@ -233,12 +231,6 @@ class CohomologyTable:
             self._reps[k] = [self.complex.from_row(k, row)
                              for row in self.quotient(k).rows]
         return self._reps[k]
-
-    def euler_characteristic(self) -> int:
-        """The alternating sum of the Betti numbers.  No engine code reads it
-        yet: it waits for the duality task and the gates of the generated
-        Lie-algebra workload (ROADMAP items 2 and 15)."""
-        return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
     # --- classes ---
 
@@ -302,22 +294,15 @@ class CohomologyTable:
         with engine_built():
             return [self.class_coords(wedge(r, x), degree) for r in self.representatives(k)]
 
-    def cup(self, c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
-        """Product of classes via representatives."""
-        if c1.table is not self or c2.table is not self:
-            raise ValueError("classes come from a different table")
-        k = c1.degree + c2.degree
-        with engine_built():
-            return self.class_of(wedge(c1.representative(), c2.representative()), k)
-
 
 @contextmanager
 def engine_built(what: str = "element"):
     """Context for checks on data the engine built itself: class solves on
-    products of representatives or their images under a map, and the quotient
-    step of a table (B^k lies in Z^k since d∘d = 0 is checked).  Such data
-    fail a check only when the engine is wrong, so the ``ValueError`` is
-    raised again as ``AssertionError``: ``cdga run`` exits 3, not 1."""
+    products of representatives, their images under a map and the
+    obstruction's degree-8 element, and the quotient step of a table (B^k
+    lies in Z^k since d∘d = 0 is checked).  Such data fail a check only when
+    the engine is wrong, so the ``ValueError`` is raised again as
+    ``AssertionError``: ``cdga run`` exits 3, not 1."""
     try:
         yield
     except ValueError as e:

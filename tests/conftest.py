@@ -9,9 +9,10 @@ import pytest
 from cdgalab import _kernel_py, field as field_module
 from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential,
                      GroupAction, make_field)
-from cdgalab.algebra import GradedElement, apply_map
+from cdgalab.algebra import GradedElement, apply_d, apply_map, wedge
 from cdgalab.action import invariant_complex
-from cdgalab.homology import CochainComplex, CohomologyTable
+from cdgalab.formality import ObstructionResult
+from cdgalab.homology import CochainComplex, CohomologyClass, CohomologyTable, top_scalar
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -209,6 +210,24 @@ def refuse_to_build_fields(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(_kernel_py, "straight_line_product", refuse)
     mp.setattr(_kernel_py, "straight_line_fused", refuse)
     mp.setattr(_kernel_py, "straight_line_map", refuse)
+
+
+def obstruction_with(inp, table, primitives) -> ObstructionResult:
+    """The obstruction of ``inp`` for the given primitives x_i, the tests'
+    oracle for its choice-independence: checks that each x_i lies in the
+    complex of ``table`` with d(x_i) = alpha*beta_i, builds
+    x1*x2*b3 + x2*x3*b1 + x3*x1*b2 and solves its class."""
+    cx = table.complex
+    for xi, b in zip(primitives, inp.betas, strict=True):
+        assert cx.contains(xi, 3)
+        assert apply_d(cx.differential, xi) == wedge(inp.alpha, b)
+    x1, x2, x3 = primitives
+    b1, b2, b3 = inp.betas
+    element = x1 * x2 * b3 + x2 * x3 * b1 + x3 * x1 * b2
+    coords = table.class_coords(element, table.top)
+    rep = CohomologyClass(table, table.top, coords).representative()
+    return ObstructionResult(tuple(primitives), element, coords, rep,
+                             top_scalar(rep, inp.volume), table.betti[3])
 
 
 def orbit_average(action, x):

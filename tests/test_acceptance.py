@@ -22,8 +22,8 @@ from cdgalab.symplectic import is_symplectic, lefschetz
 from cdgalab.topology import BettiVector, IncidenceGraph, betti_p1_bundle, \
     betti_projective, betti_resolution, betti_union
 
-from conftest import ROOT, complex_basis, densify, in_projector_image, orbit_average, \
-    projector_rows, random_element, random_field_element, random_homogeneous, \
+from conftest import ROOT, complex_basis, densify, in_projector_image, obstruction_with, \
+    orbit_average, projector_rows, random_element, random_field_element, random_homogeneous, \
     refuse_to_build_fields, sparse_row, times
 from test_dsl import EXPECTED_DIAGNOSTICS, FIXTURES, REFUSED_CONDUCTORS
 from test_homology import w_elements
@@ -86,7 +86,7 @@ def test_criterion_4_obstruction(model):
     stated = (-(g["theta"] * g["mubar"] * g["nubar"]),
               -(g["theta"] * g["mubar"] * g["etabar"]),
               g["thetabar"] * g["mu"] * g["eta"])
-    named = obstruction(inp, model.invariant_table, primitives=stated)
+    named = obstruction_with(inp, model.invariant_table, stated)
     assert named.scalar == two
     assert named.class_coords == engine.class_coords
     assert wedge(wedge(stated[0], stated[1]), model.betas[2]).is_zero()
@@ -99,7 +99,7 @@ def test_criterion_5_independence_suite(model):
     inp = ObstructionInput(model.alpha, model.betas, model.volume)
     base_inv = obstruction(inp, model.invariant_table)
     assert base_inv.h3_dim == 0
-    base_full = obstruction(inp, model.table, primitives=base_inv.primitives)
+    base_full = obstruction_with(inp, model.table, base_inv.primitives)
     closed_inv3 = [e for e in complex_basis(model.invariant, 3)
                    if apply_d(model.differential, e).is_zero()]
     one_forms = [g[n] for n in ("mu", "nu", "theta", "eta",
@@ -121,9 +121,8 @@ def test_criterion_5_independence_suite(model):
             alpha2 = model.alpha + apply_d(model.differential, f)
             prims = tuple(xi + wedge(f, b)
                           for xi, b in zip(base_inv.primitives, model.betas))
-            res = obstruction(
-                ObstructionInput(alpha2, model.betas, model.volume),
-                model.table, primitives=prims)
+            res = obstruction_with(
+                ObstructionInput(alpha2, model.betas, model.volume), model.table, prims)
             assert res.class_coords == base_full.class_coords
             assert res.scalar == base_full.scalar
         elif kind == 1:
@@ -134,9 +133,8 @@ def test_criterion_5_independence_suite(model):
             betas[i] = betas[i] + apply_d(model.differential, f)
             prims = list(base_inv.primitives)
             prims[i] = prims[i] + wedge(model.alpha, f)
-            res = obstruction(
-                ObstructionInput(model.alpha, tuple(betas), model.volume),
-                model.table, primitives=tuple(prims))
+            res = obstruction_with(
+                ObstructionInput(model.alpha, tuple(betas), model.volume), model.table, prims)
             assert res.class_coords == base_full.class_coords
             assert res.scalar == base_full.scalar
         else:
@@ -148,8 +146,7 @@ def test_criterion_5_independence_suite(model):
                     shift = shift + e.scale(c)
             prims = list(base_inv.primitives)
             prims[rng.randrange(3)] += shift
-            res = obstruction(inp, model.invariant_table,
-                              primitives=tuple(prims))
+            res = obstruction_with(inp, model.invariant_table, prims)
             assert res.class_coords == base_inv.class_coords
             assert res.scalar == base_inv.scalar
 

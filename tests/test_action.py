@@ -14,6 +14,7 @@ from cdgalab.action import induced_action_fixed_dims, induced_matrices, invarian
 from cdgalab.algebra import Algebra, apply_d, apply_map
 from cdgalab.field import FieldElement
 from cdgalab.homology import CochainComplex, CohomologyTable
+from cdgalab.topology import BettiVector
 
 from conftest import ROOT, complex_basis, in_projector_image, orbit_average, projector_rows, \
     random_element
@@ -263,10 +264,10 @@ def test_traces_and_lefschetz_numbers(model):
         assert traces == [field.rational(t) for t in expected]
         lefschetz.append(sum((-1) ** k * tr.coords[0] for k, tr in enumerate(traces)))
     assert lefschetz == [81, 81]
-    chi = model.table.euler_characteristic()
+    chi = BettiVector(model.table.betti).euler()
     assert chi == 0
     orbifold_chi = (chi + sum(lefschetz)) / 3
-    assert orbifold_chi == 54 == model.invariant_table.euler_characteristic()
+    assert orbifold_chi == 54 == BettiVector(model.invariant_table.betti).euler()
 
 
 def test_cross_check_solves_one_class_per_representative(model, monkeypatch):

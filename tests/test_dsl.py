@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from cdgalab import dsl
-from cdgalab.algebra import Algebra, PreconditionError, format_element, wedge
+from cdgalab.algebra import Algebra, PreconditionError, apply_d, format_element, wedge
 from cdgalab.cli import main as cli_main
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Matrix
@@ -693,31 +693,57 @@ def test_a_value_error_inside_product_rows_exits_3(monkeypatch, capsys):
     assert "engine-built element: refused" in capsys.readouterr().err
 
 
-def test_a_paper_run_makes_59_wedges_and_193_class_solves(paper_session, monkeypatch):
-    """Frozen counts, in every module that binds ``wedge``: the product loop
-    makes the products and solves that the Lefschetz and Massey loops made
-    before it, the Massey task's exactness solves decide its
-    preconditions, with no cup product solved ahead of them, the Massey
-    task <alpha, beta1, alpha> reads its one indeterminacy row set once,
-    and the symplectic check builds omega^4 by two squarings."""
-    calls = []
+def test_a_failed_class_solve_of_the_obstruction_element_exits_3(tmp_path, monkeypatch,
+                                                                  capsys):
+    """The obstruction's degree-8 element is built by the engine from its
+    own primitives, so a check that fails in its one class solve, in the
+    top degree, is an engine fault (exit 3), not a task error.  The session
+    runs the obstruction alone, on the full table, so no other task solves
+    a top-degree class."""
+    f = tmp_path / "obstruction.cdga"
+    f.write_text(PAPER_SESSION.read_text().split("task ")[0]
+                 + "task obstruction M full alpha beta1 beta2 beta3 vol\n")
+    assert cli_main(["run", str(f)]) == 0
+    class_coords = CohomologyTable.class_coords
 
-    def counting_wedge(x, y):
-        calls.append("wedge")
-        return wedge(x, y)
-
-    def counting_class_coords(self, x, degree):
-        calls.append("class_coords")
+    def refusing(self, x, degree):
+        if degree == self.top:
+            raise PreconditionError("element is not closed: d(x) = mu", x)
         return class_coords(self, x, degree)
 
-    class_coords = CohomologyTable.class_coords
+    monkeypatch.setattr(CohomologyTable, "class_coords", refusing)
+    capsys.readouterr()
+    assert cli_main(["run", str(f)]) == 3
+    assert "engine-built element: element is not closed: d(x) = mu" in capsys.readouterr().err
+
+
+def test_a_paper_run_makes_59_wedges_183_apply_d_and_193_class_solves(paper_session,
+                                                                       monkeypatch):
+    """Frozen counts, in every module that binds ``wedge`` or ``apply_d``:
+    the product loop makes the products and solves that the Lefschetz and
+    Massey loops made before it, the Massey task's exactness solves decide
+    its preconditions, with no cup product solved ahead of them, the Massey
+    task <alpha, beta1, alpha> reads its one indeterminacy row set once,
+    the symplectic check builds omega^4 by two squarings, and the
+    obstruction closes its degree-8 element once, in its class solve."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
     for name, module in list(sys.modules.items()):
-        if name.startswith("cdgalab.") and getattr(module, "wedge", None) is wedge:
-            monkeypatch.setattr(module, "wedge", counting_wedge)
-    monkeypatch.setattr(CohomologyTable, "class_coords", counting_class_coords)
+        for fn in (wedge, apply_d):
+            if name.startswith("cdgalab.") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn.__name__, fn))
+    monkeypatch.setattr(CohomologyTable, "class_coords",
+                        counting("class_coords", CohomologyTable.class_coords))
     report = dsl.run(paper_session)
     assert report.machine_text() == GOLDEN.read_text()
-    assert (calls.count("wedge"), calls.count("class_coords")) == (59, 193)
+    assert (calls.count("wedge"), calls.count("apply_d"),
+            calls.count("class_coords")) == (59, 183, 193)
 
 
 @pytest.mark.parametrize("task", ["symplectic M zero 4 {vol}", "symplectic M omega 4 {vol}",

@@ -1,14 +1,16 @@
+import functools
 import random
 
 import pytest
 
 from cdgalab import dsl, make_field, wedge
+from cdgalab.action import invariant_complex
 from cdgalab.algebra import Algebra, Differential, PreconditionError, apply_d
 from cdgalab.formality import ObstructionInput, massey_triple, obstruction
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Subspace
 
-from conftest import ROOT, complex_basis, densify
+from conftest import ROOT, complex_basis, densify, obstruction_with
 
 THEOREM_SCALAR = 2  # frozen once under the engine's documented sign convention
 
@@ -36,8 +38,10 @@ def test_obstruction_on_the_invariant_complex(model):
 
 def test_obstruction_with_stated_primitives(model):
     xs = stated_primitives(model)
-    res = obstruction(theorem_input(model), model.invariant_table, primitives=xs)
+    res = obstruction_with(theorem_input(model), model.invariant_table, xs)
     assert res.scalar == model.field.rational(THEOREM_SCALAR)
+    assert res.class_coords == obstruction(theorem_input(model),
+                                           model.invariant_table).class_coords
     # the first product vanishes identically: both primitives contain theta
     assert wedge(wedge(xs[0], xs[1]), model.betas[2]).is_zero()
 
@@ -68,22 +72,77 @@ def test_non_exact_product_reported(model):
     assert info.value.witness == wedge(model.alpha, g["eta"] * g["etabar"])
 
 
+# (let, task arguments between the algebra and the volume, diagnostic), read
+# off the input checks of ``obstruction``
+INPUT_DIAGNOSTICS = [
+    ("a2 = alpha + mu", "full a2 beta1 beta2 beta3", "alpha must be homogeneous of degree 2"),
+    ("b = mu*nu", "invariant rho alpha beta1 b beta3",
+     "beta_2 does not lie in the working complex"),
+    ("b = theta*eta", "full alpha b beta2 beta3", "beta_1 is not closed"),
+]
+
+
+@pytest.mark.parametrize("let, args, message", INPUT_DIAGNOSTICS)
+def test_obstruction_input_diagnostics(let, args, message):
+    """Each input check names the input it refuses, in the task's
+    ``obstruction_error`` record on the paper's bindings and in the
+    library's ``PreconditionError``; a non-closed input carries its d as
+    the witness."""
+    text = (ROOT / "paper.cdga").read_text().split("task ")[0]
+    session = dsl.parse(f"{text}let {let}\ntask obstruction M {args} vol\n")
+    assert dsl.run(session).records == [("obstruction_error", message)]
+
+    def e(name):
+        return dsl.eval_expr(name, session)
+
+    mode, *names = args.split()
+    cx = (CochainComplex(session.algebras["M"].differential) if mode == "full"
+          else invariant_complex(session.maps[names.pop(0)].action))
+    alpha, *betas = map(e, names)
+    with pytest.raises(PreconditionError) as info:
+        obstruction(ObstructionInput(alpha, tuple(betas), e("vol")), CohomologyTable(cx))
+    assert str(info.value) == message
+    if message.endswith("not closed"):
+        assert info.value.witness == apply_d(cx.differential, e(let.split()[0]))
+    else:
+        assert info.value.witness is None
+
+
+def test_an_algebra_of_another_top_degree_is_a_failed_precondition():
+    """On the ladder algebra, of top degree 10, the degree-8 element is no
+    top-degree element: a failed precondition (exit 1) that carries the
+    element, checked before its class solve."""
+    text = (ROOT / "perfbench" / "sessions" / "ladder.cdga").read_text().split("task ")[0]
+    session = dsl.parse(text + "let alpha = mu*mubar\nlet b1 = nu*nubar\n"
+                        "let b2 = nu*etabar\nlet b3 = nubar*eta\n"
+                        "let vol = theta*mu*nu*eta*thetabar*mubar*nubar*etabar*tau*taubar\n"
+                        "task obstruction M full alpha b1 b2 b3 vol\n")
+    message = "element is not of degree 10"
+    assert dsl.run(session).records == [("obstruction_error", message)]
+    e = functools.partial(dsl.eval_expr, session=session)
+    table = CohomologyTable(CochainComplex(session.algebras["M"].differential))
+    inp = ObstructionInput(e("alpha"), (e("b1"), e("b2"), e("b3")), e("vol"))
+    with pytest.raises(PreconditionError, match=f"^{message}$") as info:
+        obstruction(inp, table)
+    assert info.value.witness.is_homogeneous(8) and not info.value.witness.is_zero()
+
+
 def test_alpha_representative_shift(model):
     # shifting alpha by d(theta) = mu*nu and the primitives by theta*beta_i
     # reproduces the same class coordinates
     g = model.gens
-    base = obstruction(theorem_input(model), model.invariant_table,
-                       primitives=stated_primitives(model))
+    base = obstruction_with(theorem_input(model), model.invariant_table,
+                            stated_primitives(model))
     f = g["theta"]
     alpha2 = model.alpha + apply_d(model.differential, f)
     xs2 = tuple(xi + wedge(f, b) for xi, b in zip(stated_primitives(model), model.betas))
     # alpha2 and the shifted primitives live in the full complex, not the
     # invariant one (theta is not invariant), so compare there
     table = model.table
-    res1 = obstruction(ObstructionInput(model.alpha, model.betas, model.volume),
-                       table, primitives=stated_primitives(model))
-    res2 = obstruction(ObstructionInput(alpha2, model.betas, model.volume),
-                       table, primitives=xs2)
+    res1 = obstruction_with(ObstructionInput(model.alpha, model.betas, model.volume),
+                            table, stated_primitives(model))
+    res2 = obstruction_with(ObstructionInput(alpha2, model.betas, model.volume),
+                            table, xs2)
     assert res1.class_coords == res2.class_coords
     assert res1.scalar == base.scalar
 
@@ -100,7 +159,7 @@ def test_primitive_shift_by_closed_invariant(model):
             gshift = gshift + e.scale(c)
         xs = list(base.primitives)
         xs[0] = xs[0] + gshift
-        res = obstruction(theorem_input(model), model.invariant_table, primitives=xs)
+        res = obstruction_with(theorem_input(model), model.invariant_table, xs)
         assert res.class_coords == base.class_coords
         assert res.scalar == base.scalar
 
@@ -220,7 +279,8 @@ def test_massey_requires_vanishing_cups(model):
     c = table.class_of(model.gens["mu"] * model.gens["mubar"], 2)
     e = table.class_of(model.gens["eta"] * model.gens["etabar"], 2)
     a = table.class_of(model.gens["nu"] * model.gens["nubar"], 2)
-    assert not table.cup(c, e).is_zero() and table.cup(c, a).is_zero()
+    cr, er, ar = c.representative(), e.representative(), a.representative()
+    assert table.class_coords(wedge(cr, er), 4) and not table.class_coords(wedge(cr, ar), 4)
     with pytest.raises(ValueError, match=r"^x\.y != 0: the Massey product is undefined$"):
         massey_triple(c, e, c)
     with pytest.raises(ValueError, match=r"^y\.z != 0: the Massey product is undefined$"):
@@ -260,7 +320,7 @@ def test_class_is_choice_dependent_when_h3_is_nonzero(model):
     shift = g["nu"] * g["nubar"] * g["thetabar"]
     assert apply_d(model.differential, shift).is_zero()
     prims = (base.primitives[0] + shift,) + base.primitives[1:]
-    moved = obstruction(inp, model.table, primitives=prims)
+    moved = obstruction_with(inp, model.table, prims)
     assert apply_d(model.differential, moved.element).is_zero()
     assert moved.class_coords != base.class_coords
 

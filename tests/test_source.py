@@ -164,11 +164,11 @@ def _product_solves(path: Path) -> list[str]:
 
 def test_products_of_representatives_are_solved_in_product_rows_only(tmp_path):
     """The class rows of products r * x have one loop,
-    ``CohomologyTable.product_rows``; ``cup`` solves its one product.  The
-    old Lefschetz comprehension, written back into a module, is caught."""
+    ``CohomologyTable.product_rows``, and no other function of the library
+    solves a product.  The old Lefschetz comprehension, written back into a
+    module, is caught."""
     found = [owner for path in sorted(SRC.glob("*.py")) for owner in _product_solves(path)]
-    assert sorted(found) == ["homology.CohomologyTable.cup",
-                             "homology.CohomologyTable.product_rows"], found
+    assert found == ["homology.CohomologyTable.product_rows"], found
     old = tmp_path / "symplectic.py"
     old.write_text("def lefschetz(table, omega_k, src, dst):\n"
                    "    return [table.class_coords(wedge(r, omega_k), dst)\n"
@@ -234,9 +234,6 @@ ALLOWED = {
     "dsl.eval_expr": "public: evaluates one expression against a parsed session",
     "field.CycloField.imaginary_unit": "public: the field's i; the parser reads i^k off pow_table",
     "field.FieldElement.conjugate": "public; the signature's Hermitian congruence will read it",
-    "homology.CohomologyTable.coboundaries": "tests check representatives against B^k with it",
-    "homology.CohomologyTable.cup": "public: tests check the ring laws of H* through it",
-    "homology.CohomologyTable.euler_characteristic": "waits for the duality task",
     "topology.BettiVector.euler": "waits for the duality task",
     "topology.BettiVector.is_poincare_symmetric": "waits for the duality task",
 }
