@@ -227,12 +227,13 @@ def rank(rows, ncols, field, inv):
 
     Columns are taken in order.  A column's pivot is the lowest-numbered row
     not yet used as a pivot that has a nonzero there, and the column is
-    cleared only in the other unused rows, by the multiple of the pivot
-    row that cancels their entry: no back-substitution and no scaling of
-    pivot rows.  An unused row is zero in every column already passed, so
-    the pivot row's other entries all lie to its right.  ``inv`` maps a
-    nonzero cv to its inverse cv; it is called only for a pivot that has
-    entries to clear.  The rows are left in no useful form.
+    cleared only in the other unused rows, by the multiple of the pivot row
+    that cancels their entry: no back-substitution, no scaling of pivot
+    rows, and for a pivot row with one entry a deletion of the column's
+    other entries.  An unused row is zero in every column already passed, so
+    the pivot row's other entries lie to its right.  ``inv`` maps a nonzero
+    cv to its inverse; it is called only for a pivot row with more entries
+    and with entries to clear.  The rows are left in no useful form.
     """
     holders = {}
     for i, row in enumerate(rows):
@@ -250,7 +251,9 @@ def rank(rows, ncols, field, inv):
         for j in prow:
             holders[j].discard(i)
         found += 1
-        if not held:  # the pivot is alone in its column: nothing to clear
+        if not held or len(prow) == 1:  # nothing to clear, or clearing is deleting
+            for i2 in held:
+                del rows[i2][col]
             continue
         pcols = [j for j in prow if j != col]
         minus_inv = cv_neg(inv(prow[col]))

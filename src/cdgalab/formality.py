@@ -66,9 +66,13 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable) -> ObstructionRes
     """The obstruction class of validated input data in the complex of
     ``table``, with the deterministic pivot primitives inside that complex.
     Independence from those choices is a theorem when h3_dim = 0, exercised
-    by the test suite, not assumed here.  The degree-8 element is closed by
-    construction, so its one class solve, in the top degree, runs inside
-    ``engine_built()``."""
+    by the test suite, not assumed here.  The class lies in degree 8, so a
+    table of another top degree fails before any check or solve.  The
+    degree-8 element is closed by construction, so its one class solve, in
+    the top degree, runs inside ``engine_built()``."""
+    if table.top != 8:
+        raise PreconditionError(
+            f"the obstruction needs an algebra of top degree 8, got top degree {table.top}")
     for label, x in zip(("alpha", "beta_1", "beta_2", "beta_3"), (inp.alpha, *inp.betas)):
         _require_closed(table, x, label)
 
@@ -88,8 +92,6 @@ def obstruction(inp: ObstructionInput, table: CohomologyTable) -> ObstructionRes
     x1, x2, x3 = primitives
     b1, b2, b3 = inp.betas
     element = wedge(wedge(x1, x2), b3) + wedge(wedge(x2, x3), b1) + wedge(wedge(x3, x1), b2)
-    if not element.is_homogeneous(table.top):  # an algebra of another top degree
-        raise PreconditionError(f"element is not of degree {table.top}", element)
     with engine_built():
         coords = table.class_coords(element, table.top)
     rep = CohomologyClass(table, table.top, coords).representative()

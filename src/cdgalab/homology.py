@@ -31,15 +31,17 @@ names, in the coordinates of the next subspace.  A table keeps its
 representatives as sparse rows and builds the elements of a degree when
 they are first asked for.
 
-There is one class solve, ``CohomologyTable.class_coords``, and a class is
-held in one form, the sparse row ``{j: cv}`` of its coordinates in the
-representative basis.  The solve checks that its element belongs to the
-table's algebra, is closed and lies in the complex, and that the remainder
-against the representatives is zero; ``class_of`` and the one product
-loop, ``product_rows`` (the classes of r * x over the representatives r of
-a degree), read their classes from it.  B^k is kept beside the quotient, so
-a solve reads it from a dict and builds no eliminator of its own.  The
-solve and ``is_exact`` take the degree, as their element may be zero;
+There is one class solve of an element, ``CohomologyTable.class_coords``,
+and a class is held in one form, the sparse row ``{j: cv}`` of its
+coordinates in the representative basis.  The solve checks that its element
+belongs to the table's algebra, is closed and lies in the complex, and that
+the remainder against the representatives is zero; ``class_of`` reads its
+class from it.  B^k is kept beside the quotient, so a solve reads it from a
+dict and builds no eliminator of its own.  The one product loop,
+``product_rows`` (the classes of r * x over the representatives r of a
+degree), solves no element: the solve is linear, so r * x gets the sum of
+its words' normal forms, the solves of their unit rows kept per degree.
+The solve and ``is_exact`` take the degree, as their element may be zero;
 ``class_of`` is the one entry that infers it, from a nonzero homogeneous
 element.  On a user's element a failed check is a failed precondition
 (``PreconditionError``).  Inside ``engine_built()`` the element is one the
@@ -53,8 +55,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from ._backend import kernel
-from .algebra import (Differential, GradedElement, PreconditionError, _element, apply_d,
-                      wedge)
+from .algebra import (Differential, GradedElement, PreconditionError, _element, _product,
+                      apply_d, wedge)
 from .linalg import Eliminator, Matrix, Subspace, quotient_basis
 
 
@@ -192,6 +194,7 @@ class CohomologyTable:
         self._coboundaries: dict[int, Subspace] = {}
         self._quotients: dict[int, Subspace] = {}
         self._reps: dict[int, list[GradedElement]] = {}
+        self._normal_forms: dict[int, dict[int, dict]] = {}
 
     # --- tables ---
 
@@ -288,11 +291,45 @@ class CohomologyTable:
             return None
         return self.complex.from_row(degree - 1, sol)
 
+    def _normal_form(self, w: int, degree: int) -> dict:
+        """What ``class_coords`` does to the unit row of the degree-``degree``
+        word w: class coordinates at 0.., remainders at -1 - j (coordinate j
+        of the complex) and -1 - dim - j (ambient j, subspace complexes only)."""
+        cx, q = self.complex, self.quotient(degree)
+        row, amb = {cx.algebra.word_index(degree, w): cx.algebra.field.one.cv}, {}
+        if cx.subspaces is not None:  # the coordinates, then the remainder they leave
+            row, amb = cx.subspaces[degree].reduce_owned(row), row
+        self._coboundaries[degree].reduce_owned(row)
+        out = q.reduce_owned(row)
+        for j, v in row.items():
+            out[-1 - j] = v
+        for j, v in amb.items():
+            out[-1 - cx.dim(degree) - j] = v
+        return out
+
     def product_rows(self, x: GradedElement, k: int, degree: int) -> list[dict]:
         """The classes in ``degree`` of r * x for the degree-k representatives
-        r, none outside 0..top; the degree is explicit as x may be zero."""
+        r, none outside 0..top; the degree is explicit as x may be zero.  For x
+        closed of degree ``degree - k``, r * x is closed (Leibniz), so a
+        remainder puts it outside Z^degree, and the direct solve says why."""
+        reps, alg = self.representatives(k), self.complex.algebra
+        forms, rows = self._normal_forms.setdefault(degree, {}), []
         with engine_built():
-            return [self.class_coords(wedge(r, x), degree) for r in self.representatives(k)]
+            fast = (reps and x.is_homogeneous(degree - k)
+                    and not apply_d(self.complex.differential, x))
+            for r in reps:
+                if fast:
+                    prod = _product(alg, r._terms, x._terms)
+                    for w in prod:
+                        if w not in forms:
+                            forms[w] = self._normal_form(w, degree)
+                    row = kernel.combine(prod, forms.__getitem__, alg.field)
+                if not fast or row and min(row) < 0:
+                    row = self.class_coords(wedge(r, x), degree)
+                    if fast:
+                        raise AssertionError(f"the two routes disagree on {r} * {x}")
+                rows.append(row)
+        return rows
 
 
 @contextmanager

@@ -437,11 +437,11 @@ def test_session_digest_falls_back_to_hashlib_without_the_builtin_module():
 def test_obstruction_task_error_is_carried_in_report(tmp_path):
     text = (
         "field cyclotomic 12\n"
-        "algebra T generators a:1 b:1 c:1 e:1\n"
+        "algebra T generators a:1 b:1 c:1 e:1 f:1 g:1 h:1 k:1\n"
         "let al = a*b\n"
         "let be = c*e\n"
-        "let vol4 = a*b*c*e\n"
-        "task obstruction T full al be be be vol4\n")
+        "let vol8 = a*b*c*e*f*g*h*k\n"
+        "task obstruction T full al be be be vol8\n")
     session = dsl.parse(text)
     report = dsl.run(session)
     assert not report.ok
@@ -668,27 +668,14 @@ def test_a_lefschetz_form_of_another_degree_is_a_failed_precondition(tmp_path, n
 
 
 def test_a_value_error_inside_product_rows_exits_3(monkeypatch, capsys):
-    """A class solve that fails inside ``product_rows`` fails on a product
-    the engine built: the Lefschetz task of the paper run is an engine
-    fault (exit 3).  ``product_rows`` solves through the method, so the
-    patched ``class_coords`` is the one it calls."""
-    product_rows, class_coords = CohomologyTable.product_rows, CohomologyTable.class_coords
-    inside = []
+    """A normal form that fails inside ``product_rows`` fails on a product
+    the engine built: the paper run is an engine fault (exit 3), with the
+    message of a failed class solve there.  Only ``product_rows`` reads the
+    normal forms, so the patched ``_normal_form`` fails nowhere else."""
+    def refusing(self, w, degree):
+        raise ValueError("refused")
 
-    def flagged(self, x, k, degree):
-        inside.append(None)
-        try:
-            return product_rows(self, x, k, degree)
-        finally:
-            inside.pop()
-
-    def refusing(self, x, degree):
-        if inside:
-            raise ValueError("refused")
-        return class_coords(self, x, degree)
-
-    monkeypatch.setattr(CohomologyTable, "product_rows", flagged)
-    monkeypatch.setattr(CohomologyTable, "class_coords", refusing)
+    monkeypatch.setattr(CohomologyTable, "_normal_form", refusing)
     assert cli_main(["run", str(PAPER_SESSION)]) == 3
     assert "engine-built element: refused" in capsys.readouterr().err
 
@@ -717,15 +704,16 @@ def test_a_failed_class_solve_of_the_obstruction_element_exits_3(tmp_path, monke
     assert "engine-built element: element is not closed: d(x) = mu" in capsys.readouterr().err
 
 
-def test_a_paper_run_makes_59_wedges_183_apply_d_and_193_class_solves(paper_session,
+def test_a_paper_run_makes_16_wedges_162_apply_d_and_150_class_solves(paper_session,
                                                                        monkeypatch):
     """Frozen counts, in every module that binds ``wedge`` or ``apply_d``:
-    the product loop makes the products and solves that the Lefschetz and
-    Massey loops made before it, the Massey task's exactness solves decide
-    its preconditions, with no cup product solved ahead of them, the Massey
-    task <alpha, beta1, alpha> reads its one indeterminacy row set once,
-    the symplectic check builds omega^4 by two squarings, and the
-    obstruction closes its degree-8 element once, in its class solve."""
+    the product loop makes its 43 products without ``wedge`` and solves
+    none of them, checking each x closed once per call instead, the Massey
+    task's exactness solves decide its preconditions, with no cup product
+    solved ahead of them, the Massey task <alpha, beta1, alpha> reads its
+    one indeterminacy row set once, the symplectic check builds omega^4 by
+    two squarings, and the obstruction closes its degree-8 element once, in
+    its class solve."""
     calls = []
 
     def counting(name, fn):
@@ -743,7 +731,7 @@ def test_a_paper_run_makes_59_wedges_183_apply_d_and_193_class_solves(paper_sess
     report = dsl.run(paper_session)
     assert report.machine_text() == GOLDEN.read_text()
     assert (calls.count("wedge"), calls.count("apply_d"),
-            calls.count("class_coords")) == (59, 183, 193)
+            calls.count("class_coords")) == (16, 162, 150)
 
 
 @pytest.mark.parametrize("task", ["symplectic M zero 4 {vol}", "symplectic M omega 4 {vol}",
@@ -896,8 +884,18 @@ def test_every_task_over_even_generators_runs_to_a_record():
     sessions = _totality_sessions(names, "E", "f", ("w", "x", "x", "x", "vol"))
     sessions.append(["betti E reps", "invariant_betti E f reps", f"mv_union {graph}",
                      *(f"resolution E f {s} {graph}" for s in (0, 1, 2))])
+    # the obstruction is a class of degree 8, so on E, of top degree 10,
+    # every obstruction task fails that precondition; they run on E
+    # truncated above degree 8, with a volume of that degree
+    obstructions = "".join(f"task {t}\n" for t in sessions[2])
+    report = dsl.run(dsl.parse(EVEN_SESSION + obstructions))
+    assert {msg for *_, msg in report.failures} == {
+        "the obstruction needs an algebra of top degree 8, got top degree 10"}
+    assert len(report.failures) == len(sessions[2])
+    top8 = EVEN_SESSION.replace("top 10", "top 8").replace("a*b*x*x*y*y", "a*b*x*x*y")
     for tasks in sessions:
-        session = dsl.parse(EVEN_SESSION + "".join(f"task {t}\n" for t in tasks))
+        text = top8 if tasks is sessions[2] else EVEN_SESSION
+        session = dsl.parse(text + "".join(f"task {t}\n" for t in tasks))
         report = dsl.run(session)
         errors = [(k, v) for k, v in report.records if k.endswith("_error")]
         assert errors == [(f"{name}_error", msg) for _, name, msg in report.failures]

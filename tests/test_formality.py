@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cdgalab import dsl, make_field, wedge
+from cdgalab import dsl, formality, make_field, wedge
 from cdgalab.action import invariant_complex
 from cdgalab.algebra import Algebra, Differential, PreconditionError, apply_d
 from cdgalab.formality import ObstructionInput, massey_triple, obstruction
@@ -108,23 +108,46 @@ def test_obstruction_input_diagnostics(let, args, message):
         assert info.value.witness is None
 
 
-def test_an_algebra_of_another_top_degree_is_a_failed_precondition():
-    """On the ladder algebra, of top degree 10, the degree-8 element is no
-    top-degree element: a failed precondition (exit 1) that carries the
-    element, checked before its class solve."""
+def _refuses_the_ladder_obstruction(alpha, monkeypatch):
+    """The obstruction task on the ladder algebra, of top degree 10, with
+    the given alpha fails its precondition (exit 1) with a message that
+    names the top degree, in the task record and in the library, before any
+    input check or solve."""
     text = (ROOT / "perfbench" / "sessions" / "ladder.cdga").read_text().split("task ")[0]
-    session = dsl.parse(text + "let alpha = mu*mubar\nlet b1 = nu*nubar\n"
+    session = dsl.parse(text + f"let alpha = {alpha}\nlet b1 = nu*nubar\n"
                         "let b2 = nu*etabar\nlet b3 = nubar*eta\n"
                         "let vol = theta*mu*nu*eta*thetabar*mubar*nubar*etabar*tau*taubar\n"
                         "task obstruction M full alpha b1 b2 b3 vol\n")
-    message = "element is not of degree 10"
+    message = "the obstruction needs an algebra of top degree 8, got top degree 10"
     assert dsl.run(session).records == [("obstruction_error", message)]
     e = functools.partial(dsl.eval_expr, session=session)
     table = CohomologyTable(CochainComplex(session.algebras["M"].differential))
     inp = ObstructionInput(e("alpha"), (e("b1"), e("b2"), e("b3")), e("vol"))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the top degree was checked")
+
+    for name in ("class_coords", "is_exact", "quotient"):
+        monkeypatch.setattr(CohomologyTable, name, no_solve)
+    monkeypatch.setattr(formality, "apply_d", no_solve)
     with pytest.raises(PreconditionError, match=f"^{message}$") as info:
         obstruction(inp, table)
-    assert info.value.witness.is_homogeneous(8) and not info.value.witness.is_zero()
+    assert info.value.witness is None
+
+
+def test_an_algebra_of_another_top_degree_is_a_failed_precondition(monkeypatch):
+    """The degree-8 obstruction class is no top-degree class of the ladder
+    algebra, so the top degree is refused first, not the element's degree
+    after the input checks and three exactness solves."""
+    _refuses_the_ladder_obstruction("mu*mubar", monkeypatch)
+
+
+def test_a_zero_element_of_another_top_degree_is_a_failed_precondition(monkeypatch):
+    """With alpha = 0 the degree-8 element is zero, which once passed as a
+    class of the top degree and gave an inconclusive certificate with
+    h3_dim = 70 for an algebra that is no 8-manifold; it fails the same
+    precondition."""
+    _refuses_the_ladder_obstruction("{0}*mu*mubar", monkeypatch)
 
 
 def test_alpha_representative_shift(model):

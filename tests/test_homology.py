@@ -10,10 +10,11 @@ from cdgalab.algebra import (Algebra, Differential, GradedElement, PreconditionE
                              apply_d)
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator, Subspace
+from cdgalab.symplectic import lefschetz
 from cdgalab.topology import BettiVector
 
-from conftest import (EVEN_SESSION, GEN_NAMES, ROOT, complex_basis, random_field_element,
-                      random_homogeneous)
+from conftest import (EVEN_SESSION, GEN_NAMES, ROOT, complex_basis, load_workloads,
+                      random_field_element, random_homogeneous)
 
 # degree-3 classes spanning half of H^3; the other half is their conjugate
 W_WORDS = [
@@ -221,13 +222,118 @@ def test_product_rows_outside_the_degrees_and_of_zero(model):
 
 
 def test_a_value_error_inside_product_rows_is_an_engine_fault(model, monkeypatch):
-    def refuse(self, x, degree):
+    """A fresh table, so that no normal form of degree 5 is cached yet."""
+    def refuse(self, w, degree):
         raise ValueError("refused")
 
-    monkeypatch.setattr(CohomologyTable, "class_coords", refuse)
+    monkeypatch.setattr(CohomologyTable, "_normal_form", refuse)
     with pytest.raises(AssertionError, match="^engine-built element: refused$") as info:
-        model.table.product_rows(model.omega, 3, 5)
+        CohomologyTable(model.complex).product_rows(model.omega, 3, 5)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def _solved_rows(table, x, k, degree):
+    """The class rows of r * x over the degree-k representatives r, one
+    class solve of each product, as ``product_rows`` made them before it
+    read normal forms."""
+    with homology.engine_built():
+        return [table.class_coords(wedge(r, x), degree) for r in table.representatives(k)]
+
+
+def _closed_combination(table, degree, rng):
+    """A seeded closed element of the complex of ``table``: representatives
+    of ``degree`` with non-rational coefficients plus the coboundary of a
+    seeded element of degree - 1, so that it has many words."""
+    cx, alg = table.complex, table.complex.algebra
+    x = alg.zero()
+    for r in table.representatives(degree):
+        if rng.random() < 0.5:
+            x = x + r.scale(random_field_element(alg.field, rng))
+    for b in complex_basis(cx, degree - 1):
+        if rng.random() < 0.3:
+            x = x + apply_d(cx.differential, b.scale(random_field_element(alg.field, rng)))
+    return x
+
+
+def _cache_within_the_words(table):
+    """Each degree's normal forms are keyed by words of that degree, so
+    there are at most as many as the degree has words."""
+    alg = table.complex.algebra
+    for degree, forms in table._normal_forms.items():
+        assert set(forms) <= set(alg.basis(degree)), degree
+        assert len(forms) <= alg.dim(degree)
+
+
+@pytest.mark.parametrize("which", ["table", "invariant_table"])
+def test_product_rows_equal_the_class_solves_of_the_products(model, which):
+    """On a fresh paper table, full and invariant, ``product_rows(x, k,
+    k + |x|)`` equals one class solve per product r * x for every k: x is
+    each representative of degrees 1-4 and seeded closed combinations with
+    non-rational coefficients and many words."""
+    solver = getattr(model, which)
+    table = CohomologyTable(solver.complex)
+    rng = random.Random(34)
+    xs = [(r, d) for d in range(1, 5) for r in table.representatives(d)]
+    xs += [(_closed_combination(table, d, rng), d) for d in range(1, 5) for _ in range(3)]
+    assert any(len(x._terms) > 4 for x, _ in xs)
+    nonzero = 0
+    for x, d in xs:
+        for k in range(table.top - d + 1):
+            rows = table.product_rows(x, k, k + d)
+            assert rows == _solved_rows(solver, x, k, k + d), (str(x), k)
+            nonzero += sum(map(bool, rows))
+    assert nonzero > 100
+    _cache_within_the_words(table)
+
+
+def test_product_rows_of_a_table_that_served_a_scan_equal_a_fresh_tables():
+    """A table that has answered scan seed 1's 120 Lefschetz queries gives
+    the rows of a fresh table that answers them in reverse order, for each
+    query's omega^k and for the representatives of degrees 1-3; neither
+    table's normal forms outgrow the words of their degree."""
+    session = dsl.parse(load_workloads().scan_session(1))
+    cx = CochainComplex(session.algebras["M"].differential)
+    served, fresh = CohomologyTable(cx), CohomologyTable(cx)
+    queries = [t.args[2:] for t in session.tasks if t.name == "lefschetz"]
+    assert len(queries) == 120
+    for omega, k in queries:
+        lefschetz(served.class_of(omega, 2), k)
+    for omega, k in reversed(queries):
+        om = served.class_of(omega, 2).representative()
+        power = kernel.power(om, k, om.algebra.unit, wedge)
+        assert served.product_rows(power, 4 - k, 4 + k) == fresh.product_rows(power, 4 - k,
+                                                                               4 + k)
+    for d in range(1, 4):
+        for x in served.representatives(d):
+            for k in range(served.top - d + 1):
+                assert served.product_rows(x, k, k + d) == fresh.product_rows(x, k, k + d)
+    _cache_within_the_words(served)
+    _cache_within_the_words(fresh)
+
+
+def test_a_product_outside_a_subspace_complex_is_an_engine_fault(model):
+    """mu is closed but not invariant, so r * mu leaves the invariant
+    complex: its normal forms leave an ambient remainder, and the direct
+    solve reports the product as an engine fault."""
+    table = CohomologyTable(model.invariant)
+    with pytest.raises(AssertionError, match="^engine-built element: element of degree 3 "
+                                             "does not lie in the complex$"):
+        table.product_rows(model.gens["mu"], 2, 3)
+
+
+def test_a_remainder_the_direct_solve_does_not_see_is_an_engine_fault(model, monkeypatch):
+    """When the normal forms leave a remainder on a product (here of a
+    representative that is not closed) but the direct solve passes, the
+    two routes disagree, and that is an engine fault."""
+    table = CohomologyTable(model.complex)
+    g = model.gens
+    bad = g["theta"] * g["eta"] * g["etabar"]  # not closed
+    representatives = CohomologyTable.representatives
+    monkeypatch.setattr(CohomologyTable, "representatives",
+                        lambda self, k: [bad] if k == 3 else representatives(self, k))
+    monkeypatch.setattr(CohomologyTable, "class_coords", lambda self, x, degree: {})
+    with pytest.raises(AssertionError, match="^the two routes disagree on "):
+        table.product_rows(model.omega, 3, 5)
 
 
 def test_two_step_complex_with_even_generator():

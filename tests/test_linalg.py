@@ -4,7 +4,9 @@ import pytest
 
 from cdgalab import Matrix, Subspace, make_field, quotient_basis
 from cdgalab.algebra import apply_d
-from cdgalab.linalg import Eliminator
+from cdgalab._backend import kernel
+from cdgalab.field import FieldElement
+from cdgalab.linalg import Eliminator, _inv_cv
 
 from conftest import densify, random_field_element, sparse_row, times
 
@@ -295,6 +297,82 @@ def test_eliminator_matches_dense_reference():
                 assert got == sparse_row(want)
                 assert densify(f, got, m.nrows) == want
         assert el.solve_left(sparse_row(targets[-1])) is not None
+
+
+def _nonrational(f, rng):
+    """A seeded nonzero field value that is not rational."""
+    while True:
+        c = random_field_element(f, rng)
+        if any(c.cv[1:-1]):
+            return c
+
+
+def _one_entry_matrix(f, rng, nrows, ncols):
+    """Seeded rows over Q(zeta_12), most with one non-rational entry in a
+    few columns, so that one-entry rows share columns with each other and
+    with the longer rows among them."""
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.6:
+            rows.append({rng.randrange(ncols): _nonrational(f, rng).cv})
+        else:
+            rows.append({j: _nonrational(f, rng).cv for j in range(ncols)
+                         if rng.random() < 0.4})
+    return Matrix(f, ncols, rows)
+
+
+def test_rank_with_one_entry_pivot_rows_matches_dense_reference():
+    """``Matrix.rank`` clears the column of a one-entry pivot row by
+    deleting entries; on seeded matrices full of one-entry rows that share
+    columns it must find the dense reference's rank and leave the matrix's
+    rows as they were, and the kernel's elimination must clear every row
+    that is not a pivot row to zero."""
+    f = make_field(12)
+    rng = random.Random(34)
+    shared = deficient = 0
+    for _ in range(80):
+        m = _one_entry_matrix(f, rng, rng.randint(2, 12), rng.randint(1, 6))
+        before = [dict(row) for row in m.sparse_rows]
+        rank, _, _ = dense_gauss_jordan(dense_rows(f, m.sparse_rows, m.ncols), m.ncols)
+        assert m.rank() == rank
+        assert m.sparse_rows == before
+        rows = [dict(row) for row in m.sparse_rows]
+        assert kernel.rank(rows, m.ncols, f, _inv_cv(f)) == rank
+        assert sum(map(bool, rows)) == rank
+        singles = [next(iter(row)) for row in m.sparse_rows if len(row) == 1]
+        shared += len(singles) > len(set(singles))
+        deficient += rank < min(m.nrows, m.ncols)
+    assert shared >= 40 and deficient >= 10
+
+
+def test_one_entry_pivot_rows_take_no_inverse(monkeypatch):
+    """When every pivot row has one entry by the time its column is reached,
+    the rank takes no inverse: here one-entry rows come first, and each
+    longer row has its last entry in a column of its own, past the columns
+    of one-entry rows that clear its others.  A pivot row with two entries
+    and an entry below it takes one."""
+    f = make_field(12)
+    rng = random.Random(35)
+    cases = []
+    for _ in range(30):
+        cols = sorted(rng.sample(range(8), rng.randint(1, 4)))
+        rows = [{c: _nonrational(f, rng).cv} for c in cols for _ in range(rng.randint(1, 3))]
+        rng.shuffle(rows)
+        for extra in range(8, 8 + rng.randint(0, 3)):
+            rows.append({**{c: _nonrational(f, rng).cv for c in cols if rng.random() < 0.6},
+                         extra: _nonrational(f, rng).cv})
+        m = Matrix(f, 11, rows)
+        cases.append((m, dense_gauss_jordan(dense_rows(f, m.sparse_rows, 11), 11)[0]))
+    two = Matrix(f, 2, [{0: _nonrational(f, rng).cv, 1: _nonrational(f, rng).cv},
+                        {0: _nonrational(f, rng).cv}])
+    inverses = []
+    monkeypatch.setattr(FieldElement, "inverse", lambda self: inverses.append(self))
+    for m, rank in cases:
+        assert m.rank() == rank
+    assert inverses == []
+    with pytest.raises(AttributeError):  # the recorded call returns no inverse
+        two.rank()
+    assert len(inverses) == 1
 
 
 def test_subspace_matches_dense_reference_and_caches_pivots():
