@@ -39,8 +39,11 @@ the remainder against the representatives is zero; ``class_of`` reads its
 class from it.  B^k is kept beside the quotient, so a solve reads it from a
 dict and builds no eliminator of its own.  The one product loop,
 ``product_rows`` (the classes of r * x over the representatives r of a
-degree), solves no element: the solve is linear, so r * x gets the sum of
-its words' normal forms, the solves of their unit rows kept per degree.
+degree), solves no element: the solve is linear, so the row of r_i * x
+combines, with x's coefficients, the normal forms N(r_i * u) over x's words
+u.  A table keeps them as a column ``{i: N(r_i * u)}`` per (k, degree) and
+word u, built when a call first meets u from the normal forms of words,
+the solves of their unit rows, kept per degree.
 The solve and ``is_exact`` take the degree, as their element may be zero;
 ``class_of`` is the one entry that infers it, from a nonzero homogeneous
 element.  On a user's element a failed check is a failed precondition
@@ -55,8 +58,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from ._backend import kernel
-from .algebra import (Differential, GradedElement, PreconditionError, _element, _product,
-                      apply_d, wedge)
+from .algebra import Differential, GradedElement, PreconditionError, _element, apply_d, wedge
 from .linalg import Eliminator, Matrix, Subspace, quotient_basis
 
 
@@ -195,6 +197,7 @@ class CohomologyTable:
         self._quotients: dict[int, Subspace] = {}
         self._reps: dict[int, list[GradedElement]] = {}
         self._normal_forms: dict[int, dict[int, dict]] = {}
+        self._columns: dict[tuple[int, int], dict[int, dict[int, dict]]] = {}
 
     # --- tables ---
 
@@ -307,23 +310,66 @@ class CohomologyTable:
             out[-1 - cx.dim(degree) - j] = v
         return out
 
+    def _product_columns(self, reps: list[GradedElement], words: list,
+                         degree: int) -> dict:
+        """``{u: {i: N(r_i * u)}}`` for the words u of ``words``, over the r_i
+        with N(r_i * u) != 0, N the linear extension of ``_normal_form``.
+        r_i * u takes each word w of r_i to w + u once, so its terms are
+        r_i's coefficients, signed.  An r_i that is one word with coefficient
+        one (as all of the paper's are) takes N(w + u) or its negative, no
+        field product: entries may share the kept forms, and both are only
+        read."""
+        alg = self.complex.algebra
+        merge, neg, one = alg.merge_words, kernel.cv_neg, alg.field.one.cv
+        forms = self._normal_forms.setdefault(degree, {})
+        columns = {u: {} for u in words}
+        for i, r in enumerate(reps):
+            unit = len(r._terms) == 1 and one in r._terms.values()
+            prods = {}
+            for w, c in r._terms.items():
+                for u in words:
+                    m = merge(w, u)
+                    if m is None:
+                        continue
+                    v, sign = m
+                    if v not in forms:
+                        forms[v] = self._normal_form(v, degree)
+                    if not unit:
+                        prods.setdefault(u, {})[v] = c if sign > 0 else neg(c)
+                    elif forms[v]:
+                        columns[u][i] = (forms[v] if sign > 0 else
+                                         {j: neg(e) for j, e in forms[v].items()})
+            for u, prod in prods.items():
+                entry = kernel.combine(prod, forms.__getitem__, alg.field)
+                if entry:
+                    columns[u][i] = entry
+        return columns
+
     def product_rows(self, x: GradedElement, k: int, degree: int) -> list[dict]:
         """The classes in ``degree`` of r * x for the degree-k representatives
         r, none outside 0..top; the degree is explicit as x may be zero.  For x
         closed of degree ``degree - k``, r * x is closed (Leibniz), so a
-        remainder puts it outside Z^degree, and the direct solve says why."""
+        remainder puts it outside Z^degree, and the direct solve says why.
+        Row i combines, with x's coefficients, entry i of the columns of x's
+        words (``_product_columns``), built the first time a call meets the
+        word and kept per ``(k, degree)`` once all of them are built."""
         reps, alg = self.representatives(k), self.complex.algebra
-        forms, rows = self._normal_forms.setdefault(degree, {}), []
+        rows = []
         with engine_built():
             fast = (reps and x.is_homogeneous(degree - k)
                     and not apply_d(self.complex.differential, x))
-            for r in reps:
+            if fast:
+                columns = self._columns.setdefault((k, degree), {})
+                new = [u for u in x._terms if u not in columns]
+                if new:
+                    columns.update(self._product_columns(reps, new, degree))
+                entries = [{} for _ in reps]  # entries[i][u] = N(r_i * u)
+                for u in x._terms:
+                    for i, e in columns[u].items():
+                        entries[i][u] = e
+            for i, r in enumerate(reps):
                 if fast:
-                    prod = _product(alg, r._terms, x._terms)
-                    for w in prod:
-                        if w not in forms:
-                            forms[w] = self._normal_form(w, degree)
-                    row = kernel.combine(prod, forms.__getitem__, alg.field)
+                    row = kernel.combine(x._terms, entries[i].get, alg.field)
                 if not fast or row and min(row) < 0:
                     row = self.class_coords(wedge(r, x), degree)
                     if fast:

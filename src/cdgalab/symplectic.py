@@ -6,13 +6,13 @@ complementary cohomology degrees.
 
 A Lefschetz query builds omega^k once, by repeated squaring, and its cup
 matrix is ``CohomologyTable.product_rows`` of omega^k: row i is the class of
-r_i * omega^k for the source representatives r_i, combined from the normal
-forms of its words, which the table keeps from one query to the next, so a
-scan of many forms over one table reduces each word once.  The rank comes
-from one forward elimination of the cup matrix's own rows (``Matrix.rank``)
-and the kernel dimension from rank-nullity.  The kernel basis needs the left
-kernel, a Gauss-Jordan elimination of [A | I], and is built only when
-``LefschetzReport.kernel`` is first read.
+r_i * omega^k for the source representatives r_i, combined from the classes
+of r_i * u for its words u, which the table keeps from one query to the
+next, so a scan of many forms over one table forms each r_i * u once.  The
+rank comes from one forward elimination of the cup matrix's own rows
+(``Matrix.rank``) and the kernel dimension from rank-nullity.  The kernel
+basis needs the left kernel, a Gauss-Jordan elimination of [A | I], and is
+built only when ``LefschetzReport.kernel`` is first read.
 """
 
 from __future__ import annotations

@@ -398,6 +398,28 @@ def test_betti_task_representative_dumps(paper_session, model):
         assert d(x).is_zero()
 
 
+# The first ten hex digits of the sha256 of the machine report of the
+# benchmark's ladder session and of its scan sessions for five seeds.
+BENCHMARK_REPORT_DIGESTS = [("ladder", "c591ddfbba"), (1, "302f46d216"), (2, "f94791b7b2"),
+                            (7, "05efbbf43d"), (13, "22f76c4a8b"), (42, "502937a508")]
+
+
+@pytest.mark.parametrize("session, digest", BENCHMARK_REPORT_DIGESTS,
+                         ids=[f"scan{s}" if isinstance(s, int) else s
+                              for s, _ in BENCHMARK_REPORT_DIGESTS])
+def test_benchmark_reports_keep_their_bytes(session, digest):
+    """The ladder session and the scan sessions of seeds 1, 2, 7, 13 and 42
+    give the same report bytes as before: a change to the engine that moves
+    a Betti number, a rank, a scalar or a record's text moves the digest."""
+    import hashlib
+
+    workloads = load_workloads()
+    text = (workloads.LADDER.read_text(encoding="utf-8") if session == "ladder"
+            else workloads.scan_session(session))
+    machine = dsl.run(dsl.parse(text)).machine_text()
+    assert hashlib.sha256(machine.encode("utf-8")).hexdigest()[:10] == digest
+
+
 def test_empty_task_list_is_success():
     session = dsl.parse("field cyclotomic 12\nalgebra M generators mu:1\n")
     report = dsl.run(session)

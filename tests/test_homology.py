@@ -232,6 +232,27 @@ def test_a_value_error_inside_product_rows_is_an_engine_fault(model, monkeypatch
     assert isinstance(info.value.__cause__, ValueError)
 
 
+def test_a_fill_that_fails_part_way_keeps_no_column(model, monkeypatch):
+    """A normal form that fails after others have been built fails the call
+    as an engine fault and keeps no column of the call's words, so once the
+    fault is gone the same table gives the class solves of the products."""
+    table = CohomologyTable(model.complex)
+    normal_form, built = CohomologyTable._normal_form, []
+
+    def failing_late(self, w, degree):
+        built.append(w)
+        if len(built) > 3:
+            raise ValueError("refused")
+        return normal_form(self, w, degree)
+
+    monkeypatch.setattr(CohomologyTable, "_normal_form", failing_late)
+    with pytest.raises(AssertionError, match="^engine-built element: refused$"):
+        table.product_rows(model.omega, 3, 5)
+    monkeypatch.undo()
+    assert table._columns[(3, 5)] == {}
+    assert table.product_rows(model.omega, 3, 5) == _solved_rows(table, model.omega, 3, 5)
+
+
 def _solved_rows(table, x, k, degree):
     """The class rows of r * x over the degree-k representatives r, one
     class solve of each product, as ``product_rows`` made them before it
@@ -257,11 +278,18 @@ def _closed_combination(table, degree, rng):
 
 def _cache_within_the_words(table):
     """Each degree's normal forms are keyed by words of that degree, so
-    there are at most as many as the degree has words."""
+    there are at most as many as the degree has words.  The product columns
+    of ``(k, degree)`` are keyed by words of degree - k, and each column by
+    indices of the degree-k representatives, with no empty entry."""
     alg = table.complex.algebra
     for degree, forms in table._normal_forms.items():
         assert set(forms) <= set(alg.basis(degree)), degree
         assert len(forms) <= alg.dim(degree)
+    for (k, degree), columns in table._columns.items():
+        assert set(columns) <= set(alg.basis(degree - k)), (k, degree)
+        for column in columns.values():
+            assert set(column) <= set(range(table.betti[k])), (k, degree)
+            assert all(column.values()), (k, degree)
 
 
 @pytest.mark.parametrize("which", ["table", "invariant_table"])
@@ -309,6 +337,69 @@ def test_product_rows_of_a_table_that_served_a_scan_equal_a_fresh_tables():
                 assert served.product_rows(x, k, k + d) == fresh.product_rows(x, k, k + d)
     _cache_within_the_words(served)
     _cache_within_the_words(fresh)
+
+
+def test_a_table_that_served_a_scan_answers_it_again_from_its_columns(monkeypatch):
+    """Once a table has answered scan seed 1's 120 Lefschetz queries, its
+    columns hold the products of its representatives with every word of
+    every omega^k: answering the queries again makes no ``_normal_form`` and
+    no ``merge_words`` call, and gives the same ranks."""
+    session = dsl.parse(load_workloads().scan_session(1))
+    table = CohomologyTable(CochainComplex(session.algebras["M"].differential))
+    queries = [t.args[2:] for t in session.tasks if t.name == "lefschetz"]
+    assert len(queries) == 120
+    ranks = [lefschetz(table.class_of(omega, 2), k).rank for omega, k in queries]
+    powers = []
+    for omega, k in queries:
+        om = table.class_of(omega, 2).representative()
+        powers.append((kernel.power(om, k, om.algebra.unit, wedge), k))
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(CohomologyTable, "_normal_form",
+                        counting("_normal_form", CohomologyTable._normal_form))
+    monkeypatch.setattr(Algebra, "merge_words", counting("merge_words", Algebra.merge_words))
+    field = session.algebras["M"].algebra.field
+    again = [Matrix(field, table.betti[4 + k], table.product_rows(power, 4 - k, 4 + k)).rank()
+             for power, k in powers]
+    assert calls == []
+    assert again == ranks
+    _cache_within_the_words(table)
+
+
+@pytest.mark.parametrize("which", ["table", "invariant_table"])
+def test_product_rows_over_representatives_of_several_words(model, which, monkeypatch):
+    """The paper's representatives are single words with coefficient one.
+    Over closed combinations of them with non-rational coefficients and
+    several words each (so that products change sign word by word), the
+    rows on a fresh table still equal one class solve per product."""
+    solver = getattr(model, which)
+    table = CohomologyTable(solver.complex)
+    field, rng = model.field, random.Random(35)
+    mixed = {}
+    for d in range(1, 5):
+        reps = solver.representatives(d)
+        mixed[d] = [r.scale(random_field_element(field, rng)) + reps[(i + 1) % len(reps)]
+                    .scale(random_field_element(field, rng)) for i, r in enumerate(reps)]
+    representatives = CohomologyTable.representatives
+    monkeypatch.setattr(CohomologyTable, "representatives",
+                        lambda self, k: (mixed[k] if self is table and k in mixed
+                                         else representatives(self, k)))
+    assert any(len(r._terms) > 1 for reps in mixed.values() for r in reps)
+    xs = [(x, d) for d in range(1, 5) for x in solver.representatives(d)]
+    nonzero = 0
+    for x, d in xs:
+        for k in mixed:
+            rows = table.product_rows(x, k, k + d)
+            assert rows == _solved_rows(table, x, k, k + d), (str(x), k)
+            nonzero += sum(map(bool, rows))
+    assert nonzero > 50
+    _cache_within_the_words(table)
 
 
 def test_a_product_outside_a_subspace_complex_is_an_engine_fault(model):

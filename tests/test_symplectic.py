@@ -240,8 +240,10 @@ def test_a_non_closed_representative_is_an_engine_fault(model, monkeypatch):
     """A Lefschetz row is the class of a product the engine built, so when a
     representative is not closed, the closedness check of its class solve
     reports an engine fault (``AssertionError``), not a failed precondition
-    of the caller's input (``PreconditionError``)."""
-    table = model.table
+    of the caller's input (``PreconditionError``).  The table is fresh: a
+    table keeps the products of its representatives with each word it has
+    met, so a shared one would not read the patched representative."""
+    table = CohomologyTable(model.complex)
     om = table.class_of(model.omega, 2)
     g = model.gens
     bad = g["theta"] * g["eta"] * g["etabar"]  # d(bad) = mu*nu*eta*etabar
