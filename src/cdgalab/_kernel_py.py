@@ -29,12 +29,14 @@ elements add each product to an existing entry with the fused op and make
 a new entry with ``cv_mul``, so a profiler or tracer that replaces
 ``cv_mul`` here counts every product except the fused ones.
 
-For the same reason three generic loops of the engine live here and
+For the same reason four generic loops of the engine live here and
 nowhere else: ``combine`` is the one linear combination of sparse rows (the
 differential and a map on elements, a matrix product, the coordinates of a
-subspace or class), ``power`` the one power by repeated squaring (of a
-field value, a map, a matrix or a form), and ``signed_sum`` the one writer
-of a signed sum's text (a scalar, an element, a generated expression).
+subspace or class), ``scatter`` its transpose, which builds many rows from
+columns in one pass (the cup rows of ``CohomologyTable.product_rows``),
+``power`` the one power by repeated squaring (of a field value, a map, a
+matrix or a form), and ``signed_sum`` the one writer of a signed sum's text
+(a scalar, an element, a generated expression).
 """
 
 from math import gcd
@@ -124,6 +126,19 @@ def combine(coeffs, row_of, field):
         if row:
             row_axpy(acc, row, c, field)
     return acc
+
+
+def scatter(coeffs, column_of, nrows, field):
+    """The transpose of ``combine``: ``nrows`` fresh sparse rows, row i the
+    sum of c * column_of(u)[i] over u, c in ``coeffs``.  ``column_of`` maps
+    an index to a column ``{i: sparse row}`` whose entries are only read, and
+    each entry is added into row i by ``row_axpy``, so row i has the entries,
+    in the same dict order, of ``combine`` over entry i of each column."""
+    rows = [{} for _ in range(nrows)]
+    for u, c in coeffs.items():
+        for i, entry in column_of(u).items():
+            row_axpy(rows[i], entry, c, field)
+    return rows
 
 
 def power(x, k, one, mul):

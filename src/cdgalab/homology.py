@@ -39,11 +39,13 @@ the remainder against the representatives is zero; ``class_of`` reads its
 class from it.  B^k is kept beside the quotient, so a solve reads it from a
 dict and builds no eliminator of its own.  The one product loop,
 ``product_rows`` (the classes of r * x over the representatives r of a
-degree), solves no element: the solve is linear, so the row of r_i * x
-combines, with x's coefficients, the normal forms N(r_i * u) over x's words
-u.  A table keeps them as a column ``{i: N(r_i * u)}`` per (k, degree) and
-word u, built when a call first meets u from the normal forms of words,
-the solves of their unit rows, kept per degree.
+degree), solves no element: the solve is linear, so the row of r_i * x is
+the sum, with x's coefficients, of the normal forms N(r_i * u) over x's
+words u.  A table keeps them as a column ``{i: N(r_i * u)}`` per (k, degree)
+and word u, built when a call first meets u from the normal forms of words,
+the solves of their unit rows, kept per degree, and builds all the rows of
+a call in one ``kernel.scatter`` of x's coefficients over its words'
+columns.
 The solve and ``is_exact`` take the degree, as their element may be zero;
 ``class_of`` is the one entry that infers it, from a nonzero homogeneous
 element.  On a user's element a failed check is a failed precondition
@@ -350,11 +352,12 @@ class CohomologyTable:
         r, none outside 0..top; the degree is explicit as x may be zero.  For x
         closed of degree ``degree - k``, r * x is closed (Leibniz), so a
         remainder puts it outside Z^degree, and the direct solve says why.
-        Row i combines, with x's coefficients, entry i of the columns of x's
-        words (``_product_columns``), built the first time a call meets the
-        word and kept per ``(k, degree)`` once all of them are built."""
-        reps, alg = self.representatives(k), self.complex.algebra
-        rows = []
+        The rows are one ``kernel.scatter`` of x's coefficients over the
+        columns of x's words (``_product_columns``), built the first time a
+        call meets the word and kept per ``(k, degree)`` once all of them are
+        built: row i is the sum of entry i of each column times the word's
+        coefficient, a fresh dict."""
+        reps = self.representatives(k)
         with engine_built():
             fast = (reps and x.is_homogeneous(degree - k)
                     and not apply_d(self.complex.differential, x))
@@ -363,18 +366,15 @@ class CohomologyTable:
                 new = [u for u in x._terms if u not in columns]
                 if new:
                     columns.update(self._product_columns(reps, new, degree))
-                entries = [{} for _ in reps]  # entries[i][u] = N(r_i * u)
-                for u in x._terms:
-                    for i, e in columns[u].items():
-                        entries[i][u] = e
-            for i, r in enumerate(reps):
-                if fast:
-                    row = kernel.combine(x._terms, entries[i].get, alg.field)
+                rows = kernel.scatter(x._terms, columns.__getitem__, len(reps),
+                                      self.complex.algebra.field)
+            else:
+                rows = [None] * len(reps)
+            for i, row in enumerate(rows):
                 if not fast or row and min(row) < 0:
-                    row = self.class_coords(wedge(r, x), degree)
+                    rows[i] = self.class_coords(wedge(reps[i], x), degree)
                     if fast:
-                        raise AssertionError(f"the two routes disagree on {r} * {x}")
-                rows.append(row)
+                        raise AssertionError(f"the two routes disagree on {reps[i]} * {x}")
         return rows
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 
@@ -370,6 +371,32 @@ def test_a_table_that_served_a_scan_answers_it_again_from_its_columns(monkeypatc
     assert calls == []
     assert again == ranks
     _cache_within_the_words(table)
+
+
+def test_rows_handed_out_by_product_rows_belong_to_the_caller(model):
+    """The paper's representatives are single words with coefficient one and
+    omega has a term with coefficient one, so a cup row can be one cached
+    column entry times one.  Mutating the rows ``product_rows`` returns, or
+    the rows of a ``LefschetzReport.matrix``, leaves the table's columns and
+    normal forms and the rows of the next call unchanged."""
+    table = CohomologyTable(model.complex)
+    xs = [(model.omega, 3, 5), (table.representatives(2)[0], 2, 4)]
+    expected = [table.product_rows(x, k, degree) for x, k, degree in xs]
+    expected.append(lefschetz(table.class_of(model.omega, 2), 1).matrix.sparse_rows)
+    expected = [[dict(row) for row in rows] for rows in expected]
+    columns, forms = copy.deepcopy(table._columns), copy.deepcopy(table._normal_forms)
+    assert any(len(row) == 1 for rows in expected for row in rows)
+    junk = model.field.one.cv
+    for _ in range(2):
+        handed = [table.product_rows(x, k, degree) for x, k, degree in xs]
+        handed.append(lefschetz(table.class_of(model.omega, 2), 1).matrix.sparse_rows)
+        assert handed == expected
+        for rows in handed:
+            for row in rows:
+                row.clear()
+                row[-1] = junk
+        assert table._columns == columns
+        assert table._normal_forms == forms
 
 
 @pytest.mark.parametrize("which", ["table", "invariant_table"])

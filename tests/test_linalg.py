@@ -375,6 +375,59 @@ def test_one_entry_pivot_rows_take_no_inverse(monkeypatch):
     assert len(inverses) == 1
 
 
+def test_scatter_equals_the_per_row_combine_and_hands_out_fresh_rows():
+    """``kernel.scatter`` over seeded non-rational columns ``{i: sparse
+    row}`` gives, row by row and in the same dict order, the
+    ``kernel.combine`` of the coefficients with entry i of each column.
+    Column 6 is column 0 negated under the same coefficient, so their
+    entries cancel and no zero may be stored; column 7 is one-entry rows
+    under the coefficient one, and the last row gets nothing else, so that
+    it is one column entry times one.  Every row is a fresh dict, and
+    mutating the rows leaves the columns and a repeat call unchanged."""
+    f = make_field(12)
+    rng = random.Random(36)
+    one = f.one.cv
+    nrows, width = 9, 7
+
+    def entry():
+        return {j: _nonrational(f, rng).cv for j in range(width) if rng.random() < 0.4}
+
+    columns = {u: {i: e for i in range(nrows - 1) if rng.random() < 0.5 and (e := entry())}
+               for u in range(6)}
+    columns[6] = {i: {j: kernel.cv_neg(v) for j, v in e.items()}
+                  for i, e in columns[0].items()}
+    columns[7] = {i: {rng.randrange(width): _nonrational(f, rng).cv} for i in range(nrows)}
+    coeffs = {u: _nonrational(f, rng).cv for u in range(7)}
+    coeffs[6], coeffs[7] = coeffs[0], one
+    kept = {u: {i: dict(e) for i, e in column.items()} for u, column in columns.items()}
+
+    def by_combine(coeffs):
+        entries = [{u: column[i] for u, column in columns.items() if i in column}
+                   for i in range(nrows)]
+        return [kernel.combine(coeffs, entries[i].get, f) for i in range(nrows)]
+
+    rows = kernel.scatter(coeffs, columns.__getitem__, nrows, f)
+    expected = by_combine(coeffs)
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
+    rest = {u: c for u, c in coeffs.items() if u not in (0, 6)}
+    assert rows == kernel.scatter(rest, columns.__getitem__, nrows, f)
+    assert columns[0]
+    assert kernel.scatter({0: coeffs[0], 6: coeffs[0]}, columns.__getitem__, nrows,
+                          f) == [{}] * nrows
+    assert rows[-1] == columns[7][nrows - 1]
+    assert sum(map(bool, rows)) == nrows
+    assert not any(kernel.cv_is_zero(v) for row in rows for v in row.values())
+    assert len({id(row) for row in rows}) == nrows
+    assert not any(row is e for row in rows for column in columns.values()
+                   for e in column.values())
+    for row in rows:
+        row.clear()
+        row[width] = one
+    assert columns == kept
+    assert kernel.scatter(coeffs, columns.__getitem__, nrows, f) == expected
+    assert kernel.scatter({}, columns.__getitem__, nrows, f) == [{}] * nrows
+
+
 def test_subspace_matches_dense_reference_and_caches_pivots():
     f, rng, cases = _matrix_cases()
     for m in cases:

@@ -127,10 +127,11 @@ def _generic_loops(path: Path) -> list[tuple[str, str]]:
 
 
 def test_generic_loops_live_in_the_kernel():
-    """The sparse-row combination and the power by squaring have one owner
-    each, ``kernel.combine`` and ``kernel.power``: outside the kernel no
-    function squares in a ``while k:`` loop, and ``row_axpy`` is used only
-    where the action's fixed part subtracts the identity in its own code."""
+    """The sparse-row combination, its transpose and the power by squaring
+    live in the kernel, ``kernel.combine``, ``kernel.scatter`` and
+    ``kernel.power``: outside the kernel no function squares in a
+    ``while k:`` loop, and ``row_axpy`` is used only where the action's
+    fixed part subtracts the identity in its own code."""
     found = [entry for path in sorted(SRC.glob("*.py")) if path.name != "_kernel_py.py"
              for entry in _generic_loops(path)]
     assert found == [("action.induced_action_fixed_dims", "row_axpy")], found
