@@ -176,9 +176,7 @@ class Session:
         self.source = source
         self.field: CycloField | None = None
         self.names: dict[str, tuple] = {}  # name -> (kind, ctx, value), value None until built
-        self.algebras: dict = {}  # with maps and lets, the records in declaration order
-        self.maps: dict = {}
-        self.lets: dict = {}
+        self.algebras: dict = {}  # name -> AlgebraContext, in declaration order
         self.tasks: list = []
 
     def sha256(self) -> str:
@@ -187,6 +185,11 @@ class Session:
     def lookup_element(self, name: str) -> GradedElement | None:
         kind, _, value = self.names.get(name, _UNBOUND)
         return value if kind in _ELEMENT else None
+
+    @property
+    def lets(self) -> dict:
+        """The let bindings by name, read from ``names``."""
+        return {name: value for name, (kind, _, value) in self.names.items() if kind == "let"}
 
 
 # --- parser -----------------------------------------------------------------
@@ -420,13 +423,13 @@ class Parser:
             amap = AlgebraMap(ctx.algebra, ctx.algebra, assignments)
         except ValueError as e:
             self.fail(name_tok, str(e))
-        self.session.maps[name] = self.bind(name, ctx, MapBinding(name_tok, ctx, order, amap))
+        self.bind(name, ctx, MapBinding(name_tok, ctx, order, amap))
 
     def stmt_let(self, kw: int):
         ctx = self.require_algebra(kw)
         name = self.declare(self.expect_ident("binding name"), "let")
         self.expect("=")
-        self.session.lets[name] = self.bind(name, ctx, self.parse_expr(ctx))
+        self.bind(name, ctx, self.parse_expr(ctx))
 
     # expressions
 
@@ -634,7 +637,7 @@ class Parser:
                 ctx.differential = Differential(ctx.algebra, dict(ctx.d_assignments))
             except ValueError as e:
                 self.fail(ctx.first_d_token, str(e))
-        for binding in self.session.maps.values():
+        for binding in [v for kind, _, v in self.session.names.values() if kind == "map"]:
             try:
                 binding.action = action.GroupAction(binding.map, binding.order,
                                              binding.ctx.differential)
@@ -670,24 +673,20 @@ class Report:
     def __init__(self, session_sha256: str):
         self.session_sha256 = session_sha256
         self.records: list = []
-        self.failures: list = []
+        self.failed = 0
 
     def add(self, key: str, value):
         self.records.append((key, str(value)))
 
-    def fail_task(self, index: int, name: str, message: str):
-        self.failures.append((index, name, message))
-        self.records.append((f"{name}_error", message))
-
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failed
 
     def machine_text(self) -> str:
         return self._text(f"session_sha256 = {self.session_sha256}")
 
     def human_text(self) -> str:
-        status = "ok" if self.ok else f"{len(self.failures)} task(s) failed"
+        status = "ok" if self.ok else f"{self.failed} task(s) failed"
         return self._text(f"# session {self.session_sha256[:12]}   [{status}]")
 
     def _text(self, header: str) -> str:
@@ -718,11 +717,12 @@ def run(session: Session) -> Report:
     cross-check, is an engine fault and propagates."""
     report = Report(session.sha256())
     rc = _RunContext()
-    for index, task in enumerate(session.tasks):
+    for task in session.tasks:
         try:
             _TASK_RUNNERS[task.name](rc, report, *task.args)
         except (ValueError, ZeroDivisionError) as e:
-            report.fail_task(index, task.name, str(e))
+            report.failed += 1
+            report.add(f"{task.name}_error", e)
     return report
 
 

@@ -31,21 +31,21 @@ names, in the coordinates of the next subspace.  A table keeps its
 representatives as sparse rows and builds the elements of a degree when
 they are first asked for.
 
-There is one class solve of an element, ``CohomologyTable.class_coords``,
-and a class is held in one form, the sparse row ``{j: cv}`` of its
-coordinates in the representative basis.  The solve checks that its element
-belongs to the table's algebra, is closed and lies in the complex, and that
-the remainder against the representatives is zero; ``class_of`` reads its
-class from it.  B^k is kept beside the quotient, so a solve reads it from a
-dict and builds no eliminator of its own.  The one product loop,
-``product_rows`` (the classes of r * x over the representatives r of a
-degree), solves no element: the solve is linear, so the row of r_i * x is
-the sum, with x's coefficients, of the normal forms N(r_i * u) over x's
-words u.  A table keeps them as a column ``{i: N(r_i * u)}`` per (k, degree)
-and word u, built when a call first meets u from the normal forms of words,
-the solves of their unit rows, kept per degree, and builds all the rows of
-a call in one ``kernel.scatter`` of x's coefficients over its words'
-columns.
+The class layer has one check, one reduction and one product path.  The
+check (``_checked_row``) of ``class_coords``, ``is_exact`` and
+``product_rows`` tests that an element is closed, then reads its row on the
+words of its degree; a term of another degree fails on the degree.  The
+reduction (``_reduce``) takes an ambient row to its subspace coordinates,
+then reduces by B^k, kept beside the quotient, and by the representatives,
+keeping any remainder at negative indices.  A class is one sparse row
+``{j: cv}`` of coordinates in the representative basis: the class solve
+``class_coords`` checks and reduces its element and fails on a remainder,
+and ``class_of`` reads its class from it.  ``product_rows`` (the classes of
+r * x over the representatives r of a degree) solves no element: the solve
+is linear, so the row of r_i * x is the sum, with x's coefficients, of the
+reductions N(r_i * u) of x's words u, kept per degree and word, as a column
+``{i: N(r_i * u)}`` per (k, degree) and word u, built when a call first
+meets u; one ``kernel.scatter`` over x's columns builds all the rows.
 The solve and ``is_exact`` take the degree, as their element may be zero;
 ``class_of`` is the one entry that infers it, from a nonzero homogeneous
 element.  On a user's element a failed check is a failed precondition
@@ -242,33 +242,45 @@ class CohomologyTable:
 
     # --- classes ---
 
-    def _closed_row(self, x: GradedElement, k: int) -> dict:
-        """Sparse coordinates of x in the complex, after checking that it is
-        closed and lies in the complex; a closed x with a term of another
-        degree than k fails the precondition on its degree."""
-        cx = self.complex
-        dx = apply_d(cx.differential, x)
+    def _checked_row(self, x: GradedElement, k: int) -> dict:
+        """x's row on the degree-k words, after checking that x is closed; an
+        x with a term of another degree fails the precondition on its
+        degree, tested only when the row cannot be read."""
+        dx = apply_d(self.complex.differential, x)
         if not dx.is_zero():
             raise PreconditionError(f"element is not closed: d(x) = {dx}", dx)
         try:
-            return cx.to_row(x, k)
+            return x.to_row(k)
         except ValueError:
-            if not x.is_homogeneous(k):
-                raise PreconditionError(f"element is not of degree {k}", x) from None
-            raise
+            raise PreconditionError(f"element is not of degree {k}", x) from None
+
+    def _reduce(self, row: dict, degree: int) -> dict:
+        """Class coordinates at 0.. of the owned ambient row ``row``: its
+        subspace coordinates (subspace complexes only) reduced by B^degree,
+        then by the representatives; remainders at -1 - j (coordinate j of
+        the complex) and -1 - dim - j (ambient j, outside the complex)."""
+        cx, q = self.complex, self.quotient(degree)
+        amb = {}
+        if cx.subspaces is not None:  # the coordinates, then the remainder they leave
+            row, amb = cx.subspaces[degree].reduce_owned(row), row
+        self._coboundaries[degree].reduce_owned(row)
+        out = q.reduce_owned(row)
+        for j, v in row.items():
+            out[-1 - j] = v
+        for j, v in amb.items():
+            out[-1 - cx.dim(degree) - j] = v
+        return out
 
     def class_coords(self, x: GradedElement, degree: int) -> dict:
         """Sparse coordinates ``{j: cv}`` of [x] in the degree-``degree``
-        representatives, after checking that x is closed and lies in the
-        complex: x reduced by the coboundaries, then by the representatives."""
+        representatives, ``_reduce`` of the checked row: an x outside the
+        complex is a ``ValueError``, any other remainder an engine fault."""
         _check_algebra(self.complex.algebra, x)
         if x.is_zero():
             return {}
-        rem = self._closed_row(x, degree)
-        q = self.quotient(degree)
-        self._coboundaries[degree].reduce_owned(rem)
-        coords = q.reduce_owned(rem)
-        if rem:
+        coords = self._reduce(self._checked_row(x, degree), degree)
+        if coords and min(coords) < 0:
+            self.complex.to_row(x, degree)  # raises when x is outside the complex
             raise AssertionError("closed element must reduce against cocycles")
         return coords
 
@@ -288,7 +300,8 @@ class CohomologyTable:
         _check_algebra(self.complex.algebra, x)
         if x.is_zero():
             return self.complex.algebra.zero()
-        row = self._closed_row(x, degree)
+        self._checked_row(x, degree)
+        row = self.complex.to_row(x, degree)
         if degree == 0:
             return None
         sol = self.complex.d_eliminator(degree - 1).solve_left(row)
@@ -297,20 +310,9 @@ class CohomologyTable:
         return self.complex.from_row(degree - 1, sol)
 
     def _normal_form(self, w: int, degree: int) -> dict:
-        """What ``class_coords`` does to the unit row of the degree-``degree``
-        word w: class coordinates at 0.., remainders at -1 - j (coordinate j
-        of the complex) and -1 - dim - j (ambient j, subspace complexes only)."""
-        cx, q = self.complex, self.quotient(degree)
-        row, amb = {cx.algebra.word_index(degree, w): cx.algebra.field.one.cv}, {}
-        if cx.subspaces is not None:  # the coordinates, then the remainder they leave
-            row, amb = cx.subspaces[degree].reduce_owned(row), row
-        self._coboundaries[degree].reduce_owned(row)
-        out = q.reduce_owned(row)
-        for j, v in row.items():
-            out[-1 - j] = v
-        for j, v in amb.items():
-            out[-1 - cx.dim(degree) - j] = v
-        return out
+        """``_reduce`` of the unit row of the degree-``degree`` word w."""
+        alg = self.complex.algebra
+        return self._reduce({alg.word_index(degree, w): alg.field.one.cv}, degree)
 
     def _product_columns(self, reps: list[GradedElement], words: list,
                          degree: int) -> dict:
@@ -349,32 +351,28 @@ class CohomologyTable:
 
     def product_rows(self, x: GradedElement, k: int, degree: int) -> list[dict]:
         """The classes in ``degree`` of r * x for the degree-k representatives
-        r, none outside 0..top; the degree is explicit as x may be zero.  For x
-        closed of degree ``degree - k``, r * x is closed (Leibniz), so a
-        remainder puts it outside Z^degree, and the direct solve says why.
-        The rows are one ``kernel.scatter`` of x's coefficients over the
-        columns of x's words (``_product_columns``), built the first time a
-        call meets the word and kept per ``(k, degree)`` once all of them are
+        r, none outside 0..top; the degree is explicit as x may be zero.  x is
+        engine-built, so a failed check (``_checked_row`` in degree - k) is an
+        engine fault.  The rows are one ``kernel.scatter`` of x's coefficients
+        over the columns of x's words (``_product_columns``), built the first
+        time a call meets the word and kept per ``(k, degree)`` once all are
         built: row i is the sum of entry i of each column times the word's
-        coefficient, a fresh dict."""
+        coefficient, a fresh dict.  r * x is closed (Leibniz), so a row with a
+        remainder puts it outside Z^degree: the direct solve says why, and if
+        it passes the two routes disagree."""
         reps = self.representatives(k)
         with engine_built():
-            fast = (reps and x.is_homogeneous(degree - k)
-                    and not apply_d(self.complex.differential, x))
-            if fast:
-                columns = self._columns.setdefault((k, degree), {})
-                new = [u for u in x._terms if u not in columns]
-                if new:
-                    columns.update(self._product_columns(reps, new, degree))
-                rows = kernel.scatter(x._terms, columns.__getitem__, len(reps),
-                                      self.complex.algebra.field)
-            else:
-                rows = [None] * len(reps)
+            self._checked_row(x, degree - k)
+            columns = self._columns.setdefault((k, degree), {})
+            new = [u for u in x._terms if u not in columns]
+            if new:
+                columns.update(self._product_columns(reps, new, degree))
+            rows = kernel.scatter(x._terms, columns.__getitem__, len(reps),
+                                  self.complex.algebra.field)
             for i, row in enumerate(rows):
-                if not fast or row and min(row) < 0:
-                    rows[i] = self.class_coords(wedge(reps[i], x), degree)
-                    if fast:
-                        raise AssertionError(f"the two routes disagree on {reps[i]} * {x}")
+                if row and min(row) < 0:
+                    self.class_coords(wedge(reps[i], x), degree)
+                    raise AssertionError(f"the two routes disagree on {reps[i]} * {x}")
         return rows
 
 

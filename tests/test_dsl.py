@@ -179,7 +179,7 @@ def test_paper_session_parses_cleanly(paper_session):
     assert len(paper_session.tasks) == 9
     assert paper_session.field.n == 12
     assert set(paper_session.algebras) == {"M"}
-    assert set(paper_session.maps) == {"rho"}
+    assert [n for n, (kind, *_) in paper_session.names.items() if kind == "map"] == ["rho"]
 
 
 @pytest.mark.parametrize("name,line,col,message", EXPECTED_DIAGNOSTICS)
@@ -232,11 +232,11 @@ def test_mu_wedge_mu_is_legal_and_zero():
         "field cyclotomic 12\n"
         "algebra M generators mu:1 nu:1\n"
         "let x = mu * mu\n")
-    assert session.lets["x"].is_zero()
+    assert session.lookup_element("x").is_zero()
 
 
 def test_omega_expression_evaluates(paper_session, model):
-    omega = paper_session.lets["omega"]
+    omega = paper_session.lookup_element("omega")
     expected = dsl.eval_expr(
         "{i}*mu*mubar + nu*theta + nubar*thetabar + {i}*eta*etabar",
         paper_session, "M")
@@ -891,10 +891,9 @@ def test_every_task_over_the_paper_bindings_runs_to_a_record():
     for tasks in _totality_sessions():
         session = dsl.parse(bindings + "".join(f"task {t}\n" for t in tasks))
         report = dsl.run(session)
-        errors = [(k, v) for k, v in report.records if k.endswith("_error")]
-        assert errors == [(f"{name}_error", msg) for _, name, msg in report.failures]
-        assert all(session.tasks[i].name == name for i, name, _ in report.failures)
-        assert len(report.failures) < len(tasks)
+        errors = [k for k, _ in report.records if k.endswith("_error")]
+        assert report.failed == len(errors) < len(tasks)
+        assert set(errors) <= {f"{t.name}_error" for t in session.tasks}
 
 
 def test_every_task_over_even_generators_runs_to_a_record():
@@ -911,18 +910,17 @@ def test_every_task_over_even_generators_runs_to_a_record():
     # truncated above degree 8, with a volume of that degree
     obstructions = "".join(f"task {t}\n" for t in sessions[2])
     report = dsl.run(dsl.parse(EVEN_SESSION + obstructions))
-    assert {msg for *_, msg in report.failures} == {
+    assert {v for k, v in report.records if k.endswith("_error")} == {
         "the obstruction needs an algebra of top degree 8, got top degree 10"}
-    assert len(report.failures) == len(sessions[2])
+    assert report.failed == len(sessions[2])
     top8 = EVEN_SESSION.replace("top 10", "top 8").replace("a*b*x*x*y*y", "a*b*x*x*y")
     for tasks in sessions:
         text = top8 if tasks is sessions[2] else EVEN_SESSION
         session = dsl.parse(text + "".join(f"task {t}\n" for t in tasks))
         report = dsl.run(session)
-        errors = [(k, v) for k, v in report.records if k.endswith("_error")]
-        assert errors == [(f"{name}_error", msg) for _, name, msg in report.failures]
-        assert all(session.tasks[i].name == name for i, name, _ in report.failures)
-        assert len(report.failures) < len(tasks)
+        errors = [k for k, _ in report.records if k.endswith("_error")]
+        assert report.failed == len(errors) < len(tasks)
+        assert set(errors) <= {f"{t.name}_error" for t in session.tasks}
 
 
 def test_massey_product_above_the_top_degree_is_zero():
@@ -1038,7 +1036,7 @@ def test_deep_parentheses_are_a_diagnostic_not_a_crash(depth, paper_session):
     session_text = _M + "let x = " + _nested(depth) + "\n"
     if depth <= dsl.MAX_NESTING:
         session = dsl.parse(session_text)
-        assert session.lets["x"] == session.algebras["M"].algebra.generator("mu")
+        assert session.lookup_element("x") == session.algebras["M"].algebra.generator("mu")
         mu = paper_session.algebras["M"].algebra.generator("mu")
         assert dsl.eval_expr(_nested(depth), paper_session, "M") == mu
         return

@@ -97,7 +97,7 @@ def test_obstruction_input_diagnostics(let, args, message):
 
     mode, *names = args.split()
     cx = (CochainComplex(session.algebras["M"].differential) if mode == "full"
-          else invariant_complex(session.maps[names.pop(0)].action))
+          else invariant_complex(session.names[names.pop(0)][2].action))
     alpha, *betas = map(e, names)
     with pytest.raises(PreconditionError) as info:
         obstruction(ObstructionInput(alpha, tuple(betas), e("vol")), CohomologyTable(cx))

@@ -293,18 +293,26 @@ def _cache_within_the_words(table):
             assert all(column.values()), (k, degree)
 
 
-@pytest.mark.parametrize("which", ["table", "invariant_table"])
+@pytest.mark.parametrize("which", ["table", "invariant_table", "ladder"])
 def test_product_rows_equal_the_class_solves_of_the_products(model, which):
-    """On a fresh paper table, full and invariant, ``product_rows(x, k,
-    k + |x|)`` equals one class solve per product r * x for every k: x is
-    each representative of degrees 1-4 and seeded closed combinations with
-    non-rational coefficients and many words."""
-    solver = getattr(model, which)
-    table = CohomologyTable(solver.complex)
+    """On a fresh table, ``product_rows(x, k, k + |x|)`` equals one class
+    solve per product r * x for every k.  On the paper's tables, full and
+    invariant, x is each representative of degrees 1-4 and seeded closed
+    combinations with non-rational coefficients and many words.  On the
+    ladder's full table (the paper algebra times a 2-torus, 1024 words), x
+    is each representative of degrees 1 and 2, with k up to 10 - |x|."""
     rng = random.Random(34)
-    xs = [(r, d) for d in range(1, 5) for r in table.representatives(d)]
-    xs += [(_closed_combination(table, d, rng), d) for d in range(1, 5) for _ in range(3)]
-    assert any(len(x._terms) > 4 for x, _ in xs)
+    if which == "ladder":
+        solver = CohomologyTable(CochainComplex(
+            dsl.parse(LADDER.read_text()).algebras["M"].differential))
+        table = CohomologyTable(solver.complex)
+        xs = [(r, d) for d in (1, 2) for r in table.representatives(d)]
+    else:
+        solver = getattr(model, which)
+        table = CohomologyTable(solver.complex)
+        xs = [(r, d) for d in range(1, 5) for r in table.representatives(d)]
+        xs += [(_closed_combination(table, d, rng), d) for d in range(1, 5) for _ in range(3)]
+        assert any(len(x._terms) > 4 for x, _ in xs)
     nonzero = 0
     for x, d in xs:
         for k in range(table.top - d + 1):
@@ -427,6 +435,22 @@ def test_product_rows_over_representatives_of_several_words(model, which, monkey
             nonzero += sum(map(bool, rows))
     assert nonzero > 50
     _cache_within_the_words(table)
+
+
+def test_an_x_that_fails_the_check_of_product_rows_is_an_engine_fault(model):
+    """``product_rows`` multiplies by engine-built elements only, so an x
+    that is not closed, or has a term of another degree than ``degree - k``,
+    is an engine fault, and the message names d(x) or x's own degree."""
+    g, table = model.gens, CohomologyTable(model.complex)
+    with pytest.raises(AssertionError, match=r"^engine-built element: element is not closed: "
+                                             r"d\(x\) = mu\*nu$") as info:
+        table.product_rows(g["theta"], 2, 3)
+    assert info.value.__cause__.witness == g["mu"] * g["nu"]
+    mixed = g["mu"] + g["mu"] * g["nu"]
+    with pytest.raises(AssertionError, match="^engine-built element: element is not of "
+                                             "degree 1$") as info:
+        table.product_rows(mixed, 2, 3)
+    assert info.value.__cause__.witness == mixed
 
 
 def test_a_product_outside_a_subspace_complex_is_an_engine_fault(model):
@@ -615,7 +639,7 @@ def test_d_matrix_rows_are_the_images_of_the_basis_elements(model, which):
         complexes = ladder_complexes(model)
     else:
         session = dsl.parse(EVEN_SESSION)
-        action = session.maps["f"].action
+        action = session.names["f"][2].action
         complexes = (CochainComplex(action.differential), invariant_complex(action))
     for cx in complexes:
         for k in range(cx.top + 1):

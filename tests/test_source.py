@@ -177,6 +177,36 @@ def test_products_of_representatives_are_solved_in_product_rows_only(tmp_path):
     assert _product_solves(old) == ["symplectic.lefschetz"]
 
 
+def _coboundary_reductions(path: Path) -> list[str]:
+    """The owner of each call, in ``path``, of a method of an entry of a
+    ``_coboundaries`` dict: ``self._coboundaries[k].reduce_owned(row)``."""
+    return [owner for owner, node in _qualified_nodes(path)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Subscript)
+            and isinstance(node.func.value.value, ast.Attribute)
+            and node.func.value.value.attr == "_coboundaries"]
+
+
+def test_rows_are_reduced_by_the_coboundaries_in_one_function(tmp_path):
+    """The class solve and the normal forms of words share one reduction,
+    so exactly one function of the library reduces by the coboundaries.
+    The old ``class_coords`` body, written back into a module, is caught."""
+    found = [owner for path in sorted(SRC.glob("*.py"))
+             for owner in _coboundary_reductions(path)]
+    assert found == ["homology.CohomologyTable._reduce"], found
+    old = tmp_path / "homology.py"
+    old.write_text("class CohomologyTable:\n"
+                   "    def class_coords(self, x, degree):\n"
+                   "        rem = self._closed_row(x, degree)\n"
+                   "        q = self.quotient(degree)\n"
+                   "        self._coboundaries[degree].reduce_owned(rem)\n"
+                   "        coords = q.reduce_owned(rem)\n"
+                   "        if rem:\n"
+                   "            raise AssertionError('closed element must reduce')\n"
+                   "        return coords\n")
+    assert _coboundary_reductions(old) == ["homology.CohomologyTable.class_coords"]
+
+
 def _strings_containing(path: Path, phrase: str) -> list[str]:
     """The owner of each string constant of ``path``, the literal parts of
     f-strings included, that contains ``phrase``."""
@@ -232,6 +262,7 @@ def test_products_are_added_by_the_fused_op_only():
 # Functions and methods of the library that nothing in src/ or perfbench/*.py
 # references, with the reason each stays.
 ALLOWED = {
+    "dsl.Session.lets": "the benchmark's tests read the scan session's forms through it",
     "dsl.eval_expr": "public: evaluates one expression against a parsed session",
     "field.CycloField.imaginary_unit": "public: the field's i; the parser reads i^k off pow_table",
     "field.FieldElement.conjugate": "public; the signature's Hermitian congruence will read it",
