@@ -27,16 +27,19 @@ A d-matrix is built from the differential's word rows
 (``Differential.word_rows``), which are already sparse rows of the kernel's
 values: on the full algebra those rows are its rows, and on a subspace
 family each row is the combination of the word rows that its subspace row
-names, in the coordinates of the next subspace.  A table keeps its
-representatives as sparse rows and builds the elements of a degree when
-they are first asked for.
+names, in the coordinates of the next subspace.  Every ambient row reaches
+the complex's coordinates by its one split (``CochainComplex._split``) into
+coordinates and ambient remainder: ``to_row``, the d-matrix rows and
+``is_exact`` go through ``_coords``, which refuses a remainder, and the
+table's reduction keeps it.  A table keeps its representatives as sparse
+rows and builds the elements of a degree when they are first asked for.
 
 The class layer has one check, one reduction and one product path.  The
 check (``_checked_row``) of ``class_coords``, ``is_exact`` and
 ``product_rows`` tests that an element is closed, then reads its row on the
 words of its degree; a term of another degree fails on the degree.  The
-reduction (``_reduce``) takes an ambient row to its subspace coordinates,
-then reduces by B^k, kept beside the quotient, and by the representatives,
+reduction (``_reduce``) splits an ambient row in the complex, then reduces
+its coordinates by B^k, kept beside the quotient, and by the representatives,
 keeping any remainder at negative indices.  A class is one sparse row
 ``{j: cv}`` of coordinates in the representative basis: the class solve
 ``class_coords`` checks and reduces its element and fails on a remainder,
@@ -100,17 +103,28 @@ class CochainComplex:
     def is_full(self) -> bool:
         return self.subspaces is None
 
-    def to_row(self, x: GradedElement, k: int) -> dict:
-        """Sparse coordinates ``{index: cv}`` of x in the degree-k basis of the
-        complex; raises when x does not lie in the complex."""
-        _check_algebra(self.algebra, x)
-        ambient = x.to_row(k)
-        if self.subspaces is None or not ambient:
-            return ambient
-        coords = self.subspaces[k].coordinates(ambient)
-        if coords is None:
+    def _split(self, row: dict, k: int) -> tuple[dict, dict]:
+        """(coordinates, ambient remainder) of the owned ambient degree-k row
+        ``row``: ``reduce_owned`` against the degree's subspace, which leaves
+        the remainder in ``row``; the row itself, with no remainder, on the
+        full algebra or when it is empty."""
+        if self.subspaces is None or not row:
+            return row, {}
+        return self.subspaces[k].reduce_owned(row), row
+
+    def _coords(self, row: dict, k: int) -> dict:
+        """The coordinates of the owned ambient degree-k row ``row``; raises
+        when it is outside the complex."""
+        coords, rem = self._split(row, k)
+        if rem:
             raise ValueError(f"element of degree {k} does not lie in the complex")
         return coords
+
+    def to_row(self, x: GradedElement, k: int) -> dict:
+        """Sparse coordinates ``{index: cv}`` of x in the degree-k basis of the
+        complex; raises when x is outside the complex."""
+        _check_algebra(self.algebra, x)
+        return self._coords(x.to_row(k), k)
 
     def contains(self, x: GradedElement, k: int) -> bool:
         try:
@@ -140,16 +154,9 @@ class CochainComplex:
             if self.subspaces is None or not word_rows:
                 rows = word_rows
             else:
-                rows = []
-                for row in self.subspaces[k].rows:
-                    image = kernel.combine(row, word_rows.__getitem__,
-                                           self.algebra.field)
-                    if image:
-                        image = self.subspaces[k + 1].coordinates(image)
-                        if image is None:
-                            raise ValueError(
-                                f"element of degree {k + 1} does not lie in the complex")
-                    rows.append(image)
+                rows = [self._coords(kernel.combine(row, word_rows.__getitem__,
+                                                    self.algebra.field), k + 1)
+                        for row in self.subspaces[k].rows]
             self._d_matrices[k] = Matrix(self.algebra.field, self.dim(k + 1), rows)
         return self._d_matrices[k]
 
@@ -256,13 +263,12 @@ class CohomologyTable:
 
     def _reduce(self, row: dict, degree: int) -> dict:
         """Class coordinates at 0.. of the owned ambient row ``row``: its
-        subspace coordinates (subspace complexes only) reduced by B^degree,
-        then by the representatives; remainders at -1 - j (coordinate j of
-        the complex) and -1 - dim - j (ambient j, outside the complex)."""
+        coordinates in the complex (``CochainComplex._split``) reduced by
+        B^degree, then by the representatives; remainders at -1 - j
+        (coordinate j of the complex) and -1 - dim - j (ambient j, outside
+        the complex)."""
         cx, q = self.complex, self.quotient(degree)
-        amb = {}
-        if cx.subspaces is not None:  # the coordinates, then the remainder they leave
-            row, amb = cx.subspaces[degree].reduce_owned(row), row
+        row, amb = cx._split(row, degree)
         self._coboundaries[degree].reduce_owned(row)
         out = q.reduce_owned(row)
         for j, v in row.items():
@@ -300,8 +306,7 @@ class CohomologyTable:
         _check_algebra(self.complex.algebra, x)
         if x.is_zero():
             return self.complex.algebra.zero()
-        self._checked_row(x, degree)
-        row = self.complex.to_row(x, degree)
+        row = self.complex._coords(self._checked_row(x, degree), degree)
         if degree == 0:
             return None
         sol = self.complex.d_eliminator(degree - 1).solve_left(row)

@@ -14,12 +14,13 @@ dense ``entries`` view only on first use; nothing mutates a matrix's rows
 once it is built.
 
 The public entry points (``Matrix(...)``, ``Subspace.from_vectors``,
-``reduce``, ``coordinates``, ``contains`` and ``Eliminator.solve_left``)
-check every vector they are given and work on a copy, so a malformed row is
-rejected with ``ValueError`` and the caller's dict is never changed.  A row
-the engine has just built and owns, such as the coordinates of a product in
-a class solve or a remainder inside ``quotient_basis``, is reduced in place
-by ``Subspace.reduce_owned``, without a check or a copy; ``quotient_basis``
+``reduce``, ``contains`` and ``Eliminator.solve_left``) check every vector
+they are given and work on a copy, so a malformed row is rejected with
+``ValueError`` and the caller's dict is never changed; ``contains`` is a
+``reduce`` that leaves no remainder.  A row the engine has just built and
+owns, such as an element's row split into the coordinates of a subspace
+complex or a remainder inside ``quotient_basis``, is reduced in place by
+``Subspace.reduce_owned``, without a check or a copy; ``quotient_basis``
 then puts its remainders in echelon form in place.
 
 Each space is put in echelon form once.  A ``Subspace`` is its reduced
@@ -190,9 +191,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def reduce(self, v: dict) -> tuple[dict, dict]:
         """(coefficients, remainder) of v against the echelon basis."""
         rem = _sparse(v, self.ambient_dim)
@@ -205,14 +203,8 @@ class Subspace:
         return kernel.reduce_against(row, self.rows, self._pivot_index,
                                      self.ambient_dim, self.field)
 
-    def coordinates(self, v: dict) -> dict | None:
-        if self.is_full():
-            return _sparse(v, self.ambient_dim)
-        coeffs, rem = self.reduce(v)
-        return None if rem else coeffs
-
     def contains(self, v: dict) -> bool:
-        return self.coordinates(v) is not None
+        return not self.reduce(v)[1]
 
 
 def quotient_basis(rows: list[dict], small: Subspace) -> Subspace:

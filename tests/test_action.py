@@ -28,6 +28,12 @@ def test_validate_action_examples(model):
     ident = identity_map(model.algebra)
     for m in (1, 2, 5):
         validate_action(ident, m, model.differential)
+    other = Algebra(model.field, [("x", 1)])
+    with pytest.raises(PreconditionError,
+                       match="^map and differential must live on one algebra$"):
+        validate_action(model.rho, 3, Differential(other, {}))
+    with pytest.raises(PreconditionError, match="^order must be positive, got 0$"):
+        validate_action(model.rho, 0, model.differential)
 
 
 def test_invariant_dimensions(model):

@@ -96,6 +96,13 @@ def test_is_exact_examples(model):
 
     assert table.is_exact(g["mu"] * g["eta"], 2) is None
 
+    # H^0 is spanned by the unit, which nothing of degree -1 bounds; zero is
+    # exact, with the zero primitive
+    alg = model.algebra
+    for t in (table, model.invariant_table):
+        assert t.is_exact(alg.unit(), 0) is None
+        assert t.is_exact(alg.zero(), 0) == alg.zero()
+
 
 def test_class_coords_of_zero(model):
     assert model.table.class_coords(model.algebra.zero(), 3) == {}

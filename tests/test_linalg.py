@@ -447,7 +447,7 @@ def test_subspace_matches_dense_reference_and_caches_pivots():
             want = [a - coeffs[i] * p for a, p in zip(want, rows[i])]
         assert densify(f, rem, m.ncols) == want
     full = Subspace.from_vectors(f, 5, Matrix.identity(f, 5).sparse_rows)
-    assert full.is_full()
+    assert full.dim == full.ambient_dim
     assert full.pivots == first_nonzero_scan(dense_rows(f, full.rows, 5)) == list(range(5))
 
 
@@ -457,7 +457,7 @@ def test_sparse_vectors_with_bad_entries_are_rejected():
     s = Subspace.from_vectors(f, 3, [{0: one}])
     el = Eliminator(Matrix.identity(f, 3))
     full = Subspace.from_vectors(f, 3, Matrix.identity(f, 3).sparse_rows)
-    assert full.is_full() and not s.is_full()
+    assert full.dim == full.ambient_dim and s.dim < s.ambient_dim
 
     def span(v):
         return Subspace.from_vectors(f, 3, [v])

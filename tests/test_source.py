@@ -207,6 +207,42 @@ def test_rows_are_reduced_by_the_coboundaries_in_one_function(tmp_path):
     assert _coboundary_reductions(old) == ["homology.CohomologyTable.class_coords"]
 
 
+def _subspace_reads(path: Path) -> list[str]:
+    """The owner of each read of a ``.subspaces`` attribute in ``path``."""
+    return [owner for owner, node in _qualified_nodes(path)
+            if isinstance(node, ast.Attribute) and node.attr == "subspaces"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_only_the_complex_reads_its_subspaces(tmp_path):
+    """An ambient row reaches a subspace complex's coordinates by one split,
+    ``CochainComplex._split``, so no code outside ``CochainComplex`` reads
+    ``.subspaces``, and one method, ``_coords``, refuses a row outside the
+    complex.  The old ``CohomologyTable._reduce`` body, written back into a
+    module, is caught."""
+    paths = sorted(SRC.glob("*.py"))
+    found = [owner for path in paths for owner in _subspace_reads(path)]
+    assert found and all(o.startswith("homology.CochainComplex.") for o in found), found
+    refusals = [owner for path in paths
+                for owner in _strings_containing(path, "does not lie in the complex")]
+    assert refusals == ["homology.CochainComplex._coords"], refusals
+    old = tmp_path / "homology.py"
+    old.write_text("class CohomologyTable:\n"
+                   "    def _reduce(self, row, degree):\n"
+                   "        cx, q = self.complex, self.quotient(degree)\n"
+                   "        amb = {}\n"
+                   "        if cx.subspaces is not None:\n"
+                   "            row, amb = cx.subspaces[degree].reduce_owned(row), row\n"
+                   "        self._coboundaries[degree].reduce_owned(row)\n"
+                   "        out = q.reduce_owned(row)\n"
+                   "        for j, v in row.items():\n"
+                   "            out[-1 - j] = v\n"
+                   "        for j, v in amb.items():\n"
+                   "            out[-1 - cx.dim(degree) - j] = v\n"
+                   "        return out\n")
+    assert _subspace_reads(old) == ["homology.CohomologyTable._reduce"] * 2
+
+
 def _strings_containing(path: Path, phrase: str) -> list[str]:
     """The owner of each string constant of ``path``, the literal parts of
     f-strings included, that contains ``phrase``."""

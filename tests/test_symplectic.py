@@ -21,6 +21,16 @@ def test_standard_omega_is_symplectic(model):
                             model.volume)
     assert verdict.ok
     assert verdict.power_scalar == model.field.rational(24)
+    assert verdict.residue_d is None and verdict.residue_conj is None
+
+
+def test_non_closed_candidate_reports_its_d_residue(model):
+    g = model.gens
+    verdict = is_symplectic(g["theta"] * g["eta"], 4, model.conjugation,
+                            model.differential, model.volume)
+    assert not verdict.closed and not verdict.ok
+    # d(theta*eta) = d(theta)*eta = mu*nu*eta
+    assert verdict.residue_d == g["mu"] * g["nu"] * g["eta"]
 
 
 def test_degenerate_candidate_fails():
