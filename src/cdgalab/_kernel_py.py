@@ -9,6 +9,9 @@ denominator 1.  The form is canonical, so equal values are equal tuples.
 A matrix row is sparse: a dict ``{col: cv}`` that holds only the nonzero
 entries.  A column absent from the dict is zero, and the row functions below
 delete an entry as soon as it cancels, so ``not row`` tests for the zero row.
+``algebra``'s ``{word: cv}`` terms of an element follow the same rule: its
+product of elements and its Leibniz step delete a word as soon as its sum
+cancels.
 
 ``field`` is the per-field argument of the row functions: its ``mul(a, b)``
 is the product of two cvs, and its ``addmul(t, a, b)`` and
@@ -27,13 +30,18 @@ three interpreted calls per entry (the sum, its lowest terms and the zero
 test).  ``row_axpy``, ``reduce_against`` and ``algebra``'s product of
 elements add each product to an existing entry with the fused op and make
 a new entry with ``cv_mul``, so a profiler or tracer that replaces
-``cv_mul`` here counts every product except the fused ones.
+``cv_mul`` here counts every product except the fused ones.  A plain sum
+takes the fused op too, as ``addmul(t, a, one)``: the differential's
+Leibniz step adds its rare collision so, and on Q(zeta_12) that is about
+half the time of ``cv_add``'s generic loop, which only scalar code reads.
 
-For the same reason four generic loops of the engine live here and
-nowhere else: ``combine`` is the one linear combination of sparse rows (the
-differential and a map on elements, a matrix product, the coordinates of a
-subspace or class), ``scatter`` its transpose, which builds many rows from
-columns in one pass (the cup rows of ``CohomologyTable.product_rows``),
+For the same reason five generic loops of the engine live here and
+nowhere else: ``row_axpy`` is the one sum of two sparse rows (an element's
+sum and difference call it with c = 1 and -1), ``combine`` the one linear
+combination of many (the differential and a map on elements, a matrix
+product, the coordinates of a subspace or class), ``scatter`` its
+transpose, which builds many rows from columns in one pass (the cup rows
+of ``CohomologyTable.product_rows``),
 ``power`` the one power by repeated squaring (of a field value, a map, a
 matrix or a form), and ``signed_sum`` the one writer of a signed sum's text
 (a scalar, an element, a generated expression).

@@ -25,7 +25,10 @@ basis word and each value the kernel's canonical integer tuple of a nonzero
 field value (see ``_kernel_py``).  ``wedge``, ``apply_d``, ``apply_map``,
 conjugation and the linear operations read those maps and build the new one
 directly, so they box no coefficient as a ``FieldElement``; ``terms`` boxes
-a fresh copy for a caller that wants field elements.
+a fresh copy for a caller that wants field elements.  A sum or difference
+is ``kernel.row_axpy`` of the other's terms, times 1 or -1, into a copy of
+self's, and every map of terms is accumulated by the kernel's one rule:
+the field's fused op adds, and a word whose sum cancels is deleted at once.
 
 A ``Differential`` and an ``AlgebraMap`` are both given on generators and
 extended along prefixes: the value on a word p*g is built from the value on
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from ._backend import kernel
 from ._record import Frozen
-from .field import CycloField, FieldElement, format_scalar, is_rational
+from .field import CycloField, FieldElement, format_scalar
 
 
 class GeneratorSpec(Frozen):
@@ -283,31 +286,22 @@ class GradedElement:
 
     # --- linear structure ---
 
-    def _check(self, other: "GradedElement"):
+    def _axpy(self, other, c):
+        """self + c * other by ``kernel.row_axpy`` into a copy of self's
+        terms; c is the cv of 1 or of -1."""
+        if not isinstance(other, GradedElement):
+            return NotImplemented
         if other.algebra is not self.algebra:
             raise ValueError("algebra mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        self._check(other)
         terms = dict(self._terms)
-        for w, c in other._terms.items():
-            s = terms.get(w)
-            if s is None:
-                terms[w] = c
-            else:
-                s = kernel.cv_add(s, c)
-                if kernel.cv_is_zero(s):
-                    del terms[w]
-                else:
-                    terms[w] = s
+        kernel.row_axpy(terms, other._terms, c, self.algebra.field)
         return _element(self.algebra, terms)
 
+    def __add__(self, other):
+        return self._axpy(other, self.algebra.field.one.cv)
+
     def __sub__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return self + -other
+        return self._axpy(other, kernel.cv_neg(self.algebra.field.one.cv))
 
     def __neg__(self):
         return _element(self.algebra, {w: kernel.cv_neg(c) for w, c in self._terms.items()})
@@ -323,14 +317,13 @@ class GradedElement:
     def __mul__(self, other):
         if isinstance(other, GradedElement):
             return wedge(self, other)
-        if isinstance(other, FieldElement) or is_rational(other):
-            return self.scale(other)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, FieldElement) or is_rational(other):
+        try:
             return self.scale(other)
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     # --- views ---
 
@@ -404,9 +397,8 @@ def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
     """The product of ``{word: cv}`` maps, as a new one without zeros.
 
     A word's first term is a product, each later one is added by the
-    field's fused ``addmul`` or ``submul``, and a sum that cancels is held
-    as None until the end, so the words keep the order of their first
-    terms."""
+    field's fused ``addmul`` or ``submul``, and a word whose sum cancels is
+    deleted at once, as the kernel's row functions do."""
     field = alg.field
     mul, addmul, submul = field.mul, field.addmul, field.submul
     merge = alg.merge_words
@@ -423,9 +415,11 @@ def _product(alg: Algebra, xs: dict, ys: dict) -> dict:
                 c = cv_mul(a, b, mul)
                 acc[w] = c if sign > 0 else cv_neg(c)
             else:
-                acc[w] = addmul(s, a, b) if sign > 0 else submul(s, a, b)
-    if None in acc.values():
-        return {w: c for w, c in acc.items() if c is not None}
+                s = addmul(s, a, b) if sign > 0 else submul(s, a, b)
+                if s is None:
+                    del acc[w]
+                else:
+                    acc[w] = s
     return acc
 
 
@@ -542,12 +536,14 @@ class Differential(_WordLinear):
     def _extend(self, p: Word, dp: dict, g: int) -> dict:
         # the terms d(p)*g, then (-1)^|p| p*d(g), each merged in that order;
         # the words of each group are distinct, so only a word of the second
-        # group can meet one of the first, and a sum that cancels is dropped
+        # group can meet one of the first: it is added by the fused op, times
+        # one, and deleted when the sum cancels
         dg = self._gen_values.get(g)
         if not (dp or dg):
             return {}
         alg = self.algebra
         merge, neg = alg.merge_words, kernel.cv_neg
+        addmul, one = alg.field.addmul, alg.field.one.cv
         gw = alg.generator_word(g)
         acc: dict = {}
         for u, c in dp.items():
@@ -567,8 +563,8 @@ class Differential(_WordLinear):
                 if s is None:
                     acc[w] = c
                 else:
-                    s = kernel.cv_add(s, c)
-                    if kernel.cv_is_zero(s):
+                    s = addmul(s, c, one)
+                    if s is None:
                         del acc[w]
                     else:
                         acc[w] = s

@@ -75,28 +75,17 @@ def cyclotomic_polynomial(n: int) -> list[int]:
 MAX_DEGREE = 64
 
 
-def _totient(n: int) -> int:
-    result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 def check_conductor(n: int) -> None:
     """Raises ValueError unless Q(zeta_n) is within the degree budget.
 
     Runs before anything is built.  Since phi(n) >= sqrt(n / 2), a conductor
-    above 2 * MAX_DEGREE^2 is over budget without being factored."""
+    above 2 * MAX_DEGREE^2 is over budget without being counted; below that
+    phi(n) is the number of units k in 1..n, the ones ``CycloField.units``
+    lists."""
     if n < 1:
         raise ValueError(f"conductor must be >= 1, got {n}")
-    if n > 2 * MAX_DEGREE ** 2 or _totient(n) > MAX_DEGREE:
+    if (n > 2 * MAX_DEGREE ** 2
+            or sum(gcd(k, n) == 1 for k in range(1, n + 1)) > MAX_DEGREE):
         raise ValueError(f"conductor {n} is over budget: phi({n}) must be "
                          f"at most {MAX_DEGREE}")
 
@@ -221,14 +210,10 @@ class FieldElement:
     # --- coercion ---
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field.n != self.field.n:
-                raise ValueError(
-                    f"conductor mismatch: {self.field.n} vs {other.field.n}")
-            return other
-        if is_rational(other):
-            return self.field.rational(other)
-        return None
+        try:
+            return self.field.element(other)
+        except TypeError:
+            return None
 
     # --- ring operations ---
 

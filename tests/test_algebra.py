@@ -249,6 +249,34 @@ def test_format_element_basics(model):
     assert format_element(g["mu"].scale(2) - g["nu"]) == "{2}*mu - nu"
 
 
+def test_scalars_are_coerced_by_the_field_from_either_side():
+    """A scalar factor of an element, on either side, is ``scale`` of the
+    field's coercion, and a factor that is no scalar is Python's own
+    ``TypeError``; a boxed scalar takes an int on its right by the same
+    coercion."""
+    f = make_field(12)
+    a, z = Algebra(f, [("a", 1), ("b", 1)]).generator("a"), f.zeta()
+    assert str(2 * a) == "{2}*a" and str(a * z) == "{z}*a"
+    with pytest.raises(TypeError):
+        a * "x"
+    assert str(1 - z) == "-z + 1" and str(1 / z) == "-z^3 + z"
+
+
+@pytest.mark.parametrize("which", ["paper", "even"])
+def test_sums_and_differences_match_the_boxed_coefficients(model, which):
+    """``x + y`` and ``x - y`` hold, word by word, the boxed sum and
+    difference of the coefficients, with no word whose sum cancels."""
+    alg = (paper_algebra(model) if which == "paper" else even_algebra())[0]
+    rng = random.Random(5)
+    for _ in range(100):
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        words = set(x._terms) | set(y._terms)
+        for sign, got in ((1, x + y), (-1, x - y)):
+            assert got == GradedElement(
+                alg, {w: x.coefficient(w) + sign * y.coefficient(w) for w in words})
+        assert (x - x).is_zero() and (x + y) - y == x and (x - y) + y == x
+
+
 # --- reference: the boxed arithmetic the library replaced -------------------
 
 def ref_wedge(x, y):

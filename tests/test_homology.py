@@ -1,14 +1,17 @@
 import copy
 import random
+import re
 import sys
 
 import pytest
 
-from cdgalab import AlgebraMap, GroupAction, Matrix, dsl, homology, make_field, top_scalar, wedge
+from cdgalab import (AlgebraMap, Conjugation, GroupAction, Matrix, dsl, homology, make_field,
+                     top_scalar, wedge)
 from cdgalab._backend import kernel
 from cdgalab.action import invariant_complex
 from cdgalab.algebra import (Algebra, Differential, GradedElement, PreconditionError, _element,
                              apply_d)
+from cdgalab.formality import ObstructionInput
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator, Subspace
 from cdgalab.symplectic import lefschetz
@@ -483,6 +486,66 @@ def test_a_remainder_the_direct_solve_does_not_see_is_an_engine_fault(model, mon
     monkeypatch.setattr(CohomologyTable, "class_coords", lambda self, x, degree: {})
     with pytest.raises(AssertionError, match="^the two routes disagree on "):
         table.product_rows(model.omega, 3, 5)
+
+
+def _line(n=12):
+    """An algebra over Q(zeta_n) on one generator a of degree 1."""
+    return Algebra(make_field(n), [("a", 1)])
+
+
+def _map(source, target):
+    return AlgebraMap(source, target, {"a": target.generator("a")})
+
+
+def _solve_past_a_dropped_quotient_row(model):
+    """A fresh paper table whose degree-2 quotient lost its last row: that
+    row's representative is closed but leaves a remainder."""
+    table = CohomologyTable(model.complex)
+    rep, q = table.representatives(2)[-1], table.quotient(2)
+    table._quotients[2] = Subspace(q.field, q.ambient_dim, q.rows[:-1], q.pivots[:-1])
+    table.class_coords(rep, 2)
+
+
+def _lefschetz_on_top_3():
+    alg = Algebra(make_field(12), [("a", 1), ("b", 1), ("c", 1)])
+    table = CohomologyTable(CochainComplex(Differential(alg, {})))
+    lefschetz(table.class_of(alg.generator("a") * alg.generator("b")), 1)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    pytest.param(lambda m: _line().generator("a") - _line().generator("a"), "algebra mismatch",
+                 id="difference"),
+    pytest.param(lambda m: _map(_line(12), _line(5)), "conductor mismatch: 12 vs 5",
+                 id="map-conductor"),
+    pytest.param(lambda m: _map(_line(), _line()).compose(_map(_line(), _line())),
+                 "composition mismatch", id="compose"),
+    pytest.param(lambda m: _map(_line(), _line()).power(2), "powers need an endomorphism",
+                 id="map-power"),
+    pytest.param(lambda m: Conjugation(Algebra(make_field(12), [("a", 1), ("b", 1), ("c", 1)]),
+                                       [("a", "b")]),
+                 "conjugation misses generator c", id="conjugation"),
+    pytest.param(lambda m: make_field(12).zeta().galois(2),
+                 "2 is not coprime to the conductor 12", id="galois"),
+    pytest.param(lambda m: Matrix(m.field, 2, [{}]).matmul(Matrix(m.field, 2, [{}])),
+                 "shape mismatch", id="matmul"),
+    pytest.param(lambda m: Matrix(m.field, 2, [{}]).power(2), "powers need a square matrix",
+                 id="matrix-power"),
+    pytest.param(lambda m: CochainComplex(m.differential, []),
+                 "need one subspace per degree 0..top", id="subspaces"),
+    pytest.param(lambda m: _lefschetz_on_top_3(), "hard-Lefschetz needs an even top degree",
+                 id="lefschetz-odd-top"),
+    pytest.param(lambda m: ObstructionInput(m.alpha, m.betas[:2], m.volume),
+                 "exactly three beta inputs are required", id="betas"),
+    pytest.param(_solve_past_a_dropped_quotient_row,
+                 "closed element must reduce against cocycles", id="class-coords-fault"),
+])
+def test_library_refusals(model, refuse, message):
+    """Each refusal of the library's own API raises its message; a
+    remainder of a closed element in the class solve is an engine fault,
+    the rest are ``ValueError``."""
+    error = AssertionError if message.startswith("closed element") else ValueError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        refuse(model)
 
 
 def test_two_step_complex_with_even_generator():

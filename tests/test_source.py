@@ -131,10 +131,12 @@ def test_generic_loops_live_in_the_kernel():
     live in the kernel, ``kernel.combine``, ``kernel.scatter`` and
     ``kernel.power``: outside the kernel no function squares in a
     ``while k:`` loop, and ``row_axpy`` is used only where the action's
-    fixed part subtracts the identity in its own code."""
+    fixed part subtracts the identity in its own code and where an
+    element's sum or difference adds the other's terms, times 1 or -1."""
     found = [entry for path in sorted(SRC.glob("*.py")) if path.name != "_kernel_py.py"
              for entry in _generic_loops(path)]
-    assert found == [("action.induced_action_fixed_dims", "row_axpy")], found
+    assert found == [("action.induced_action_fixed_dims", "row_axpy"),
+                     ("algebra.GradedElement._axpy", "row_axpy")], found
 
 
 def _qualified_nodes(path: Path):
@@ -274,9 +276,10 @@ def test_names_of_another_algebra_are_refused_in_lookup_only(tmp_path):
 
 def test_products_are_added_by_the_fused_op_only():
     """A product that is added to an entry is added by the field's fused
-    ``addmul`` or ``submul``, read in exactly the three accumulation loops,
-    and no loop of the library adds with ``cv_add`` a product (``cv_mul``
-    or ``mul``) made in the same loop."""
+    ``addmul`` or ``submul``, read in exactly the three accumulation loops
+    and in the differential's Leibniz step, which adds its collision of two
+    terms as ``addmul(s, c, one)``; no loop of the library adds with
+    ``cv_add`` a product (``cv_mul`` or ``mul``) made in the same loop."""
     readers, adders = set(), []
     for path in sorted(SRC.glob("*.py")):
         for owner, node in _qualified_nodes(path):
@@ -291,8 +294,44 @@ def test_products_are_added_by_the_fused_op_only():
                 if "cv_add" in called and called & {"cv_mul", "mul"}:
                     adders.append(f"{owner}:{node.lineno}")
     assert sorted(readers) == ["_kernel_py.reduce_against", "_kernel_py.row_axpy",
-                               "algebra._product"], sorted(readers)
+                               "algebra.Differential._extend", "algebra._product"], \
+        sorted(readers)
     assert not adders, f"loops that add a product by cv_add: {adders}"
+
+
+def _cv_add_reads(path: Path) -> list[str]:
+    """The owner of each read of ``cv_add``, by name or attribute, in
+    ``path``."""
+    return [owner for owner, node in _qualified_nodes(path)
+            if (isinstance(node, ast.Name) and node.id == "cv_add"
+                or isinstance(node, ast.Attribute) and node.attr == "cv_add")
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_only_scalar_code_adds_with_cv_add(tmp_path):
+    """A sparse map of field values is accumulated by one rule, the fused
+    op adds and None deletes, so the generic ``cv_add`` is read only where
+    two boxed scalars are added, ``FieldElement.__add__`` (also its
+    ``__radd__``), and where the parser sums a scalar's terms.  The old
+    ``GradedElement.__add__`` body, written into a module, is caught."""
+    found = sorted(owner for path in sorted(SRC.glob("*.py")) for owner in _cv_add_reads(path))
+    assert found == ["dsl.Parser.parse_scalar", "field.FieldElement.__add__"], found
+    old = tmp_path / "algebra.py"
+    old.write_text("class GradedElement:\n"
+                   "    def __add__(self, other):\n"
+                   "        terms = dict(self._terms)\n"
+                   "        for w, c in other._terms.items():\n"
+                   "            s = terms.get(w)\n"
+                   "            if s is None:\n"
+                   "                terms[w] = c\n"
+                   "            else:\n"
+                   "                s = kernel.cv_add(s, c)\n"
+                   "                if kernel.cv_is_zero(s):\n"
+                   "                    del terms[w]\n"
+                   "                else:\n"
+                   "                    terms[w] = s\n"
+                   "        return _element(self.algebra, terms)\n")
+    assert _cv_add_reads(old) == ["algebra.GradedElement.__add__"]
 
 
 # Functions and methods of the library that nothing in src/ or perfbench/*.py
