@@ -184,11 +184,11 @@ def rref(rows, ncols, limit, field, inv):
     """In-place reduced row echelon form with deterministic pivoting.
 
     ``rows`` is a list of sparse rows of width ``ncols``.  Pivots are searched
-    in column order over the first ``limit`` columns: the pivot of a column
-    is the first row at or below the current pivot row with a nonzero entry
-    there, swapped up into place.  Row operations act on whole rows, so
-    callers may augment past ``limit``.  ``inv`` maps a nonzero cv to its
-    multiplicative inverse cv.  Returns ``(rank, pivot_columns)``; the rows
+    in order over the held columns below ``limit``, as in ``rank``: the pivot
+    of a column is the first row at or below the current pivot row with a
+    nonzero entry there, swapped up into place.  Row operations act on whole
+    rows, so callers may augment past ``limit``.  ``inv`` maps a nonzero cv
+    to its multiplicative inverse cv.  Returns ``(rank, pivot_columns)``; the rows
     past the rank are left empty in the first ``limit`` columns.  The
     elimination never reads ``ncols``: ``perfbench/tracer.py`` reads it, by
     position, to count ``kernel.cells``, so dropping it would change
@@ -210,10 +210,10 @@ def rref(rows, ncols, limit, field, inv):
     position = list(range(nrows))
     pivots = []
     piv = 0
-    for col in range(limit):
+    for col in sorted(holders):
         if piv == nrows:
             break
-        held = holders.get(col)
+        held = holders[col]
         if not held:
             continue
         below = [position[i] for i in held if position[i] >= piv]
@@ -248,25 +248,27 @@ def rank(rows, ncols, field, inv):
     """Rank of the sparse rows of width ``ncols``, by forward elimination in
     place.
 
-    Columns are taken in order.  A column's pivot is the lowest-numbered row
-    not yet used as a pivot that has a nonzero there, and the column is
-    cleared only in the other unused rows, by the multiple of the pivot row
-    that cancels their entry: no back-substitution, no scaling of pivot
-    rows, and for a pivot row with one entry a deletion of the column's
-    other entries.  An unused row is zero in every column already passed, so
-    the pivot row's other entries lie to its right.  ``inv`` maps a nonzero
-    cv to its inverse; it is called only for a pivot row with more entries
-    and with entries to clear.  The rows are left in no useful form.
+    The held columns are taken in order: fill-in only reaches columns that
+    a pivot row holds, so no other column can get a pivot.  A column's pivot
+    is the lowest-numbered row not yet used as a pivot that has a nonzero
+    there, and the column is cleared only in the other unused rows, by the
+    multiple of the pivot row that cancels their entry: no
+    back-substitution, no scaling of pivot rows, and for a pivot row with
+    one entry a deletion of the column's other entries.  An unused row is
+    zero in every column already passed, so the pivot row's other entries
+    lie to its right.  ``inv`` maps a nonzero cv to its inverse; it is
+    called only for a pivot row with more entries and with entries to
+    clear.  The rows are left in no useful form.
     """
     holders = {}
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
     found = 0
-    for col in range(ncols):
+    for col in sorted(holders):
         if found == len(rows):
             break
-        held = holders.get(col)
+        held = holders[col]
         if not held:
             continue
         i = min(held)

@@ -450,8 +450,8 @@ def format_element(x: GradedElement) -> str:
 class _WordLinear:
     """A linear map from degree k of ``source`` to degree k + ``shift`` of
     ``target``, given on generators: ``_extend(p, value on p, g)`` is the
-    value on p*g.  A word's value is built from its longest kept prefix in
-    a loop, so word length is not bounded by the recursion limit."""
+    value on p*g.  ``_value`` builds a word's value from its longest kept
+    prefix in a loop, so word length is not bounded by the recursion limit."""
 
     shift = 0
 
@@ -496,11 +496,22 @@ class _WordLinear:
     def word_rows(self, k: int) -> list[dict]:
         """The value on each degree-k word of the source, in basis order, as a
         fresh sparse row ``{index in degree k + shift of the target: cv}``;
-        none outside 0..top."""
+        none outside 0..top.  A word whose prefix is kept, as every prefix is
+        when degrees are read in order, takes one ``_extend``, not ``_value``."""
         j = k + self.shift
         pos = self.target._word_pos[j] if 0 <= j <= self.target.top else {}
-        return [{pos[u]: c for u, c in v.items()} if v else {}
-                for v in map(self._value, self.source.basis(k))]
+        values, extend = self._values, self._extend
+        last, unit = self.source._last, self.source._unit
+        rows = []
+        for w in self.source.basis(k):
+            v = values.get(w)
+            if v is None:
+                g = last[w.bit_length()]
+                p = w - unit[g]
+                v = values.get(p)
+                v = values[w] = self._value(w) if v is None else extend(p, v, g)
+            rows.append({pos[u]: c for u, c in v.items()} if v else {})
+        return rows
 
     def _apply(self, x: GradedElement) -> GradedElement:
         if x.algebra is not self.source:

@@ -102,9 +102,10 @@ class Matrix:
         return self._entries
 
     def rank(self) -> int:
-        """Rank, from one forward elimination of a copy of the rows."""
+        """Rank, from one forward elimination of copies of the nonempty
+        rows: an empty row never enters it."""
         field = self.field
-        return kernel.rank([dict(row) for row in self.sparse_rows], self.ncols,
+        return kernel.rank([dict(row) for row in self.sparse_rows if row], self.ncols,
                            field, _inv_cv(field))
 
     def matmul(self, other: "Matrix") -> "Matrix":

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from cdgalab import dsl
-from cdgalab import (Algebra, AlgebraMap, Conjugation, Differential, PreconditionError,
-                     apply_d, apply_map, identity_map, make_field, wedge)
-from cdgalab.algebra import WORD_BUDGET, GradedElement, format_element, word_count
+from cdgalab import (Algebra, AlgebraMap, CochainComplex, CohomologyTable, Conjugation,
+                     Differential, PreconditionError, apply_d, apply_map, identity_map,
+                     make_field, wedge)
+from cdgalab.algebra import (WORD_BUDGET, GradedElement, _WordLinear, format_element,
+                             word_count)
 from cdgalab.cli import main as cli_main
 from cdgalab.field import FieldElement
 
@@ -672,6 +674,72 @@ def test_a_word_row_merges_only_d_of_its_prefix_and_of_its_last_generator(monkey
     for k in range(ctx.algebra.top + 1):
         ctx.differential.word_rows(k)
     assert len(merges) == 307
+
+
+def mixed_degree_linear_maps():
+    """x:2 y:3 z:1 up to degree 9, where the prefix of x*y has degree
+    k - 3 and that of x*z degree k - 1, with d(y) = zeta * x^2 and the map
+    x -> zeta * x, y -> y + x*z, z -> 2z."""
+    field = make_field(12)
+    alg = Algebra(field, [("x", 2), ("y", 3), ("z", 1)], top=9)
+    x, y, z = (alg.generator(n) for n in "xyz")
+    zeta = field.zeta(1)
+    d = Differential(alg, {"y": (x * x).scale(zeta)})
+    f = AlgebraMap(alg, alg, {"x": x.scale(zeta), "y": y + x * z,
+                              "z": z.scale(2)})
+    return alg, d, f
+
+
+def boxed_word_rows(linear, k):
+    """The rows of ``linear`` on the degree-k words, from the boxed
+    reference on each word element."""
+    alg = linear.source
+    ref = ref_apply_d if isinstance(linear, Differential) else ref_apply_map
+    return [ref(linear, alg.word_element(w)).to_row(k + linear.shift)
+            for w in alg.basis(k)]
+
+
+def counted_value_calls(monkeypatch):
+    """The list of words that ``_WordLinear._value`` is called on from now."""
+    calls = []
+    value = _WordLinear._value
+    monkeypatch.setattr(_WordLinear, "_value",
+                        lambda self, w: calls.append(w) or value(self, w))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["paper d", "paper rho", "mixed d", "mixed map"])
+@pytest.mark.parametrize("order", ["top first", "in order"])
+def test_word_rows_in_any_degree_order_match_the_boxed_reference(model, monkeypatch,
+                                                                 case, order):
+    """On fresh copies, whose only kept values are those of the d*d check,
+    ``word_rows`` read from the top degree down walks from words whose
+    prefix is not kept yet, and read in degree order extends every word by
+    one step from its kept prefix, of degree k - deg(g), without a single
+    ``_value`` call; both give the boxed reference's rows."""
+    if case.startswith("paper"):
+        alg = model.algebra
+        fresh = (Differential(alg, model.differential.assignments) if case == "paper d"
+                 else AlgebraMap(alg, alg, model.rho.assignments))
+    else:
+        alg, d, f = mixed_degree_linear_maps()
+        fresh = d if case == "mixed d" else f
+    degrees = range(alg.top + 1)
+    if order == "top first":
+        degrees = reversed(degrees)
+    calls = counted_value_calls(monkeypatch)
+    for k in degrees:
+        assert fresh.word_rows(k) == boxed_word_rows(fresh, k), k
+    assert bool(calls) == (order == "top first")
+
+
+def test_the_ladder_table_builds_every_word_row_in_one_step(monkeypatch):
+    """The full table of the ladder reads the d-matrices in degree order, so
+    no word value is built by ``_value``'s prefix walk."""
+    ctx = dsl.parse(LADDER.read_text()).algebras["M"]
+    calls = counted_value_calls(monkeypatch)
+    table = CohomologyTable(CochainComplex(ctx.differential))
+    assert sum(table.betti) > 0 and calls == []
 
 
 def test_word_count_refuses_past_the_budget():

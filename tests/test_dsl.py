@@ -643,14 +643,13 @@ def test_a_rank_that_disagrees_with_its_quotient_is_an_engine_fault(monkeypatch,
     each exceed the dimension of their quotient: the first read of degree 2
     exits 3 with the dimension on stderr."""
     from cdgalab import linalg
-    rank = linalg.kernel.rank
+    rank = linalg.Matrix.rank
 
-    def short_rank(rows, ncols, field, inv):
-        r = rank(rows, ncols, field, inv)
-        return r - 1 if (len(rows), ncols) == (28, 56) else r
+    def short_rank(m):
+        r = rank(m)
+        return r - 1 if (m.nrows, m.ncols) == (28, 56) else r
 
-    monkeypatch.setattr(linalg, "kernel",
-                        types.SimpleNamespace(**{**vars(linalg.kernel), "rank": short_rank}))
+    monkeypatch.setattr(linalg.Matrix, "rank", short_rank)
     assert cli_main(["run", str(PAPER_SESSION)]) == 3
     assert ("engine-built table: the quotient of degree 2 has dimension 17, "
             "the ranks give b_2 = 18") in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 
@@ -373,6 +374,46 @@ def test_one_entry_pivot_rows_take_no_inverse(monkeypatch):
     with pytest.raises(AttributeError):  # the recorded call returns no inverse
         two.rank()
     assert len(inverses) == 1
+
+
+def test_rank_skips_empty_rows_and_unheld_columns(monkeypatch):
+    """Seeded matrices over Q(zeta_12) with empty rows interleaved and
+    ``ncols`` padded past the last held column: ``Matrix.rank`` hands only
+    the nonempty rows to the kernel, finds the dense reference's rank and
+    leaves its rows as they were; the echelon form over the held columns
+    keeps the reference's pivots.  An all-empty matrix and one with no
+    columns have rank 0."""
+    from cdgalab import linalg
+    f = make_field(12)
+    rng = random.Random(36)
+    handed = []
+
+    def recording_rank(rows, ncols, field, inv):
+        handed.append([dict(row) for row in rows])
+        return kernel.rank(rows, ncols, field, inv)
+
+    monkeypatch.setattr(linalg, "kernel",
+                        types.SimpleNamespace(**{**vars(kernel), "rank": recording_rank}))
+    deficient = 0
+    for t in range(60):
+        held = rng.randint(1, 6)
+        base = (_one_entry_matrix(f, rng, rng.randint(2, 10), held) if t % 2
+                else _random_matrix(f, rng, rng.randint(1, 8), held, density=0.4))
+        rows = list(base.sparse_rows)
+        for _ in range(rng.randint(1, 5)):
+            rows.insert(rng.randint(0, len(rows)), {})
+        m = Matrix(f, held + rng.randint(1, 5), rows)
+        before = [dict(row) for row in rows]
+        rank, pivots, _ = dense_gauss_jordan(dense_rows(f, rows, m.ncols), m.ncols)
+        handed.clear()
+        assert m.rank() == rank
+        assert m.sparse_rows == before and all(a is b for a, b in zip(m.sparse_rows, rows))
+        assert handed == [[row for row in before if row]]
+        assert Subspace.from_vectors(f, m.ncols, rows).pivots == pivots
+        deficient += rank < min(m.nrows, m.ncols)
+    assert deficient >= 30
+    for m in (Matrix(f, 7, [{}, {}, {}]), Matrix(f, 0, [{}, {}]), Matrix(f, 0, [])):
+        assert m.rank() == 0
 
 
 def test_scatter_equals_the_per_row_combine_and_hands_out_fresh_rows():
