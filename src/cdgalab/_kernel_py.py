@@ -184,9 +184,11 @@ def rref(rows, ncols, limit, field, inv):
     """In-place reduced row echelon form with deterministic pivoting.
 
     ``rows`` is a list of sparse rows of width ``ncols``.  Pivots are searched
-    in order over the held columns below ``limit``, as in ``rank``: the pivot
-    of a column is the first row at or below the current pivot row with a
-    nonzero entry there, swapped up into place.  Row operations act on whole
+    in order over the held columns below ``limit``, as in ``rank``, but
+    without its shortest-row guard: the pivot of a column is always the
+    first row at or below the current pivot row with a nonzero entry there,
+    swapped up into place, so the echelon rows and the I parts that a caller
+    augments are those of a dense elimination.  Row operations act on whole
     rows, so callers may augment past ``limit``.  ``inv`` maps a nonzero cv
     to its multiplicative inverse cv.  Returns ``(rank, pivot_columns)``; the rows
     past the rank are left empty in the first ``limit`` columns.  The
@@ -251,10 +253,18 @@ def rank(rows, ncols, field, inv):
     The held columns are taken in order: fill-in only reaches columns that
     a pivot row holds, so no other column can get a pivot.  A column's pivot
     is the lowest-numbered row not yet used as a pivot that has a nonzero
-    there, and the column is cleared only in the other unused rows, by the
-    multiple of the pivot row that cancels their entry: no
-    back-substitution, no scaling of pivot rows, and for a pivot row with
-    one entry a deletion of the column's other entries.  An unused row is
+    there, unless that row has more than one entry and another unused row
+    holds the column too: then it is the shortest such row, the
+    lowest-numbered among equals, so a one-entry row there clears the
+    column by deletions and a longer pivot row spreads less fill (the
+    guarded Markowitz rule).  The rank does not depend on the pivot order,
+    and on rows whose pivots all have one entry the guard reads one row
+    length per column and never evaluates the key.  ``rref`` keeps the
+    first-row rule, since its echelon rows and I parts are read.  The
+    column is cleared only in the other unused rows, by the multiple of
+    the pivot row that cancels their entry: no back-substitution, no
+    scaling of pivot rows, and for a pivot row with one entry a deletion
+    of the column's other entries.  An unused row is
     zero in every column already passed, so the pivot row's other entries
     lie to its right.  ``inv`` maps a nonzero cv to its inverse; it is
     called only for a pivot row with more entries and with entries to
@@ -272,6 +282,8 @@ def rank(rows, ncols, field, inv):
         if not held:
             continue
         i = min(held)
+        if len(rows[i]) > 1 and len(held) > 1:
+            i = min(held, key=lambda r: (len(rows[r]), r))
         prow = rows[i]
         for j in prow:
             holders[j].discard(i)

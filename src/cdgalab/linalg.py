@@ -28,7 +28,8 @@ echelon rows with their pivots; an ``Eliminator`` of A keeps the row space
 of A as such a ``Subspace`` (``image``), taken from the same elimination of
 [A | I] that gives its left kernel, and every solve reduces against it.
 ``Matrix.rank`` needs no echelon form and eliminates forward only
-(``kernel.rank``).
+(``kernel.rank``); it returns only a number, so its pivots follow a guarded
+shortest-row rule, while every echelon form keeps first-nonzero pivoting.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -260,3 +261,31 @@ def in_projector_image(subspaces, x):
         k = alg.word_degree(w)
         rows[k][alg.word_index(k, w)] = c.cv
     return all(sub.contains(row) for sub, row in zip(subspaces, rows))
+
+
+@contextmanager
+def counting_row_work():
+    """Counts, while the block runs, the calls of ``kernel.row_axpy``, the
+    source-row entries they pass (``entries``) and the calls of
+    ``FieldElement.inverse``.  The engine reaches both at call time, so the
+    counts cover every caller, ``kernel.rank`` and ``kernel.combine``
+    alike.  They are exact: the arithmetic is deterministic."""
+    counts = {"row_axpy": 0, "entries": 0, "inverses": 0}
+    row_axpy, inverse = _kernel_py.row_axpy, field_module.FieldElement.inverse
+
+    def counted_row_axpy(target, src, c, field):
+        counts["row_axpy"] += 1
+        counts["entries"] += len(src)
+        return row_axpy(target, src, c, field)
+
+    def counted_inverse(self):
+        counts["inverses"] += 1
+        return inverse(self)
+
+    _kernel_py.row_axpy = counted_row_axpy
+    field_module.FieldElement.inverse = counted_inverse
+    try:
+        yield counts
+    finally:
+        _kernel_py.row_axpy = row_axpy
+        field_module.FieldElement.inverse = inverse

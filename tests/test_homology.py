@@ -17,8 +17,8 @@ from cdgalab.linalg import Eliminator, Subspace
 from cdgalab.symplectic import lefschetz
 from cdgalab.topology import BettiVector
 
-from conftest import (EVEN_SESSION, GEN_NAMES, ROOT, complex_basis, load_workloads,
-                      random_field_element, random_homogeneous)
+from conftest import (EVEN_SESSION, GEN_NAMES, ROOT, complex_basis, counting_row_work,
+                      load_workloads, random_field_element, random_homogeneous)
 
 # degree-3 classes spanning half of H^3; the other half is their conjugate
 W_WORDS = [
@@ -811,25 +811,60 @@ def test_a_betti_only_run_builds_no_eliminator_and_no_quotient(monkeypatch):
     assert calls == []
 
 
+FILIFORM_12_BETTI = [1, 2, 6, 18, 37, 56, 64, 56, 37, 18, 6, 2, 1]
+
+
+def filiform_session(n):
+    """The standard filiform algebra L_n over Q(zeta_12): generators
+    e1..en of degree 1, d e_j = e1*e_(j-1) for j = 3..n, one betti task."""
+    gens = " ".join(f"e{j}:1" for j in range(1, n + 1))
+    ds = "".join(f"d e{j} = e1*e{j - 1}\n" for j in range(3, n + 1))
+    return dsl.parse(f"field cyclotomic 12\nalgebra L generators {gens}\n{ds}"
+                     "task betti L\n")
+
+
 def test_filiform_betti_numbers_agree_on_the_rank_and_quotient_routes():
-    """The standard filiform algebra L_12: generators e1..e12 of degree 1,
-    d e_j = e1*e_(j-1) for j = 3..12.  These Betti numbers are this
-    engine's own values, on which four routes agreed when they were first
-    measured, not a published table.  The betti task reads them from ranks;
-    the representatives read afterwards build every degree's quotient,
-    whose dimension the table checks against them."""
-    gens = " ".join(f"e{j}:1" for j in range(1, 13))
-    ds = "".join(f"d e{j} = e1*e{j - 1}\n" for j in range(3, 13))
-    session = dsl.parse(f"field cyclotomic 12\nalgebra L generators {gens}\n{ds}"
-                        "task betti L\n")
+    """The filiform algebra L_12.  These Betti numbers are this engine's
+    own values, on which four routes agreed when they were first measured,
+    not a published table.  The betti task reads them from ranks; the
+    representatives read afterwards build every degree's quotient, whose
+    dimension the table checks against them."""
+    session = filiform_session(12)
     rc, report = dsl._RunContext(), dsl.Report(session.sha256())
     task, = session.tasks
     dsl._TASK_RUNNERS[task.name](rc, report, *task.args)
     betti = [int(v) for _, v in report.records]
-    assert betti == [1, 2, 6, 18, 37, 56, 64, 56, 37, 18, 6, 2, 1]
+    assert betti == FILIFORM_12_BETTI
     table = rc.table(session.algebras["L"], None)
     assert table._quotients == {}
     assert [len(table.representatives(k)) for k in range(table.top + 1)] == betti
+
+
+def test_filiform_ranks_take_the_pinned_row_operations():
+    """A run of the L_12 session makes exactly 2,859 ``row_axpy`` calls,
+    passing 7,669 pivot-row entries, and the counts repeat from run to run,
+    so a change to the pivot rule's row work fails here, whatever the
+    timing noise."""
+    runs = []
+    for _ in range(2):
+        with counting_row_work() as counts:
+            report = dsl.run(filiform_session(12))
+        assert report.ok
+        assert [int(v) for _, v in report.records] == FILIFORM_12_BETTI
+        runs.append(counts)
+    assert runs[0] == runs[1]
+    assert (runs[0]["row_axpy"], runs[0]["entries"]) == (2859, 7669)
+
+
+def test_the_ladder_table_takes_no_row_operations(model):
+    """The ranks of the ladder's full table clear every column by
+    deletions only, pivoting on one-entry rows: no ``row_axpy`` call and
+    no inverse."""
+    cx, _ = ladder_complexes(model)
+    with counting_row_work() as counts:
+        table = CohomologyTable(cx)
+    assert table.betti == [1, 8, 30, 70, 113, 132, 113, 70, 30, 8, 1]
+    assert counts == {"row_axpy": 0, "entries": 0, "inverses": 0}
 
 
 def test_representatives_are_built_once_per_degree(model):

@@ -9,7 +9,7 @@ from cdgalab._backend import kernel
 from cdgalab.field import FieldElement
 from cdgalab.linalg import Eliminator, _inv_cv
 
-from conftest import densify, random_field_element, sparse_row, times
+from conftest import counting_row_work, densify, random_field_element, sparse_row, times
 
 
 def d_matrix(model, k):
@@ -178,8 +178,8 @@ def test_kernel_vectors_annihilate():
 
 def dense_gauss_jordan(rows, limit):
     """Reference Gauss-Jordan on dense lists of field elements with the
-    engine's pivot rule: columns in order, the first row at or below the
-    current pivot row with a nonzero entry, swapped up.  Returns
+    pivot rule of ``kernel.rref``: columns in order, the first row at or
+    below the current pivot row with a nonzero entry, swapped up.  Returns
     (rank, pivots, rows)."""
     rows = [list(r) for r in rows]
     nrows = len(rows)
@@ -350,8 +350,9 @@ def test_one_entry_pivot_rows_take_no_inverse(monkeypatch):
     """When every pivot row has one entry by the time its column is reached,
     the rank takes no inverse: here one-entry rows come first, and each
     longer row has its last entry in a column of its own, past the columns
-    of one-entry rows that clear its others.  A pivot row with two entries
-    and an entry below it takes one."""
+    of one-entry rows that clear its others.  Two rows of two entries each
+    in the same columns take one: every pivot rule pivots on a two-entry
+    row there."""
     f = make_field(12)
     rng = random.Random(35)
     cases = []
@@ -365,7 +366,7 @@ def test_one_entry_pivot_rows_take_no_inverse(monkeypatch):
         m = Matrix(f, 11, rows)
         cases.append((m, dense_gauss_jordan(dense_rows(f, m.sparse_rows, 11), 11)[0]))
     two = Matrix(f, 2, [{0: _nonrational(f, rng).cv, 1: _nonrational(f, rng).cv},
-                        {0: _nonrational(f, rng).cv}])
+                        {0: _nonrational(f, rng).cv, 1: _nonrational(f, rng).cv}])
     inverses = []
     monkeypatch.setattr(FieldElement, "inverse", lambda self: inverses.append(self))
     for m, rank in cases:
@@ -374,6 +375,98 @@ def test_one_entry_pivot_rows_take_no_inverse(monkeypatch):
     with pytest.raises(AttributeError):  # the recorded call returns no inverse
         two.rank()
     assert len(inverses) == 1
+
+
+def _guarded_matrix(f, rng):
+    """Seeded rows over Q(zeta_12) whose lowest held column, 0, is held
+    first by a long row and later by shorter ones: two of one shortest
+    length (a tie) and others longer, all shuffled among rows that do not
+    hold column 0.  Sometimes a multiple of the first row or the sum of two
+    rows that miss column 0 is appended, so that the rank falls short.
+    Returns the matrix and the index of the first tied row."""
+    ncols = rng.randint(4, 8)
+    long_len = rng.randint(3, ncols)
+    short_len = rng.randint(1, long_len - 1)
+
+    def row(length, holds_0=True):
+        cols = [0] * holds_0 + rng.sample(range(1, ncols), length - holds_0)
+        return {j: _nonrational(f, rng).cv for j in cols}
+
+    rest = ([("tie", row(short_len)) for _ in range(2)]
+            + [("other", row(rng.randint(short_len + 1, ncols)))
+               for _ in range(rng.randint(0, 2))]
+            + [("other", row(rng.randint(1, ncols - 1), holds_0=False))
+               for _ in range(rng.randint(1, 4))])
+    rng.shuffle(rest)
+    rows = [row(long_len)] + [r for _, r in rest]
+    misses = [r for r in rows if 0 not in r]
+    if rng.random() < 0.3:
+        rows.append({j: kernel.cv_neg(v) for j, v in rows[0].items()})
+    if len(misses) > 1 and rng.random() < 0.3:
+        rows.append(kernel.combine({0: _nonrational(f, rng).cv, 1: _nonrational(f, rng).cv},
+                                   misses.__getitem__, f) or misses[0])
+    return Matrix(f, ncols, rows), 1 + [kind for kind, _ in rest].index("tie")
+
+
+def test_the_guarded_rule_pivots_on_the_shortest_held_row():
+    """``kernel.rank`` pivots a column on its lowest-numbered held row,
+    unless that row has more than one entry and the column another holder:
+    then on the shortest held row, the lowest-numbered among equals.  On
+    seeded matrices whose column 0 is held first by a long row and later by
+    two rows of one shortest length, the first of the two is the only row
+    that keeps column 0 once ``kernel.rank`` is done (a pivot row is never
+    touched again and every other holder is cleared there), and
+    ``Matrix.rank`` finds the dense reference's rank under every row order
+    tried.  The rows {0: a, 1: b} and {0: c} pivot on the one-entry row and
+    take no inverse."""
+    f = make_field(12)
+    rng = random.Random(37)
+    deficient = long_ties = 0
+    for _ in range(60):
+        m, tie = _guarded_matrix(f, rng)
+        rank, _, _ = dense_gauss_jordan(dense_rows(f, m.sparse_rows, m.ncols), m.ncols)
+        rows = [dict(row) for row in m.sparse_rows]
+        assert kernel.rank(rows, m.ncols, f, _inv_cv(f)) == rank == m.rank()
+        assert [0 in row for row in rows] == [i == tie for i in range(m.nrows)]
+        for _ in range(3):
+            shuffled = rng.sample(m.sparse_rows, m.nrows)
+            assert Matrix(f, m.ncols, shuffled).rank() == rank
+        deficient += rank < m.nrows
+        long_ties += len(m.sparse_rows[tie]) > 1
+    assert deficient >= 15 and long_ties >= 20
+    a, b, c = (_nonrational(f, rng).cv for _ in range(3))
+    rows = [{0: a, 1: b}, {0: c}]
+    with counting_row_work() as counts:
+        assert kernel.rank(rows, 2, f, _inv_cv(f)) == 2
+    assert rows == [{1: b}, {0: c}]
+    assert counts == {"row_axpy": 0, "entries": 0, "inverses": 0}
+
+
+def test_rref_and_solve_left_keep_the_first_row_pivot():
+    """``kernel.rref`` keeps the first-row rule, since the I parts it
+    carries are read: ``Eliminator.solve_left`` and ``kernel_rows`` read
+    them, and the printed obstruction primitives depend on them.  On rows
+    where the guarded rule of ``kernel.rank`` pivots column 0 on the
+    one-entry row 2 instead of row 0, the echelon rows with their I parts,
+    the particular solution and the left kernel are pinned to the values of
+    the first-row rule; the shortest-row rule would give x = e2 for
+    x * A = e0 and the kernel row negated."""
+    f = make_field(12)
+    one, minus = f.rational(1).cv, f.rational(-1).cv
+    a = Matrix(f, 2, [{0: one, 1: one}, {1: one}, {0: one}])
+    rows = [dict(row) for row in a.sparse_rows]
+    assert kernel.rank(rows, 2, f, _inv_cv(f)) == 2
+    assert rows == [{1: one}, {}, {0: one}]
+    aug = [{**row, 2 + i: one} for i, row in enumerate(a.sparse_rows)]
+    assert kernel.rref(aug, 5, 2, f, _inv_cv(f)) == (2, [0, 1])
+    assert aug == [{0: one, 2: one, 3: minus}, {1: one, 3: one},
+                   {2: minus, 3: one, 4: one}]
+    el = Eliminator(a)
+    assert (el.rank, el.pivots) == (2, [0, 1])
+    assert el.solve_left({0: one}) == {0: one, 1: minus}
+    assert el.solve_left({0: f.rational(2).cv, 1: f.rational(3).cv}) == {
+        0: f.rational(2).cv, 1: one}
+    assert el.kernel_rows() == [{0: minus, 1: one, 2: one}]
 
 
 def test_rank_skips_empty_rows_and_unheld_columns(monkeypatch):

@@ -10,7 +10,7 @@ from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator
 from cdgalab.symplectic import is_symplectic, lefschetz
 
-from conftest import ROOT, load_workloads
+from conftest import ROOT, counting_row_work, load_workloads
 
 
 LEF_WITNESS_SIGN = -1  # frozen: omega^2*nu*nubar = d(-2*theta*mubar*etabar*eta*nubar)
@@ -204,6 +204,40 @@ def test_galois_conjugate_forms_have_equal_lefschetz_ranks(model, seed):
     for k in (1, 2):
         ranks = [lefschetz(table.class_of(x, 2), k).rank for x in (form, conj)]
         assert ranks[0] == ranks[1] <= table.betti[4 - k]
+
+
+# Per seed, for each of four forms of ``_non_rational_closed_form``: the
+# (rank, row_axpy calls, entries passed, inverses) of the rank of its
+# Lefschetz matrix on the paper's full table for k = 1 (H^3 -> H^5) and
+# k = 2 (H^2 -> H^6).
+LEFSCHETZ_RANK_WORK = {
+    4: [((14, 2, 4, 2), (2, 0, 0, 0)), ((12, 4, 8, 3), (2, 0, 0, 0)),
+        ((8, 2, 4, 2), (0, 0, 0, 0)), ((8, 1, 2, 1), (0, 0, 0, 0))],
+    8: [((8, 1, 2, 1), (0, 0, 0, 0)), ((8, 0, 0, 0), (0, 0, 0, 0)),
+        ((12, 1, 2, 1), (2, 0, 0, 0)), ((18, 0, 0, 0), (4, 0, 0, 0))],
+    14: [((10, 10, 21, 5), (0, 0, 0, 0)), ((10, 1, 2, 1), (0, 0, 0, 0)),
+         ((8, 1, 2, 1), (0, 0, 0, 0)), ((18, 1, 2, 1), (4, 0, 0, 0))],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LEFSCHETZ_RANK_WORK))
+def test_lefschetz_ranks_take_the_pinned_row_operations(model, seed):
+    """The rank of each Lefschetz matrix of seeded non-rational forms makes
+    exactly the pinned ``row_axpy`` calls and inverses, and equals the rank
+    of the first-row [A | I] elimination."""
+    rng = random.Random(seed)
+    work = []
+    for _ in range(4):
+        om = model.table.class_of(_non_rational_closed_form(model, rng), 2)
+        per_k = []
+        for k in (1, 2):
+            m = lefschetz(om, k).matrix
+            with counting_row_work() as counts:
+                rank = m.rank()
+            assert rank == Eliminator(m).rank
+            per_k.append((rank, counts["row_axpy"], counts["entries"], counts["inverses"]))
+        work.append(tuple(per_k))
+    assert work == LEFSCHETZ_RANK_WORK[seed]
 
 
 def _cup_matrices(table, om):
