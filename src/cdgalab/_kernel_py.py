@@ -216,8 +216,6 @@ def rref(rows, ncols, limit, field, inv):
         if piv == nrows:
             break
         held = holders[col]
-        if not held:
-            continue
         below = [position[i] for i in held if position[i] >= piv]
         if not below:
             continue

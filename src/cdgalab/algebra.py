@@ -1,14 +1,19 @@
 """Free graded-commutative algebras with a differential.
 
 A basis word is one int: a monomial in the generators, odd ones at most
-once, even ones up to the declared truncation degree.  Each odd generator
-has one bit and each even generator a field that holds its exponent up to
-top // degree, plus a guard bit, so two basis words without a common odd
-generator add up, with no carry out of any field, to the monomial of their
-product, in the basis or past the top.  The fields follow declaration order
-from bit 0, so a word's highest set bit names its last generator, the word
-of a product is the sum of the words, and the prefix p of a word p*g is
-p*g minus the word of g.  Each degree's basis lists its words in the
+once, even ones up to the declared truncation degree, that carries its own
+degree.  The low bits are the degree field, (2*top).bit_length() wide, so
+it holds the degree of a product of any two words.  Above it each odd
+generator has one bit and each even generator a field that holds its
+exponent up to top // degree, plus a guard bit.  The word of a generator is
+its lowest field bit plus its degree, so two basis words without a common
+odd generator add up, with no carry out of any field, to the monomial of
+their product with the sum of their degrees, in the basis or past the top.
+The generator fields follow declaration order, so a word's highest set bit
+names its last generator, the word of a product is the sum of the words,
+and the prefix p of a word p*g is p*g minus the word of g.  One dict maps
+each basis word to its index in the basis of its degree, and so also says
+which ints are words.  Each degree's basis lists its words in the
 lexicographic order of their generator sequences, which is not integer
 order; only ``format_word`` reads a word's generators back.
 
@@ -17,8 +22,8 @@ merge of the two sorted generator sequences; this single convention fixes
 every sign produced by the engine.  Only odd generators change the sign as
 they pass each other, so it is counted by popcounts on the words' odd bits.
 Two basis words merge with one ``&`` test for a shared odd generator, one
-test of their degrees against the top, and that count; a product with a word
-outside the basis is zero.
+test of the summed degree field against the top, and that count; a product
+with an int outside the basis is zero.
 
 A ``GradedElement`` stores its terms as one ``{word: cv}`` map, each key a
 basis word and each value the kernel's canonical integer tuple of a nonzero
@@ -132,42 +137,41 @@ class Algebra:
         self.top = top
         word_count(self.degrees, self.odd, top)
         self._index = {g.name: i for i, g in enumerate(gens)}
-        # the word of each generator, and for each bit length of a nonempty
-        # word the generator whose field holds its highest bit
+        # the degree field, wide enough for the degree of a product of two
+        # words; the word of each generator, its first field bit plus its
+        # degree; and for each bit length of a word with a generator the
+        # generator whose field holds its highest bit
+        degree_bits = (2 * top).bit_length()
+        self._degree_mask = (1 << degree_bits) - 1
         self._unit: list[Word] = []
-        self._last: list[int] = [-1]
+        self._last: list[int] = [-1] * (degree_bits + 1)
         for g, (d, is_odd) in enumerate(zip(self.degrees, self.odd)):
-            self._unit.append(1 << (len(self._last) - 1))
+            self._unit.append((1 << (len(self._last) - 1)) + d)
             width = 1 if is_odd else (top // d).bit_length() + 1  # with a guard bit
             self._last += [g] * width
-        self._odd_bits = sum(u for u, is_odd in zip(self._unit, self.odd) if is_odd)
-        self._word_degree: dict = {}
+        self._odd_bits = sum(u & ~self._degree_mask
+                             for u, is_odd in zip(self._unit, self.odd) if is_odd)
         self._basis = self._collect_words()
-        self._word_pos = [
-            {w: i for i, w in enumerate(words)} for words in self._basis
-        ]
+        self._word_pos = {w: i for words in self._basis for i, w in enumerate(words)}
 
     def _collect_words(self) -> list[list[Word]]:
         """The basis words of each degree, in the lexicographic order of
         their generator sequences: a depth-first walk that extends a word by
         generators in declaration order, kept on an explicit stack so word
-        length is not bounded by the interpreter's recursion limit.  The
-        walk also records each word's degree."""
-        top, degrees, unit = self.top, self.degrees, self._unit
+        length is not bounded by the interpreter's recursion limit."""
+        top, degrees, unit, mask = self.top, self.degrees, self._unit, self._degree_mask
         basis: list[list[Word]] = [[] for _ in range(top + 1)]
-        degree_of = self._word_degree
         # the first generator a word may take after g: an odd g only once
         after = [g + 1 if is_odd else g for g, is_odd in enumerate(self.odd)]
         last = len(self.gens) - 1
-        stack = [(0, 0, 0)]  # (word, degree, first generator it may take)
+        stack = [(0, 0)]  # (word, first generator it may take)
         while stack:
-            word, deg, start = stack.pop()
+            word, start = stack.pop()
+            deg = word & mask
             basis[deg].append(word)
-            degree_of[word] = deg
             for g in range(last, start - 1, -1):  # pushed last-first, popped first-first
-                d2 = deg + degrees[g]
-                if d2 <= top:
-                    stack.append((word + unit[g], d2, after[g]))
+                if deg + degrees[g] <= top:
+                    stack.append((word + unit[g], after[g]))
         return basis
 
     # --- basis bookkeeping ---
@@ -183,14 +187,18 @@ class Algebra:
     def total_dim(self) -> int:
         return sum(len(b) for b in self._basis)
 
-    def word_index(self, degree: int, word: Word) -> int:
-        return self._word_pos[degree][word]
+    def word_index(self, word: Word) -> int:
+        """The position of a basis word in the basis of its degree, from the
+        one word table; an int outside the basis raises KeyError."""
+        return self._word_pos[word]
 
     def word_degree(self, word: Word) -> int:
-        return self._word_degree[word]
+        """The degree of a basis word: its degree field.  No table is read,
+        so an int outside the basis is not refused."""
+        return word & self._degree_mask
 
     def _check_word(self, word: Word) -> None:
-        if type(word) is not int or word not in self._word_degree:
+        if type(word) is not int or word not in self._word_pos:
             raise ValueError(f"{word!r} is not a basis word of the algebra")
 
     def generator_index(self, name: str) -> int:
@@ -220,20 +228,22 @@ class Algebra:
 
     def merge_words(self, w1: Word, w2: Word):
         """The product of two words; returns (word, sign) or None when the
-        product vanishes (repeated odd generator or truncation).
+        product vanishes (repeated odd generator, truncation, or an int
+        outside the basis).
 
         The sign is (-1)^e, e the number of pairs of odd generators a in w1
         and b in w2 with a > b: only odd generators change sign as they pass
         each other, and the bits of w1 and w2 under the odd mask are those
-        generators in order.  A word outside the basis has no degree, so its
-        products all vanish."""
+        generators in order.  The degree fields add up to the product's
+        degree, which is compared with the top."""
         odd = self._odd_bits
         if w1 & w2 & odd:
             return None
-        degree_of = self._word_degree
-        d1 = degree_of.get(w1)
-        d2 = degree_of.get(w2)
-        if d1 is None or d2 is None or d1 + d2 > self.top:
+        pos = self._word_pos
+        if w1 not in pos or w2 not in pos:
+            return None
+        w = w1 + w2
+        if w & self._degree_mask > self.top:
             return None
         m1 = w1 & odd
         m2 = w2 & odd
@@ -242,7 +252,7 @@ class Algebra:
             low = m2 & -m2  # the bit of the lowest odd generator b left in w2
             e += (m1 & -(low << 1)).bit_count()  # odd generators of w1 above b
             m2 ^= low
-        return w1 + w2, (-1 if e & 1 else 1)
+        return w, (-1 if e & 1 else 1)
 
     def format_word(self, word: Word) -> str:
         """The word's generator names in declaration order, joined by
@@ -355,20 +365,19 @@ class GradedElement:
         alg = self.algebra
         return sorted(
             self.terms.items(),
-            key=lambda wc: (alg.word_degree(wc[0]), alg.word_index(alg.word_degree(wc[0]), wc[0])),
+            key=lambda wc: (alg.word_degree(wc[0]), alg.word_index(wc[0])),
         )
 
     def to_row(self, degree: int) -> dict:
         """Sparse coordinates ``{word index: cv}`` on the degree-`degree` word
         basis; rejects other terms."""
         alg = self.algebra
-        pos = alg._word_pos[degree] if 0 <= degree <= alg.top else {}
+        pos, mask = alg._word_pos, alg._degree_mask
         row = {}
         for w, c in self._terms.items():
-            j = pos.get(w)
-            if j is None:
+            if w & mask != degree:
                 raise ValueError(f"term {alg.format_word(w)} is not of degree {degree}")
-            row[j] = c
+            row[pos[w]] = c
         return row
 
     def __eq__(self, other):
@@ -495,11 +504,10 @@ class _WordLinear:
 
     def word_rows(self, k: int) -> list[dict]:
         """The value on each degree-k word of the source, in basis order, as a
-        fresh sparse row ``{index in degree k + shift of the target: cv}``;
-        none outside 0..top.  A word whose prefix is kept, as every prefix is
+        fresh sparse row ``{index in degree k + shift of the target: cv}``,
+        empty past the top.  A word whose prefix is kept, as every prefix is
         when degrees are read in order, takes one ``_extend``, not ``_value``."""
-        j = k + self.shift
-        pos = self.target._word_pos[j] if 0 <= j <= self.target.top else {}
+        pos = self.target._word_pos
         values, extend = self._values, self._extend
         last, unit = self.source._last, self.source._unit
         rows = []
@@ -562,7 +570,7 @@ class Differential(_WordLinear):
             if m is not None:
                 acc[m[0]] = c if m[1] > 0 else neg(c)
         if dg:
-            odd = alg.word_degree(p) & 1
+            odd = p & 1  # |p| mod 2, the low bit of p's degree field
             for u, c in dg.items():
                 m = merge(p, u)
                 if m is None:

@@ -317,7 +317,7 @@ class CohomologyTable:
     def _normal_form(self, w: int, degree: int) -> dict:
         """``_reduce`` of the unit row of the degree-``degree`` word w."""
         alg = self.complex.algebra
-        return self._reduce({alg.word_index(degree, w): alg.field.one.cv}, degree)
+        return self._reduce({alg.word_index(w): alg.field.one.cv}, degree)
 
     def _product_columns(self, reps: list[GradedElement], words: list,
                          degree: int) -> dict:

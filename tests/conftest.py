@@ -157,17 +157,14 @@ def complex_basis(cx, k: int) -> list:
 
 
 def letters(algebra, word: int) -> tuple:
-    """The sorted generator indices of an int word, read from the words of
-    the generators alone: generator g's field lies between its word and the
-    next generator's, so its exponent is word mod (next word) div (its
-    word).  The tests' decoder, apart from ``Algebra.format_word``."""
-    units = [algebra.generator_word(g) for g in range(len(algebra.gens))]
-    out = []
-    for g, unit in enumerate(units):
-        field = word % units[g + 1] if g + 1 < len(units) else word
-        out += [g] * (field // unit)
+    """The sorted generator indices of a basis word, read through the
+    algebra's one decoder: ``format_word`` names its generators in
+    declaration order, and each name is looked up.  The sum of their
+    generator words must give the word back."""
+    names = algebra.format_word(word)
+    out = tuple(algebra.generator_index(n) for n in names.split("*")) if names else ()
     assert word_of(algebra, out) == word, word
-    return tuple(out)
+    return out
 
 
 def word_of(algebra, seq) -> int:
@@ -259,7 +256,7 @@ def in_projector_image(subspaces, x):
     rows = [{} for _ in subspaces]
     for w, c in x.terms.items():
         k = alg.word_degree(w)
-        rows[k][alg.word_index(k, w)] = c.cv
+        rows[k][alg.word_index(w)] = c.cv
     return all(sub.contains(row) for sub, row in zip(subspaces, rows))
 
 

@@ -388,24 +388,44 @@ def ref_merge_words(alg, w1, w2):
     return tuple(out), (-1 if sign_exp % 2 else 1)
 
 
-@pytest.mark.parametrize("which", ["paper", "truncated"])
+@pytest.mark.parametrize("which", ["paper", "truncated", "power-of-two top"])
 def test_merge_words_matches_the_merge_walk_on_every_pair(model, which):
     """The int merge of basis words, decoded, on every ordered pair of them,
-    against the walk above; and ints outside the basis (past the top, in a
-    guard bit, above every field, negative), whose products all vanish."""
+    against the walk above; and ints outside the basis (a degree field past
+    the top, a set guard bit, a bit above every field, negative), whose
+    products all vanish and which no element takes as a word.  At top 8 the
+    degree of a product of two words, up to 16, fills its field."""
     if which == "paper":
         alg = model.algebra
-        outside = [1 << 8, (1 << 8) | 1, -1]  # above the eight generator bits
-    else:
+        units = [alg.generator_word(g) for g in range(len(alg.gens))]
+        above = 2 * (units[-1] - alg.word_degree(units[-1]))  # past etabar's bit
+        # every generator with degree field 9, past the top; the bit above
+        # every field, with degree field 0 and with mu
+        outside = [sum(units) + 1, above, above + units[0], -1]
+    elif which == "truncated":
         alg = Algebra(make_field(12), [("x", 2), ("y", 3), ("z", 1)], top=9)
         x, y, z = (alg.generator_word(g) for g in range(3))
-        # x^5 and x^4*y are past the top, x^8 sets x's guard bit, and 2*z
-        # is the bit above z's, past every field
+        # x^5 and x^4*y, degree fields 10 and 11, are past the top, x^8 sets
+        # x's guard bit, and 2*z holds the bit above z's, past every field
         outside = [5 * x, 4 * x + y, 8 * x, 2 * z, -1]
         assert alg.merge_words(4 * x, x) is None  # an even exponent past the top
         assert alg.merge_words(y, y) is None and alg.merge_words(x + z, z) is None
         assert alg.merge_words(x + y, x) == (2 * x + y, 1)
         assert alg.merge_words(z, y) == (y + z, -1)
+    else:
+        alg = Algebra(make_field(12), [("x", 2), ("y", 1), ("z", 1)], top=8)
+        x, y, z = (alg.generator_word(g) for g in range(3))
+        # x^4*y has degree field 9, past the top; x^8 sets x's guard bit with
+        # degree field 16; 2*y is z's bit with degree field 2, not 1; and 2*z
+        # holds the bit above z's, past every field
+        outside = [4 * x + y, 8 * x, 2 * y, 2 * z, -1]
+        assert alg.merge_words(4 * x, 4 * x) is None  # degree field 16
+        assert alg.merge_words(3 * x + z, y) == (3 * x + y + z, -1)  # degree 8
+    for w in outside:
+        for build in (alg.word_element, lambda u: GradedElement(alg, {u: 1}),
+                      alg.unit().coefficient):
+            with pytest.raises(ValueError, match="not a basis word"):
+                build(w)
     words = [w for k in range(alg.top + 1) for w in alg.basis(k)]
     outcomes = set()
     for w1 in words:
@@ -419,7 +439,7 @@ def test_merge_words_matches_the_merge_walk_on_every_pair(model, which):
             else:
                 outcomes.add(got[1])
     assert {1, -1, "repeated odd"} <= outcomes
-    if which == "truncated":
+    if which != "paper":
         assert "past the top" in outcomes
     for w1 in outside:
         for w2 in outside + words:
@@ -481,12 +501,13 @@ def test_a_coefficient_of_another_field_is_refused(model):
     Q(zeta_4) in a Q(zeta_12) algebra would be a malformed cv of the wrong
     length; the constructor refuses it as field arithmetic does."""
     alg = model.algebra
+    mu, nu = alg.generator_word(0), alg.generator_word(1)  # words 0 and 1 of degree 1
     i4 = make_field(4).imaginary_unit()
     with pytest.raises(ValueError, match="^conductor mismatch: 4 vs 12$"):
-        GradedElement(alg, {1: i4})
+        GradedElement(alg, {mu: i4})
     with pytest.raises(ValueError, match="^conductor mismatch: 4 vs 12$"):
-        GradedElement(alg, {1: alg.field.one, 2: i4})
-    x = GradedElement(alg, {1: alg.field.imaginary_unit(), 2: alg.field.zero})
+        GradedElement(alg, {mu: alg.field.one, nu: i4})
+    x = GradedElement(alg, {mu: alg.field.imaginary_unit(), nu: alg.field.zero})
     assert x.to_row(1) == {0: alg.field.imaginary_unit().cv}
 
 
@@ -532,9 +553,12 @@ def test_words_outside_the_basis_are_refused(model):
     element is built from words or a coefficient is read."""
     alg = Algebra(make_field(1), [("a", 1), ("b", 1), ("x", 2)], top=6)
     a, b, x = (alg.generator_word(g) for g in range(3))
-    assert (a, b, x) == (1, 2, 4)  # x's field: exponents 0..3 and a guard bit
+    assert alg.basis(6)[-1] == 3 * x  # x's field: exponents 0..3, then a guard bit
+    # x^4 sets x's guard bit; x's low field bit times 8 is the bit above
+    # x's exponent bits and guard bit, past every field, with degree field 0
+    above = 8 * (x - alg.word_degree(x))
     y = alg.word_element(a + b)
-    for word in [(0, 1), 4 * x, 1 << 5, -1, True]:
+    for word in [(0, 1), 4 * x, above, -1, True]:
         with pytest.raises(ValueError, match="not a basis word"):
             alg.word_element(word)
         with pytest.raises(ValueError, match="not a basis word"):
@@ -544,7 +568,9 @@ def test_words_outside_the_basis_are_refused(model):
     assert y == GradedElement(alg, {word_of(alg, (0, 1)): 1})
     assert y.coefficient(a + b) == alg.field.one and y.coefficient(a).is_zero()
     omega = model.omega
-    for word in [(1, 0), (99,), 1 << 8]:
+    etabar = model.algebra.generator_word(7)
+    above = 2 * (etabar - model.algebra.word_degree(etabar))  # degree field 0
+    for word in [(1, 0), (99,), above]:  # the bit above etabar's, past every field
         with pytest.raises(ValueError, match="not a basis word"):
             omega.coefficient(word)
     mu_mubar = word_of(model.algebra, (0, 4))
@@ -623,7 +649,8 @@ def mixed_algebra():
 def test_iterative_enumeration_keeps_the_recursive_word_order(model, which):
     """The int words of each degree decode to the sequences of the recursive
     walk, in its order, which is the lexicographic order of the sequences;
-    ``format_word`` names the same sequence."""
+    ``format_word`` names the same sequence, and each word reads back its
+    degree and its index in that degree."""
     alg = {"paper": lambda: model.algebra,
            "ladder": lambda: dsl.parse(LADDER.read_text()).algebras["M"].algebra,
            "mixed": mixed_algebra,
@@ -635,9 +662,9 @@ def test_iterative_enumeration_keeps_the_recursive_word_order(model, which):
     assert decoded == ref
     assert all(seqs == sorted(seqs) for seqs in decoded)
     for k in range(alg.top + 1):
-        for w, seq in zip(alg.basis(k), decoded[k]):
+        for i, (w, seq) in enumerate(zip(alg.basis(k), decoded[k])):
             assert alg.format_word(w) == "*".join(alg.gens[g].name for g in seq)
-            assert alg.word_degree(w) == k
+            assert alg.word_degree(w) == k and alg.word_index(w) == i
     assert word_count(alg.degrees, alg.odd, alg.top) == alg.total_dim() == sum(map(len, ref))
 
 

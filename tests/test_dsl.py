@@ -115,6 +115,7 @@ PINNED_DIAGNOSTICS = [
     (_M + "map f order 1 { mu -> mu ; mu -> nu }\n", 3, 28, "duplicate map assignment for 'mu'"),
     (_M + "map f order 1 { mu -> mu ; nu -> nu\n", 4, 1, "expected '}'"),
     (_M + "map f order 1 { mu -> mu }\n", 3, 5, "map misses generator nu"),
+    (_M + "map f order 1 { mu -> mu ;\n}\n", 3, 5, "map misses generator nu"),
     (_M + "let 1 = mu\n", 3, 5, "expected binding name"),
     (_M + "let x = mu * +\n", 3, 14, "expected an element, got '+'"),
     (_M + "let x = (mu + nu\n", 3, 17, "expected ')'"),

@@ -9,13 +9,14 @@ from cdgalab import (AlgebraMap, Conjugation, GroupAction, Matrix, dsl, homology
                      top_scalar, wedge)
 from cdgalab._backend import kernel
 from cdgalab.action import invariant_complex
-from cdgalab.algebra import (Algebra, Differential, GradedElement, PreconditionError, _element,
-                             apply_d)
+from cdgalab.algebra import (Algebra, Differential, GeneratorSpec, GradedElement,
+                             PreconditionError, _element, apply_d)
 from cdgalab.formality import ObstructionInput
 from cdgalab.homology import CochainComplex, CohomologyTable
 from cdgalab.linalg import Eliminator, Subspace
 from cdgalab.symplectic import lefschetz
-from cdgalab.topology import BettiVector
+from cdgalab.topology import (BettiVector, IncidenceGraph, betti_p1_bundle, betti_projective,
+                              betti_union)
 
 from conftest import (EVEN_SESSION, GEN_NAMES, ROOT, complex_basis, counting_row_work,
                       load_workloads, random_field_element, random_homogeneous)
@@ -538,6 +539,25 @@ def _lefschetz_on_top_3():
                  "exactly three beta inputs are required", id="betas"),
     pytest.param(_solve_past_a_dropped_quotient_row,
                  "closed element must reduce against cocycles", id="class-coords-fault"),
+    pytest.param(lambda m: GeneratorSpec("a", 0), "generator a: degree must be >= 1",
+                 id="generator-degree"),
+    pytest.param(lambda m: Algebra(make_field(12), [("a", 1), ("a", 1)]),
+                 "generator names must be unique", id="generator-names"),
+    pytest.param(lambda m: wedge(_line().generator("a"), _line().generator("a")),
+                 "algebra mismatch", id="wedge"),
+    pytest.param(lambda m: apply_d(m.differential, _line().generator("a")), "algebra mismatch",
+                 id="apply-d"),
+    pytest.param(lambda m: m.conjugation(_line().generator("a")), "algebra mismatch",
+                 id="conjugate"),
+    pytest.param(lambda m: AlgebraMap(m.algebra, m.algebra,
+                                      {g: _line().generator("a") for g in GEN_NAMES}),
+                 "algebra mismatch in map assignment", id="map-assignment"),
+    pytest.param(lambda m: top_scalar(m.volume, _line().generator("a")), "algebra mismatch",
+                 id="top-scalar"),
+    pytest.param(lambda m: betti_projective(-1), "n must be >= 0", id="projective"),
+    pytest.param(lambda m: betti_p1_bundle(BettiVector((1, 0, 0, 1))),
+                 "the base must have even top degree", id="p1-bundle"),
+    pytest.param(lambda m: betti_union(IncidenceGraph([])), "empty graph", id="union"),
 ])
 def test_library_refusals(model, refuse, message):
     """Each refusal of the library's own API raises its message; a
@@ -557,17 +577,23 @@ def test_two_step_complex_with_even_generator():
     assert CohomologyTable(cx).betti == [1, 0, 1, 0, 1, 0, 1]
 
 
-def test_kuenneth_with_a_two_torus(model):
-    """The model times a 2-torus (10 generators, 1024 words): the Betti
-    vector is the model's convolved with (1, 2, 1)."""
-    names = [g.name for g in model.algebra.gens] + ["tau", "taubar"]
+@pytest.mark.parametrize("rank", [1, 4])
+def test_kuenneth_with_a_two_torus(model, rank):
+    """The model times the torus T^(2 rank): the Betti vector is the model's
+    convolved with (1, 2, 1) rank times.  Rank 1 is 10 generators and 1024
+    words; rank 4 is 16 generators, where twice the top degree, 32, takes
+    one more bit of a word's degree field than at 10."""
+    names = [g.name for g in model.algebra.gens]
+    names += [n + str(i) for i in range(rank) for n in ("tau", "taubar")]
     alg = Algebra(model.field, [(n, 1) for n in names])
     g = {n: alg.generator(n) for n in names}
     d = Differential(alg, {"theta": g["mu"] * g["nu"],
                            "thetabar": g["mubar"] * g["nubar"]})
-    b = model.table.betti
-    expected = [sum(b[k - j] * c for j, c in enumerate((1, 2, 1)) if 0 <= k - j < len(b))
-                for k in range(len(b) + 2)]
+    expected = model.table.betti
+    for _ in range(rank):
+        expected = [sum(expected[k - j] * c for j, c in enumerate((1, 2, 1))
+                        if 0 <= k - j < len(expected))
+                    for k in range(len(expected) + 2)]
     assert CohomologyTable(CochainComplex(d)).betti == expected
 
 

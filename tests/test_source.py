@@ -245,6 +245,41 @@ def test_only_the_complex_reads_its_subspaces(tmp_path):
     assert _subspace_reads(old) == ["homology.CohomologyTable._reduce"] * 2
 
 
+WORD_LAYOUT = {"_unit", "_last", "_odd_bits", "_word_pos", "_degree_mask"}
+
+
+def _word_layout_reads(path: Path) -> list[tuple[str, str]]:
+    """``(owner, attribute)`` for each read in ``path`` of an ``Algebra``
+    attribute that knows the bit layout of a word."""
+    return [(owner, node.attr) for owner, node in _qualified_nodes(path)
+            if isinstance(node, ast.Attribute) and node.attr in WORD_LAYOUT
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_only_the_algebra_reads_the_word_layout(tmp_path):
+    """A word's bits, its degree field and its generator fields, are laid
+    out by ``Algebra`` alone, and read elsewhere only through its methods
+    (``generator_word``, ``format_word``, ``word_degree``, ``word_index``,
+    ``merge_words``), so no library or test module but ``algebra.py`` reads
+    the attributes that hold the layout.  A direct lookup of a word's index,
+    written into a module, is caught."""
+    paths = sorted(SRC.glob("*.py")) + sorted(ROOT.joinpath("tests").glob("*.py"))
+    reads = {path.name: _word_layout_reads(path) for path in paths}
+    assert {attr for _, attr in reads.pop("algebra.py")} == WORD_LAYOUT
+    found = [read for name in reads for read in reads[name]]
+    assert not found, found
+    scratch = tmp_path / "homology.py"
+    scratch.write_text("class CohomologyTable:\n"
+                       "    def _normal_form(self, w, degree):\n"
+                       "        alg = self.complex.algebra\n"
+                       "        row = {alg._word_pos[w]: alg.field.one.cv}\n"
+                       "        assert w & alg._degree_mask == degree\n"
+                       "        return self._reduce(row, degree)\n")
+    assert _word_layout_reads(scratch) == [
+        ("homology.CohomologyTable._normal_form", "_word_pos"),
+        ("homology.CohomologyTable._normal_form", "_degree_mask")]
+
+
 def _strings_containing(path: Path, phrase: str) -> list[str]:
     """The owner of each string constant of ``path``, the literal parts of
     f-strings included, that contains ``phrase``."""
